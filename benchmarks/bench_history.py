@@ -12,7 +12,10 @@ appends one JSON line — keyed by git SHA and UTC timestamp — to
 engine SMS throughput *and* the lanes-vs-reference speedup against the
 trailing median of the preceding entries (same ``quick`` flag only, so CI
 smoke numbers are never compared against full local runs) and warns when
-either dropped by more than the threshold (default 15%).
+either dropped by more than the threshold (default 15%), and the overhead
+metrics against their absolute budgets.  A guarded metric that is missing
+from the newest entry is reported like a regression: an unchecked guard is
+not a passed one.
 
 The check is **non-gating** by design: shared CI runners are noisy, so a
 single slow machine must not block a merge.  ``check`` always exits 0
@@ -140,6 +143,12 @@ def _median(values):
     return (ordered[mid - 1] + ordered[mid]) / 2
 
 
+def _warn_missing(metric_name: str, display: str) -> None:
+    """A guarded metric the latest record lacks is a failed guard, not a pass."""
+    print(f"::warning::{display} ({metric_name}) is missing from the latest "
+          f"history entry; its guard cannot be checked")
+
+
 def command_check(args: argparse.Namespace) -> int:
     entries = _load_history(Path(args.history))
     if not entries:
@@ -150,7 +159,8 @@ def command_check(args: argparse.Namespace) -> int:
     for metric_name, display in CHECKED_METRICS:
         latest_value = latest.get("metrics", {}).get(metric_name)
         if latest_value is None:
-            print(f"bench-history: latest entry has no {metric_name}; skipping")
+            _warn_missing(metric_name, display)
+            regressed.append(metric_name)
             continue
         prior = [
             entry["metrics"][metric_name]
@@ -174,6 +184,8 @@ def command_check(args: argparse.Namespace) -> int:
     for metric_name, display, budget in BUDGET_METRICS:
         latest_value = latest.get("metrics", {}).get(metric_name)
         if latest_value is None:
+            _warn_missing(metric_name, display)
+            regressed.append(metric_name)
             continue
         print(f"bench-history: {metric_name} latest={latest_value:+.2f}% "
               f"budget={budget:.0f}%")

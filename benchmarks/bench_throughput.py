@@ -1,7 +1,7 @@
-"""Throughput harness: trace decode, engine, sweep-cache, and PHT benchmarks.
+"""Throughput harness: trace decode, engine, and sweep-cache benchmarks.
 
 Emits ``BENCH_engine.json`` so the performance trajectory of the hot paths
-is tracked from PR to PR.  Four sections:
+is tracked from PR to PR.  Sections:
 
 * **decode** — records/second for fully materializing every record of the
   same trace through the text reader and the binary reader (plain and gzip),
@@ -16,13 +16,9 @@ is tracked from PR to PR.  Four sections:
   (budget: 2%);
 * **trace_overhead** — CPU-time cost of the structured-tracing hooks
   (``repro.obs.trace``) on the lane-path engine, ``REPRO_TRACE=on`` vs the
-  default ``off`` (budget: 1%);
+  default ``off`` (budget: 1%); and
 * **sweep_cache** — wall-clock for the same figure sweep with a cold and a
-  warm result cache, plus the warm/cold speedup; and
-* **pht_backends** — store/lookup throughput and resident-set growth for
-  each PHT storage backend (dict / array / mmap / sharded array) filled to
-  16k, 256k and 1M entries, each measured in a fresh subprocess so RSS
-  deltas are not contaminated by earlier measurements.
+  warm result cache, plus the warm/cold speedup.
 
 Run it from the repository root::
 
@@ -311,131 +307,6 @@ def bench_sweep_cache(scale: float, directory: Path) -> dict:
     }
 
 
-def _rss_bytes():
-    """Current resident set size in bytes (Linux), or None when unavailable."""
-    try:
-        with open("/proc/self/statm") as handle:
-            return int(handle.read().split()[1]) * os.sysconf("SC_PAGESIZE")
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-#: (label, backend, shards) variants the PHT section measures.
-PHT_VARIANTS = [
-    ("dict", "dict", 1),
-    ("array", "array", 1),
-    ("mmap", "mmap", 1),
-    ("array-x4", "array", 4),
-]
-
-
-def _bench_pht_one(label: str, backend: str, shards: int, entries: int) -> dict:
-    """Fill one PHT variant to capacity and measure store/lookup throughput.
-
-    Runs in a fresh subprocess (see :func:`bench_pht_backends`) so the RSS
-    delta reflects this backend's storage alone.
-    """
-    from repro.core.pattern import SpatialPattern
-    from repro.core.pht import PatternHistoryTable, stable_hash
-
-    num_blocks = 32
-    keys = [("pc+off", 0x40_0000 + 4 * i, i % num_blocks) for i in range(entries)]
-    for key in keys:  # pre-warm the stable_hash memo so the RSS delta is storage only
-        stable_hash(key)
-    patterns = [
-        SpatialPattern(num_blocks, ((0x9E3779B97F4A7C15 * (i + 1)) & 0xFFFF_FFFF) or 1)
-        for i in range(64)
-    ]
-    # Baseline RSS before construction, so preallocated slabs are charged to
-    # the backend just like lazily grown dicts.
-    rss_before = _rss_bytes()
-    pht = PatternHistoryTable(
-        num_blocks=num_blocks, num_entries=entries, associativity=16,
-        backend=backend, shards=shards,
-    )
-    start = time.perf_counter()
-    for i, key in enumerate(keys):
-        pht.store(key, patterns[i & 63])
-    store_seconds = time.perf_counter() - start
-    rss_after = _rss_bytes()
-    hits = 0
-    start = time.perf_counter()
-    for key in keys:
-        if pht.lookup(key) is not None:
-            hits += 1
-    lookup_seconds = time.perf_counter() - start
-    result = {
-        "backend": label,
-        "entries": entries,
-        "occupancy": pht.occupancy,
-        "lookup_hits": hits,
-        "store_seconds": round(store_seconds, 3),
-        "stores_per_second": round(entries / store_seconds),
-        "lookup_seconds": round(lookup_seconds, 3),
-        "lookups_per_second": round(entries / lookup_seconds),
-    }
-    if rss_before is not None and rss_after is not None:
-        result["rss_delta_bytes"] = rss_after - rss_before
-        result["rss_bytes_per_entry"] = round((rss_after - rss_before) / entries, 1)
-    pht.close()
-    return result
-
-
-def _pht_worker(args_tuple, queue) -> None:  # pragma: no cover - subprocess body
-    try:
-        queue.put(_bench_pht_one(*args_tuple))
-    except Exception as exc:
-        queue.put({"error": repr(exc), "backend": args_tuple[0], "entries": args_tuple[3]})
-
-
-def bench_pht_backends(sizes) -> dict:
-    """Measure every backend at every table size, one subprocess each."""
-    import multiprocessing
-
-    context = multiprocessing.get_context()
-    rows = []
-    for entries in sizes:
-        for label, backend, shards in PHT_VARIANTS:
-            task = (label, backend, shards, entries)
-            try:
-                queue = context.Queue()
-                process = context.Process(target=_pht_worker, args=(task, queue))
-                process.start()
-                # Poll so a child killed mid-fill (e.g. OOM on the dict
-                # backend at 1M entries) fails fast instead of stalling the
-                # harness for the full timeout.
-                row = None
-                deadline = time.monotonic() + 900
-                while row is None:
-                    try:
-                        row = queue.get(timeout=2)
-                    except Exception:
-                        if not process.is_alive():
-                            try:  # drain a put that raced with the exit
-                                row = queue.get(timeout=2)
-                            except Exception:
-                                row = {"error": f"worker died (exitcode={process.exitcode})",
-                                       "backend": label, "entries": entries}
-                        elif time.monotonic() > deadline:
-                            row = {"error": "timed out after 900s",
-                                   "backend": label, "entries": entries}
-                process.join(timeout=30)
-                if process.is_alive():
-                    process.terminate()
-            except Exception:  # restricted sandbox: fall back to in-process
-                row = _bench_pht_one(*task)
-                row["isolated"] = False
-            rows.append(row)
-            if "error" in row:
-                print(f"  pht {label}@{entries}: FAILED ({row['error']})", flush=True)
-            else:
-                print(f"  pht {row['backend']}@{entries}: "
-                      f"{row['stores_per_second']:,} st/s, "
-                      f"{row['lookups_per_second']:,} lk/s, "
-                      f"rss {row.get('rss_delta_bytes', 0) / 1e6:.1f} MB", flush=True)
-    return {"num_blocks": 32, "associativity": 16, "rows": rows}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--records", type=int, default=1_000_000,
@@ -444,9 +315,6 @@ def main(argv=None) -> int:
                         help="records simulated in the engine benchmark")
     parser.add_argument("--sweep-scale", type=float, default=0.3,
                         help="trace scale for the sweep-cache benchmark")
-    parser.add_argument("--pht-sizes", type=int, nargs="*",
-                        default=[16_384, 262_144, 1_048_576],
-                        help="PHT entry counts benchmarked per backend")
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke sizes (100k decode / 20k sim / 0.1 scale)")
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_engine.json"),
@@ -454,7 +322,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.quick:
         args.records, args.sim_records, args.sweep_scale = 100_000, 20_000, 0.1
-        args.pht_sizes = [16_384, 65_536]
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
         directory = Path(tmp)
@@ -476,8 +343,6 @@ def main(argv=None) -> int:
               f"(budget {trace_overhead['budget_pct']:.0f}%)", flush=True)
         print("benchmarking sweep cache ...", flush=True)
         sweep_cache = bench_sweep_cache(args.sweep_scale, directory)
-        print("benchmarking PHT backends ...", flush=True)
-        pht_backends = bench_pht_backends(args.pht_sizes)
         report = {
             "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "python": platform.python_version(),
@@ -493,7 +358,6 @@ def main(argv=None) -> int:
             "obs_overhead": obs_overhead,
             "trace_overhead": trace_overhead,
             "sweep_cache": sweep_cache,
-            "pht_backends": pht_backends,
         }
 
     out = Path(args.out)

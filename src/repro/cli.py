@@ -89,17 +89,10 @@ from repro.simulation import SimulationConfig, SimulationEngine, TimingModel
 from repro.trace.reader import write_trace
 from repro.workloads.suite import APPLICATION_NAMES, make_workload
 
-#: Prefetcher factories selectable from the command line.  ``sms`` accepts
-#: the PHT backend/shard overrides so there is one construction site.
-PREFETCHER_CHOICES: Dict[str, Callable[..., Callable[[int], object]]] = {
+#: Prefetcher factories selectable from the command line.
+PREFETCHER_CHOICES: Dict[str, Callable[[], Callable[[int], object]]] = {
     "none": lambda: (lambda cpu: NullPrefetcher()),
-    "sms": lambda pht_backend="dict", pht_shards=1: (
-        lambda cpu: SpatialMemoryStreaming(
-            SMSConfig.paper_practical().replace(
-                pht_backend=pht_backend, pht_shards=pht_shards
-            )
-        )
-    ),
+    "sms": lambda: (lambda cpu: SpatialMemoryStreaming(SMSConfig.paper_practical())),
     "ghb": lambda: (lambda cpu: GlobalHistoryBuffer(GHBConfig(buffer_entries=256))),
     "ghb-16k": lambda: (lambda cpu: GlobalHistoryBuffer(GHBConfig(buffer_entries=16384))),
     "stride": lambda: (lambda cpu: StridePrefetcher(degree=4)),
@@ -127,23 +120,6 @@ def _positive_int(value: str) -> int:
     return parsed
 
 
-def _add_pht_backend_arguments(parser: argparse.ArgumentParser) -> None:
-    from repro.core.pht import PHT_BACKENDS
-
-    parser.add_argument(
-        "--pht-backend",
-        choices=PHT_BACKENDS,
-        default="dict",
-        help="PHT storage backend (dict: boxed reference; array/mmap: packed slabs)",
-    )
-    parser.add_argument(
-        "--pht-shards",
-        type=_positive_int,
-        default=1,
-        help="partition the PHT sets across N backend shards",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     import repro
 
@@ -169,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--no-lanes", action="store_true",
                         help="force the per-record reference path even where the "
                              "lane fast path would apply (also: REPRO_ENGINE_LANES=0)")
-    _add_pht_backend_arguments(simulate)
 
     trace = subparsers.add_parser("trace", help="generate a workload trace file")
     trace.add_argument("--workload", choices=APPLICATION_NAMES, required=True)
@@ -216,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-execute a failing sweep point up to N times with exponential "
         "backoff (default: $REPRO_SWEEP_RETRIES or 0)",
     )
-    _add_pht_backend_arguments(experiment)
 
     convert = subparsers.add_parser(
         "convert", help="convert a trace between the text and binary formats"
@@ -253,11 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-trace-cache",
         action="store_true",
         help="regenerate synthetic traces in workers instead of replaying cached .strc files",
-    )
-    serve.add_argument(
-        "--scratch-dir",
-        default=None,
-        help="root for per-worker PHT mmap backing files (default: system temp)",
     )
     serve.add_argument(
         "--max-retries",
@@ -446,10 +415,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
     # materializing them.
     baseline = SimulationEngine(config, name="baseline").run(workload, lanes=lanes)
     baseline.workload = metadata
-    if args.prefetcher == "sms":
-        factory = PREFETCHER_CHOICES["sms"](args.pht_backend, args.pht_shards)
-    else:
-        factory = PREFETCHER_CHOICES[args.prefetcher]()
+    factory = PREFETCHER_CHOICES[args.prefetcher]()
     engine = SimulationEngine(config, factory, name=args.prefetcher)
     result = engine.run(workload, lanes=lanes)
     result.workload = metadata
@@ -551,20 +517,10 @@ def _command_experiment(args: argparse.Namespace) -> int:
         "fig12": fig12_speedup,
         "fig13": fig13_breakdown,
     }
-    # --pht-backend/--pht-shards select the PHT storage the two storage
-    # sweeps run on; the other figures use the config default.
-    pht_kwargs = {}
-    if args.figure in ("fig07", "fig09"):
-        pht_kwargs = {"backend": args.pht_backend, "pht_shards": args.pht_shards}
-    elif args.pht_backend != "dict" or args.pht_shards != 1:
-        print(
-            "note: --pht-backend/--pht-shards only affect fig07 and fig09; ignoring",
-            file=sys.stderr,
-        )
     runners = {
         figure: (
             lambda module=module: module.run(
-                scale=args.scale, num_cpus=args.cpus, workers=args.workers, **pht_kwargs
+                scale=args.scale, num_cpus=args.cpus, workers=args.workers
             )
         )
         for figure, module in modules.items()
@@ -652,7 +608,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache_dir=args.cache_dir,
         trace_cache=not args.no_trace_cache,
-        scratch_dir=args.scratch_dir,
     )
     server = SimulationServer(
         pool,

@@ -28,17 +28,7 @@ from repro.core.indexing import (
     make_index_scheme,
 )
 from repro.core.agt import ActiveGenerationTable, AGTEvent, GenerationRecord
-from repro.core.pht import (
-    PHT_BACKENDS,
-    ArrayBackend,
-    DictBackend,
-    MmapBackend,
-    PatternHistoryTable,
-    PHTBackend,
-    ShardedPHT,
-    make_pht_store,
-    stable_hash,
-)
+from repro.core.pht import PatternHistoryTable, stable_hash
 from repro.core.prediction import PredictionRegisterFile, StreamRequest
 from repro.core.training import (
     AGTTrainer,
@@ -65,13 +55,6 @@ __all__ = [
     "AGTEvent",
     "GenerationRecord",
     "PatternHistoryTable",
-    "PHT_BACKENDS",
-    "PHTBackend",
-    "DictBackend",
-    "ArrayBackend",
-    "MmapBackend",
-    "ShardedPHT",
-    "make_pht_store",
     "stable_hash",
     "PredictionRegisterFile",
     "StreamRequest",

@@ -8,10 +8,11 @@ training with a 32-entry filter table and 64-entry accumulation table, and a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.pht import PHT_BACKENDS, PatternHistoryTable
+from repro.core.pht import PatternHistoryTable
 from repro.core.region import RegionGeometry
 
 
@@ -33,12 +34,6 @@ class SMSConfig:
         AGT sizing; ``None`` means unbounded (used by opportunity studies).
     pht_entries, pht_associativity:
         Pattern History Table sizing; ``pht_entries=None`` means unbounded.
-    pht_backend, pht_shards:
-        PHT storage backend (``"dict"``, ``"array"`` or ``"mmap"``; see
-        :mod:`repro.core.pht` for the trade-offs) and the number of shards
-        the sets are partitioned across.  Neither affects simulated
-        behaviour or :meth:`storage_bits` — only how (and how scalably) the
-        host process stores predictor state.
     prediction_registers:
         Number of simultaneously-active streamed regions.
     stream_into_l1:
@@ -59,8 +54,6 @@ class SMSConfig:
     accumulation_entries: Optional[int] = 64
     pht_entries: Optional[int] = 16384
     pht_associativity: int = 16
-    pht_backend: str = "dict"
-    pht_shards: int = 1
     prediction_registers: int = 16
     stream_into_l1: bool = True
     max_requests_per_access: Optional[int] = None
@@ -72,12 +65,6 @@ class SMSConfig:
             raise ValueError(f"pht_entries must be positive or None, got {self.pht_entries}")
         if self.pht_associativity <= 0:
             raise ValueError(f"pht_associativity must be positive, got {self.pht_associativity}")
-        if self.pht_backend not in PHT_BACKENDS:
-            raise ValueError(
-                f"pht_backend must be one of {PHT_BACKENDS}, got {self.pht_backend!r}"
-            )
-        if self.pht_shards <= 0:
-            raise ValueError(f"pht_shards must be positive, got {self.pht_shards}")
         if self.prediction_registers <= 0:
             raise ValueError(
                 f"prediction_registers must be positive, got {self.prediction_registers}"
@@ -109,32 +96,22 @@ class SMSConfig:
 
     def replace(self, **overrides) -> "SMSConfig":
         """Return a copy of this configuration with ``overrides`` applied."""
-        values = dict(vars(self))
-        values.update(overrides)
-        return SMSConfig(**values)
+        return dataclasses.replace(self, **overrides)
 
     def make_pht(self, num_blocks: Optional[int] = None) -> PatternHistoryTable:
-        """Construct the configured Pattern History Table.
-
-        The factory every consumer (:class:`repro.core.sms.SpatialMemoryStreaming`,
-        experiments, benchmarks) goes through, so the backend/shard selection
-        lives in exactly one place.
-        """
+        """Construct the configured Pattern History Table."""
         return PatternHistoryTable(
             num_blocks=num_blocks if num_blocks is not None else self.geometry.blocks_per_region,
             num_entries=self.pht_entries,
             associativity=self.pht_associativity,
-            backend=self.pht_backend,
-            shards=self.pht_shards,
         )
 
     def storage_bits(self) -> int:
         """Rough predictor storage estimate in bits (PHT tag+pattern entries).
 
         This models the *hardware* cost — a tag fragment plus one pattern
-        bit per region block per entry — and is therefore independent of
-        ``pht_backend``/``pht_shards``, which only decide how the host
-        process lays the same entries out in memory.
+        bit per region block per entry — not the host process's Python
+        objects.
         """
         if self.pht_entries is None:
             raise ValueError("cannot estimate storage for an unbounded PHT")

@@ -1,90 +1,44 @@
-"""Pattern History Table with pluggable storage backends.
+"""Pattern History Table: one set-associative table of spatial patterns.
 
 The PHT (Section 3.2) is the long-term store of spatial patterns.  It is
-organised as a set-associative structure similar to a cache: the prediction
-index (derived from the trigger access) selects a set, the remaining index
-bits form the tag, and each entry holds the spatial pattern accumulated by
-the AGT.  An unbounded variant supports the paper's "infinite PHT"
-opportunity studies.
+organised like a cache: the prediction index derived from the trigger access
+(``stable_hash(key) % num_sets``) selects a set, the key itself is the tag,
+and each entry holds the spatial pattern the AGT accumulated over one
+generation.  Within a set, entries are kept in least-recently-used order and
+a store into a full set evicts the LRU entry.  The practical configuration
+is 16k entries, 16-way; an unbounded variant (``num_entries=None``: a single
+set that never evicts) supports the paper's "infinite PHT" opportunity
+studies.
 
-Storage backends
-----------------
+Layout
+------
 
-:class:`PatternHistoryTable` owns set selection, statistics, merge policy and
-the public API; the entries themselves live in one of three interchangeable
-*backends* (selected with ``backend=`` / :attr:`SMSConfig.pht_backend`):
+Each set is one ``OrderedDict`` mapping ``key -> pattern bits`` (a plain
+``int`` bit mask), ordered from least to most recently used, so a recency
+update is ``move_to_end`` and the victim of a full set is the first item.
+Patterns are stored unboxed: the lane engine path moves raw bits end to end
+through :meth:`PatternHistoryTable.lookup_bits` /
+:meth:`~PatternHistoryTable.store_bits`, and the boxed API
+(:meth:`~PatternHistoryTable.lookup`, :meth:`~PatternHistoryTable.probe`,
+:meth:`~PatternHistoryTable.invalidate`) wraps them in interned
+:class:`SpatialPattern` objects on the way out.
 
-``dict``
-    One ``OrderedDict`` per set — the historical representation.  Fastest
-    for small tables; every stored pattern is a boxed Python object.
+This is the only representation, by measurement: bit-packed slabs were
+2.7-3.2x slower than this table at the paper's 16k entries and only saved
+memory from 256k entries up, while the largest PHT any figure builds holds
+1,608 entries per CPU (see "PHT storage" in the README).
 
-``array``
-    Entries bit-packed into preallocated flat slabs (``array('Q')`` tag and
-    recency-stamp lanes plus a pattern ``bytearray``), so a million-entry
-    PHT costs ~20 MB of flat memory instead of ~1M boxed objects.
-
-``mmap``
-    The same packed layout over an ``mmap``-ed file, so predictor state can
-    exceed RAM and — for bounded tables given an explicit ``path`` — warm-
-    start from a previous run's file (see :class:`MmapBackend`).
-
-A :class:`ShardedPHT` store (``shards=N`` / :attr:`SMSConfig.pht_shards`)
-partitions sets across N independent backend instances by ``stable_hash``,
-preserving set selection and LRU-victim order bit-for-bit while splitting
-predictor state into independently allocated (and potentially
-independently-backed) slabs.
-
-Packed entry layout
--------------------
-
-The ``array`` and ``mmap`` backends share one layout.  A bounded table with
-``S`` sets of associativity ``A`` allocates ``n = S*A`` entry slots in three
-structure-of-arrays lanes (SoA keeps the tag scan a flat integer-lane walk)::
-
-    tags   : n * u64   -- full 64-bit ``stable_hash`` of the entry's key
-    stamps : n * u64   -- recency stamp; 0 marks an empty slot
-    pats   : n * ceil(num_blocks / 8) bytes -- little-endian pattern bits
-
-Set ``s`` owns the contiguous slot range ``[s*A, (s+1)*A)``.  Recency is a
-per-table monotonic counter copied into ``stamps`` on every touch (store or
-recency-updating lookup), so the LRU victim of a full set is the minimum
-stamp — exactly the front of the ``OrderedDict`` the dict backend keeps.
-A bounded ``mmap`` file starts with a 24-byte geometry header (magic
-``PHTS``, version, associativity, local slots, pattern width, global set
-count, shard index, shard count — see :attr:`MmapBackend.HEADER`) followed
-by the three lanes back to back, so the pattern lane starts at byte
-``24 + 16 * n``; warm starts reuse a file only when the header matches
-exactly.
-
-Unbounded packed tables never evict, so they drop the stamp lane and the
-per-set scan: patterns append to a growable slab indexed by a
-``tag -> slot`` integer map (freed slots are recycled).
-
-Packed backends identify an entry by the 64-bit ``stable_hash`` of its key
-rather than the key itself.  Two keys whose full 64-bit hashes collide
-*within one set* would alias; the FNV-1a mix makes that probability ~2**-64
-per resident pair, which is treated as negligible (the dict backend remains
-the reference representation with exact key identity).
-
-The hardware storage *model* (:meth:`SMSConfig.storage_bits`) is unchanged
-by the backend choice: it continues to charge ``tag + pattern`` bits per
-entry; the 64-bit tags and stamps above are host-implementation detail, not
-modelled hardware cost.
+The hardware storage *model* (:meth:`SMSConfig.storage_bits`) charges
+``tag + pattern`` bits per entry; the Python objects above are host
+implementation detail, not modelled hardware cost.
 """
 
 from __future__ import annotations
 
-import mmap as _mmap
-import os
-import struct
-import tempfile
-from array import array
 from collections import OrderedDict
 from functools import lru_cache
-from pathlib import Path
-from typing import Hashable, Iterator, List, Optional, Sequence, Union
+from typing import Hashable, Iterator, List, Optional
 
-from repro import _env
 from repro.core.pattern import SpatialPattern
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -154,572 +108,12 @@ def stable_hash(key: Hashable) -> int:
     return _hash_uncached(key)
 
 
-#: Backend names accepted by :class:`PatternHistoryTable` and ``SMSConfig``.
-PHT_BACKENDS = ("dict", "array", "mmap")
-
-#: Environment variable selecting where ``mmap`` backends place their
-#: backing files when the caller gives neither a ``path`` nor a ``dir``.
-PHT_DIR_ENV = "REPRO_PHT_DIR"
-
-#: Sentinel distinguishing "never configured" from "explicitly cleared".
-_MMAP_DIR_UNSET = object()
-_default_mmap_dir = _MMAP_DIR_UNSET
-
-
-def set_default_mmap_dir(path):
-    """Set (or, with ``None``, clear) the ambient mmap-backing directory.
-
-    Tables built without an explicit ``mmap_dir``/``mmap_path`` — which is
-    every table the engine constructs through :meth:`SMSConfig.make_pht` —
-    place their backing files here instead of the system temp directory.
-    Long-lived processes (the ``repro.serve`` worker pool gives each worker
-    its own scratch directory) use this to keep predictor mmap state on one
-    warm, process-private file set.  The files are anonymous temporaries:
-    no pattern state leaks between runs, so results stay bit-identical to a
-    cold run.
-
-    Returns an opaque token for the previous setting; pass it back to
-    restore (the same protocol as
-    :func:`repro.simulation.result_cache.set_default_cache`).
-    """
-    global _default_mmap_dir
-    previous = _default_mmap_dir
-    _default_mmap_dir = path
-    return previous
-
-
-def default_mmap_dir() -> Optional[Path]:
-    """Ambient mmap-backing directory: the explicit setting, else
-    ``$REPRO_PHT_DIR``, else ``None`` (system temp directory)."""
-    if _default_mmap_dir is not _MMAP_DIR_UNSET:
-        return Path(_default_mmap_dir) if _default_mmap_dir is not None else None
-    override = _env.read(PHT_DIR_ENV)
-    return Path(override).expanduser() if override else None
-
-
-# --------------------------------------------------------------------------- #
-# Storage backends
-# --------------------------------------------------------------------------- #
-class PHTBackend:
-    """Interface every PHT storage backend implements.
-
-    A backend stores ``(key, pattern-bits)`` entries partitioned into
-    fixed-associativity LRU sets (or one unbounded set).  It is deliberately
-    dumb: set selection, statistics, merge policy, and pattern (de)boxing
-    all live in :class:`PatternHistoryTable`, so backends only need to agree
-    on recency/victim order for the golden counters to match bit-for-bit.
-
-    ``h`` is the precomputed ``stable_hash`` of ``key``; dict-based storage
-    identifies entries by ``key``, packed storage by ``h``.
-    """
-
-    kind: str = "abstract"
-
-    #: Number of live entries; maintained incrementally by every mutation.
-    occupancy: int = 0
-
-    def lookup(self, set_index: int, h: int, key: Hashable, touch: bool) -> Optional[int]:
-        """Return the stored pattern bits, updating recency when ``touch``."""
-        raise NotImplementedError
-
-    def store(self, set_index: int, h: int, key: Hashable, bits: int, union: bool) -> bool:
-        """Insert/overwrite an entry; return True when a victim was evicted."""
-        raise NotImplementedError
-
-    def invalidate(self, set_index: int, h: int, key: Hashable) -> Optional[int]:
-        """Remove an entry, returning its pattern bits if present."""
-        raise NotImplementedError
-
-    def iter_bits(self) -> Iterator[int]:
-        """Yield the pattern bits of every live entry (arbitrary order)."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release backend resources (files, maps); idempotent."""
-
-
-class DictBackend(PHTBackend):
-    """The historical representation: one ``OrderedDict`` per set.
-
-    Exact key identity (no tag aliasing) and OrderedDict recency order make
-    this the semantic reference the packed backends are tested against.
-    An unbounded table is a single set that never evicts.
-    """
-
-    kind = "dict"
-
-    def __init__(
-        self, num_blocks: int, num_sets: int, associativity: int, unbounded: bool
-    ) -> None:
-        self.associativity = associativity
-        self.unbounded = unbounded
-        self._sets: List["OrderedDict[Hashable, int]"] = [
-            OrderedDict() for _ in range(1 if unbounded else num_sets)
-        ]
-        self.occupancy = 0
-
-    def lookup(self, set_index: int, h: int, key: Hashable, touch: bool) -> Optional[int]:
-        table = self._sets[set_index]
-        bits = table.get(key)
-        if bits is None:
-            return None
-        if touch:
-            table.move_to_end(key)
-        return bits
-
-    def store(self, set_index: int, h: int, key: Hashable, bits: int, union: bool) -> bool:
-        table = self._sets[set_index]
-        existing = table.get(key)
-        evicted = False
-        if existing is not None:
-            if union:
-                bits |= existing
-        elif not self.unbounded and len(table) >= self.associativity:
-            table.popitem(last=False)
-            evicted = True
-        else:
-            self.occupancy += 1
-        table[key] = bits
-        table.move_to_end(key)
-        return evicted
-
-    def invalidate(self, set_index: int, h: int, key: Hashable) -> Optional[int]:
-        bits = self._sets[set_index].pop(key, None)
-        if bits is not None:
-            self.occupancy -= 1
-        return bits
-
-    def iter_bits(self) -> Iterator[int]:
-        for table in self._sets:
-            yield from table.values()
-
-
-class _PackedBackend(PHTBackend):
-    """Shared logic of the flat (``array``/``mmap``) backends.
-
-    Subclasses provide the storage: ``_setup_bounded``/``_setup_unbounded``
-    must leave ``self._tags`` / ``self._stamps`` (u64 lanes supporting int
-    indexing) and ``self._pats`` (a byte buffer supporting slice get/set)
-    behind; unbounded storage also implements ``_ensure_capacity``.
-    See the module docstring for the entry layout.
-    """
-
-    def __init__(
-        self, num_blocks: int, num_sets: int, associativity: int, unbounded: bool
-    ) -> None:
-        self.num_blocks = num_blocks
-        self.pat_bytes = (num_blocks + 7) // 8
-        self.associativity = associativity
-        self.unbounded = unbounded
-        self.occupancy = 0
-        self._clock = 0
-        if unbounded:
-            self._index: dict = {}  # tag -> slot
-            self._free: List[int] = []
-            self._size = 0  # slots ever allocated (== high-water mark)
-            self._setup_unbounded()
-        else:
-            self._setup_bounded(num_sets * associativity)
-
-    # -- storage hooks ------------------------------------------------- #
-    def _setup_bounded(self, slots: int) -> None:
-        raise NotImplementedError
-
-    def _setup_unbounded(self) -> None:
-        raise NotImplementedError
-
-    def _ensure_capacity(self, slots: int) -> None:
-        raise NotImplementedError
-
-    # -- packed pattern access ----------------------------------------- #
-    def _read(self, slot: int) -> int:
-        offset = slot * self.pat_bytes
-        return int.from_bytes(self._pats[offset : offset + self.pat_bytes], "little")
-
-    def _write(self, slot: int, bits: int) -> None:
-        offset = slot * self.pat_bytes
-        self._pats[offset : offset + self.pat_bytes] = bits.to_bytes(self.pat_bytes, "little")
-
-    # -- bounded set scan ---------------------------------------------- #
-    def _find(self, set_index: int, tag: int) -> int:
-        base = set_index * self.associativity
-        tags = self._tags
-        stamps = self._stamps
-        for slot in range(base, base + self.associativity):
-            if stamps[slot] and tags[slot] == tag:
-                return slot
-        return -1
-
-    # -- PHTBackend interface ------------------------------------------ #
-    def lookup(self, set_index: int, h: int, key: Hashable, touch: bool) -> Optional[int]:
-        if self.unbounded:
-            slot = self._index.get(h)
-            if slot is None:
-                return None
-            return self._read(slot)
-        slot = self._find(set_index, h)
-        if slot < 0:
-            return None
-        if touch:
-            self._clock += 1
-            self._stamps[slot] = self._clock
-        return self._read(slot)
-
-    def store(self, set_index: int, h: int, key: Hashable, bits: int, union: bool) -> bool:
-        if self.unbounded:
-            slot = self._index.get(h)
-            if slot is None:
-                if self._free:
-                    slot = self._free.pop()
-                else:
-                    slot = self._size
-                    self._size += 1
-                    self._ensure_capacity(self._size)
-                self._index[h] = slot
-                self.occupancy += 1
-            elif union:
-                bits |= self._read(slot)
-            self._write(slot, bits)
-            return False
-        evicted = False
-        slot = self._find(set_index, h)
-        if slot < 0:
-            base = set_index * self.associativity
-            stamps = self._stamps
-            victim = -1
-            victim_stamp = 0
-            for candidate in range(base, base + self.associativity):
-                stamp = stamps[candidate]
-                if stamp == 0:
-                    slot = candidate  # empty slot: no eviction needed
-                    break
-                if victim < 0 or stamp < victim_stamp:
-                    victim, victim_stamp = candidate, stamp
-            if slot < 0:
-                slot = victim  # full set: evict the minimum (=LRU) stamp
-                evicted = True
-            else:
-                self.occupancy += 1
-            self._tags[slot] = h
-        elif union:
-            bits |= self._read(slot)
-        self._clock += 1
-        self._stamps[slot] = self._clock
-        self._write(slot, bits)
-        return evicted
-
-    def invalidate(self, set_index: int, h: int, key: Hashable) -> Optional[int]:
-        if self.unbounded:
-            slot = self._index.pop(h, None)
-            if slot is None:
-                return None
-            self._free.append(slot)
-            self.occupancy -= 1
-            return self._read(slot)
-        slot = self._find(set_index, h)
-        if slot < 0:
-            return None
-        bits = self._read(slot)
-        self._stamps[slot] = 0
-        self.occupancy -= 1
-        return bits
-
-    def iter_bits(self) -> Iterator[int]:
-        if self.unbounded:
-            for slot in self._index.values():
-                yield self._read(slot)
-            return
-        stamps = self._stamps
-        for slot in range(len(stamps)):
-            if stamps[slot]:
-                yield self._read(slot)
-
-
-class ArrayBackend(_PackedBackend):
-    """Packed entries in process memory: ``array('Q')`` lanes + ``bytearray``."""
-
-    kind = "array"
-
-    def _setup_bounded(self, slots: int) -> None:
-        self._tags = array("Q", bytes(8 * slots))
-        self._stamps = array("Q", bytes(8 * slots))
-        self._pats = bytearray(self.pat_bytes * slots)
-
-    def _setup_unbounded(self) -> None:
-        self._pats = bytearray()
-
-    def _ensure_capacity(self, slots: int) -> None:
-        needed = slots * self.pat_bytes
-        if needed > len(self._pats):
-            self._pats += bytes(needed - len(self._pats))
-
-
-class MmapBackend(_PackedBackend):
-    """Packed entries over an ``mmap``-ed file.
-
-    Lets predictor state exceed RAM (the OS pages cold sets out).  Without a
-    ``path`` the backing file is an unlinked temporary (``dir`` selects
-    where), freed when the backend is closed or garbage-collected.
-
-    An explicit ``path`` makes a *bounded* table warm-startable: a file
-    whose geometry header (:attr:`HEADER`, including the global set count
-    and shard partitioning) matches is re-opened in place and its entries (tags,
-    recency order, patterns) restored — the recency clock resumes from the
-    maximum stored stamp, so LRU order survives the round trip.  Any other
-    file shape is reset, never silently reinterpreted.  One writer at a
-    time: concurrent processes mapping the same file are not synchronised.
-    Unbounded tables keep their ``tag -> slot`` index in process memory, so
-    an explicit path persists bytes but cannot be reloaded; they always
-    start fresh.
-    """
-
-    kind = "mmap"
-
-    #: Bounded-file geometry header: magic, version, associativity, local
-    #: slots, pattern width in blocks, global set count, shard index, shard
-    #: count.  The three SoA lanes follow it.  The shard/global fields make
-    #: a shard file self-describing: a file whose *local* shape matches but
-    #: that was written under a different (num_entries, shards) partitioning
-    #: routes keys differently and must not be reused.
-    HEADER = struct.Struct("<4sHHIIIHH")
-    MAGIC = b"PHTS"
-    VERSION = 1
-
-    def __init__(
-        self,
-        num_blocks: int,
-        num_sets: int,
-        associativity: int,
-        unbounded: bool,
-        path: Optional[Union[str, Path]] = None,
-        dir: Optional[Union[str, Path]] = None,
-        shard_index: int = 0,
-        shard_count: int = 1,
-        global_sets: Optional[int] = None,
-    ) -> None:
-        self._file = None
-        self._mm = None
-        self._views: List[memoryview] = []
-        self._requested_path = Path(path) if path is not None else None
-        self._dir = str(dir) if dir is not None else None
-        self._shard_index = shard_index
-        self._shard_count = shard_count
-        self._global_sets = num_sets if global_sets is None else global_sets
-        super().__init__(num_blocks, num_sets, associativity, unbounded)
-
-    # -- file plumbing -------------------------------------------------- #
-    def _open_map(self, size: int, header: Optional[bytes] = None) -> bool:
-        """Map ``size`` bytes; return True when an existing file was reused.
-
-        An explicit path is reused only when the file has exactly ``size``
-        bytes *and* starts with the expected geometry ``header``; any other
-        shape is reset to zeros — never silently reinterpreted.
-        """
-        reused = False
-        if self._requested_path is not None:
-            exists = self._requested_path.exists()
-            self._file = open(self._requested_path, "r+b" if exists else "w+b")
-            if (
-                exists
-                and header is not None
-                and os.fstat(self._file.fileno()).st_size == size
-                and self._file.read(len(header)) == header
-            ):
-                reused = True
-            else:
-                self._file.truncate(0)  # wrong geometry: back to zeros
-                self._file.truncate(size)
-        else:
-            self._file = tempfile.NamedTemporaryFile(
-                prefix="repro-pht-", suffix=".mmap", dir=self._dir
-            )
-            self._file.truncate(size)
-        self._mm = _mmap.mmap(self._file.fileno(), size)
-        return reused
-
-    def _setup_bounded(self, slots: int) -> None:
-        if slots == 0:
-            # A zero-set shard (more shards than sets): nothing to map.
-            self._tags = array("Q")
-            self._stamps = array("Q")
-            self._pats = bytearray()
-            return
-        header = self.HEADER.pack(
-            self.MAGIC, self.VERSION, self.associativity, slots, self.num_blocks,
-            self._global_sets, self._shard_index, self._shard_count,
-        )
-        base = self.HEADER.size
-        reused = self._open_map(base + slots * (16 + self.pat_bytes), header=header)
-        if not reused:
-            self._mm[0:base] = header
-        view = memoryview(self._mm)
-        self._tags = view[base : base + 8 * slots].cast("Q")
-        self._stamps = view[base + 8 * slots : base + 16 * slots].cast("Q")
-        self._pats = view[base + 16 * slots :]
-        self._views = [view, self._tags, self._stamps, self._pats]
-        if reused:
-            # Warm start: rebuild the derived state the file does not carry.
-            stamps = self._stamps
-            for slot in range(slots):
-                stamp = stamps[slot]
-                if stamp:
-                    self.occupancy += 1
-                    if stamp > self._clock:
-                        self._clock = stamp
-
-    def _setup_unbounded(self) -> None:
-        # Patterns only (no tag/stamp lanes, see module docstring); accessed
-        # through mmap slicing directly so the map stays resizable (exported
-        # memoryviews would make mmap.resize raise BufferError).
-        self._open_map(_mmap.PAGESIZE)
-        self._pats = self._mm
-
-    def _ensure_capacity(self, slots: int) -> None:
-        needed = slots * self.pat_bytes
-        current = len(self._mm)
-        if needed > current:
-            self._mm.resize(max(needed, current * 2))
-
-    def close(self) -> None:
-        for view in self._views:
-            view.release()
-        self._views = []
-        self._tags = array("Q")
-        self._stamps = array("Q")
-        self._pats = bytearray()
-        if self._mm is not None:
-            self._mm.close()
-            self._mm = None
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:  # repro: ignore[EXC001] -- interpreter teardown: close() may fail arbitrarily mid-GC
-            pass
-
-
-class ShardedPHT(PHTBackend):
-    """Routes sets across N independent backend shards by ``stable_hash``.
-
-    Bounded tables assign global set ``s`` to shard ``s % N`` at local set
-    index ``s // N``; since every set is an independent LRU domain, results
-    are bit-for-bit identical to a monolithic backend.  Unbounded tables
-    have a single logical set, so keys are routed by ``stable_hash(key) %
-    N`` instead — again semantics-preserving because unbounded storage
-    treats every key independently.
-    """
-
-    kind = "sharded"
-
-    def __init__(self, shards: Sequence[PHTBackend], unbounded: bool) -> None:
-        if not shards:
-            raise ValueError("ShardedPHT needs at least one shard")
-        self.shards = list(shards)
-        self.num_shards = len(self.shards)
-        self.unbounded = unbounded
-
-    def _route(self, set_index: int, h: int):
-        if self.unbounded:
-            return self.shards[h % self.num_shards], 0
-        return self.shards[set_index % self.num_shards], set_index // self.num_shards
-
-    def lookup(self, set_index: int, h: int, key: Hashable, touch: bool) -> Optional[int]:
-        shard, local = self._route(set_index, h)
-        return shard.lookup(local, h, key, touch)
-
-    def store(self, set_index: int, h: int, key: Hashable, bits: int, union: bool) -> bool:
-        shard, local = self._route(set_index, h)
-        return shard.store(local, h, key, bits, union)
-
-    def invalidate(self, set_index: int, h: int, key: Hashable) -> Optional[int]:
-        shard, local = self._route(set_index, h)
-        return shard.invalidate(local, h, key)
-
-    @property
-    def occupancy(self) -> int:  # type: ignore[override]
-        return sum(shard.occupancy for shard in self.shards)
-
-    def iter_bits(self) -> Iterator[int]:
-        for shard in self.shards:
-            yield from shard.iter_bits()
-
-    def close(self) -> None:
-        for shard in self.shards:
-            shard.close()
-
-
-def make_pht_store(
-    backend: str,
-    num_blocks: int,
-    num_sets: int,
-    associativity: int,
-    unbounded: bool,
-    shards: int = 1,
-    mmap_dir: Optional[Union[str, Path]] = None,
-    mmap_path: Optional[Union[str, Path]] = None,
-) -> PHTBackend:
-    """Build the storage for one PHT: a single backend or a sharded group.
-
-    Bounded sharding distributes the ``num_sets`` sets round-robin, so shard
-    ``i`` holds ``ceil((num_sets - i) / shards)`` local sets; unbounded
-    sharding gives every shard one unbounded set.  ``mmap_path`` gives the
-    ``mmap`` backend a persistent backing file (warm-startable for bounded
-    tables); with ``shards > 1`` each shard gets ``<stem>-shard<i><suffix>``.
-    """
-    if backend not in PHT_BACKENDS:
-        raise ValueError(f"backend must be one of {PHT_BACKENDS}, got {backend!r}")
-    if shards <= 0:
-        raise ValueError(f"shards must be positive, got {shards}")
-    if mmap_path is not None and backend != "mmap":
-        raise ValueError(f"mmap_path only applies to the mmap backend, got {backend!r}")
-    if backend == "mmap" and mmap_dir is None and mmap_path is None:
-        mmap_dir = default_mmap_dir()
-        if mmap_dir is not None:
-            Path(mmap_dir).mkdir(parents=True, exist_ok=True)
-
-    def shard_path(index: int) -> Optional[Path]:
-        if mmap_path is None:
-            return None
-        path = Path(mmap_path)
-        if shards == 1:
-            return path
-        return path.with_name(f"{path.stem}-shard{index}{path.suffix}")
-
-    def build(local_sets: int, index: int = 0) -> PHTBackend:
-        if backend == "dict":
-            return DictBackend(num_blocks, local_sets, associativity, unbounded)
-        if backend == "array":
-            return ArrayBackend(num_blocks, local_sets, associativity, unbounded)
-        return MmapBackend(
-            num_blocks, local_sets, associativity, unbounded,
-            path=shard_path(index), dir=mmap_dir,
-            shard_index=index, shard_count=shards, global_sets=num_sets,
-        )
-
-    if shards == 1:
-        return build(num_sets)
-    if unbounded:
-        return ShardedPHT([build(1, i) for i in range(shards)], unbounded=True)
-    counts = [num_sets // shards + (1 if i < num_sets % shards else 0) for i in range(shards)]
-    return ShardedPHT(
-        [build(count, i) for i, count in enumerate(counts)], unbounded=False
-    )
-
-
-# --------------------------------------------------------------------------- #
-# The table
-# --------------------------------------------------------------------------- #
 class PatternHistoryTable:
-    """Set-associative (or unbounded) storage of spatial patterns.
+    """Set-associative (or unbounded) storage of spatial patterns."""
 
-    The public API — ``lookup`` / ``probe`` / ``store`` / ``invalidate``,
-    the statistics counters, ``occupancy`` and ``is_unbounded`` — is
-    identical across every storage backend; golden-counter tests pin that
-    equivalence (``tests/test_pht_backends.py``).
-    """
+    #: Intern-cache bound: past this many distinct bit values the cache of
+    #: boxed patterns is reset rather than left to grow with the trace.
+    _PATTERN_CACHE_LIMIT = 65536
 
     def __init__(
         self,
@@ -727,10 +121,6 @@ class PatternHistoryTable:
         num_entries: Optional[int] = 16384,
         associativity: int = 16,
         merge: str = "replace",
-        backend: str = "dict",
-        shards: int = 1,
-        mmap_dir: Optional[Union[str, Path]] = None,
-        mmap_path: Optional[Union[str, Path]] = None,
     ) -> None:
         if num_blocks <= 0:
             raise ValueError(f"num_blocks must be positive, got {num_blocks}")
@@ -748,27 +138,18 @@ class PatternHistoryTable:
         self.num_entries = num_entries
         self.associativity = associativity
         self.merge = merge
-        self.backend = backend
-        self.shards = shards
         self.num_sets = 1 if num_entries is None else num_entries // associativity
-        self._store = make_pht_store(
-            backend,
-            num_blocks,
-            self.num_sets,
-            associativity,
-            unbounded=num_entries is None,
-            shards=shards,
-            mmap_dir=mmap_dir,
-            mmap_path=mmap_path,
-        )
-        # A monolithic unbounded dict ignores the hash entirely (single set,
-        # exact-key storage): skip hashing on its per-access hot path, as the
-        # pre-backend implementation did.
-        self._hash_needed = not (num_entries is None and backend == "dict" and shards == 1)
+        #: One LRU-ordered ``key -> bits`` map per set (see module docstring).
+        self._sets: List["OrderedDict[Hashable, int]"] = [
+            OrderedDict() for _ in range(self.num_sets)
+        ]
+        self._union = merge == "union"
         # Interned SpatialPattern per bit value: stored bits recur heavily,
-        # so backends can hold raw ints while lookups still return (shared)
+        # so the sets hold raw ints while lookups still return (shared)
         # pattern objects without re-validating on every hit.
         self._patterns: dict = {}
+        #: Number of live entries, maintained by ``store``/``invalidate``.
+        self.occupancy = 0
         self.lookups = 0
         self.hits = 0
         self.stores = 0
@@ -779,16 +160,16 @@ class PatternHistoryTable:
     def is_unbounded(self) -> bool:
         return self.num_entries is None
 
-    @property
-    def occupancy(self) -> int:
-        """Live entry count (tracked incrementally by the backend)."""
-        return self._store.occupancy
+    def _set_for(self, key: Hashable) -> "OrderedDict[Hashable, int]":
+        """The set ``key`` maps to; an unbounded table has one, so no hash."""
+        if self.num_entries is None:
+            return self._sets[0]
+        return self._sets[stable_hash(key) % self.num_sets]
 
-    #: Intern-cache bound: past this many distinct bit values the cache is
-    #: reset, so boxed patterns never rival the packed slabs they stand for.
-    _PATTERN_CACHE_LIMIT = 65536
-
-    def _pattern(self, bits: int) -> SpatialPattern:
+    def _pattern(self, bits: Optional[int]) -> Optional[SpatialPattern]:
+        """Box ``bits`` (``None`` passes through) as a shared pattern object."""
+        if bits is None:
+            return None
         pattern = self._patterns.get(bits)
         if pattern is None:
             if len(self._patterns) >= self._PATTERN_CACHE_LIMIT:
@@ -797,56 +178,57 @@ class PatternHistoryTable:
             self._patterns[bits] = pattern
         return pattern
 
-    def _locate(self, key: Hashable):
-        """Return ``(set_index, stable_hash)`` for ``key``.
-
-        Monolithic unbounded dict storage never consumes the hash, so it is
-        skipped there (``h=0``) to keep that hot path hash-free.
-        """
-        if self.num_entries is None:
-            return 0, (stable_hash(key) if self._hash_needed else 0)
-        h = stable_hash(key)
-        return h % self.num_sets, h
-
     # ------------------------------------------------------------------ #
+    def lookup_bits(self, key: Hashable) -> Optional[int]:
+        """Return the stored pattern's bit mask (updating recency), or None.
+
+        The lane train/predict path calls this directly and moves the raw
+        ints end to end; a stored all-zero pattern still counts as a hit.
+        """
+        self.lookups += 1
+        # _set_for inlined: this and store_bits are the per-access hot path.
+        if self.num_entries is None:
+            table = self._sets[0]
+        else:
+            table = self._sets[stable_hash(key) % self.num_sets]
+        bits = table.get(key)
+        if bits is None:
+            return None
+        self.hits += 1
+        table.move_to_end(key)
+        return bits
+
     def lookup(self, key: Hashable) -> Optional[SpatialPattern]:
         """Return the stored pattern for ``key`` (updating recency), or None."""
-        self.lookups += 1
-        set_index, h = self._locate(key)
-        bits = self._store.lookup(set_index, h, key, touch=True)
-        if bits is None:
-            return None
-        self.hits += 1
-        return self._pattern(bits)
-
-    def lookup_bits(self, key: Hashable) -> Optional[int]:
-        """Lane-path :meth:`lookup`: same counters/recency, raw bits out.
-
-        Returns the pattern's integer bit mask without interning a
-        :class:`SpatialPattern`; the backends already store plain ints, so
-        the lane train/predict path moves them end to end unboxed.  Counter
-        effects are identical to :meth:`lookup` (a stored all-zero pattern
-        still counts as a hit).
-        """
-        self.lookups += 1
-        # _locate inlined (lane hot path).
-        if self.num_entries is None:
-            set_index = 0
-            h = stable_hash(key) if self._hash_needed else 0
-        else:
-            h = stable_hash(key)
-            set_index = h % self.num_sets
-        bits = self._store.lookup(set_index, h, key, touch=True)
-        if bits is None:
-            return None
-        self.hits += 1
-        return bits
+        return self._pattern(self.lookup_bits(key))
 
     def probe(self, key: Hashable) -> Optional[SpatialPattern]:
         """Return the stored pattern without updating recency or statistics."""
-        set_index, h = self._locate(key)
-        bits = self._store.lookup(set_index, h, key, touch=False)
-        return None if bits is None else self._pattern(bits)
+        return self._pattern(self._set_for(key).get(key))
+
+    def store_bits(self, key: Hashable, bits: int) -> None:
+        """Record the pattern bits observed at the end of a generation.
+
+        The caller vouches that ``bits`` fits this table's pattern width
+        (the AGT can only set offsets below ``num_blocks``, so lane callers
+        satisfy that by construction); :meth:`store` checks it.
+        """
+        self.stores += 1
+        if self.num_entries is None:
+            table = self._sets[0]
+        else:
+            table = self._sets[stable_hash(key) % self.num_sets]
+        existing = table.get(key)
+        if existing is not None:
+            if self._union:
+                bits |= existing
+            table.move_to_end(key)
+        elif self.num_entries is not None and len(table) >= self.associativity:
+            table.popitem(last=False)  # full set: evict the LRU entry
+            self.replacements += 1
+        else:
+            self.occupancy += 1
+        table[key] = bits
 
     def store(self, key: Hashable, pattern: SpatialPattern) -> None:
         """Record the pattern observed at the end of a generation."""
@@ -854,59 +236,26 @@ class PatternHistoryTable:
             raise ValueError(
                 f"pattern width {pattern.num_blocks} does not match PHT width {self.num_blocks}"
             )
-        self.stores += 1
-        set_index, h = self._locate(key)
-        if self._store.store(set_index, h, key, pattern.bits, self.merge == "union"):
-            self.replacements += 1
-
-    def store_bits(self, key: Hashable, bits: int) -> None:
-        """Lane-path :meth:`store`: raw bits in, no ``SpatialPattern`` boxed.
-
-        The caller vouches that ``bits`` fits this table's pattern width
-        (the AGT can only set offsets below ``num_blocks``, so lane callers
-        satisfy that by construction); counter effects match :meth:`store`.
-        """
-        self.stores += 1
-        # _locate inlined (lane hot path).
-        if self.num_entries is None:
-            set_index = 0
-            h = stable_hash(key) if self._hash_needed else 0
-        else:
-            h = stable_hash(key)
-            set_index = h % self.num_sets
-        if self._store.store(set_index, h, key, bits, self.merge == "union"):
-            self.replacements += 1
+        self.store_bits(key, pattern.bits)
 
     def invalidate(self, key: Hashable) -> Optional[SpatialPattern]:
         """Remove ``key`` from the table, returning its pattern if present."""
-        set_index, h = self._locate(key)
-        bits = self._store.invalidate(set_index, h, key)
-        return None if bits is None else self._pattern(bits)
+        bits = self._set_for(key).pop(key, None)
+        if bits is not None:
+            self.occupancy -= 1
+        return self._pattern(bits)
 
     # ------------------------------------------------------------------ #
     @property
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def distinct_keys(self) -> int:
-        """Number of distinct keys currently stored (storage-footprint metric)."""
-        return self.occupancy
-
     def iter_patterns(self) -> Iterator[SpatialPattern]:
-        """Yield every stored pattern (arbitrary order, any backend)."""
-        for bits in self._store.iter_bits():
-            yield self._pattern(bits)
-
-    def close(self) -> None:
-        """Release backend resources (mmap files); the table stays usable
-        only for ``dict``/``array`` backends afterwards."""
-        self._store.close()
+        """Yield every stored pattern (arbitrary order)."""
+        for table in self._sets:
+            for bits in table.values():
+                yield self._pattern(bits)
 
     def __repr__(self) -> str:
         size = "unbounded" if self.is_unbounded else f"{self.num_entries}x{self.associativity}-way"
-        extra = ""
-        if self.backend != "dict" or self.shards != 1:
-            extra = f", backend={self.backend}"
-            if self.shards != 1:
-                extra += f"x{self.shards}"
-        return f"PatternHistoryTable({size}, {self.num_blocks}-block patterns{extra})"
+        return f"PatternHistoryTable({size}, {self.num_blocks}-block patterns)"

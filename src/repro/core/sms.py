@@ -54,8 +54,6 @@ class SpatialMemoryStreaming(Prefetcher):
             cache_capacity=self.config.trained_cache_capacity,
             cache_associativity=self.config.trained_cache_associativity,
         )
-        # The config is the PHT factory: it owns backend/shard selection so
-        # every consumer constructs storage the same way.
         self.pht: PatternHistoryTable = self.config.make_pht(self.geometry.blocks_per_region)
         self.registers = PredictionRegisterFile(
             geometry=self.geometry,

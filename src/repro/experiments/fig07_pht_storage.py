@@ -33,15 +33,8 @@ def run_category(
     schemes: Optional[List[str]] = None,
     scale: float = 1.0,
     num_cpus: int = common.DEFAULT_NUM_CPUS,
-    backend: str = "dict",
-    pht_shards: int = 1,
 ) -> Dict[Tuple[str, Optional[int]], float]:
-    """Return coverage keyed by (scheme, pht_size) for one category.
-
-    ``backend``/``pht_shards`` select the PHT storage backend the sweep runs
-    on (coverage is backend-invariant; large ``sizes`` points stop being
-    memory-bound on the packed backends).
-    """
+    """Return coverage keyed by (scheme, pht_size) for one category."""
     sizes = sizes if sizes is not None else PHT_SIZES
     schemes = schemes or SCHEMES
     trace, metadata = common.representative_trace(category, num_cpus=num_cpus, scale=scale)
@@ -54,8 +47,6 @@ def run_category(
                 pht_entries=size,
                 filter_entries=None,
                 accumulation_entries=None,
-                pht_backend=backend,
-                pht_shards=pht_shards,
             )
             result = common.simulate(
                 trace,
@@ -76,8 +67,6 @@ def run(
     scale: float = 1.0,
     num_cpus: int = common.DEFAULT_NUM_CPUS,
     workers: Optional[int] = None,
-    backend: str = "dict",
-    pht_shards: int = 1,
 ) -> ResultTable:
     """Regenerate Figure 7's curves."""
     categories = categories or list(common.CATEGORY_REPRESENTATIVE)
@@ -95,8 +84,6 @@ def run(
         schemes=schemes,
         scale=scale,
         num_cpus=num_cpus,
-        backend=backend,
-        pht_shards=pht_shards,
     )
     for category, coverage in zip(categories, sweep):
         for scheme in schemes:

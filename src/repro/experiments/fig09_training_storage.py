@@ -38,15 +38,8 @@ def run_category(
     trainers: Optional[List[str]] = None,
     scale: float = 1.0,
     num_cpus: int = common.DEFAULT_NUM_CPUS,
-    backend: str = "dict",
-    pht_shards: int = 1,
 ) -> Dict[Tuple[str, Optional[int]], float]:
-    """Return coverage keyed by (trainer, pht_size) for one category.
-
-    ``backend``/``pht_shards`` select the PHT storage backend the sweep runs
-    on (coverage is backend-invariant; large ``sizes`` points stop being
-    memory-bound on the packed backends).
-    """
+    """Return coverage keyed by (trainer, pht_size) for one category."""
     sizes = sizes if sizes is not None else PHT_SIZES
     trainers = trainers or TRAINERS
     trace, metadata = common.representative_trace(category, num_cpus=num_cpus, scale=scale)
@@ -59,8 +52,6 @@ def run_category(
                 pht_entries=size,
                 trained_cache_capacity=config.l1_capacity,
                 trained_cache_associativity=config.l1_associativity,
-                pht_backend=backend,
-                pht_shards=pht_shards,
             )
             result = common.simulate(
                 trace,
@@ -80,8 +71,6 @@ def run(
     scale: float = 1.0,
     num_cpus: int = common.DEFAULT_NUM_CPUS,
     workers: Optional[int] = None,
-    backend: str = "dict",
-    pht_shards: int = 1,
 ) -> ResultTable:
     """Regenerate Figure 9's curves."""
     categories = categories or list(common.CATEGORY_REPRESENTATIVE)
@@ -99,8 +88,6 @@ def run(
         trainers=trainers,
         scale=scale,
         num_cpus=num_cpus,
-        backend=backend,
-        pht_shards=pht_shards,
     )
     for category, coverage in zip(categories, sweep):
         for trainer in trainers:

@@ -36,6 +36,7 @@ def system_table(
     table.add_row("L1 capacity (kB)", simulation.l1_capacity // 1024)
     table.add_row("L1 associativity", simulation.l1_associativity)
     table.add_row("L1 load-to-use (cycles)", machine.l1_load_to_use_cycles)
+    # Reported from the paper's Table 1; the engine does not simulate MSHRs.
     table.add_row("L1 MSHRs", simulation.l1_mshrs)
     table.add_row("SMS stream requests", simulation.sms_stream_slots)
     table.add_row("L2 capacity (MB)", simulation.l2_capacity // (1024 * 1024))

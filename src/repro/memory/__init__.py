@@ -2,10 +2,10 @@
 
 This package provides the memory-system components the paper's evaluation is
 built on: set-associative caches with configurable block size, replacement
-policies, miss-status holding registers, a two-level hierarchy, and the
-sectored / decoupled-sectored / logical-sectored tag arrays that prior
-spatial predictors (Kumar & Wilkerson's Spatial Footprint Predictor and Chen
-et al.'s Spatial Pattern Predictor) trained on.
+policies, a two-level hierarchy, and the sectored / decoupled-sectored /
+logical-sectored tag arrays that prior spatial predictors (Kumar &
+Wilkerson's Spatial Footprint Predictor and Chen et al.'s Spatial Pattern
+Predictor) trained on.
 """
 
 from repro.memory.block import (
@@ -18,7 +18,6 @@ from repro.memory.block import (
 )
 from repro.memory.cache import AccessOutcome, CacheLine, EvictedLine, SetAssociativeCache
 from repro.memory.replacement import LRUPolicy, RandomPolicy, ReplacementPolicy, make_policy
-from repro.memory.mshr import MSHRFile, MSHREntry
 from repro.memory.hierarchy import CacheHierarchy, HierarchyOutcome, MemoryLevel
 from repro.memory.sectored import (
     LogicalSectoredTagArray,
@@ -43,8 +42,6 @@ __all__ = [
     "LRUPolicy",
     "RandomPolicy",
     "make_policy",
-    "MSHRFile",
-    "MSHREntry",
     "CacheHierarchy",
     "HierarchyOutcome",
     "MemoryLevel",

@@ -7,7 +7,7 @@ a long-lived, stdlib-only service:
   socket) with request coalescing, a result-cache fast path, and bounded
   in-flight depth with ``busy`` backpressure;
 * :mod:`repro.serve.pool` — persistent forked worker pool with warm
-  trace/result caches and per-worker PHT mmap scratch directories;
+  trace/result caches;
 * :mod:`repro.serve.jobs` — verb registry; job identity is the same
   content-addressed key the on-disk sweep cache uses, so the service and
   ``repro.cli experiment`` share cache entries;

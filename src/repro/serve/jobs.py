@@ -26,7 +26,6 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.analysis.coverage import coverage_from_result
 from repro.analysis.reporting import ResultTable
-from repro.core.pht import PHT_BACKENDS
 from repro.experiments import (
     fig04_block_size,
     fig05_density,
@@ -49,7 +48,6 @@ from repro.workloads.suite import APPLICATION_NAMES, make_workload
 MAX_CPUS = 64
 MAX_ACCESSES_PER_CPU = 10_000_000
 MAX_SCALE = 100.0
-MAX_PHT_SHARDS = 64
 
 
 # --------------------------------------------------------------------------- #
@@ -61,8 +59,6 @@ def run_simulate(
     cpus: int = 4,
     accesses_per_cpu: int = 10_000,
     seed: int = 1,
-    pht_backend: str = "dict",
-    pht_shards: int = 1,
 ) -> Dict[str, Any]:
     """One workload under one prefetcher; the service's ``simulate`` verb.
 
@@ -77,11 +73,7 @@ def run_simulate(
     )
     config = SimulationConfig.small(num_cpus=cpus)
     baseline = SimulationEngine(config, name="baseline").run(stream)
-    if prefetcher == "sms":
-        factory = PREFETCHER_CHOICES["sms"](pht_backend, pht_shards)
-    else:
-        factory = PREFETCHER_CHOICES[prefetcher]()
-    result = SimulationEngine(config, factory, name=prefetcher).run(stream)
+    result = SimulationEngine(config, PREFETCHER_CHOICES[prefetcher](), name=prefetcher).run(stream)
     result.workload = stream.metadata
     l1 = coverage_from_result(result, level="L1")
     l2 = coverage_from_result(result, level="L2")
@@ -146,8 +138,6 @@ SWEEP_FIGURES: Dict[str, SweepFigure] = {
         lambda: {
             "sizes": fig07_pht_storage.PHT_SIZES,
             "schemes": fig07_pht_storage.SCHEMES,
-            "backend": "dict",
-            "pht_shards": 1,
         },
     ),
     "fig08": SweepFigure(
@@ -161,8 +151,6 @@ SWEEP_FIGURES: Dict[str, SweepFigure] = {
         lambda: {
             "sizes": fig09_training_storage.PHT_SIZES,
             "trainers": fig09_training_storage.TRAINERS,
-            "backend": "dict",
-            "pht_shards": 1,
         },
     ),
     "fig10": SweepFigure(
@@ -263,13 +251,7 @@ def normalize(request: Mapping[str, Any]) -> Dict[str, Any]:
     if verb == "simulate":
         from repro.cli import PREFETCHER_CHOICES
 
-        _reject_unknown(
-            params,
-            (
-                "workload", "prefetcher", "cpus", "accesses_per_cpu", "seed",
-                "pht_backend", "pht_shards",
-            ),
-        )
+        _reject_unknown(params, ("workload", "prefetcher", "cpus", "accesses_per_cpu", "seed"))
         return {
             "verb": verb,
             "workload": _as_choice("workload", _require(params, "workload"), APPLICATION_NAMES),
@@ -282,10 +264,6 @@ def normalize(request: Mapping[str, Any]) -> Dict[str, Any]:
                 1, MAX_ACCESSES_PER_CPU,
             ),
             "seed": _as_int("seed", params.get("seed", 1), 0, 2**31 - 1),
-            "pht_backend": _as_choice(
-                "pht_backend", params.get("pht_backend", "dict"), PHT_BACKENDS
-            ),
-            "pht_shards": _as_int("pht_shards", params.get("pht_shards", 1), 1, MAX_PHT_SHARDS),
         }
 
     if verb == "sweep":
@@ -342,9 +320,7 @@ def job_for(spec: Mapping[str, Any]) -> Job:
     """
     verb = spec["verb"]
     if verb == "simulate":
-        kwargs = {key: spec[key] for key in (
-            "prefetcher", "cpus", "accesses_per_cpu", "seed", "pht_backend", "pht_shards"
-        )}
+        kwargs = {key: spec[key] for key in ("prefetcher", "cpus", "accesses_per_cpu", "seed")}
         return Job(verb, run_simulate, (spec["workload"],), kwargs)
     if verb == "sweep":
         entry = SWEEP_FIGURES[spec["figure"]]

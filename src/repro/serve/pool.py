@@ -9,13 +9,7 @@ run is paid once per worker:
   recently-used experiment traces decoded in memory;
 * the on-disk :class:`~repro.simulation.result_cache.SweepResultCache`
   (installed as the worker's ambient default, so figure runners memoize
-  their per-item results) and the ``.strc`` trace cache;
-* a per-worker scratch directory for ``MmapBackend`` PHT backing files
-  (installed via :func:`repro.core.pht.set_default_mmap_dir`), so
-  mmap-backed predictor state for every request lands on one warm,
-  worker-private file set instead of scattered anonymous temp files.
-  Requests never *reuse* each other's PHT entries — results must stay
-  bit-identical to a cold run — only the placement is persistent.
+  their per-item results) and the ``.strc`` trace cache.
 
 Each worker is paired with the parent over its own duplex
 :func:`multiprocessing.Pipe`.  A shared queue is deliberately avoided: a
@@ -57,7 +51,6 @@ class WorkerSettings:
 
     cache_dir: Optional[str] = None
     trace_cache: bool = True
-    scratch_dir: Optional[str] = None
     #: Raw ``REPRO_TRACE`` value captured at pool construction; exported
     #: into each worker's environment so sampling survives a spawn start
     #: (and anything the worker forks in turn inherits it).
@@ -79,7 +72,6 @@ def _worker_main(conn, index: int, settings: WorkerSettings) -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
     from repro._env import export as export_env
-    from repro.core.pht import set_default_mmap_dir
     from repro.experiments.common import set_trace_cache
     from repro.serve import jobs
     from repro.simulation.result_cache import (
@@ -97,10 +89,6 @@ def _worker_main(conn, index: int, settings: WorkerSettings) -> None:
     # Ambient per-item memoization for experiment-verb figure runs.
     set_default_cache(SweepResultCache())
     set_trace_cache(settings.trace_cache)
-    if settings.scratch_dir:
-        worker_dir = Path(settings.scratch_dir) / f"worker{index}"
-        worker_dir.mkdir(parents=True, exist_ok=True)
-        set_default_mmap_dir(worker_dir)
 
     while True:
         try:
@@ -172,7 +160,6 @@ class WorkerPool:
         workers: int = 2,
         cache_dir: Optional[str] = None,
         trace_cache: bool = True,
-        scratch_dir: Optional[str] = None,
     ) -> None:
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
@@ -180,7 +167,6 @@ class WorkerPool:
         self.settings = WorkerSettings(
             cache_dir=str(cache_dir) if cache_dir else None,
             trace_cache=trace_cache,
-            scratch_dir=str(scratch_dir) if scratch_dir else None,
             trace_mode=_env.read(trace.TRACE_ENV_VAR),
         )
         methods = multiprocessing.get_all_start_methods()

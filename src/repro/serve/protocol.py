@@ -13,7 +13,7 @@ Verbs
 ``simulate``
     One workload under one prefetcher; returns miss/coverage/speedup
     statistics (params: ``workload``, ``prefetcher``, ``cpus``,
-    ``accesses_per_cpu``, ``seed``, ``pht_backend``, ``pht_shards``).
+    ``accesses_per_cpu``, ``seed``).
 
 ``sweep``
     One item of a figure sweep — exactly the per-item task

@@ -8,6 +8,7 @@ processors, block size).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -54,7 +55,11 @@ class MachineConfig:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Functional parameters of the simulated memory system."""
+    """Functional parameters of the simulated memory system.
+
+    ``l1_mshrs``/``l2_mshrs`` are reported (Table 1 prints them), not
+    simulated: the engine is functional and models no MSHR occupancy.
+    """
 
     num_cpus: int = 16
     block_size: int = 64
@@ -105,20 +110,4 @@ class SimulationConfig:
 
     def with_block_size(self, block_size: int) -> "SimulationConfig":
         """Return a copy with a different cache block size (Figure 4 sweeps)."""
-        values = dict(
-            num_cpus=self.num_cpus,
-            block_size=block_size,
-            l1_capacity=self.l1_capacity,
-            l1_associativity=self.l1_associativity,
-            l1_mshrs=self.l1_mshrs,
-            sms_stream_slots=self.sms_stream_slots,
-            l2_capacity=self.l2_capacity,
-            l2_associativity=self.l2_associativity,
-            l2_mshrs=self.l2_mshrs,
-            replacement=self.replacement,
-            classify_false_sharing=self.classify_false_sharing,
-            warmup_fraction=self.warmup_fraction,
-            warmup_accesses=self.warmup_accesses,
-            seed=self.seed,
-        )
-        return SimulationConfig(**values)
+        return dataclasses.replace(self, block_size=block_size)

@@ -67,8 +67,6 @@ def _sim_spec(seed: int) -> dict:
         "cpus": 2,
         "accesses_per_cpu": 600,
         "seed": seed,
-        "pht_backend": "dict",
-        "pht_shards": 1,
     }
 
 
@@ -102,7 +100,6 @@ _SWEEP_SCRIPT = textwrap.dedent(
         return {
             "verb": "simulate", "workload": "web-apache", "prefetcher": "sms",
             "cpus": 2, "accesses_per_cpu": 600, "seed": seed,
-            "pht_backend": "dict", "pht_shards": 1,
         }
 
     cache = SweepResultCache()  # directory from REPRO_CACHE_DIR

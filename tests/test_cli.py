@@ -47,6 +47,21 @@ class TestParser:
                 ["simulate", "--workload", "oltp-db2", "--prefetcher", "magic"]
             )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--workload", "oltp-db2", "--pht-backend", "array"],
+            ["simulate", "--workload", "oltp-db2", "--pht-shards", "2"],
+            ["experiment", "--figure", "fig07", "--pht-backend", "array"],
+            ["serve", "--scratch-dir", "/tmp/x"],
+        ],
+    )
+    def test_retired_pht_storage_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_every_experiment_choice_listed(self):
         assert "fig11" in EXPERIMENT_CHOICES
         assert "tab01" in EXPERIMENT_CHOICES

@@ -6,6 +6,7 @@ that certifies the shipped package lints clean with an empty baseline.
 """
 
 import json
+import re
 import textwrap
 from pathlib import Path
 
@@ -987,6 +988,18 @@ class TestPackageIsClean:
         if not baseline_path.exists():
             pytest.skip("no committed baseline (installed-package run)")
         assert baseline_mod.load(baseline_path) == {}
+
+    def test_env_knobs_in_source_are_exactly_those_in_readme(self):
+        # Knob inventory: removing (or adding) a REPRO_* variable under
+        # src/repro/ without touching the README fails here, both ways.
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        if not readme.exists():
+            pytest.skip("no README (installed-package run)")
+        knob = re.compile(r"REPRO_[A-Z_]+")
+        in_source = set()
+        for path in discover_files([PACKAGE_DIR]):
+            in_source.update(knob.findall(Path(path).read_text()))
+        assert in_source == set(knob.findall(readme.read_text()))
 
     def test_injected_unseeded_random_is_caught(self):
         source = (PACKAGE_DIR / "core" / "sms.py").read_text()

@@ -73,19 +73,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PatternHistoryTable(num_blocks=0)
 
-    def test_invalid_backend(self):
-        with pytest.raises(ValueError):
-            PatternHistoryTable(num_blocks=32, backend="redis")
-
-    def test_invalid_shards(self):
-        with pytest.raises(ValueError):
-            PatternHistoryTable(num_blocks=32, shards=0)
-
-    def test_repr_names_non_default_backend(self):
-        table = PatternHistoryTable(num_blocks=32, backend="array", shards=4)
-        assert "backend=array" in repr(table) and "x4" in repr(table)
-        assert "backend" not in repr(PatternHistoryTable(num_blocks=32))
-
 
 class TestBoundedTable:
     def test_store_and_lookup(self):
@@ -185,3 +172,111 @@ class TestPropertyBased:
         for key in keys:
             pht.store(("pc", key), pattern(key % 32))
             assert pht.probe(("pc", key)) is not None
+
+
+class NaivePHT:
+    """Textbook set-associative table sharing no code with ``src/``.
+
+    One Python list of ``[key, bits]`` per set, least recently used first;
+    ``set = stable_hash(key) % num_sets`` (the hash values themselves are
+    pinned above).  ``num_sets=None`` is the unbounded table: one set, no
+    capacity.
+    """
+
+    def __init__(self, num_sets, ways, union):
+        self.sets = [[] for _ in range(num_sets or 1)]
+        self.ways = ways if num_sets else None
+        self.union = union
+        self.lookups = self.hits = self.stores = self.replacements = 0
+
+    def _find(self, key):
+        entries = self.sets[stable_hash(key) % len(self.sets)]
+        for position, entry in enumerate(entries):
+            if entry[0] == key:
+                return entries, position
+        return entries, None
+
+    @property
+    def occupancy(self):
+        return sum(len(entries) for entries in self.sets)
+
+    def lookup(self, key):
+        self.lookups += 1
+        entries, position = self._find(key)
+        if position is None:
+            return None
+        self.hits += 1
+        entries.append(entries.pop(position))
+        return entries[-1][1]
+
+    def probe(self, key):
+        entries, position = self._find(key)
+        return None if position is None else entries[position][1]
+
+    def store(self, key, bits):
+        self.stores += 1
+        entries, position = self._find(key)
+        if position is not None:
+            old = entries.pop(position)[1]
+            bits = bits | old if self.union else bits
+        elif self.ways is not None and len(entries) == self.ways:
+            entries.pop(0)
+            self.replacements += 1
+        entries.append([key, bits])
+
+    def invalidate(self, key):
+        entries, position = self._find(key)
+        return None if position is None else entries.pop(position)[1]
+
+
+#: op = (kind, key-id, pattern bits).  Twelve keys against one or four 2-way
+#: sets force set conflicts, LRU evictions and invalidate-of-present cases.
+_KEYS = [("pc+off", 0x400 + 4 * (key_id % 5), key_id) for key_id in range(12)]
+_OP = st.tuples(
+    st.sampled_from(["store", "store_bits", "lookup", "lookup_bits", "probe", "invalidate"]),
+    st.sampled_from(_KEYS),
+    st.integers(min_value=0, max_value=2**16 - 1),
+)
+
+
+class TestAgainstNaiveModel:
+    @pytest.mark.parametrize("merge", ["replace", "union"])
+    @pytest.mark.parametrize("num_sets", [1, 4, None], ids=["one-set", "four-sets", "unbounded"])
+    @settings(max_examples=100, deadline=None)
+    @given(ops=st.lists(_OP, min_size=1, max_size=120))
+    def test_every_step_matches(self, num_sets, merge, ops):
+        table = PatternHistoryTable(
+            num_blocks=16,
+            num_entries=2 * num_sets if num_sets else None,
+            associativity=2,
+            merge=merge,
+        )
+        model = NaivePHT(num_sets=num_sets, ways=2, union=merge == "union")
+        for op, key, bits in ops:
+            if op == "store":
+                actual = table.store(key, SpatialPattern(num_blocks=16, bits=bits))
+                expected = model.store(key, bits)
+            elif op == "store_bits":
+                actual = table.store_bits(key, bits)
+                expected = model.store(key, bits)
+            elif op == "lookup_bits":
+                actual = table.lookup_bits(key)
+                expected = model.lookup(key)
+            else:
+                boxed = getattr(table, op)(key)
+                actual = None if boxed is None else boxed.bits
+                expected = getattr(model, op)(key)
+            assert actual == expected, op
+            assert (table.lookups, table.hits, table.stores, table.replacements) == (
+                model.lookups, model.hits, model.stores, model.replacements
+            ), op
+            assert table.occupancy == model.occupancy, op
+            # probe() touches neither recency nor counters, so the resident
+            # set can be compared after every step: a wrong victim shows up
+            # at the eviction, not only if a later op happens to ask for it.
+            for resident in _KEYS:
+                boxed = table.probe(resident)
+                assert (None if boxed is None else boxed.bits) == model.probe(resident), op
+        assert sorted(p.bits for p in table.iter_patterns()) == sorted(
+            entry[1] for entries in model.sets for entry in entries
+        )

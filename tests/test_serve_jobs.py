@@ -10,6 +10,8 @@ import pytest
 
 from repro.analysis.reporting import ResultTable
 from repro.experiments import common
+from repro.experiments import fig07_pht_storage as fig07
+from repro.experiments import fig09_training_storage as fig09
 from repro.experiments import fig10_region_size as fig10
 from repro.experiments import fig11_ghb as fig11
 from repro.serve import jobs
@@ -27,8 +29,6 @@ class TestNormalize:
             "cpus": 4,
             "accesses_per_cpu": 10_000,
             "seed": 1,
-            "pht_backend": "dict",
-            "pht_shards": 1,
         }
 
     def test_id_is_not_a_parameter(self):
@@ -56,6 +56,14 @@ class TestNormalize:
         with pytest.raises(ProtocolError) as excinfo:
             jobs.normalize(request_obj)
         assert excinfo.value.code == BAD_REQUEST
+
+    @pytest.mark.parametrize("name, value", [("pht_backend", "array"), ("pht_shards", 2)])
+    def test_retired_pht_parameter_is_named_in_the_reply(self, name, value):
+        with pytest.raises(ProtocolError) as excinfo:
+            jobs.normalize({"verb": "simulate", "workload": "oltp-db2", name: value})
+        assert excinfo.value.code == BAD_REQUEST
+        assert "unknown parameter" in str(excinfo.value)
+        assert name in str(excinfo.value)
 
     def test_sweep_accepts_applications_for_application_figures(self):
         spec = jobs.normalize({"verb": "sweep", "figure": "fig11", "item": "oltp-db2"})
@@ -100,6 +108,29 @@ class TestDigestParity:
             {"configurations": fig11.CONFIGURATIONS, "scale": 0.1, "num_cpus": 2},
         )
         assert jobs.digest_for(spec, cache) == direct
+
+    @pytest.mark.parametrize("figure, module", [("fig07", fig07), ("fig09", fig09)])
+    def test_storage_sweep_digest_matches_the_task_run_builds(
+        self, tmp_path, monkeypatch, figure, module
+    ):
+        # Capture the call the CLI path makes — module.run() -> run_sweep —
+        # instead of restating its kwargs here, so a kwarg added to or
+        # dropped from one side only breaks the parity this test pins.
+        calls = []
+
+        def capture(fn, items, workers=None, cache=None, **fixed_kwargs):
+            calls.append((fn, list(items), fixed_kwargs))
+            return []
+
+        monkeypatch.setattr(common, "run_sweep", capture)
+        module.run(scale=0.1, num_cpus=2)
+        (fn, items, fixed_kwargs), = calls
+        cache = SweepResultCache(tmp_path)
+        for item in items:
+            spec = jobs.normalize(
+                {"verb": "sweep", "figure": figure, "item": item, "scale": 0.1, "num_cpus": 2}
+            )
+            assert jobs.digest_for(spec, cache) == cache.fingerprint(fn, (item,), fixed_kwargs)
 
     def test_distinct_items_distinct_digests(self, tmp_path):
         cache = SweepResultCache(tmp_path)
@@ -176,8 +207,7 @@ class TestRunSimulate:
             {"verb": "simulate", "workload": "web-apache", "cpus": 2, "accesses_per_cpu": 1500}
         )
         assert jobs.execute_spec(spec) == jobs.run_simulate(
-            "web-apache", prefetcher="sms", cpus=2, accesses_per_cpu=1500, seed=1,
-            pht_backend="dict", pht_shards=1,
+            "web-apache", prefetcher="sms", cpus=2, accesses_per_cpu=1500, seed=1
         )
 
 

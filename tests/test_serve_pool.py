@@ -19,8 +19,6 @@ SIM_SPEC = {
     "cpus": 2,
     "accesses_per_cpu": 1200,
     "seed": 1,
-    "pht_backend": "dict",
-    "pht_shards": 1,
 }
 
 

@@ -147,17 +147,23 @@ class TestServiceEndToEnd:
                                           "item": "no-such-category"}) + "\n").encode())
                 await writer.drain()
                 bad_item = json.loads(await reader.readline())
+                writer.write((json.dumps({"verb": "simulate", "workload": "oltp-db2",
+                                          "pht_backend": "array"}) + "\n").encode())
+                await writer.drain()
+                retired = json.loads(await reader.readline())
                 writer.write((json.dumps({"verb": "status", "id": "after"}) + "\n").encode())
                 await writer.drain()
                 after = json.loads(await reader.readline())
                 writer.close()
-                return bad_json, bad_item, after
+                return bad_json, bad_item, retired, after
             finally:
                 await server.stop()
 
-        bad_json, bad_item, after = asyncio.run(scenario())
+        bad_json, bad_item, retired, after = asyncio.run(scenario())
         assert not bad_json["ok"] and bad_json["code"] == BAD_REQUEST
         assert not bad_item["ok"] and "no-such-category" in bad_item["error"]
+        assert not retired["ok"] and retired["code"] == BAD_REQUEST
+        assert "unknown parameter" in retired["error"] and "pht_backend" in retired["error"]
         assert after["ok"] and after["id"] == "after"
 
 

@@ -1,5 +1,7 @@
 """Tests for repro.simulation.config."""
 
+import dataclasses
+
 import pytest
 
 from repro.simulation.config import MachineConfig, SimulationConfig
@@ -42,6 +44,23 @@ class TestSimulationConfig:
         config = SimulationConfig.paper_default().with_block_size(512)
         assert config.block_size == 512
         assert config.l1_capacity == SimulationConfig.paper_default().l1_capacity
+
+    def test_with_block_size_keeps_every_other_field(self):
+        config = SimulationConfig(
+            num_cpus=3, block_size=128, l1_capacity=32 * 1024, l1_associativity=4,
+            l1_mshrs=8, sms_stream_slots=4, l2_capacity=1024 * 1024, l2_associativity=4,
+            l2_mshrs=8, replacement="random", classify_false_sharing=False,
+            warmup_fraction=0.1, warmup_accesses=7, seed=9,
+        )
+        defaults = SimulationConfig()
+        copy = config.with_block_size(256)
+        assert copy.block_size == 256
+        for field in dataclasses.fields(SimulationConfig):
+            # A field added later must be given a non-default value above,
+            # or a copy that resets it to the default would go unnoticed.
+            assert getattr(config, field.name) != getattr(defaults, field.name), field.name
+            if field.name != "block_size":
+                assert getattr(copy, field.name) == getattr(config, field.name), field.name
 
     def test_invalid_cpus(self):
         with pytest.raises(ValueError):

@@ -124,18 +124,33 @@ class TestConfigurationVariants:
         sms = SpatialMemoryStreaming(SMSConfig.unbounded())
         assert sms.pht.is_unbounded
 
-    def test_pht_backend_flows_from_config(self):
-        sms = SpatialMemoryStreaming(SMSConfig(pht_backend="array", pht_shards=2))
-        assert sms.pht.backend == "array"
-        assert sms.pht.shards == 2
+    def test_replace_keeps_every_other_field(self):
+        import dataclasses
+
+        config = SMSConfig(
+            region_size=1024, block_size=32, index_scheme="pc", trainer="logical-sectored",
+            filter_entries=8, accumulation_entries=None, pht_entries=256, pht_associativity=4,
+            prediction_registers=2, stream_into_l1=False, max_requests_per_access=3,
+            trained_cache_capacity=32 * 1024, trained_cache_associativity=4,
+        )
+        defaults = SMSConfig()
+        copy = config.replace(pht_entries=512)
+        assert copy.pht_entries == 512
+        for field in dataclasses.fields(SMSConfig):
+            # A field added later must be given a non-default value above,
+            # or a copy that resets it to the default would go unnoticed.
+            assert getattr(config, field.name) != getattr(defaults, field.name), field.name
+            if field.name != "pht_entries":
+                assert getattr(copy, field.name) == getattr(config, field.name), field.name
 
     def test_invalid_pht_backend_rejected(self):
+        # There is one PHT store; the retired storage options are not fields.
         import pytest
 
-        with pytest.raises(ValueError):
-            SMSConfig(pht_backend="redis")
-        with pytest.raises(ValueError):
-            SMSConfig(pht_shards=0)
+        with pytest.raises(TypeError):
+            SMSConfig(pht_backend="array")
+        with pytest.raises(TypeError):
+            SMSConfig(pht_shards=2)
 
     def test_ds_trainer_propagates_forced_evictions(self):
         config = SMSConfig(
