@@ -86,6 +86,7 @@ from repro.prefetch import (
     TemporalCorrelationPrefetcher,
 )
 from repro.simulation import SimulationConfig, SimulationEngine, TimingModel
+from repro.simulation.engine import engine_path_counts, format_engine_path_counts
 from repro.trace.reader import write_trace
 from repro.workloads.suite import APPLICATION_NAMES, make_workload
 
@@ -137,14 +138,14 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--workload", choices=APPLICATION_NAMES)
     source.add_argument("--trace", metavar="PATH",
                         help="simulate a trace file (text or .strc) instead of a "
-                             "generated workload; binary traces take the lane fast path")
+                             "generated workload; binary traces decode straight into lanes")
     simulate.add_argument("--prefetcher", choices=sorted(PREFETCHER_CHOICES), default="sms")
     simulate.add_argument("--cpus", type=int, default=4)
     simulate.add_argument("--accesses-per-cpu", type=int, default=10_000)
     simulate.add_argument("--seed", type=int, default=1)
     simulate.add_argument("--no-lanes", action="store_true",
-                        help="force the per-record reference path even where the "
-                             "lane fast path would apply (also: REPRO_ENGINE_LANES=0)")
+                        help="force the per-record reference path instead of the "
+                             "lane loop (also: REPRO_ENGINE_LANES=0)")
 
     trace = subparsers.add_parser("trace", help="generate a workload trace file")
     trace.add_argument("--workload", choices=APPLICATION_NAMES, required=True)
@@ -394,8 +395,8 @@ def _command_simulate(args: argparse.Namespace) -> int:
         from repro.trace.reader import stream_trace
 
         # Trace files and generated workloads are both replayable streams;
-        # the engine runs them identically (binary traces additionally decode
-        # straight into integer lanes unless --no-lanes).
+        # the engine walks either as integer lanes unless --no-lanes (binary
+        # traces decode straight into them, the rest transpose per chunk).
         workload = stream_trace(args.trace)
         metadata = None
         source = workload.name
@@ -567,6 +568,7 @@ def _command_experiment(args: argparse.Namespace) -> int:
     # environments do, so workers replay cached .strc traces regardless of
     # start method.
     previous_trace = experiments_common.set_trace_cache(not args.no_trace_cache)
+    engine_before = engine_path_counts()
     env_updates = {
         experiments_common.TRACE_CACHE_ENV: "0" if args.no_trace_cache else "1",
     }
@@ -584,12 +586,17 @@ def _command_experiment(args: argparse.Namespace) -> int:
         set_default_policy(previous_policy)
         experiments_common.set_trace_cache(previous_trace)
     print(table.to_text())
+    # Which engine loop the figure's runs took (pool workers report theirs
+    # back to this process), so a silent fallback shows on every invocation.
+    engine_note = format_engine_path_counts(engine_path_counts(since=engine_before))
     if cache is not None:
         stats = cache.stats
         print(
             f"sweep cache: {stats.hits} hit(s), {stats.misses} miss(es), "
-            f"{stats.stores} stored ({cache.directory})"
+            f"{stats.stores} stored ({cache.directory}); {engine_note}"
         )
+    else:
+        print(engine_note)
     report = last_sweep_report()
     if args.resume and report is not None:
         print(

@@ -69,6 +69,9 @@ the lane fast path spills into ``core/sms.py`` and ``trace/stream.py``)
   ``LaneChunk`` ``record()``/``records()`` escape hatches, or building
   ``MemoryAccess`` tuples (directly or via ``tuple.__new__``) from lane
   data, reintroduces the per-record allocation the lane path removes.
+  Lane-path functions are those named ``*lane*`` (``_step_lanes``,
+  ``LaneTrace.iter_lane_chunks``), closures nested in them, and the
+  ``from_records`` builders of lane-named classes.
 
 **EXC — exception discipline**
 

@@ -177,6 +177,12 @@ def iter_functions(tree: ast.Module) -> Iterator[FunctionNode]:
 #: (``_step_lanes``, ``lane_hook``, ``decode_record_lanes``, ...).
 LANE_NAME_FRAGMENT = "lane"
 
+#: Methods of a lane-named class that build lanes *from* boxed records
+#: (``LaneChunk.from_records``, ``LaneTrace.from_records``): every
+#: non-native trace reaches the lane loop through them, so they are on the
+#: lane path although their own names do not say so.
+LANE_CLASS_BUILDERS = frozenset({"from_records"})
+
 
 def iter_lane_functions(tree: ast.Module) -> Iterator[FunctionNode]:
     """Functions on the lane fast path, in any module.
@@ -186,20 +192,27 @@ def iter_lane_functions(tree: ast.Module) -> Iterator[FunctionNode]:
     closures a ``lane_hook()`` builder returns are the hottest code in the
     tree despite carrying short names like ``hook``.  Class bodies do not
     propagate the mark: ``LaneChunk.records`` is not a lane function merely
-    for living on a lane-named class.
+    for living on a lane-named class.  The exception is the
+    :data:`LANE_CLASS_BUILDERS` of such a class.
     """
 
-    def walk(node: ast.AST, in_lane: bool) -> Iterator[FunctionNode]:
+    def walk(node: ast.AST, in_lane: bool, lane_class: bool) -> Iterator[FunctionNode]:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                lane = in_lane or LANE_NAME_FRAGMENT in child.name.lower()
+                lane = (
+                    in_lane
+                    or LANE_NAME_FRAGMENT in child.name.lower()
+                    or (lane_class and child.name in LANE_CLASS_BUILDERS)
+                )
                 if lane:
                     yield child
-                yield from walk(child, lane)
+                yield from walk(child, lane, False)
+            elif isinstance(child, ast.ClassDef):
+                yield from walk(child, in_lane, LANE_NAME_FRAGMENT in child.name.lower())
             else:
-                yield from walk(child, in_lane)
+                yield from walk(child, in_lane, lane_class)
 
-    yield from walk(tree, False)
+    yield from walk(tree, False, False)
 
 
 def scan_function(fn: FunctionNode, imports: ImportMap) -> FunctionFacts:

@@ -7,16 +7,22 @@ benchmark module can run several configurations over the same trace without
 regenerating it, and the parallel sweep entry point (:func:`sweep_map`) the
 fig04–fig13 runners fan their per-item work through.
 
+An experiment trace is a :class:`~repro.trace.binary.LaneTrace`: the whole
+trace resident as five flat integer lanes, which the engine's lane loop
+walks directly and which record consumers (density, opportunity, reference
+path prefetchers) iterate boxed one chunk at a time.  No tuple of records is
+kept beside the lanes.
+
 Trace caching has two layers: an in-process ``lru_cache`` (always on), and
 an opt-in on-disk layer that memoizes each generated trace as a binary
 ``.strc`` file keyed by (workload, cpus, accesses, seed) plus the package's
 code fingerprint.  Synthetic generation runs at ~200k records/s while the
-binary decoder runs at ~2.6M records/s, so full-scale sweeps — and every
-parallel worker, which otherwise regenerates its own traces — cut their
-per-trace warmup by roughly an order of magnitude on a warm cache.  Enable
-it with :func:`set_trace_cache` or ``REPRO_TRACE_CACHE=1`` (the CLI turns it
-on by default; ``--no-trace-cache`` is the escape hatch); the files live in
-a ``traces/`` directory next to the sweep result cache.
+lane decoder runs at ~2.6M records/s and boxes nothing, so full-scale sweeps
+— and every parallel worker, which otherwise regenerates its own traces —
+cut their per-trace warmup by roughly an order of magnitude on a warm cache.
+Enable it with :func:`set_trace_cache` or ``REPRO_TRACE_CACHE=1`` (the CLI
+turns it on by default; ``--no-trace-cache`` is the escape hatch); the files
+live in a ``traces/`` directory next to the sweep result cache.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import os
 import warnings
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import _env, obs
 from repro.core import SMSConfig, SpatialMemoryStreaming
@@ -35,7 +41,7 @@ from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import SimulationEngine, SimulationResult
 from repro.simulation.result_cache import TRACES_SUBDIR, code_fingerprint, default_cache_dir
 from repro.simulation.sweep import sweep_map
-from repro.trace.binary import BinaryTraceStream, write_trace_binary
+from repro.trace.binary import LaneTrace, write_trace_binary
 from repro.trace.record import MemoryAccess
 from repro.workloads import make_workload
 from repro.workloads.base import WorkloadMetadata
@@ -126,17 +132,17 @@ def _trace_cache_path(name: str, num_cpus: int, accesses_per_cpu: int, seed: int
     )
 
 
-def _load_or_generate(workload, name: str, num_cpus: int, accesses_per_cpu: int, seed: int):
-    """Replay the trace from its ``.strc`` cache file, generating it on a miss."""
+def _load_or_generate(
+    workload, name: str, num_cpus: int, accesses_per_cpu: int, seed: int
+) -> LaneTrace:
+    """Decode the trace from its ``.strc`` cache file, generating it on a miss."""
     path = _trace_cache_path(name, num_cpus, accesses_per_cpu, seed)
     try:
         if path.exists():
-            records: List[MemoryAccess] = []
-            for chunk in BinaryTraceStream(path).iter_chunks():
-                records.extend(chunk)
+            trace = LaneTrace.from_file(path, workload.metadata, name=name)
             obs.note_cache_op("trace", "hit")
-            return tuple(records)
-    except (OSError, ValueError) as exc:  # corrupt/truncated entry: regenerate
+            return trace
+    except (OSError, ValueError) as exc:  # bad header, torn tail, count mismatch: regenerate
         from repro.simulation.result_cache import quarantine_file
 
         # Quarantined next to the sweep cache's corrupt entries (same
@@ -148,7 +154,7 @@ def _load_or_generate(workload, name: str, num_cpus: int, accesses_per_cpu: int,
             RuntimeWarning,
             stacklevel=2,
         )
-    generated = tuple(workload)
+    generated = LaneTrace.from_records(workload, workload.metadata)
     obs.note_cache_op("trace", "miss")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -176,15 +182,13 @@ def _load_or_generate(workload, name: str, num_cpus: int, accesses_per_cpu: int,
 
 
 @lru_cache(maxsize=32)
-def _cached_trace(name: str, num_cpus: int, accesses_per_cpu: int, seed: int) -> Tuple:
+def _cached_trace(name: str, num_cpus: int, accesses_per_cpu: int, seed: int) -> LaneTrace:
     workload = make_workload(
         name, num_cpus=num_cpus, accesses_per_cpu=accesses_per_cpu, seed=seed
     )
     if trace_cache_enabled():
-        records = _load_or_generate(workload, name, num_cpus, accesses_per_cpu, seed)
-    else:
-        records = tuple(workload)
-    return (records, workload.metadata)
+        return _load_or_generate(workload, name, num_cpus, accesses_per_cpu, seed)
+    return LaneTrace.from_records(workload, workload.metadata)
 
 
 def build_trace(
@@ -192,17 +196,17 @@ def build_trace(
     num_cpus: int = DEFAULT_NUM_CPUS,
     scale: float = 1.0,
     seed: int = DEFAULT_SEED,
-) -> Tuple[Sequence[MemoryAccess], WorkloadMetadata]:
+) -> Tuple[LaneTrace, WorkloadMetadata]:
     """Build (and cache) the experiment trace for application ``name``.
 
     ``scale`` multiplies the per-application default trace length; benchmark
     runs use ``scale<1`` to keep wall-clock time down, full runs use 1.0+.
-    The returned record sequence is the cached immutable tuple — do not
-    mutate it; every configuration of a figure streams the same instance.
+    The returned trace is the cached instance, shared by every
+    configuration of a figure — do not mutate its lanes.
     """
     accesses = max(1000, int(ACCESSES_PER_CPU[name] * scale))
-    records, metadata = _cached_trace(name, num_cpus, accesses, seed)
-    return records, metadata
+    trace = _cached_trace(name, num_cpus, accesses, seed)
+    return trace, trace.metadata
 
 
 def representative_trace(
@@ -210,7 +214,7 @@ def representative_trace(
     num_cpus: int = DEFAULT_NUM_CPUS,
     scale: float = 1.0,
     seed: int = DEFAULT_SEED,
-) -> Tuple[Sequence[MemoryAccess], WorkloadMetadata]:
+) -> Tuple[LaneTrace, WorkloadMetadata]:
     """Trace of the representative application for ``category``."""
     if category not in CATEGORY_REPRESENTATIVE:
         raise ValueError(f"unknown category {category!r}; choose from {CATEGORIES}")

@@ -42,6 +42,7 @@ from repro.experiments import common
 from repro.serve.protocol import BAD_REQUEST, TRACE_FIELD, VERBS, ProtocolError
 from repro.simulation import SimulationConfig, SimulationEngine, TimingModel
 from repro.simulation.result_cache import SweepResultCache
+from repro.trace.binary import LaneTrace
 from repro.workloads.suite import APPLICATION_NAMES, make_workload
 
 #: Upper bounds keeping one request from monopolising a worker forever.
@@ -64,17 +65,19 @@ def run_simulate(
 
     Mirrors ``repro.cli simulate`` (same factories, same baseline pairing)
     but returns the statistics as a plain dict instead of printing a table,
-    so the result is JSON-able and cacheable.
+    so the result is JSON-able and cacheable.  Request sizes are bounded, so
+    the workload is generated once into lanes and both engine runs replay
+    them (the CLI streams instead, to stay O(chunk) on unbounded lengths).
     """
     from repro.cli import PREFETCHER_CHOICES
 
     stream = make_workload(
         workload, num_cpus=cpus, accesses_per_cpu=accesses_per_cpu, seed=seed
     )
+    trace = LaneTrace.from_records(stream, stream.metadata)
     config = SimulationConfig.small(num_cpus=cpus)
-    baseline = SimulationEngine(config, name="baseline").run(stream)
-    result = SimulationEngine(config, PREFETCHER_CHOICES[prefetcher](), name=prefetcher).run(stream)
-    result.workload = stream.metadata
+    baseline = SimulationEngine(config, name="baseline").run(trace)
+    result = SimulationEngine(config, PREFETCHER_CHOICES[prefetcher](), name=prefetcher).run(trace)
     l1 = coverage_from_result(result, level="L1")
     l2 = coverage_from_result(result, level="L2")
     return {

@@ -6,7 +6,7 @@ run is paid once per worker:
 
 * the imported package and its warmed ``lru_cache`` state — most
   importantly :func:`repro.experiments.common._cached_trace`, which keeps
-  recently-used experiment traces decoded in memory;
+  recently-used experiment traces resident as lanes;
 * the on-disk :class:`~repro.simulation.result_cache.SweepResultCache`
   (installed as the worker's ambient default, so figure runners memoize
   their per-item results) and the ``.strc`` trace cache.
@@ -43,6 +43,7 @@ from repro.serve.protocol import (
     WORKER_LOST,
     ProtocolError,
 )
+from repro.simulation.engine import absorb_engine_path_counts
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,9 @@ class WorkerSettings:
 
 
 def _worker_main(conn, index: int, settings: WorkerSettings) -> None:
-    """Worker loop: receive a normalized spec, execute, send (ok, payload).
+    """Worker loop: receive a normalized spec, execute, send
+    ``(ok, payload, engine_runs)`` — the job's engine-path census rides
+    along because this process's metrics registry is invisible to the server.
 
     Runs until the shutdown sentinel (``None``) or EOF on the pipe.  SIGINT
     is ignored — a Ctrl-C in the foreground server delivers SIGINT to the
@@ -74,6 +77,7 @@ def _worker_main(conn, index: int, settings: WorkerSettings) -> None:
     from repro._env import export as export_env
     from repro.experiments.common import set_trace_cache
     from repro.serve import jobs
+    from repro.simulation.engine import engine_path_counts
     from repro.simulation.result_cache import (
         CACHE_DIR_ENV,
         SweepResultCache,
@@ -103,6 +107,7 @@ def _worker_main(conn, index: int, settings: WorkerSettings) -> None:
         # once, so the environment cannot carry per-request ids); popped
         # before execution so the spec stays exactly what was normalized.
         trace_ctx = trace.SpanContext.from_dict(message.pop(TRACE_FIELD, None))
+        engine_before = engine_path_counts()
         try:
             faults.fire("pool.worker")
             with trace.activate(trace_ctx):
@@ -112,15 +117,16 @@ def _worker_main(conn, index: int, settings: WorkerSettings) -> None:
                     root=False,
                 ):
                     result = jobs.execute_spec(message)
-            reply = (True, result)
+            ok, payload = True, result
         except Exception as exc:  # repro: ignore[EXC001] -- any job failure is reported to the caller; the warm worker must survive it
-            reply = (False, f"{type(exc).__name__}: {exc}")
+            ok, payload = False, f"{type(exc).__name__}: {exc}"
+        engine_runs = engine_path_counts(since=engine_before)
         try:
-            conn.send(reply)
+            conn.send((ok, payload, engine_runs))
         except (OSError, ValueError, TypeError) as exc:
             # Unpicklable result or a vanished parent; report what we can.
             try:
-                conn.send((False, f"could not return result: {exc}"))
+                conn.send((False, f"could not return result: {exc}", engine_runs))
             except OSError:
                 break
     _cleanup_own_temp_files(settings)
@@ -242,7 +248,7 @@ class WorkerPool:
                     f"worker {handle.index} missed the {task_timeout}s task "
                     "deadline (killed and respawned)",
                 )
-            ok, payload = handle.conn.recv()  # repro: ignore[ROB001] -- guarded by conn.poll(task_timeout) above; without a deadline, blocking is the contract
+            ok, payload, engine_runs = handle.conn.recv()  # repro: ignore[ROB001] -- guarded by conn.poll(task_timeout) above; without a deadline, blocking is the contract
         except (EOFError, OSError, BrokenPipeError) as exc:
             with self._lock:
                 self.crashes += 1
@@ -253,6 +259,7 @@ class WorkerPool:
             ) from exc
         handle.jobs_done += 1
         self._idle.put(handle)
+        absorb_engine_path_counts(engine_runs)
         with self._lock:
             if ok:
                 self.executed += 1

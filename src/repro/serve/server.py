@@ -64,6 +64,7 @@ from repro.serve.protocol import (
     ok_response,
 )
 from repro.serve.pool import WorkerPool
+from repro.simulation.engine import engine_path_counts
 from repro.simulation.result_cache import SweepResultCache
 
 
@@ -463,6 +464,9 @@ class SimulationServer:
             "quarantined_jobs": len(self._quarantined),
             "counters": dict(self.counters),
             "cache": cache_stats,
+            # Engine runs by path, as the pool workers reported them with
+            # each job: how many took the lane loop, how many fell back, why.
+            "engine": engine_path_counts(),
             "pool": pool_stats,
             "pool_depth": {
                 "workers": workers,

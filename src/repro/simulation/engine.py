@@ -101,38 +101,78 @@ class _TelemetryProbe:
         })
 
 
-def _limit_lane_chunks(chunks, limit: int):
-    """Truncate a lane-chunk iterator to ``limit`` records (lazy ``islice``)."""
-    remaining = limit
-    if remaining <= 0:
-        return
-    for chunk in chunks:
-        size = len(chunk)
-        if size < remaining:
-            remaining -= size
-            yield chunk
-        else:
-            yield chunk.slice(0, remaining)
-            return
+#: Why a run took the reference loop instead of the lane loop.  The input
+#: type is never a reason: any trace can be transposed into lanes.
+FALLBACK_REASONS = ("disabled", "replacement", "prefetcher")
 
-def _flush_engine_metrics(path: str, records: int) -> None:
+
+def _runs_counter():
+    return obs.counter(
+        "repro_engine_runs_total",
+        "Engine runs by simulation path (lanes fast path vs reference loop).",
+        labels=("path",),
+    )
+
+
+def _fallback_counter():
+    return obs.counter(
+        "repro_engine_fallback_total",
+        "Reference-path engine runs by the reason the lane loop was vetoed.",
+        labels=("reason",),
+    )
+
+
+def _flush_engine_metrics(path: str, records: int, fallback_reason: Optional[str]) -> None:
     """One batched metrics flush per engine run.
 
     Called after the chunk loop — mirroring the per-chunk stat tallies,
     nothing observable happens per record — so the lane fast path pays a
     handful of dict operations per *run* for its instrumentation.
     """
-    obs.counter(
-        "repro_engine_runs_total",
-        "Engine runs by simulation path (lanes fast path vs reference loop).",
-        labels=("path",),
-    ).labels(path).inc()
+    _runs_counter().labels(path).inc()
+    if fallback_reason is not None:
+        _fallback_counter().labels(fallback_reason).inc()
     if records:
         obs.counter(
             "repro_engine_records_total",
             "Trace records simulated (warmup + measurement), by path.",
             labels=("path",),
         ).labels(path).inc(records)
+
+
+def engine_path_counts(since: Optional[Dict[str, int]] = None) -> Dict[str, int]:
+    """Engine runs counted in this process: ``lanes``, ``reference``, and one
+    ``fallback:<reason>`` entry per veto reason — less an earlier snapshot
+    when ``since`` is given.  All zero under ``REPRO_OBS=0``."""
+    runs, fallbacks = _runs_counter(), _fallback_counter()
+    counts = {path: int(runs.labels(path).value) for path in ("lanes", "reference")}
+    for reason in FALLBACK_REASONS:
+        counts[f"fallback:{reason}"] = int(fallbacks.labels(reason).value)
+    if since is not None:
+        counts = {key: value - since.get(key, 0) for key, value in counts.items()}
+    return counts
+
+
+def format_engine_path_counts(counts: Dict[str, int]) -> str:
+    """``engine: N lanes / M reference`` plus, when any run fell back, why."""
+    reasons = ", ".join(
+        f"{count} {key.partition(':')[2]}"
+        for key, count in counts.items()
+        if count and key.startswith("fallback:")
+    )
+    note = f"engine: {counts['lanes']} lanes / {counts['reference']} reference"
+    return f"{note} ({reasons})" if reasons else note
+
+
+def absorb_engine_path_counts(counts: Dict[str, int]) -> None:
+    """Add the engine runs a child process made (its :func:`engine_path_counts`
+    over one task) to this process's counters, so a parallel sweep's parent
+    and the serve front-end report the runs their workers made."""
+    runs, fallbacks = _runs_counter(), _fallback_counter()
+    for key, value in counts.items():
+        if value > 0:
+            family, _, label = key.rpartition(":")
+            (fallbacks if family else runs).labels(label).inc(value)
 
 
 #: A factory building the prefetcher for one CPU.
@@ -184,6 +224,13 @@ class SimulationResult:
     # from :meth:`as_dict`: the golden counters must stay byte-identical
     # whether or not the probe ran.
     telemetry: Optional[Dict] = None
+
+    # Which loop produced these counters (``"lanes"`` / ``"reference"``) and,
+    # for the reference loop, which of :data:`FALLBACK_REASONS` vetoed the
+    # lane loop.  Run metadata, not counters: excluded from :meth:`as_dict`
+    # for the same reason as ``telemetry``.
+    engine_path: str = ""
+    fallback_reason: Optional[str] = None
 
     # ------------------------------------------------------------------ #
     # Derived metrics
@@ -494,25 +541,25 @@ class SimulationEngine:
             hooks.append((fn, prefetcher.streams_into_l1))
         return hooks
 
-    def _lane_path(self, trace, limit: Optional[int], chunk_size: int):
-        """Return ``(chunks, hooks)`` for the lane fast path, or ``None``.
+    def _lane_path(self, lanes: Optional[bool]):
+        """Return ``(hooks, None)`` when this run takes the lane loop, else
+        ``(None, reason)`` with one of :data:`FALLBACK_REASONS`.
 
-        Falls back to the reference path when the trace cannot produce lane
-        chunks (text traces, generators, materialized lists), when any
-        prefetcher lacks a lane hook, or when the replacement policy is not
-        LRU (the fused loop inlines LRU bookkeeping).
+        The veto is a property of the configuration alone: lanes switched
+        off (argument or ``REPRO_ENGINE_LANES``), a replacement policy other
+        than LRU (the fused loop inlines LRU bookkeeping), or a prefetcher
+        without a lane hook.  The trace never vetoes —
+        :func:`~repro.trace.stream.lane_chunk_iterator` serves lanes for any
+        input type.
         """
+        if not self._resolve_lanes(lanes):
+            return None, "disabled"
         if self.config.replacement != "lru":
-            return None
+            return None, "replacement"
         hooks = self._lane_hooks()
         if hooks is None:
-            return None
-        chunks = lane_chunk_iterator(trace, chunk_size)
-        if chunks is None:
-            return None
-        if limit is not None:
-            chunks = _limit_lane_chunks(chunks, limit)
-        return chunks, hooks
+            return None, "prefetcher"
+        return hooks, None
 
     def _resolve_telemetry(self, telemetry_interval: Optional[int]) -> Optional[int]:
         """Probe interval: explicit argument, then ``REPRO_TRACE_TELEMETRY``."""
@@ -548,14 +595,19 @@ class SimulationEngine:
         are reset at the warmup boundary.  ``limit`` lazily truncates the
         trace, doing finite work even on an endless generator.
 
-        ``lanes`` selects the lane fast path: ``.strc`` streams are decoded
-        straight into flat integer lanes and simulated by :meth:`_step_lanes`
-        without boxing a :class:`MemoryAccess` per record.  The default
-        (``None``) consults the ``REPRO_ENGINE_LANES`` environment variable
-        and otherwise enables the path; it silently falls back to the
-        reference loop whenever the trace or a prefetcher cannot go
-        lane-to-lane.  Both paths are bit-identical (gated by the golden
-        counter tests).
+        ``lanes`` selects the lane fast path: the trace is walked as flat
+        integer lanes by :meth:`_step_lanes` without boxing a
+        :class:`MemoryAccess` per record.  Lane-native inputs
+        (:class:`~repro.trace.binary.LaneTrace`, ``.strc`` streams) hand
+        their lanes over as they are; every other input — generated
+        workloads, text traces, record lists, generators — is transposed one
+        chunk at a time.  The default (``None``) consults the
+        ``REPRO_ENGINE_LANES`` environment variable and otherwise enables the
+        path.  The reference loop runs only when lanes are switched off, the
+        replacement policy is not LRU, or a prefetcher has no lane hook; the
+        result's ``engine_path`` / ``fallback_reason``, the ``engine.run``
+        span and ``repro_engine_fallback_total`` say which.  Both paths are
+        bit-identical (gated by the golden counter tests).
 
         ``telemetry_interval`` (or ``REPRO_TRACE_TELEMETRY=N``) enables the
         simulation-time probe: every N measured records — sampled at chunk
@@ -580,6 +632,9 @@ class SimulationEngine:
                     "samples": probe.samples,
                 })
             span.set("accesses", result.accesses)
+            span.set("engine_path", result.engine_path)
+            if result.fallback_reason is not None:
+                span.set("fallback_reason", result.fallback_reason)
             return result
 
     def _run_impl(
@@ -593,11 +648,9 @@ class SimulationEngine:
     ) -> SimulationResult:
         warmup_count = self._resolve_warmup_count(trace, limit, warmup_accesses)
 
-        lane_path = (
-            self._lane_path(trace, limit, chunk_size) if self._resolve_lanes(lanes) else None
-        )
-        if lane_path is not None:
-            lane_chunks, hooks = lane_path
+        hooks, fallback_reason = self._lane_path(lanes)
+        if hooks is not None:
+            lane_chunks = lane_chunk_iterator(trace, chunk_size, limit)
             self._measuring = warmup_count == 0
             if self._measuring:
                 self._reset_measurement()
@@ -622,8 +675,7 @@ class SimulationEngine:
                 step_lanes(chunk, hooks)
                 if probe is not None:
                     probe.note(simulated - warmup_count)
-            _flush_engine_metrics("lanes", simulated)
-            return self._finish_run(trace)
+            return self._finish_run(trace, simulated, None)
 
         if limit is None and isinstance(trace, TraceStream):
             chunks = trace.iter_chunks(chunk_size)
@@ -662,10 +714,14 @@ class SimulationEngine:
             if probe is not None:
                 probe.note(simulated - warmup_count)
 
-        _flush_engine_metrics("reference", simulated)
-        return self._finish_run(trace)
+        return self._finish_run(trace, simulated, fallback_reason)
 
-    def _finish_run(self, trace) -> SimulationResult:
+    def _finish_run(
+        self, trace, simulated: int, fallback_reason: Optional[str]
+    ) -> SimulationResult:
+        """Close the run; ``fallback_reason`` is ``None`` for a lane run."""
+        engine_path = "lanes" if fallback_reason is None else "reference"
+        _flush_engine_metrics(engine_path, simulated, fallback_reason)
         if not self._measuring:
             # The stream ended inside the warmup phase (overestimated length
             # hint, or warmup_accesses/limit beyond the trace).  Reset so the
@@ -682,6 +738,8 @@ class SimulationEngine:
             metadata = getattr(trace, "metadata", None)
             if isinstance(metadata, WorkloadMetadata):
                 self.result.workload = metadata
+        self.result.engine_path = engine_path
+        self.result.fallback_reason = fallback_reason
         return self.result
 
     def _step(self, record: MemoryAccess) -> None:

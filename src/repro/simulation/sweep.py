@@ -48,6 +48,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 
 from repro import _env, faults, obs
 from repro.obs import trace
+from repro.simulation.engine import absorb_engine_path_counts, engine_path_counts
 from repro.simulation.journal import SweepJournal
 from repro.simulation.result_cache import SweepResultCache, default_cache, remove_temp_files
 
@@ -104,17 +105,21 @@ def _run_task(task: SweepTask) -> Any:
     return task.execute()
 
 
-def _execute_task_guarded(task: SweepTask) -> Tuple[bool, Any]:
+def _execute_task_guarded(task: SweepTask) -> Tuple[bool, Any, Dict[str, int]]:
     """Top-level trampoline so tasks can be dispatched through a Pool.
 
     Task exceptions are returned rather than raised so the caller can tell a
     failing task (retry or re-raise it) apart from failing pool
-    infrastructure (fall back to serial execution).
+    infrastructure (fall back to serial execution).  The third element is
+    the engine-path census of this task, which the parent absorbs: a worker's
+    metrics registry dies with it.
     """
+    before = engine_path_counts()
     try:
-        return True, _run_task(task)
+        ok, value = True, _run_task(task)
     except Exception as exc:  # repro: ignore[EXC001] -- returned to the parent, which retries or re-raises task failures
-        return False, exc
+        ok, value = False, exc
+    return ok, value, engine_path_counts(since=before)
 
 
 def default_worker_count() -> int:
@@ -316,9 +321,9 @@ class SweepRunner:
                     for index in pending:
                         try:
                             if self.point_timeout is not None:
-                                ok, value = iterator.next(self.point_timeout)
+                                ok, value, engine_runs = iterator.next(self.point_timeout)
                             else:
-                                ok, value = next(iterator)
+                                ok, value, engine_runs = next(iterator)
                         except multiprocessing.TimeoutError:
                             # A worker died or hung mid-point: the pool can
                             # never deliver this (ordered) result.  Abandon
@@ -333,6 +338,7 @@ class SweepRunner:
                             )
                             break
                         completed.add(index)
+                        absorb_engine_path_counts(engine_runs)
                         if ok:
                             self._complete(
                                 tasks[index], index, digests[index], value,

@@ -51,6 +51,7 @@ from repro.trace.stream import (
 from repro.trace.binary import (
     BinaryTraceStream,
     LaneChunk,
+    LaneTrace,
     decode_record_lanes,
     is_binary_trace,
     read_trace_binary,
@@ -75,6 +76,7 @@ __all__ = [
     "FileTraceStream",
     "BinaryTraceStream",
     "LaneChunk",
+    "LaneTrace",
     "decode_record_lanes",
     "is_binary_trace",
     "read_trace",

@@ -48,7 +48,12 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, List, Optional, Union
 
 from repro.trace.record import MemoryAccess
-from repro.trace.stream import DEFAULT_CHUNK_SIZE, MaterializedTrace, TraceStream
+from repro.trace.stream import (
+    DEFAULT_CHUNK_SIZE,
+    MaterializedTrace,
+    TraceStream,
+    lane_chunk_iterator,
+)
 
 import struct
 
@@ -116,8 +121,58 @@ class LaneChunk:
         self.cpu = cpu
         self.instruction_count = instruction_count
 
+    @classmethod
+    def empty(cls) -> "LaneChunk":
+        return cls(array("Q"), array("Q"), array("B"), array("H"), array("Q"))
+
+    @classmethod
+    def from_records(cls, records: Iterable[MemoryAccess]) -> "LaneChunk":
+        """Transpose boxed records into lanes — the inverse of :meth:`records`.
+
+        One ``zip(*records)`` splits the tuples into five columns and each
+        ``array`` constructor adopts its column at C speed; no per-record
+        Python bytecode runs.  A field outside the ``.strc`` record range
+        (u64 ``pc``/``address``/``instruction_count``, u16 ``cpu``, u8
+        ``code``) raises ``ValueError``, as :func:`write_trace_binary` does.
+        """
+        columns = tuple(zip(*records))
+        if not columns:
+            return cls.empty()
+        try:
+            pc, address, code, cpu, icount = columns
+            return cls(
+                array("Q", pc), array("Q", address), array("B", code),
+                array("H", cpu), array("Q", icount),
+            )
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"record field outside the lane range (u64 pc/address/"
+                f"instruction_count, u16 cpu, u8 code): {exc}"
+            ) from exc
+
     def __len__(self) -> int:
         return len(self.address)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LaneChunk):
+            return NotImplemented
+        return (
+            self.address == other.address
+            and self.pc == other.pc
+            and self.code == other.code
+            and self.cpu == other.cpu
+            and self.instruction_count == other.instruction_count
+        )
+
+    __hash__ = None  # mutable columns; equality is by content
+
+    def extend(self, other: "LaneChunk") -> None:
+        """Append ``other``'s records lane-wise (bulk trace assembly only)."""
+        self.pc.extend(other.pc)
+        self.address.extend(other.address)
+        self.code.extend(other.code)
+        self.cpu.extend(other.cpu)
+        self.instruction_count.extend(other.instruction_count)
 
     def slice(self, start: int, stop: Optional[int] = None) -> "LaneChunk":
         """Lane-wise ``[start:stop]`` view copy (warmup/limit boundaries only)."""
@@ -180,14 +235,7 @@ def _gather_u16(data: bytes, offset: int, count: int) -> array:
 
 def _decode_lanes_portable(data: bytes) -> LaneChunk:
     """Reference lane decoder over ``iter_unpack`` (any byte order)."""
-    if not data:
-        empty = array("Q")
-        return LaneChunk(empty, array("Q"), array("B"), array("H"), array("Q"))
-    pc, address, code, cpu, icount = zip(*RECORD.iter_unpack(data))
-    return LaneChunk(
-        array("Q", pc), array("Q", address), array("B", code),
-        array("H", cpu), array("Q", icount),
-    )
+    return LaneChunk.from_records(RECORD.iter_unpack(data))
 
 
 def decode_record_lanes(data: bytes) -> LaneChunk:
@@ -474,6 +522,82 @@ class BinaryTraceStream(TraceStream):
                 count += len(chunk)
             self._length = count
         return self._length
+
+
+class LaneTrace(TraceStream):
+    """A whole trace resident in memory as one set of SoA lanes.
+
+    The replayable, immutable in-memory trace of the experiment and serve
+    paths: 27 bytes per record instead of a boxed tuple, handed to the
+    engine's lane loop as-is.  Consumers that want records (density and
+    opportunity analysis, the oracle, reference-path prefetchers) iterate it
+    like any stream and get them boxed lazily, one chunk at a time.  Nothing
+    mutates the lanes after construction; every configuration of a figure
+    replays the same instance.
+    """
+
+    def __init__(self, lanes: LaneChunk, name: str = "trace", metadata=None) -> None:
+        super().__init__(name=name)
+        self.lanes = lanes
+        self.metadata = metadata
+
+    @classmethod
+    def from_records(
+        cls, records: Iterable[MemoryAccess], metadata=None, name: Optional[str] = None
+    ) -> "LaneTrace":
+        """Drain ``records`` (any iterable, consumed once) into lanes.
+
+        Only one chunk is alive beside the growing lanes, so building from a
+        lazy generator peaks at the lanes plus O(chunk) boxed records — and a
+        lane-native source (a ``.strc`` stream) is never boxed at all.
+        """
+        lanes = LaneChunk.empty()
+        for chunk in lane_chunk_iterator(records):
+            lanes.extend(chunk)
+        return cls(lanes, name or getattr(records, "name", "trace"), metadata)
+
+    @classmethod
+    def from_file(cls, path: Union[str, Path], metadata=None, name: str = "") -> "LaneTrace":
+        """Decode a ``.strc`` file straight into lanes — no record is boxed.
+
+        Raises ``OSError``/``ValueError`` exactly as :class:`BinaryTraceStream`
+        does for a missing file, bad header, torn tail or count mismatch.
+        """
+        return cls.from_records(BinaryTraceStream(path, name=name), metadata)
+
+    def __len__(self) -> int:
+        return len(self.lanes)
+
+    def length_hint(self) -> int:
+        return len(self.lanes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LaneTrace):
+            return NotImplemented
+        return self.lanes == other.lanes
+
+    __hash__ = None
+
+    def iter_lane_chunks(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator[LaneChunk]:
+        """The resident lanes in ``chunk_size`` steps; uncopied when they fit one."""
+        if chunk_size <= 0:
+            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+        lanes = self.lanes
+        total = len(lanes)
+        if total <= chunk_size:
+            if total:
+                yield lanes
+            return
+        for start in range(0, total, chunk_size):
+            yield lanes.slice(start, start + chunk_size)
+
+    def iter_chunks(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator[List[MemoryAccess]]:
+        for chunk in self.iter_lane_chunks(chunk_size):
+            yield chunk.records()
+
+    def __iter__(self) -> Iterator[MemoryAccess]:
+        for chunk in self.iter_chunks():
+            yield from chunk
 
 
 def _binary_stem(path: Path) -> str:

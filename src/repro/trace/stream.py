@@ -44,20 +44,42 @@ def iter_chunks(
         yield chunk
 
 
-def lane_chunk_iterator(stream, chunk_size: int = DEFAULT_CHUNK_SIZE):
-    """Return a SoA lane-chunk iterator for ``stream``, or ``None``.
+def _limit_lane_chunks(chunks, limit: int):
+    """Truncate a lane-chunk iterator to ``limit`` records (lazy ``islice``)."""
+    remaining = limit
+    if remaining <= 0:
+        return
+    for chunk in chunks:
+        size = len(chunk)
+        if size < remaining:
+            remaining -= size
+            yield chunk
+        else:
+            yield chunk.slice(0, remaining)
+            return
 
-    Only streams that can decode straight into flat integer lanes expose
-    ``iter_lane_chunks`` — binary trace files and chunked views over them.
-    Text traces, generated workloads, and materialized record lists return
-    ``None`` here, which is the engine's signal to fall back to the boxed
-    reference path.  A wrapper whose source has no lane support may itself
-    return ``None`` from ``iter_lane_chunks``; that propagates.
+
+def lane_chunk_iterator(
+    stream, chunk_size: int = DEFAULT_CHUNK_SIZE, limit: Optional[int] = None
+):
+    """Iterate any trace as SoA lane chunks, at most ``limit`` records in all.
+
+    Streams that hold or decode lanes natively (``iter_lane_chunks``: binary
+    trace files, :class:`~repro.trace.binary.LaneTrace`, chunked views over
+    either) hand theirs out.  Everything else — generated workloads, text
+    traces, record lists, plain generators — is read one boxed chunk at a
+    time and transposed with ``LaneChunk.from_records``, so a lazy stream
+    still costs O(chunk) memory and ``limit`` still does finite work on an
+    endless one.
     """
     method = getattr(stream, "iter_lane_chunks", None)
-    if method is None:
-        return None
-    return method(chunk_size)
+    if method is not None:
+        chunks = method(chunk_size)
+        return chunks if limit is None else _limit_lane_chunks(chunks, limit)
+    from repro.trace.binary import LaneChunk  # binary imports this module
+
+    records = iter(stream) if limit is None else islice(iter(stream), limit)
+    return map(LaneChunk.from_records, iter_chunks(records, chunk_size))
 
 
 def stream_length_hint(stream) -> Optional[int]:
@@ -278,7 +300,7 @@ class ChunkedTraceStream(TraceStream):
         return iter_chunks(self._source, chunk_size or self.chunk_size)
 
     def iter_lane_chunks(self, chunk_size: Optional[int] = None):
-        """Forward lane iteration to the source; ``None`` when unsupported."""
+        """Lane iteration over the source at this view's chunk size."""
         return lane_chunk_iterator(self._source, chunk_size or self.chunk_size)
 
     def length_hint(self) -> Optional[int]:

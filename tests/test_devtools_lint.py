@@ -533,6 +533,27 @@ class TestHOT004:
         )
         assert ("HOT004", 4) in findings
 
+    def test_lane_class_record_builders_are_lane_functions(self):
+        source = """
+            class LaneChunk:
+                @classmethod
+                def from_records(cls, records):
+                    return cls([MemoryAccess(*fields) for fields in records])
+
+                def records(self):
+                    return [tuple.__new__(MemoryAccess, f) for f in self.rows]
+
+            class LaneTrace:
+                def iter_lane_chunks(self, chunk_size):
+                    for chunk in self.chunks:
+                        yield chunk.records()
+
+            class Reader:
+                def from_records(self, records):
+                    return [MemoryAccess(*fields) for fields in records]
+            """
+        assert rules_at(source, path=COLD_PATH) == [("HOT004", 5), ("HOT004", 13)]
+
     def test_boxing_outside_lane_functions_is_fine(self):
         assert rule_ids(
             """

@@ -9,12 +9,14 @@ If a *deliberate* modelling change alters these counters, regenerate the
 goldens by running the listed configurations and updating the dictionaries.
 """
 
+import os
+
 import pytest
 
 from repro.core import SMSConfig, SpatialMemoryStreaming
 from repro.prefetch import GHBConfig, GlobalHistoryBuffer, NullPrefetcher
 from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import SimulationEngine
+from repro.simulation.engine import LANES_ENV_VAR, SimulationEngine
 from repro.workloads import make_workload
 
 #: Counter fields pinned for every golden configuration.
@@ -102,3 +104,11 @@ def test_counters_bit_identical_to_reference(key):
     actual["traffic_total_bytes"] = result.traffic.total_bytes
     actual["traffic_useful_bytes"] = result.traffic.useful_bytes
     assert actual == expected
+    # The goldens must cover both loops: lanes by default (the generated
+    # workload is transposed per chunk), ``_step`` under CI's
+    # REPRO_ENGINE_LANES=0 re-run and for prefetchers without a lane hook.
+    lanes_off = os.environ.get(LANES_ENV_VAR, "1").strip().lower() in ("0", "false", "off", "")
+    reason = "disabled" if lanes_off else "prefetcher" if prefetcher == "ghb" else None
+    assert (result.engine_path, result.fallback_reason) == (
+        ("reference", reason) if reason else ("lanes", None)
+    )

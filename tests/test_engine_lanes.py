@@ -8,9 +8,9 @@ reference path.  This module pins that from three directions:
   the fields ``RECORD.iter_unpack`` would, including torn-tail errors;
 * the golden-counter configurations re-run through a binary trace with
   ``lanes=True`` against the same pinned numbers as the reference test;
-* fallback behaviour — stream types, prefetcher mixes, replacement
-  policies, and the environment switch must all land on the reference path
-  (and produce the same counters) rather than failing.
+* path selection — every stream type takes the lane loop, while prefetcher
+  mixes, replacement policies, and the environment switch land on the
+  reference path with the reason recorded (and produce the same counters).
 """
 
 import pytest
@@ -25,6 +25,7 @@ from repro.trace.binary import (
     RECORD_SIZE,
     BinaryTraceStream,
     LaneChunk,
+    LaneTrace,
     _decode_lanes_portable,
     decode_record_lanes,
     read_trace_binary,
@@ -207,6 +208,7 @@ class TestLaneFallbacks:
         calls = _spy_on_lane_path(engine)
         result = engine.run(BinaryTraceStream(small_trace))
         assert not calls
+        assert (result.engine_path, result.fallback_reason) == ("reference", "disabled")
         monkeypatch.setenv(LANES_ENV_VAR, "1")
         lanes_engine = SimulationEngine(SimulationConfig.small(num_cpus=2))
         lanes_result = lanes_engine.run(BinaryTraceStream(small_trace))
@@ -219,15 +221,18 @@ class TestLaneFallbacks:
         engine.run(BinaryTraceStream(small_trace), lanes=True)
         assert calls
 
-    def test_generated_workload_falls_back(self):
+    def test_generated_workload_takes_lanes(self, monkeypatch):
+        monkeypatch.delenv(LANES_ENV_VAR, raising=False)
         workload = make_workload("oltp-db2", num_cpus=2, accesses_per_cpu=500, seed=5)
         engine = SimulationEngine(SimulationConfig.small(num_cpus=2))
         calls = _spy_on_lane_path(engine)
-        result = engine.run(workload, lanes=True)  # no iter_lane_chunks: fallback
-        assert not calls
+        result = engine.run(workload)  # no iter_lane_chunks: transposed per chunk
+        assert sum(calls) == 1000
+        assert (result.engine_path, result.fallback_reason) == ("lanes", None)
         reference = SimulationEngine(SimulationConfig.small(num_cpus=2)).run(
             workload, lanes=False
         )
+        assert (reference.engine_path, reference.fallback_reason) == ("reference", "disabled")
         assert _golden_snapshot(result) == _golden_snapshot(reference)
 
     def test_mixed_prefetchers_fall_back_identically(self, small_trace):
@@ -240,6 +245,7 @@ class TestLaneFallbacks:
             lambda: BinaryTraceStream(small_trace), factory=factory
         )
         assert _golden_snapshot(lanes) == _golden_snapshot(reference)
+        assert (lanes.engine_path, lanes.fallback_reason) == ("reference", "prefetcher")
 
     def test_non_lru_replacement_falls_back(self, small_trace):
         config = SimulationConfig(
@@ -254,6 +260,7 @@ class TestLaneFallbacks:
         result = engine.run(BinaryTraceStream(small_trace), lanes=True)
         assert not calls
         assert result.accesses > 0
+        assert (result.engine_path, result.fallback_reason) == ("reference", "replacement")
 
     def test_foreign_eviction_listener_keeps_parity(self, small_trace):
         """Extra listeners force the generic dispatch, not wrong counters."""
@@ -284,6 +291,50 @@ class TestLimitWarmupParity:
         )
         assert _golden_snapshot(lanes) == _golden_snapshot(reference)
         assert lanes.accesses == reference.accesses
+
+
+class TestInputTypeParity:
+    """One trace, every way of handing it to the engine, one answer.
+
+    2600 records at the default chunk size with a 1300-record warmup put the
+    measurement boundary inside the first chunk; the 1000-record chunk size
+    puts it inside the second.
+    """
+
+    @pytest.mark.parametrize("prefetcher", ["none", "sms"])
+    @pytest.mark.parametrize("chunk_size", [4096, 1000])
+    def test_every_input_type_gives_the_same_result(self, prefetcher, chunk_size, monkeypatch):
+        monkeypatch.delenv(LANES_ENV_VAR, raising=False)
+        workload = make_workload("oltp-db2", num_cpus=2, accesses_per_cpu=1300, seed=4)
+        records = tuple(workload)
+        count = len(records)
+
+        def run(trace, **kwargs):
+            engine = SimulationEngine(
+                SimulationConfig.small(num_cpus=2), PREFETCHER_FACTORIES[prefetcher]()
+            )
+            return engine.run(trace, chunk_size=chunk_size, **kwargs)
+
+        reference = run(records, lanes=False)
+        assert reference.engine_path == "reference"
+        assert 0 < reference.accesses < count  # the warmup boundary was crossed
+        for label, result in {
+            "tuple": run(records),
+            "lane trace": run(LaneTrace.from_records(records)),
+            "generator": run(iter(records), limit=count),
+            "workload": run(workload),
+            "lane trace, lanes off": run(LaneTrace.from_records(records), lanes=False),
+        }.items():
+            assert result.as_dict() == reference.as_dict(), label
+            assert _golden_snapshot(result) == _golden_snapshot(reference), label
+            expected_path = "reference" if label.endswith("lanes off") else "lanes"
+            assert result.engine_path == expected_path, label
+
+    def test_limit_inside_a_transposed_chunk(self):
+        records = tuple(make_workload("ocean", num_cpus=2, accesses_per_cpu=600, seed=2))
+        reference, lanes = _run_pair(lambda: iter(records), limit=777, warmup_accesses=100)
+        assert lanes.engine_path == "lanes" and lanes.accesses == 677
+        assert _golden_snapshot(lanes) == _golden_snapshot(reference)
 
 
 # --------------------------------------------------------------------- #

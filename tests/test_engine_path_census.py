@@ -1,0 +1,158 @@
+"""Which engine loop does every figure take — pinned, so a plumbing
+regression fails a test instead of a benchmark three PRs later.
+
+PR 8 built the lane loop and for four PRs no figure, sweep or serve request
+took it, because the fallback was silent.  This module pins the path census
+of every servable figure and the signals that make a fallback visible:
+``repro_engine_runs_total`` / ``repro_engine_fallback_total``, the
+``engine.run`` span attributes, the ``experiment`` summary line, the serve
+``status`` reply, and the hand-over of worker-side counts to the parent.
+"""
+
+import pytest
+
+from repro import obs
+from repro.cli import main
+from repro.obs import trace as obs_trace
+from repro.serve import WorkerPool, jobs
+from repro.serve.server import SimulationServer
+from repro.simulation.config import SimulationConfig
+from repro.simulation.engine import (
+    LANES_ENV_VAR,
+    SimulationEngine,
+    absorb_engine_path_counts,
+    engine_path_counts,
+    format_engine_path_counts,
+)
+from repro.simulation.result_cache import SweepResultCache
+from repro.simulation.sweep import SweepRunner
+from repro.workloads import make_workload
+
+#: ``(runs_lanes, runs_reference)`` per figure at the smallest scale, 1 CPU.
+#: Reference runs are all ``fallback_reason="prefetcher"``: fig08/fig09's
+#: sectored-trainer SMS and fig11's GHB and stride baselines have no lane
+#: hook yet.  fig05 measures density on the memory system directly and never
+#: builds an engine.  Anything else moving to the reference column is a bug.
+PATH_CENSUS = {
+    "fig04": (20, 0),
+    "fig05": (0, 0),
+    "fig06": (16, 0),
+    "fig07": (40, 0),
+    "fig08": (8, 8),
+    "fig09": (28, 28),
+    "fig10": (28, 0),   # four categories x seven region sizes
+    "fig11": (11, 22),
+    "fig12": (66, 0),
+    "fig13": (22, 0),
+}
+
+
+@pytest.fixture(autouse=True)
+def _lanes_default(monkeypatch):
+    monkeypatch.delenv(LANES_ENV_VAR, raising=False)
+
+
+def test_census_covers_every_servable_figure():
+    assert set(PATH_CENSUS) == set(jobs.SWEEP_FIGURES)
+
+
+@pytest.mark.parametrize("figure", sorted(PATH_CENSUS))
+def test_figure_path_census(figure):
+    entry = jobs.SWEEP_FIGURES[figure]
+    before = engine_path_counts()
+    for item in entry.items():
+        entry.fn(item, **entry.defaults(), scale=0.01, num_cpus=1)
+    runs = engine_path_counts(since=before)
+    lanes, reference = PATH_CENSUS[figure]
+    assert runs == {
+        "lanes": lanes,
+        "reference": reference,
+        "fallback:disabled": 0,
+        "fallback:replacement": 0,
+        "fallback:prefetcher": reference,
+    }
+
+
+def test_counts_format_and_absorb_round_trip():
+    before = engine_path_counts()
+    child = {"lanes": 3, "reference": 2, "fallback:prefetcher": 2, "fallback:disabled": 0}
+    absorb_engine_path_counts(child)
+    runs = engine_path_counts(since=before)
+    assert {key: value for key, value in runs.items() if value} == {
+        "lanes": 3, "reference": 2, "fallback:prefetcher": 2,
+    }
+    assert format_engine_path_counts(runs) == "engine: 3 lanes / 2 reference (2 prefetcher)"
+    assert format_engine_path_counts({"lanes": 28, "reference": 0}) == (
+        "engine: 28 lanes / 0 reference"
+    )
+
+
+def test_engine_run_span_carries_path_and_reason(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv(obs_trace.TRACE_ENV_VAR, "on")
+    workload = make_workload("oltp-db2", num_cpus=1, accesses_per_cpu=400, seed=1)
+    config = SimulationConfig.small(num_cpus=1)
+    with obs_trace.span("test.root"):
+        SimulationEngine(config, name="fast").run(workload)
+        SimulationEngine(config, name="slow").run(workload, lanes=False)
+    (path,) = obs_trace.list_trace_files()
+    spans = {
+        span["attrs"]["engine"]: span["attrs"]
+        for span in obs_trace.iter_spans(obs_trace.load_trace_file(path))
+        if span["name"] == "engine.run"
+    }
+    assert spans["fast"]["engine_path"] == "lanes" and "fallback_reason" not in spans["fast"]
+    assert (spans["slow"]["engine_path"], spans["slow"]["fallback_reason"]) == (
+        "reference", "disabled"
+    )
+
+
+def _simulate_point(seed, prefetcher="sms"):
+    return jobs.run_simulate("oltp-db2", prefetcher=prefetcher, cpus=1,
+                             accesses_per_cpu=300, seed=seed)["l1_read_misses"]
+
+
+def test_parallel_sweep_workers_report_their_runs_to_the_parent():
+    before = engine_path_counts()
+    SweepRunner(max_workers=2).map(_simulate_point, [1, 2, 3], prefetcher="ghb")
+    runs = engine_path_counts(since=before)
+    # Three points, each a lane baseline plus a GHB run without a lane hook.
+    assert (runs["lanes"], runs["reference"], runs["fallback:prefetcher"]) == (3, 3, 3)
+
+
+def test_experiment_summary_line_reports_the_census(tmp_path, capsys):
+    args = ["experiment", "--figure", "fig10", "--scale", "0.01", "--cpus", "1",
+            "--cache-dir", str(tmp_path)]
+    assert main(args) == 0
+    cold = capsys.readouterr().out.splitlines()[-1]
+    assert cold.startswith("sweep cache: 0 hit(s), 4 miss(es), 4 stored")
+    assert cold.endswith("; engine: 28 lanes / 0 reference")
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("; engine: 0 lanes / 0 reference")
+    assert main(["experiment", "--figure", "fig11", "--scale", "0.01", "--cpus", "1",
+                 "--no-cache"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "engine: 11 lanes / 22 reference (22 prefetcher)"
+    )
+
+
+def test_serve_status_exposes_worker_engine_runs(tmp_path):
+    previous = obs.install_registry(obs.Registry())
+    try:
+        with WorkerPool(workers=1, cache_dir=str(tmp_path)) as pool:
+            server = SimulationServer(
+                pool, socket_path=str(tmp_path / "s.sock"),
+                cache=SweepResultCache(directory=tmp_path),
+            )
+            assert server.status()["engine"]["lanes"] == 0
+            for prefetcher in ("sms", "stride"):
+                pool.execute(jobs.normalize({
+                    "verb": "simulate", "workload": "ocean", "prefetcher": prefetcher,
+                    "cpus": 1, "accesses_per_cpu": 300,
+                }))
+            engine = server.status()["engine"]
+        assert {key: value for key, value in engine.items() if value} == {
+            "lanes": 3, "reference": 1, "fallback:prefetcher": 1,
+        }
+    finally:
+        obs.install_registry(previous)

@@ -1,12 +1,15 @@
 """Tests for repro.experiments.common and the table-1 runner."""
 
+import struct
+
 import pytest
 
 from repro.core import SpatialMemoryStreaming
 from repro.experiments import common
 from repro.experiments import tab01_config
 from repro.prefetch import GlobalHistoryBuffer, NullPrefetcher, StridePrefetcher
-from repro.workloads.suite import APPLICATION_NAMES
+from repro.trace.binary import HEADER, RECORD_SIZE, LaneTrace
+from repro.workloads.suite import APPLICATION_NAMES, make_workload
 
 
 class TestTraceBuilding:
@@ -69,14 +72,49 @@ class TestTraceDiskCache:
         assert replayed == generated
         assert metadata.name == "oltp-db2"
 
-    def test_corrupt_entry_regenerates(self, enabled_cache):
-        generated, _ = common.build_trace("em3d", num_cpus=2, scale=0.05)
-        (path,) = (enabled_cache / "traces").glob("em3d-*.strc")
-        path.write_bytes(b"garbage not a trace")
+    def test_miss_hit_and_cache_off_return_equal_lanes(self, enabled_cache):
+        missed, _ = common.build_trace("ocean", num_cpus=2, scale=0.05)
         common._cached_trace.cache_clear()
-        with pytest.warns(RuntimeWarning):
+        hit, metadata = common.build_trace("ocean", num_cpus=2, scale=0.05)
+        common.set_trace_cache(False)
+        common._cached_trace.cache_clear()
+        uncached, _ = common.build_trace("ocean", num_cpus=2, scale=0.05)
+        assert all(isinstance(trace, LaneTrace) for trace in (missed, hit, uncached))
+        assert missed is not hit and hit is not uncached
+        assert missed.lanes == hit.lanes == uncached.lanes
+        assert hit.metadata is metadata and metadata.name == "ocean"
+        workload = make_workload("ocean", num_cpus=2, accesses_per_cpu=1250, seed=7)
+        assert list(hit) == list(workload)
+
+    def test_corrupt_entry_regenerates(self, enabled_cache):
+        self._corrupt_and_rebuild(enabled_cache, lambda blob: b"garbage not a trace")
+
+    @pytest.mark.parametrize("damage", [
+        # whole records, fewer than the header promises
+        lambda blob: blob[: HEADER.size + 100 * RECORD_SIZE],
+        # torn tail: the last record is cut short
+        lambda blob: blob[:-5],
+        # header count disagrees with an intact payload
+        lambda blob: blob[:8] + struct.pack("<Q", 3) + blob[16:],
+    ], ids=["truncated-payload", "torn-tail", "header-count-mismatch"])
+    def test_undecodable_lanes_regenerate(self, enabled_cache, damage):
+        self._corrupt_and_rebuild(enabled_cache, damage)
+
+    @staticmethod
+    def _corrupt_and_rebuild(cache_dir, damage):
+        """A damaged entry is quarantined, warned about once, regenerated, and
+        the rebuilt lanes equal a fresh generation's."""
+        generated, _ = common.build_trace("em3d", num_cpus=2, scale=0.05)
+        (path,) = (cache_dir / "traces").glob("em3d-*.strc")
+        path.write_bytes(damage(path.read_bytes()))
+        common._cached_trace.cache_clear()
+        with pytest.warns(RuntimeWarning) as caught:
             replayed, _ = common.build_trace("em3d", num_cpus=2, scale=0.05)
+        assert len([w for w in caught if "quarantining" in str(w.message)]) == 1
         assert replayed == generated
+        assert [p.name for p in (cache_dir / "quarantine").iterdir()] == [path.name]
+        # The regenerated entry replaced the damaged one and decodes cleanly.
+        assert LaneTrace.from_file(path) == generated
 
     def test_stale_fingerprint_entries_pruned(self, enabled_cache):
         stale = enabled_cache / "traces" / "sparse-c2-a1250-s7-0123456789abcdef.strc"

@@ -16,7 +16,9 @@ from repro.experiments import fig10_region_size as fig10
 from repro.experiments import fig11_ghb as fig11
 from repro.serve import jobs
 from repro.serve.protocol import BAD_REQUEST, ProtocolError
+from repro.simulation.engine import LANES_ENV_VAR, engine_path_counts
 from repro.simulation.result_cache import SweepResultCache
+from repro.workloads.base import SyntheticWorkload
 
 
 class TestNormalize:
@@ -201,6 +203,22 @@ class TestRunSimulate:
         assert json.dumps(first, sort_keys=True)  # all values JSON-able
         assert 0.0 <= first["l1_coverage"] <= 1.0
         assert first["speedup"] > 0
+
+    def test_workload_is_generated_once_and_both_runs_take_lanes(self, monkeypatch):
+        generations = []
+        original = SyntheticWorkload.__iter__
+
+        def counting_iter(self):
+            generations.append(self.name)
+            return original(self)
+
+        monkeypatch.setattr(SyntheticWorkload, "__iter__", counting_iter)
+        monkeypatch.delenv(LANES_ENV_VAR, raising=False)
+        before = engine_path_counts()
+        jobs.run_simulate("oltp-db2", prefetcher="sms", cpus=2, accesses_per_cpu=600, seed=3)
+        assert generations == ["oltp-db2"]  # baseline + prefetcher replay one LaneTrace
+        runs = engine_path_counts(since=before)
+        assert (runs["lanes"], runs["reference"]) == (2, 0)
 
     def test_execute_spec_equals_direct_call(self):
         spec = jobs.normalize(
