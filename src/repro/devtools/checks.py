@@ -430,9 +430,10 @@ class LoopTryExcept(_HotRule):
                             )
 
 
-#: Constructors whose call sites box one simulated record each — exactly the
-#: allocation the lane decomposition removes.
-BOXED_RECORD_CONSTRUCTORS = frozenset({"MemoryAccess"})
+#: Constructors whose call sites box one simulated record (``MemoryAccess``)
+#: or one resident line's packed flags (``CacheLine``) each — exactly the
+#: allocations the lane decomposition removes.
+BOXED_RECORD_CONSTRUCTORS = frozenset({"MemoryAccess", "CacheLine"})
 
 #: LaneChunk's sanctioned per-record escape hatches; calling them from a lane
 #: function defeats the point of having lanes at all.
@@ -452,10 +453,12 @@ class LaneBoxing(_HotRule):
     rationale = (
         "Lane functions exist so the engine never materialises one object "
         "per record.  Calling the LaneChunk record()/records() escape "
-        "hatches, or constructing MemoryAccess tuples (directly or via "
-        "tuple.__new__) from lane data, reintroduces exactly the per-record "
+        "hatches, constructing MemoryAccess tuples (directly or via "
+        "tuple.__new__) from lane data, or boxing a cache set's packed flags "
+        "back into a CacheLine reintroduces exactly the per-record "
         "allocation the fast path was built to remove — operate on the flat "
-        "integer lanes, or hand the chunk to the boxed reference path."
+        "integer lanes and flag ints, or hand the chunk to the boxed "
+        "reference path."
     )
     example_bad = "def _step_lanes(...):\n    for r in chunk.records(): ..."
     example_fix = "for i in range(len(chunk)): use chunk.pc[i], chunk.address[i], ..."

@@ -5,6 +5,24 @@ resident, applies a replacement policy, and reports hits, misses, evictions
 and invalidations.  Timing is layered on separately by
 :mod:`repro.simulation.timing`.
 
+Set layout
+----------
+A set is one plain ``dict`` mapping ``block_addr -> flags``, where ``flags``
+is a small int of :data:`DIRTY` | :data:`PREFETCHED` | :data:`USED` bits.
+There are no way numbers and no per-line objects: residency is ``block in
+cache_set``, a fill is one dict store, and the dict's insertion order *is*
+the replacement state.  The fused lane loop in
+:mod:`repro.simulation.engine` reads and writes the same dicts directly and
+relies on two invariants:
+
+* **LRU: the first key is the victim.**  Every hit pops the block and
+  re-appends it, every fill appends, so keys run least- to most-recently
+  used and ``for victim in cache_set: break`` is the whole victim search.
+* **Random never reorders.**  A hit rewrites the flags in place, so keys stay
+  in fill order (refills appended) and the per-set seeded
+  :class:`~repro.memory.replacement.RandomPolicy` picks a *position* in that
+  order.
+
 Prefetch bookkeeping
 --------------------
 Every line remembers whether it was *filled by a prefetch* and whether it has
@@ -22,8 +40,13 @@ from typing import Callable, Dict, List, Optional
 
 from repro._compat import DATACLASS_SLOTS
 from repro.memory.block import is_power_of_two
-from repro.memory.replacement import ReplacementPolicy, make_policy
+from repro.memory.replacement import make_policy
 from repro.memory.stats import CacheStatistics
+
+#: Flag bits of one resident line (the values of a set dict).
+DIRTY = 1
+PREFETCHED = 2
+USED = 4
 
 
 class AccessOutcome(enum.Enum):
@@ -123,8 +146,6 @@ class SetAssociativeCache:
                 f"number of sets must be a power of two, got {self.num_sets} "
                 f"(capacity={capacity_bytes}, block={block_size}, assoc={associativity})"
             )
-        self._replacement_name = replacement
-        self._seed = seed
         # Hot-path address arithmetic: block/set mapping is mask-and-shift
         # (both sizes are powers of two), precomputed once so per-access
         # lookups avoid division and the power-of-two re-validation in
@@ -132,10 +153,13 @@ class SetAssociativeCache:
         self._block_mask = ~(block_size - 1)
         self._index_shift = block_size.bit_length() - 1
         self._set_mask = self.num_sets - 1
-        # Each set is a dict way -> CacheLine plus a replacement policy.
-        self._sets: List[Dict[int, CacheLine]] = [dict() for _ in range(self.num_sets)]
-        self._policies: List[ReplacementPolicy] = [
-            make_policy(replacement, seed=None if seed is None else seed + i)
+        # Each set is a dict block_addr -> flags whose key order is the
+        # replacement state (module docstring, "Set layout"): LRU needs
+        # nothing else; random keeps one seeded victim picker per set.
+        self._sets: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
+        self._lru = replacement.lower() == "lru"
+        self._pick_victim = None if self._lru else [
+            make_policy(replacement, seed=None if seed is None else seed + i).victim
             for i in range(self.num_sets)
         ]
         self.stats = CacheStatistics()
@@ -147,12 +171,6 @@ class SetAssociativeCache:
     def set_index(self, address: int) -> int:
         """Return the set index for ``address``."""
         return (address >> self._index_shift) & self._set_mask
-
-    def _find_way(self, set_index: int, block_addr: int) -> Optional[int]:
-        for way, line in self._sets[set_index].items():
-            if line.block_addr == block_addr:
-                return way
-        return None
 
     # ------------------------------------------------------------------ #
     # Listeners
@@ -171,26 +189,22 @@ class SetAssociativeCache:
     def contains(self, address: int) -> bool:
         """Return True if the block containing ``address`` is resident."""
         block = address & self._block_mask
-        cache_set = self._sets[(address >> self._index_shift) & self._set_mask]
-        for line in cache_set.values():
-            if line.block_addr == block:
-                return True
-        return False
+        return block in self._sets[(address >> self._index_shift) & self._set_mask]
 
     def probe(self, address: int) -> Optional[CacheLine]:
-        """Return the resident line for ``address`` without updating any state."""
+        """Return a snapshot of the resident line for ``address`` without
+        updating any state (``None`` when the block is not resident)."""
         block = address & self._block_mask
-        set_index = (address >> self._index_shift) & self._set_mask
-        way = self._find_way(set_index, block)
-        if way is None:
+        flags = self._sets[(address >> self._index_shift) & self._set_mask].get(block)
+        if flags is None:
             return None
-        return self._sets[set_index][way]
+        return CacheLine(block, bool(flags & DIRTY), bool(flags & PREFETCHED), bool(flags & USED))
 
     def resident_blocks(self) -> List[int]:
         """Return a list of all resident block addresses (for tests)."""
         blocks = []
         for cache_set in self._sets:
-            blocks.extend(line.block_addr for line in cache_set.values())
+            blocks.extend(cache_set)
         return blocks
 
     @property
@@ -212,23 +226,20 @@ class SetAssociativeCache:
         else:
             stats.reads += 1
 
-        # Hit fast path: scan the (small) set inline rather than via
-        # _find_way + a second dict lookup.
         cache_set = self._sets[set_index]
-        for way, line in cache_set.items():
-            if line.block_addr == block:
-                self._policies[set_index].on_access(way)
-                if line.prefetched and not line.used:
-                    outcome = AccessOutcome.PREFETCH_HIT
-                    stats.prefetch_hits += 1
-                    stats.prefetched_used += 1
-                else:
-                    outcome = AccessOutcome.HIT
-                stats.hits += 1
-                line.used = True
-                if is_write:
-                    line.dirty = True
-                return AccessResult(outcome=outcome, block_addr=block)
+        # LRU pops the block so that the store below re-appends it as most
+        # recently used; random rewrites the flags in place.
+        flags = cache_set.pop(block, None) if self._lru else cache_set.get(block)
+        if flags is not None:
+            if flags & (PREFETCHED | USED) == PREFETCHED:
+                outcome = AccessOutcome.PREFETCH_HIT
+                stats.prefetch_hits += 1
+                stats.prefetched_used += 1
+            else:
+                outcome = AccessOutcome.HIT
+            stats.hits += 1
+            cache_set[block] = flags | (USED | DIRTY if is_write else USED)
+            return AccessResult(outcome=outcome, block_addr=block)
 
         stats.misses += 1
         if is_write:
@@ -237,7 +248,7 @@ class SetAssociativeCache:
             stats.read_misses += 1
         evicted = None
         if allocate:
-            evicted = self._install(set_index, block, prefetched=False, dirty=is_write)
+            evicted = self._install(set_index, block, USED | DIRTY if is_write else USED)
         return AccessResult(outcome=AccessOutcome.MISS, block_addr=block, evicted=evicted)
 
     def fill(self, address: int, prefetched: bool = False, dirty: bool = False) -> Optional[EvictedLine]:
@@ -248,48 +259,32 @@ class SetAssociativeCache:
         """
         block = address & self._block_mask
         set_index = (address >> self._index_shift) & self._set_mask
-        if self._find_way(set_index, block) is not None:
+        if block in self._sets[set_index]:
             return None
         if prefetched:
             self.stats.prefetch_fills += 1
-        return self._install(set_index, block, prefetched=prefetched, dirty=dirty)
+        flags = PREFETCHED if prefetched else USED
+        return self._install(set_index, block, flags | DIRTY if dirty else flags)
 
     def invalidate(self, address: int) -> Optional[EvictedLine]:
         """Remove the block containing ``address`` (coherence invalidation)."""
         block = address & self._block_mask
-        set_index = (address >> self._index_shift) & self._set_mask
-        way = self._find_way(set_index, block)
-        if way is None:
+        flags = self._sets[(address >> self._index_shift) & self._set_mask].pop(block, None)
+        if flags is None:
             return None
-        line = self._sets[set_index].pop(way)
-        self._policies[set_index].on_invalidate(way)
         self.stats.invalidations += 1
-        if line.prefetched and not line.used:
+        if flags & (PREFETCHED | USED) == PREFETCHED:
             self.stats.prefetched_evicted_unused += 1
-        evicted = EvictedLine(
-            block_addr=line.block_addr,
-            dirty=line.dirty,
-            prefetched=line.prefetched,
-            used=line.used,
-            invalidated=True,
-        )
+        evicted = _evicted_line(block, flags, invalidated=True)
         self._notify_eviction(evicted)
         return evicted
 
     def flush(self) -> List[EvictedLine]:
         """Remove every resident line, notifying listeners for each."""
         flushed = []
-        for set_index, cache_set in enumerate(self._sets):
-            for way in list(cache_set):
-                line = cache_set.pop(way)
-                self._policies[set_index].on_invalidate(way)
-                evicted = EvictedLine(
-                    block_addr=line.block_addr,
-                    dirty=line.dirty,
-                    prefetched=line.prefetched,
-                    used=line.used,
-                    invalidated=True,
-                )
+        for cache_set in self._sets:
+            for block in list(cache_set):
+                evicted = _evicted_line(block, cache_set.pop(block), invalidated=True)
                 self._notify_eviction(evicted)
                 flushed.append(evicted)
         return flushed
@@ -297,39 +292,24 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _install(self, set_index: int, block: int, prefetched: bool, dirty: bool) -> Optional[EvictedLine]:
+    def _install(self, set_index: int, block: int, flags: int) -> Optional[EvictedLine]:
         cache_set = self._sets[set_index]
-        policy = self._policies[set_index]
         evicted_line: Optional[EvictedLine] = None
         if len(cache_set) >= self.associativity:
-            valid_ways = list(cache_set.keys())
-            victim_way = policy.victim(valid_ways, [])
-            victim = cache_set.pop(victim_way)
-            policy.on_invalidate(victim_way)
+            if self._lru:
+                for victim in cache_set:
+                    break
+            else:
+                victim = self._pick_victim[set_index](list(cache_set), [])
+            victim_flags = cache_set.pop(victim)
             self.stats.evictions += 1
-            if victim.dirty:
+            if victim_flags & DIRTY:
                 self.stats.dirty_evictions += 1
-            if victim.prefetched and not victim.used:
+            if victim_flags & (PREFETCHED | USED) == PREFETCHED:
                 self.stats.prefetched_evicted_unused += 1
-            evicted_line = EvictedLine(
-                block_addr=victim.block_addr,
-                dirty=victim.dirty,
-                prefetched=victim.prefetched,
-                used=victim.used,
-                invalidated=False,
-            )
+            evicted_line = _evicted_line(victim, victim_flags, invalidated=False)
             self._notify_eviction(evicted_line)
-            way = victim_way
-        else:
-            used_ways = set(cache_set.keys())
-            way = next(w for w in range(self.associativity) if w not in used_ways)
-        cache_set[way] = CacheLine(
-            block_addr=block,
-            dirty=dirty,
-            prefetched=prefetched,
-            used=not prefetched,
-        )
-        policy.on_fill(way)
+        cache_set[block] = flags
         return evicted_line
 
     def __repr__(self) -> str:
@@ -337,3 +317,9 @@ class SetAssociativeCache:
             f"SetAssociativeCache(name={self.name!r}, capacity={self.capacity_bytes}, "
             f"block={self.block_size}, assoc={self.associativity}, sets={self.num_sets})"
         )
+
+
+def _evicted_line(block: int, flags: int, invalidated: bool) -> EvictedLine:
+    return EvictedLine(
+        block, bool(flags & DIRTY), bool(flags & PREFETCHED), bool(flags & USED), invalidated
+    )

@@ -53,6 +53,10 @@ class MachineConfig:
         return cls()
 
 
+#: Replacement policies :class:`SimulationConfig` accepts (case-insensitive).
+REPLACEMENT_POLICIES = frozenset({"lru", "random"})
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Functional parameters of the simulated memory system.
@@ -88,6 +92,14 @@ class SimulationConfig:
             raise ValueError(
                 f"warmup_accesses must be non-negative, got {self.warmup_accesses}"
             )
+        # One spelling for the cache and the engine's lane veto to read.
+        replacement = str(self.replacement).lower()
+        if replacement not in REPLACEMENT_POLICIES:
+            raise ValueError(
+                f"unknown replacement policy {self.replacement!r}; "
+                f"choose from {sorted(REPLACEMENT_POLICIES)}"
+            )
+        object.__setattr__(self, "replacement", replacement)
 
     @classmethod
     def paper_default(cls) -> "SimulationConfig":

@@ -36,7 +36,7 @@ from repro.coherence.false_sharing import MissClassification
 from repro.coherence.multiprocessor import AccessOutcomeRecord, MultiprocessorMemorySystem
 from repro.coherence.protocol import CoherenceState, DirectoryEntry
 from repro.interconnect.traffic import BandwidthAccountant, TrafficClass
-from repro.memory.cache import CacheLine, EvictedLine
+from repro.memory.cache import DIRTY, PREFETCHED, USED, EvictedLine
 from repro.memory.hierarchy import MemoryLevel
 from repro.prefetch.base import NullPrefetcher, Prefetcher
 from repro.simulation.config import SimulationConfig
@@ -782,12 +782,20 @@ class SimulationEngine:
         ``memory.access`` (directory transaction, L1 lookup/install, miss
         classification, L2 lookup/install), ``_record_outcome``, and
         ``_apply_prefetches``.  No ``MemoryAccess`` / ``AccessResult`` /
-        ``AccessOutcomeRecord`` / ``CoherenceActions`` is ever constructed;
-        the only objects built per event are the cache lines and directory
+        ``AccessOutcomeRecord`` / ``CoherenceActions`` / ``CacheLine`` is ever
+        constructed; the only objects built per event are the directory
         entries that *are* the simulated state.  Counter effects are
         accumulated in locals and flushed once per chunk (all shared-object
         reads below are loop-invariant: ``result`` / ``_measuring`` / the
         tracked set only change at warmup boundaries between chunks).
+
+        The cache sets are read and written in place, in the layout
+        :mod:`repro.memory.cache` documents: one ``block -> flags`` dict per
+        set, kept least- to most-recently used.  A lookup or residency probe
+        is ``block in cache_set``, a hit pops the block and re-appends it
+        with the demand bits or-ed in, a fill is one dict store, and the LRU
+        victim is the first key.  Only LRU is inlined, which is why any other
+        replacement policy vetoes this loop (see :meth:`_lane_path`).
 
         Bit-identity with the reference path is load-bearing and covered by
         the golden-counter tests; event *order* within a record mirrors the
@@ -814,23 +822,27 @@ class SimulationEngine:
 
         l1s = memory._l1s
         l1_sets = [l1._sets for l1 in l1s]
-        l1_policies = [l1._policies for l1 in l1s]
         l1_stats = [l1.stats for l1 in l1s]
         l1_listeners = [l1._eviction_listeners for l1 in l1s]
         l1_invalidate = [l1.invalidate for l1 in l1s]
         l1_assoc = l1s[0].associativity
-        l1_two_way = l1_assoc == 2
         l1_shift = l1s[0]._index_shift
         l1_set_mask = l1s[0]._set_mask
 
         l2 = memory.l2
         l2_sets = l2._sets
-        l2_policies = l2._policies
         l2_stats = l2.stats
         l2_listeners = l2._eviction_listeners
         l2_assoc = l2.associativity
         l2_shift = l2._index_shift
         l2_set_mask = l2._set_mask
+
+        # Line flags (the values of the set dicts; see repro.memory.cache).
+        dirty = DIRTY
+        prefetched = PREFETCHED
+        used = USED
+        used_dirty = USED | DIRTY
+        unused_prefetch = PREFETCHED | USED  # mask; == prefetched when unused
 
         prefetchers = self.prefetchers
         apply_forced = self._apply_forced_evictions
@@ -880,30 +892,22 @@ class SimulationEngine:
         c2_reads = c2_writes = c2_hits = c2_pf_hits = 0
         c2_read_misses = c2_write_misses = c2_pf_fills = 0
 
-        def install_l1_fill(cpu, cache_set, policy, block):
+        def install_l1_fill(cpu, cache_set, block):
             """Inlined ``SetAssociativeCache._install`` of a prefetch fill
-            (dirty=False, prefetched=True, used=False) into one L1 set, with
+            (flags = prefetched: clean, not yet used) into one L1 set, with
             the construction-time eviction listeners (directory evict +
             prefetcher forwarding) themselves inlined when verified safe.
             Demand installs are inlined directly in the record loop."""
-            last_use = policy._last_use
             if len(cache_set) >= l1_assoc:
                 stats = l1_stats[cpu]
-                if l1_two_way:
-                    # A full 2-way set is exactly two ways; clock values are
-                    # unique, so the direct compare picks min()'s victim.
-                    w0, w1 = cache_set
-                    victim_way = w0 if last_use[w0] < last_use[w1] else w1
-                else:
-                    victim_way = min(cache_set, key=last_use.__getitem__)
-                victim = cache_set.pop(victim_way)
-                del last_use[victim_way]
+                for vblock in cache_set:  # first key = LRU victim
+                    break
+                vflags = cache_set.pop(vblock)
                 stats.evictions += 1
-                if victim.dirty:
+                if vflags & dirty:
                     stats.dirty_evictions += 1
-                if victim.prefetched and not victim.used:
+                if vflags & unused_prefetch == prefetched:
                     stats.prefetched_evicted_unused += 1
-                vblock = victim.block_addr
                 if inline_evictions:
                     # Directory.evict(cpu, vblock), sans boxed entry lookup.
                     entry = entries.get(vblock)
@@ -918,24 +922,17 @@ class SimulationEngine:
                         elif entry.state is modified and entry.owner is None:
                             entry.state = shared
                     # Engine listener: retire tracked blocks that left the
-                    # chip (residency scans inlined; vblock is block-aligned
+                    # chip (residency probes inlined; vblock is block-aligned
                     # so Cache.contains' masking is a no-op).
-                    if vblock in tracked:
-                        resident = False
-                        for line in l2_sets[(vblock >> l2_shift) & l2_set_mask].values():
-                            if line.block_addr == vblock:
-                                resident = True
+                    if (
+                        vblock in tracked
+                        and vblock not in l2_sets[(vblock >> l2_shift) & l2_set_mask]
+                    ):
+                        vindex = (vblock >> l1_shift) & l1_set_mask
+                        for sets in l1_sets:
+                            if vblock in sets[vindex]:
                                 break
-                        if not resident:
-                            vindex = (vblock >> l1_shift) & l1_set_mask
-                            for sets in l1_sets:
-                                for line in sets[vindex].values():
-                                    if line.block_addr == vblock:
-                                        resident = True
-                                        break
-                                if resident:
-                                    break
-                        if not resident:
+                        else:
                             tracked.discard(vblock)
                             self._offchip_prefetched_wasted += 1
                     handler = evict_hooks[cpu]
@@ -943,61 +940,42 @@ class SimulationEngine:
                         handler(vblock)
                 else:
                     evicted_line = EvictedLine(
-                        vblock, victim.dirty, victim.prefetched, victim.used, False
+                        vblock, bool(vflags & dirty), bool(vflags & prefetched),
+                        bool(vflags & used), False,
                     )
                     for listener in l1_listeners[cpu]:
                         listener(evicted_line)
-                way = victim_way
-            else:
-                way = 0
-                while way in cache_set:
-                    way += 1
-            cache_set[way] = CacheLine(block, False, True, False)
-            policy._clock = clock = policy._clock + 1
-            last_use[way] = clock
+            cache_set[block] = prefetched
 
-        def install_l2_fill(cache_set, policy, block):
+        def install_l2_fill(cache_set, block):
             """Inlined ``_install`` of a prefetch fill into one L2 set (sole
             listener: the engine's tracked-block retirement hook)."""
-            last_use = policy._last_use
             if len(cache_set) >= l2_assoc:
-                victim_way = min(cache_set, key=last_use.__getitem__)
-                victim = cache_set.pop(victim_way)
-                del last_use[victim_way]
+                for vblock in cache_set:  # first key = LRU victim
+                    break
+                vflags = cache_set.pop(vblock)
                 l2_stats.evictions += 1
-                if victim.dirty:
+                if vflags & dirty:
                     l2_stats.dirty_evictions += 1
-                if victim.prefetched and not victim.used:
+                if vflags & unused_prefetch == prefetched:
                     l2_stats.prefetched_evicted_unused += 1
-                vblock = victim.block_addr
                 if inline_evictions:
                     if vblock in tracked:
-                        resident = False
                         vindex = (vblock >> l1_shift) & l1_set_mask
                         for sets in l1_sets:
-                            for line in sets[vindex].values():
-                                if line.block_addr == vblock:
-                                    resident = True
-                                    break
-                            if resident:
+                            if vblock in sets[vindex]:
                                 break
-                        if not resident:
+                        else:
                             tracked.discard(vblock)
                             self._offchip_prefetched_wasted += 1
                 else:
                     evicted_line = EvictedLine(
-                        vblock, victim.dirty, victim.prefetched, victim.used, False
+                        vblock, bool(vflags & dirty), bool(vflags & prefetched),
+                        bool(vflags & used), False,
                     )
                     for listener in l2_listeners:
                         listener(evicted_line)
-                way = victim_way
-            else:
-                way = 0
-                while way in cache_set:
-                    way += 1
-            cache_set[way] = CacheLine(block, False, True, False)
-            policy._clock = clock = policy._clock + 1
-            last_use[way] = clock
+            cache_set[block] = prefetched
 
         # Per-chunk counter accumulators, flushed in the finally block (so a
         # mid-chunk ValueError leaves exactly the already-processed records
@@ -1069,52 +1047,38 @@ class SimulationEngine:
                         entry.state = shared
 
                 # --- L1 lookup (install-on-miss inlined). -------------------
-                set_index = (address >> l1_shift) & l1_set_mask
-                cache_set = l1_sets[cpu][set_index]
+                cache_set = l1_sets[cpu][(address >> l1_shift) & l1_set_mask]
                 if is_write:
                     c1_writes[cpu] += 1
                 else:
                     c1_reads[cpu] += 1
-                l1_hit = l1_prefetch_hit = l2_hit = False
-                for way, line in cache_set.items():
-                    if line.block_addr == block:
-                        policy = l1_policies[cpu][set_index]
-                        policy._clock = clock = policy._clock + 1
-                        policy._last_use[way] = clock
-                        if line.prefetched and not line.used:
-                            l1_prefetch_hit = True
-                            c1_pf_hits[cpu] += 1
-                        c1_hits[cpu] += 1
-                        line.used = True
-                        if is_write:
-                            line.dirty = True
-                        l1_hit = True
-                        break
-                if not l1_hit:
+                l1_prefetch_hit = l2_hit = False
+                flags = cache_set.pop(block, None)
+                l1_hit = flags is not None
+                if l1_hit:
+                    # Re-append: the block becomes most recently used.
+                    if flags & unused_prefetch == prefetched:
+                        l1_prefetch_hit = True
+                        c1_pf_hits[cpu] += 1
+                    c1_hits[cpu] += 1
+                    cache_set[block] = flags | (used_dirty if is_write else used)
+                else:
                     if is_write:
                         c1_write_misses[cpu] += 1
                     else:
                         c1_read_misses[cpu] += 1
                     # install_l1(...) inlined for the demand miss (the hottest
-                    # call site; ~every record on miss-heavy workloads), with
-                    # dirty=is_write, prefetched=False folded in.
-                    policy = l1_policies[cpu][set_index]
-                    last_use = policy._last_use
+                    # call site; ~every record on miss-heavy workloads).
                     if len(cache_set) >= l1_assoc:
                         stats = l1_stats[cpu]
-                        if l1_two_way:
-                            w0, w1 = cache_set
-                            way = w0 if last_use[w0] < last_use[w1] else w1
-                        else:
-                            way = min(cache_set, key=last_use.__getitem__)
-                        victim = cache_set.pop(way)
-                        del last_use[way]
+                        for vblock in cache_set:  # first key = LRU victim
+                            break
+                        vflags = cache_set.pop(vblock)
                         stats.evictions += 1
-                        if victim.dirty:
+                        if vflags & dirty:
                             stats.dirty_evictions += 1
-                        if victim.prefetched and not victim.used:
+                        if vflags & unused_prefetch == prefetched:
                             stats.prefetched_evicted_unused += 1
-                        vblock = victim.block_addr
                         if inline_evictions:
                             entry = entries.get(vblock)
                             if entry is not None:
@@ -1127,22 +1091,15 @@ class SimulationEngine:
                                     entry.owner = None
                                 elif entry.state is modified and entry.owner is None:
                                     entry.state = shared
-                            if vblock in tracked:
-                                resident = False
-                                for line in l2_sets[(vblock >> l2_shift) & l2_set_mask].values():
-                                    if line.block_addr == vblock:
-                                        resident = True
+                            if (
+                                vblock in tracked
+                                and vblock not in l2_sets[(vblock >> l2_shift) & l2_set_mask]
+                            ):
+                                vindex = (vblock >> l1_shift) & l1_set_mask
+                                for sets in l1_sets:
+                                    if vblock in sets[vindex]:
                                         break
-                                if not resident:
-                                    vindex = (vblock >> l1_shift) & l1_set_mask
-                                    for sets in l1_sets:
-                                        for line in sets[vindex].values():
-                                            if line.block_addr == vblock:
-                                                resident = True
-                                                break
-                                        if resident:
-                                            break
-                                if not resident:
+                                else:
                                     tracked.discard(vblock)
                                     self._offchip_prefetched_wasted += 1
                             handler = evict_hooks[cpu]
@@ -1150,87 +1107,62 @@ class SimulationEngine:
                                 handler(vblock)
                         else:
                             evicted_line = EvictedLine(  # repro: ignore[HOT001] -- boxed only on the foreign-listener fallback, once per eviction as the listener API requires
-                                vblock, victim.dirty, victim.prefetched, victim.used, False
+                                vblock, bool(vflags & dirty), bool(vflags & prefetched),
+                                bool(vflags & used), False,
                             )
                             for listener in l1_listeners[cpu]:
                                 listener(evicted_line)
-                    else:
-                        way = 0
-                        while way in cache_set:
-                            way += 1
-                    cache_set[way] = CacheLine(block, is_write, False, True)  # repro: ignore[HOT001] -- cache lines are the simulated state the reference path allocates too
-                    policy._clock = clock = policy._clock + 1
-                    last_use[way] = clock
+                    cache_set[block] = used_dirty if is_write else used
 
                     # --- Miss classification, then shared L2. ---------------
                     was_false_sharing = (
                         classify_block_miss is not None and classify_block_miss(cpu, block)
                     )
 
-                    l2_index = (address >> l2_shift) & l2_set_mask
-                    l2_set = l2_sets[l2_index]
+                    l2_set = l2_sets[(address >> l2_shift) & l2_set_mask]
                     if is_write:
                         c2_writes += 1
                     else:
                         c2_reads += 1
-                    for way, line in l2_set.items():
-                        if line.block_addr == block:
-                            policy = l2_policies[l2_index]
-                            policy._clock = clock = policy._clock + 1
-                            policy._last_use[way] = clock
-                            if line.prefetched and not line.used:
-                                c2_pf_hits += 1
-                            c2_hits += 1
-                            line.used = True
-                            if is_write:
-                                line.dirty = True
-                            l2_hit = True
-                            break
-                    if not l2_hit:
+                    flags = l2_set.pop(block, None)
+                    l2_hit = flags is not None
+                    if l2_hit:
+                        if flags & unused_prefetch == prefetched:
+                            c2_pf_hits += 1
+                        c2_hits += 1
+                        l2_set[block] = flags | (used_dirty if is_write else used)
+                    else:
                         if is_write:
                             c2_write_misses += 1
                         else:
                             c2_read_misses += 1
                         # install_l2(...) inlined for the demand miss.
-                        policy = l2_policies[l2_index]
-                        last_use = policy._last_use
                         if len(l2_set) >= l2_assoc:
-                            way = min(l2_set, key=last_use.__getitem__)
-                            victim = l2_set.pop(way)
-                            del last_use[way]
+                            for vblock in l2_set:  # first key = LRU victim
+                                break
+                            vflags = l2_set.pop(vblock)
                             l2_stats.evictions += 1
-                            if victim.dirty:
+                            if vflags & dirty:
                                 l2_stats.dirty_evictions += 1
-                            if victim.prefetched and not victim.used:
+                            if vflags & unused_prefetch == prefetched:
                                 l2_stats.prefetched_evicted_unused += 1
-                            vblock = victim.block_addr
                             if inline_evictions:
                                 if vblock in tracked:
-                                    resident = False
                                     vindex = (vblock >> l1_shift) & l1_set_mask
                                     for sets in l1_sets:
-                                        for line in sets[vindex].values():
-                                            if line.block_addr == vblock:
-                                                resident = True
-                                                break
-                                        if resident:
+                                        if vblock in sets[vindex]:
                                             break
-                                    if not resident:
+                                    else:
                                         tracked.discard(vblock)
                                         self._offchip_prefetched_wasted += 1
                             else:
                                 evicted_line = EvictedLine(  # repro: ignore[HOT001] -- boxed only on the foreign-listener fallback, once per eviction as the listener API requires
-                                    vblock, victim.dirty, victim.prefetched, victim.used, False
+                                    vblock, bool(vflags & dirty), bool(vflags & prefetched),
+                                    bool(vflags & used), False,
                                 )
                                 for listener in l2_listeners:
                                     listener(evicted_line)
-                        else:
-                            way = 0
-                            while way in l2_set:
-                                way += 1
-                        l2_set[way] = CacheLine(block, is_write, False, True)  # repro: ignore[HOT001] -- cache lines are the simulated state the reference path allocates too
-                        policy._clock = clock = policy._clock + 1
-                        last_use[way] = clock
+                        l2_set[block] = used_dirty if is_write else used
 
                 # --- Measurement counters (reference: _record_outcome). -----
                 if measuring:
@@ -1290,28 +1222,19 @@ class SimulationEngine:
                             entry.sharers.add(cpu)
                             if state is invalid:
                                 entry.state = shared
-                            # L2 fill; the residency scan doubles as the
+                            # L2 fill; the residency probe doubles as the
                             # reference path's was-off-chip probe (nothing
                             # between them can change L2 residency).
-                            findex = (pblock >> l2_shift) & l2_set_mask
-                            fset = l2_sets[findex]
-                            resident = False
-                            for line in fset.values():
-                                if line.block_addr == pblock:
-                                    resident = True
-                                    break
+                            fset = l2_sets[(pblock >> l2_shift) & l2_set_mask]
+                            resident = pblock in fset
                             if not resident:
                                 c2_pf_fills += 1
-                                install_l2_fill(fset, l2_policies[findex], pblock)
+                                install_l2_fill(fset, pblock)
                             if target_l1:
-                                findex = (pblock >> l1_shift) & l1_set_mask
-                                fset = l1_sets[cpu][findex]
-                                for line in fset.values():
-                                    if line.block_addr == pblock:
-                                        break
-                                else:
+                                fset = l1_sets[cpu][(pblock >> l1_shift) & l1_set_mask]
+                                if pblock not in fset:
                                     c1_pf_fills[cpu] += 1
-                                    install_l1_fill(cpu, fset, l1_policies[cpu][findex], pblock)
+                                    install_l1_fill(cpu, fset, pblock)
                             if not resident:
                                 # The prefetch brought the block on-chip;
                                 # its first demand use is a covered off-chip

@@ -522,6 +522,28 @@ class TestHOT004:
         )
         assert findings == [("HOT004", 3)]
 
+    def test_cache_line_boxing_in_lane_function(self):
+        findings = rules_at(
+            """
+            def _step_lanes(self, chunk, hooks):
+                for block in chunk.address:
+                    line = CacheLine(block, False, True, False)
+            """,
+            path=COLD_PATH,
+        )
+        assert ("HOT004", 4) in findings
+
+    def test_packed_flags_in_lane_function_are_clean(self):
+        findings = rules_at(
+            """
+            def _step_lanes(self, chunk, hooks):
+                for block in chunk.address:
+                    cache_set[block] = prefetched
+            """,
+            path=COLD_PATH,
+        )
+        assert findings == []
+
     def test_applies_in_hot_modules_too(self):
         findings = rules_at(
             """

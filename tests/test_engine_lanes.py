@@ -262,6 +262,18 @@ class TestLaneFallbacks:
         assert result.accesses > 0
         assert (result.engine_path, result.fallback_reason) == ("reference", "replacement")
 
+    def test_upper_case_lru_takes_the_lane_path(self, small_trace):
+        """``"LRU"`` *is* LRU: it must not fall back on its spelling."""
+        results = [
+            SimulationEngine(
+                SimulationConfig(num_cpus=2, l2_capacity=2 * 1024 * 1024, replacement=spelling)
+            ).run(BinaryTraceStream(small_trace), lanes=True)
+            for spelling in ("LRU", "lru")
+        ]
+        for result in results:
+            assert (result.engine_path, result.fallback_reason) == ("lanes", None)
+        assert _golden_snapshot(results[0]) == _golden_snapshot(results[1])
+
     def test_foreign_eviction_listener_keeps_parity(self, small_trace):
         """Extra listeners force the generic dispatch, not wrong counters."""
         seen = {False: [], True: []}

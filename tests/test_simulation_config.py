@@ -69,3 +69,12 @@ class TestSimulationConfig:
     def test_invalid_warmup(self):
         with pytest.raises(ValueError):
             SimulationConfig(warmup_fraction=1.0)
+
+    def test_replacement_is_normalised_to_one_spelling(self):
+        assert SimulationConfig(replacement="LRU").replacement == "lru"
+        assert SimulationConfig(replacement="Random").replacement == "random"
+        assert SimulationConfig(replacement="LRU") == SimulationConfig()
+
+    def test_unknown_replacement_fails_at_construction(self):
+        with pytest.raises(ValueError, match="lru.*random"):
+            SimulationConfig(replacement="plru")
