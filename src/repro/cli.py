@@ -76,6 +76,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.analysis.coverage import coverage_from_result
 from repro.analysis.reporting import ResultTable, format_percentage
+from repro.coherence.multiprocessor import CpuOutOfRangeError
 from repro.core import SMSConfig, SpatialMemoryStreaming
 from repro.prefetch import (
     GHBConfig,
@@ -414,11 +415,19 @@ def _command_simulate(args: argparse.Namespace) -> int:
     # The workload is a replayable stream: each run regenerates (or re-reads)
     # it lazily, so arbitrarily long traces are simulated without ever
     # materializing them.
-    baseline = SimulationEngine(config, name="baseline").run(workload, lanes=lanes)
-    baseline.workload = metadata
     factory = PREFETCHER_CHOICES[args.prefetcher]()
     engine = SimulationEngine(config, factory, name=args.prefetcher)
-    result = engine.run(workload, lanes=lanes)
+    try:
+        baseline = SimulationEngine(config, name="baseline").run(workload, lanes=lanes)
+        result = engine.run(workload, lanes=lanes)
+    except CpuOutOfRangeError as exc:
+        print(
+            f"error: {args.trace or source} holds a record for CPU {exc.cpu} but the simulated system "
+            f"has {exc.num_cpus} CPUs; pass --cpus {exc.cpu + 1} (or more)",
+            file=sys.stderr,
+        )
+        return 2
+    baseline.workload = metadata
     result.workload = metadata
 
     table = ResultTable(

@@ -20,6 +20,15 @@ from repro.memory.hierarchy import MemoryLevel
 from repro.trace.record import MemoryAccess
 
 
+class CpuOutOfRangeError(ValueError):
+    """A trace record names a CPU the simulated system does not have."""
+
+    def __init__(self, cpu: int, num_cpus: int) -> None:
+        super().__init__(f"record.cpu={cpu} out of range for {num_cpus} CPUs")
+        self.cpu = cpu
+        self.num_cpus = num_cpus
+
+
 @dataclass(**DATACLASS_SLOTS)
 class AccessOutcomeRecord:
     """Everything the engine and timing model need to know about one access."""
@@ -134,7 +143,7 @@ class MultiprocessorMemorySystem:
         """Process one demand access, including all coherence side effects."""
         cpu = record.cpu
         if not 0 <= cpu < self.num_cpus:
-            raise ValueError(f"record.cpu={cpu} out of range for {self.num_cpus} CPUs")
+            raise CpuOutOfRangeError(cpu, self.num_cpus)
         self.total_accesses += 1
         icount = record.instruction_count
         if icount > self.total_instructions:

@@ -23,7 +23,11 @@ class CoherenceState(enum.Enum):
 
 @dataclass
 class DirectoryEntry:
-    """Directory bookkeeping for a single block address."""
+    """Directory state of one block, as :meth:`Directory.lookup` reports it.
+
+    A snapshot: the directory itself stores packed words (see
+    :mod:`repro.coherence.directory`), so changing an entry changes nothing.
+    """
 
     block_addr: int
     state: CoherenceState = CoherenceState.INVALID

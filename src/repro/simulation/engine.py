@@ -21,7 +21,13 @@ The engine is *single-pass*: :meth:`SimulationEngine.run` consumes any
 iterable of records lazily, chunk by chunk, and never materializes the
 trace.  Peak engine-side memory is O(cache state + chunk), independent of
 trace length, so billion-record streams are only a matter of wall-clock
-time.
+time.  Cache state here is everything keyed by a resident block: the cache
+sets, the directory (one packed word per L1-resident block, deleted when the
+last copy leaves — ``tests/test_engine_directory.py`` holds it to the L1
+contents), the set of prefetched blocks awaiting their first use, and the
+prefetchers' fixed-size tables.  The one side table keyed by history rather
+than residency is the false-sharing classifier's record of blocks a CPU lost
+to a remote write and has not re-fetched yet (``classify_false_sharing``).
 """
 
 from __future__ import annotations
@@ -32,9 +38,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from repro import _env, obs
 from repro.obs import trace as obs_trace
+from repro.coherence.directory import MODIFIED, sharer_bit
 from repro.coherence.false_sharing import MissClassification
-from repro.coherence.multiprocessor import AccessOutcomeRecord, MultiprocessorMemorySystem
-from repro.coherence.protocol import CoherenceState, DirectoryEntry
+from repro.coherence.multiprocessor import (
+    AccessOutcomeRecord,
+    CpuOutOfRangeError,
+    MultiprocessorMemorySystem,
+)
 from repro.interconnect.traffic import BandwidthAccountant, TrafficClass
 from repro.memory.cache import DIRTY, PREFETCHED, USED, EvictedLine
 from repro.memory.hierarchy import MemoryLevel
@@ -782,9 +792,8 @@ class SimulationEngine:
         ``memory.access`` (directory transaction, L1 lookup/install, miss
         classification, L2 lookup/install), ``_record_outcome``, and
         ``_apply_prefetches``.  No ``MemoryAccess`` / ``AccessResult`` /
-        ``AccessOutcomeRecord`` / ``CoherenceActions`` / ``CacheLine`` is ever
-        constructed; the only objects built per event are the directory
-        entries that *are* the simulated state.  Counter effects are
+        ``AccessOutcomeRecord`` / ``CoherenceActions`` / ``DirectoryEntry`` /
+        ``CacheLine`` is ever constructed.  Counter effects are
         accumulated in locals and flushed once per chunk (all shared-object
         reads below are loop-invariant: ``result`` / ``_measuring`` / the
         tracked set only change at warmup boundaries between chunks).
@@ -797,6 +806,13 @@ class SimulationEngine:
         victim is the first key.  Only LRU is inlined, which is why any other
         replacement policy vetoes this loop (see :meth:`_lane_path`).
 
+        The directory is read and written in place too, in the layout
+        :mod:`repro.coherence.directory` documents: one int per cached block,
+        a sharer bit per CPU plus the MODIFIED mark.  A request is
+        ``entries.get(block, 0)`` and an or / compare, a write walks the
+        other sharer bits in ascending order to invalidate them, and a
+        replacement clears the CPU's bit and deletes the word once empty.
+
         Bit-identity with the reference path is load-bearing and covered by
         the golden-counter tests; event *order* within a record mirrors the
         reference exactly (directory before L1, install before
@@ -807,11 +823,12 @@ class SimulationEngine:
         num_cpus = memory.num_cpus
         block_mask = self._block_mask
 
+        # Directory words (block -> sharer bits | MODIFIED mark; a block nobody
+        # caches has no entry), in the layout repro.coherence.directory documents.
         directory = memory.directory
         entries = directory._entries
-        modified = CoherenceState.MODIFIED
-        shared = CoherenceState.SHARED
-        invalid = CoherenceState.INVALID
+        modified = MODIFIED
+        cpu_bits = [sharer_bit(cpu) for cpu in range(num_cpus)]
 
         classifier = memory.classifier
         classify_block_miss = record_invalidation = record_remote_write = None
@@ -892,90 +909,84 @@ class SimulationEngine:
         c2_reads = c2_writes = c2_hits = c2_pf_hits = 0
         c2_read_misses = c2_write_misses = c2_pf_fills = 0
 
-        def install_l1_fill(cpu, cache_set, block):
-            """Inlined ``SetAssociativeCache._install`` of a prefetch fill
-            (flags = prefetched: clean, not yet used) into one L1 set, with
-            the construction-time eviction listeners (directory evict +
-            prefetcher forwarding) themselves inlined when verified safe.
-            Demand installs are inlined directly in the record loop."""
-            if len(cache_set) >= l1_assoc:
-                stats = l1_stats[cpu]
-                for vblock in cache_set:  # first key = LRU victim
-                    break
-                vflags = cache_set.pop(vblock)
-                stats.evictions += 1
-                if vflags & dirty:
-                    stats.dirty_evictions += 1
-                if vflags & unused_prefetch == prefetched:
-                    stats.prefetched_evicted_unused += 1
-                if inline_evictions:
-                    # Directory.evict(cpu, vblock), sans boxed entry lookup.
-                    entry = entries.get(vblock)
-                    if entry is not None:
-                        sharers = entry.sharers
-                        sharers.discard(cpu)
-                        if entry.owner == cpu:
-                            entry.owner = None
-                        if not sharers:
-                            entry.state = invalid
-                            entry.owner = None
-                        elif entry.state is modified and entry.owner is None:
-                            entry.state = shared
-                    # Engine listener: retire tracked blocks that left the
-                    # chip (residency probes inlined; vblock is block-aligned
-                    # so Cache.contains' masking is a no-op).
-                    if (
-                        vblock in tracked
-                        and vblock not in l2_sets[(vblock >> l2_shift) & l2_set_mask]
-                    ):
-                        vindex = (vblock >> l1_shift) & l1_set_mask
-                        for sets in l1_sets:
-                            if vblock in sets[vindex]:
-                                break
-                        else:
-                            tracked.discard(vblock)
-                            self._offchip_prefetched_wasted += 1
-                    handler = evict_hooks[cpu]
-                    if handler is not None:
-                        handler(vblock)
-                else:
-                    evicted_line = EvictedLine(
-                        vblock, bool(vflags & dirty), bool(vflags & prefetched),
-                        bool(vflags & used), False,
-                    )
-                    for listener in l1_listeners[cpu]:
-                        listener(evicted_line)
-            cache_set[block] = prefetched
+        def evict_l1(cpu, cache_set):
+            """Inlined replacement half of ``SetAssociativeCache._install`` for
+            a full L1 set: drop the LRU victim, count it, then run the
+            construction-time eviction listeners (directory evict, tracked-block
+            retirement, prefetcher forwarding) — themselves inlined when
+            verified safe, dispatched generically otherwise."""
+            stats = l1_stats[cpu]
+            for vblock in cache_set:  # first key = LRU victim
+                break
+            vflags = cache_set.pop(vblock)
+            stats.evictions += 1
+            if vflags & dirty:
+                stats.dirty_evictions += 1
+            if vflags & unused_prefetch == prefetched:
+                stats.prefetched_evicted_unused += 1
+            if inline_evictions:
+                # Directory.evict(cpu, vblock): clear the sharer bit (and the
+                # MODIFIED mark, which only its owner's bit carries).
+                bit = cpu_bits[cpu]
+                word = entries.get(vblock, 0)
+                if word & bit:
+                    word &= ~(bit | modified)
+                    if word:
+                        entries[vblock] = word
+                    else:
+                        del entries[vblock]
+                # Engine listener: retire tracked blocks that left the chip
+                # (residency probes inlined; vblock is block-aligned so
+                # Cache.contains' masking is a no-op).
+                if (
+                    vblock in tracked
+                    and vblock not in l2_sets[(vblock >> l2_shift) & l2_set_mask]
+                ):
+                    vindex = (vblock >> l1_shift) & l1_set_mask
+                    for sets in l1_sets:
+                        if vblock in sets[vindex]:
+                            break
+                    else:
+                        tracked.discard(vblock)
+                        self._offchip_prefetched_wasted += 1
+                handler = evict_hooks[cpu]
+                if handler is not None:
+                    handler(vblock)
+            else:
+                evicted_line = EvictedLine(
+                    vblock, bool(vflags & dirty), bool(vflags & prefetched),
+                    bool(vflags & used), False,
+                )
+                for listener in l1_listeners[cpu]:
+                    listener(evicted_line)
 
-        def install_l2_fill(cache_set, block):
-            """Inlined ``_install`` of a prefetch fill into one L2 set (sole
-            listener: the engine's tracked-block retirement hook)."""
-            if len(cache_set) >= l2_assoc:
-                for vblock in cache_set:  # first key = LRU victim
-                    break
-                vflags = cache_set.pop(vblock)
-                l2_stats.evictions += 1
-                if vflags & dirty:
-                    l2_stats.dirty_evictions += 1
-                if vflags & unused_prefetch == prefetched:
-                    l2_stats.prefetched_evicted_unused += 1
-                if inline_evictions:
-                    if vblock in tracked:
-                        vindex = (vblock >> l1_shift) & l1_set_mask
-                        for sets in l1_sets:
-                            if vblock in sets[vindex]:
-                                break
-                        else:
-                            tracked.discard(vblock)
-                            self._offchip_prefetched_wasted += 1
-                else:
-                    evicted_line = EvictedLine(
-                        vblock, bool(vflags & dirty), bool(vflags & prefetched),
-                        bool(vflags & used), False,
-                    )
-                    for listener in l2_listeners:
-                        listener(evicted_line)
-            cache_set[block] = prefetched
+        def evict_l2(cache_set):
+            """The same for a full L2 set (sole listener: the engine's
+            tracked-block retirement hook)."""
+            for vblock in cache_set:  # first key = LRU victim
+                break
+            vflags = cache_set.pop(vblock)
+            l2_stats.evictions += 1
+            if vflags & dirty:
+                l2_stats.dirty_evictions += 1
+            if vflags & unused_prefetch == prefetched:
+                l2_stats.prefetched_evicted_unused += 1
+            if inline_evictions:
+                if vblock in tracked:
+                    vindex = (vblock >> l1_shift) & l1_set_mask
+                    for sets in l1_sets:
+                        if vblock in sets[vindex]:
+                            break
+                    else:
+                        tracked.discard(vblock)
+                        self._offchip_prefetched_wasted += 1
+            else:
+                evicted_line = EvictedLine(
+                    vblock, bool(vflags & dirty), bool(vflags & prefetched),
+                    bool(vflags & used), False,
+                )
+                for listener in l2_listeners:
+                    listener(evicted_line)
 
         # Per-chunk counter accumulators, flushed in the finally block (so a
         # mid-chunk ValueError leaves exactly the already-processed records
@@ -994,7 +1005,7 @@ class SimulationEngine:
                 chunk.pc, chunk.address, chunk.code, chunk.cpu, chunk.instruction_count
             ):
                 if cpu >= num_cpus:
-                    raise ValueError(f"record.cpu={cpu} out of range for {num_cpus} CPUs")
+                    raise CpuOutOfRangeError(cpu, num_cpus)
                 n_done += 1
                 if icount > inst_max[cpu]:
                     inst_max[cpu] = icount
@@ -1006,45 +1017,34 @@ class SimulationEngine:
 
                 # --- Directory transaction (before the local lookup). -------
                 invalidations_sent = 0
-                entry = entries.get(block)
-                if entry is None:
-                    entry = DirectoryEntry(block_addr=block)  # repro: ignore[HOT001] -- directory entries are the simulated state the reference path allocates too
-                    entries[block] = entry
+                bit = cpu_bits[cpu]
+                word = entries.get(block, 0)
                 if is_write:
                     dir_writes += 1
-                    sharers = entry.sharers
-                    invalidations_sent = len(sharers)
-                    if cpu in sharers:
-                        invalidations_sent -= 1
-                    if invalidations_sent:
-                        others = [other for other in sharers if other != cpu]
-                        dir_invals += invalidations_sent
-                        sharers.clear()
-                        sharers.add(cpu)
-                        entry.owner = cpu
-                        entry.state = modified
-                        for other in others:
+                    mine = bit | modified
+                    if word != mine:
+                        entries[block] = mine
+                        others = word & ~mine
+                        while others:  # ascending scan of the other sharers
+                            low = others & -others
+                            others ^= low
+                            other = low.bit_length() - 2
+                            invalidations_sent += 1
                             evicted = l1_invalidate[other](block)
                             if evicted is not None:
                                 if record_invalidation is not None:
                                     record_invalidation(other, block, address)
                             elif record_remote_write is not None:
                                 record_remote_write(other, block, address)
-                    else:
-                        if not sharers:
-                            sharers.add(cpu)
-                        entry.owner = cpu
-                        entry.state = modified
+                        dir_invals += invalidations_sent
                 else:
                     dir_reads += 1
-                    state = entry.state
-                    if state is modified and entry.owner != cpu:
-                        dir_downgrades += 1
-                        entry.state = shared
-                        entry.owner = None
-                    entry.sharers.add(cpu)
-                    if state is invalid:
-                        entry.state = shared
+                    if not word & bit:
+                        # A MODIFIED word without our bit is a remote owner's.
+                        if word & modified:
+                            dir_downgrades += 1
+                            word ^= modified
+                        entries[block] = word | bit
 
                 # --- L1 lookup (install-on-miss inlined). -------------------
                 cache_set = l1_sets[cpu][(address >> l1_shift) & l1_set_mask]
@@ -1067,51 +1067,8 @@ class SimulationEngine:
                         c1_write_misses[cpu] += 1
                     else:
                         c1_read_misses[cpu] += 1
-                    # install_l1(...) inlined for the demand miss (the hottest
-                    # call site; ~every record on miss-heavy workloads).
                     if len(cache_set) >= l1_assoc:
-                        stats = l1_stats[cpu]
-                        for vblock in cache_set:  # first key = LRU victim
-                            break
-                        vflags = cache_set.pop(vblock)
-                        stats.evictions += 1
-                        if vflags & dirty:
-                            stats.dirty_evictions += 1
-                        if vflags & unused_prefetch == prefetched:
-                            stats.prefetched_evicted_unused += 1
-                        if inline_evictions:
-                            entry = entries.get(vblock)
-                            if entry is not None:
-                                sharers = entry.sharers
-                                sharers.discard(cpu)
-                                if entry.owner == cpu:
-                                    entry.owner = None
-                                if not sharers:
-                                    entry.state = invalid
-                                    entry.owner = None
-                                elif entry.state is modified and entry.owner is None:
-                                    entry.state = shared
-                            if (
-                                vblock in tracked
-                                and vblock not in l2_sets[(vblock >> l2_shift) & l2_set_mask]
-                            ):
-                                vindex = (vblock >> l1_shift) & l1_set_mask
-                                for sets in l1_sets:
-                                    if vblock in sets[vindex]:
-                                        break
-                                else:
-                                    tracked.discard(vblock)
-                                    self._offchip_prefetched_wasted += 1
-                            handler = evict_hooks[cpu]
-                            if handler is not None:
-                                handler(vblock)
-                        else:
-                            evicted_line = EvictedLine(  # repro: ignore[HOT001] -- boxed only on the foreign-listener fallback, once per eviction as the listener API requires
-                                vblock, bool(vflags & dirty), bool(vflags & prefetched),
-                                bool(vflags & used), False,
-                            )
-                            for listener in l1_listeners[cpu]:
-                                listener(evicted_line)
+                        evict_l1(cpu, cache_set)
                     cache_set[block] = used_dirty if is_write else used
 
                     # --- Miss classification, then shared L2. ---------------
@@ -1136,32 +1093,8 @@ class SimulationEngine:
                             c2_write_misses += 1
                         else:
                             c2_read_misses += 1
-                        # install_l2(...) inlined for the demand miss.
                         if len(l2_set) >= l2_assoc:
-                            for vblock in l2_set:  # first key = LRU victim
-                                break
-                            vflags = l2_set.pop(vblock)
-                            l2_stats.evictions += 1
-                            if vflags & dirty:
-                                l2_stats.dirty_evictions += 1
-                            if vflags & unused_prefetch == prefetched:
-                                l2_stats.prefetched_evicted_unused += 1
-                            if inline_evictions:
-                                if vblock in tracked:
-                                    vindex = (vblock >> l1_shift) & l1_set_mask
-                                    for sets in l1_sets:
-                                        if vblock in sets[vindex]:
-                                            break
-                                    else:
-                                        tracked.discard(vblock)
-                                        self._offchip_prefetched_wasted += 1
-                            else:
-                                evicted_line = EvictedLine(  # repro: ignore[HOT001] -- boxed only on the foreign-listener fallback, once per eviction as the listener API requires
-                                    vblock, bool(vflags & dirty), bool(vflags & prefetched),
-                                    bool(vflags & used), False,
-                                )
-                                for listener in l2_listeners:
-                                    listener(evicted_line)
+                            evict_l2(l2_set)
                         l2_set[block] = used_dirty if is_write else used
 
                 # --- Measurement counters (reference: _record_outcome). -----
@@ -1210,18 +1143,12 @@ class SimulationEngine:
                         for paddr in addresses:
                             pblock = paddr & block_mask
                             dir_reads += 1
-                            entry = entries.get(pblock)
-                            if entry is None:
-                                entry = DirectoryEntry(block_addr=pblock)  # repro: ignore[HOT001] -- directory entries are the simulated state the reference path allocates too
-                                entries[pblock] = entry
-                            state = entry.state
-                            if state is modified and entry.owner != cpu:
-                                dir_downgrades += 1
-                                entry.state = shared
-                                entry.owner = None
-                            entry.sharers.add(cpu)
-                            if state is invalid:
-                                entry.state = shared
+                            word = entries.get(pblock, 0)
+                            if not word & bit:
+                                if word & modified:
+                                    dir_downgrades += 1
+                                    word ^= modified
+                                entries[pblock] = word | bit
                             # L2 fill; the residency probe doubles as the
                             # reference path's was-off-chip probe (nothing
                             # between them can change L2 residency).
@@ -1229,12 +1156,16 @@ class SimulationEngine:
                             resident = pblock in fset
                             if not resident:
                                 c2_pf_fills += 1
-                                install_l2_fill(fset, pblock)
+                                if len(fset) >= l2_assoc:
+                                    evict_l2(fset)
+                                fset[pblock] = prefetched
                             if target_l1:
                                 fset = l1_sets[cpu][(pblock >> l1_shift) & l1_set_mask]
                                 if pblock not in fset:
                                     c1_pf_fills[cpu] += 1
-                                    install_l1_fill(cpu, fset, pblock)
+                                    if len(fset) >= l1_assoc:
+                                        evict_l1(cpu, fset)
+                                    fset[pblock] = prefetched
                             if not resident:
                                 # The prefetch brought the block on-chip;
                                 # its first demand use is a covered off-chip

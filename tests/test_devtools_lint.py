@@ -544,6 +544,32 @@ class TestHOT004:
         )
         assert findings == []
 
+    def test_directory_boxing_in_lane_function(self):
+        findings = rules_at(
+            """
+            def _step_lanes(self, chunk, hooks):
+                for block in chunk.address:
+                    entry = DirectoryEntry(block_addr=block)
+                    actions = protocol.CoherenceActions()
+            """,
+            path=COLD_PATH,
+        )
+        assert ("HOT004", 4) in findings
+        assert ("HOT004", 5) in findings
+
+    def test_packed_directory_words_in_lane_function_are_clean(self):
+        findings = rules_at(
+            """
+            def _step_lanes(self, chunk, hooks):
+                for block, cpu in zip(chunk.address, chunk.cpu):
+                    word = entries.get(block, 0)
+                    if not word & cpu_bits[cpu]:
+                        entries[block] = word | cpu_bits[cpu]
+            """,
+            path=COLD_PATH,
+        )
+        assert findings == []
+
     def test_applies_in_hot_modules_too(self):
         findings = rules_at(
             """
