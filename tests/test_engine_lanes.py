@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import SMSConfig, SpatialMemoryStreaming
+from repro.core.prediction import PredictionRegisterFile
 from repro.prefetch import GHBConfig, GlobalHistoryBuffer, NullPrefetcher
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import LANES_ENV_VAR, SimulationEngine
@@ -347,6 +349,74 @@ class TestInputTypeParity:
         reference, lanes = _run_pair(lambda: iter(records), limit=777, warmup_accesses=100)
         assert lanes.engine_path == "lanes" and lanes.accesses == 677
         assert _golden_snapshot(lanes) == _golden_snapshot(reference)
+
+
+def _shared_region_walks(num_cpus, steps=1500, seed=6):
+    """CPUs take turns walking a few fixed block sequences (one per PC) over a
+    small pool of 2 kB regions they all share, writing a third of the time:
+    patterns recur, so streams start, and every write invalidates the other
+    CPUs' copies of a block whose region they may still be streaming."""
+    import random
+
+    rng = random.Random(seed)
+    walks = {0x400 + 4 * i: rng.sample(range(32), 6) for i in range(4)}
+    records = []
+    for step in range(steps):
+        pc = rng.choice(sorted(walks))
+        region = 0x100000 + 2048 * rng.randrange(12)
+        for offset in walks[pc]:
+            records.append(
+                MemoryAccess(
+                    pc=pc,
+                    address=region + 64 * offset,
+                    access_type=AccessType.WRITE if rng.random() < 0.33 else AccessType.READ,
+                    cpu=step % num_cpus,
+                    instruction_count=4 * len(records),
+                )
+            )
+    return tuple(records)
+
+
+class TestBoundedDrainParity:
+    """``max_requests_per_access=1`` with two registers: streams outlive the
+    access that started them, so the hook hands the engine blocks of *other*
+    regions than the one being accessed, registers fill up and reject, and a
+    coherence invalidation cancels a stream in flight."""
+
+    @pytest.mark.parametrize("num_cpus", [2, 4])
+    def test_bounded_drain_matches_reference(self, num_cpus, monkeypatch):
+        cancelled = []
+        original = PredictionRegisterFile.cancel_region
+
+        def spy(self, region):
+            removed = original(self, region)
+            cancelled.append(removed)
+            return removed
+
+        monkeypatch.setattr(PredictionRegisterFile, "cancel_region", spy)
+        records = _shared_region_walks(num_cpus)
+        outcomes = {}
+        for lanes in (False, True):
+            del cancelled[:]
+            engine = SimulationEngine(
+                SimulationConfig.small(num_cpus=num_cpus),
+                lambda cpu: SpatialMemoryStreaming(
+                    SMSConfig(max_requests_per_access=1, prediction_registers=2)
+                ),
+            )
+            result = engine.run(records, lanes=lanes, warmup_accesses=0)
+            files = [prefetcher.registers for prefetcher in engine.prefetchers]
+            outcomes[lanes] = (
+                result.as_dict(),
+                [(f.allocations, f.rejections, f.requests_issued, f.active_registers)
+                 for f in files],
+                list(cancelled),
+            )
+            assert result.engine_path == ("lanes" if lanes else "reference")
+            assert result.invalidations > 0 and result.prefetches_issued > 0
+            assert sum(f.rejections for f in files) > 0
+            assert sum(cancelled) > 0, "no stream was cancelled in flight"
+        assert outcomes[True] == outcomes[False]
 
 
 # --------------------------------------------------------------------- #
