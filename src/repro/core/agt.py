@@ -13,13 +13,39 @@ content-addressable memories:
 A generation ends when any block of the region is evicted or invalidated from
 the primary cache, or when the entry is displaced from a full table; ended
 accumulation-table generations are handed to the Pattern History Table.
+
+Layout
+------
+
+Each table is one plain ``dict`` searched by region base address, and each
+entry is one ``int``.  With ``nb`` blocks per region (``pattern_width``) and
+``ob = log2(nb)`` bits to name one of them (``offset_bits``):
+
+* a filter word is ``(trigger_pc << ob) | trigger_offset``;
+* an accumulation word is ``(trigger_pc << (ob + nb)) | (trigger_offset << nb)
+  | pattern``, pattern bit *i* meaning "block *i* of the region was accessed".
+
+Promotion of a filter word to the accumulation table is therefore
+``(word << nb) | 1 << trigger_offset | 1 << offset``, accumulating an access
+is ``word | 1 << offset``, and the pattern handed to the PHT is
+``word & ((1 << nb) - 1)``.  Only the trigger's *block* survives in a word
+(``region + trigger_offset * block_size``); the byte offset within it is not
+kept, because no index scheme reads it.
+
+**Recency rule.**  Both dicts are kept least- to most-recently used by
+insertion order alone: an access that hits an entry pops it and re-inserts it,
+a new entry is appended, so the **first key is the LRU victim** of a full
+table.  (The cache sets in :mod:`repro.memory.cache` follow the same rule.)
+
+This module and the lane closures of :mod:`repro.core.sms` are the two places
+that know this layout.  :class:`GenerationRecord` is built on the way out of
+the boxed API only, as a snapshot of one word.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.indexing import TriggerInfo
 from repro.core.pattern import SpatialPattern
@@ -28,7 +54,10 @@ from repro.core.region import RegionGeometry
 
 @dataclass
 class GenerationRecord:
-    """An in-flight (or just-completed) spatial region generation."""
+    """Snapshot of one accumulating (or just-completed) generation.
+
+    ``trigger_address`` is the address of the trigger access's *block*.
+    """
 
     region: int
     trigger_pc: int
@@ -36,19 +65,8 @@ class GenerationRecord:
     trigger_address: int
     pattern_bits: int = 0
 
-    def record_offset(self, offset: int) -> None:
-        self.pattern_bits |= 1 << offset
-
     def pattern(self, num_blocks: int) -> SpatialPattern:
         return SpatialPattern(num_blocks=num_blocks, bits=self.pattern_bits)
-
-    def trigger_info(self) -> TriggerInfo:
-        return TriggerInfo(
-            pc=self.trigger_pc,
-            address=self.trigger_address,
-            region=self.region,
-            offset=self.trigger_offset,
-        )
 
 
 @dataclass
@@ -64,14 +82,6 @@ class AGTEvent:
     is_trigger: bool = False
     trigger: Optional[TriggerInfo] = None
     completed: List[GenerationRecord] = field(default_factory=list)
-
-
-@dataclass
-class _FilterEntry:
-    region: int
-    trigger_pc: int
-    trigger_offset: int
-    trigger_address: int
 
 
 class ActiveGenerationTable:
@@ -92,9 +102,12 @@ class ActiveGenerationTable:
         self.geometry = geometry
         self.filter_entries = filter_entries
         self.accumulation_entries = accumulation_entries
-        # Both tables are CAMs searched by region tag; OrderedDict gives LRU order.
-        self._filter: "OrderedDict[int, _FilterEntry]" = OrderedDict()
-        self._accumulation: "OrderedDict[int, GenerationRecord]" = OrderedDict()
+        #: ``nb`` and ``ob`` of the word layout (see module docstring).
+        self.pattern_width = geometry.blocks_per_region
+        self.offset_bits = self.pattern_width.bit_length() - 1
+        # region -> packed word, least- to most-recently used.
+        self._filter: Dict[int, int] = {}
+        self._accumulation: Dict[int, int] = {}
         # Statistics
         self.trigger_accesses = 0
         self.generations_started = 0
@@ -115,12 +128,25 @@ class ActiveGenerationTable:
         return len(self._accumulation)
 
     def active_regions(self) -> List[int]:
-        """Regions with an in-flight generation in either table."""
-        return list(self._filter.keys()) + list(self._accumulation.keys())
+        """Regions with an in-flight generation: the filter table's, then the
+        accumulation table's, each least- to most-recently used."""
+        return list(self._filter) + list(self._accumulation)
 
     def has_active_generation(self, address: int) -> bool:
         region = self.geometry.region_base(address)
         return region in self._filter or region in self._accumulation
+
+    def _record(self, region: int, word: int) -> GenerationRecord:
+        """Unpack one accumulation word."""
+        nb = self.pattern_width
+        offset = (word >> nb) & (nb - 1)
+        return GenerationRecord(
+            region=region,
+            trigger_pc=word >> (nb + self.offset_bits),
+            trigger_offset=offset,
+            trigger_address=region + offset * self.geometry.block_size,
+            pattern_bits=word & ((1 << nb) - 1),
+        )
 
     # ------------------------------------------------------------------ #
     # Operation
@@ -131,149 +157,78 @@ class ActiveGenerationTable:
         event = AGTEvent()
 
         # Step 3: accesses to an already-accumulating generation set pattern bits.
-        record = self._accumulation.get(region)
-        if record is not None:
-            record.record_offset(offset)
-            self._accumulation.move_to_end(region)
+        word = self._accumulation.pop(region, None)
+        if word is not None:
+            self._accumulation[region] = word | (1 << offset)
             return event
 
-        entry = self._filter.get(region)
-        if entry is None:
+        word = self._filter.pop(region, None)
+        if word is None:
             # Step 1: trigger access for a new generation; allocate in the filter.
             self.trigger_accesses += 1
             self.generations_started += 1
             event.is_trigger = True
             event.trigger = TriggerInfo(pc=pc, address=address, region=region, offset=offset)
-            self._allocate_filter(region, pc, offset, address)
+            if self.filter_entries is not None and len(self._filter) >= self.filter_entries:
+                # Victim generations in the filter table are simply dropped:
+                # they contain only a trigger access.
+                del self._filter[next(iter(self._filter))]
+                self.filter_victims += 1
+                self.filter_only_generations += 1
+            self._filter[region] = (pc << self.offset_bits) | offset
             return event
 
-        if entry.trigger_offset == offset:
+        trigger_offset = word & (self.pattern_width - 1)
+        if trigger_offset == offset:
             # Repeat access to the trigger block: still a single-block generation.
-            self._filter.move_to_end(region)
+            self._filter[region] = word
             return event
 
         # Step 2: second distinct block; transfer the generation to the
         # accumulation table and set both the trigger and the new bit.
-        del self._filter[region]
-        record = GenerationRecord(
-            region=region,
-            trigger_pc=entry.trigger_pc,
-            trigger_offset=entry.trigger_offset,
-            trigger_address=entry.trigger_address,
+        if (
+            self.accumulation_entries is not None
+            and len(self._accumulation) >= self.accumulation_entries
+        ):
+            victim = next(iter(self._accumulation))
+            event.completed.append(self._record(victim, self._accumulation.pop(victim)))
+            self.accumulation_victims += 1
+            self.generations_completed += 1
+        self._accumulation[region] = (
+            (word << self.pattern_width) | (1 << trigger_offset) | (1 << offset)
         )
-        record.record_offset(entry.trigger_offset)
-        record.record_offset(offset)
-        victim = self._allocate_accumulation(region, record)
-        if victim is not None:
-            event.completed.append(victim)
         return event
 
-    def observe_access_lane(self, region: int, offset: int, pc: int, address: int):
-        """Lane-path :meth:`observe_access`: no ``AGTEvent``/``TriggerInfo`` boxed.
+    def end_generation(self, block_address: int) -> Optional[GenerationRecord]:
+        """End the generation of ``block_address``'s region (Figure 2, step 4).
 
-        The caller has already split ``address`` into ``(region, offset)``
-        with the shared geometry masks.  State transitions and counters are
-        identical to :meth:`observe_access`; the outcome is encoded in the
-        return value instead of an event object:
-
-        * ``None`` — accumulated / repeat trigger access, nothing to do;
-        * ``True`` — trigger access of a new generation (consult the PHT);
-        * a :class:`GenerationRecord` — an accumulation-table victim whose
-          generation just completed (train the PHT with it).
+        Returns the completed generation if it had reached the accumulation
+        table; a generation with only its trigger access is discarded (nothing
+        to learn), and a region without a live generation is a no-op.
         """
-        record = self._accumulation.get(region)
-        if record is not None:
-            record.pattern_bits |= 1 << offset
-            self._accumulation.move_to_end(region)
-            return None
-
-        entry = self._filter.get(region)
-        if entry is None:
-            self.trigger_accesses += 1
-            self.generations_started += 1
-            self._allocate_filter(region, pc, offset, address)
-            return True
-
-        if entry.trigger_offset == offset:
-            self._filter.move_to_end(region)
-            return None
-
-        del self._filter[region]
-        record = GenerationRecord(
-            region=region,
-            trigger_pc=entry.trigger_pc,
-            trigger_offset=entry.trigger_offset,
-            trigger_address=entry.trigger_address,
-            pattern_bits=(1 << entry.trigger_offset) | (1 << offset),
-        )
-        return self._allocate_accumulation(region, record)
-
-    def observe_removal_lane(self, region: int) -> Optional[GenerationRecord]:
-        """Lane-path :meth:`observe_removal` for an already-region-based address.
-
-        Returns the completed :class:`GenerationRecord` (train it), or
-        ``None``; counter effects match :meth:`observe_removal`.
-        """
-        if region in self._filter:
-            del self._filter[region]
+        region = self.geometry.region_base(block_address)
+        if self._filter.pop(region, None) is not None:
             self.filter_only_generations += 1
             return None
-        record = self._accumulation.pop(region, None)
-        if record is not None:
-            self.generations_completed += 1
-        return record
+        word = self._accumulation.pop(region, None)
+        if word is None:
+            return None
+        self.generations_completed += 1
+        return self._record(region, word)
 
     def observe_removal(self, block_address: int) -> AGTEvent:
         """Process the eviction or invalidation of a block (Figure 2, step 4)."""
-        region = self.geometry.region_base(block_address)
-        event = AGTEvent()
-        if region in self._filter:
-            # Generation with only its trigger access: discard, nothing to learn.
-            del self._filter[region]
-            self.filter_only_generations += 1
-            return event
-        record = self._accumulation.pop(region, None)
-        if record is not None:
-            self.generations_completed += 1
-            event.completed.append(record)
-        return event
+        record = self.end_generation(block_address)
+        return AGTEvent(completed=[] if record is None else [record])
 
     def drain(self) -> List[GenerationRecord]:
         """End every in-flight accumulating generation (used at end of trace)."""
-        drained = list(self._accumulation.values())
+        drained = [self._record(region, word) for region, word in self._accumulation.items()]
         self.generations_completed += len(drained)
         self.filter_only_generations += len(self._filter)
         self._accumulation.clear()
         self._filter.clear()
         return drained
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _allocate_filter(self, region: int, pc: int, offset: int, address: int) -> None:
-        if self.filter_entries is not None and len(self._filter) >= self.filter_entries:
-            # Victim generations in the filter table are simply dropped: they
-            # contain only a trigger access.
-            self._filter.popitem(last=False)
-            self.filter_victims += 1
-            self.filter_only_generations += 1
-        self._filter[region] = _FilterEntry(
-            region=region, trigger_pc=pc, trigger_offset=offset, trigger_address=address
-        )
-
-    def _allocate_accumulation(
-        self, region: int, record: GenerationRecord
-    ) -> Optional[GenerationRecord]:
-        victim: Optional[GenerationRecord] = None
-        if (
-            self.accumulation_entries is not None
-            and len(self._accumulation) >= self.accumulation_entries
-        ):
-            _, victim = self._accumulation.popitem(last=False)
-            self.accumulation_victims += 1
-            self.generations_completed += 1
-        self._accumulation[region] = record
-        return victim
 
     def __repr__(self) -> str:
         return (

@@ -45,14 +45,25 @@ class IndexScheme:
     def __init__(self, geometry: RegionGeometry) -> None:
         self.geometry = geometry
 
+    def key_of(self, pc: int, block_address: int, offset: int) -> Tuple[int, ...]:
+        """Return the hashable PHT key of a trigger access, unboxed.
+
+        Every scheme reads at most the trigger's PC, the address of its
+        *block* and its spatial region offset, so these three are the whole
+        interface; the lane closures of :mod:`repro.core.sms` call this
+        directly.
+        """
+        raise NotImplementedError
+
     def key(self, trigger: TriggerInfo) -> Tuple[int, ...]:
         """Return the hashable PHT key for ``trigger``."""
-        raise NotImplementedError
+        return self.key_of(
+            trigger.pc, self.geometry.block_address(trigger.address), trigger.offset
+        )
 
     def key_for(self, pc: int, address: int) -> Tuple[int, ...]:
         """Convenience wrapper building the key directly from a (pc, address) pair."""
-        region, offset = self.geometry.split(address)
-        return self.key(TriggerInfo(pc=pc, address=address, region=region, offset=offset))
+        return self.key_of(pc, self.geometry.block_address(address), self.geometry.offset(address))
 
     def storage_scales_with_data(self) -> bool:
         """True if the number of distinct keys grows with the data set size."""
@@ -72,8 +83,8 @@ class AddressIndex(IndexScheme):
     name = "address"
     uses_address = True
 
-    def key(self, trigger: TriggerInfo) -> Tuple[int, ...]:
-        return ("addr", self.geometry.block_address(trigger.address))
+    def key_of(self, pc: int, block_address: int, offset: int) -> Tuple[int, ...]:
+        return ("addr", block_address)
 
 
 class PCIndex(IndexScheme):
@@ -82,8 +93,8 @@ class PCIndex(IndexScheme):
     name = "pc"
     uses_pc = True
 
-    def key(self, trigger: TriggerInfo) -> Tuple[int, ...]:
-        return ("pc", trigger.pc)
+    def key_of(self, pc: int, block_address: int, offset: int) -> Tuple[int, ...]:
+        return ("pc", pc)
 
 
 class PCAddressIndex(IndexScheme):
@@ -93,8 +104,8 @@ class PCAddressIndex(IndexScheme):
     uses_pc = True
     uses_address = True
 
-    def key(self, trigger: TriggerInfo) -> Tuple[int, ...]:
-        return ("pc+addr", trigger.pc, self.geometry.block_address(trigger.address))
+    def key_of(self, pc: int, block_address: int, offset: int) -> Tuple[int, ...]:
+        return ("pc+addr", pc, block_address)
 
 
 class PCOffsetIndex(IndexScheme):
@@ -104,8 +115,8 @@ class PCOffsetIndex(IndexScheme):
     uses_pc = True
     uses_offset = True
 
-    def key(self, trigger: TriggerInfo) -> Tuple[int, ...]:
-        return ("pc+off", trigger.pc, trigger.offset)
+    def key_of(self, pc: int, block_address: int, offset: int) -> Tuple[int, ...]:
+        return ("pc+off", pc, offset)
 
 
 _SCHEMES: Dict[str, Type[IndexScheme]] = {

@@ -13,15 +13,22 @@ studies.
 Layout
 ------
 
-Each set is one ``OrderedDict`` mapping ``key -> pattern bits`` (a plain
-``int`` bit mask), ordered from least to most recently used, so a recency
-update is ``move_to_end`` and the victim of a full set is the first item.
-Patterns are stored unboxed: the lane engine path moves raw bits end to end
-through :meth:`PatternHistoryTable.lookup_bits` /
-:meth:`~PatternHistoryTable.store_bits`, and the boxed API
+Each set is one plain ``dict`` mapping ``key -> pattern bits`` (an ``int``
+bit mask, bit *i* = block *i* of the region), kept least- to most-recently
+used by insertion order alone, the recency rule of the cache sets and the AGT
+tables: a lookup hit or a store to a resident key pops the key and re-inserts
+it, a new key is appended, and the victim of a full set is the **first key**.
+``self._sets[stable_hash(key) % num_sets]`` is the set of ``key``; an
+unbounded table is the single set ``self._sets[0]`` and never hashes.
+
+Patterns are stored unboxed: :meth:`PatternHistoryTable.lookup_bits` /
+:meth:`~PatternHistoryTable.store_bits` move raw bits, and the boxed API
 (:meth:`~PatternHistoryTable.lookup`, :meth:`~PatternHistoryTable.probe`,
 :meth:`~PatternHistoryTable.invalidate`) wraps them in interned
-:class:`SpatialPattern` objects on the way out.
+:class:`SpatialPattern` objects on the way out.  The lane closures of
+:mod:`repro.core.sms` are the one other place that knows this layout: they
+read and write the sets in place, with the same statements and the same four
+counters as ``lookup_bits`` / ``store_bits`` below.
 
 This is the only representation, by measurement: bit-packed slabs were
 2.7-3.2x slower than this table at the paper's 16k entries and only saved
@@ -35,9 +42,8 @@ implementation detail, not modelled hardware cost.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import lru_cache
-from typing import Hashable, Iterator, List, Optional
+from typing import Dict, Hashable, Iterator, List, Optional
 
 from repro.core.pattern import SpatialPattern
 
@@ -139,10 +145,8 @@ class PatternHistoryTable:
         self.associativity = associativity
         self.merge = merge
         self.num_sets = 1 if num_entries is None else num_entries // associativity
-        #: One LRU-ordered ``key -> bits`` map per set (see module docstring).
-        self._sets: List["OrderedDict[Hashable, int]"] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        #: One LRU-ordered ``key -> bits`` dict per set (see module docstring).
+        self._sets: List[Dict[Hashable, int]] = [{} for _ in range(self.num_sets)]
         self._union = merge == "union"
         # Interned SpatialPattern per bit value: stored bits recur heavily,
         # so the sets hold raw ints while lookups still return (shared)
@@ -160,7 +164,7 @@ class PatternHistoryTable:
     def is_unbounded(self) -> bool:
         return self.num_entries is None
 
-    def _set_for(self, key: Hashable) -> "OrderedDict[Hashable, int]":
+    def _set_for(self, key: Hashable) -> Dict[Hashable, int]:
         """The set ``key`` maps to; an unbounded table has one, so no hash."""
         if self.num_entries is None:
             return self._sets[0]
@@ -182,8 +186,7 @@ class PatternHistoryTable:
     def lookup_bits(self, key: Hashable) -> Optional[int]:
         """Return the stored pattern's bit mask (updating recency), or None.
 
-        The lane train/predict path calls this directly and moves the raw
-        ints end to end; a stored all-zero pattern still counts as a hit.
+        A stored all-zero pattern still counts as a hit.
         """
         self.lookups += 1
         # _set_for inlined: this and store_bits are the per-access hot path.
@@ -191,11 +194,11 @@ class PatternHistoryTable:
             table = self._sets[0]
         else:
             table = self._sets[stable_hash(key) % self.num_sets]
-        bits = table.get(key)
+        bits = table.pop(key, None)
         if bits is None:
             return None
         self.hits += 1
-        table.move_to_end(key)
+        table[key] = bits  # re-insert: most recently used
         return bits
 
     def lookup(self, key: Hashable) -> Optional[SpatialPattern]:
@@ -218,13 +221,12 @@ class PatternHistoryTable:
             table = self._sets[0]
         else:
             table = self._sets[stable_hash(key) % self.num_sets]
-        existing = table.get(key)
+        existing = table.pop(key, None)
         if existing is not None:
             if self._union:
                 bits |= existing
-            table.move_to_end(key)
         elif self.num_entries is not None and len(table) >= self.associativity:
-            table.popitem(last=False)  # full set: evict the LRU entry
+            del table[next(iter(table))]  # full set: evict the LRU (first) key
             self.replacements += 1
         else:
             self.occupancy += 1

@@ -6,12 +6,30 @@ SMS then streams the predicted blocks into the primary cache, clearing each
 bit as its block is requested and freeing the register once the pattern is
 exhausted.  When several registers are active, requests are drawn from them
 in round-robin order.
+
+Layout
+------
+
+A register is a ``(region, remaining)`` pair of ints: the region's base
+address and the pattern bits still to stream (bit *i* = the block at
+``region + i * block_size``; never zero — an exhausted register is removed).
+:class:`PredictionRegisterFile` keeps them in one list in allocation order
+plus the round-robin cursor, and the list object is never rebound, so the
+lane closures of :mod:`repro.core.sms` — the one other place that knows this
+layout — may hold on to it.
+
+Streams leave the file as **runs**, also ``(region, bits)`` pairs, which the
+consumer walks lowest offset first (``low = bits & -bits``):
+:meth:`PredictionRegisterFile.drain_bits` hands a lone register over whole,
+and otherwise one block per run so the round-robin interleaving is kept.
+:meth:`~PredictionRegisterFile.drain` boxes the same runs as
+:class:`StreamRequest` objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.pattern import SpatialPattern
 from repro.core.region import RegionGeometry
@@ -27,7 +45,11 @@ class StreamRequest:
 
 
 class PredictionRegister:
-    """A single active streaming region: base address + remaining pattern bits."""
+    """One streaming region on its own: base address + remaining pattern bits.
+
+    A boxed stand-alone register; :class:`PredictionRegisterFile` holds plain
+    ``(region, remaining)`` pairs instead.
+    """
 
     def __init__(self, geometry: RegionGeometry, region: int, pattern: SpatialPattern) -> None:
         if pattern.num_blocks != geometry.blocks_per_region:
@@ -68,11 +90,10 @@ class PredictionRegisterFile:
             raise ValueError(f"num_registers must be positive, got {num_registers}")
         self.geometry = geometry
         self.num_registers = num_registers
-        # Hot-path equivalents of geometry.region_base / .blocks_per_region
-        # (both re-validate their power-of-two inputs on every call).
         self._region_mask = ~(geometry.region_size - 1)
-        self._pattern_width = geometry.blocks_per_region
-        self._registers: List[PredictionRegister] = []
+        #: ``(region, remaining bits)`` pairs in allocation order (see module
+        #: docstring); mutated in place only.
+        self._registers: List[Tuple[int, int]] = []
         self._next_index = 0
         self.allocations = 0
         self.rejections = 0
@@ -93,94 +114,76 @@ class PredictionRegisterFile:
         being fetched by the demand miss itself).  Returns False and drops
         the prediction if no register is free.
         """
-        if exclude_offset is not None and 0 <= exclude_offset < pattern.num_blocks:
-            pattern = pattern.without_offset(exclude_offset)
-        if pattern.is_empty:
-            return True
-        if not self.has_capacity:
-            self.rejections += 1
-            return False
-        self._registers.append(PredictionRegister(self.geometry, region, pattern))
-        self.allocations += 1
-        return True
+        if pattern.num_blocks != self.geometry.blocks_per_region:
+            raise ValueError(
+                f"pattern width {pattern.num_blocks} does not match region geometry "
+                f"({self.geometry.blocks_per_region} blocks)"
+            )
+        return self.allocate_bits(region, pattern.bits, exclude_offset)
 
     def allocate_bits(
         self, region: int, bits: int, exclude_offset: Optional[int] = None
     ) -> bool:
-        """Lane-path :meth:`allocate`: a raw PHT bit mask, no ``SpatialPattern``.
+        """:meth:`allocate` for a raw PHT bit mask.
 
-        Same decision sequence and counter effects as :meth:`allocate`; the
-        caller vouches that ``bits`` fits the region's pattern width (true
+        The caller vouches that ``bits`` fits the region's pattern width (true
         for anything read back out of the PHT for this geometry).
         """
-        if exclude_offset is not None and 0 <= exclude_offset < self._pattern_width:
+        if exclude_offset is not None and exclude_offset >= 0:
             bits &= ~(1 << exclude_offset)
         if bits == 0:
             return True
         if len(self._registers) >= self.num_registers:
             self.rejections += 1
             return False
-        register = PredictionRegister.__new__(PredictionRegister)
-        register.geometry = self.geometry
-        register.region = region & self._region_mask
-        register._remaining = bits
-        self._registers.append(register)
+        self._registers.append((region & self._region_mask, bits))
         self.allocations += 1
         return True
 
-    def drain(self, max_requests: Optional[int] = None) -> List[StreamRequest]:
-        """Issue up to ``max_requests`` stream requests, round-robin across registers."""
-        requests: List[StreamRequest] = []
-        while self._registers:
-            if max_requests is not None and len(requests) >= max_requests:
-                break
-            if self._next_index >= len(self._registers):
-                self._next_index = 0
-            register = self._registers[self._next_index]
-            request = register.next_request()
-            if request is not None:
-                requests.append(request)
-                self.requests_issued += 1
-            if register.exhausted:
-                self._registers.pop(self._next_index)
-            else:
-                self._next_index += 1
-        return requests
+    def drain_bits(self, max_requests: Optional[int] = None) -> List[Tuple[int, int]]:
+        """Issue up to ``max_requests`` blocks, round-robin, as ``(region, bits)`` runs.
 
-    def drain_addresses(self, max_requests: Optional[int] = None) -> List[int]:
-        """Lane-path :meth:`drain`: raw block addresses, no ``StreamRequest``.
-
-        Identical round-robin order, cursor motion, and ``requests_issued``
-        accounting (batched into one update; nothing in the loop can raise);
-        each popped offset becomes ``region + offset*block_size`` directly
-        (what :meth:`RegionGeometry.block_at_offset` computes for the
-        in-range offsets a register can hold).
+        Each run is streamed lowest offset first, the runs in list order.  A
+        lone register drained without a limit leaves as one run; otherwise a
+        run carries one block and the cursor moves on, which is what keeps
+        the registers interleaved.
         """
-        addresses: List[int] = []
         registers = self._registers
-        block_size = self.geometry.block_size
-        next_index = self._next_index
-        append = addresses.append
+        runs: List[Tuple[int, int]] = []
+        index = self._next_index
         issued = 0
-        while registers:
-            if max_requests is not None and issued >= max_requests:
-                break
-            if next_index >= len(registers):
-                next_index = 0
-            register = registers[next_index]
-            remaining = register._remaining
-            if remaining:
-                offset = (remaining & -remaining).bit_length() - 1
-                register._remaining = remaining = remaining & (remaining - 1)
-                append(register.region + offset * block_size)
-                issued += 1
-            if remaining == 0:
-                registers.pop(next_index)
+        while registers and issued != max_requests:
+            if index >= len(registers):
+                index = 0
+            region, remaining = registers[index]
+            if max_requests is None and len(registers) == 1:
+                bits = remaining
+                issued += bin(bits).count("1")
             else:
-                next_index += 1
-        self._next_index = next_index
+                bits = remaining & -remaining
+                issued += 1
+            runs.append((region, bits))
+            if bits == remaining:
+                registers.pop(index)
+            else:
+                registers[index] = (region, remaining ^ bits)
+                index += 1
+        self._next_index = index
         self.requests_issued += issued
-        return addresses
+        return runs
+
+    def drain(self, max_requests: Optional[int] = None) -> List[StreamRequest]:
+        """:meth:`drain_bits`, each block boxed as a :class:`StreamRequest`."""
+        requests: List[StreamRequest] = []
+        block_size = self.geometry.block_size
+        for region, bits in self.drain_bits(max_requests):
+            while bits:
+                offset = (bits & -bits).bit_length() - 1
+                bits &= bits - 1
+                requests.append(
+                    StreamRequest(address=region + offset * block_size, region=region, offset=offset)
+                )
+        return requests
 
     def cancel_region(self, region: int) -> int:
         """Drop any active register for ``region`` (e.g. on invalidation); return count.
@@ -189,21 +192,17 @@ class PredictionRegisterFile:
         removed (shifted past removed slots, then clamped), so cancelling an
         inactive region does not perturb drain fairness.
         """
-        base = self.geometry.region_base(region)
-        kept: List[PredictionRegister] = []
-        removed_before_cursor = 0
-        for index, register in enumerate(self._registers):
-            if register.region == base:
+        base = region & self._region_mask
+        registers = self._registers
+        removed = 0
+        for index in range(len(registers) - 1, -1, -1):
+            if registers[index][0] == base:
+                del registers[index]
+                removed += 1
                 if index < self._next_index:
-                    removed_before_cursor += 1
-            else:
-                kept.append(register)
-        removed = len(self._registers) - len(kept)
-        if removed:
-            self._registers = kept
-            self._next_index -= removed_before_cursor
-            if self._next_index >= len(kept):
-                self._next_index = 0
+                    self._next_index -= 1
+        if removed and self._next_index >= len(registers):
+            self._next_index = 0
         return removed
 
     def clear(self) -> None:

@@ -23,10 +23,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.coherence.multiprocessor import AccessOutcomeRecord
-from repro.core.agt import GenerationRecord
 from repro.core.config import SMSConfig
-from repro.core.indexing import IndexScheme, PCOffsetIndex, TriggerInfo, make_index_scheme
-from repro.core.pht import PatternHistoryTable
+from repro.core.indexing import IndexScheme, make_index_scheme
+from repro.core.pht import PatternHistoryTable, stable_hash
 from repro.core.prediction import PredictionRegisterFile
 from repro.core.training import AGTTrainer, CompletedGeneration, SpatialTrainer, make_trainer
 from repro.prefetch.base import EMPTY_RESPONSE, Prefetcher, PrefetcherResponse, PrefetchRequest
@@ -63,140 +62,170 @@ class SpatialMemoryStreaming(Prefetcher):
         # evictions, so it is the only one whose per-access work can run
         # unboxed.  Sectored trainers keep the reference path.
         self._lane_agt = self.trainer.agt if type(self.trainer) is AGTTrainer else None
-        self._lane_region_mask = ~(self.geometry.region_size - 1)
-        self._lane_offset_mask = self.geometry.region_size - 1
-        self._lane_block_shift = self.geometry.block_size.bit_length() - 1
-        if type(self.index_scheme) is PCOffsetIndex:
-            self._lane_key = self._lane_key_pc_offset
-        else:
-            self._lane_key = self._lane_key_generic
+        #: Bit *i* of a streamed run is the block at ``region + (i << shift)``.
+        self.lane_block_shift = self.geometry.block_size.bit_length() - 1
 
     # ------------------------------------------------------------------ #
-    def _lane_key_pc_offset(self, pc: int, address: int, region: int, offset: int):
-        # Inlined PCOffsetIndex.key: no TriggerInfo boxed on the hot path.
-        return ("pc+off", pc, offset)
+    def _lane_closures(self):
+        """Build ``(on_access_lane, on_eviction_lane)`` over one shared scope.
 
-    def _lane_key_generic(self, pc: int, address: int, region: int, offset: int):
-        return self.index_scheme.key(
-            TriggerInfo(pc=pc, address=address, region=region, offset=offset)
-        )
+        The two closures are the whole per-record SMS work of the engine's
+        lane loop, written once against the packed words of
+        :mod:`repro.core.agt` (filter / accumulation words, first key = LRU
+        victim), the set dicts of :mod:`repro.core.pht` (lookup and store
+        inlined, same statements and counters as ``lookup_bits`` /
+        ``store_bits``) and the ``(region, bits)`` registers of
+        :mod:`repro.core.prediction`.  Bit-identical to :meth:`on_access` /
+        ``on_eviction(block, invalidated=False)`` for the plain AGT, which
+        never forces evictions; ``(None, None)`` for any other trainer.
 
-    def _train_record(self, record: GenerationRecord) -> None:
-        """Lane-path :meth:`_train` for one raw AGT generation record."""
-        key = self._lane_key(
-            record.trigger_pc, record.trigger_address, record.region, record.trigger_offset
-        )
-        self.pht.store_bits(key, record.pattern_bits)
-        self.stats.trained_patterns += 1
-
-    def lane_hook(self):
-        """Build the fused per-access closure for the engine's lane path.
-
-        Bit-identical to :meth:`on_access` (for the plain AGT, which never
-        forces evictions): the AGT transition from
-        :meth:`~repro.core.agt.ActiveGenerationTable.observe_access_lane`,
-        the PHT consult on a trigger, and the round-robin stream drain run
-        as one function with every stable collaborator pre-bound.  Only
-        objects assigned once in ``__init__`` are captured (AGT tables,
-        stats, register file); ``registers._registers`` is read live because
-        :meth:`~repro.core.prediction.PredictionRegisterFile.cancel_region`
-        rebinds it.  The engine rebuilds hooks at the start of every run.
+        Every captured object is assigned once in ``__init__`` and mutated in
+        place, except ``self.stats``, which :meth:`reset_stats` rebinds — so
+        the engine asks for fresh closures at the start of every run.
         """
         agt = self._lane_agt
         if agt is None:
-            return None
+            return None, None
+        filter_table = agt._filter
+        filter_pop = filter_table.pop
+        filter_entries = agt.filter_entries
         accumulation = agt._accumulation
-        acc_move = accumulation.move_to_end
-        filter_table = agt._filter
-        filt_move = filter_table.move_to_end
-        allocate_filter = agt._allocate_filter
-        allocate_accumulation = agt._allocate_accumulation
-        region_mask = self._lane_region_mask
-        offset_mask = self._lane_offset_mask
-        block_shift = self._lane_block_shift
-        stats = self.stats
-        lookup_bits = self.pht.lookup_bits
-        lane_key = self._lane_key
-        registers = self.registers
-        drain_addresses = registers.drain_addresses
-        allocate_bits = registers.allocate_bits
+        accumulation_pop = accumulation.pop
+        accumulation_entries = agt.accumulation_entries
+        nb = agt.pattern_width
+        ob = agt.offset_bits
+        pattern_mask = (1 << nb) - 1
+        offset_field = nb - 1
+        region_mask = ~(self.geometry.region_size - 1)
+        offset_mask = self.geometry.region_size - 1
+        block_shift = self.lane_block_shift
+        key_of = self.index_scheme.key_of
+        pht = self.pht
+        sets = pht._sets
+        num_sets = pht.num_sets
+        ways = pht.associativity if pht.num_entries is not None else None
+        union = pht._union
+        file = self.registers
+        registers = file._registers
+        num_registers = file.num_registers
+        drain_bits = file.drain_bits
         max_requests = self.config.max_requests_per_access
-        train = self._train_record
-
-        def on_access_lane(pc: int, address: int) -> Optional[List[int]]:
-            region = address & region_mask
-            record = accumulation.get(region)
-            if record is not None:
-                # Accumulating generation: just set the offset bit.
-                record.pattern_bits |= 1 << ((address & offset_mask) >> block_shift)
-                acc_move(region)
-            else:
-                offset = (address & offset_mask) >> block_shift
-                entry = filter_table.get(region)
-                if entry is None:
-                    # Trigger access: new generation, consult the PHT.
-                    agt.trigger_accesses += 1
-                    agt.generations_started += 1
-                    allocate_filter(region, pc, offset, address)
-                    stats.pht_lookups += 1
-                    bits = lookup_bits(lane_key(pc, address, region, offset))
-                    if bits:
-                        stats.pht_hits += 1
-                        stats.predictions += bin(bits).count("1")
-                        allocate_bits(region, bits, exclude_offset=offset)
-                elif entry.trigger_offset == offset:
-                    filt_move(region)
-                else:
-                    # Second distinct block: move to the accumulation table;
-                    # a table victim's generation completes and trains.
-                    del filter_table[region]
-                    victim = allocate_accumulation(
-                        region,
-                        GenerationRecord(
-                            region=region,
-                            trigger_pc=entry.trigger_pc,
-                            trigger_offset=entry.trigger_offset,
-                            trigger_address=entry.trigger_address,
-                            pattern_bits=(1 << entry.trigger_offset) | (1 << offset),
-                        ),
-                    )
-                    if victim is not None:
-                        train(victim)
-            if registers._registers:
-                addresses = drain_addresses(max_requests)
-                stats.issued += len(addresses)
-                return addresses
-            return None
-
-        return on_access_lane
-
-    def lane_eviction_hook(self):
-        """Build the fused per-eviction closure (see :meth:`lane_hook`).
-
-        Bit-identical to ``on_eviction(block_address, invalidated=False)``:
-        the AGT never forces evictions or streams on eviction, so the ended
-        generation (if any) trains the PHT and nothing else happens.
-        """
-        agt = self._lane_agt
-        if agt is None:
-            return None
-        accumulation_pop = agt._accumulation.pop
-        filter_table = agt._filter
-        region_mask = self._lane_region_mask
-        train = self._train_record
+        stats = self.stats
 
         def on_eviction_lane(block_address: int) -> None:
             region = block_address & region_mask
-            if region in filter_table:
-                del filter_table[region]
+            if filter_pop(region, None) is not None:
                 agt.filter_only_generations += 1
                 return
-            record = accumulation_pop(region, None)
-            if record is not None:
-                agt.generations_completed += 1
-                train(record)
+            word = accumulation_pop(region, None)
+            if word is None:
+                return
+            # The generation ends: its pattern trains the PHT under the
+            # trigger's index key.
+            agt.generations_completed += 1
+            offset = (word >> nb) & offset_field
+            key = key_of(word >> (nb + ob), region + (offset << block_shift), offset)
+            bits = word & pattern_mask
+            pht.stores += 1
+            table = sets[0] if ways is None else sets[stable_hash(key) % num_sets]
+            existing = table.pop(key, None)
+            if existing is not None:
+                if union:
+                    bits |= existing
+            elif ways is not None and len(table) >= ways:
+                for victim in table:  # first key = LRU victim
+                    break
+                del table[victim]
+                pht.replacements += 1
+            else:
+                pht.occupancy += 1
+            table[key] = bits
+            stats.trained_patterns += 1
 
-        return on_eviction_lane
+        def on_access_lane(pc: int, address: int):
+            region = address & region_mask
+            offset = (address & offset_mask) >> block_shift
+            word = accumulation_pop(region, None)
+            if word is not None:
+                # Accumulating generation: set the bit, most recently used.
+                accumulation[region] = word | (1 << offset)
+            else:
+                word = filter_pop(region, None)
+                if word is None:
+                    # Trigger access: new generation, consult the PHT.
+                    agt.trigger_accesses += 1
+                    agt.generations_started += 1
+                    if filter_entries is not None and len(filter_table) >= filter_entries:
+                        for victim in filter_table:  # first key = LRU victim
+                            break
+                        del filter_table[victim]
+                        agt.filter_victims += 1
+                        agt.filter_only_generations += 1
+                    filter_table[region] = (pc << ob) | offset
+                    stats.pht_lookups += 1
+                    pht.lookups += 1
+                    key = key_of(pc, region + (offset << block_shift), offset)
+                    table = sets[0] if ways is None else sets[stable_hash(key) % num_sets]
+                    bits = table.pop(key, None)
+                    if bits is not None:
+                        pht.hits += 1
+                        table[key] = bits
+                        if bits:
+                            stats.pht_hits += 1
+                            stats.predictions += bin(bits).count("1")
+                            # Stream everything but the trigger block.
+                            bits &= ~(1 << offset)
+                            if bits:
+                                if len(registers) >= num_registers:
+                                    file.rejections += 1
+                                else:
+                                    registers.append((region, bits))
+                                    file.allocations += 1
+                elif word & offset_field == offset:
+                    filter_table[region] = word
+                else:
+                    # Second distinct block: move to the accumulation table;
+                    # a full table's LRU victim ends its generation and trains.
+                    if (
+                        accumulation_entries is not None
+                        and len(accumulation) >= accumulation_entries
+                    ):
+                        for victim in accumulation:  # first key = LRU victim
+                            break
+                        agt.accumulation_victims += 1
+                        on_eviction_lane(victim)
+                    accumulation[region] = (
+                        (word << nb) | (1 << (word & offset_field)) | (1 << offset)
+                    )
+            if registers:
+                issued = file.requests_issued
+                runs = drain_bits(max_requests)
+                stats.issued += file.requests_issued - issued
+                return runs
+            return None
+
+        return on_access_lane, on_eviction_lane
+
+    def lane_hook(self):
+        """The per-access closure of the engine's lane loop, or ``None``.
+
+        ``fn(pc, address)`` trains the AGT, consults the PHT on a trigger
+        access and returns what SMS streams on this access: ``None``, or a
+        list of ``(region, bits)`` runs straight from
+        :meth:`~repro.core.prediction.PredictionRegisterFile.drain_bits` —
+        bit *i* of a run is the block at ``region + (i << lane_block_shift)``.
+        The hook builds no address list; ``SimulationEngine._step_lanes``
+        drains each run lowest offset first (``low = bits & -bits``) inside
+        its prefetch-apply body.  The shape is the same whether
+        ``max_requests_per_access`` bounds the drain or not.
+        """
+        return self._lane_closures()[0]
+
+    def lane_eviction_hook(self):
+        """The per-eviction closure ``fn(block_address) -> None`` (see
+        :meth:`lane_hook`): an ended generation trains the PHT and nothing
+        else happens, as in ``on_eviction(block_address, invalidated=False)``."""
+        return self._lane_closures()[1]
 
     # ------------------------------------------------------------------ #
     def _train(self, completed: List[CompletedGeneration]) -> None:
@@ -242,12 +271,16 @@ class SpatialMemoryStreaming(Prefetcher):
     def on_eviction(self, block_address: int, invalidated: bool = False) -> PrefetcherResponse:
         agt = self._lane_agt
         if agt is not None:
-            # Unboxed equivalent of the generic body below: the AGT never
-            # forces evictions, so the response is always empty and the one
-            # possible completion trains the PHT directly.
-            record = agt.observe_removal_lane(block_address & self._lane_region_mask)
+            # Short form of the generic body below: the AGT never forces
+            # evictions, so the response is always empty and the one possible
+            # completion trains the PHT directly.
+            record = agt.end_generation(block_address)
             if record is not None:
-                self._train_record(record)
+                key = self.index_scheme.key_of(
+                    record.trigger_pc, record.trigger_address, record.trigger_offset
+                )
+                self.pht.store_bits(key, record.pattern_bits)
+                self.stats.trained_patterns += 1
             if invalidated:
                 self.registers.cancel_region(block_address)
             return EMPTY_RESPONSE

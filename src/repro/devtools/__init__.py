@@ -68,9 +68,12 @@ the lane fast path spills into ``core/sms.py`` and ``trace/stream.py``)
 ``HOT004`` *per-record boxing inside a lane-path function.*  Calling the
   ``LaneChunk`` ``record()``/``records()`` escape hatches, building
   ``MemoryAccess`` tuples (directly or via ``tuple.__new__``) from lane
-  data, or boxing a cache set's packed flags back into a ``CacheLine`` or
-  a packed directory word into a ``DirectoryEntry`` / ``CoherenceActions``
-  reintroduces the per-record allocation the lane path removes.
+  data, or boxing a cache set's packed flags back into a ``CacheLine``, a
+  packed directory word into a ``DirectoryEntry`` / ``CoherenceActions``,
+  or a packed SMS state word into a ``GenerationRecord`` / ``AGTEvent`` /
+  ``TriggerInfo`` / ``PredictionRegister`` / ``StreamRequest`` /
+  ``SpatialPattern`` reintroduces the per-record allocation the lane path
+  removes.
   Lane-path functions are those named ``*lane*`` (``_step_lanes``,
   ``LaneTrace.iter_lane_chunks``), closures nested in them, and the
   ``from_records`` builders of lane-named classes.

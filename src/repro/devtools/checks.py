@@ -431,12 +431,19 @@ class LoopTryExcept(_HotRule):
 
 
 #: Constructors whose call sites box one simulated record (``MemoryAccess``),
-#: one resident line's packed flags (``CacheLine``), or one block's packed
+#: one resident line's packed flags (``CacheLine``), one block's packed
 #: directory word and the actions of a request on it (``DirectoryEntry``,
-#: ``CoherenceActions``) each — exactly the allocations the lane
-#: decomposition removes.
+#: ``CoherenceActions``), or one packed word of SMS state — an AGT generation
+#: (``GenerationRecord``, ``AGTEvent``, ``TriggerInfo``), a prediction
+#: register and the blocks it streams (``PredictionRegister``,
+#: ``StreamRequest``) or a PHT pattern (``SpatialPattern``) — each: exactly
+#: the allocations the lane decomposition removes.
 BOXED_RECORD_CONSTRUCTORS = frozenset(
-    {"MemoryAccess", "CacheLine", "DirectoryEntry", "CoherenceActions"}
+    {
+        "MemoryAccess", "CacheLine", "DirectoryEntry", "CoherenceActions",
+        "GenerationRecord", "AGTEvent", "TriggerInfo",
+        "PredictionRegister", "StreamRequest", "SpatialPattern",
+    }
 )
 
 #: LaneChunk's sanctioned per-record escape hatches; calling them from a lane
@@ -459,11 +466,14 @@ class LaneBoxing(_HotRule):
         "per record.  Calling the LaneChunk record()/records() escape "
         "hatches, constructing MemoryAccess tuples (directly or via "
         "tuple.__new__) from lane data, or boxing a cache set's packed flags "
-        "back into a CacheLine or a packed directory word into a "
-        "DirectoryEntry / CoherenceActions reintroduces exactly the "
-        "per-record allocation the fast path was built to remove — operate "
-        "on the flat integer lanes, flag ints and directory words, or hand "
-        "the chunk to the boxed reference path."
+        "back into a CacheLine, a packed directory word into a "
+        "DirectoryEntry / CoherenceActions, or a packed AGT / PHT / "
+        "prediction-register word into a GenerationRecord / AGTEvent / "
+        "TriggerInfo / PredictionRegister / StreamRequest / SpatialPattern "
+        "reintroduces exactly the per-record allocation the fast path was "
+        "built to remove — operate on the flat integer lanes, flag ints, "
+        "directory words and SMS state words, or hand the chunk to the boxed "
+        "reference path."
     )
     example_bad = "def _step_lanes(...):\n    for r in chunk.records(): ..."
     example_fix = "for i in range(len(chunk)): use chunk.pc[i], chunk.address[i], ..."

@@ -534,11 +534,11 @@ class SimulationEngine:
         """Per-CPU lane dispatch table, or ``None`` when any CPU needs boxing.
 
         Each slot is ``None`` (a :class:`NullPrefetcher`: skip the per-access
-        prefetcher call entirely) or ``(fn, target_l1)`` where ``fn`` is the
-        prefetcher's :meth:`~repro.prefetch.base.Prefetcher.lane_hook`.  A
-        single prefetcher without a lane hook (GHB, sectored-trainer SMS, ...)
-        vetoes the whole lane path — mixed per-record dispatch is not worth
-        its complexity.
+        prefetcher call entirely) or ``(fn, target_l1, block_shift)`` where
+        ``fn`` is the prefetcher's :meth:`~repro.prefetch.base.Prefetcher.lane_hook`.
+        A single prefetcher without a lane hook (GHB, sectored-trainer SMS,
+        ...) vetoes the whole lane path — mixed per-record dispatch is not
+        worth its complexity.
         """
         hooks = []
         for prefetcher in self.prefetchers:
@@ -548,7 +548,7 @@ class SimulationEngine:
             fn = prefetcher.lane_hook()
             if fn is None:
                 return None
-            hooks.append((fn, prefetcher.streams_into_l1))
+            hooks.append((fn, prefetcher.streams_into_l1, prefetcher.lane_block_shift))
         return hooks
 
     def _lane_path(self, lanes: Optional[bool]):
@@ -791,10 +791,11 @@ class SimulationEngine:
         One fused loop walks the flat integer lanes and inlines the work of
         ``memory.access`` (directory transaction, L1 lookup/install, miss
         classification, L2 lookup/install), ``_record_outcome``, and
-        ``_apply_prefetches``.  No ``MemoryAccess`` / ``AccessResult`` /
-        ``AccessOutcomeRecord`` / ``CoherenceActions`` / ``DirectoryEntry`` /
-        ``CacheLine`` is ever constructed.  Counter effects are
-        accumulated in locals and flushed once per chunk (all shared-object
+        ``_apply_prefetches`` (a lane hook's ``(region, bits)`` runs are
+        drained bit by bit in place).  No ``MemoryAccess`` / ``AccessResult``
+        / ``AccessOutcomeRecord`` / ``CoherenceActions`` / ``DirectoryEntry``
+        / ``CacheLine`` / address list is ever constructed.  Counter effects
+        are accumulated in locals and flushed once per chunk (all shared-object
         reads below are loop-invariant: ``result`` / ``_measuring`` / the
         tracked set only change at warmup boundaries between chunks).
 
@@ -998,7 +999,7 @@ class SimulationEngine:
         m_l1_read_miss = m_l1_write_miss = m_false_sharing = 0
         m_l2_demand_reads = m_l2_read_hits = 0
         m_offchip_reads = m_offchip_writes = 0
-        m_pf_issued = m_pf_l1 = m_pf_l2 = 0
+        m_pf_issued = m_pf_l1 = 0
 
         try:
             for pc, address, code, cpu, icount in zip(
@@ -1135,30 +1136,39 @@ class SimulationEngine:
                                 m_offchip_reads += 1
 
                 # --- Prefetcher hook + stream fills (ref: _apply_prefetches).
+                # The hook answers with (region, pattern bits) runs, streamed
+                # lowest offset first by the directory's low-bit scan.
                 hook = hooks[cpu]
-                if hook is not None:
-                    addresses = hook[0](pc, address)
-                    if addresses:
-                        target_l1 = hook[1]
-                        for paddr in addresses:
-                            pblock = paddr & block_mask
-                            dir_reads += 1
+                runs = hook and hook[0](pc, address)
+                if runs:
+                    _, target_l1, pshift = hook
+                    for pbase, pbits in runs:
+                        count = bin(pbits).count("1")
+                        dir_reads += count
+                        if measuring:
+                            m_pf_issued += count
+                            if target_l1:
+                                m_pf_l1 += count
+                        while pbits:
+                            low = pbits & -pbits
+                            pbits ^= low
+                            pblock = (pbase + ((low.bit_length() - 1) << pshift)) & block_mask
                             word = entries.get(pblock, 0)
                             if not word & bit:
                                 if word & modified:
                                     dir_downgrades += 1
                                     word ^= modified
                                 entries[pblock] = word | bit
-                            # L2 fill; the residency probe doubles as the
-                            # reference path's was-off-chip probe (nothing
-                            # between them can change L2 residency).
+                            # L2 fill.  A block the prefetch brought on-chip is
+                            # tracked: its first demand use is a covered
+                            # off-chip miss.
                             fset = l2_sets[(pblock >> l2_shift) & l2_set_mask]
-                            resident = pblock in fset
-                            if not resident:
+                            if pblock not in fset:
                                 c2_pf_fills += 1
                                 if len(fset) >= l2_assoc:
                                     evict_l2(fset)
                                 fset[pblock] = prefetched
+                                tracked.add(pblock)
                             if target_l1:
                                 fset = l1_sets[cpu][(pblock >> l1_shift) & l1_set_mask]
                                 if pblock not in fset:
@@ -1166,16 +1176,6 @@ class SimulationEngine:
                                     if len(fset) >= l1_assoc:
                                         evict_l1(cpu, fset)
                                     fset[pblock] = prefetched
-                            if not resident:
-                                # The prefetch brought the block on-chip;
-                                # its first demand use is a covered off-chip
-                                # miss.
-                                tracked.add(pblock)
-                            if measuring:
-                                m_pf_issued += 1
-                                if target_l1:
-                                    m_pf_l1 += 1
-                                m_pf_l2 += 1
         finally:
             memory.total_accesses += n_done
             memory.total_instructions = total_inst
@@ -1240,7 +1240,7 @@ class SimulationEngine:
                 result.offchip_write_misses += m_offchip_writes
                 result.prefetches_issued += m_pf_issued
                 result.prefetch_fills_l1 += m_pf_l1
-                result.prefetch_fills_l2 += m_pf_l2
+                result.prefetch_fills_l2 += m_pf_issued
                 traffic = result.traffic
                 misses = m_l1_read_miss + m_l1_write_miss
                 if misses:

@@ -570,6 +570,37 @@ class TestHOT004:
         )
         assert findings == []
 
+    def test_sms_state_boxing_in_lane_function(self):
+        findings = rules_at(
+            """
+            def _lane_closures(self):
+                def on_access_lane(pc, address):
+                    trigger = TriggerInfo(pc=pc, address=address, region=0, offset=0)
+                    event = agt.AGTEvent(is_trigger=True, trigger=trigger)
+                    record = GenerationRecord(0, pc, 0, address)
+                    registers.append(PredictionRegister(geometry, 0, pattern))
+                    return [StreamRequest(address, 0, 0)], SpatialPattern(32, 1)
+                return on_access_lane
+            """,
+            path=COLD_PATH,
+        )
+        assert findings == [("HOT004", line) for line in (4, 5, 6, 7, 8, 8)]
+
+    def test_packed_sms_words_in_lane_function_are_clean(self):
+        findings = rules_at(
+            """
+            def _lane_closures(self):
+                def on_access_lane(pc, address):
+                    word = filter_pop(region, None)
+                    accumulation[region] = (word << nb) | (1 << offset)
+                    registers.append((region, bits))
+                    return drain_bits(max_requests)
+                return on_access_lane
+            """,
+            path=COLD_PATH,
+        )
+        assert findings == []
+
     def test_applies_in_hot_modules_too(self):
         findings = rules_at(
             """

@@ -419,6 +419,24 @@ class TestBoundedDrainParity:
         assert outcomes[True] == outcomes[False]
 
 
+def test_stream_order_within_a_run_matches_reference():
+    """A 1 kB 2-way L1 has 8 sets, so the 32 blocks of a 2 kB region fall four
+    to a set and a streamed pattern overflows them: which blocks survive —
+    and every counter after that — depends on the hook's runs being drained
+    lowest offset first, as the reference path issues its requests."""
+    config = SimulationConfig(
+        num_cpus=2, l1_capacity=1024, l1_associativity=2, l2_capacity=64 * 1024,
+        l2_associativity=4, warmup_fraction=0.0,
+    )
+    reference, lanes = _run_pair(
+        lambda: _shared_region_walks(2, steps=600),
+        config=config,
+        factory=lambda cpu: SpatialMemoryStreaming(SMSConfig()),
+    )
+    assert lanes.engine_path == "lanes" and lanes.prefetches_issued > 1000
+    assert _golden_snapshot(lanes) == _golden_snapshot(reference)
+
+
 # --------------------------------------------------------------------- #
 # read_trace_binary preallocation round-trip
 # --------------------------------------------------------------------- #

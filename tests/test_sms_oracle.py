@@ -58,7 +58,7 @@ PHT_WAYS = 2
 REGISTERS = 2
 
 SCHEMES = ["address", "pc", "pc+address", "pc+offset"]
-PCS = [0x400, 0x404, 0x408]
+PCS = [0x400 + 4 * index for index in range(6)]
 REGIONS = [0x10000 + index * REGION_SIZE for index in range(5)]
 
 
@@ -291,7 +291,14 @@ class Lanes:
         self.on_eviction = sms.lane_eviction_hook()
 
     def access(self, pc, address):
-        return list(self.on_access(pc, address) or ())
+        # The hook answers with (region, pattern bits) runs; the lane loop
+        # issues each run lowest offset first, the runs in order.
+        return [
+            region + offset * BLOCK_SIZE
+            for region, bits in self.on_access(pc, address) or ()
+            for offset in range(BLOCKS)
+            if bits >> offset & 1
+        ]
 
     def remove(self, block_address, invalidated):
         if invalidated:
@@ -359,7 +366,26 @@ _REMOVE = st.tuples(
     st.sampled_from(REGIONS),
     st.integers(min_value=0, max_value=BLOCKS - 1).map(lambda offset: offset * BLOCK_SIZE),
 )
-_OPS = st.lists(st.one_of(_ACCESS, _ACCESS, _ACCESS, _REMOVE), max_size=120)
+
+
+
+@st.composite
+def _generation(draw):
+    """A whole short generation — trigger, one or two more blocks, the removal
+    that ends it — so that trained patterns (and with them PHT conflicts,
+    trigger hits and busy registers) are common, not lucky."""
+    pc, region = draw(st.sampled_from(PCS)), draw(st.sampled_from(REGIONS))
+    offsets = draw(st.lists(st.integers(0, BLOCKS - 1), min_size=2, max_size=3, unique=True))
+    end = draw(st.sampled_from(["evict", "evict", "invalidate"]))
+    return [("access", pc, region, offset * BLOCK_SIZE) for offset in offsets] + [
+        (end, 0, region, offsets[0] * BLOCK_SIZE)
+    ]
+
+
+_OPS = st.lists(
+    st.one_of(_ACCESS.map(lambda op: [op]), _REMOVE.map(lambda op: [op]), _generation()),
+    max_size=60,
+).map(lambda phrases: [op for phrase in phrases for op in phrase])
 
 
 def run_both(face, oracle, ops):
@@ -387,7 +413,7 @@ def run_both(face, oracle, ops):
 @pytest.mark.parametrize("max_requests", [None, 1, 3], ids=["drain-all", "drain-1", "drain-3"])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_sms_matches_section_3(scheme, max_requests, face):
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(ops=_OPS)
     def check(ops):
         run_both(face(make_sms(scheme, max_requests)), NaiveSMS(scheme, max_requests), ops)
@@ -439,6 +465,78 @@ class TestScripted:
         ops += [("access", 0x408, C, 0)] * 3
         sms, oracle = _script(face, ops, max_requests=1)
         assert oracle.counters["streamed"] == 1
+
+
+def _same_set_keys(scheme, count):
+    """``count`` (key, pc, region, trigger offset): distinct keys of one PHT
+    set, each triggered in a region of its own."""
+    for wanted_set in range(PHT_SETS):
+        chosen = []
+        for pc in PCS:
+            for region in REGIONS:
+                for offset in range(BLOCKS):
+                    key = index_key(scheme, pc, region + offset * BLOCK_SIZE, offset)
+                    taken = [entry[0] for entry in chosen] + [entry[2] for entry in chosen]
+                    if set_index(key) == wanted_set and key not in taken and region not in taken:
+                        chosen.append((key, pc, region, offset))
+        if len(chosen) >= count:
+            return chosen[:count]
+    raise AssertionError("no PHT set with enough keys")
+
+
+def _train(pc, region, offset):
+    other = (offset + 1) % BLOCKS
+    return [
+        ("access", pc, region, offset * BLOCK_SIZE),
+        ("access", pc, region, other * BLOCK_SIZE),
+        ("evict", 0, region, other * BLOCK_SIZE),
+    ]
+
+
+@pytest.mark.parametrize("face", [Boxed, Lanes], ids=["boxed", "lanes"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+class TestPHTSetPressure:
+    """Three keys of one 2-way PHT set: who is evicted says who was refreshed."""
+
+    def test_a_full_set_evicts_its_least_recently_stored_key(self, scheme, face):
+        (k1, *t1), (k2, *t2), (k3, *t3) = _same_set_keys(scheme, 3)
+        sms, oracle = _script(face, _train(*t1) + _train(*t2) + _train(*t3), scheme=scheme)
+        assert sorted(oracle.pht_contents()) == sorted([k2, k3])
+        assert oracle.counters["pht_replacements"] == 1
+
+    def test_a_store_to_a_resident_key_refreshes_it(self, scheme, face):
+        (k1, *t1), (k2, pc2, region2, offset2), (k3, *t3) = _same_set_keys(scheme, 3)
+        # k1's second generation is open while k2's trigger looks k2 up (k2
+        # is now the fresher of the two); only the store that ends k1's
+        # generation puts k1 back in front before k3 arrives.
+        start1, end1 = _train(*t1)[:2], _train(*t1)[2:]
+        ops = _train(*t1) + _train(pc2, region2, offset2) + start1
+        ops += [("access", pc2, region2, offset2 * BLOCK_SIZE)] + end1 + _train(*t3)
+        sms, oracle = _script(face, ops, scheme=scheme)
+        assert oracle.counters["pht_hits"] == 2
+        assert sorted(oracle.pht_contents()) == sorted([k1, k3])
+
+    def test_a_lookup_hit_refreshes_the_key(self, scheme, face):
+        (k1, pc1, region1, offset1), (k2, *t2), (k3, *t3) = _same_set_keys(scheme, 3)
+        # k1's trigger access again (a lookup hit, and a generation that
+        # never leaves the filter table), then a third key arrives.
+        ops = _train(pc1, region1, offset1) + _train(*t2)
+        ops += [("access", pc1, region1, offset1 * BLOCK_SIZE)] + _train(*t3)
+        sms, oracle = _script(face, ops, scheme=scheme)
+        assert oracle.counters["pht_hits"] == 1
+        assert sorted(oracle.pht_contents()) == sorted([k1, k3])
+
+
+@pytest.mark.parametrize("face", [Boxed, Lanes], ids=["boxed", "lanes"])
+def test_a_full_register_file_rejects_the_prediction(face):
+    ops = [("access", 0x400, A, offset * BLOCK_SIZE) for offset in (0, 1, 2, 3)]
+    ops += [("evict", 0, A, 0)]
+    # One block per access: B's and C's streams are still going when D's
+    # trigger hits, and there are two registers.
+    ops += [("access", 0x400, region, 0) for region in (B, C, REGIONS[3])]
+    sms, oracle = _script(face, ops, max_requests=1)
+    assert oracle.counters["allocations"] == 2 and oracle.counters["rejections"] == 1
+    assert oracle.counters["streamed"] == 3
 
 
 def test_generation_end_reading_any_block_is_the_implemented_one():
