@@ -51,7 +51,8 @@ class IndexScheme:
         Every scheme reads at most the trigger's PC, the address of its
         *block* and its spatial region offset, so these three are the whole
         interface; the lane closures of :mod:`repro.core.sms` call this
-        directly.
+        directly.  A key is a flat tuple of ints and strs
+        (:data:`repro.core.pht.hash_index_key` relies on it).
         """
         raise NotImplementedError
 

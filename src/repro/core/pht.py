@@ -83,7 +83,11 @@ def _hash_uncached(key: Hashable) -> int:
     return state
 
 
-_hash_cached = lru_cache(maxsize=65536)(_hash_uncached)
+#: :func:`stable_hash` without its per-element type check, for keys known to be
+#: flat tuples of ints and strs — what every ``IndexScheme.key_of`` returns and
+#: what the lane closures of :mod:`repro.core.sms` hash.  (The memo keys on
+#: equality, so a ``True`` or ``1.0`` element would alias ``1``.)
+hash_index_key = lru_cache(maxsize=65536)(_hash_uncached)
 
 
 def stable_hash(key: Hashable) -> int:
@@ -107,10 +111,10 @@ def stable_hash(key: Hashable) -> int:
             kind = type(element)
             if kind is not int and kind is not str:
                 return _hash_uncached(key)
-        return _hash_cached(key)
+        return hash_index_key(key)
     kind = type(key)
     if kind is int or kind is str:
-        return _hash_cached(key)
+        return hash_index_key(key)
     return _hash_uncached(key)
 
 

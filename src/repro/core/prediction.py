@@ -103,10 +103,6 @@ class PredictionRegisterFile:
     def active_registers(self) -> int:
         return len(self._registers)
 
-    @property
-    def has_capacity(self) -> bool:
-        return len(self._registers) < self.num_registers
-
     def allocate(self, region: int, pattern: SpatialPattern, exclude_offset: Optional[int] = None) -> bool:
         """Start streaming ``pattern`` for the region based at ``region``.
 

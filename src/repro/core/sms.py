@@ -25,7 +25,7 @@ from typing import List, Optional
 from repro.coherence.multiprocessor import AccessOutcomeRecord
 from repro.core.config import SMSConfig
 from repro.core.indexing import IndexScheme, make_index_scheme
-from repro.core.pht import PatternHistoryTable, stable_hash
+from repro.core.pht import PatternHistoryTable, hash_index_key
 from repro.core.prediction import PredictionRegisterFile
 from repro.core.training import AGTTrainer, CompletedGeneration, SpatialTrainer, make_trainer
 from repro.prefetch.base import EMPTY_RESPONSE, Prefetcher, PrefetcherResponse, PrefetchRequest
@@ -71,13 +71,12 @@ class SpatialMemoryStreaming(Prefetcher):
 
         The two closures are the whole per-record SMS work of the engine's
         lane loop, written once against the packed words of
-        :mod:`repro.core.agt` (filter / accumulation words, first key = LRU
-        victim), the set dicts of :mod:`repro.core.pht` (lookup and store
-        inlined, same statements and counters as ``lookup_bits`` /
-        ``store_bits``) and the ``(region, bits)`` registers of
-        :mod:`repro.core.prediction`.  Bit-identical to :meth:`on_access` /
-        ``on_eviction(block, invalidated=False)`` for the plain AGT, which
-        never forces evictions; ``(None, None)`` for any other trainer.
+        :mod:`repro.core.agt` (first key = LRU victim), the set dicts of
+        :mod:`repro.core.pht` (lookup and store inlined, same statements and
+        counters as ``lookup_bits`` / ``store_bits``) and the ``(region,
+        bits)`` registers of :mod:`repro.core.prediction`.  Bit-identical to
+        :meth:`on_access` / ``on_eviction(block, invalidated=False)`` for the
+        plain AGT, which never forces evictions; ``(None, None)`` otherwise.
 
         Every captured object is assigned once in ``__init__`` and mutated in
         place, except ``self.stats``, which :meth:`reset_stats` rebinds — so
@@ -127,7 +126,7 @@ class SpatialMemoryStreaming(Prefetcher):
             key = key_of(word >> (nb + ob), region + (offset << block_shift), offset)
             bits = word & pattern_mask
             pht.stores += 1
-            table = sets[0] if ways is None else sets[stable_hash(key) % num_sets]
+            table = sets[0] if ways is None else sets[hash_index_key(key) % num_sets]
             existing = table.pop(key, None)
             if existing is not None:
                 if union:
@@ -165,7 +164,7 @@ class SpatialMemoryStreaming(Prefetcher):
                     stats.pht_lookups += 1
                     pht.lookups += 1
                     key = key_of(pc, region + (offset << block_shift), offset)
-                    table = sets[0] if ways is None else sets[stable_hash(key) % num_sets]
+                    table = sets[0] if ways is None else sets[hash_index_key(key) % num_sets]
                     bits = table.pop(key, None)
                     if bits is not None:
                         pht.hits += 1
@@ -176,6 +175,15 @@ class SpatialMemoryStreaming(Prefetcher):
                             # Stream everything but the trigger block.
                             bits &= ~(1 << offset)
                             if bits:
+                                if max_requests is None and not registers:
+                                    # No limit, no other stream in flight:
+                                    # drain_bits would hand this register
+                                    # straight back, whole.
+                                    count = bin(bits).count("1")
+                                    file.allocations += 1
+                                    file.requests_issued += count
+                                    stats.issued += count
+                                    return ((region, bits),)
                                 if len(registers) >= num_registers:
                                     file.rejections += 1
                                 else:
@@ -211,13 +219,16 @@ class SpatialMemoryStreaming(Prefetcher):
 
         ``fn(pc, address)`` trains the AGT, consults the PHT on a trigger
         access and returns what SMS streams on this access: ``None``, or a
-        list of ``(region, bits)`` runs straight from
-        :meth:`~repro.core.prediction.PredictionRegisterFile.drain_bits` —
-        bit *i* of a run is the block at ``region + (i << lane_block_shift)``.
-        The hook builds no address list; ``SimulationEngine._step_lanes``
-        drains each run lowest offset first (``low = bits & -bits``) inside
-        its prefetch-apply body.  The shape is the same whether
-        ``max_requests_per_access`` bounds the drain or not.
+        sequence of ``(region, bits)`` runs as
+        :meth:`~repro.core.prediction.PredictionRegisterFile.drain_bits`
+        hands them out — bit *i* of a run is the block at ``region + (i <<
+        lane_block_shift)``, the remaining pattern bits of a prediction
+        register.  The hook builds no address list:
+        ``SimulationEngine._step_lanes`` drains each run lowest offset first
+        (``low = bits & -bits``) inside its prefetch-apply body.  The shape
+        is the same whether ``max_requests_per_access`` bounds the drain
+        (one block per run, registers interleaved) or not (a trigger hit's
+        whole stream as one run).
         """
         return self._lane_closures()[0]
 

@@ -67,8 +67,6 @@ class Prefetcher:
     name = "base"
     #: Whether this prefetcher's fills target the L1 (True) or only the L2.
     streams_into_l1 = True
-    #: log2 of the block size the runs of :meth:`lane_hook` are counted in.
-    lane_block_shift = 6
 
     def __init__(self) -> None:
         self.stats = PrefetcherStatistics()
@@ -88,8 +86,9 @@ class Prefetcher:
         returns ``fn(pc, address)``, which answers ``None`` when there is
         nothing to issue and otherwise a sequence of ``(base, bits)`` runs:
         bit *i* of a run asks for the block at ``base + (i <<
-        lane_block_shift)``, and the engine issues each run lowest bit first,
-        the runs in order.  Its effects must be bit-identical to
+        self.lane_block_shift)`` (an attribute such a prefetcher sets), and
+        the engine issues each run lowest bit first, the runs in order.  Its
+        effects must be bit-identical to
         :meth:`on_access` for accesses that never force evictions.  Returning
         ``None`` here (the default) makes the engine fall back to the boxed
         reference path.

@@ -13,6 +13,8 @@ reference path.  This module pins that from three directions:
   reference path with the reason recorded (and produce the same counters).
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -356,8 +358,6 @@ def _shared_region_walks(num_cpus, steps=1500, seed=6):
     small pool of 2 kB regions they all share, writing a third of the time:
     patterns recur, so streams start, and every write invalidates the other
     CPUs' copies of a block whose region they may still be streaming."""
-    import random
-
     rng = random.Random(seed)
     walks = {0x400 + 4 * i: rng.sample(range(32), 6) for i in range(4)}
     records = []

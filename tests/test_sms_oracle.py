@@ -342,12 +342,12 @@ def compare(sms, oracle, seen_keys, context):
     assert agt.filter_occupancy == len(oracle.filter), context
     assert agt.accumulation_occupancy == len(oracle.accumulation), context
     assert sms.registers.active_registers == len(oracle.registers), context
+    contents = oracle.pht_contents()
     # (finalize can train one key twice; the later pattern replaces the earlier.)
     for key, offsets in dict(oracle.trained_now).items():
-        if key in oracle.pht_contents():
+        if key in contents:
             assert sms.pht.probe(key).offsets() == offsets, context
     seen_keys.update(key for key, _ in oracle.trained_now)
-    contents = oracle.pht_contents()
     assert sms.pht.occupancy == len(contents), context
     for key in seen_keys:
         stored = sms.pht.probe(key)
