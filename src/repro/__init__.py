@@ -28,17 +28,15 @@ Quickstart::
     print(f"L1 coverage: {result.l1_coverage():.1%}")
 """
 
-from repro.core import SMSConfig, SpatialMemoryStreaming
-from repro.simulation import MachineConfig, SimulationConfig, SimulationEngine, TimingModel
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SMSConfig",
-    "SpatialMemoryStreaming",
-    "SimulationConfig",
-    "SimulationEngine",
-    "MachineConfig",
-    "TimingModel",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "core": ("SMSConfig", "SpatialMemoryStreaming"),
+        "simulation": ("SimulationConfig", "SimulationEngine", "MachineConfig", "TimingModel"),
+    },
+)
+__all__.append("__version__")

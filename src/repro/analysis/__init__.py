@@ -1,20 +1,14 @@
 """Analysis utilities: coverage metrics, density histograms, opportunity studies,
 and plain-text reporting for the benchmark harness."""
 
-from repro.analysis.coverage import CoverageReport, compare_coverage
-from repro.analysis.density import DensityHistogram, DENSITY_BINS, measure_density
-from repro.analysis.opportunity import OpportunityResult, measure_opportunity
-from repro.analysis.reporting import format_table, format_percentage, ResultTable
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CoverageReport",
-    "compare_coverage",
-    "DensityHistogram",
-    "DENSITY_BINS",
-    "measure_density",
-    "OpportunityResult",
-    "measure_opportunity",
-    "format_table",
-    "format_percentage",
-    "ResultTable",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "coverage": ("CoverageReport", "compare_coverage"),
+        "density": ("DensityHistogram", "DENSITY_BINS", "measure_density"),
+        "opportunity": ("OpportunityResult", "measure_opportunity"),
+        "reporting": ("format_table", "format_percentage", "ResultTable"),
+    },
+)

@@ -11,9 +11,10 @@ baseline (no prefetcher) and the prefetching configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.simulation.engine import SimulationResult
+if TYPE_CHECKING:  # annotations only: reading a cached report must not import the engine
+    from repro.simulation.engine import SimulationResult
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.coherence.multiprocessor import MultiprocessorMemorySystem
-from repro.core.region import RegionGeometry
-from repro.simulation.config import SimulationConfig
-from repro.trace.record import MemoryAccess
-from repro.trace.stream import TraceStream, resolve_warmup_count
+if TYPE_CHECKING:  # measure_density imports what it runs; histograms stay light
+    from repro.core.region import RegionGeometry
+    from repro.simulation.config import SimulationConfig
+    from repro.trace.stream import TraceStream
 
 #: Figure 5's density bins: (label, inclusive lower bound, inclusive upper bound).
 DENSITY_BINS: List[Tuple[str, int, int]] = [
@@ -127,6 +126,11 @@ def measure_density(
     histograms and oracle miss counts are directly comparable to a
     measurement-phase miss count from the simulation engine.
     """
+    from repro.coherence.multiprocessor import MultiprocessorMemorySystem
+    from repro.core.region import RegionGeometry
+    from repro.simulation.config import SimulationConfig
+    from repro.trace.stream import resolve_warmup_count
+
     config = config or SimulationConfig()
     if warmup_fraction is None:
         warmup_fraction = config.warmup_fraction

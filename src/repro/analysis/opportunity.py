@@ -16,12 +16,12 @@ no-predictor baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.analysis.density import measure_density
-from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import SimulationEngine, SimulationResult
-from repro.trace.stream import TraceStream
+if TYPE_CHECKING:  # the measuring functions import what they run; results stay light
+    from repro.simulation.config import SimulationConfig
+    from repro.simulation.engine import SimulationResult
+    from repro.trace.stream import TraceStream
 
 
 @dataclass
@@ -57,6 +57,8 @@ def measure_block_size_miss_rate(
     limit: Optional[int] = None,
 ) -> SimulationResult:
     """Simulate the baseline hierarchy with ``block_size`` blocks (no prefetching)."""
+    from repro.simulation.engine import SimulationEngine
+
     sized = config.with_block_size(block_size)
     engine = SimulationEngine(config=sized, name=f"baseline-{block_size}B")
     return engine.run(trace, limit=limit)
@@ -69,6 +71,9 @@ def measure_opportunity(
     limit: Optional[int] = None,
 ) -> Dict[int, OpportunityResult]:
     """Run the Figure-4 study for ``trace`` over ``sizes`` (block = region sizes)."""
+    from repro.analysis.density import measure_density
+    from repro.simulation.config import SimulationConfig
+
     config = config or SimulationConfig()
     sizes = sizes or [64, 128, 512, 2048, 8192]
     results: Dict[int, OpportunityResult] = {}

@@ -72,40 +72,30 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
-from repro.analysis.coverage import coverage_from_result
-from repro.analysis.reporting import ResultTable, format_percentage
-from repro.coherence.multiprocessor import CpuOutOfRangeError
-from repro.core import SMSConfig, SpatialMemoryStreaming
-from repro.prefetch import (
-    GHBConfig,
-    GlobalHistoryBuffer,
-    NextLinePrefetcher,
-    NullPrefetcher,
-    StridePrefetcher,
-    TemporalCorrelationPrefetcher,
-)
-from repro.simulation import SimulationConfig, SimulationEngine, TimingModel
-from repro.simulation.engine import engine_path_counts, format_engine_path_counts
-from repro.trace.reader import write_trace
-from repro.workloads.suite import APPLICATION_NAMES, make_workload
+# Start-up is proportional to the command: everything beyond the argument
+# parser's own needs is imported inside the ``_command_*`` that runs it.  The
+# two imports below are data-only (names, and factories that import their
+# prefetcher's class when called).
+from repro.prefetch.registry import PREFETCHER_CHOICES
+from repro.workloads.names import APPLICATION_NAMES
 
-#: Prefetcher factories selectable from the command line.
-PREFETCHER_CHOICES: Dict[str, Callable[[], Callable[[int], object]]] = {
-    "none": lambda: (lambda cpu: NullPrefetcher()),
-    "sms": lambda: (lambda cpu: SpatialMemoryStreaming(SMSConfig.paper_practical())),
-    "ghb": lambda: (lambda cpu: GlobalHistoryBuffer(GHBConfig(buffer_entries=256))),
-    "ghb-16k": lambda: (lambda cpu: GlobalHistoryBuffer(GHBConfig(buffer_entries=16384))),
-    "stride": lambda: (lambda cpu: StridePrefetcher(degree=4)),
-    "next-line": lambda: (lambda cpu: NextLinePrefetcher(degree=1)),
-    "temporal": lambda: (lambda cpu: TemporalCorrelationPrefetcher()),
+#: Experiment runners selectable from the command line, and the
+#: :mod:`repro.experiments` module each one lives in.
+EXPERIMENT_CHOICES = {
+    "fig04": "fig04_block_size",
+    "fig05": "fig05_density",
+    "fig06": "fig06_indexing",
+    "fig07": "fig07_pht_storage",
+    "fig08": "fig08_training",
+    "fig09": "fig09_training_storage",
+    "fig10": "fig10_region_size",
+    "fig11": "fig11_ghb",
+    "fig12": "fig12_speedup",
+    "fig13": "fig13_breakdown",
+    "tab01": "tab01_config",
 }
-
-#: Experiment runners selectable from the command line.
-EXPERIMENT_CHOICES = [
-    "fig04", "fig05", "fig06", "fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13", "tab01",
-]
 
 
 def _nonnegative_int(value: str) -> int:
@@ -156,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--seed", type=int, default=1)
 
     experiment = subparsers.add_parser("experiment", help="regenerate a paper figure/table")
-    experiment.add_argument("--figure", choices=EXPERIMENT_CHOICES, required=True)
+    experiment.add_argument("--figure", choices=list(EXPERIMENT_CHOICES), required=True)
     experiment.add_argument("--scale", type=float, default=0.5)
     experiment.add_argument("--cpus", type=int, default=4)
     experiment.add_argument(
@@ -391,6 +381,13 @@ def _add_endpoint_arguments(parser: argparse.ArgumentParser) -> None:
 
 # --------------------------------------------------------------------------- #
 def _command_simulate(args: argparse.Namespace) -> int:
+    from repro.analysis.coverage import coverage_from_result
+    from repro.analysis.reporting import ResultTable, format_percentage
+    from repro.coherence.multiprocessor import CpuOutOfRangeError
+    from repro.simulation.config import SimulationConfig
+    from repro.simulation.engine import SimulationEngine
+    from repro.simulation.timing import TimingModel
+
     lanes = False if args.no_lanes else None
     if args.trace:
         from repro.trace.reader import stream_trace
@@ -402,6 +399,8 @@ def _command_simulate(args: argparse.Namespace) -> int:
         metadata = None
         source = workload.name
     else:
+        from repro.workloads.suite import make_workload
+
         workload = make_workload(
             args.workload,
             num_cpus=args.cpus,
@@ -453,6 +452,9 @@ def _command_simulate(args: argparse.Namespace) -> int:
 
 
 def _command_trace(args: argparse.Namespace) -> int:
+    from repro.trace.reader import write_trace
+    from repro.workloads.suite import make_workload
+
     workload = make_workload(
         args.workload, num_cpus=args.cpus, accesses_per_cpu=args.accesses_per_cpu, seed=args.seed
     )
@@ -466,7 +468,7 @@ def _command_convert(args: argparse.Namespace) -> int:
     import time
     from pathlib import Path
 
-    from repro.trace.reader import stream_trace
+    from repro.trace.reader import stream_trace, write_trace
 
     if Path(args.input).resolve() == Path(args.output).resolve():
         # write_trace truncates the output before the lazy reader ever runs,
@@ -501,42 +503,12 @@ def _command_convert(args: argparse.Namespace) -> int:
 
 
 def _command_experiment(args: argparse.Namespace) -> int:
-    from repro.experiments import (
-        fig04_block_size,
-        fig05_density,
-        fig06_indexing,
-        fig07_pht_storage,
-        fig08_training,
-        fig09_training_storage,
-        fig10_region_size,
-        fig11_ghb,
-        fig12_speedup,
-        fig13_breakdown,
-        tab01_config,
-    )
+    from importlib import import_module
 
-    modules = {
-        "fig04": fig04_block_size,
-        "fig05": fig05_density,
-        "fig06": fig06_indexing,
-        "fig07": fig07_pht_storage,
-        "fig08": fig08_training,
-        "fig09": fig09_training_storage,
-        "fig10": fig10_region_size,
-        "fig11": fig11_ghb,
-        "fig12": fig12_speedup,
-        "fig13": fig13_breakdown,
-    }
-    runners = {
-        figure: (
-            lambda module=module: module.run(
-                scale=args.scale, num_cpus=args.cpus, workers=args.workers
-            )
-        )
-        for figure, module in modules.items()
-    }
+    # Only the requested figure's module: an all-hits run never loads the engine.
+    figure = import_module(f"repro.experiments.{EXPERIMENT_CHOICES[args.figure]}")
     if args.figure == "tab01":
-        system, applications = tab01_config.run()
+        system, applications = figure.run()
         print(system.to_text())
         print()
         print(applications.to_text())
@@ -544,6 +516,7 @@ def _command_experiment(args: argparse.Namespace) -> int:
 
     from repro._env import scoped_env
     from repro.experiments import common as experiments_common
+    from repro.simulation.census import engine_path_counts, format_engine_path_counts
     from repro.simulation.result_cache import CACHE_DIR_ENV, SweepResultCache, set_default_cache
     from repro.simulation.sweep import (
         SWEEP_RESUME_ENV,
@@ -589,7 +562,7 @@ def _command_experiment(args: argparse.Namespace) -> int:
         env_updates[SWEEP_RETRIES_ENV] = str(policy.max_retries)
     try:
         with scoped_env(env_updates):
-            table = runners[args.figure]()
+            table = figure.run(scale=args.scale, num_cpus=args.cpus, workers=args.workers)
     finally:
         set_default_cache(previous)
         set_default_policy(previous_policy)
@@ -617,7 +590,11 @@ def _command_experiment(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    from repro.serve import SimulationServer, WorkerPool
+    # Importing the server imports ``repro.serve.jobs`` — the engine, the
+    # workload generators and every prefetcher — before the pool forks, so
+    # no worker pays an import on its first request.
+    from repro.serve.pool import WorkerPool
+    from repro.serve.server import SimulationServer
     from repro.simulation.result_cache import SweepResultCache
 
     pool = WorkerPool(
@@ -670,7 +647,7 @@ def _parse_submit_args(pairs: List[str]) -> dict:
 def _command_submit(args: argparse.Namespace) -> int:
     import json
 
-    from repro.serve import ServeClient, ServeError
+    from repro.serve.client import ServeClient, ServeError
 
     if args.request is not None:
         try:
@@ -727,6 +704,7 @@ def _command_submit(args: argparse.Namespace) -> int:
 def _command_cache(args: argparse.Namespace) -> int:
     import json
 
+    from repro.analysis.reporting import ResultTable
     from repro.simulation.result_cache import cache_overview, prune_cache
 
     if args.action == "stats":

@@ -8,17 +8,14 @@ spatial region generations and can kill prefetched blocks before use, and
 larger coherence units create false sharing.
 """
 
-from repro.coherence.protocol import CoherenceState, DirectoryEntry
-from repro.coherence.directory import Directory
-from repro.coherence.false_sharing import FalseSharingClassifier, MissClassification
-from repro.coherence.multiprocessor import AccessOutcomeRecord, MultiprocessorMemorySystem
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CoherenceState",
-    "DirectoryEntry",
-    "Directory",
-    "FalseSharingClassifier",
-    "MissClassification",
-    "AccessOutcomeRecord",
-    "MultiprocessorMemorySystem",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "protocol": ("CoherenceState", "DirectoryEntry"),
+        "directory": ("Directory",),
+        "false_sharing": ("FalseSharingClassifier", "MissClassification"),
+        "multiprocessor": ("AccessOutcomeRecord", "MultiprocessorMemorySystem"),
+    },
+)

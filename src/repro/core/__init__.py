@@ -16,54 +16,34 @@ the generic :class:`repro.prefetch.base.Prefetcher` interface so the
 simulation engine can swap SMS, GHB, and the oracle predictor freely.
 """
 
-from repro.core.config import SMSConfig
-from repro.core.region import RegionGeometry
-from repro.core.pattern import SpatialPattern
-from repro.core.indexing import (
-    AddressIndex,
-    IndexScheme,
-    PCAddressIndex,
-    PCIndex,
-    PCOffsetIndex,
-    make_index_scheme,
-)
-from repro.core.agt import ActiveGenerationTable, AGTEvent, GenerationRecord
-from repro.core.pht import PatternHistoryTable, stable_hash
-from repro.core.prediction import PredictionRegisterFile, StreamRequest
-from repro.core.training import (
-    AGTTrainer,
-    CompletedGeneration,
-    DecoupledSectoredTrainer,
-    LogicalSectoredTrainer,
-    SpatialTrainer,
-    TrainerResponse,
-    make_trainer,
-)
-from repro.core.sms import SpatialMemoryStreaming
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SMSConfig",
-    "RegionGeometry",
-    "SpatialPattern",
-    "IndexScheme",
-    "AddressIndex",
-    "PCIndex",
-    "PCAddressIndex",
-    "PCOffsetIndex",
-    "make_index_scheme",
-    "ActiveGenerationTable",
-    "AGTEvent",
-    "GenerationRecord",
-    "PatternHistoryTable",
-    "stable_hash",
-    "PredictionRegisterFile",
-    "StreamRequest",
-    "SpatialTrainer",
-    "AGTTrainer",
-    "LogicalSectoredTrainer",
-    "DecoupledSectoredTrainer",
-    "CompletedGeneration",
-    "TrainerResponse",
-    "make_trainer",
-    "SpatialMemoryStreaming",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "config": ("SMSConfig",),
+        "region": ("RegionGeometry",),
+        "pattern": ("SpatialPattern",),
+        "indexing": (
+            "IndexScheme",
+            "AddressIndex",
+            "PCIndex",
+            "PCAddressIndex",
+            "PCOffsetIndex",
+            "make_index_scheme",
+        ),
+        "agt": ("ActiveGenerationTable", "AGTEvent", "GenerationRecord"),
+        "pht": ("PatternHistoryTable", "stable_hash"),
+        "prediction": ("PredictionRegisterFile", "StreamRequest"),
+        "training": (
+            "SpatialTrainer",
+            "AGTTrainer",
+            "LogicalSectoredTrainer",
+            "DecoupledSectoredTrainer",
+            "CompletedGeneration",
+            "TrainerResponse",
+            "make_trainer",
+        ),
+        "sms": ("SpatialMemoryStreaming",),
+    },
+)

@@ -23,6 +23,8 @@ comparison.
 | :mod:`repro.experiments.tab01_config` | Table 1 — system and application parameters |
 """
 
-from repro.experiments import common
+from repro._lazy import lazy_exports
 
-__all__ = ["common"]
+# No re-exported names: ``common`` and the figure modules are submodules, which
+# the lazy ``__getattr__`` imports on first use.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {}, submodules=("common",))

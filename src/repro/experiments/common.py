@@ -31,21 +31,34 @@ import os
 import warnings
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
+# An all-hits figure run imports this module and never simulates: the engine,
+# the predictor, the trace codecs and the workload generators are imported
+# inside the functions that need them.
 from repro import _env, obs
-from repro.core import SMSConfig, SpatialMemoryStreaming
-from repro.prefetch import GHBConfig, GlobalHistoryBuffer, NullPrefetcher, StridePrefetcher
-from repro.prefetch.base import Prefetcher
-from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import SimulationEngine, SimulationResult
+from repro.prefetch.registry import (  # noqa: F401 - the runners' ``common.*_factory`` helpers
+    ghb_factory,
+    null_factory,
+    sms_factory,
+    stride_factory,
+)
 from repro.simulation.result_cache import TRACES_SUBDIR, code_fingerprint, default_cache_dir
 from repro.simulation.sweep import sweep_map
-from repro.trace.binary import LaneTrace, write_trace_binary
-from repro.trace.record import MemoryAccess
-from repro.workloads import make_workload
-from repro.workloads.base import WorkloadMetadata
-from repro.workloads.suite import APPLICATION_NAMES, CATEGORIES, category_members
+from repro.workloads.names import (  # noqa: F401 - CATEGORY_REPRESENTATIVE is read as ``common.…``
+    APPLICATION_NAMES,
+    CATEGORIES,
+    CATEGORY_REPRESENTATIVE,
+    category_members,
+)
+
+if TYPE_CHECKING:
+    from repro.prefetch.base import Prefetcher
+    from repro.simulation.config import SimulationConfig
+    from repro.simulation.engine import SimulationResult
+    from repro.trace.binary import LaneTrace
+    from repro.trace.record import MemoryAccess
+    from repro.workloads.base import WorkloadMetadata
 
 #: Default number of processors for experiment traces.  The paper simulates
 #: 16; the experiments default to 4 so that each processor sees enough of the
@@ -69,21 +82,14 @@ ACCESSES_PER_CPU: Dict[str, int] = {
     "sparse": 25000,
 }
 
-#: The application that represents each category in the class-level studies
-#: (Figures 6-10 report per-category bars/lines).
-CATEGORY_REPRESENTATIVE: Dict[str, str] = {
-    "OLTP": "oltp-db2",
-    "DSS": "dss-qry2",
-    "Web": "web-apache",
-    "Scientific": "ocean",
-}
-
 #: Default seed for experiment traces.
 DEFAULT_SEED = 7
 
 
 def default_config(num_cpus: int = DEFAULT_NUM_CPUS) -> SimulationConfig:
     """Simulation configuration used by the experiments (paper L1, smaller L2)."""
+    from repro.simulation.config import SimulationConfig
+
     return SimulationConfig.small(num_cpus=num_cpus)
 
 
@@ -136,6 +142,8 @@ def _load_or_generate(
     workload, name: str, num_cpus: int, accesses_per_cpu: int, seed: int
 ) -> LaneTrace:
     """Decode the trace from its ``.strc`` cache file, generating it on a miss."""
+    from repro.trace.binary import LaneTrace, write_trace_binary
+
     path = _trace_cache_path(name, num_cpus, accesses_per_cpu, seed)
     try:
         if path.exists():
@@ -183,11 +191,15 @@ def _load_or_generate(
 
 @lru_cache(maxsize=32)
 def _cached_trace(name: str, num_cpus: int, accesses_per_cpu: int, seed: int) -> LaneTrace:
+    from repro.workloads.suite import make_workload
+
     workload = make_workload(
         name, num_cpus=num_cpus, accesses_per_cpu=accesses_per_cpu, seed=seed
     )
     if trace_cache_enabled():
         return _load_or_generate(workload, name, num_cpus, accesses_per_cpu, seed)
+    from repro.trace.binary import LaneTrace
+
     return LaneTrace.from_records(workload, workload.metadata)
 
 
@@ -222,30 +234,6 @@ def representative_trace(
 
 
 # --------------------------------------------------------------------------- #
-# Prefetcher factories
-# --------------------------------------------------------------------------- #
-def sms_factory(config: Optional[SMSConfig] = None) -> Callable[[int], Prefetcher]:
-    """Per-CPU factory for SMS with ``config`` (practical paper config by default)."""
-    sms_config = config or SMSConfig()
-    return lambda cpu: SpatialMemoryStreaming(sms_config)
-
-
-def ghb_factory(buffer_entries: int = 256, degree: int = 4) -> Callable[[int], Prefetcher]:
-    """Per-CPU factory for the GHB PC/DC baseline."""
-    return lambda cpu: GlobalHistoryBuffer(GHBConfig(buffer_entries=buffer_entries, degree=degree))
-
-
-def stride_factory(degree: int = 4) -> Callable[[int], Prefetcher]:
-    """Per-CPU factory for the stride prefetcher baseline."""
-    return lambda cpu: StridePrefetcher(degree=degree)
-
-
-def null_factory() -> Callable[[int], Prefetcher]:
-    """Per-CPU factory for the no-prefetching baseline."""
-    return lambda cpu: NullPrefetcher()
-
-
-# --------------------------------------------------------------------------- #
 # Simulation helpers
 # --------------------------------------------------------------------------- #
 def simulate(
@@ -256,6 +244,8 @@ def simulate(
     metadata: Optional[WorkloadMetadata] = None,
 ) -> SimulationResult:
     """Run one configuration over ``trace`` and return its result."""
+    from repro.simulation.engine import SimulationEngine
+
     engine = SimulationEngine(
         config=config or default_config(),
         prefetcher_factory=prefetcher_factory or null_factory(),

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional
 
 from repro.analysis.coverage import CoverageReport, coverage_from_result
 from repro.analysis.reporting import ResultTable
-from repro.core import SMSConfig
 from repro.experiments import common
 
 #: Index schemes in the paper's presentation order.
@@ -32,6 +31,8 @@ def run_category(
     num_cpus: int = common.DEFAULT_NUM_CPUS,
 ) -> Dict[str, CoverageReport]:
     """Run every index scheme over one category's representative trace."""
+    from repro.core.config import SMSConfig
+
     schemes = schemes or INDEX_SCHEMES
     trace, metadata = common.representative_trace(category, num_cpus=num_cpus, scale=scale)
     config = common.default_config(num_cpus=num_cpus)

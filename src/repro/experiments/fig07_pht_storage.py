@@ -13,7 +13,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.coverage import coverage_from_result
 from repro.analysis.reporting import ResultTable
-from repro.core import SMSConfig
 from repro.experiments import common
 
 #: PHT sizes swept (entries); ``None`` is the unbounded PHT.
@@ -35,6 +34,8 @@ def run_category(
     num_cpus: int = common.DEFAULT_NUM_CPUS,
 ) -> Dict[Tuple[str, Optional[int]], float]:
     """Return coverage keyed by (scheme, pht_size) for one category."""
+    from repro.core.config import SMSConfig
+
     sizes = sizes if sizes is not None else PHT_SIZES
     schemes = schemes or SCHEMES
     trace, metadata = common.representative_trace(category, num_cpus=num_cpus, scale=scale)

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.coverage import coverage_from_result
 from repro.analysis.reporting import ResultTable
-from repro.core import SMSConfig
 from repro.experiments import common
 
 #: PHT sizes swept (entries); ``None`` is the unbounded PHT.
@@ -40,6 +39,8 @@ def run_category(
     num_cpus: int = common.DEFAULT_NUM_CPUS,
 ) -> Dict[Tuple[str, Optional[int]], float]:
     """Return coverage keyed by (trainer, pht_size) for one category."""
+    from repro.core.config import SMSConfig
+
     sizes = sizes if sizes is not None else PHT_SIZES
     trainers = trainers or TRAINERS
     trace, metadata = common.representative_trace(category, num_cpus=num_cpus, scale=scale)

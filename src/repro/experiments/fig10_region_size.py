@@ -16,7 +16,6 @@ from typing import Dict, List, Optional
 
 from repro.analysis.coverage import coverage_from_result
 from repro.analysis.reporting import ResultTable
-from repro.core import SMSConfig
 from repro.experiments import common
 
 #: Region sizes swept by the paper's Figure 10.
@@ -30,6 +29,8 @@ def run_category(
     num_cpus: int = common.DEFAULT_NUM_CPUS,
 ) -> Dict[int, float]:
     """Return coverage keyed by region size for one category."""
+    from repro.core.config import SMSConfig
+
     region_sizes = region_sizes or REGION_SIZES
     trace, metadata = common.representative_trace(category, num_cpus=num_cpus, scale=scale)
     config = common.default_config(num_cpus=num_cpus)

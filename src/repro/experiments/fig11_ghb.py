@@ -17,7 +17,6 @@ from typing import Dict, List, Optional
 
 from repro.analysis.coverage import CoverageReport, coverage_from_result
 from repro.analysis.reporting import ResultTable
-from repro.core import SMSConfig
 from repro.experiments import common
 
 #: Configurations compared, in the paper's presentation order.
@@ -30,7 +29,7 @@ def _factory_for(configuration: str):
     if configuration == "ghb-16k":
         return common.ghb_factory(buffer_entries=16384)
     if configuration == "sms":
-        return common.sms_factory(SMSConfig.paper_practical())
+        return common.sms_factory()
     raise ValueError(f"unknown configuration {configuration!r}")
 
 

@@ -15,13 +15,14 @@ smallest; and the geometric-mean speedup is well above 1.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.analysis.reporting import ResultTable
-from repro.core import SMSConfig
 from repro.experiments import common
 from repro.simulation.sampling import ConfidenceInterval, paired_speedup
-from repro.simulation.timing import TimingModel
+
+if TYPE_CHECKING:
+    from repro.simulation.timing import TimingModel
 
 
 def run_application(
@@ -32,6 +33,8 @@ def run_application(
     timing_model: Optional[TimingModel] = None,
 ) -> ConfidenceInterval:
     """Measure the SMS speedup (with CI) for one application."""
+    from repro.simulation.timing import TimingModel
+
     timing_model = timing_model or TimingModel()
     config = common.default_config(num_cpus=num_cpus)
     base_times: List[float] = []
@@ -42,7 +45,7 @@ def run_application(
         )
         base, sms = common.simulate_pair(
             trace,
-            common.sms_factory(SMSConfig.paper_practical()),
+            common.sms_factory(),
             config=config,
             name=name,
             metadata=metadata,

@@ -13,13 +13,14 @@ store-buffer component is not reduced (and limits its speedup).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.analysis.reporting import ResultTable
-from repro.core import SMSConfig
 from repro.experiments import common
 from repro.simulation.breakdown import CATEGORY_ORDER, BreakdownCategory, ExecutionBreakdown
-from repro.simulation.timing import TimingModel
+
+if TYPE_CHECKING:
+    from repro.simulation.timing import TimingModel
 
 
 def run_application(
@@ -29,12 +30,14 @@ def run_application(
     timing_model: Optional[TimingModel] = None,
 ) -> Tuple[ExecutionBreakdown, ExecutionBreakdown]:
     """Return the (base, SMS) execution breakdowns for one application."""
+    from repro.simulation.timing import TimingModel
+
     timing_model = timing_model or TimingModel()
     config = common.default_config(num_cpus=num_cpus)
     trace, metadata = common.build_trace(name, num_cpus=num_cpus, scale=scale)
     base, sms = common.simulate_pair(
         trace,
-        common.sms_factory(SMSConfig.paper_practical()),
+        common.sms_factory(),
         config=config,
         name=name,
         metadata=metadata,

@@ -7,7 +7,12 @@ timing model uses this package to translate off-chip misses into latency
 the bandwidth consumed by demand fetches, prefetches, and overpredictions.
 """
 
-from repro.interconnect.torus import TorusTopology
-from repro.interconnect.traffic import BandwidthAccountant, TrafficClass
+from repro._lazy import lazy_exports
 
-__all__ = ["TorusTopology", "BandwidthAccountant", "TrafficClass"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "torus": ("TorusTopology",),
+        "traffic": ("BandwidthAccountant", "TrafficClass"),
+    },
+)

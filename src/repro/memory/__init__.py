@@ -8,46 +8,24 @@ Wilkerson's Spatial Footprint Predictor and Chen et al.'s Spatial Pattern
 Predictor) trained on.
 """
 
-from repro.memory.block import (
-    align_down,
-    block_address,
-    block_index_in_region,
-    blocks_per_region,
-    is_power_of_two,
-    region_base,
-)
-from repro.memory.cache import AccessOutcome, CacheLine, EvictedLine, SetAssociativeCache
-from repro.memory.replacement import LRUPolicy, RandomPolicy, ReplacementPolicy, make_policy
-from repro.memory.hierarchy import CacheHierarchy, HierarchyOutcome, MemoryLevel
-from repro.memory.sectored import (
-    LogicalSectoredTagArray,
-    SectoredTagArray,
-    SectorState,
-)
-from repro.memory.decoupled import DecoupledSectoredCache
-from repro.memory.stats import CacheStatistics
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "align_down",
-    "block_address",
-    "block_index_in_region",
-    "blocks_per_region",
-    "is_power_of_two",
-    "region_base",
-    "AccessOutcome",
-    "CacheLine",
-    "EvictedLine",
-    "SetAssociativeCache",
-    "ReplacementPolicy",
-    "LRUPolicy",
-    "RandomPolicy",
-    "make_policy",
-    "CacheHierarchy",
-    "HierarchyOutcome",
-    "MemoryLevel",
-    "SectoredTagArray",
-    "LogicalSectoredTagArray",
-    "SectorState",
-    "DecoupledSectoredCache",
-    "CacheStatistics",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "block": (
+            "align_down",
+            "block_address",
+            "block_index_in_region",
+            "blocks_per_region",
+            "is_power_of_two",
+            "region_base",
+        ),
+        "cache": ("AccessOutcome", "CacheLine", "EvictedLine", "SetAssociativeCache"),
+        "replacement": ("ReplacementPolicy", "LRUPolicy", "RandomPolicy", "make_policy"),
+        "hierarchy": ("CacheHierarchy", "HierarchyOutcome", "MemoryLevel"),
+        "sectored": ("SectoredTagArray", "LogicalSectoredTagArray", "SectorState"),
+        "decoupled": ("DecoupledSectoredCache",),
+        "stats": ("CacheStatistics",),
+    },
+)

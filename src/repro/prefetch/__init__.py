@@ -17,22 +17,16 @@ baseline, plus the baselines themselves:
   correlation approaches of the related-work section.
 """
 
-from repro.prefetch.base import NullPrefetcher, Prefetcher, PrefetcherResponse, PrefetchRequest
-from repro.prefetch.ghb import GHBConfig, GlobalHistoryBuffer
-from repro.prefetch.stride import StridePrefetcher
-from repro.prefetch.nextline import NextLinePrefetcher
-from repro.prefetch.oracle import OracleSpatialPredictor
-from repro.prefetch.temporal import TemporalCorrelationPrefetcher
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Prefetcher",
-    "PrefetcherResponse",
-    "PrefetchRequest",
-    "NullPrefetcher",
-    "GlobalHistoryBuffer",
-    "GHBConfig",
-    "StridePrefetcher",
-    "NextLinePrefetcher",
-    "OracleSpatialPredictor",
-    "TemporalCorrelationPrefetcher",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "base": ("Prefetcher", "PrefetcherResponse", "PrefetchRequest", "NullPrefetcher"),
+        "ghb": ("GlobalHistoryBuffer", "GHBConfig"),
+        "stride": ("StridePrefetcher",),
+        "nextline": ("NextLinePrefetcher",),
+        "oracle": ("OracleSpatialPredictor",),
+        "temporal": ("TemporalCorrelationPrefetcher",),
+    },
+)

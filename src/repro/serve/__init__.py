@@ -18,34 +18,24 @@ Start a server from the command line with ``repro.cli serve`` and talk to
 it with ``repro.cli submit`` or :class:`ServeClient`.
 """
 
-from repro.serve.client import ServeClient, ServeError
-from repro.serve.pool import WorkerPool, WorkerSettings
-from repro.serve.protocol import (
-    BAD_REQUEST,
-    BUSY,
-    JOB_FAILED,
-    MAX_LINE,
-    POISONED,
-    TASK_TIMEOUT,
-    VERBS,
-    WORKER_LOST,
-    ProtocolError,
-)
-from repro.serve.server import SimulationServer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ServeClient",
-    "ServeError",
-    "WorkerPool",
-    "WorkerSettings",
-    "SimulationServer",
-    "ProtocolError",
-    "VERBS",
-    "MAX_LINE",
-    "BAD_REQUEST",
-    "BUSY",
-    "JOB_FAILED",
-    "POISONED",
-    "TASK_TIMEOUT",
-    "WORKER_LOST",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "client": ("ServeClient", "ServeError"),
+        "pool": ("WorkerPool", "WorkerSettings"),
+        "server": ("SimulationServer",),
+        "protocol": (
+            "ProtocolError",
+            "VERBS",
+            "MAX_LINE",
+            "BAD_REQUEST",
+            "BUSY",
+            "JOB_FAILED",
+            "POISONED",
+            "TASK_TIMEOUT",
+            "WORKER_LOST",
+        ),
+    },
+)

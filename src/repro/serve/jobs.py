@@ -24,6 +24,7 @@ import dataclasses
 from enum import Enum
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
+from repro._lazy import preload_simulation
 from repro.analysis.coverage import coverage_from_result
 from repro.analysis.reporting import ResultTable
 from repro.experiments import (
@@ -40,10 +41,18 @@ from repro.experiments import (
 )
 from repro.experiments import common
 from repro.serve.protocol import BAD_REQUEST, TRACE_FIELD, VERBS, ProtocolError
-from repro.simulation import SimulationConfig, SimulationEngine, TimingModel
+from repro.prefetch.registry import PREFETCHER_CHOICES
+from repro.simulation.config import SimulationConfig
+from repro.simulation.engine import SimulationEngine
 from repro.simulation.result_cache import SweepResultCache
+from repro.simulation.timing import TimingModel
 from repro.trace.binary import LaneTrace
 from repro.workloads.suite import APPLICATION_NAMES, make_workload
+
+# This module is what a pool worker runs, and the front-end imports it before
+# the pool forks: load every selectable prefetcher now, so the first request
+# of any kind imports nothing.
+preload_simulation()
 
 #: Upper bounds keeping one request from monopolising a worker forever.
 MAX_CPUS = 64
@@ -69,8 +78,6 @@ def run_simulate(
     the workload is generated once into lanes and both engine runs replay
     them (the CLI streams instead, to stay O(chunk) on unbounded lengths).
     """
-    from repro.cli import PREFETCHER_CHOICES
-
     stream = make_workload(
         workload, num_cpus=cpus, accesses_per_cpu=accesses_per_cpu, seed=seed
     )
@@ -252,8 +259,6 @@ def normalize(request: Mapping[str, Any]) -> Dict[str, Any]:
     }
 
     if verb == "simulate":
-        from repro.cli import PREFETCHER_CHOICES
-
         _reject_unknown(params, ("workload", "prefetcher", "cpus", "accesses_per_cpu", "seed"))
         return {
             "verb": verb,

@@ -43,7 +43,7 @@ from repro.serve.protocol import (
     WORKER_LOST,
     ProtocolError,
 )
-from repro.simulation.engine import absorb_engine_path_counts
+from repro.simulation.census import absorb_engine_path_counts, engine_path_counts
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,6 @@ def _worker_main(conn, index: int, settings: WorkerSettings) -> None:
     from repro._env import export as export_env
     from repro.experiments.common import set_trace_cache
     from repro.serve import jobs
-    from repro.simulation.engine import engine_path_counts
     from repro.simulation.result_cache import (
         CACHE_DIR_ENV,
         SweepResultCache,
@@ -197,6 +196,11 @@ class WorkerPool:
         if self._started:
             return self
         self._started = True
+        # What a worker runs — the job registry, and with it the engine, the
+        # workload generators and every prefetcher — is imported here, before
+        # the fork, so no worker pays an import on its first request.
+        from repro.serve import jobs  # noqa: F401
+
         for index in range(self.num_workers):
             self._spawn(index)
         return self

@@ -64,7 +64,7 @@ from repro.serve.protocol import (
     ok_response,
 )
 from repro.serve.pool import WorkerPool
-from repro.simulation.engine import engine_path_counts
+from repro.simulation.census import engine_path_counts
 from repro.simulation.result_cache import SweepResultCache
 
 
@@ -124,6 +124,8 @@ class SimulationServer:
         self._inflight: Dict[str, "asyncio.Task[Any]"] = {}
         self._executor: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self._started_at = 0.0
+        # The census is per process; ``status`` reports this server's share.
+        self._engine_before = engine_path_counts()
         # Observability: the per-verb families are bound now (against the
         # registry active at construction) so every request costs two O(1)
         # child lookups; level gauges are refreshed by a scrape-time
@@ -466,7 +468,7 @@ class SimulationServer:
             "cache": cache_stats,
             # Engine runs by path, as the pool workers reported them with
             # each job: how many took the lane loop, how many fell back, why.
-            "engine": engine_path_counts(),
+            "engine": engine_path_counts(since=self._engine_before),
             "pool": pool_stats,
             "pool_depth": {
                 "workers": workers,

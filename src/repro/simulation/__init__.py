@@ -13,55 +13,33 @@ multiprocessing workers, memoizing completed task results through a
 :class:`~repro.simulation.result_cache.SweepResultCache`.
 """
 
-from repro.simulation.config import MachineConfig, SimulationConfig
-from repro.simulation.engine import SimulationEngine, SimulationResult
-from repro.simulation.timing import TimingModel, TimingResult
-from repro.simulation.breakdown import BreakdownCategory, ExecutionBreakdown
-from repro.simulation.result_cache import (
-    CacheStats,
-    SweepResultCache,
-    default_cache,
-    quarantine_file,
-    set_default_cache,
-)
-from repro.simulation.journal import SweepJournal, journal_path
-from repro.simulation.sampling import ConfidenceInterval, SampledMeasurement, paired_speedup
-from repro.simulation.sweep import (
-    FailedPoint,
-    SweepPolicy,
-    SweepRunner,
-    SweepTask,
-    default_policy,
-    last_sweep_report,
-    set_default_policy,
-    sweep_map,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CacheStats",
-    "SweepResultCache",
-    "default_cache",
-    "quarantine_file",
-    "set_default_cache",
-    "SweepJournal",
-    "journal_path",
-    "MachineConfig",
-    "SimulationConfig",
-    "SimulationEngine",
-    "SimulationResult",
-    "TimingModel",
-    "TimingResult",
-    "BreakdownCategory",
-    "ExecutionBreakdown",
-    "ConfidenceInterval",
-    "SampledMeasurement",
-    "paired_speedup",
-    "FailedPoint",
-    "SweepPolicy",
-    "SweepRunner",
-    "SweepTask",
-    "default_policy",
-    "last_sweep_report",
-    "set_default_policy",
-    "sweep_map",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "result_cache": (
+            "CacheStats",
+            "SweepResultCache",
+            "default_cache",
+            "quarantine_file",
+            "set_default_cache",
+        ),
+        "journal": ("SweepJournal", "journal_path"),
+        "config": ("MachineConfig", "SimulationConfig"),
+        "engine": ("SimulationEngine", "SimulationResult"),
+        "timing": ("TimingModel", "TimingResult"),
+        "breakdown": ("BreakdownCategory", "ExecutionBreakdown"),
+        "sampling": ("ConfidenceInterval", "SampledMeasurement", "paired_speedup"),
+        "sweep": (
+            "FailedPoint",
+            "SweepPolicy",
+            "SweepRunner",
+            "SweepTask",
+            "default_policy",
+            "last_sweep_report",
+            "set_default_policy",
+            "sweep_map",
+        ),
+    },
+)

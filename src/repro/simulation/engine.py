@@ -49,6 +49,12 @@ from repro.interconnect.traffic import BandwidthAccountant, TrafficClass
 from repro.memory.cache import DIRTY, PREFETCHED, USED, EvictedLine
 from repro.memory.hierarchy import MemoryLevel
 from repro.prefetch.base import NullPrefetcher, Prefetcher
+from repro.simulation.census import (  # noqa: F401 - the census's long-standing import path
+    FALLBACK_REASONS,
+    absorb_engine_path_counts,
+    engine_path_counts,
+    format_engine_path_counts,
+)
 from repro.simulation.config import SimulationConfig
 from repro.trace.record import ExecutionMode, MemoryAccess
 from repro.trace.stream import (
@@ -111,78 +117,22 @@ class _TelemetryProbe:
         })
 
 
-#: Why a run took the reference loop instead of the lane loop.  The input
-#: type is never a reason: any trace can be transposed into lanes.
-FALLBACK_REASONS = ("disabled", "replacement", "prefetcher")
-
-
-def _runs_counter():
-    return obs.counter(
-        "repro_engine_runs_total",
-        "Engine runs by simulation path (lanes fast path vs reference loop).",
-        labels=("path",),
-    )
-
-
-def _fallback_counter():
-    return obs.counter(
-        "repro_engine_fallback_total",
-        "Reference-path engine runs by the reason the lane loop was vetoed.",
-        labels=("reason",),
-    )
-
-
 def _flush_engine_metrics(path: str, records: int, fallback_reason: Optional[str]) -> None:
-    """One batched metrics flush per engine run.
+    """One batched census + metrics flush per engine run.
 
     Called after the chunk loop — mirroring the per-chunk stat tallies,
     nothing observable happens per record — so the lane fast path pays a
     handful of dict operations per *run* for its instrumentation.
     """
-    _runs_counter().labels(path).inc()
-    if fallback_reason is not None:
-        _fallback_counter().labels(fallback_reason).inc()
+    absorb_engine_path_counts(
+        {path: 1} if fallback_reason is None else {path: 1, f"fallback:{fallback_reason}": 1}
+    )
     if records:
         obs.counter(
             "repro_engine_records_total",
             "Trace records simulated (warmup + measurement), by path.",
             labels=("path",),
         ).labels(path).inc(records)
-
-
-def engine_path_counts(since: Optional[Dict[str, int]] = None) -> Dict[str, int]:
-    """Engine runs counted in this process: ``lanes``, ``reference``, and one
-    ``fallback:<reason>`` entry per veto reason — less an earlier snapshot
-    when ``since`` is given.  All zero under ``REPRO_OBS=0``."""
-    runs, fallbacks = _runs_counter(), _fallback_counter()
-    counts = {path: int(runs.labels(path).value) for path in ("lanes", "reference")}
-    for reason in FALLBACK_REASONS:
-        counts[f"fallback:{reason}"] = int(fallbacks.labels(reason).value)
-    if since is not None:
-        counts = {key: value - since.get(key, 0) for key, value in counts.items()}
-    return counts
-
-
-def format_engine_path_counts(counts: Dict[str, int]) -> str:
-    """``engine: N lanes / M reference`` plus, when any run fell back, why."""
-    reasons = ", ".join(
-        f"{count} {key.partition(':')[2]}"
-        for key, count in counts.items()
-        if count and key.startswith("fallback:")
-    )
-    note = f"engine: {counts['lanes']} lanes / {counts['reference']} reference"
-    return f"{note} ({reasons})" if reasons else note
-
-
-def absorb_engine_path_counts(counts: Dict[str, int]) -> None:
-    """Add the engine runs a child process made (its :func:`engine_path_counts`
-    over one task) to this process's counters, so a parallel sweep's parent
-    and the serve front-end report the runs their workers made."""
-    runs, fallbacks = _runs_counter(), _fallback_counter()
-    for key, value in counts.items():
-        if value > 0:
-            family, _, label = key.rpartition(":")
-            (fallbacks if family else runs).labels(label).inc(value)
 
 
 #: A factory building the prefetcher for one CPU.

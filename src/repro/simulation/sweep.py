@@ -36,7 +36,6 @@ in without code changes.
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
 import pickle
 import signal
@@ -48,7 +47,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 
 from repro import _env, faults, obs
 from repro.obs import trace
-from repro.simulation.engine import absorb_engine_path_counts, engine_path_counts
+from repro.simulation.census import absorb_engine_path_counts, engine_path_counts
 from repro.simulation.journal import SweepJournal
 from repro.simulation.result_cache import SweepResultCache, default_cache, remove_temp_files
 
@@ -304,6 +303,13 @@ class SweepRunner:
         retries left, lost to a timed-out/hung worker, or never started
         because pool infrastructure failed) — the caller finishes them
         serially in the parent."""
+        # Only a sweep with points left to fork for pays for multiprocessing,
+        # and the workers inherit the engine instead of importing it once each.
+        import multiprocessing
+
+        from repro._lazy import preload_simulation
+
+        preload_simulation()
         completed: set = set()
         retry: List[Tuple[int, int]] = []
         timed_out = False

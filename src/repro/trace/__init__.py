@@ -36,54 +36,33 @@ readable without decompression).  See :mod:`repro.trace.binary` for the full
 specification.
 """
 
-from repro.trace.record import AccessType, ExecutionMode, MemoryAccess
-from repro.trace.stream import (
-    ChunkedTraceStream,
-    GeneratedTrace,
-    InterleavedTrace,
-    MaterializedTrace,
-    TraceStream,
-    iter_chunks,
-    lane_chunk_iterator,
-    resolve_warmup_count,
-    stream_length_hint,
-)
-from repro.trace.binary import (
-    BinaryTraceStream,
-    LaneChunk,
-    LaneTrace,
-    decode_record_lanes,
-    is_binary_trace,
-    read_trace_binary,
-    write_trace_binary,
-)
-from repro.trace.reader import FileTraceStream, read_trace, stream_trace, write_trace
-from repro.trace.stats import TraceStatistics, summarize_trace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AccessType",
-    "ExecutionMode",
-    "MemoryAccess",
-    "TraceStream",
-    "MaterializedTrace",
-    "GeneratedTrace",
-    "InterleavedTrace",
-    "ChunkedTraceStream",
-    "iter_chunks",
-    "lane_chunk_iterator",
-    "resolve_warmup_count",
-    "stream_length_hint",
-    "FileTraceStream",
-    "BinaryTraceStream",
-    "LaneChunk",
-    "LaneTrace",
-    "decode_record_lanes",
-    "is_binary_trace",
-    "read_trace",
-    "read_trace_binary",
-    "stream_trace",
-    "write_trace",
-    "write_trace_binary",
-    "TraceStatistics",
-    "summarize_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "record": ("AccessType", "ExecutionMode", "MemoryAccess"),
+        "stream": (
+            "TraceStream",
+            "MaterializedTrace",
+            "GeneratedTrace",
+            "InterleavedTrace",
+            "ChunkedTraceStream",
+            "iter_chunks",
+            "lane_chunk_iterator",
+            "resolve_warmup_count",
+            "stream_length_hint",
+        ),
+        "reader": ("FileTraceStream", "read_trace", "stream_trace", "write_trace"),
+        "binary": (
+            "BinaryTraceStream",
+            "LaneChunk",
+            "LaneTrace",
+            "decode_record_lanes",
+            "is_binary_trace",
+            "read_trace_binary",
+            "write_trace_binary",
+        ),
+        "stats": ("TraceStatistics", "summarize_trace"),
+    },
+)

@@ -22,35 +22,22 @@ characterised by in the paper:
   large working-set streaming kernel.
 """
 
-from repro.workloads.base import SyntheticWorkload, WorkloadMetadata, AddressSpace, FootprintLibrary
-from repro.workloads.oltp import OLTPWorkload
-from repro.workloads.dss import DSSQueryWorkload
-from repro.workloads.web import WebServerWorkload
-from repro.workloads.scientific import Em3dWorkload, OceanWorkload, SparseWorkload
-from repro.workloads.suite import (
-    APPLICATION_NAMES,
-    CATEGORIES,
-    all_workloads,
-    make_workload,
-    representative_workloads,
-    workloads_by_category,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SyntheticWorkload",
-    "WorkloadMetadata",
-    "AddressSpace",
-    "FootprintLibrary",
-    "OLTPWorkload",
-    "DSSQueryWorkload",
-    "WebServerWorkload",
-    "Em3dWorkload",
-    "OceanWorkload",
-    "SparseWorkload",
-    "APPLICATION_NAMES",
-    "CATEGORIES",
-    "make_workload",
-    "all_workloads",
-    "workloads_by_category",
-    "representative_workloads",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "base": ("SyntheticWorkload", "WorkloadMetadata", "AddressSpace", "FootprintLibrary"),
+        "oltp": ("OLTPWorkload",),
+        "dss": ("DSSQueryWorkload",),
+        "web": ("WebServerWorkload",),
+        "scientific": ("Em3dWorkload", "OceanWorkload", "SparseWorkload"),
+        "names": ("APPLICATION_NAMES", "CATEGORIES"),
+        "suite": (
+            "make_workload",
+            "all_workloads",
+            "workloads_by_category",
+            "representative_workloads",
+        ),
+    },
+)

@@ -8,31 +8,20 @@ studies (Figures 6-10), which the paper reports per category.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.workloads.base import SyntheticWorkload
 from repro.workloads.dss import DSSQueryWorkload
+from repro.workloads.names import (  # noqa: F401 - the suite's public names live in the data-only module
+    APPLICATION_NAMES,
+    CATEGORIES,
+    CATEGORY_REPRESENTATIVE,
+    category_members,
+    category_of,
+)
 from repro.workloads.oltp import OLTPWorkload
 from repro.workloads.scientific import Em3dWorkload, OceanWorkload, SparseWorkload
 from repro.workloads.web import WebServerWorkload
-
-#: Category names in the paper's presentation order.
-CATEGORIES: List[str] = ["OLTP", "DSS", "Web", "Scientific"]
-
-#: Application names in the paper's presentation order (Table 1 / Figure 11).
-APPLICATION_NAMES: List[str] = [
-    "oltp-db2",
-    "oltp-oracle",
-    "dss-qry1",
-    "dss-qry2",
-    "dss-qry16",
-    "dss-qry17",
-    "web-apache",
-    "web-zeus",
-    "em3d",
-    "ocean",
-    "sparse",
-]
 
 _FACTORIES: Dict[str, Callable[..., SyntheticWorkload]] = {
     "oltp-db2": lambda **kw: OLTPWorkload(variant="db2", **kw),
@@ -46,21 +35,6 @@ _FACTORIES: Dict[str, Callable[..., SyntheticWorkload]] = {
     "em3d": lambda **kw: Em3dWorkload(**kw),
     "ocean": lambda **kw: OceanWorkload(**kw),
     "sparse": lambda **kw: SparseWorkload(**kw),
-}
-
-_CATEGORY_MEMBERS: Dict[str, List[str]] = {
-    "OLTP": ["oltp-db2", "oltp-oracle"],
-    "DSS": ["dss-qry1", "dss-qry2", "dss-qry16", "dss-qry17"],
-    "Web": ["web-apache", "web-zeus"],
-    "Scientific": ["em3d", "ocean", "sparse"],
-}
-
-#: The application used to represent its category in class-level studies.
-_REPRESENTATIVES: Dict[str, str] = {
-    "OLTP": "oltp-db2",
-    "DSS": "dss-qry2",
-    "Web": "web-apache",
-    "Scientific": "ocean",
 }
 
 
@@ -80,29 +54,12 @@ def all_workloads(**overrides) -> List[SyntheticWorkload]:
 def workloads_by_category(category: str, **overrides) -> List[SyntheticWorkload]:
     """Build every application of one category (``"OLTP"``, ``"DSS"``, ``"Web"``,
     ``"Scientific"``)."""
-    if category not in _CATEGORY_MEMBERS:
-        raise ValueError(f"unknown category {category!r}; choose from {CATEGORIES}")
-    return [make_workload(name, **overrides) for name in _CATEGORY_MEMBERS[category]]
-
-
-def category_members(category: str) -> List[str]:
-    """Return the application names belonging to ``category``."""
-    if category not in _CATEGORY_MEMBERS:
-        raise ValueError(f"unknown category {category!r}; choose from {CATEGORIES}")
-    return list(_CATEGORY_MEMBERS[category])
+    return [make_workload(name, **overrides) for name in category_members(category)]
 
 
 def representative_workloads(**overrides) -> Dict[str, SyntheticWorkload]:
     """One representative application per category (used by Figures 6-10)."""
     return {
         category: make_workload(name, **overrides)
-        for category, name in _REPRESENTATIVES.items()
+        for category, name in CATEGORY_REPRESENTATIVE.items()
     }
-
-
-def category_of(name: str) -> Optional[str]:
-    """Return the category an application belongs to, or None if unknown."""
-    for category, members in _CATEGORY_MEMBERS.items():
-        if name in members:
-            return category
-    return None

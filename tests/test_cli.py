@@ -66,10 +66,25 @@ class TestParser:
         assert "fig11" in EXPERIMENT_CHOICES
         assert "tab01" in EXPERIMENT_CHOICES
 
+    def test_every_experiment_choice_names_a_runner_module(self):
+        from importlib import import_module
+
+        for module in EXPERIMENT_CHOICES.values():
+            assert callable(import_module(f"repro.experiments.{module}").run)
+
     def test_prefetcher_choices_instantiate(self):
         for name, factory in PREFETCHER_CHOICES.items():
             prefetcher = factory()(0)
             assert prefetcher is not None
+
+    def test_one_prefetcher_table_for_every_front_end(self):
+        from repro.experiments import common
+        from repro.prefetch import registry
+        from repro.serve import jobs
+
+        assert PREFETCHER_CHOICES is registry.PREFETCHER_CHOICES is jobs.PREFETCHER_CHOICES
+        for helper in ("null_factory", "sms_factory", "ghb_factory", "stride_factory"):
+            assert getattr(common, helper) is getattr(registry, helper)
 
 
 class TestSimulateCommand:

@@ -87,6 +87,35 @@ def test_counts_format_and_absorb_round_trip():
     )
 
 
+def test_census_counts_without_obs():
+    """``REPRO_OBS=0`` installs a NullRegistry that drops every counter; the
+    census is the answer to "which path did this run take" and must not."""
+    previous = obs.install_registry(obs.NullRegistry())
+    try:
+        before = engine_path_counts()
+        workload = make_workload("oltp-db2", num_cpus=1, accesses_per_cpu=200, seed=1)
+        config = SimulationConfig.small(num_cpus=1)
+        SimulationEngine(config).run(workload)
+        SimulationEngine(config).run(workload, lanes=False)
+        runs = engine_path_counts(since=before)
+    finally:
+        obs.install_registry(previous)
+    assert format_engine_path_counts(runs) == "engine: 1 lanes / 1 reference (1 disabled)"
+
+
+def test_census_is_mirrored_into_the_obs_counters():
+    previous = obs.install_registry(obs.Registry())
+    try:
+        absorb_engine_path_counts({"lanes": 2, "reference": 1, "fallback:replacement": 1})
+        metrics = obs.render_json()["metrics"]
+    finally:
+        obs.install_registry(previous)
+    runs = {s["labels"]["path"]: s["value"] for s in metrics["repro_engine_runs_total"]["samples"]}
+    assert runs == {"lanes": 2, "reference": 1}
+    (fallback,) = metrics["repro_engine_fallback_total"]["samples"]
+    assert (fallback["labels"], fallback["value"]) == ({"reason": "replacement"}, 1)
+
+
 def test_engine_run_span_carries_path_and_reason(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.setenv(obs_trace.TRACE_ENV_VAR, "on")

@@ -15,6 +15,19 @@ from repro.workloads.suite import (
 
 
 class TestRegistry:
+    def test_data_only_names_match_the_factories(self):
+        # argparse ``choices`` and request validation read repro.workloads.names
+        # without importing a generator; the suite's factories are the truth.
+        from repro.workloads import names, suite
+
+        assert names.APPLICATION_NAMES == list(suite._FACTORIES)
+        assert suite.APPLICATION_NAMES is names.APPLICATION_NAMES
+        assert suite.CATEGORIES is names.CATEGORIES
+        for name in names.APPLICATION_NAMES:
+            workload = make_workload(name, num_cpus=1, accesses_per_cpu=10)
+            assert workload.metadata.category == names.category_of(name)
+        assert set(names.CATEGORY_REPRESENTATIVE) == set(names.CATEGORIES)
+
     def test_eleven_applications(self):
         assert len(APPLICATION_NAMES) == 11
 
