@@ -96,6 +96,7 @@ def _extract_metrics(report: dict) -> dict:
         "lanes_rps": _dig(report, ("lanes_vs_reference", "lanes", "records_per_second")),
         "reference_rps": _dig(report, ("lanes_vs_reference", "reference", "records_per_second")),
         "decode_binary_rps": _dig(report, ("decode", "binary", "records_per_second")),
+        "generate_oltp_rps": _dig(report, ("generate", "oltp-db2", "records_per_second")),
         "obs_overhead_pct": _dig(report, ("obs_overhead", "overhead_pct")),
         "trace_overhead_pct": _dig(report, ("trace_overhead", "overhead_pct")),
     }

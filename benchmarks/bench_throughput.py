@@ -3,6 +3,9 @@
 Emits ``BENCH_engine.json`` so the performance trajectory of the hot paths
 is tracked from PR to PR.  Sections:
 
+* **generate** — records/second for generating one application of each
+  workload family straight into lanes (CPU-time based), the layer in front
+  of trace decode on every cold figure point and uncached serve request;
 * **decode** — records/second for fully materializing every record of the
   same trace through the text reader and the binary reader (plain and gzip),
   plus the binary/text speedup;
@@ -47,6 +50,7 @@ from repro.core import SMSConfig, SpatialMemoryStreaming  # noqa: E402
 from repro.simulation.config import SimulationConfig  # noqa: E402
 from repro.simulation.engine import SimulationEngine  # noqa: E402
 from repro.simulation.result_cache import SweepResultCache, set_default_cache  # noqa: E402
+from repro.trace.binary import LaneTrace  # noqa: E402
 from repro.trace.reader import stream_trace, write_trace  # noqa: E402
 from repro.workloads import make_workload  # noqa: E402
 
@@ -75,6 +79,29 @@ def _generate_trace(records: int, directory: Path) -> dict:
         "generate_and_write_text_seconds": round(generate_seconds, 3),
         "sizes_bytes": {key: path.stat().st_size for key, path in paths.items()},
     }
+
+
+#: One application per workload family (the class-level studies' representatives).
+GENERATED_APPLICATIONS = ("oltp-db2", "dss-qry2", "web-apache", "ocean")
+
+
+def bench_generate(records: int) -> dict:
+    """Generate each family's representative into lanes; best of three, CPU time."""
+    per_cpu = max(1, records // NUM_CPUS)
+    result = {"records": per_cpu * NUM_CPUS}
+    for name in GENERATED_APPLICATIONS:
+        best = float("inf")
+        for seed in (17, 18, 19):
+            workload = make_workload(name, num_cpus=NUM_CPUS, accesses_per_cpu=per_cpu, seed=seed)
+            start = time.process_time()
+            count = len(LaneTrace.from_records(workload))
+            best = min(best, time.process_time() - start)
+        result[name] = {
+            "cpu_seconds": round(best, 3),
+            "records_per_second": round(count / best),
+            "us_per_record": round(best / count * 1e6, 2),
+        }
+    return result
 
 
 def _time_decode(path: Path, expected: int) -> float:
@@ -327,6 +354,8 @@ def main(argv=None) -> int:
         directory = Path(tmp)
         print(f"generating {args.records:,}-record trace ...", flush=True)
         trace = _generate_trace(args.records, directory)
+        print("benchmarking generation ...", flush=True)
+        generate = bench_generate(args.sim_records)
         print("benchmarking decode ...", flush=True)
         decode = bench_decode(trace)
         print("benchmarking engine ...", flush=True)
@@ -352,6 +381,7 @@ def main(argv=None) -> int:
                 "records": trace["records"],
                 "sizes_bytes": trace["sizes_bytes"],
             },
+            "generate": generate,
             "decode": decode,
             "engine": engine,
             "lanes_vs_reference": lanes_vs_reference,

@@ -72,11 +72,13 @@ the lane fast path spills into ``core/sms.py`` and ``trace/stream.py``)
   packed directory word into a ``DirectoryEntry`` / ``CoherenceActions``,
   or a packed SMS state word into a ``GenerationRecord`` / ``AGTEvent`` /
   ``TriggerInfo`` / ``PredictionRegister`` / ``StreamRequest`` /
-  ``SpatialPattern`` reintroduces the per-record allocation the lane path
-  removes.
+  ``SpatialPattern``, or boxing a *generated* access (``make_access(...)``,
+  ``record._replace(...)``) in a workload's batch producer reintroduces the
+  per-record allocation the lane path removes.
   Lane-path functions are those named ``*lane*`` (``_step_lanes``,
-  ``LaneTrace.iter_lane_chunks``), closures nested in them, and the
-  ``from_records`` builders of lane-named classes.
+  ``LaneTrace.iter_lane_chunks``, a workload's ``lane_batches`` and
+  ``lane_writer``), closures nested in them, and the ``from_records``
+  builders of lane-named classes.
 
 **EXC — exception discipline**
 

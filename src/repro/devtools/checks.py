@@ -450,6 +450,11 @@ BOXED_RECORD_CONSTRUCTORS = frozenset(
 #: function defeats the point of having lanes at all.
 BOX_ESCAPE_METHODS = frozenset({"record", "records"})
 
+#: Calls that box one *generated* record: the keyword record builder the
+#: workload generators had before they wrote rows into lane columns, and the
+#: namedtuple copy that re-stamped its instruction count.
+ROW_BOXING_CALLS = frozenset({"make_access", "_replace"})
+
 #: Receiver-name substrings that mark the receiver as a lane chunk, so that
 #: ``chunk.records()`` is a finding while ``self.result.traffic.record(x)``
 #: (a stats call) is not.
@@ -469,11 +474,13 @@ class LaneBoxing(_HotRule):
         "back into a CacheLine, a packed directory word into a "
         "DirectoryEntry / CoherenceActions, or a packed AGT / PHT / "
         "prediction-register word into a GenerationRecord / AGTEvent / "
-        "TriggerInfo / PredictionRegister / StreamRequest / SpatialPattern "
+        "TriggerInfo / PredictionRegister / StreamRequest / SpatialPattern, "
+        "or building a generated access with make_access() / copying one "
+        "with ._replace() in a workload's batch producer "
         "reintroduces exactly the per-record allocation the fast path was "
         "built to remove — operate on the flat integer lanes, flag ints, "
-        "directory words and SMS state words, or hand the chunk to the boxed "
-        "reference path."
+        "directory words, SMS state words and batch columns, or hand the "
+        "chunk to the boxed reference path."
     )
     example_bad = "def _step_lanes(...):\n    for r in chunk.records(): ..."
     example_fix = "for i in range(len(chunk)): use chunk.pc[i], chunk.address[i], ..."
@@ -508,6 +515,12 @@ class LaneBoxing(_HotRule):
                         ctx, node,
                         f"boxed record construction {dotted}() inside lane "
                         "function; the lane path must not allocate records",
+                    )
+                elif last in ROW_BOXING_CALLS:
+                    yield self.finding(
+                        ctx, node,
+                        f"per-record boxing call {last}() inside lane "
+                        "function; write the row into the batch columns",
                     )
 
 

@@ -300,6 +300,35 @@ def _read_header(handle: IO[bytes], path: Path) -> tuple:
     return flags, record_count
 
 
+def _write_checked_records(payload: IO[bytes], records: Iterable[MemoryAccess]) -> int:
+    """Pack boxed records into ``payload`` in batches, range-checking each."""
+    count = 0
+    pack = RECORD.pack
+    batch: List[bytes] = []
+    append = batch.append
+    for record in records:
+        pc, address, code, cpu, icount = record
+        if not (0 <= pc <= _MAX_U64 and 0 <= address <= _MAX_U64
+                and 0 <= icount <= _MAX_U64):
+            raise ValueError(
+                f"record {count}: field outside the unsigned 64-bit range "
+                f"(pc={pc:#x}, address={address:#x}, "
+                f"instruction_count={icount})"
+            )
+        if not 0 <= cpu <= _MAX_U16:
+            raise ValueError(
+                f"record {count}: cpu {cpu} outside the unsigned 16-bit range"
+            )
+        append(pack(pc, address, code, cpu, icount))
+        count += 1
+        if len(batch) >= _BATCH_RECORDS:
+            payload.write(b"".join(batch))
+            batch.clear()
+    if batch:
+        payload.write(b"".join(batch))
+    return count
+
+
 def write_trace_binary(
     path: Union[str, Path],
     records: Iterable[MemoryAccess],
@@ -308,17 +337,20 @@ def write_trace_binary(
     """Write ``records`` to ``path`` in the binary format; return the count.
 
     ``records`` is consumed lazily in batches, so streams of any length can
-    be written in O(batch) memory.  ``compress`` defaults to the file name
-    (``.gz`` suffix); the header stays uncompressed either way so the record
-    count can be patched in after the stream has been consumed.  Output is
-    byte-for-byte deterministic (the gzip member carries no timestamp).
+    be written in O(batch) memory.  A lane-native source (``iter_lane_chunks``:
+    a :class:`LaneTrace`, a synthetic workload, another ``.strc`` stream) is
+    packed straight from its columns, which are in range by construction;
+    anything else is unpacked and range-checked record by record.
+    ``compress`` defaults to the file name (``.gz`` suffix); the header stays
+    uncompressed either way so the record count can be patched in after the
+    stream has been consumed.  Output is byte-for-byte deterministic (the
+    gzip member carries no timestamp) and the same for either kind of source.
     """
     path = Path(path)
     if compress is None:
         compress = path.suffix == ".gz"
     flags = FLAG_GZIP if compress else 0
     count = 0
-    pack = RECORD.pack
     with path.open("wb") as raw:
         raw.write(HEADER.pack(MAGIC, VERSION, flags, UNKNOWN_COUNT))
         payload: IO[bytes] = (
@@ -327,28 +359,16 @@ def write_trace_binary(
             else raw
         )
         try:
-            batch: List[bytes] = []
-            append = batch.append
-            for record in records:
-                pc, address, code, cpu, icount = record
-                if not (0 <= pc <= _MAX_U64 and 0 <= address <= _MAX_U64
-                        and 0 <= icount <= _MAX_U64):
-                    raise ValueError(
-                        f"record {count}: field outside the unsigned 64-bit range "
-                        f"(pc={pc:#x}, address={address:#x}, "
-                        f"instruction_count={icount})"
-                    )
-                if not 0 <= cpu <= _MAX_U16:
-                    raise ValueError(
-                        f"record {count}: cpu {cpu} outside the unsigned 16-bit range"
-                    )
-                append(pack(pc, address, code, cpu, icount))
-                count += 1
-                if len(batch) >= _BATCH_RECORDS:
-                    payload.write(b"".join(batch))
-                    batch.clear()
-            if batch:
-                payload.write(b"".join(batch))
+            lane_chunks = getattr(records, "iter_lane_chunks", None)
+            if lane_chunks is None:
+                count = _write_checked_records(payload, records)
+            else:
+                for chunk in lane_chunks(_BATCH_RECORDS):
+                    payload.write(b"".join(map(
+                        RECORD.pack, chunk.pc, chunk.address, chunk.code, chunk.cpu,
+                        chunk.instruction_count,
+                    )))
+                    count += len(chunk)
         finally:
             if compress:
                 payload.close()  # finish the gzip member before patching

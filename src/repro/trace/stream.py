@@ -64,13 +64,13 @@ def lane_chunk_iterator(
 ):
     """Iterate any trace as SoA lane chunks, at most ``limit`` records in all.
 
-    Streams that hold or decode lanes natively (``iter_lane_chunks``: binary
-    trace files, :class:`~repro.trace.binary.LaneTrace`, chunked views over
-    either) hand theirs out.  Everything else — generated workloads, text
-    traces, record lists, plain generators — is read one boxed chunk at a
-    time and transposed with ``LaneChunk.from_records``, so a lazy stream
-    still costs O(chunk) memory and ``limit`` still does finite work on an
-    endless one.
+    Streams that hold, decode or generate lanes natively (``iter_lane_chunks``:
+    binary trace files, :class:`~repro.trace.binary.LaneTrace`, synthetic
+    workloads, chunked views over any of them) hand theirs out.  Everything
+    else — text traces, record lists, plain generators — is read one boxed
+    chunk at a time and transposed with ``LaneChunk.from_records``, so a lazy
+    stream still costs O(chunk) memory and ``limit`` still does finite work
+    on an endless one.
     """
     method = getattr(stream, "iter_lane_chunks", None)
     if method is not None:

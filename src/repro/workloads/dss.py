@@ -22,12 +22,12 @@ once, which is why PC-based indices beat address-based ones (Figure 6).
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator
 
-from repro.trace.record import MemoryAccess
+from repro.trace.record import CODE_WRITE
 from repro.workloads.base import (
     AddressSpace,
-    CpuContext,
+    Batch,
     FootprintLibrary,
     SyntheticWorkload,
     WorkloadMetadata,
@@ -138,103 +138,86 @@ class DSSQueryWorkload(SyntheticWorkload):
         self.footprints.define("os_syscall", [0, 1, 2, 10])
 
     # ------------------------------------------------------------------ #
-    def _scan_page(
-        self,
-        context: CpuContext,
-        base: int,
-        pc_scan: int,
-        write_probability: float = 0.0,
-    ) -> Iterator[MemoryAccess]:
-        """Sweep one 8 kB page: header, then tuples at the table's stride."""
-        rng = context.rng
-        header = self.footprints.sample("page_header", rng, drop_probability=0.02)
-        yield from self.footprint_accesses(context, base, header, pc_base=_PC_SCAN_HEADER)
-        offset = 2
-        while offset < _BLOCKS_PER_PAGE:
-            # The scan touches the first block(s) of every tuple.
-            touched = min(self.tuple_blocks, 2)
-            for extra in range(touched):
-                if offset + extra >= _BLOCKS_PER_PAGE:
-                    break
-                address = base + (offset + extra) * self.block_size
-                write = rng.random() < write_probability
-                yield self.make_access(context, pc=pc_scan + 4 * extra, address=address, write=write)
-            offset += self.tuple_blocks
-
-    def _temp_table_append(self, context: CpuContext, cursor: List[int]) -> Iterator[MemoryAccess]:
-        """Aggregate results: a burst of stores to the (per-CPU) temp table tail."""
-        base = self.space.base("temp_table")
-        size = self.space.size("temp_table")
-        per_cpu = size // max(1, self.num_cpus)
-        cpu_base = base + context.cpu * per_cpu
-        low, high = self.temp_write_blocks
-        blocks = context.rng.randint(low, high) if high > 0 else 0
-        for _ in range(blocks):
-            address = cpu_base + (cursor[0] * self.block_size) % per_cpu
-            cursor[0] += 1
-            yield self.make_access(context, pc=_PC_TEMP_WRITE, address=address, write=True)
-
-    def _hash_probe(self, context: CpuContext) -> Iterator[MemoryAccess]:
-        """Probe one hash bucket: a small fixed footprint at a hashed offset."""
-        rng = context.rng
-        base = self.space.base("hash_table")
-        regions = self.space.size("hash_table") // 2048
-        region = base + rng.randrange(regions) * 2048
-        bucket = rng.randrange(0, 30)
-        offsets = [bucket, bucket + 1]
-        yield from self.footprint_accesses(context, region, offsets, pc_base=_PC_HASH_BUCKET)
-
-    def _os_activity(self, context: CpuContext) -> Iterator[MemoryAccess]:
-        rng = context.rng
-        base = self.space.base("os")
-        pages = self.space.size("os") // _PAGE_SIZE
-        page = rng.randrange(pages)
-        offsets = self.footprints.sample("os_syscall", rng, drop_probability=0.1)
-        yield from self.footprint_accesses(
-            context, base + page * _PAGE_SIZE, offsets, pc_base=0x5F_0000, system=True
-        )
-
-    # ------------------------------------------------------------------ #
-    def cpu_stream(self, context: CpuContext) -> Iterator[MemoryAccess]:
-        rng = context.rng
+    def lane_batches(self, cpu: int, rng: random.Random) -> Iterator[Batch]:
+        """One batch per operator step: a scanned page with its aggregation or
+        hash probes, an OS call, or a piece of residual bookkeeping."""
+        access, footprint, _, take = self.lane_writer(rng)
+        uniform = rng.random
+        randrange = rng.randrange
+        randint = rng.randint
+        sample = self.footprints.sample
+        block_size = self.block_size
         fact_base = self.space.base("fact_table")
         fact_pages = self.space.size("fact_table") // _PAGE_SIZE
         inner_base = self.space.base("inner_table")
         inner_pages = self.space.size("inner_table") // _PAGE_SIZE
         pages_per_cpu = fact_pages // self.num_cpus
-        inner_per_cpu = max(1, inner_pages // self.num_cpus)
+        hash_base = self.space.base("hash_table")
+        hash_regions = self.space.size("hash_table") // 2048
+        temp_per_cpu = self.space.size("temp_table") // max(1, self.num_cpus)
+        temp_base = self.space.base("temp_table") + cpu * temp_per_cpu
+        low_temp, high_temp = self.temp_write_blocks
+        join_limit = self.scan_fraction + self.join_fraction
+        system_limit = join_limit + self.metadata.system_fraction
+        # The scan touches the first block(s) of every tuple: (pc delta, byte offset).
+        tuple_fields = [
+            (4 * extra, (offset + extra) * block_size)
+            for offset in range(2, _BLOCKS_PER_PAGE, self.tuple_blocks)
+            for extra in range(min(self.tuple_blocks, 2))
+            if offset + extra < _BLOCKS_PER_PAGE
+        ]
+        scan_cursor = cpu * pages_per_cpu
+        probe_cursor = cpu * pages_per_cpu
+        build_cursor = cpu * max(1, inner_pages // self.num_cpus)
+        temp_cursor = 0
 
-        scan_cursor = context.cpu * pages_per_cpu
-        probe_cursor = context.cpu * pages_per_cpu
-        build_cursor = context.cpu * inner_per_cpu
-        temp_cursor = [0]
+        def scan_page(base: int, pc_scan: int) -> None:
+            """Sweep one 8 kB page: header, then tuples at the table's stride."""
+            header = sample("page_header", rng, drop_probability=0.02)
+            footprint(base, header, _PC_SCAN_HEADER)
+            for pc_delta, byte_offset in tuple_fields:
+                uniform()  # the scan's write draw: never a write, still one draw per row
+                access(pc_scan + pc_delta, base + byte_offset)
+
+        def temp_table_append() -> None:
+            """Aggregate results: a burst of stores to the (per-CPU) temp table tail."""
+            nonlocal temp_cursor
+            for _ in range(randint(low_temp, high_temp) if high_temp > 0 else 0):
+                access(_PC_TEMP_WRITE, temp_base + temp_cursor * block_size % temp_per_cpu, CODE_WRITE)
+                temp_cursor += 1
+
+        def hash_probe() -> None:
+            """Probe one hash bucket: a small fixed footprint at a hashed offset."""
+            region = hash_base + randrange(hash_regions) * 2048
+            bucket = randrange(0, 30)
+            footprint(region, (bucket, bucket + 1), _PC_HASH_BUCKET)
 
         while True:
-            draw = rng.random()
+            draw = uniform()
             if draw < self.scan_fraction:
                 # Sequential scan of the next fact-table page, then aggregate.
-                base = fact_base + (scan_cursor % fact_pages) * _PAGE_SIZE
+                scan_page(fact_base + (scan_cursor % fact_pages) * _PAGE_SIZE, _PC_SCAN)
                 scan_cursor += 1
-                yield from self._scan_page(context, base, _PC_SCAN)
-                yield from self._temp_table_append(context, temp_cursor)
-            elif draw < self.scan_fraction + self.join_fraction:
-                if rng.random() < 0.4:
+                temp_table_append()
+            elif draw < join_limit:
+                if uniform() < 0.4:
                     # Build: scan an inner-table page and insert into the hash table.
-                    base = inner_base + (build_cursor % inner_pages) * _PAGE_SIZE
+                    scan_page(inner_base + (build_cursor % inner_pages) * _PAGE_SIZE, _PC_BUILD)
                     build_cursor += 1
-                    yield from self._scan_page(context, base, _PC_BUILD)
-                    for _ in range(rng.randint(2, 4)):
-                        yield from self._hash_probe(context)
+                    probes = randint(2, 4)
                 else:
                     # Probe: scan an outer-table page, probing a bucket per tuple group.
-                    base = fact_base + (probe_cursor % fact_pages) * _PAGE_SIZE
+                    scan_page(fact_base + (probe_cursor % fact_pages) * _PAGE_SIZE, _PC_PROBE)
                     probe_cursor += 1
-                    yield from self._scan_page(context, base, _PC_PROBE)
-                    for _ in range(rng.randint(3, 6)):
-                        yield from self._hash_probe(context)
-            elif draw < self.scan_fraction + self.join_fraction + self.metadata.system_fraction:
-                yield from self._os_activity(context)
+                    probes = randint(3, 6)
+                for _ in range(probes):
+                    hash_probe()
+            elif draw < system_limit:
+                page = randrange(self.space.size("os") // _PAGE_SIZE)
+                offsets = sample("os_syscall", rng, drop_probability=0.1)
+                footprint(self.space.base("os") + page * _PAGE_SIZE, offsets, 0x5F_0000, system=True)
             else:
                 # Residual aggregation / bookkeeping work.
-                yield from self._temp_table_append(context, temp_cursor)
-                yield from self._hash_probe(context)
+                temp_table_append()
+                hash_probe()
+            yield take()

@@ -24,10 +24,10 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterator, List, Tuple
 
-from repro.trace.record import MemoryAccess
+from repro.trace.record import CODE_WRITE
 from repro.workloads.base import (
     AddressSpace,
-    CpuContext,
+    Batch,
     FootprintLibrary,
     SyntheticWorkload,
     WorkloadMetadata,
@@ -136,183 +136,104 @@ class OLTPWorkload(SyntheticWorkload):
         self.footprints.define("os_interrupt", [0, 4, 5, 20])
 
     # ------------------------------------------------------------------ #
-    # Address helpers
-    # ------------------------------------------------------------------ #
-    def _page_base(self, page_index: int) -> int:
-        return self.space.base("buffer_pool") + page_index * _PAGE_SIZE
+    def lane_batches(self, cpu: int, rng: random.Random) -> Iterator[Batch]:
+        """One batch per group of concurrent transactions.
 
-    def _pick_data_page(self, rng: random.Random) -> int:
-        # Zipf-ish reuse: a hot subset of pages is revisited frequently, the
-        # rest of the pool is touched uniformly (mirrors TPC-C's skew).
-        if rng.random() < 0.6:
-            hot = max(1, self.buffer_pool_pages // 16)
-            return self.index_pages + rng.randrange(hot)
-        return self.index_pages + rng.randrange(self.buffer_pool_pages - self.index_pages)
-
-    def _pick_index_page(self, rng: random.Random, level: int) -> int:
+        Each operation of a transaction (B-tree descent, data-page visit, lock
+        manager, log append, OS activity) writes its rows in order; the group
+        is then interleaved, because each transaction has several pages
+        "open" at once and the server multiplexes transactions.
+        """
+        access, footprint, end_operation, take = self.lane_writer(rng)
+        uniform = rng.random
+        randrange = rng.randrange
+        randint = rng.randint
+        sample = self.footprints.sample
+        space = self.space
+        block_size = self.block_size
+        pool_base = space.base("buffer_pool")
+        index_pages = self.index_pages
+        hot_pages = max(1, self.buffer_pool_pages // 16)
+        cold_pages = self.buffer_pool_pages - index_pages
+        lock_blocks = space.size("lock_table") // block_size
+        low_pages, high_pages = self.pages_per_transaction
         # Level 0 = root (very hot), deeper levels spread out.
-        spread = min(self.index_pages, 4 ** (level + 1))
-        return rng.randrange(spread)
-
-    # ------------------------------------------------------------------ #
-    # Per-operation access builders (lists, so a transaction can interleave them)
-    # ------------------------------------------------------------------ #
-    def _btree_descent(self, context: CpuContext) -> List[MemoryAccess]:
-        accesses: List[MemoryAccess] = []
-        levels = [("btree_root", 0), ("btree_inner", 1), ("btree_leaf", 2)]
-        for footprint_name, level in levels:
-            page = self._pick_index_page(context.rng, level)
-            base = self._page_base(page)
-            offsets = self.footprints.sample(
-                footprint_name, context.rng, drop_probability=0.1, add_probability=0.004
-            )
-            pc_base = _PC_BTREE_DESCENT + 0x100 * level
-            accesses.extend(
-                self.footprint_accesses(context, base, offsets, pc_base=pc_base)
-            )
-        return accesses
-
-    def _data_page_visit(self, context: CpuContext, write: bool) -> List[MemoryAccess]:
-        rng = context.rng
-        table_index = rng.randrange(len(self._TABLES))
-        _, tuple_blocks, rows_per_visit = self._TABLES[table_index]
-        page = self._pick_data_page(rng)
-        base = self._page_base(page)
-        accesses: List[MemoryAccess] = []
-
-        # Structural accesses: header first, slot index before touching rows.
-        header = self.footprints.sample("page_header", rng, drop_probability=0.05)
-        accesses.extend(self.footprint_accesses(context, base, header, pc_base=_PC_PAGE_HEADER))
-        slots = self.footprints.sample("slot_index", rng, drop_probability=0.05)
-        accesses.extend(self.footprint_accesses(context, base, slots, pc_base=_PC_SLOT_INDEX))
-
-        # Row fetches: one shared row-fetch routine, table-dependent layout.
-        # TPC-C's skew means the rows of interest on a given page are sticky:
-        # revisits of the page touch (mostly) the same rows, so both the page
-        # address and the trigger PC/offset correlate with the footprint.
+        btree_levels = [
+            (name, min(index_pages, 4 ** (level + 1)), _PC_BTREE_DESCENT + 0x100 * level)
+            for level, name in enumerate(("btree_root", "btree_inner", "btree_leaf"))
+        ]
         first_row_block = 2
-        rows_in_page = max(1, (_BLOCKS_PER_PAGE - 4 - first_row_block) // tuple_blocks)
-        # The hot rows of a table's pages sit at recurring slots (recently
-        # inserted / frequently updated tuples), so the footprint repeats.
-        row = (table_index * 5) % rows_in_page
-        if rng.random() < 0.25:
-            row = (row + rng.randint(1, 4)) % rows_in_page
-        for _ in range(rows_per_visit):
-            start = first_row_block + (row % rows_in_page) * tuple_blocks
-            offsets = list(range(start, min(start + tuple_blocks, _BLOCKS_PER_PAGE)))
-            accesses.extend(
-                self.footprint_accesses(
-                    context,
-                    base,
-                    offsets,
-                    pc_base=_PC_ROW_FETCH,
-                    write_probability=0.35 if write else 0.05,
-                )
-            )
-            row += 1
-        return accesses
+        log_cursor = randrange(1024) * 64
 
-    def _log_append(self, context: CpuContext, log_cursor: List[int]) -> List[MemoryAccess]:
-        base = self.space.base("log")
-        size = self.space.size("log")
-        accesses = []
-        blocks = context.rng.randint(1, 3)
-        for _ in range(blocks):
-            address = base + (log_cursor[0] * self.block_size) % size
-            accesses.append(
-                self.make_access(context, pc=_PC_LOG_APPEND, address=address, write=True)
-            )
-            log_cursor[0] += 1
-        return accesses
+        def btree_descent() -> None:
+            for name, spread, pc_base in btree_levels:
+                base = pool_base + randrange(spread) * _PAGE_SIZE
+                offsets = sample(name, rng, drop_probability=0.1, add_probability=0.004)
+                footprint(base, offsets, pc_base)
+            end_operation()
 
-    def _lock_manager(self, context: CpuContext) -> List[MemoryAccess]:
-        base = self.space.base("lock_table")
-        size = self.space.size("lock_table")
-        accesses = []
-        for _ in range(context.rng.randint(2, 4)):
-            block = context.rng.randrange(size // self.block_size)
-            write = context.rng.random() < 0.3
-            accesses.append(
-                self.make_access(
-                    context,
-                    pc=_PC_LOCK_MANAGER + 4 * (block % 8),
-                    address=base + block * self.block_size,
-                    write=write,
-                    system=False,
-                )
-            )
-        return accesses
+        def data_page_visit(write: bool) -> None:
+            table_index = randrange(len(self._TABLES))
+            _, tuple_blocks, rows_per_visit = self._TABLES[table_index]
+            # Zipf-ish reuse: a hot subset of pages is revisited frequently, the
+            # rest of the pool is touched uniformly (mirrors TPC-C's skew).
+            if uniform() < 0.6:
+                page = index_pages + randrange(hot_pages)
+            else:
+                page = index_pages + randrange(cold_pages)
+            base = pool_base + page * _PAGE_SIZE
 
-    def _os_activity(self, context: CpuContext) -> List[MemoryAccess]:
-        rng = context.rng
-        name = "os_syscall" if rng.random() < 0.7 else "os_interrupt"
-        base = self.space.base("os")
-        pages = self.space.size("os") // _PAGE_SIZE
-        page = rng.randrange(pages)
-        offsets = self.footprints.sample(name, rng, drop_probability=0.1)
-        pc_base = _PC_OS_SYSCALL + (0 if name == "os_syscall" else 0x200)
-        return list(
-            self.footprint_accesses(
-                context,
-                base + page * _PAGE_SIZE,
-                offsets,
-                pc_base=pc_base,
-                write_probability=0.2,
-                system=True,
-            )
-        )
+            # Structural accesses: header first, slot index before touching rows.
+            footprint(base, sample("page_header", rng, drop_probability=0.05), _PC_PAGE_HEADER)
+            footprint(base, sample("slot_index", rng, drop_probability=0.05), _PC_SLOT_INDEX)
 
-    # ------------------------------------------------------------------ #
-    def cpu_stream(self, context: CpuContext) -> Iterator[MemoryAccess]:
-        rng = context.rng
-        log_cursor = [rng.randrange(1024) * 64]
+            # Row fetches: one shared row-fetch routine, table-dependent layout.
+            # TPC-C's skew means the rows of interest on a given page are sticky:
+            # revisits of the page touch (mostly) the same rows, so both the page
+            # address and the trigger PC/offset correlate with the footprint.
+            rows_in_page = max(1, (_BLOCKS_PER_PAGE - 4 - first_row_block) // tuple_blocks)
+            # The hot rows of a table's pages sit at recurring slots (recently
+            # inserted / frequently updated tuples), so the footprint repeats.
+            row = (table_index * 5) % rows_in_page
+            if uniform() < 0.25:
+                row = (row + randint(1, 4)) % rows_in_page
+            write_probability = 0.35 if write else 0.05
+            for _ in range(rows_per_visit):
+                start = first_row_block + (row % rows_in_page) * tuple_blocks
+                offsets = range(start, min(start + tuple_blocks, _BLOCKS_PER_PAGE))
+                footprint(base, offsets, _PC_ROW_FETCH, write_probability)
+                row += 1
+            end_operation()
+
+        def os_activity() -> None:
+            name = "os_syscall" if uniform() < 0.7 else "os_interrupt"
+            page = randrange(space.size("os") // _PAGE_SIZE)
+            offsets = sample(name, rng, drop_probability=0.1)
+            pc_base = _PC_OS_SYSCALL + (0 if name == "os_syscall" else 0x200)
+            footprint(
+                space.base("os") + page * _PAGE_SIZE, offsets, pc_base,
+                write_probability=0.2, system=True,
+            )
+            end_operation()
+
         while True:
-            # Build the operations of several concurrent transactions, then
-            # interleave all their accesses: each transaction has several
-            # pages "open" at once, and the server multiplexes transactions.
-            operations: List[List[MemoryAccess]] = []
             for _ in range(self.concurrent_transactions):
-                operations.append(self._btree_descent(context))
-                low, high = self.pages_per_transaction
-                for _ in range(rng.randint(low, high)):
-                    operations.append(self._data_page_visit(context, write=rng.random() < 0.4))
-                operations.append(self._lock_manager(context))
-                operations.append(self._log_append(context, log_cursor))
-                if rng.random() < self.metadata.system_fraction * 2:
-                    operations.append(self._os_activity(context))
-
-            yield from _restamp_instruction_counts(
-                list(_interleave_operations(operations, rng))
-            )
-
-
-def _restamp_instruction_counts(accesses: List[MemoryAccess]) -> Iterator[MemoryAccess]:
-    """Re-assign instruction counts in yield order.
-
-    Operations are generated eagerly and then interleaved, which would leave
-    instruction counts out of order; re-stamping keeps each CPU's instruction
-    counter monotonic while preserving the transaction's total instruction
-    budget and its distribution.
-    """
-    counts = sorted(access.instruction_count for access in accesses)
-    for access, count in zip(accesses, counts):
-        yield access._replace(instruction_count=count)
-
-
-def _interleave_operations(
-    operations: List[List[MemoryAccess]], rng: random.Random
-) -> Iterator[MemoryAccess]:
-    """Interleave several per-operation access lists, preserving each list's order."""
-    cursors = [0] * len(operations)
-    live = [i for i, ops in enumerate(operations) if ops]
-    while live:
-        slot = rng.choice(live)
-        ops = operations[slot]
-        burst = rng.randint(1, 3)
-        for _ in range(burst):
-            if cursors[slot] >= len(ops):
-                break
-            yield ops[cursors[slot]]
-            cursors[slot] += 1
-        if cursors[slot] >= len(ops):
-            live.remove(slot)
+                btree_descent()
+                for _ in range(randint(low_pages, high_pages)):
+                    data_page_visit(write=uniform() < 0.4)
+                # Lock manager: a few probes of the hot, shared lock table.
+                for _ in range(randint(2, 4)):
+                    block = randrange(lock_blocks)
+                    code = CODE_WRITE if uniform() < 0.3 else 0
+                    address = space.base("lock_table") + block * block_size
+                    access(_PC_LOCK_MANAGER + 4 * (block % 8), address, code)
+                end_operation()
+                # Log append: stores to the tail every processor shares.
+                for _ in range(randint(1, 3)):
+                    address = space.base("log") + (log_cursor * block_size) % space.size("log")
+                    access(_PC_LOG_APPEND, address, CODE_WRITE)
+                    log_cursor += 1
+                end_operation()
+                if uniform() < self.metadata.system_fraction * 2:
+                    os_activity()
+            yield take()

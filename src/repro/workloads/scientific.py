@@ -21,12 +21,12 @@ results (Table 1):
 from __future__ import annotations
 
 import random
-from typing import Iterator, List
+from typing import Iterator
 
-from repro.trace.record import MemoryAccess
+from repro.trace.record import CODE_WRITE
 from repro.workloads.base import (
     AddressSpace,
-    CpuContext,
+    Batch,
     SyntheticWorkload,
     WorkloadMetadata,
 )
@@ -41,6 +41,9 @@ _PC_SPARSE_COL = 0x76_0000
 _PC_SPARSE_VEC = 0x77_0000
 
 _REGION = 2048
+
+#: Nodes swept per em3d batch (five rows each).
+_EM3D_NODES_PER_BATCH = 64
 
 
 class Em3dWorkload(SyntheticWorkload):
@@ -70,32 +73,34 @@ class Em3dWorkload(SyntheticWorkload):
         partition = cpu * self.nodes_per_cpu
         return self.space.base("nodes") + (partition + node) * self.node_bytes
 
-    def cpu_stream(self, context: CpuContext) -> Iterator[MemoryAccess]:
-        rng = context.rng
-        cpu = context.cpu
+    def lane_batches(self, cpu: int, rng: random.Random) -> Iterator[Batch]:
+        """One batch per run of nodes of the processor's partition sweep."""
+        access, _, _, take = self.lane_writer(rng)
         node = 0
         while True:
-            base = self._node_address(cpu, node)
-            # Read this node's value and edge list (two blocks, sequential).
-            yield self.make_access(context, pc=_PC_EM3D_NODE, address=base)
-            yield self.make_access(context, pc=_PC_EM3D_NODE + 4, address=base + 64)
-            # Degree-2 neighbour reads; 15% land in a remote partition whose
-            # owner rewrites them every iteration (coherence misses).
-            for edge in range(2):
-                if rng.random() < self.remote_fraction and self.num_cpus > 1:
-                    owner = rng.randrange(self.num_cpus - 1)
-                    if owner >= cpu:
-                        owner += 1
-                    # span=5: neighbours cluster near the same index in the remote partition.
-                    neighbor = (node + rng.randint(-5, 5)) % self.nodes_per_cpu
-                    address = self._node_address(owner, neighbor)
-                else:
-                    neighbor = (node + rng.randint(1, 5)) % self.nodes_per_cpu
-                    address = self._node_address(cpu, neighbor)
-                yield self.make_access(context, pc=_PC_EM3D_NEIGHBOR + 8 * edge, address=address)
-            # Write the updated value back to this node.
-            yield self.make_access(context, pc=_PC_EM3D_UPDATE, address=base, write=True)
-            node = (node + 1) % self.nodes_per_cpu
+            for _ in range(_EM3D_NODES_PER_BATCH):
+                base = self._node_address(cpu, node)
+                # Read this node's value and edge list (two blocks, sequential).
+                access(_PC_EM3D_NODE, base)
+                access(_PC_EM3D_NODE + 4, base + 64)
+                # Degree-2 neighbour reads; 15% land in a remote partition whose
+                # owner rewrites them every iteration (coherence misses).
+                for edge in range(2):
+                    if rng.random() < self.remote_fraction and self.num_cpus > 1:
+                        owner = rng.randrange(self.num_cpus - 1)
+                        if owner >= cpu:
+                            owner += 1
+                        # span=5: neighbours cluster near the same index in the remote partition.
+                        neighbor = (node + rng.randint(-5, 5)) % self.nodes_per_cpu
+                        address = self._node_address(owner, neighbor)
+                    else:
+                        neighbor = (node + rng.randint(1, 5)) % self.nodes_per_cpu
+                        address = self._node_address(cpu, neighbor)
+                    access(_PC_EM3D_NEIGHBOR + 8 * edge, address)
+                # Write the updated value back to this node.
+                access(_PC_EM3D_UPDATE, base, CODE_WRITE)
+                node = (node + 1) % self.nodes_per_cpu
+            yield take()
 
 
 class OceanWorkload(SyntheticWorkload):
@@ -127,37 +132,39 @@ class OceanWorkload(SyntheticWorkload):
         self.space.allocate("grid_a", self.grid_dim * self.row_bytes)
         self.space.allocate("grid_b", self.grid_dim * self.row_bytes)
 
-    def _element(self, grid: str, row: int, col: int) -> int:
-        row = row % self.grid_dim
-        col = col % self.grid_dim
-        return self.space.base(grid) + row * self.row_bytes + col * self.element_bytes
-
-    def cpu_stream(self, context: CpuContext) -> Iterator[MemoryAccess]:
-        cpu = context.cpu
-        rows_per_cpu = max(1, self.grid_dim // self.num_cpus)
+    def lane_batches(self, cpu: int, rng: random.Random) -> Iterator[Batch]:
+        """One batch per grid row of the processor's band."""
+        access, _, _, take = self.lane_writer(rng)
+        grid_dim = self.grid_dim
+        row_bytes = self.row_bytes
+        grid_a = self.space.base("grid_a")
+        grid_b = self.space.base("grid_b")
+        rows_per_cpu = max(1, grid_dim // self.num_cpus)
         row_start = cpu * rows_per_cpu
         row = row_start
-        col = 0
         # Step by one cache block worth of elements: the stencil reads the
         # centre, east/west (same block or adjacent) and north/south rows.
         cols_per_block = max(1, 64 // self.element_bytes)
+        # (byte offset of a block's first element, of its eastern neighbour's).
+        blocks = [
+            (col * self.element_bytes, (col + cols_per_block) % grid_dim * self.element_bytes)
+            for col in range(0, grid_dim, cols_per_block)
+        ]
         while True:
-            centre = self._element("grid_a", row, col)
-            north = self._element("grid_a", row - 1, col)
-            south = self._element("grid_a", row + 1, col)
-            east = self._element("grid_a", row, col + cols_per_block)
-            target = self._element("grid_b", row, col)
-            yield self.make_access(context, pc=_PC_OCEAN_STENCIL, address=centre)
-            yield self.make_access(context, pc=_PC_OCEAN_STENCIL + 4, address=north)
-            yield self.make_access(context, pc=_PC_OCEAN_STENCIL + 8, address=south)
-            yield self.make_access(context, pc=_PC_OCEAN_STENCIL + 12, address=east)
-            yield self.make_access(context, pc=_PC_OCEAN_WRITE, address=target, write=True)
-            col += cols_per_block
-            if col >= self.grid_dim:
-                col = 0
-                row += 1
-                if row >= row_start + rows_per_cpu:
-                    row = row_start
+            centre = grid_a + row % grid_dim * row_bytes
+            north = grid_a + (row - 1) % grid_dim * row_bytes
+            south = grid_a + (row + 1) % grid_dim * row_bytes
+            target = grid_b + row % grid_dim * row_bytes
+            for offset, east in blocks:
+                access(_PC_OCEAN_STENCIL, centre + offset)
+                access(_PC_OCEAN_STENCIL + 4, north + offset)
+                access(_PC_OCEAN_STENCIL + 8, south + offset)
+                access(_PC_OCEAN_STENCIL + 12, centre + east)
+                access(_PC_OCEAN_WRITE, target + offset, CODE_WRITE)
+            row += 1
+            if row >= row_start + rows_per_cpu:
+                row = row_start
+            yield take()
 
 
 class SparseWorkload(SyntheticWorkload):
@@ -191,9 +198,9 @@ class SparseWorkload(SyntheticWorkload):
         self.space.allocate("vector", rows * self.value_bytes)
         self.space.allocate("result", rows * self.value_bytes)
 
-    def cpu_stream(self, context: CpuContext) -> Iterator[MemoryAccess]:
-        rng = context.rng
-        cpu = context.cpu
+    def lane_batches(self, cpu: int, rng: random.Random) -> Iterator[Batch]:
+        """One batch per matrix row."""
+        access, _, _, take = self.lane_writer(rng)
         rows_per_cpu = max(1, self.rows // self.num_cpus)
         row = cpu * rows_per_cpu
         value_cursor = cpu * rows_per_cpu * self.nonzeros_per_row
@@ -208,23 +215,19 @@ class SparseWorkload(SyntheticWorkload):
             # long sequential runs; the vector gather mostly hits in cache.
             for nz in range(self.nonzeros_per_row):
                 position = value_cursor + nz
-                value_addr = values_base + (position * self.value_bytes) % values_size
-                index_addr = indices_base + (position * self.index_bytes) % indices_size
-                yield self.make_access(context, pc=_PC_SPARSE_ROW, address=value_addr)
-                yield self.make_access(context, pc=_PC_SPARSE_COL, address=index_addr)
+                access(_PC_SPARSE_ROW, values_base + (position * self.value_bytes) % values_size)
+                access(_PC_SPARSE_COL, indices_base + (position * self.index_bytes) % indices_size)
                 if nz % 8 == 0:
                     column = rng.randrange(self.rows)
-                    yield self.make_access(
-                        context, pc=_PC_SPARSE_VEC, address=vector_base + column * self.value_bytes
-                    )
+                    access(_PC_SPARSE_VEC, vector_base + column * self.value_bytes)
             # Write the accumulated dot product to the result vector.
-            yield self.make_access(
-                context,
-                pc=_PC_SPARSE_ROW + 0x100,
-                address=result_base + (row % self.rows) * self.value_bytes,
-                write=True,
+            access(
+                _PC_SPARSE_ROW + 0x100,
+                result_base + (row % self.rows) * self.value_bytes,
+                CODE_WRITE,
             )
             value_cursor += self.nonzeros_per_row
             row += 1
             if row >= (cpu + 1) * rows_per_cpu:
                 row = cpu * rows_per_cpu
+            yield take()

@@ -12,17 +12,16 @@ property that lets SMS outperform delta-correlation prefetchers.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator
 
-from repro.trace.record import MemoryAccess
+from repro.trace.record import CODE_SYSTEM, CODE_WRITE
 from repro.workloads.base import (
     AddressSpace,
-    CpuContext,
+    Batch,
     FootprintLibrary,
     SyntheticWorkload,
     WorkloadMetadata,
 )
-from repro.workloads.oltp import _interleave_operations, _restamp_instruction_counts
 
 _PC_CONN_LOOKUP = 0x60_0000
 _PC_PACKET_PARSE = 0x61_0000
@@ -110,114 +109,76 @@ class WebServerWorkload(SyntheticWorkload):
         self.footprints.define("kernel_softirq", [0, 2, 3, 7, 12])
 
     # ------------------------------------------------------------------ #
-    def _connection_touch(self, context: CpuContext, connection: int, write: bool) -> List[MemoryAccess]:
-        base = self.space.base("connection_pool") + connection * _REGION
-        offsets = self.footprints.sample("connection", context.rng, drop_probability=0.12)
-        return list(
-            self.footprint_accesses(
-                context,
-                base,
-                offsets,
-                pc_base=_PC_CONN_LOOKUP,
-                write_probability=0.35 if write else 0.05,
-            )
-        )
+    def lane_batches(self, cpu: int, rng: random.Random) -> Iterator[Batch]:
+        """One batch per group of in-flight requests.
 
-    def _packet_walk(self, context: CpuContext) -> List[MemoryAccess]:
-        rng = context.rng
-        buffers = self.space.size("packet_buffers") // _REGION
-        base = self.space.base("packet_buffers") + rng.randrange(buffers) * _REGION
-        accesses: List[MemoryAccess] = []
-        header = self.footprints.sample("packet_header", rng, drop_probability=0.05)
-        accesses.extend(
-            self.footprint_accesses(context, base, header, pc_base=_PC_PACKET_PARSE, system=True)
-        )
-        # Payload: a short dense run whose length varies with packet size.  The
-        # copy loop strides with a single load PC.
-        payload_blocks = rng.randint(2, 10)
-        payload = list(range(3, min(3 + payload_blocks, _BLOCKS_PER_REGION - 2)))
-        accesses.extend(
-            self.footprint_accesses(
-                context,
-                base,
-                payload,
-                pc_base=_PC_PACKET_PARSE + 0x100,
-                write_probability=0.1,
-                loop_pc=True,
-            )
-        )
-        trailer = self.footprints.sample("packet_trailer", rng, drop_probability=0.05)
-        accesses.extend(
-            self.footprint_accesses(context, base, trailer, pc_base=_PC_PACKET_TRAILER, system=True)
-        )
-        return accesses
+        Each request: accept, touch the connection, parse packets, read the
+        file, kernel work.  Several requests are in flight at once on a
+        processor, so all their operations interleave.
+        """
+        access, footprint, end_operation, take = self.lane_writer(rng)
+        uniform = rng.random
+        randrange = rng.randrange
+        randint = rng.randint
+        sample = self.footprints.sample
+        space = self.space
+        connections = self.connections
+        buffers = space.size("packet_buffers") // _REGION
+        buffer_base = space.base("packet_buffers")
+        file_regions = self.file_cache_bytes // _REGION
+        low_packets, high_packets = self.packets_per_request
 
-    def _file_read(self, context: CpuContext) -> List[MemoryAccess]:
-        rng = context.rng
-        regions = self.file_cache_bytes // _REGION
-        # SPECweb's file popularity is heavily skewed: mostly hot files.
-        if rng.random() < 0.7:
-            region_index = rng.randrange(max(1, regions // 32))
-        else:
-            region_index = rng.randrange(regions)
-        base = self.space.base("file_cache") + region_index * _REGION
-        length = rng.randint(8, _BLOCKS_PER_REGION)
-        offsets = list(range(0, length))
-        return list(
-            self.footprint_accesses(
-                context, base, offsets, pc_base=_PC_FILE_READ, loop_pc=True
-            )
-        )
+        def connection_touch(write: bool) -> None:
+            base = space.base("connection_pool") + randrange(connections) * _REGION
+            offsets = sample("connection", rng, drop_probability=0.12)
+            footprint(base, offsets, _PC_CONN_LOOKUP, write_probability=0.35 if write else 0.05)
+            end_operation()
 
-    def _kernel_work(self, context: CpuContext) -> List[MemoryAccess]:
-        rng = context.rng
-        name = "kernel_pcb" if rng.random() < 0.6 else "kernel_softirq"
-        regions = self.space.size("kernel") // _REGION
-        base = self.space.base("kernel") + rng.randrange(regions) * _REGION
-        offsets = self.footprints.sample(name, rng, drop_probability=0.1)
-        pc_base = _PC_KERNEL_STACK + (0 if name == "kernel_pcb" else 0x200)
-        return list(
-            self.footprint_accesses(
-                context, base, offsets, pc_base=pc_base, write_probability=0.25, system=True
+        def packet_walk() -> None:
+            base = buffer_base + randrange(buffers) * _REGION
+            header = sample("packet_header", rng, drop_probability=0.05)
+            footprint(base, header, _PC_PACKET_PARSE, system=True)
+            # Payload: a short dense run whose length varies with packet size.  The
+            # copy loop strides with a single load PC.
+            payload_blocks = randint(2, 10)
+            payload = range(3, min(3 + payload_blocks, _BLOCKS_PER_REGION - 2))
+            footprint(
+                base, payload, _PC_PACKET_PARSE + 0x100, write_probability=0.1, loop_pc=True
             )
-        )
+            trailer = sample("packet_trailer", rng, drop_probability=0.05)
+            footprint(base, trailer, _PC_PACKET_TRAILER, system=True)
+            end_operation()
 
-    def _listen_queue(self, context: CpuContext) -> List[MemoryAccess]:
-        rng = context.rng
-        size = self.space.size("listen_queue")
-        base = self.space.base("listen_queue")
-        block = rng.randrange(size // self.block_size)
-        return [
-            self.make_access(
-                context,
-                pc=_PC_LISTEN_QUEUE,
-                address=base + block * self.block_size,
-                write=rng.random() < 0.5,
-                system=True,
-            )
-        ]
+        def file_read() -> None:
+            # SPECweb's file popularity is heavily skewed: mostly hot files.
+            if uniform() < 0.7:
+                region_index = randrange(max(1, file_regions // 32))
+            else:
+                region_index = randrange(file_regions)
+            base = space.base("file_cache") + region_index * _REGION
+            footprint(base, range(randint(8, _BLOCKS_PER_REGION)), _PC_FILE_READ, loop_pc=True)
+            end_operation()
 
-    # ------------------------------------------------------------------ #
-    def cpu_stream(self, context: CpuContext) -> Iterator[MemoryAccess]:
-        rng = context.rng
+        def kernel_work() -> None:
+            name = "kernel_pcb" if uniform() < 0.6 else "kernel_softirq"
+            base = space.base("kernel") + randrange(space.size("kernel") // _REGION) * _REGION
+            offsets = sample(name, rng, drop_probability=0.1)
+            pc_base = _PC_KERNEL_STACK + (0 if name == "kernel_pcb" else 0x200)
+            footprint(base, offsets, pc_base, write_probability=0.25, system=True)
+            end_operation()
+
         while True:
-            # Each request: accept, parse packets, touch the connection, read
-            # the file, write the response.  Several requests are in flight at
-            # once on a processor, so all their operations interleave.
-            operations: List[List[MemoryAccess]] = []
             for _ in range(self.concurrent_requests):
-                operations.append(self._listen_queue(context))
-                connection = rng.randrange(self.connections)
-                operations.append(self._connection_touch(context, connection, write=True))
-                low, high = self.packets_per_request
-                for _ in range(rng.randint(low, high)):
-                    operations.append(self._packet_walk(context))
-                operations.append(self._file_read(context))
-                operations.append(self._kernel_work(context))
-                if rng.random() < 0.5:
-                    other_connection = rng.randrange(self.connections)
-                    operations.append(self._connection_touch(context, other_connection, write=False))
-
-            yield from _restamp_instruction_counts(
-                list(_interleave_operations(operations, rng))
-            )
+                # Accept: one store or load on the shared listen queue.
+                block = randrange(space.size("listen_queue") // self.block_size)
+                code = CODE_SYSTEM | CODE_WRITE if uniform() < 0.5 else CODE_SYSTEM
+                access(_PC_LISTEN_QUEUE, space.base("listen_queue") + block * self.block_size, code)
+                end_operation()
+                connection_touch(write=True)
+                for _ in range(randint(low_packets, high_packets)):
+                    packet_walk()
+                file_read()
+                kernel_work()
+                if uniform() < 0.5:
+                    connection_touch(write=False)
+            yield take()

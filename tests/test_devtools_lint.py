@@ -601,6 +601,38 @@ class TestHOT004:
         )
         assert findings == []
 
+    def test_generated_record_boxing_in_batch_producer(self):
+        findings = rules_at(
+            """
+            class Workload:
+                def lane_batches(self, cpu, rng):
+                    def page_visit(base):
+                        record = self.make_access(context, pc=1, address=base)
+                        rows.append(record._replace(instruction_count=count))
+                        rows.append(MemoryAccess(pc=1, address=base))
+                    while True:
+                        page_visit(0)
+                        yield rows
+            """,
+            path=COLD_PATH,
+        )
+        assert findings == [("HOT004", 5), ("HOT004", 6), ("HOT004", 7)]
+
+    def test_rows_written_into_batch_columns_are_clean(self):
+        findings = rules_at(
+            """
+            class Workload:
+                def lane_batches(self, cpu, rng):
+                    access, footprint, end_operation, take = self.lane_writer(rng)
+                    while True:
+                        access(0x400, 0x1000, 1)
+                        footprint(0x2000, offsets, 0x500, write_probability=0.1)
+                        yield take()
+            """,
+            path=COLD_PATH,
+        )
+        assert findings == []
+
     def test_applies_in_hot_modules_too(self):
         findings = rules_at(
             """

@@ -230,7 +230,7 @@ class TestLaneFallbacks:
         workload = make_workload("oltp-db2", num_cpus=2, accesses_per_cpu=500, seed=5)
         engine = SimulationEngine(SimulationConfig.small(num_cpus=2))
         calls = _spy_on_lane_path(engine)
-        result = engine.run(workload)  # no iter_lane_chunks: transposed per chunk
+        result = engine.run(workload)  # generated straight into lane chunks
         assert sum(calls) == 1000
         assert (result.engine_path, result.fallback_reason) == ("lanes", None)
         reference = SimulationEngine(SimulationConfig.small(num_cpus=2)).run(

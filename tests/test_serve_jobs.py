@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import gc
 import json
 
 import pytest
@@ -206,19 +207,52 @@ class TestRunSimulate:
 
     def test_workload_is_generated_once_and_both_runs_take_lanes(self, monkeypatch):
         generations = []
-        original = SyntheticWorkload.__iter__
+        original = SyntheticWorkload.iter_lane_chunks
 
-        def counting_iter(self):
+        def counting_chunks(self, chunk_size):
             generations.append(self.name)
-            return original(self)
+            return original(self, chunk_size)
 
-        monkeypatch.setattr(SyntheticWorkload, "__iter__", counting_iter)
+        def boxed(self):
+            raise AssertionError("a simulate job must not box the generated trace")
+
+        monkeypatch.setattr(SyntheticWorkload, "iter_lane_chunks", counting_chunks)
+        monkeypatch.setattr(SyntheticWorkload, "__iter__", boxed)
         monkeypatch.delenv(LANES_ENV_VAR, raising=False)
         before = engine_path_counts()
         jobs.run_simulate("oltp-db2", prefetcher="sms", cpus=2, accesses_per_cpu=600, seed=3)
         assert generations == ["oltp-db2"]  # baseline + prefetcher replay one LaneTrace
         runs = engine_path_counts(since=before)
         assert (runs["lanes"], runs["reference"]) == (2, 0)
+
+    def test_a_finished_job_leaves_no_engine_behind(self):
+        """The worker reclaims a job's engines (cycle garbage: engine -> memory
+        -> cache listeners -> engine) inside the request, not whenever the
+        collector next happens to run."""
+        from repro.memory.cache import SetAssociativeCache
+        from repro.serve.pool import _execute_job
+        from repro.simulation.engine import SimulationEngine
+
+        def live_engine_parts():
+            return sum(
+                isinstance(obj, (SimulationEngine, SetAssociativeCache))
+                for obj in gc.get_objects()
+            )
+
+        spec = jobs.normalize(
+            {"verb": "simulate", "workload": "oltp-db2", "cpus": 2, "accesses_per_cpu": 600}
+        )
+        gc.collect()
+        before = live_engine_parts()
+        gc.disable()  # whatever is reclaimed below, the job's own collection reclaimed
+        try:
+            ok, payload, engine_runs = _execute_job(dict(spec), 0)
+            after = live_engine_parts()
+        finally:
+            gc.enable()
+        assert ok and payload["workload"] == "oltp-db2"
+        assert (engine_runs["lanes"], engine_runs["reference"]) == (2, 0)
+        assert after == before
 
     def test_execute_spec_equals_direct_call(self):
         spec = jobs.normalize(

@@ -76,6 +76,28 @@ class TestRoundTrip:
         write_trace_binary(b, _sample_records())
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("suffix", [".strc", ".strc.gz"])
+    def test_lane_sources_write_the_same_bytes_as_boxed_records(
+        self, tmp_path, suffix, monkeypatch
+    ):
+        """Lane-native sources are packed from their columns, never boxed."""
+        from repro.trace.binary import LaneTrace
+        from repro.workloads.base import SyntheticWorkload
+        from repro.workloads.suite import make_workload
+
+        def workload():
+            # More than one write batch, and not a multiple of it.
+            return make_workload("web-apache", num_cpus=3, accesses_per_cpu=3011, seed=4)
+
+        boxed, lanes, generated = (tmp_path / f"{n}{suffix}" for n in "abc")
+        records = list(workload())
+        assert write_trace_binary(boxed, records) == len(records) == 9033
+        assert write_trace_binary(lanes, LaneTrace.from_records(records)) == len(records)
+        monkeypatch.setattr(SyntheticWorkload, "__iter__", None)  # boxing would now raise
+        assert write_trace_binary(generated, workload()) == len(records)
+        assert boxed.read_bytes() == lanes.read_bytes() == generated.read_bytes()
+        assert list(BinaryTraceStream(generated)) == records
+
     def test_header_count_patched_after_generator_write(self, tmp_path):
         path = tmp_path / "gen.strc"
         count = write_trace_binary(path, (r for r in _sample_records()))

@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from repro.trace.record import ExecutionMode
+from repro.trace.record import CODE_SYSTEM, CODE_WRITE, ExecutionMode
 from repro.workloads.base import (
     AddressSpace,
-    CpuContext,
     FootprintLibrary,
     SyntheticWorkload,
     WorkloadMetadata,
@@ -99,14 +98,14 @@ class _TinyWorkload(SyntheticWorkload):
 
     metadata = WorkloadMetadata(name="tiny", category="Scientific")
 
-    def cpu_stream(self, context):
+    def lane_batches(self, cpu, rng):
+        access, _, _, take = self.lane_writer(rng)
         block = 0
         while True:
-            yield self.make_access(context, pc=0x400, address=0x1000 + block * 64)
-            yield self.make_access(
-                context, pc=0x404, address=0x200000 + block * 64, write=True, system=True
-            )
+            access(0x400, 0x1000 + block * 64)
+            access(0x404, 0x200000 + block * 64, CODE_WRITE | CODE_SYSTEM)
             block += 1
+            yield take()
 
 
 class TestSyntheticWorkloadFramework:
@@ -115,6 +114,8 @@ class TestSyntheticWorkloadFramework:
             _TinyWorkload(num_cpus=0)
         with pytest.raises(ValueError):
             _TinyWorkload(accesses_per_cpu=0)
+        with pytest.raises(ValueError):
+            _TinyWorkload(instructions_per_access=0)
 
     def test_volume_and_modes(self):
         workload = _TinyWorkload(num_cpus=2, accesses_per_cpu=100, seed=1)
@@ -128,23 +129,88 @@ class TestSyntheticWorkloadFramework:
         records = list(workload)
         assert records[-1].instruction_count > records[0].instruction_count
 
-    def test_make_access_explicit_instructions(self):
-        workload = _TinyWorkload(num_cpus=1, accesses_per_cpu=10)
-        context = CpuContext(cpu=0, rng=random.Random(0))
-        record = workload.make_access(context, pc=1, address=2, instructions=7)
-        assert record.instruction_count == 7
+    def test_access_draws_one_instruction_step(self):
+        """The spelled-out draw is ``1 + int(expovariate(1 / instructions_per_access))``."""
+        workload = _TinyWorkload(num_cpus=1, accesses_per_cpu=10, instructions_per_access=4.0)
+        access, _, _, take = workload.lane_writer(random.Random(0))
+        for _ in range(50):
+            access(1, 2)
+        reference = random.Random(0)
+        expected, total = [], 0
+        for _ in range(50):
+            total += max(1, int(reference.expovariate(1.0 / 4.0)) + 1)
+            expected.append(total)
+        pcs, addresses, codes, counts = take()
+        assert (pcs, addresses, codes) == ([1] * 50, [2] * 50, [0] * 50)
+        assert counts == expected
+        # The counter carries over into the next batch.
+        access(1, 2)
+        assert take()[3][0] > total
 
     def test_footprint_accesses_loop_pc(self):
         workload = _TinyWorkload(num_cpus=1, accesses_per_cpu=10)
-        context = CpuContext(cpu=0, rng=random.Random(0))
-        struct_walk = list(
-            workload.footprint_accesses(context, 0x1000, [0, 1, 2], pc_base=0x500)
-        )
-        loop = list(
-            workload.footprint_accesses(context, 0x1000, [0, 1, 2], pc_base=0x600, loop_pc=True)
-        )
-        assert len({record.pc for record in struct_walk}) == 3
-        assert len({record.pc for record in loop}) == 1
+        _, footprint, _, take = workload.lane_writer(random.Random(0))
+        footprint(0x1000, [0, 1, 2], 0x500)
+        struct_pcs, struct_addresses, _, _ = take()
+        footprint(0x1000, [0, 1, 2], 0x600, loop_pc=True)
+        loop_pcs, loop_addresses, _, _ = take()
+        assert struct_pcs == [0x500, 0x504, 0x508]
+        assert loop_pcs == [0x600] * 3
+        assert struct_addresses == loop_addresses == [0x1000, 0x1040, 0x1080]
+
+    def test_footprint_write_probability_and_mode(self):
+        workload = _TinyWorkload(num_cpus=1, accesses_per_cpu=10)
+        _, footprint, _, take = workload.lane_writer(random.Random(0))
+        footprint(0, range(200), 0x500, write_probability=1.0, system=True)
+        footprint(0, range(200), 0x500, write_probability=0.0)
+        footprint(0, range(200), 0x500, write_probability=0.5)
+        codes = take()[2]
+        assert codes[:200] == [CODE_WRITE | CODE_SYSTEM] * 200
+        assert codes[200:400] == [0] * 200
+        assert 40 < sum(codes[400:]) < 160
+
+    def test_take_interleaves_closed_operations(self):
+        """Each operation keeps its own order; instruction counts stay monotonic."""
+        workload = _TinyWorkload(num_cpus=1, accesses_per_cpu=10)
+        _, footprint, end_operation, take = workload.lane_writer(random.Random(4))
+        for operation in range(3):
+            footprint(operation << 20, range(10), 0x500 + (operation << 8), loop_pc=True)
+            end_operation()
+        pcs, addresses, _, counts = take()
+        assert counts == sorted(counts) and len(set(counts)) == 30
+        for operation in range(3):
+            own = [a for pc, a in zip(pcs, addresses) if pc == 0x500 + (operation << 8)]
+            assert own == [(operation << 20) + 64 * block for block in range(10)]
+        assert pcs != sorted(pcs)  # the group really is interleaved
+        # Without closed operations the next batch comes out in written order.
+        footprint(0, range(10), 0x500)
+        assert take()[0] == [0x500 + 4 * position for position in range(10)]
+
+    def test_cpu_schedule_matches_the_record_at_a_time_interleaver(self):
+        """The burst scheduler against the loop it replaced, stdlib draws and all:
+        a burst asking for *more* than a CPU has left retires it, a burst asking
+        for exactly what is left does not (the next pick of that CPU does)."""
+
+        def reference_schedule(seed, num_cpus, per_cpu, mean_burst):
+            scheduler = random.Random(seed * 7919 + 13)
+            streams = [iter(range(per_cpu)) for _ in range(num_cpus)]
+            active = list(range(num_cpus))
+            schedule = []
+            while active:
+                slot = scheduler.choice(active)
+                burst = 1 + int(scheduler.expovariate(1.0 / mean_burst))
+                for _ in range(burst):
+                    try:
+                        next(streams[slot])
+                    except StopIteration:
+                        active.remove(slot)
+                        break
+                    schedule.append(slot)
+            return schedule
+
+        for seed in range(25):
+            workload = _TinyWorkload(num_cpus=3, accesses_per_cpu=7, seed=seed, interleave_burst=2)
+            assert [record.cpu for record in workload] == reference_schedule(seed, 3, 7, 2)
 
     def test_total_accesses_property(self):
         workload = _TinyWorkload(num_cpus=3, accesses_per_cpu=7)

@@ -10,10 +10,13 @@ so the digests also guard those spellings on every Python CI runs.
 """
 
 import hashlib
+import time
 
 import pytest
 
-from repro.trace.binary import LaneTrace
+from repro.simulation import SimulationConfig, SimulationEngine
+from repro.trace.binary import LaneChunk, LaneTrace
+from repro.trace.record import MemoryAccess
 from repro.workloads.suite import APPLICATION_NAMES, make_workload
 
 
@@ -85,3 +88,46 @@ def test_trace_content_is_pinned(name, cpus, accesses, seed):
     lanes = LaneTrace.from_records(workload).lanes
     assert len(lanes) == cpus * accesses
     assert lane_digest(lanes) == TRACE_DIGESTS[(name, cpus, accesses, seed)]
+
+
+# --------------------------------------------------------------------------- #
+# The lane-native generator: chunking, boxing and laziness.
+# --------------------------------------------------------------------------- #
+SHAPE = dict(num_cpus=3, accesses_per_cpu=700, seed=9)
+
+
+@pytest.mark.parametrize("name", ["oltp-db2", "dss-qry2", "web-apache", "ocean"])
+def test_chunk_size_does_not_change_the_trace(name):
+    whole = LaneTrace.from_records(make_workload(name, **SHAPE)).lanes
+    for chunk_size in (1, 7, 4096):
+        chunks = list(make_workload(name, **SHAPE).iter_lane_chunks(chunk_size))
+        assert all(len(chunk) == chunk_size for chunk in chunks[:-1])
+        assert 0 < len(chunks[-1]) <= chunk_size
+        joined = LaneChunk.empty()
+        for chunk in chunks:
+            joined.extend(chunk)
+        assert joined == whole
+
+
+def test_chunk_size_must_be_positive():
+    with pytest.raises(ValueError):
+        next(make_workload("ocean", **SHAPE).iter_lane_chunks(0))
+
+
+@pytest.mark.parametrize("name", APPLICATION_NAMES)
+def test_records_are_the_boxed_lanes(name):
+    workload = make_workload(name, **SHAPE)
+    records = list(workload)
+    boxed = LaneTrace.from_records(workload).lanes.records()
+    assert [tuple(record) for record in records] == [tuple(record) for record in boxed]
+    assert all(type(record) is MemoryAccess for record in records)
+
+
+def test_generation_is_lazy():
+    """An effectively endless workload under ``limit`` does finite work."""
+    workload = make_workload("oltp-db2", num_cpus=4, accesses_per_cpu=10**8)
+    started = time.perf_counter()
+    config = SimulationConfig(num_cpus=4, warmup_fraction=0.0)
+    result = SimulationEngine(config).run(workload, limit=5_000)
+    assert result.accesses == 5_000
+    assert time.perf_counter() - started < 30.0
