@@ -125,8 +125,13 @@ class MultiprocessorMemorySystem:
 
     # ------------------------------------------------------------------ #
     def _make_directory_evict_listener(self, cpu: int):
+        # Captures the directory, not ``self``: a listener that held the memory
+        # system would close the cycle memory -> L1 -> listener -> memory and
+        # leave every finished simulation to the cycle collector.
+        evict = self.directory.evict
+
         def _listener(evicted) -> None:
-            self.directory.evict(cpu, evicted.block_addr)
+            evict(cpu, evicted.block_addr)
 
         return _listener
 

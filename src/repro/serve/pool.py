@@ -25,7 +25,6 @@ a call blocks until a worker is idle.
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
 import os
 import queue
@@ -59,39 +58,6 @@ class WorkerSettings:
     trace_mode: Optional[str] = None
 
 
-def _execute_job(message: Dict[str, Any], index: int):
-    """Run one job message in this process: ``(ok, payload, engine_runs)``.
-
-    A finished job leaves its engines behind as cycle garbage (``engine ->
-    memory -> cache._eviction_listeners -> engine``; ~750 containers per
-    ``simulate``), and nothing else a job allocates is certain to trigger the
-    cycle collector before the next job builds two more.  They are reclaimed
-    here, inside the request — the worker's peak RSS is then one job's, and
-    the collection is not left to compete with whoever reads the reply.
-    """
-    from repro.serve import jobs
-
-    # Per-request trace context rides the job message (workers fork
-    # once, so the environment cannot carry per-request ids); popped
-    # before execution so the spec stays exactly what was normalized.
-    trace_ctx = trace.SpanContext.from_dict(message.pop(TRACE_FIELD, None))
-    engine_before = engine_path_counts()
-    try:
-        faults.fire("pool.worker")
-        with trace.activate(trace_ctx):
-            with trace.span(
-                "worker.execute",
-                {"verb": message.get("verb"), "worker": index},
-                root=False,
-            ):
-                result = jobs.execute_spec(message)
-        ok, payload = True, result
-    except Exception as exc:  # repro: ignore[EXC001] -- any job failure is reported to the caller; the warm worker must survive it
-        ok, payload = False, f"{type(exc).__name__}: {exc}"
-    gc.collect()
-    return ok, payload, engine_path_counts(since=engine_before)
-
-
 def _worker_main(conn, index: int, settings: WorkerSettings) -> None:
     """Worker loop: receive a normalized spec, execute, send
     ``(ok, payload, engine_runs)`` — the job's engine-path census rides
@@ -110,6 +76,7 @@ def _worker_main(conn, index: int, settings: WorkerSettings) -> None:
 
     from repro._env import export as export_env
     from repro.experiments.common import set_trace_cache
+    from repro.serve import jobs
     from repro.simulation.result_cache import (
         CACHE_DIR_ENV,
         SweepResultCache,
@@ -125,10 +92,6 @@ def _worker_main(conn, index: int, settings: WorkerSettings) -> None:
     # Ambient per-item memoization for experiment-verb figure runs.
     set_default_cache(SweepResultCache())
     set_trace_cache(settings.trace_cache)
-    # What is alive now (modules, registries, these caches) lives as long as
-    # the worker does: park it outside the collector's generations so each
-    # job's collection traverses the job's garbage only (~6 ms -> ~1 ms).
-    gc.freeze()
 
     while True:
         try:
@@ -139,7 +102,24 @@ def _worker_main(conn, index: int, settings: WorkerSettings) -> None:
             break
         if message is None:
             break
-        ok, payload, engine_runs = _execute_job(message, index)
+        # Per-request trace context rides the job message (workers fork
+        # once, so the environment cannot carry per-request ids); popped
+        # before execution so the spec stays exactly what was normalized.
+        trace_ctx = trace.SpanContext.from_dict(message.pop(TRACE_FIELD, None))
+        engine_before = engine_path_counts()
+        try:
+            faults.fire("pool.worker")
+            with trace.activate(trace_ctx):
+                with trace.span(
+                    "worker.execute",
+                    {"verb": message.get("verb"), "worker": index},
+                    root=False,
+                ):
+                    result = jobs.execute_spec(message)
+            ok, payload = True, result
+        except Exception as exc:  # repro: ignore[EXC001] -- any job failure is reported to the caller; the warm worker must survive it
+            ok, payload = False, f"{type(exc).__name__}: {exc}"
+        engine_runs = engine_path_counts(since=engine_before)
         try:
             conn.send((ok, payload, engine_runs))
         except (OSError, ValueError, TypeError) as exc:

@@ -32,6 +32,7 @@ to a remote write and has not re-fetched yet (``classify_false_sharing``).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Set
@@ -293,7 +294,8 @@ class SimulationEngine:
             self.memory.l1(cpu).add_eviction_listener(listener)
         # Retire off-chip-coverage tracking for blocks that leave the chip, so
         # the side table stays O(cache state) on arbitrarily long traces.
-        self.memory.l2.add_eviction_listener(self._on_l2_eviction)
+        self._l2_eviction_listener = self._make_l2_eviction_listener()
+        self.memory.l2.add_eviction_listener(self._l2_eviction_listener)
         self._measuring = True
         self.result = SimulationResult(name=name, num_cpus=self.config.num_cpus)
         self.result.traffic = BandwidthAccountant(block_size=self.config.block_size)
@@ -309,7 +311,15 @@ class SimulationEngine:
 
     # ------------------------------------------------------------------ #
     def _make_eviction_listener(self, cpu: int):
+        # The caches this engine owns call back into it.  The listeners hold
+        # the engine weakly: a strong reference would close the cycle engine
+        # -> memory -> cache listeners -> engine, and every finished run (cache
+        # sets, directory, PHT and all) would wait for the cycle collector
+        # instead of being freed when the engine goes out of scope.
+        engine = weakref.ref(self)
+
         def _listener(evicted) -> None:
+            self = engine()
             block = evicted.block_addr
             if (
                 block in self._offchip_prefetched_unused
@@ -326,6 +336,14 @@ class SimulationEngine:
                 self._apply_forced_evictions(cpu, response.forced_evictions)
             if response.prefetches:
                 self._apply_prefetches(cpu, response.prefetches)
+
+        return _listener
+
+    def _make_l2_eviction_listener(self):
+        engine = weakref.ref(self)
+
+        def _listener(evicted) -> None:
+            engine()._on_l2_eviction(evicted)
 
         return _listener
 
@@ -733,7 +751,7 @@ class SimulationEngine:
             expected = [directory_listeners[cpu], self._l1_eviction_listeners[cpu]]
             if l1._eviction_listeners != expected:
                 return False
-        return memory.l2._eviction_listeners == [self._on_l2_eviction]
+        return memory.l2._eviction_listeners == [self._l2_eviction_listener]
 
     def _step_lanes(self, chunk, hooks) -> None:
         """Simulate one lane chunk with the same semantics as :meth:`_step`.

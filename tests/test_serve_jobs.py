@@ -225,12 +225,14 @@ class TestRunSimulate:
         runs = engine_path_counts(since=before)
         assert (runs["lanes"], runs["reference"]) == (2, 0)
 
-    def test_a_finished_job_leaves_no_engine_behind(self):
-        """The worker reclaims a job's engines (cycle garbage: engine -> memory
-        -> cache listeners -> engine) inside the request, not whenever the
-        collector next happens to run."""
+    @pytest.mark.parametrize("lanes", ["1", "0"])
+    @pytest.mark.parametrize("prefetcher", ["sms", "ghb", "none"])
+    def test_a_finished_job_leaves_no_engine_behind(self, prefetcher, lanes, monkeypatch):
+        """A finished run is freed when it goes out of scope — inside the
+        request, without the cycle collector: the eviction listeners of the
+        caches an engine owns hold the engine (and the memory system) weakly,
+        so there is no cycle engine -> memory -> cache listeners -> engine."""
         from repro.memory.cache import SetAssociativeCache
-        from repro.serve.pool import _execute_job
         from repro.simulation.engine import SimulationEngine
 
         def live_engine_parts():
@@ -239,19 +241,20 @@ class TestRunSimulate:
                 for obj in gc.get_objects()
             )
 
-        spec = jobs.normalize(
-            {"verb": "simulate", "workload": "oltp-db2", "cpus": 2, "accesses_per_cpu": 600}
-        )
+        monkeypatch.setenv(LANES_ENV_VAR, lanes)
+        spec = jobs.normalize({
+            "verb": "simulate", "workload": "oltp-db2", "prefetcher": prefetcher,
+            "cpus": 2, "accesses_per_cpu": 600,
+        })
         gc.collect()
         before = live_engine_parts()
-        gc.disable()  # whatever is reclaimed below, the job's own collection reclaimed
+        gc.disable()
         try:
-            ok, payload, engine_runs = _execute_job(dict(spec), 0)
+            result = jobs.execute_spec(spec)
             after = live_engine_parts()
         finally:
             gc.enable()
-        assert ok and payload["workload"] == "oltp-db2"
-        assert (engine_runs["lanes"], engine_runs["reference"]) == (2, 0)
+        assert result["workload"] == "oltp-db2"
         assert after == before
 
     def test_execute_spec_equals_direct_call(self):
