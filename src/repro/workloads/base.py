@@ -51,6 +51,7 @@ with controlled jitter.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 from math import log
@@ -229,6 +230,10 @@ def _lane_interleave(getrandbits: Callable[[int], int], bounds: List[int]) -> Li
     return order
 
 
+def _lane_chunk(columns) -> LaneChunk:
+    return LaneChunk(*map(array, "QQBHQ", columns))
+
+
 class SyntheticWorkload(TraceStream):
     """Base class for all synthetic workloads."""
 
@@ -268,9 +273,6 @@ class SyntheticWorkload(TraceStream):
         """Yield the (unbounded) access stream of processor ``cpu``, a batch at a time."""
         raise NotImplementedError
 
-    # ------------------------------------------------------------------ #
-    # Helpers available to subclasses
-    # ------------------------------------------------------------------ #
     def lane_writer(self, rng: random.Random):
         """Build one processor's row writer: ``(access, footprint, end_operation, take)``.
 
@@ -375,7 +377,8 @@ class SyntheticWorkload(TraceStream):
         cursors = [0] * self.num_cpus
         left = [self.accesses_per_cpu] * self.num_cpus
         active = list(cpus)
-        out = LaneChunk.empty()
+        out: Tuple[List[int], ...] = ([], [], [], [], [])  # in LaneChunk column order
+        rows = (out[0], out[1], out[2], out[4])
         while active:
             count = len(active)
             bits = count.bit_length()
@@ -397,15 +400,15 @@ class SyntheticWorkload(TraceStream):
                 stop -= start
                 start = 0
             cursors[cpu] = stop
-            lanes = (out.pc, out.address, out.code, out.instruction_count)
-            for lane, column in zip(lanes, held):
-                lane.extend(column[start:stop])
-            out.cpu.extend((cpu,) * burst)
-            while len(out) >= chunk_size:
-                yield out.slice(0, chunk_size)
-                out = out.slice(chunk_size)
-        if len(out):
-            yield out
+            for column, source in zip(rows, held):
+                column += source[start:stop]
+            out[3].extend((cpu,) * burst)
+            while len(out[0]) >= chunk_size:
+                yield _lane_chunk([column[:chunk_size] for column in out])
+                for column in out:
+                    del column[:chunk_size]
+        if out[0]:
+            yield _lane_chunk(out)
 
     def __iter__(self) -> Iterator[MemoryAccess]:
         """The trace record by record: the lane chunks, boxed."""

@@ -42,9 +42,6 @@ _PC_SPARSE_VEC = 0x77_0000
 
 _REGION = 2048
 
-#: Nodes swept per em3d batch (five rows each).
-_EM3D_NODES_PER_BATCH = 64
-
 
 class Em3dWorkload(SyntheticWorkload):
     """em3d: 3M nodes, degree 2, span 5, 15% remote edges."""
@@ -78,7 +75,7 @@ class Em3dWorkload(SyntheticWorkload):
         access, _, _, take = self.lane_writer(rng)
         node = 0
         while True:
-            for _ in range(_EM3D_NODES_PER_BATCH):
+            for _ in range(64):  # nodes per batch, five rows each
                 base = self._node_address(cpu, node)
                 # Read this node's value and edge list (two blocks, sequential).
                 access(_PC_EM3D_NODE, base)
