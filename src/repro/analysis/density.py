@@ -142,9 +142,7 @@ def measure_density(
         l1_associativity=config.l1_associativity,
         l2_capacity=config.l2_capacity,
         l2_associativity=config.l2_associativity,
-        replacement=config.replacement,
         classify_false_sharing=False,
-        seed=config.seed,
     )
     l1_tracker = GenerationMissTracker("L1", geometry, per_cpu=True)
     l2_tracker = GenerationMissTracker("L2", geometry, per_cpu=False)

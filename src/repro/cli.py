@@ -134,9 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--cpus", type=int, default=4)
     simulate.add_argument("--accesses-per-cpu", type=int, default=10_000)
     simulate.add_argument("--seed", type=int, default=1)
-    simulate.add_argument("--no-lanes", action="store_true",
-                        help="force the per-record reference path instead of the "
-                             "lane loop (also: REPRO_ENGINE_LANES=0)")
 
     trace = subparsers.add_parser("trace", help="generate a workload trace file")
     trace.add_argument("--workload", choices=APPLICATION_NAMES, required=True)
@@ -388,13 +385,12 @@ def _command_simulate(args: argparse.Namespace) -> int:
     from repro.simulation.engine import SimulationEngine
     from repro.simulation.timing import TimingModel
 
-    lanes = False if args.no_lanes else None
     if args.trace:
         from repro.trace.reader import stream_trace
 
         # Trace files and generated workloads are both replayable streams;
-        # the engine walks either as integer lanes unless --no-lanes (binary
-        # traces decode straight into them, the rest transpose per chunk).
+        # the engine walks either as integer lanes (binary traces decode
+        # straight into them, the rest transpose per chunk).
         workload = stream_trace(args.trace)
         metadata = None
         source = workload.name
@@ -417,8 +413,8 @@ def _command_simulate(args: argparse.Namespace) -> int:
     factory = PREFETCHER_CHOICES[args.prefetcher]()
     engine = SimulationEngine(config, factory, name=args.prefetcher)
     try:
-        baseline = SimulationEngine(config, name="baseline").run(workload, lanes=lanes)
-        result = engine.run(workload, lanes=lanes)
+        baseline = SimulationEngine(config, name="baseline").run(workload)
+        result = engine.run(workload)
     except CpuOutOfRangeError as exc:
         print(
             f"error: {args.trace or source} holds a record for CPU {exc.cpu} but the simulated system "
@@ -569,7 +565,7 @@ def _command_experiment(args: argparse.Namespace) -> int:
         experiments_common.set_trace_cache(previous_trace)
     print(table.to_text())
     # Which engine loop the figure's runs took (pool workers report theirs
-    # back to this process), so a silent fallback shows on every invocation.
+    # back to this process), so a reference-loop run shows on every invocation.
     engine_note = format_engine_path_counts(engine_path_counts(since=engine_before))
     if cache is not None:
         stats = cache.stats

@@ -76,9 +76,7 @@ class MultiprocessorMemorySystem:
         l1_associativity: int = 2,
         l2_capacity: int = 8 * 1024 * 1024,
         l2_associativity: int = 8,
-        replacement: str = "lru",
         classify_false_sharing: bool = True,
-        seed: Optional[int] = None,
     ) -> None:
         if num_cpus <= 0:
             raise ValueError(f"num_cpus must be positive, got {num_cpus}")
@@ -91,9 +89,7 @@ class MultiprocessorMemorySystem:
                 capacity_bytes=l1_capacity,
                 block_size=block_size,
                 associativity=l1_associativity,
-                replacement=replacement,
                 name=f"L1[{cpu}]",
-                seed=None if seed is None else seed + cpu,
             )
             for cpu in range(num_cpus)
         ]
@@ -101,9 +97,7 @@ class MultiprocessorMemorySystem:
             capacity_bytes=l2_capacity,
             block_size=block_size,
             associativity=l2_associativity,
-            replacement=replacement,
             name="L2",
-            seed=seed,
         )
         self.directory = Directory(coherence_unit=block_size)
         self.classifier = (

@@ -60,7 +60,7 @@ class SpatialMemoryStreaming(Prefetcher):
         )
         # Lane fast path: the plain AGT is the only trainer that never forces
         # evictions, so it is the only one whose per-access work can run
-        # unboxed.  Sectored trainers keep the reference path.
+        # unboxed.  Sectored trainers get their accesses boxed by the lane loop.
         self._lane_agt = self.trainer.agt if type(self.trainer) is AGTTrainer else None
         #: Bit *i* of a streamed run is the block at ``region + (i << shift)``.
         self.lane_block_shift = self.geometry.block_size.bit_length() - 1

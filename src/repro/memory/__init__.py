@@ -22,7 +22,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "region_base",
         ),
         "cache": ("AccessOutcome", "CacheLine", "EvictedLine", "SetAssociativeCache"),
-        "replacement": ("ReplacementPolicy", "LRUPolicy", "RandomPolicy", "make_policy"),
+        "replacement": ("ReplacementPolicy", "LRUPolicy"),
         "hierarchy": ("CacheHierarchy", "HierarchyOutcome", "MemoryLevel"),
         "sectored": ("SectoredTagArray", "LogicalSectoredTagArray", "SectorState"),
         "decoupled": ("DecoupledSectoredCache",),

@@ -1,8 +1,8 @@
 """Set-associative cache model.
 
 The cache is a functional (untimed) model: it tracks which blocks are
-resident, applies a replacement policy, and reports hits, misses, evictions
-and invalidations.  Timing is layered on separately by
+resident, replaces the least recently used block of a full set, and reports
+hits, misses, evictions and invalidations.  Timing is layered on separately by
 :mod:`repro.simulation.timing`.
 
 Set layout
@@ -13,15 +13,10 @@ There are no way numbers and no per-line objects: residency is ``block in
 cache_set``, a fill is one dict store, and the dict's insertion order *is*
 the replacement state.  The fused lane loop in
 :mod:`repro.simulation.engine` reads and writes the same dicts directly and
-relies on two invariants:
-
-* **LRU: the first key is the victim.**  Every hit pops the block and
-  re-appends it, every fill appends, so keys run least- to most-recently
-  used and ``for victim in cache_set: break`` is the whole victim search.
-* **Random never reorders.**  A hit rewrites the flags in place, so keys stay
-  in fill order (refills appended) and the per-set seeded
-  :class:`~repro.memory.replacement.RandomPolicy` picks a *position* in that
-  order.
+relies on one invariant: **the first key is the LRU victim.**  Every hit pops
+the block and re-appends it, every fill appends, so keys run least- to
+most-recently used and ``for victim in cache_set: break`` is the whole victim
+search.
 
 Prefetch bookkeeping
 --------------------
@@ -40,7 +35,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro._compat import DATACLASS_SLOTS
 from repro.memory.block import is_power_of_two
-from repro.memory.replacement import make_policy
 from repro.memory.stats import CacheStatistics
 
 #: Flag bits of one resident line (the values of a set dict).
@@ -125,9 +119,7 @@ class SetAssociativeCache:
         capacity_bytes: int,
         block_size: int = 64,
         associativity: int = 2,
-        replacement: str = "lru",
         name: str = "cache",
-        seed: Optional[int] = None,
     ) -> None:
         if not is_power_of_two(block_size):
             raise ValueError(f"block_size must be a power of two, got {block_size}")
@@ -153,15 +145,9 @@ class SetAssociativeCache:
         self._block_mask = ~(block_size - 1)
         self._index_shift = block_size.bit_length() - 1
         self._set_mask = self.num_sets - 1
-        # Each set is a dict block_addr -> flags whose key order is the
-        # replacement state (module docstring, "Set layout"): LRU needs
-        # nothing else; random keeps one seeded victim picker per set.
+        # Each set is a dict block_addr -> flags whose key order is the LRU
+        # order (module docstring, "Set layout").
         self._sets: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
-        self._lru = replacement.lower() == "lru"
-        self._pick_victim = None if self._lru else [
-            make_policy(replacement, seed=None if seed is None else seed + i).victim
-            for i in range(self.num_sets)
-        ]
         self.stats = CacheStatistics()
         self._eviction_listeners: List[EvictionListener] = []
 
@@ -227,9 +213,9 @@ class SetAssociativeCache:
             stats.reads += 1
 
         cache_set = self._sets[set_index]
-        # LRU pops the block so that the store below re-appends it as most
-        # recently used; random rewrites the flags in place.
-        flags = cache_set.pop(block, None) if self._lru else cache_set.get(block)
+        # Pop the block so that the store below re-appends it as most
+        # recently used.
+        flags = cache_set.pop(block, None)
         if flags is not None:
             if flags & (PREFETCHED | USED) == PREFETCHED:
                 outcome = AccessOutcome.PREFETCH_HIT
@@ -296,11 +282,8 @@ class SetAssociativeCache:
         cache_set = self._sets[set_index]
         evicted_line: Optional[EvictedLine] = None
         if len(cache_set) >= self.associativity:
-            if self._lru:
-                for victim in cache_set:
-                    break
-            else:
-                victim = self._pick_victim[set_index](list(cache_set), [])
+            for victim in cache_set:  # first key = LRU victim
+                break
             victim_flags = cache_set.pop(victim)
             self.stats.evictions += 1
             if victim_flags & DIRTY:

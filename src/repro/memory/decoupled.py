@@ -28,7 +28,7 @@ from repro.memory.block import (
     region_base,
 )
 from repro.memory.cache import AccessOutcome, AccessResult, CacheLine, EvictedLine
-from repro.memory.replacement import ReplacementPolicy, make_policy
+from repro.memory.replacement import LRUPolicy
 from repro.memory.stats import CacheStatistics
 
 
@@ -54,9 +54,7 @@ class DecoupledSectoredCache:
         sector_size: int = 2048,
         block_size: int = 64,
         associativity: int = 2,
-        replacement: str = "lru",
         name: str = "sectored-cache",
-        seed: Optional[int] = None,
     ) -> None:
         if not is_power_of_two(block_size) or not is_power_of_two(sector_size):
             raise ValueError("block_size and sector_size must be powers of two")
@@ -79,10 +77,7 @@ class DecoupledSectoredCache:
         if not is_power_of_two(self.num_sets):
             raise ValueError(f"number of sets must be a power of two, got {self.num_sets}")
         self._sets: List[Dict[int, _Sector]] = [dict() for _ in range(self.num_sets)]
-        self._policies: List[ReplacementPolicy] = [
-            make_policy(replacement, seed=None if seed is None else seed + index)
-            for index in range(self.num_sets)
-        ]
+        self._policies: List[LRUPolicy] = [LRUPolicy() for _ in range(self.num_sets)]
         self.stats = CacheStatistics()
         self.sector_evictions = 0
         self._eviction_listeners: List[Callable[[EvictedLine], None]] = []

@@ -7,8 +7,7 @@ Active Generation Table, which are organised like caches.
 
 from __future__ import annotations
 
-import random
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 class ReplacementPolicy:
@@ -61,42 +60,3 @@ class LRUPolicy(ReplacementPolicy):
         if not valid_ways:
             raise ValueError("victim() called with no ways")
         return min(valid_ways, key=lambda way: self._last_use.get(way, -1))
-
-
-class RandomPolicy(ReplacementPolicy):
-    """Random replacement with a per-policy deterministic RNG."""
-
-    def __init__(self, seed: Optional[int] = None) -> None:
-        self._rng = random.Random(seed)
-
-    def on_fill(self, way: int) -> None:
-        pass
-
-    def on_access(self, way: int) -> None:
-        pass
-
-    def on_invalidate(self, way: int) -> None:
-        pass
-
-    def victim(self, valid_ways: List[int], invalid_ways: List[int]) -> int:
-        if invalid_ways:
-            return invalid_ways[0]
-        if not valid_ways:
-            raise ValueError("victim() called with no ways")
-        return self._rng.choice(valid_ways)
-
-
-_POLICIES = {
-    "lru": LRUPolicy,
-    "random": RandomPolicy,
-}
-
-
-def make_policy(name: str, seed: Optional[int] = None) -> ReplacementPolicy:
-    """Construct a replacement policy by name (``"lru"`` or ``"random"``)."""
-    key = name.lower()
-    if key not in _POLICIES:
-        raise ValueError(f"unknown replacement policy {name!r}; choose from {sorted(_POLICIES)}")
-    if key == "random":
-        return RandomPolicy(seed=seed)
-    return _POLICIES[key]()

@@ -28,7 +28,7 @@ from repro.memory.block import (
     is_power_of_two,
     region_base,
 )
-from repro.memory.replacement import ReplacementPolicy, make_policy
+from repro.memory.replacement import LRUPolicy
 
 
 @dataclass
@@ -82,7 +82,6 @@ class SectoredTagArray:
         associativity: int,
         region_size: int,
         block_size: int = 64,
-        replacement: str = "lru",
         name: str = "sectored-tags",
     ) -> None:
         if num_sectors <= 0 or num_sectors % associativity != 0:
@@ -99,7 +98,7 @@ class SectoredTagArray:
         if not is_power_of_two(self.num_sets):
             raise ValueError(f"number of sets must be a power of two, got {self.num_sets}")
         self._sets: List[Dict[int, SectorState]] = [dict() for _ in range(self.num_sets)]
-        self._policies: List[ReplacementPolicy] = [make_policy(replacement) for _ in range(self.num_sets)]
+        self._policies: List[LRUPolicy] = [LRUPolicy() for _ in range(self.num_sets)]
         self.allocations = 0
         self.conflict_evictions = 0
 
@@ -212,7 +211,6 @@ class LogicalSectoredTagArray(SectoredTagArray):
         associativity: int,
         region_size: int,
         block_size: int = 64,
-        replacement: str = "lru",
         name: str = "logical-sectored",
     ) -> None:
         num_sectors = max(associativity, capacity_bytes // region_size)
@@ -227,7 +225,6 @@ class LogicalSectoredTagArray(SectoredTagArray):
             associativity=associativity,
             region_size=region_size,
             block_size=block_size,
-            replacement=replacement,
             name=name,
         )
         self.modeled_capacity_bytes = capacity_bytes

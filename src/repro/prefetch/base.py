@@ -72,7 +72,14 @@ class Prefetcher:
         self.stats = PrefetcherStatistics()
 
     def on_access(self, record: MemoryAccess, outcome: AccessOutcomeRecord) -> PrefetcherResponse:
-        """Observe a demand access (with its memory-system outcome)."""
+        """Observe a demand access (with its memory-system outcome).
+
+        The engine's lane loop calls this for a prefetcher without a
+        :meth:`lane_hook`, with a record and an outcome boxed for that access
+        alone: levels and hit / prefetch-hit / miss results are exact,
+        ``evicted`` is never set (victims arrive through :meth:`on_eviction`)
+        and ``miss_classification`` is ``FALSE_SHARING`` or ``None``.
+        """
         raise NotImplementedError
 
     def on_eviction(self, block_address: int, invalidated: bool) -> PrefetcherResponse:
@@ -90,8 +97,9 @@ class Prefetcher:
         the engine issues each run lowest bit first, the runs in order.  Its
         effects must be bit-identical to
         :meth:`on_access` for accesses that never force evictions.  Returning
-        ``None`` here (the default) makes the engine fall back to the boxed
-        reference path.
+        ``None`` here (the default) makes the lane loop box this prefetcher's
+        accesses and call :meth:`on_access`; the other CPUs and the memory
+        system around it stay unboxed.
         """
         return None
 
@@ -102,8 +110,8 @@ class Prefetcher:
         issuing prefetches or forced evictions returns ``fn(block_address) ->
         None``; its effects must be bit-identical to
         ``on_eviction(block_address, invalidated=False)``.  Returning ``None``
-        (the default) makes the engine call :meth:`on_eviction` and apply the
-        response generically.
+        (the default) makes the lane loop call :meth:`on_eviction` and apply
+        the response as the reference loop does.
         """
         return None
 

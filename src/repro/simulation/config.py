@@ -53,10 +53,6 @@ class MachineConfig:
         return cls()
 
 
-#: Replacement policies :class:`SimulationConfig` accepts (case-insensitive).
-REPLACEMENT_POLICIES = frozenset({"lru", "random"})
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """Functional parameters of the simulated memory system.
@@ -74,14 +70,12 @@ class SimulationConfig:
     l2_capacity: int = 8 * 1024 * 1024
     l2_associativity: int = 8
     l2_mshrs: int = 32
-    replacement: str = "lru"
     classify_false_sharing: bool = True
     warmup_fraction: float = 0.3
     #: Absolute warmup length in accesses.  When set it takes precedence over
     #: ``warmup_fraction``, which lets length-hint-free streams (e.g. piped
     #: traces) run with a warmup phase.
     warmup_accesses: Optional[int] = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.num_cpus <= 0:
@@ -92,14 +86,6 @@ class SimulationConfig:
             raise ValueError(
                 f"warmup_accesses must be non-negative, got {self.warmup_accesses}"
             )
-        # One spelling for the cache and the engine's lane veto to read.
-        replacement = str(self.replacement).lower()
-        if replacement not in REPLACEMENT_POLICIES:
-            raise ValueError(
-                f"unknown replacement policy {self.replacement!r}; "
-                f"choose from {sorted(REPLACEMENT_POLICIES)}"
-            )
-        object.__setattr__(self, "replacement", replacement)
 
     @classmethod
     def paper_default(cls) -> "SimulationConfig":

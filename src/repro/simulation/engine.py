@@ -33,8 +33,7 @@ to a remote write and has not re-fetched yet (``classify_false_sharing``).
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from repro import _env, obs
@@ -47,11 +46,17 @@ from repro.coherence.multiprocessor import (
     MultiprocessorMemorySystem,
 )
 from repro.interconnect.traffic import BandwidthAccountant, TrafficClass
-from repro.memory.cache import DIRTY, PREFETCHED, USED, EvictedLine
+from repro.memory.cache import (
+    DIRTY,
+    PREFETCHED,
+    USED,
+    AccessOutcome,
+    AccessResult,
+    EvictedLine,
+)
 from repro.memory.hierarchy import MemoryLevel
 from repro.prefetch.base import NullPrefetcher, Prefetcher
 from repro.simulation.census import (  # noqa: F401 - the census's long-standing import path
-    FALLBACK_REASONS,
     absorb_engine_path_counts,
     engine_path_counts,
     format_engine_path_counts,
@@ -61,14 +66,10 @@ from repro.trace.record import ExecutionMode, MemoryAccess
 from repro.trace.stream import (
     DEFAULT_CHUNK_SIZE,
     TraceStream,
-    iter_chunks,
     lane_chunk_iterator,
     resolve_warmup_count,
 )
 from repro.workloads.base import WorkloadMetadata
-
-#: Environment switch for the lane fast path (``0``/``false``/``off`` disable).
-LANES_ENV_VAR = "REPRO_ENGINE_LANES"
 
 #: Environment variable enabling the simulation-time telemetry probe: a
 #: positive integer N samples prediction quality every N measured records.
@@ -118,16 +119,14 @@ class _TelemetryProbe:
         })
 
 
-def _flush_engine_metrics(path: str, records: int, fallback_reason: Optional[str]) -> None:
+def _flush_engine_metrics(path: str, records: int) -> None:
     """One batched census + metrics flush per engine run.
 
     Called after the chunk loop — mirroring the per-chunk stat tallies,
-    nothing observable happens per record — so the lane fast path pays a
+    nothing observable happens per record — so the lane loop pays a
     handful of dict operations per *run* for its instrumentation.
     """
-    absorb_engine_path_counts(
-        {path: 1} if fallback_reason is None else {path: 1, f"fallback:{fallback_reason}": 1}
-    )
+    absorb_engine_path_counts({path: 1})
     if records:
         obs.counter(
             "repro_engine_records_total",
@@ -138,6 +137,16 @@ def _flush_engine_metrics(path: str, records: int, fallback_reason: Optional[str
 
 #: A factory building the prefetcher for one CPU.
 PrefetcherFactory = Callable[[int], Prefetcher]
+
+
+def _every_access(pc: int, address: int) -> bool:
+    return True
+
+
+#: Lane dispatch slot of a prefetcher without a ``lane_hook()``: something to
+#: do on every access, and no block shift — which is how the lane loop tells
+#: it from a lane hook's runs and boxes the access for ``on_access`` instead.
+_BOXED_SLOT = (_every_access, None, None)
 
 
 @dataclass
@@ -186,12 +195,10 @@ class SimulationResult:
     # whether or not the probe ran.
     telemetry: Optional[Dict] = None
 
-    # Which loop produced these counters (``"lanes"`` / ``"reference"``) and,
-    # for the reference loop, which of :data:`FALLBACK_REASONS` vetoed the
-    # lane loop.  Run metadata, not counters: excluded from :meth:`as_dict`
-    # for the same reason as ``telemetry``.
+    # Which loop produced these counters: ``"lanes"``, or ``"reference"``
+    # for a ``run(..., lanes=False)``.  Run metadata, not a counter: excluded
+    # from :meth:`as_dict` for the same reason as ``telemetry``.
     engine_path: str = ""
-    fallback_reason: Optional[str] = None
 
     # ------------------------------------------------------------------ #
     # Derived metrics
@@ -276,9 +283,7 @@ class SimulationEngine:
             l1_associativity=self.config.l1_associativity,
             l2_capacity=self.config.l2_capacity,
             l2_associativity=self.config.l2_associativity,
-            replacement=self.config.replacement,
             classify_false_sharing=self.config.classify_false_sharing,
-            seed=self.config.seed,
         )
         self.prefetchers: List[Prefetcher] = [
             self.prefetcher_factory(cpu) for cpu in range(self.config.num_cpus)
@@ -315,11 +320,14 @@ class SimulationEngine:
         # the engine weakly: a strong reference would close the cycle engine
         # -> memory -> cache listeners -> engine, and every finished run (cache
         # sets, directory, PHT and all) would wait for the cycle collector
-        # instead of being freed when the engine goes out of scope.
+        # instead of being freed when the engine goes out of scope.  A memory
+        # system kept past its engine has nobody left to tell.
         engine = weakref.ref(self)
 
         def _listener(evicted) -> None:
             self = engine()
+            if self is None:
+                return
             block = evicted.block_addr
             if (
                 block in self._offchip_prefetched_unused
@@ -331,11 +339,9 @@ class SimulationEngine:
                 self._offchip_prefetched_unused.discard(block)
                 self._offchip_prefetched_wasted += 1
             prefetcher = self.prefetchers[cpu]
-            response = prefetcher.on_eviction(block, invalidated=evicted.invalidated)
-            if response.forced_evictions:
-                self._apply_forced_evictions(cpu, response.forced_evictions)
-            if response.prefetches:
-                self._apply_prefetches(cpu, response.prefetches)
+            self._apply_response(
+                cpu, prefetcher.on_eviction(block, invalidated=evicted.invalidated)
+            )
 
         return _listener
 
@@ -343,7 +349,9 @@ class SimulationEngine:
         engine = weakref.ref(self)
 
         def _listener(evicted) -> None:
-            engine()._on_l2_eviction(evicted)
+            self = engine()
+            if self is not None:
+                self._on_l2_eviction(evicted)
 
         return _listener
 
@@ -355,6 +363,13 @@ class SimulationEngine:
 
     def _resident_in_any_l1(self, block: int) -> bool:
         return any(l1.contains(block) for l1 in self._l1s)
+
+    def _apply_response(self, cpu: int, response) -> None:
+        """Do what a prefetcher's response asks for, as :meth:`_step` does."""
+        if response.forced_evictions:
+            self._apply_forced_evictions(cpu, response.forced_evictions)
+        if response.prefetches:
+            self._apply_prefetches(cpu, response.prefetches)
 
     def _apply_forced_evictions(self, cpu: int, blocks: Iterable[int]) -> None:
         l1 = self.memory.l1(cpu)
@@ -489,24 +504,16 @@ class SimulationEngine:
             warmup_accesses=warmup_accesses,
         )
 
-    def _resolve_lanes(self, lanes: Optional[bool]) -> bool:
-        """Whether to attempt the lane fast path: argument, then env, then on."""
-        if lanes is not None:
-            return bool(lanes)
-        value = _env.read(LANES_ENV_VAR)
-        if value is not None:
-            return value.strip().lower() not in ("0", "false", "off", "")
-        return True
-
     def _lane_hooks(self):
-        """Per-CPU lane dispatch table, or ``None`` when any CPU needs boxing.
+        """Per-CPU dispatch table of the lane loop.
 
         Each slot is ``None`` (a :class:`NullPrefetcher`: skip the per-access
-        prefetcher call entirely) or ``(fn, target_l1, block_shift)`` where
-        ``fn`` is the prefetcher's :meth:`~repro.prefetch.base.Prefetcher.lane_hook`.
-        A single prefetcher without a lane hook (GHB, sectored-trainer SMS,
-        ...) vetoes the whole lane path — mixed per-record dispatch is not
-        worth its complexity.
+        prefetcher call entirely), ``(fn, target_l1, block_shift)`` where
+        ``fn`` is the prefetcher's :meth:`~repro.prefetch.base.Prefetcher.lane_hook`,
+        or :data:`_BOXED_SLOT` for a prefetcher without one (GHB,
+        sectored-trainer SMS, ...), whose accesses the loop boxes for
+        ``on_access`` — that CPU's only; the memory system around it stays
+        fused, and CPUs may mix all three.
         """
         hooks = []
         for prefetcher in self.prefetchers:
@@ -515,29 +522,10 @@ class SimulationEngine:
                 continue
             fn = prefetcher.lane_hook()
             if fn is None:
-                return None
-            hooks.append((fn, prefetcher.streams_into_l1, prefetcher.lane_block_shift))
+                hooks.append(_BOXED_SLOT)
+            else:
+                hooks.append((fn, prefetcher.streams_into_l1, prefetcher.lane_block_shift))
         return hooks
-
-    def _lane_path(self, lanes: Optional[bool]):
-        """Return ``(hooks, None)`` when this run takes the lane loop, else
-        ``(None, reason)`` with one of :data:`FALLBACK_REASONS`.
-
-        The veto is a property of the configuration alone: lanes switched
-        off (argument or ``REPRO_ENGINE_LANES``), a replacement policy other
-        than LRU (the fused loop inlines LRU bookkeeping), or a prefetcher
-        without a lane hook.  The trace never vetoes —
-        :func:`~repro.trace.stream.lane_chunk_iterator` serves lanes for any
-        input type.
-        """
-        if not self._resolve_lanes(lanes):
-            return None, "disabled"
-        if self.config.replacement != "lru":
-            return None, "replacement"
-        hooks = self._lane_hooks()
-        if hooks is None:
-            return None, "prefetcher"
-        return hooks, None
 
     def _resolve_telemetry(self, telemetry_interval: Optional[int]) -> Optional[int]:
         """Probe interval: explicit argument, then ``REPRO_TRACE_TELEMETRY``."""
@@ -558,7 +546,7 @@ class SimulationEngine:
         limit: Optional[int] = None,
         warmup_accesses: Optional[int] = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        lanes: Optional[bool] = None,
+        lanes: bool = True,
         telemetry_interval: Optional[int] = None,
     ) -> SimulationResult:
         """Run ``trace`` through the engine and return the measurement-phase result.
@@ -573,19 +561,18 @@ class SimulationEngine:
         are reset at the warmup boundary.  ``limit`` lazily truncates the
         trace, doing finite work even on an endless generator.
 
-        ``lanes`` selects the lane fast path: the trace is walked as flat
-        integer lanes by :meth:`_step_lanes` without boxing a
-        :class:`MemoryAccess` per record.  Lane-native inputs
-        (:class:`~repro.trace.binary.LaneTrace`, ``.strc`` streams) hand
-        their lanes over as they are; every other input — generated
-        workloads, text traces, record lists, generators — is transposed one
-        chunk at a time.  The default (``None``) consults the
-        ``REPRO_ENGINE_LANES`` environment variable and otherwise enables the
-        path.  The reference loop runs only when lanes are switched off, the
-        replacement policy is not LRU, or a prefetcher has no lane hook; the
-        result's ``engine_path`` / ``fallback_reason``, the ``engine.run``
-        span and ``repro_engine_fallback_total`` say which.  Both paths are
-        bit-identical (gated by the golden counter tests).
+        The trace is walked as flat integer lanes by :meth:`_step_lanes`
+        without boxing a :class:`MemoryAccess` per record.  Lane-native inputs
+        (:class:`~repro.trace.binary.LaneTrace`, ``.strc`` streams, synthetic
+        workloads) hand their lanes over as they are; every other input —
+        text traces, record lists, generators — is transposed one chunk at a
+        time.  Every configuration takes this loop: a prefetcher without a
+        ``lane_hook()`` has its own accesses boxed for ``on_access`` inside
+        it.  ``lanes=False`` steps the same chunks record by record through
+        :meth:`_step` over ``memory.access`` instead — the reference the
+        parity tests and the benchmark's probes compare the lane loop
+        against, bit-identical by the golden-counter tests.  The result's
+        ``engine_path`` and the ``engine.run`` span say which loop ran.
 
         ``telemetry_interval`` (or ``REPRO_TRACE_TELEMETRY=N``) enables the
         simulation-time probe: every N measured records — sampled at chunk
@@ -611,8 +598,6 @@ class SimulationEngine:
                 })
             span.set("accesses", result.accesses)
             span.set("engine_path", result.engine_path)
-            if result.fallback_reason is not None:
-                span.set("fallback_reason", result.fallback_reason)
             return result
 
     def _run_impl(
@@ -621,85 +606,52 @@ class SimulationEngine:
         limit: Optional[int],
         warmup_accesses: Optional[int],
         chunk_size: int,
-        lanes: Optional[bool],
+        lanes: bool,
         probe: Optional[_TelemetryProbe],
     ) -> SimulationResult:
         warmup_count = self._resolve_warmup_count(trace, limit, warmup_accesses)
 
-        hooks, fallback_reason = self._lane_path(lanes)
-        if hooks is not None:
-            lane_chunks = lane_chunk_iterator(trace, chunk_size, limit)
-            self._measuring = warmup_count == 0
-            if self._measuring:
-                self._reset_measurement()
+        if lanes:
+            engine_path = "lanes"
+            hooks = self._lane_hooks()
             step_lanes = self._step_lanes
-            remaining_warmup = warmup_count
-            simulated = 0
-            for chunk in lane_chunks:
-                simulated += len(chunk)
-                if not self._measuring:
-                    head = len(chunk)
-                    if remaining_warmup < head:
-                        head = remaining_warmup
-                        step_lanes(chunk.slice(0, head), hooks)
-                        chunk = chunk.slice(head, None)
-                        remaining_warmup = 0
-                        self._reset_measurement()
-                        self._measuring = True
-                    else:
-                        step_lanes(chunk, hooks)
-                        remaining_warmup -= head
-                        continue
-                step_lanes(chunk, hooks)
-                if probe is not None:
-                    probe.note(simulated - warmup_count)
-            return self._finish_run(trace, simulated, None)
 
-        if limit is None and isinstance(trace, TraceStream):
-            chunks = trace.iter_chunks(chunk_size)
+            def step_chunk(chunk) -> None:
+                step_lanes(chunk, hooks)
+
         else:
-            stream = iter(trace)
-            if limit is not None:
-                stream = islice(stream, limit)
-            chunks = iter_chunks(stream, chunk_size)
+            engine_path = "reference"
+            step = self._step
+
+            def step_chunk(chunk) -> None:
+                for record in chunk.records():
+                    step(record)
 
         self._measuring = warmup_count == 0
         if self._measuring:
             self._reset_measurement()
-
-        step = self._step
         remaining_warmup = warmup_count
         simulated = 0
-        for chunk in chunks:
+        for chunk in lane_chunk_iterator(trace, chunk_size, limit):
             simulated += len(chunk)
             if not self._measuring:
                 head = len(chunk)
                 if remaining_warmup < head:
                     head = remaining_warmup
-                    for record in chunk[:head]:
-                        step(record)
-                    chunk = chunk[head:]
+                    step_chunk(chunk.slice(0, head))
+                    chunk = chunk.slice(head, None)
                     remaining_warmup = 0
                     self._reset_measurement()
                     self._measuring = True
                 else:
-                    for record in chunk:
-                        step(record)
+                    step_chunk(chunk)
                     remaining_warmup -= head
                     continue
-            for record in chunk:
-                step(record)
+            step_chunk(chunk)
             if probe is not None:
                 probe.note(simulated - warmup_count)
 
-        return self._finish_run(trace, simulated, fallback_reason)
-
-    def _finish_run(
-        self, trace, simulated: int, fallback_reason: Optional[str]
-    ) -> SimulationResult:
-        """Close the run; ``fallback_reason`` is ``None`` for a lane run."""
-        engine_path = "lanes" if fallback_reason is None else "reference"
-        _flush_engine_metrics(engine_path, simulated, fallback_reason)
+        _flush_engine_metrics(engine_path, simulated)
         if not self._measuring:
             # The stream ended inside the warmup phase (overestimated length
             # hint, or warmup_accesses/limit beyond the trace).  Reset so the
@@ -717,7 +669,6 @@ class SimulationEngine:
             if isinstance(metadata, WorkloadMetadata):
                 self.result.workload = metadata
         self.result.engine_path = engine_path
-        self.result.fallback_reason = fallback_reason
         return self.result
 
     def _step(self, record: MemoryAccess) -> None:
@@ -753,6 +704,54 @@ class SimulationEngine:
                 return False
         return memory.l2._eviction_listeners == [self._l2_eviction_listener]
 
+    def _lane_boxed_access(self):
+        """The lane loop's adapter for prefetchers without a ``lane_hook()``.
+
+        ``fn(cpu, pc, address, code, icount, l1_hit, flags, false_sharing,
+        invalidations_sent)`` rebuilds the record and the outcome
+        ``memory.access`` would have returned for an access the fused loop
+        just performed — ``flags`` are the line's before the access, the L1's
+        on a hit, else the L2's (``None``: off-chip) — hands them to that
+        CPU's ``on_access`` and applies the response as :meth:`_step` does.
+        The outcome carries what the loop knows: levels and hit / prefetch-hit
+        / miss results are exact, the install victims (``evicted``) are not
+        kept, and the miss classification is ``FALSE_SHARING`` or ``None``.
+        """
+        prefetchers = self.prefetchers
+        apply_response = self._apply_response
+        block_mask = self._block_mask
+        unused_prefetch = PREFETCHED | USED  # mask; == PREFETCHED when unused
+        hit = AccessOutcome.HIT
+        prefetch_hit = AccessOutcome.PREFETCH_HIT
+        miss = AccessOutcome.MISS
+
+        def boxed_access(
+            cpu, pc, address, code, icount, l1_hit, flags, false_sharing, invalidations_sent
+        ) -> None:
+            record = tuple.__new__(MemoryAccess, (pc, address, code, cpu, icount))  # repro: ignore[HOT004] -- the one boxing on the lane path: on_access of a prefetcher without a lane hook takes a record, and only that CPU's accesses pay for it
+            block = address & block_mask
+            if flags is None:
+                served = miss
+            else:
+                served = prefetch_hit if flags & unused_prefetch == PREFETCHED else hit
+            if l1_hit:
+                outcome = AccessOutcomeRecord(
+                    record, MemoryLevel.L1, AccessResult(served, block),
+                    invalidations_sent=invalidations_sent,
+                )
+            else:
+                outcome = AccessOutcomeRecord(
+                    record,
+                    MemoryLevel.MEMORY if flags is None else MemoryLevel.L2,
+                    AccessResult(miss, block),
+                    AccessResult(served, block),
+                    MissClassification.FALSE_SHARING if false_sharing else None,
+                    invalidations_sent,
+                )
+            apply_response(cpu, prefetchers[cpu].on_access(record, outcome))
+
+        return boxed_access
+
     def _step_lanes(self, chunk, hooks) -> None:
         """Simulate one lane chunk with the same semantics as :meth:`_step`.
 
@@ -762,7 +761,9 @@ class SimulationEngine:
         ``_apply_prefetches`` (a lane hook's ``(region, bits)`` runs are
         drained bit by bit in place).  No ``MemoryAccess`` / ``AccessResult``
         / ``AccessOutcomeRecord`` / ``CoherenceActions`` / ``DirectoryEntry``
-        / ``CacheLine`` / address list is ever constructed.  Counter effects
+        / ``CacheLine`` / address list is ever constructed — except for the
+        accesses of a CPU whose prefetcher has no lane hook, which
+        :meth:`_lane_boxed_access` boxes for its ``on_access``.  Counter effects
         are accumulated in locals and flushed once per chunk (all shared-object
         reads below are loop-invariant: ``result`` / ``_measuring`` / the
         tracked set only change at warmup boundaries between chunks).
@@ -772,8 +773,7 @@ class SimulationEngine:
         set, kept least- to most-recently used.  A lookup or residency probe
         is ``block in cache_set``, a hit pops the block and re-appends it
         with the demand bits or-ed in, a fill is one dict store, and the LRU
-        victim is the first key.  Only LRU is inlined, which is why any other
-        replacement policy vetoes this loop (see :meth:`_lane_path`).
+        victim is the first key.
 
         The directory is read and written in place too, in the layout
         :mod:`repro.coherence.directory` documents: one int per cached block,
@@ -831,8 +831,8 @@ class SimulationEngine:
         unused_prefetch = PREFETCHED | USED  # mask; == prefetched when unused
 
         prefetchers = self.prefetchers
-        apply_forced = self._apply_forced_evictions
-        apply_prefetches = self._apply_prefetches
+        apply_response = self._apply_response
+        boxed_access = self._lane_boxed_access()
         inline_evictions = self._lane_inline_evictions()
 
         # Per-CPU eviction handlers for the inlined listener path: ``None``
@@ -848,11 +848,7 @@ class SimulationEngine:
             if fn is None:
 
                 def fn(block, _cpu=hook_cpu, _prefetcher=prefetcher):
-                    response = _prefetcher.on_eviction(block, invalidated=False)
-                    if response.forced_evictions:
-                        apply_forced(_cpu, response.forced_evictions)
-                    if response.prefetches:
-                        apply_prefetches(_cpu, response.prefetches)
+                    apply_response(_cpu, _prefetcher.on_eviction(block, invalidated=False))
 
             evict_hooks.append(fn)
 
@@ -864,9 +860,9 @@ class SimulationEngine:
 
         # Cache-statistics tallies, flushed per chunk.  Mid-chunk readers of
         # hit/access counters would see deferred values, but the only
-        # mid-chunk code is the construction-time eviction listeners, which
-        # read none of these (eviction-side stats stay live in the install
-        # helpers).
+        # mid-chunk code is the construction-time eviction listeners and the
+        # prefetchers, which read none of these (eviction-side stats stay
+        # live in the install helpers).
         zeros = [0] * num_cpus
         c1_reads = list(zeros)
         c1_writes = list(zeros)
@@ -1110,6 +1106,15 @@ class SimulationEngine:
                 runs = hook and hook[0](pc, address)
                 if runs:
                     _, target_l1, pshift = hook
+                    if pshift is None:
+                        # _BOXED_SLOT.  ``flags`` still holds what the last
+                        # lookup of this access popped: the L1 line's on a
+                        # hit, else the L2 line's (None: off-chip).
+                        boxed_access(
+                            cpu, pc, address, code, icount, l1_hit, flags,
+                            not l1_hit and was_false_sharing, invalidations_sent,
+                        )
+                        continue
                     for pbase, pbits in runs:
                         count = bin(pbits).count("1")
                         dir_reads += count

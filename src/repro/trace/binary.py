@@ -422,17 +422,15 @@ class BinaryTraceStream(TraceStream):
         count = None if record_count == UNKNOWN_COUNT else record_count
         return handle, raw, count
 
-    def iter_chunks(
-        self, chunk_size: int = DEFAULT_CHUNK_SIZE
-    ) -> Iterator[List[MemoryAccess]]:
-        """Decode the file as successive record lists of ``chunk_size``."""
+    def _iter_record_bytes(self, chunk_size: int) -> Iterator[bytes]:
+        """The payload as whole-record byte slices of up to ``chunk_size``
+        records — the framing both decoders below share: a torn tail or a
+        payload that disagrees with the header's count raises ``ValueError``
+        once the file is exhausted, and a full pass records the length."""
         if chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         handle, raw, expected = self._open_payload()
         read_bytes = chunk_size * RECORD_SIZE
-        new = tuple.__new__
-        cls = MemoryAccess
-        iter_unpack = RECORD.iter_unpack
         decoded = 0
         pending = b""
         try:
@@ -449,9 +447,8 @@ class BinaryTraceStream(TraceStream):
                     data = data[:-remainder]
                 if not data:
                     continue
-                chunk = [new(cls, fields) for fields in iter_unpack(data)]
-                decoded += len(chunk)
-                yield chunk
+                decoded += len(data) // RECORD_SIZE
+                yield data
         finally:
             handle.close()
             raw.close()
@@ -467,6 +464,16 @@ class BinaryTraceStream(TraceStream):
             )
         if self._length is None:
             self._length = decoded
+
+    def iter_chunks(
+        self, chunk_size: int = DEFAULT_CHUNK_SIZE
+    ) -> Iterator[List[MemoryAccess]]:
+        """Decode the file as successive record lists of ``chunk_size``."""
+        new = tuple.__new__
+        cls = MemoryAccess
+        iter_unpack = RECORD.iter_unpack
+        for data in self._iter_record_bytes(chunk_size):
+            yield [new(cls, fields) for fields in iter_unpack(data)]
 
     def iter_lane_chunks(
         self, chunk_size: int = DEFAULT_CHUNK_SIZE
@@ -478,45 +485,8 @@ class BinaryTraceStream(TraceStream):
         five flat integer lanes instead of a list of boxed records — the
         engine's lane path consumes these directly.
         """
-        if chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        handle, raw, expected = self._open_payload()
-        read_bytes = chunk_size * RECORD_SIZE
-        decode = decode_record_lanes
-        decoded = 0
-        pending = b""
-        try:
-            while True:
-                data = handle.read(read_bytes)
-                if not data:
-                    break
-                if pending:
-                    data = pending + data
-                    pending = b""
-                remainder = len(data) % RECORD_SIZE
-                if remainder:
-                    pending = data[-remainder:]
-                    data = data[:-remainder]
-                if not data:
-                    continue
-                chunk = decode(data)
-                decoded += len(chunk)
-                yield chunk
-        finally:
-            handle.close()
-            raw.close()
-        if pending:
-            raise ValueError(
-                f"{self.path}: truncated binary trace "
-                f"({len(pending)} trailing bytes are not a whole record)"
-            )
-        if expected is not None and decoded != expected:
-            raise ValueError(
-                f"{self.path}: header promises {expected} records "
-                f"but the payload holds {decoded}"
-            )
-        if self._length is None:
-            self._length = decoded
+        for data in self._iter_record_bytes(chunk_size):
+            yield decode_record_lanes(data)
 
     def __iter__(self) -> Iterator[MemoryAccess]:
         for chunk in self.iter_chunks():
@@ -550,7 +520,7 @@ class LaneTrace(TraceStream):
     The replayable, immutable in-memory trace of the experiment and serve
     paths: 27 bytes per record instead of a boxed tuple, handed to the
     engine's lane loop as-is.  Consumers that want records (density and
-    opportunity analysis, the oracle, reference-path prefetchers) iterate it
+    opportunity analysis, the oracle) iterate it
     like any stream and get them boxed lazily, one chunk at a time.  Nothing
     mutates the lanes after construction; every configuration of a figure
     replays the same instance.

@@ -29,14 +29,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SetAssociativeCache(capacity_bytes=3 * 128, block_size=64, associativity=2)
 
-    def test_rejects_unknown_replacement(self):
-        with pytest.raises(ValueError, match="plru"):
-            make_cache(replacement="plru")
-
-    def test_replacement_name_is_case_insensitive(self):
-        make_cache(replacement="LRU")
-        make_cache(replacement="Random", seed=1)
-
 
 class TestBasicAccess:
     def test_first_access_misses(self):

@@ -6,16 +6,13 @@ written the slow, obvious way — a ``way -> line`` table per set, the lowest
 free way on a fill, a logical clock per set, and the victim picked by
 *searching* for the smallest last-use stamp — so that it stays a meaningful
 check of the real cache's recency-ordered dict layout, where the victim is
-simply the first key.  Random replacement draws from a per-set
-``random.Random(seed + set)`` over the occupied ways in table order.
+simply the first key.
 
 Both models run the same hypothesis-generated operation sequence and are
 compared after every step: the access outcome, the evicted line returned and
 the ones delivered to a listener (in order), every statistics counter, the
 resident blocks and each resident line's flags.
 """
-
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +21,6 @@ from hypothesis import strategies as st
 from repro.memory.cache import SetAssociativeCache
 
 LINE = 64
-SEED = 5
 
 STAT_NAMES = (
     "accesses", "reads", "writes", "hits", "misses", "read_misses", "write_misses",
@@ -44,14 +40,12 @@ class NaiveLine:
 class NaiveCache:
     """Way-table set-associative cache; every lookup is a linear search."""
 
-    def __init__(self, num_sets, ways, policy):
+    def __init__(self, num_sets, ways):
         self.num_sets = num_sets
         self.ways = ways
-        self.policy = policy
         self.tables = [{} for _ in range(num_sets)]  # way -> NaiveLine
         self.clocks = [0] * num_sets
         self.last_use = [{} for _ in range(num_sets)]  # way -> clock stamp
-        self.rngs = [random.Random(SEED + index) for index in range(num_sets)]
         self.stats = dict.fromkeys(STAT_NAMES, 0)
         self.delivered = []
 
@@ -79,11 +73,7 @@ class NaiveCache:
         table = self.tables[index]
         evicted = None
         if len(table) == self.ways:
-            occupied = list(table)
-            if self.policy == "lru":
-                way = min(occupied, key=lambda w: self.last_use[index][w])
-            else:
-                way = self.rngs[index].choice(occupied)
+            way = min(table, key=lambda w: self.last_use[index][w])
             victim = table[way]
             self.stats["evictions"] += 1
             if victim.dirty:
@@ -111,8 +101,7 @@ class NaiveCache:
             self.stats["hits"] += 1
             line.used = True
             line.dirty = line.dirty or is_write
-            if self.policy == "lru":
-                self._touch(index, way)
+            self._touch(index, way)
             return outcome, None
         self.stats["misses"] += 1
         self.stats["write_misses" if is_write else "read_misses"] += 1
@@ -164,13 +153,11 @@ def _left(evicted):
 class Subject:
     """The real cache behind the oracle's call shape and plain-tuple results."""
 
-    def __init__(self, num_sets, ways, policy):
+    def __init__(self, num_sets, ways):
         self.cache = SetAssociativeCache(
             capacity_bytes=num_sets * ways * LINE,
             block_size=LINE,
             associativity=ways,
-            replacement=policy,
-            seed=SEED,
         )
         self.delivered = []
         self.cache.add_eviction_listener(lambda line: self.delivered.append(_left(line)))
@@ -233,16 +220,15 @@ def _apply(model, op, resident_blocks):
     return None, model.flush()
 
 
-@pytest.mark.parametrize("policy", ["lru", "random"])
-@pytest.mark.parametrize("ways", [1, 2, 8])
+@pytest.mark.parametrize("ways", [1, 2, 8], ids="{}-lru".format)  # the ids since PR 14
 @pytest.mark.parametrize("num_sets", [1, 4])
-def test_cache_matches_naive_model(num_sets, ways, policy):
+def test_cache_matches_naive_model(num_sets, ways):
     @settings(max_examples=60, deadline=None)
     @given(ops=_operations(num_sets, ways))
     def check(ops):
-        subject = Subject(num_sets, ways, policy)
+        subject = Subject(num_sets, ways)
         cache = subject.cache
-        oracle = NaiveCache(num_sets, ways, policy)
+        oracle = NaiveCache(num_sets, ways)
         for step, op in enumerate(ops):
             context = (step, op)
             resident_blocks = sorted(oracle.resident())

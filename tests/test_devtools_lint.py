@@ -1132,6 +1132,7 @@ class TestPackageIsClean:
         for path in discover_files([PACKAGE_DIR]):
             in_source.update(knob.findall(Path(path).read_text()))
         assert in_source == set(knob.findall(readme.read_text()))
+        assert len(in_source) == 9
 
     def test_injected_unseeded_random_is_caught(self):
         source = (PACKAGE_DIR / "core" / "sms.py").read_text()

@@ -164,3 +164,14 @@ class TestPerCpuPrefetchers:
 
         SimulationEngine(tiny_config(num_cpus=2), factory)
         assert seen == [0, 1]
+
+
+class TestMemoryOutlivesEngine:
+    def test_evictions_after_the_engine_is_gone_are_not_forwarded(self):
+        """The cache eviction listeners hold their engine weakly; a memory
+        system kept past it must keep working once sets start evicting."""
+        config = tiny_config(num_cpus=1, l1_capacity=1024, l2_capacity=2048, l2_associativity=2)
+        memory = SimulationEngine(config).memory  # the engine is freed here
+        for record in sequential_trace(64):  # 4 kB through a 2 kB L2
+            memory.access(record)
+        assert memory.l1(0).stats.evictions > 0 and memory.l2.stats.evictions > 0

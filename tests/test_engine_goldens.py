@@ -9,15 +9,12 @@ If a *deliberate* modelling change alters these counters, regenerate the
 goldens by running the listed configurations and updating the dictionaries.
 """
 
-import dataclasses
-import os
-
 import pytest
 
 from repro.core import SMSConfig, SpatialMemoryStreaming
 from repro.prefetch import GHBConfig, GlobalHistoryBuffer, NullPrefetcher
 from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import LANES_ENV_VAR, SimulationEngine
+from repro.simulation.engine import SimulationEngine
 from repro.workloads import make_workload
 
 #: Counter fields pinned for every golden configuration.
@@ -80,69 +77,6 @@ GOLDENS = {
     },
 }
 
-#: ``replacement="random"`` runs (reference loop only: the lane loop inlines
-#: LRU).  ``as_dict()`` snapshots of ``SimulationConfig.small(n)`` with
-#: ``seed=7``, recorded on the commit before the cache sets lost their way
-#: numbers; keys are ``workload/prefetcher/random/<n>cpu``.
-RANDOM_GOLDENS = {
-    "oltp-db2/none/random/2cpu": {
-        "name": "oltp-db2-none", "accesses": 4200, "instructions": 14567,
-        "l1_read_misses": 3228, "l1_coverage": 0.0, "l1_overprediction_rate": 0.0,
-        "offchip_read_misses": 2095, "l2_coverage": 0.0, "l2_overprediction_rate": 0.0,
-        "l1_read_mpki": 221.59675979954693, "offchip_read_mpki": 143.8182192627171,
-        "false_sharing_misses": 0,
-    },
-    "oltp-db2/sms/random/2cpu": {
-        "name": "oltp-db2-sms", "accesses": 4200, "instructions": 14567,
-        "l1_read_misses": 1646, "l1_coverage": 0.4936942479237158,
-        "l1_overprediction_rate": 0.1854813903414334, "offchip_read_misses": 1004,
-        "l2_coverage": 0.5168431183830606, "l2_overprediction_rate": 0.19778633301251203,
-        "l1_read_mpki": 112.99512596965745, "offchip_read_mpki": 68.92290794261001,
-        "false_sharing_misses": 0,
-    },
-    "ocean/none/random/2cpu": {
-        "name": "ocean-none", "accesses": 4200, "instructions": 23123, "l1_read_misses": 1030,
-        "l1_coverage": 0.0, "l1_overprediction_rate": 0.0, "offchip_read_misses": 840,
-        "l2_coverage": 0.0, "l2_overprediction_rate": 0.0, "l1_read_mpki": 44.544393028586256,
-        "offchip_read_mpki": 36.32746615923539, "false_sharing_misses": 0,
-    },
-    "ocean/sms/random/2cpu": {
-        "name": "ocean-sms", "accesses": 4200, "instructions": 23123, "l1_read_misses": 376,
-        "l1_coverage": 0.6456173421300659, "l1_overprediction_rate": 0.0706880301602262,
-        "offchip_read_misses": 368, "l2_coverage": 0.5619047619047619,
-        "l2_overprediction_rate": 0.3892857142857143, "l1_read_mpki": 16.260865804610127,
-        "offchip_read_mpki": 15.914889936426935, "false_sharing_misses": 0,
-    },
-    "oltp-db2/none/random/4cpu": {
-        "name": "oltp-db2-none", "accesses": 8400, "instructions": 29551,
-        "l1_read_misses": 6465, "l1_coverage": 0.0, "l1_overprediction_rate": 0.0,
-        "offchip_read_misses": 3583, "l2_coverage": 0.0, "l2_overprediction_rate": 0.0,
-        "l1_read_mpki": 218.77432235795743, "offchip_read_mpki": 121.24801191161043,
-        "false_sharing_misses": 0,
-    },
-    "oltp-db2/sms/random/4cpu": {
-        "name": "oltp-db2-sms", "accesses": 8400, "instructions": 29551,
-        "l1_read_misses": 3417, "l1_coverage": 0.47680293982544786,
-        "l1_overprediction_rate": 0.193232276833563, "offchip_read_misses": 1877,
-        "l2_coverage": 0.4693242861181792, "l2_overprediction_rate": 0.22533220243143906,
-        "l1_read_mpki": 115.63060471726845, "offchip_read_mpki": 63.517309058915096,
-        "false_sharing_misses": 0,
-    },
-    "ocean/none/random/4cpu": {
-        "name": "ocean-none", "accesses": 8400, "instructions": 45460, "l1_read_misses": 2025,
-        "l1_coverage": 0.0, "l1_overprediction_rate": 0.0, "offchip_read_misses": 1680,
-        "l2_coverage": 0.0, "l2_overprediction_rate": 0.0, "l1_read_mpki": 44.544654641443024,
-        "offchip_read_mpki": 36.95556533216014, "false_sharing_misses": 0,
-    },
-    "ocean/sms/random/4cpu": {
-        "name": "ocean-sms", "accesses": 8400, "instructions": 45460, "l1_read_misses": 881,
-        "l1_coverage": 0.580276322058123, "l1_overprediction_rate": 0.07479752262982373,
-        "offchip_read_misses": 860, "l2_coverage": 0.4880952380952381,
-        "l2_overprediction_rate": 0.4261904761904762, "l1_read_mpki": 19.379674439067312,
-        "offchip_read_mpki": 18.91772987241531, "false_sharing_misses": 0,
-    },
-}
-
 PREFETCHER_FACTORIES = {
     "none": lambda: (lambda cpu: NullPrefetcher()),
     "sms": lambda: (lambda cpu: SpatialMemoryStreaming(SMSConfig.paper_practical())),
@@ -150,51 +84,27 @@ PREFETCHER_FACTORIES = {
 }
 
 
-def _run(workload_name: str, prefetcher: str):
+def _run(workload_name: str, prefetcher: str, lanes: bool):
     workload = make_workload(workload_name, num_cpus=2, accesses_per_cpu=3000, seed=11)
     config = SimulationConfig.small(num_cpus=2)
     engine = SimulationEngine(
         config, PREFETCHER_FACTORIES[prefetcher](), name=f"{workload_name}-{prefetcher}"
     )
-    return engine.run(workload)
+    return engine.run(workload, lanes=lanes)
 
 
-def _lanes_off() -> bool:
-    """CI re-runs this module with ``REPRO_ENGINE_LANES=0``."""
-    return os.environ.get(LANES_ENV_VAR, "1").strip().lower() in ("0", "false", "off", "")
-
-
-@pytest.mark.parametrize("key", sorted(GOLDENS))
-def test_counters_bit_identical_to_reference(key):
+@pytest.mark.parametrize("key,lanes", [
+    pytest.param(key, lanes, id=key if lanes else f"{key}/reference-loop")
+    for key in sorted(GOLDENS) for lanes in (True, False)
+])
+def test_counters_bit_identical_to_reference(key, lanes):
+    """The goldens cover both loops: the lane loop every run takes (the GHB
+    rows through its boxing adapter) and ``_step`` over ``memory.access``."""
     workload_name, prefetcher = key.split("/")
-    result = _run(workload_name, prefetcher)
+    result = _run(workload_name, prefetcher, lanes)
     expected = GOLDENS[key]
     actual = {f: getattr(result, f) for f in COUNTER_FIELDS}
     actual["traffic_total_bytes"] = result.traffic.total_bytes
     actual["traffic_useful_bytes"] = result.traffic.useful_bytes
     assert actual == expected
-    # The goldens must cover both loops: lanes by default (the generated
-    # workload is transposed per chunk), ``_step`` under CI's
-    # REPRO_ENGINE_LANES=0 re-run and for prefetchers without a lane hook.
-    reason = "disabled" if _lanes_off() else "prefetcher" if prefetcher == "ghb" else None
-    assert (result.engine_path, result.fallback_reason) == (
-        ("reference", reason) if reason else ("lanes", None)
-    )
-
-
-@pytest.mark.parametrize("key", sorted(RANDOM_GOLDENS))
-def test_random_replacement_unchanged(key):
-    workload_name, prefetcher, _, cpus = key.split("/")
-    num_cpus = int(cpus.removesuffix("cpu"))
-    workload = make_workload(workload_name, num_cpus=num_cpus, accesses_per_cpu=3000, seed=11)
-    config = dataclasses.replace(
-        SimulationConfig.small(num_cpus=num_cpus), replacement="random", seed=7
-    )
-    engine = SimulationEngine(
-        config, PREFETCHER_FACTORIES[prefetcher](), name=f"{workload_name}-{prefetcher}"
-    )
-    result = engine.run(workload)
-    assert result.as_dict() == RANDOM_GOLDENS[key]
-    # The switch is consulted before the configuration's own veto.
-    reason = "disabled" if _lanes_off() else "replacement"
-    assert (result.engine_path, result.fallback_reason) == ("reference", reason)
+    assert result.engine_path == ("lanes" if lanes else "reference")

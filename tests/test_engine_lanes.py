@@ -1,16 +1,16 @@
-"""Lane fast-path tests: decode equivalence, golden parity, and fallbacks.
+"""Lane-loop tests: decode equivalence, golden parity, and adapter parity.
 
-The engine's lane path (``SimulationEngine.run(..., lanes=True)``, the
-default where applicable) must be *bit-identical* to the per-record
-reference path.  This module pins that from three directions:
+The engine's lane loop (``SimulationEngine.run(...)``, what every run takes)
+must be *bit-identical* to the per-record reference loop (``lanes=False``).
+This module pins that from three directions:
 
 * a hypothesis property that the ``.strc`` lane decoder produces exactly
   the fields ``RECORD.iter_unpack`` would, including torn-tail errors;
 * the golden-counter configurations re-run through a binary trace with
   ``lanes=True`` against the same pinned numbers as the reference test;
-* path selection — every stream type takes the lane loop, while prefetcher
-  mixes, replacement policies, and the environment switch land on the
-  reference path with the reason recorded (and produce the same counters).
+* parity of both loops for every stream type and every prefetcher — the
+  ones without a lane hook, driven by the loop's boxing adapter, and mixed
+  per-CPU assignments included.
 """
 
 import random
@@ -22,8 +22,9 @@ from hypothesis import strategies as st
 from repro.core import SMSConfig, SpatialMemoryStreaming
 from repro.core.prediction import PredictionRegisterFile
 from repro.prefetch import GHBConfig, GlobalHistoryBuffer, NullPrefetcher
+from repro.prefetch.registry import PREFETCHER_CHOICES, sms_factory
 from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import LANES_ENV_VAR, SimulationEngine
+from repro.simulation.engine import SimulationEngine
 from repro.trace.binary import (
     RECORD,
     RECORD_SIZE,
@@ -146,7 +147,7 @@ def test_golden_counters_with_lanes(key, tmp_path):
     This is the bit-identity gate for the whole lane pipeline: the `.strc`
     decoder, the fused engine loop, the inlined coherence/eviction work,
     and the unboxed SMS train/predict path must reproduce the reference
-    counters exactly (GHB configs exercise the automatic fallback).
+    counters exactly (GHB configs exercise the boxing adapter).
     """
     workload_name, prefetcher = key.split("/")
     path = _write_golden_trace(workload_name, tmp_path)
@@ -160,20 +161,23 @@ def test_golden_counters_with_lanes(key, tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# Fallbacks and the lanes switch
+# Which loop runs, and parity between the two
 # --------------------------------------------------------------------- #
 
 
-def _run_pair(trace_factory, config=None, factory=None, **run_kwargs):
-    """Run the same trace through both paths; return (reference, lanes)."""
+def _run_pair(trace_factory, config=None, factory=None, engines=None, **run_kwargs):
+    """Run the same trace through both paths; return (reference, lanes).
+    The two engines are appended to ``engines`` when a list is given."""
     results = []
     for lanes in (False, True):
         engine = SimulationEngine(
             config or SimulationConfig.small(num_cpus=2),
             factory,
-            name=f"pair-lanes={lanes}",
+            name="pair",
         )
         results.append(engine.run(trace_factory(), lanes=lanes, **run_kwargs))
+        if engines is not None:
+            engines.append(engine)
     return results
 
 
@@ -199,84 +203,24 @@ def small_trace(tmp_path):
 
 
 class TestLaneFallbacks:
-    def test_binary_trace_defaults_to_lanes(self, small_trace, monkeypatch):
-        monkeypatch.delenv(LANES_ENV_VAR, raising=False)
+    def test_binary_trace_defaults_to_lanes(self, small_trace):
         engine = SimulationEngine(SimulationConfig.small(num_cpus=2))
         calls = _spy_on_lane_path(engine)
         engine.run(BinaryTraceStream(small_trace))
         assert calls, "binary traces should take the lane path by default"
 
-    def test_env_var_disables_lanes(self, small_trace, monkeypatch):
-        monkeypatch.setenv(LANES_ENV_VAR, "0")
-        engine = SimulationEngine(SimulationConfig.small(num_cpus=2))
-        calls = _spy_on_lane_path(engine)
-        result = engine.run(BinaryTraceStream(small_trace))
-        assert not calls
-        assert (result.engine_path, result.fallback_reason) == ("reference", "disabled")
-        monkeypatch.setenv(LANES_ENV_VAR, "1")
-        lanes_engine = SimulationEngine(SimulationConfig.small(num_cpus=2))
-        lanes_result = lanes_engine.run(BinaryTraceStream(small_trace))
-        assert _golden_snapshot(lanes_result) == _golden_snapshot(result)
-
-    def test_explicit_argument_beats_env(self, small_trace, monkeypatch):
-        monkeypatch.setenv(LANES_ENV_VAR, "0")
-        engine = SimulationEngine(SimulationConfig.small(num_cpus=2))
-        calls = _spy_on_lane_path(engine)
-        engine.run(BinaryTraceStream(small_trace), lanes=True)
-        assert calls
-
-    def test_generated_workload_takes_lanes(self, monkeypatch):
-        monkeypatch.delenv(LANES_ENV_VAR, raising=False)
+    def test_generated_workload_takes_lanes(self):
         workload = make_workload("oltp-db2", num_cpus=2, accesses_per_cpu=500, seed=5)
         engine = SimulationEngine(SimulationConfig.small(num_cpus=2))
         calls = _spy_on_lane_path(engine)
         result = engine.run(workload)  # generated straight into lane chunks
         assert sum(calls) == 1000
-        assert (result.engine_path, result.fallback_reason) == ("lanes", None)
-        reference = SimulationEngine(SimulationConfig.small(num_cpus=2)).run(
-            workload, lanes=False
-        )
-        assert (reference.engine_path, reference.fallback_reason) == ("reference", "disabled")
+        assert result.engine_path == "lanes"
+        reference_engine = SimulationEngine(SimulationConfig.small(num_cpus=2))
+        reference_calls = _spy_on_lane_path(reference_engine)
+        reference = reference_engine.run(workload, lanes=False)
+        assert not reference_calls and reference.engine_path == "reference"
         assert _golden_snapshot(result) == _golden_snapshot(reference)
-
-    def test_mixed_prefetchers_fall_back_identically(self, small_trace):
-        def factory(cpu):
-            if cpu == 0:
-                return GlobalHistoryBuffer(GHBConfig(buffer_entries=64))
-            return NullPrefetcher()
-
-        reference, lanes = _run_pair(
-            lambda: BinaryTraceStream(small_trace), factory=factory
-        )
-        assert _golden_snapshot(lanes) == _golden_snapshot(reference)
-        assert (lanes.engine_path, lanes.fallback_reason) == ("reference", "prefetcher")
-
-    def test_non_lru_replacement_falls_back(self, small_trace):
-        config = SimulationConfig(
-            num_cpus=2,
-            l1_capacity=16 * 1024,
-            l2_capacity=256 * 1024,
-            replacement="random",
-            seed=9,
-        )
-        engine = SimulationEngine(config)
-        calls = _spy_on_lane_path(engine)
-        result = engine.run(BinaryTraceStream(small_trace), lanes=True)
-        assert not calls
-        assert result.accesses > 0
-        assert (result.engine_path, result.fallback_reason) == ("reference", "replacement")
-
-    def test_upper_case_lru_takes_the_lane_path(self, small_trace):
-        """``"LRU"`` *is* LRU: it must not fall back on its spelling."""
-        results = [
-            SimulationEngine(
-                SimulationConfig(num_cpus=2, l2_capacity=2 * 1024 * 1024, replacement=spelling)
-            ).run(BinaryTraceStream(small_trace), lanes=True)
-            for spelling in ("LRU", "lru")
-        ]
-        for result in results:
-            assert (result.engine_path, result.fallback_reason) == ("lanes", None)
-        assert _golden_snapshot(results[0]) == _golden_snapshot(results[1])
 
     def test_foreign_eviction_listener_keeps_parity(self, small_trace):
         """Extra listeners force the generic dispatch, not wrong counters."""
@@ -319,8 +263,7 @@ class TestInputTypeParity:
 
     @pytest.mark.parametrize("prefetcher", ["none", "sms"])
     @pytest.mark.parametrize("chunk_size", [4096, 1000])
-    def test_every_input_type_gives_the_same_result(self, prefetcher, chunk_size, monkeypatch):
-        monkeypatch.delenv(LANES_ENV_VAR, raising=False)
+    def test_every_input_type_gives_the_same_result(self, prefetcher, chunk_size):
         workload = make_workload("oltp-db2", num_cpus=2, accesses_per_cpu=1300, seed=4)
         records = tuple(workload)
         count = len(records)
@@ -435,6 +378,119 @@ def test_stream_order_within_a_run_matches_reference():
     )
     assert lanes.engine_path == "lanes" and lanes.prefetches_issued > 1000
     assert _golden_snapshot(lanes) == _golden_snapshot(reference)
+
+
+def _mixed_factory():
+    """GHB (boxing adapter) on CPU 0, SMS (lane hook) on 1, none beyond."""
+    ghb = PREFETCHER_CHOICES["ghb"]()
+    sms = PREFETCHER_CHOICES["sms"]()
+    return lambda cpu: (ghb, sms)[cpu](cpu) if cpu < 2 else NullPrefetcher()
+
+
+def _sectored_sms_factory(trainer):
+    """SMS on a sectored trainer (no lane hook) of four sectors, so that the
+    walks' twelve regions conflict and the decoupled one forces evictions."""
+    return sms_factory(SMSConfig(trainer=trainer, trained_cache_capacity=8 * 1024))
+
+
+#: Every selectable prefetcher, SMS on the two sectored trainers, and a
+#: per-CPU mix.
+ADAPTER_PARITY_FACTORIES = {
+    **PREFETCHER_CHOICES,
+    "sms/logical-sectored": lambda: _sectored_sms_factory("logical-sectored"),
+    "sms/decoupled-sectored": lambda: _sectored_sms_factory("decoupled-sectored"),
+    "mixed": _mixed_factory,
+}
+
+
+class TestAdapterParity:
+    """Every prefetcher takes the lane loop and agrees with the reference
+    loop on every counter either of them keeps.  The shared-region walks make
+    the other CPUs' writes invalidate blocks out of each L1 (so a boxed
+    ``on_eviction(invalidated=True)`` reaches the adapter CPUs), the ``ocean``
+    tail gives the stride prefetcher strides to find, the caches are small
+    enough to keep missing after the warm-up, and 1,500 warm-up records over
+    1,000-record chunks put the measurement boundary inside a chunk."""
+
+    @pytest.mark.parametrize("num_cpus", [1, 2, 4])
+    @pytest.mark.parametrize("prefetcher", sorted(ADAPTER_PARITY_FACTORIES))
+    def test_lanes_match_reference(self, prefetcher, num_cpus):
+        records = _shared_region_walks(num_cpus, steps=700) + tuple(
+            make_workload("ocean", num_cpus=num_cpus, accesses_per_cpu=900 // num_cpus, seed=2)
+        )
+        engines = []
+        results = _run_pair(
+            lambda: records,
+            config=SimulationConfig(
+                num_cpus=num_cpus, l1_capacity=4096, l2_capacity=16 * 1024, l2_associativity=4
+            ),
+            factory=ADAPTER_PARITY_FACTORIES[prefetcher](),
+            engines=engines,
+            warmup_accesses=1500,
+            chunk_size=1000,
+        )
+        assert [result.engine_path for result in results] == ["reference", "lanes"]
+        outcomes = []
+        for result, engine in zip(results, engines):
+            assert result.accesses == len(records) - 1500
+            assert result.l1_read_misses > 0 and result.offchip_read_misses > 0
+            assert (result.prefetches_issued > 0) == (prefetcher != "none")
+            memory = engine.memory
+            if num_cpus > 1:
+                assert result.invalidations > 0
+                assert memory.l1(0).stats.invalidations > 0
+            directory = memory.directory
+            outcomes.append((
+                result.as_dict(),
+                _golden_snapshot(result),
+                [prefetcher.stats for prefetcher in engine.prefetchers],
+                [memory.l1(cpu).stats for cpu in range(num_cpus)],
+                memory.l2.stats,
+                (directory.read_requests, directory.write_requests,
+                 directory.invalidations_sent, directory.downgrades_sent),
+            ))
+        assert outcomes[0] == outcomes[1]
+
+
+class _OutcomeLog(GlobalHistoryBuffer):
+    """GHB (L2-only prefetches, so L2 prefetch hits occur) that writes down
+    what the engine tells it about every access."""
+
+    def __init__(self):
+        super().__init__(GHBConfig(buffer_entries=256))
+        self.seen = []
+
+    def on_access(self, record, outcome):
+        l2 = outcome.l2_result
+        self.seen.append((
+            tuple(record), outcome.record is record, outcome.level,
+            outcome.l1_result.outcome, outcome.l1_result.block_addr,
+            None if l2 is None else (l2.outcome, l2.block_addr),
+            outcome.false_sharing, outcome.invalidations_sent,
+        ))
+        return super().on_access(record, outcome)
+
+
+def test_boxed_outcome_is_what_memory_access_returns():
+    """The adapter's record and outcome, field by field, against the ones
+    ``memory.access`` hands the reference loop (512-byte blocks over a 64-byte
+    sharing granularity, so that misses classify as false sharing)."""
+    config = SimulationConfig(
+        num_cpus=2, block_size=512, l1_capacity=4096, l2_capacity=32 * 1024,
+        l2_associativity=4, warmup_fraction=0.0,
+    )
+    engines = []
+    _run_pair(
+        lambda: _shared_region_walks(2, steps=500), config=config,
+        factory=lambda cpu: _OutcomeLog(), engines=engines,
+    )
+    reference, lanes = ([p.seen for p in engine.prefetchers] for engine in engines)
+    assert lanes == reference
+    seen = [entry for log in lanes for entry in log]
+    levels = {entry[2] for entry in seen}
+    assert len(levels) == 3  # L1, L2 and memory
+    assert {entry[5][0].value for entry in seen if entry[5]} == {"hit", "prefetch_hit", "miss"}
+    assert any(entry[6] for entry in seen) and any(entry[7] for entry in seen)
 
 
 # --------------------------------------------------------------------- #

@@ -2,11 +2,12 @@
 regression fails a test instead of a benchmark three PRs later.
 
 PR 8 built the lane loop and for four PRs no figure, sweep or serve request
-took it, because the fallback was silent.  This module pins the path census
-of every servable figure and the signals that make a fallback visible:
-``repro_engine_runs_total`` / ``repro_engine_fallback_total``, the
-``engine.run`` span attributes, the ``experiment`` summary line, the serve
-``status`` reply, and the hand-over of worker-side counts to the parent.
+took it, because the fallback was silent.  Every configuration takes it now;
+this module pins the path census of every servable figure at all-lanes and
+the signals that would make a reference run visible:
+``repro_engine_runs_total``, the ``engine.run`` span attribute, the
+``experiment`` summary line, the serve ``status`` reply, and the hand-over
+of worker-side counts to the parent.
 """
 
 import pytest
@@ -18,7 +19,6 @@ from repro.serve import WorkerPool, jobs
 from repro.serve.server import SimulationServer
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import (
-    LANES_ENV_VAR,
     SimulationEngine,
     absorb_engine_path_counts,
     engine_path_counts,
@@ -29,27 +29,22 @@ from repro.simulation.sweep import SweepRunner
 from repro.workloads import make_workload
 
 #: ``(runs_lanes, runs_reference)`` per figure at the smallest scale, 1 CPU.
-#: Reference runs are all ``fallback_reason="prefetcher"``: fig08/fig09's
-#: sectored-trainer SMS and fig11's GHB and stride baselines have no lane
-#: hook yet.  fig05 measures density on the memory system directly and never
-#: builds an engine.  Anything else moving to the reference column is a bug.
+#: fig08/fig09's sectored-trainer SMS and fig11's GHB and stride baselines
+#: have no lane hook and run through the lane loop's boxing adapter.  fig05
+#: measures density on the memory system directly and never builds an
+#: engine.  Anything in the reference column is a bug.
 PATH_CENSUS = {
     "fig04": (20, 0),
     "fig05": (0, 0),
     "fig06": (16, 0),
     "fig07": (40, 0),
-    "fig08": (8, 8),
-    "fig09": (28, 28),
+    "fig08": (16, 0),
+    "fig09": (56, 0),
     "fig10": (28, 0),   # four categories x seven region sizes
-    "fig11": (11, 22),
+    "fig11": (33, 0),
     "fig12": (66, 0),
     "fig13": (22, 0),
 }
-
-
-@pytest.fixture(autouse=True)
-def _lanes_default(monkeypatch):
-    monkeypatch.delenv(LANES_ENV_VAR, raising=False)
 
 
 def test_census_covers_every_servable_figure():
@@ -64,27 +59,16 @@ def test_figure_path_census(figure):
         entry.fn(item, **entry.defaults(), scale=0.01, num_cpus=1)
     runs = engine_path_counts(since=before)
     lanes, reference = PATH_CENSUS[figure]
-    assert runs == {
-        "lanes": lanes,
-        "reference": reference,
-        "fallback:disabled": 0,
-        "fallback:replacement": 0,
-        "fallback:prefetcher": reference,
-    }
+    assert runs == {"lanes": lanes, "reference": reference}
 
 
 def test_counts_format_and_absorb_round_trip():
     before = engine_path_counts()
-    child = {"lanes": 3, "reference": 2, "fallback:prefetcher": 2, "fallback:disabled": 0}
-    absorb_engine_path_counts(child)
+    absorb_engine_path_counts({"lanes": 3, "reference": 0})
+    absorb_engine_path_counts({"lanes": 0, "reference": 2})
     runs = engine_path_counts(since=before)
-    assert {key: value for key, value in runs.items() if value} == {
-        "lanes": 3, "reference": 2, "fallback:prefetcher": 2,
-    }
-    assert format_engine_path_counts(runs) == "engine: 3 lanes / 2 reference (2 prefetcher)"
-    assert format_engine_path_counts({"lanes": 28, "reference": 0}) == (
-        "engine: 28 lanes / 0 reference"
-    )
+    assert runs == {"lanes": 3, "reference": 2}
+    assert format_engine_path_counts(runs) == "engine: 3 lanes / 2 reference"
 
 
 def test_census_counts_without_obs():
@@ -100,20 +84,19 @@ def test_census_counts_without_obs():
         runs = engine_path_counts(since=before)
     finally:
         obs.install_registry(previous)
-    assert format_engine_path_counts(runs) == "engine: 1 lanes / 1 reference (1 disabled)"
+    assert format_engine_path_counts(runs) == "engine: 1 lanes / 1 reference"
 
 
 def test_census_is_mirrored_into_the_obs_counters():
     previous = obs.install_registry(obs.Registry())
     try:
-        absorb_engine_path_counts({"lanes": 2, "reference": 1, "fallback:replacement": 1})
+        absorb_engine_path_counts({"lanes": 2, "reference": 1})
         metrics = obs.render_json()["metrics"]
     finally:
         obs.install_registry(previous)
     runs = {s["labels"]["path"]: s["value"] for s in metrics["repro_engine_runs_total"]["samples"]}
     assert runs == {"lanes": 2, "reference": 1}
-    (fallback,) = metrics["repro_engine_fallback_total"]["samples"]
-    assert (fallback["labels"], fallback["value"]) == ({"reason": "replacement"}, 1)
+    assert "repro_engine_fallback_total" not in metrics
 
 
 def test_engine_run_span_carries_path_and_reason(tmp_path, monkeypatch):
@@ -130,10 +113,8 @@ def test_engine_run_span_carries_path_and_reason(tmp_path, monkeypatch):
         for span in obs_trace.iter_spans(obs_trace.load_trace_file(path))
         if span["name"] == "engine.run"
     }
-    assert spans["fast"]["engine_path"] == "lanes" and "fallback_reason" not in spans["fast"]
-    assert (spans["slow"]["engine_path"], spans["slow"]["fallback_reason"]) == (
-        "reference", "disabled"
-    )
+    assert spans["fast"]["engine_path"] == "lanes"
+    assert spans["slow"]["engine_path"] == "reference"
 
 
 def _simulate_point(seed, prefetcher="sms"):
@@ -145,8 +126,8 @@ def test_parallel_sweep_workers_report_their_runs_to_the_parent():
     before = engine_path_counts()
     SweepRunner(max_workers=2).map(_simulate_point, [1, 2, 3], prefetcher="ghb")
     runs = engine_path_counts(since=before)
-    # Three points, each a lane baseline plus a GHB run without a lane hook.
-    assert (runs["lanes"], runs["reference"], runs["fallback:prefetcher"]) == (3, 3, 3)
+    # Three points, each a baseline plus a GHB run through the boxing adapter.
+    assert runs == {"lanes": 6, "reference": 0}
 
 
 def test_experiment_summary_line_reports_the_census(tmp_path, capsys):
@@ -160,9 +141,7 @@ def test_experiment_summary_line_reports_the_census(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1].endswith("; engine: 0 lanes / 0 reference")
     assert main(["experiment", "--figure", "fig11", "--scale", "0.01", "--cpus", "1",
                  "--no-cache"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == (
-        "engine: 11 lanes / 22 reference (22 prefetcher)"
-    )
+    assert capsys.readouterr().out.splitlines()[-1] == "engine: 33 lanes / 0 reference"
 
 
 def test_serve_status_exposes_worker_engine_runs(tmp_path):
@@ -180,8 +159,6 @@ def test_serve_status_exposes_worker_engine_runs(tmp_path):
                     "cpus": 1, "accesses_per_cpu": 300,
                 }))
             engine = server.status()["engine"]
-        assert {key: value for key, value in engine.items() if value} == {
-            "lanes": 3, "reference": 1, "fallback:prefetcher": 1,
-        }
+        assert engine == {"lanes": 4, "reference": 0}
     finally:
         obs.install_registry(previous)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.memory.replacement import LRUPolicy, RandomPolicy, make_policy
+from repro.memory.replacement import LRUPolicy
 
 
 class TestLRUPolicy:
@@ -36,35 +36,3 @@ class TestLRUPolicy:
     def test_victim_with_no_ways_raises(self):
         with pytest.raises(ValueError):
             LRUPolicy().victim([], [])
-
-
-class TestRandomPolicy:
-    def test_prefers_invalid_ways(self):
-        policy = RandomPolicy(seed=1)
-        assert policy.victim([0, 1], [3]) == 3
-
-    def test_deterministic_for_seed(self):
-        a = RandomPolicy(seed=42)
-        b = RandomPolicy(seed=42)
-        ways = list(range(8))
-        assert [a.victim(ways, []) for _ in range(10)] == [b.victim(ways, []) for _ in range(10)]
-
-    def test_victim_from_valid_ways(self):
-        policy = RandomPolicy(seed=0)
-        assert policy.victim([4, 5, 6], []) in (4, 5, 6)
-
-    def test_victim_with_no_ways_raises(self):
-        with pytest.raises(ValueError):
-            RandomPolicy(seed=0).victim([], [])
-
-
-class TestFactory:
-    def test_lru(self):
-        assert isinstance(make_policy("lru"), LRUPolicy)
-
-    def test_random(self):
-        assert isinstance(make_policy("RANDOM"), RandomPolicy)
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            make_policy("plru")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import gc
 import json
 
@@ -17,7 +18,7 @@ from repro.experiments import fig10_region_size as fig10
 from repro.experiments import fig11_ghb as fig11
 from repro.serve import jobs
 from repro.serve.protocol import BAD_REQUEST, ProtocolError
-from repro.simulation.engine import LANES_ENV_VAR, engine_path_counts
+from repro.simulation.engine import engine_path_counts
 from repro.simulation.result_cache import SweepResultCache
 from repro.workloads.base import SyntheticWorkload
 
@@ -218,22 +219,29 @@ class TestRunSimulate:
 
         monkeypatch.setattr(SyntheticWorkload, "iter_lane_chunks", counting_chunks)
         monkeypatch.setattr(SyntheticWorkload, "__iter__", boxed)
-        monkeypatch.delenv(LANES_ENV_VAR, raising=False)
         before = engine_path_counts()
         jobs.run_simulate("oltp-db2", prefetcher="sms", cpus=2, accesses_per_cpu=600, seed=3)
         assert generations == ["oltp-db2"]  # baseline + prefetcher replay one LaneTrace
         runs = engine_path_counts(since=before)
         assert (runs["lanes"], runs["reference"]) == (2, 0)
 
-    @pytest.mark.parametrize("lanes", ["1", "0"])
+    @pytest.mark.parametrize("lanes", [1, 0])
     @pytest.mark.parametrize("prefetcher", ["sms", "ghb", "none"])
     def test_a_finished_job_leaves_no_engine_behind(self, prefetcher, lanes, monkeypatch):
         """A finished run is freed when it goes out of scope — inside the
         request, without the cycle collector: the eviction listeners of the
         caches an engine owns hold the engine (and the memory system) weakly,
-        so there is no cycle engine -> memory -> cache listeners -> engine."""
+        so there is no cycle engine -> memory -> cache listeners -> engine.
+        Jobs only ever take the lane loop; ``0`` steers them onto the
+        reference loop, whose engines must go the same way."""
         from repro.memory.cache import SetAssociativeCache
         from repro.simulation.engine import SimulationEngine
+
+        if not lanes:
+            monkeypatch.setattr(
+                SimulationEngine, "run",
+                functools.partialmethod(SimulationEngine.run, lanes=False),
+            )
 
         def live_engine_parts():
             return sum(
@@ -241,7 +249,6 @@ class TestRunSimulate:
                 for obj in gc.get_objects()
             )
 
-        monkeypatch.setenv(LANES_ENV_VAR, lanes)
         spec = jobs.normalize({
             "verb": "simulate", "workload": "oltp-db2", "prefetcher": prefetcher,
             "cpus": 2, "accesses_per_cpu": 600,

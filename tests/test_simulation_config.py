@@ -49,8 +49,8 @@ class TestSimulationConfig:
         config = SimulationConfig(
             num_cpus=3, block_size=128, l1_capacity=32 * 1024, l1_associativity=4,
             l1_mshrs=8, sms_stream_slots=4, l2_capacity=1024 * 1024, l2_associativity=4,
-            l2_mshrs=8, replacement="random", classify_false_sharing=False,
-            warmup_fraction=0.1, warmup_accesses=7, seed=9,
+            l2_mshrs=8, classify_false_sharing=False,
+            warmup_fraction=0.1, warmup_accesses=7,
         )
         defaults = SimulationConfig()
         copy = config.with_block_size(256)
@@ -69,12 +69,3 @@ class TestSimulationConfig:
     def test_invalid_warmup(self):
         with pytest.raises(ValueError):
             SimulationConfig(warmup_fraction=1.0)
-
-    def test_replacement_is_normalised_to_one_spelling(self):
-        assert SimulationConfig(replacement="LRU").replacement == "lru"
-        assert SimulationConfig(replacement="Random").replacement == "random"
-        assert SimulationConfig(replacement="LRU") == SimulationConfig()
-
-    def test_unknown_replacement_fails_at_construction(self):
-        with pytest.raises(ValueError, match="lru.*random"):
-            SimulationConfig(replacement="plru")
