@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.analysis.coverage import CoverageReport
 from repro.simulation.result_cache import (
     QUARANTINE_SUBDIR,
     CacheStats,
@@ -83,6 +84,19 @@ class TestStore:
         hit, value = cache.get(digest)
         assert hit and value == {"answer": 25}
         assert cache.stats == CacheStats(hits=1, misses=1, stores=1)
+
+    def test_coverage_report_result_round_trips(self, tmp_path):
+        # What fig06 / fig08 / fig11 store per point: {scheme: CoverageReport}.
+        reports = {"PC+offset": CoverageReport("PC+offset", "L1", 1000, 580, 420, 130)}
+        cache = SweepResultCache(tmp_path)
+        digest = cache.fingerprint(square, (8,), {})
+        cache.put(digest, reports)
+        hit, value = SweepResultCache(tmp_path).get(digest)
+        assert hit and value == reports
+        report = value["PC+offset"]
+        assert type(report) is CoverageReport
+        assert (report.name, report.level, report.overpredictions) == ("PC+offset", "L1", 130)
+        assert report.coverage == 0.58 and report.as_dict() == reports["PC+offset"].as_dict()
 
     def test_corrupt_entry_treated_as_miss_and_quarantined(self, tmp_path):
         cache = SweepResultCache(tmp_path)

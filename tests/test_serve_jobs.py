@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.analysis.coverage import CoverageReport
 from repro.analysis.reporting import ResultTable
 from repro.experiments import common
 from repro.experiments import fig07_pht_storage as fig07
@@ -20,6 +21,7 @@ from repro.serve import jobs
 from repro.serve.protocol import BAD_REQUEST, ProtocolError
 from repro.simulation.engine import engine_path_counts
 from repro.simulation.result_cache import SweepResultCache
+from repro.simulation.sweep import FailedPoint
 from repro.workloads.base import SyntheticWorkload
 
 
@@ -178,6 +180,31 @@ class TestJsonify:
 
     def test_dataclass_and_enum(self):
         assert jobs.jsonify({_Colour.RED: _Point(1, 2.0)}) == {"red": {"x": 1, "y": 2.0}}
+
+    def test_coverage_reports_and_failed_points_go_out_as_field_dicts(self):
+        # The `sweep fig06 / fig08 / fig11` reply is {scheme: CoverageReport}:
+        # clients read the fields by name, whatever the class is made of.
+        reports = {
+            "PC+offset": CoverageReport(
+                name="PC+offset", level="L1", baseline_misses=1000,
+                covered=580, uncovered=420, overpredictions=130,
+            ),
+            "address": CoverageReport("address", "L2", 400, 100, 300, 0),
+        }
+        assert jobs.jsonify(reports) == {
+            "PC+offset": {
+                "name": "PC+offset", "level": "L1", "baseline_misses": 1000,
+                "covered": 580, "uncovered": 420, "overpredictions": 130,
+            },
+            "address": {
+                "name": "address", "level": "L2", "baseline_misses": 400,
+                "covered": 100, "uncovered": 300, "overpredictions": 0,
+            },
+        }
+        failed = FailedPoint(key=("OLTP", 2048), error="ValueError: boom", attempts=3)
+        assert jobs.jsonify({"points": [failed]}) == {
+            "points": [{"key": ["OLTP", 2048], "error": "ValueError: boom", "attempts": 3}]
+        }
 
     def test_result_table_includes_rendered_text(self):
         table = ResultTable(title="t", headers=["k", "v"])
