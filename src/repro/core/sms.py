@@ -306,7 +306,22 @@ class SpatialMemoryStreaming(Prefetcher):
         return response
 
     def finalize(self) -> PrefetcherResponse:
-        self._train(self.trainer.drain())
+        agt = self._lane_agt
+        if agt is not None:
+            # As in on_eviction: the drained words train the PHT directly, no
+            # CompletedGeneration / SpatialPattern per live generation (an
+            # unbounded AGT ends a run with thousands of them).
+            key_of = self.index_scheme.key_of
+            store_bits = self.pht.store_bits
+            drained = agt.drain()
+            for record in drained:
+                store_bits(
+                    key_of(record.trigger_pc, record.trigger_address, record.trigger_offset),
+                    record.pattern_bits,
+                )
+            self.stats.trained_patterns += len(drained)
+        else:
+            self._train(self.trainer.drain())
         self.registers.clear()
         return PrefetcherResponse()
 

@@ -421,6 +421,52 @@ def test_sms_matches_section_3(scheme, max_requests, face):
     check()
 
 
+@pytest.mark.parametrize("unbounded_agt", [False, True], ids=["agt-2x2", "agt-unbounded"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_finalize_trains_what_the_generic_drain_trains(scheme, unbounded_agt):
+    """``finalize`` hands the plain AGT's drained words straight to the PHT;
+    the reference is the generic body every other trainer takes — box each
+    live generation, ``_train(trainer.drain())``.  With the unbounded AGT
+    (fig10's) every generation the ops start and never end is live at the end,
+    so the 2 x 2 PHT sees conflicts, replacements and repeated keys."""
+
+    def build():
+        sms = make_sms(scheme, None)
+        if unbounded_agt:
+            sms = SpatialMemoryStreaming(
+                sms.config.replace(filter_entries=None, accumulation_entries=None)
+            )
+        return Boxed(sms)
+
+    def state(sms):
+        agt, pht = sms.trainer.agt, sms.pht
+        return {
+            # Every set, least- to most-recently used: contents and recency.
+            "pht": [list(table.items()) for table in pht._sets],
+            "occupancy": pht.occupancy,
+            "counters": public_counters(sms),
+            "active": (agt.active_regions(), sms.registers.active_registers),
+        }
+
+    @settings(max_examples=100, deadline=None)
+    @given(ops=_OPS)
+    def check(ops):
+        direct, generic = build(), build()
+        for kind, pc, region, within in ops:
+            for face in (direct, generic):
+                if kind == "access":
+                    face.access(pc, region + within)
+                else:
+                    face.remove(region + within, invalidated=kind == "invalidate")
+        assert direct.sms.finalize().is_empty
+        generic.sms._train(generic.sms.trainer.drain())
+        generic.sms.registers.clear()
+        assert state(direct.sms) == state(generic.sms)
+        assert state(direct.sms)["active"] == ([], 0)
+
+    check()
+
+
 # -- the scripted cases hypothesis must not be relied on to find ----------------
 A, B, C = REGIONS[:3]
 
