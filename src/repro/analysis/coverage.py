@@ -10,15 +10,13 @@ baseline (no prefetcher) and the prefetching configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, NamedTuple
 
 if TYPE_CHECKING:  # annotations only: reading a cached report must not import the engine
     from repro.simulation.engine import SimulationResult
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     """Coverage / uncovered / overprediction fractions for one configuration.
 
     All three values are fractions of the baseline read-miss count, so
@@ -26,6 +24,12 @@ class CoverageReport:
     perturbs replacement behaviour) and ``overpredictions`` may exceed 1.0
     for aggressive, inaccurate predictors (as in the paper's Figure 6, where
     PC indexing overshoots 100%).
+
+    A ``NamedTuple`` rather than a dataclass, so that reading cached reports
+    (an all-hits fig06 / fig08 / fig11) imports neither ``dataclasses`` nor
+    ``inspect``.  ``serve.jobs.jsonify`` still sends it as a field dict, and
+    it is a task *result*, never a task argument, so its tuple encoding in
+    ``result_cache._canonical`` reaches no cache key.
     """
 
     name: str

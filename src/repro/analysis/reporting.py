@@ -7,7 +7,6 @@ output and in the examples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 Cell = Union[str, int, float]
@@ -43,13 +42,20 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Cell]], title: 
     return "\n".join(lines)
 
 
-@dataclass
 class ResultTable:
-    """An accumulating table of experiment rows, printable and exportable."""
+    """An accumulating table of experiment rows, printable and exportable.
 
-    title: str
-    headers: List[str]
-    rows: List[List[Cell]] = field(default_factory=list)
+    A plain class: every figure builds one, all-hits runs included, and must
+    not import ``dataclasses`` to do so.  Tables compare by identity; nothing
+    compares two of them (their ``to_text()`` is what the tests diff).
+    """
+
+    def __init__(
+        self, title: str, headers: List[str], rows: Optional[List[List[Cell]]] = None
+    ) -> None:
+        self.title = title
+        self.headers = headers
+        self.rows: List[List[Cell]] = [] if rows is None else rows
 
     def add_row(self, *cells: Cell) -> None:
         if len(cells) != len(self.headers):

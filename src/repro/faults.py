@@ -61,8 +61,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 from repro import _env
 
@@ -92,9 +91,13 @@ class InjectedFault(RuntimeError):
     """The error raised by an ``error``-kind fault."""
 
 
-@dataclass(frozen=True)
-class FaultSpec:
-    """One plan entry: fire ``kind`` at ``site`` on selected occurrences."""
+class FaultSpec(NamedTuple):
+    """One plan entry: fire ``kind`` at ``site`` on selected occurrences.
+
+    A ``NamedTuple`` (every command imports this module; none may pay for
+    ``dataclasses``); it is never a sweep-task argument, so it has no part
+    in any cache key.
+    """
 
     site: str
     kind: str
@@ -104,7 +107,8 @@ class FaultSpec:
     every: bool = False
     #: Fire from this occurrence onward (``@3+``), 0 = disabled.
     after: int = 0
-    params: Mapping[str, str] = field(default_factory=dict)
+    #: ``None`` = no parameters (a tuple field cannot default to a fresh dict).
+    params: Optional[Mapping[str, str]] = None
 
     def fires_on(self, occurrence: int) -> bool:
         if self.every:
@@ -114,7 +118,7 @@ class FaultSpec:
         return occurrence in self.occurrences
 
     def param(self, name: str, default: str) -> str:
-        return self.params.get(name, default)
+        return (self.params or {}).get(name, default)
 
 
 class FaultPlan:

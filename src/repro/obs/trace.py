@@ -49,7 +49,6 @@ anywhere — trace ids derive from :func:`time.monotonic_ns` and the pid.
 from __future__ import annotations
 
 import atexit
-import json
 import os
 import threading
 import time
@@ -430,6 +429,8 @@ def flush() -> None:
         if not _buffer:
             return
         batch, _buffer[:] = list(_buffer), []
+    import json  # an untraced run buffers nothing and never loads it
+
     by_trace: Dict[str, List[dict]] = {}
     for record in batch:
         by_trace.setdefault(record.get("trace", "unknown"), []).append(record)
@@ -486,6 +487,8 @@ def _parse_line(line: str) -> Optional[dict]:
     append, the damage is a partial line, possibly fused with the start
     of a later record — retry the parse from each subsequent ``{``.
     """
+    import json
+
     text = line.strip()
     while text:
         try:

@@ -369,9 +369,10 @@ def execute_spec(spec: Mapping[str, Any]) -> Any:
 def jsonify(value: Any) -> Any:
     """Convert a raw job result into JSON-able data, deterministically.
 
-    Handles the experiment result types: dataclasses (as dicts), dicts with
-    non-string keys (int sizes, (scheme, size) tuples — stringified), enums
-    (their values), and nested containers.  :class:`ResultTable` adds its
+    Handles the experiment result types: dataclasses and named tuples (as
+    field dicts), dicts with non-string keys (int sizes, (scheme, size)
+    tuples — stringified), enums (their values), and nested containers.
+    :class:`ResultTable` adds its
     rendered ``text`` so experiment replies can be compared byte-for-byte
     against the direct CLI output.
     """
@@ -391,6 +392,10 @@ def jsonify(value: Any) -> Any:
         }
     if isinstance(value, dict):
         return {_key_str(key): jsonify(item) for key, item in value.items()}
+    if isinstance(value, tuple) and hasattr(value, "_asdict"):
+        # A NamedTuple result (CoverageReport, FailedPoint) goes out by field
+        # name, as the dataclass it replaced did, not as a positional list.
+        return jsonify(value._asdict())
     if isinstance(value, (list, tuple)):
         return [jsonify(item) for item in value]
     if value is None or isinstance(value, (bool, int, float, str)):

@@ -33,7 +33,6 @@ Design constraints, in order:
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import Any, Dict, Optional, Set, Union
@@ -62,6 +61,8 @@ def _parse_line(line: bytes) -> Optional[dict]:
     parse, retry from each later ``{`` so the intact trailing record is
     recovered and only the torn one is lost.
     """
+    import json
+
     text = line.decode("utf-8", errors="replace")
     start = 0
     while True:
@@ -128,6 +129,8 @@ class SweepJournal:
         Call only after the fact it records is durable (the cache entry
         written) — the journal is the index, the cache is the data.
         """
+        import json  # a sweep without a journal never loads it
+
         record = {"digest": digest, "status": status}
         record.update(fields)
         line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")

@@ -37,9 +37,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Optional, Tuple, Union
@@ -140,26 +138,43 @@ def _function_identity(fn: Callable[..., Any]) -> str:
     return f"{module}.{qualname}"
 
 
-@dataclass
 class CacheStats:
-    """Hit/miss counters for one cache instance."""
+    """Hit/miss counters for one cache instance.
 
-    hits: int = 0
-    misses: int = 0
-    skipped: int = 0  # tasks with no stable fingerprint
-    stores: int = 0
-    errors: int = 0  # unreadable/unpicklable entries (treated as misses)
-    quarantined: int = 0  # corrupt entries moved aside instead of served
+    A plain class, not a ``@dataclass``: every command that opens the cache
+    defines it, and ``dataclasses`` (+ ``inspect``) costs an all-hits figure
+    more start-up than the figure itself.
+    """
+
+    __slots__ = ("hits", "misses", "skipped", "stores", "errors", "quarantined")
+
+    def __init__(
+        self,
+        hits: int = 0,
+        misses: int = 0,
+        skipped: int = 0,
+        stores: int = 0,
+        errors: int = 0,
+        quarantined: int = 0,
+    ) -> None:
+        self.hits = hits
+        self.misses = misses
+        self.skipped = skipped  # tasks with no stable fingerprint
+        self.stores = stores
+        self.errors = errors  # unreadable/unpicklable entries (treated as misses)
+        self.quarantined = quarantined  # corrupt entries moved aside instead of served
 
     def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "skipped": self.skipped,
-            "stores": self.stores,
-            "errors": self.errors,
-            "quarantined": self.quarantined,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CacheStats):
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.as_dict().items())
+        return f"CacheStats({fields})"
 
 
 class SweepResultCache:
@@ -276,7 +291,10 @@ class SweepResultCache:
                 # The writer's pid is embedded in the staging name so
                 # interrupt cleanup can remove exactly its own leftovers
                 # without racing the atomic writes of sibling processes
-                # sharing the directory.
+                # sharing the directory.  ``tempfile`` (+ ``random``) is
+                # imported by the first store: an all-hits run never pays it.
+                import tempfile
+
                 fd, temp_name = tempfile.mkstemp(
                     dir=str(self.directory), suffix=f".{os.getpid()}.tmp"
                 )

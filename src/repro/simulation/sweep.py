@@ -42,8 +42,9 @@ import signal
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro import _env, faults, obs
 from repro.obs import trace
@@ -58,21 +59,29 @@ SWEEP_RESUME_ENV = "REPRO_SWEEP_RESUME"
 SWEEP_RETRIES_ENV = "REPRO_SWEEP_RETRIES"
 
 
-@dataclass(frozen=True)
-class SweepTask:
+# The three value types below are ``NamedTuple``s, not dataclasses: an
+# all-hits figure defines them and must not pay for ``dataclasses`` +
+# ``inspect``.  None of them is ever a task *argument*, so the tuple encoding
+# ``result_cache._canonical`` would give them never enters a cache key, and
+# ``serve.jobs.jsonify`` sends them as field dicts (the wire format the
+# dataclasses had), not as lists.
+
+
+class SweepTask(NamedTuple):
     """One unit of sweep work: ``fn(*args, **kwargs)`` identified by ``key``."""
 
     key: Any
     fn: Callable[..., Any]
     args: Tuple = ()
-    kwargs: Mapping[str, Any] = field(default_factory=dict)
+    #: ``None`` stands for "no keyword arguments": a tuple field cannot
+    #: default to a fresh dict, and a shared ``{}`` would be mutable state.
+    kwargs: Optional[Mapping[str, Any]] = None
 
     def execute(self) -> Any:
-        return self.fn(*self.args, **dict(self.kwargs))
+        return self.fn(*self.args, **(self.kwargs or {}))
 
 
-@dataclass(frozen=True)
-class FailedPoint:
+class FailedPoint(NamedTuple):
     """Partial-mode placeholder for a point that exhausted its retries."""
 
     key: Any
@@ -80,8 +89,7 @@ class FailedPoint:
     attempts: int
 
 
-@dataclass(frozen=True)
-class SweepPolicy:
+class SweepPolicy(NamedTuple):
     """Fault-tolerance knobs for a sweep (see module docstring)."""
 
     #: Re-executions granted to a failing point before it counts as failed.
@@ -238,7 +246,7 @@ class SweepRunner:
                 pending = list(range(len(tasks)))
             else:
                 for index, task in enumerate(tasks):
-                    digest = cache.fingerprint(task.fn, task.args, task.kwargs)
+                    digest = cache.fingerprint(task.fn, task.args, task.kwargs or {})
                     digests[index] = digest
                     if digest is not None:
                         hit, value = cache.get(digest)

@@ -30,18 +30,24 @@ from repro.workloads.suite import make_workload
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-#: Runs ``repro.cli.main(argv)`` and writes the loaded module names to argv[1].
+#: Runs ``repro.cli.main(argv)`` and writes the loaded module names to argv[1],
+#: one per line: the shim itself must import nothing a command is denied.
 _SHIM = """
-import json, sys
+import sys
 from repro.cli import main
 try:
     code = main(sys.argv[2:])
 except SystemExit as exc:  # argparse actions such as --version
     code = exc.code or 0
 with open(sys.argv[1], "w") as out:
-    json.dump(sorted(sys.modules), out)
+    out.write("\\n".join(sorted(sys.modules)))
 sys.exit(code)
 """
+
+#: Start-up cost no command that does not simulate may pay: ``dataclasses``
+#: drags ``inspect`` (+ ``ast``, ``dis``, ``tokenize``) in for ~10 ms, and
+#: ``tempfile`` (+ ``random``) is only needed by a cache *write*.
+DEFINITION_MODULES = ("dataclasses", "inspect", "tempfile")
 
 #: What a simulation job touches; a forking parent must hold all of it.
 WARM_MODULES = {
@@ -79,9 +85,9 @@ def run_python(tmp_path, *args, env=None):
 
 def run_cli(tmp_path, *argv, env=None):
     """Run one command in a child; return ``(stdout, set of loaded modules)``."""
-    dump = tmp_path / "modules.json"
+    dump = tmp_path / "modules.txt"
     out = run_python(tmp_path, "-c", _SHIM, str(dump), *argv, env=env)
-    return out, set(json.loads(dump.read_text()))
+    return out, set(dump.read_text().split())
 
 
 def loaded(modules, *prefixes):
@@ -96,6 +102,7 @@ def test_version_loads_next_to_nothing(tmp_path):
     out, modules = run_cli(tmp_path, "--version")
     assert out.startswith("repro ")
     assert loaded(modules, "repro.simulation.engine", "repro.core", "repro.serve") == []
+    assert loaded(modules, *DEFINITION_MODULES, "json") == []
     assert len(loaded(modules, "repro")) <= 8
 
 
@@ -103,6 +110,7 @@ def test_cache_stats_loads_no_simulator(tmp_path):
     out, modules = run_cli(tmp_path, "cache", "stats", "--cache-dir", str(tmp_path / "c"))
     assert "cache statistics" in out
     assert loaded(modules, "repro.simulation.engine", "repro.core", "repro.serve") == []
+    assert loaded(modules, *DEFINITION_MODULES) == []
 
 
 def test_submit_loads_no_engine_and_no_experiments(tmp_path):
@@ -149,6 +157,7 @@ def test_all_hits_figure_never_loads_the_engine(tmp_path):
         modules, "repro.simulation.engine", "repro.core.sms", "repro.memory",
         "repro.workloads.suite", "repro.serve", "multiprocessing",
     ) == []
+    assert loaded(modules, *DEFINITION_MODULES, "json") == []
     assert len(loaded(modules, "repro")) <= 24
 
 
