@@ -372,9 +372,8 @@ def jsonify(value: Any) -> Any:
     Handles the experiment result types: dataclasses and named tuples (as
     field dicts), dicts with non-string keys (int sizes, (scheme, size)
     tuples — stringified), enums (their values), and nested containers.
-    :class:`ResultTable` adds its
-    rendered ``text`` so experiment replies can be compared byte-for-byte
-    against the direct CLI output.
+    :class:`ResultTable` adds its rendered ``text`` so experiment replies can
+    be compared byte-for-byte against the direct CLI output.
     """
     if isinstance(value, ResultTable):
         return {

@@ -248,7 +248,7 @@ class NaiveSMS:
 
 
 # -- driving the real predictor ------------------------------------------------
-def make_sms(scheme, max_requests):
+def make_sms(scheme, max_requests, **overrides):
     return SpatialMemoryStreaming(
         SMSConfig(
             region_size=REGION_SIZE,
@@ -260,7 +260,7 @@ def make_sms(scheme, max_requests):
             pht_associativity=PHT_WAYS,
             prediction_registers=REGISTERS,
             max_requests_per_access=max_requests,
-        )
+        ).replace(**overrides)
     )
 
 
@@ -431,12 +431,8 @@ def test_finalize_trains_what_the_generic_drain_trains(scheme, unbounded_agt):
     so the 2 x 2 PHT sees conflicts, replacements and repeated keys."""
 
     def build():
-        sms = make_sms(scheme, None)
-        if unbounded_agt:
-            sms = SpatialMemoryStreaming(
-                sms.config.replace(filter_entries=None, accumulation_entries=None)
-            )
-        return Boxed(sms)
+        unbounded = {"filter_entries": None, "accumulation_entries": None}
+        return Boxed(make_sms(scheme, None, **(unbounded if unbounded_agt else {})))
 
     def state(sms):
         agt, pht = sms.trainer.agt, sms.pht
