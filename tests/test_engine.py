@@ -175,3 +175,32 @@ class TestMemoryOutlivesEngine:
         for record in sequential_trace(64):  # 4 kB through a 2 kB L2
             memory.access(record)
         assert memory.l1(0).stats.evictions > 0 and memory.l2.stats.evictions > 0
+
+
+class TestResultFormat:
+    def test_as_dict_key_order_and_values_of_one_seeded_run(self):
+        """``as_dict()`` is what goldens, ``sim_digest`` and reports read: its
+        keys, their order and the values of one seeded run are pinned here
+        independently of how ``SimulationResult`` is defined."""
+        from repro.workloads.suite import make_workload
+
+        workload = make_workload("oltp-db2", num_cpus=2, accesses_per_cpu=1500, seed=5)
+        engine = SimulationEngine(
+            SimulationConfig.small(num_cpus=2),
+            lambda cpu: SpatialMemoryStreaming(SMSConfig()),
+            name="sms",
+        )
+        assert list(engine.run(workload).as_dict().items()) == [
+            ("name", "sms"),
+            ("accesses", 2100),
+            ("instructions", 7325),
+            ("l1_read_misses", 856),
+            ("l1_coverage", 0.474524248004911),
+            ("l1_overprediction_rate", 0.12216083486801718),
+            ("offchip_read_misses", 664),
+            ("l2_coverage", 0.4755134281200632),
+            ("l2_overprediction_rate", 0.17772511848341233),
+            ("l1_read_mpki", 116.86006825938567),
+            ("offchip_read_mpki", 90.64846416382252),
+            ("false_sharing_misses", 0),
+        ]

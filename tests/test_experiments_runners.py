@@ -30,6 +30,22 @@ class TestFig04:
         assert baseline["l2_miss_rate"] == 1.0
 
 
+    def test_false_sharing_column_is_pinned(self):
+        # The only figure that simulates blocks larger than the 64-byte
+        # coherence unit, hence the only one whose false-sharing classifier
+        # can fire: one seeded sweep's rows, exactly.
+        table = fig04_block_size.run(
+            categories=["OLTP"], sizes=[64, 512, 8192], scale=0.15, num_cpus=4
+        )
+        assert table.rows == [
+            ["OLTP", 64, 1.0, 1.0, 1.0, 1.0, 0.0],
+            ["OLTP", 512, 0.439161554192229, 0.43430470347648265,
+             0.31557377049180324, 0.3770491803278688, 0.0012295081967213114],
+            ["OLTP", 8192, 0.3558282208588957, 0.23849693251533743,
+             0.08196721311475409, 0.1209016393442623, 0.004508196721311475],
+        ]
+
+
 class TestFig05:
     def test_density_fractions_form_distribution(self):
         table = fig05_density.run(applications=["ocean"], **TINY)

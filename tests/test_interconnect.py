@@ -21,8 +21,18 @@ class TestTorusTopology:
             TorusTopology(4, 4).coordinates(16)
 
     def test_invalid_dimensions(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="torus dimensions must be positive"):
             TorusTopology(0, 4)
+        with pytest.raises(ValueError, match="torus dimensions must be positive"):
+            TorusTopology(4, -1)
+
+    def test_compares_hashes_and_prints_by_value(self):
+        assert TorusTopology() == TorusTopology(4, 4, 25.0)
+        assert TorusTopology() != TorusTopology(hop_latency_ns=10.0)
+        assert TorusTopology() != (4, 4, 25.0)
+        assert hash(TorusTopology(2, 8)) == hash(TorusTopology(width=2, height=8))
+        assert len({TorusTopology(), TorusTopology(), TorusTopology(2, 2)}) == 2
+        assert repr(TorusTopology()) == "TorusTopology(width=4, height=4, hop_latency_ns=25.0)"
 
     def test_hop_count_adjacent(self):
         torus = TorusTopology(4, 4)

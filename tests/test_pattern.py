@@ -45,6 +45,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SpatialPattern(num_blocks=0)
 
+    def test_error_messages(self):
+        with pytest.raises(ValueError, match="num_blocks must be positive, got 0"):
+            SpatialPattern(num_blocks=0)
+        with pytest.raises(ValueError, match="bits must be non-negative, got -1"):
+            SpatialPattern(num_blocks=4, bits=-1)
+        with pytest.raises(ValueError, match="bits 0x10 has bits set beyond 4 blocks"):
+            SpatialPattern(num_blocks=4, bits=0x10)
+
+    def test_compares_hashes_and_prints_by_value(self):
+        assert SpatialPattern(4, 5) == SpatialPattern.from_offsets(4, [0, 2])
+        assert SpatialPattern(4, 5) != SpatialPattern(8, 5)
+        assert SpatialPattern(4, 5) != (4, 5)
+        assert hash(SpatialPattern(4, 5)) == hash(SpatialPattern.from_string("1010"))
+        assert len({SpatialPattern(4, 5), SpatialPattern(4, 5), SpatialPattern(4, 1)}) == 2
+        assert repr(SpatialPattern(4, 5)) == "SpatialPattern(num_blocks=4, bits=5)"
+        assert repr(SpatialPattern(num_blocks=2)) == "SpatialPattern(num_blocks=2, bits=0)"
+
 
 class TestQueries:
     def test_singleton(self):

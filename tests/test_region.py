@@ -22,6 +22,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RegionGeometry(region_size=64, block_size=128)
 
+    def test_error_messages(self):
+        with pytest.raises(ValueError, match="region_size must be a power of two, got 3000"):
+            RegionGeometry(region_size=3000)
+        with pytest.raises(ValueError, match="block_size must be a power of two, got 60"):
+            RegionGeometry(block_size=60)
+        with pytest.raises(ValueError, match=r"block_size \(128\) cannot exceed region_size \(64\)"):
+            RegionGeometry(region_size=64, block_size=128)
+
+    def test_compares_hashes_and_prints_by_value(self):
+        assert RegionGeometry(1024, 32) == RegionGeometry(region_size=1024, block_size=32)
+        assert RegionGeometry() != RegionGeometry(region_size=4096)
+        assert RegionGeometry() != (2048, 64)
+        assert hash(RegionGeometry(1024, 32)) == hash(RegionGeometry(1024, 32))
+        assert {RegionGeometry(): "default"}[RegionGeometry(2048, 64)] == "default"
+        assert repr(RegionGeometry()) == "RegionGeometry(region_size=2048, block_size=64)"
+
     def test_frozen(self):
         geometry = RegionGeometry()
         with pytest.raises(AttributeError):

@@ -5,6 +5,9 @@ import pickle
 import pytest
 
 from repro.analysis.coverage import CoverageReport
+from repro.core.config import SMSConfig
+from repro.simulation.breakdown import BreakdownCategory, ExecutionBreakdown
+from repro.simulation.config import SimulationConfig
 from repro.simulation.result_cache import (
     QUARANTINE_SUBDIR,
     CacheStats,
@@ -13,6 +16,7 @@ from repro.simulation.result_cache import (
     default_cache,
     set_default_cache,
 )
+from repro.simulation.sampling import ConfidenceInterval
 from repro.simulation.sweep import SweepRunner, SweepTask, sweep_map
 
 
@@ -69,6 +73,15 @@ class TestFingerprint:
         cache = SweepResultCache(tmp_path)
         assert cache.fingerprint(square, (object(),), {}) is None
 
+    @pytest.mark.parametrize("config", [SMSConfig(), SimulationConfig.small(num_cpus=2)])
+    def test_config_argument_is_uncacheable(self, tmp_path, config):
+        # A configuration object has no stable encoding (it is not a tuple of
+        # its fields): a task taking one runs uncached, it never gains a key.
+        cache = SweepResultCache(tmp_path)
+        assert cache.fingerprint(square, (config,), {}) is None
+        assert cache.fingerprint(square, (1,), {"offset": config}) is None
+        assert cache.stats.skipped == 2
+
     def test_code_fingerprint_is_stable_within_process(self):
         assert code_fingerprint() == code_fingerprint()
         assert len(code_fingerprint()) == 64
@@ -97,6 +110,32 @@ class TestStore:
         assert type(report) is CoverageReport
         assert (report.name, report.level, report.overpredictions) == ("PC+offset", "L1", 130)
         assert report.coverage == 0.58 and report.as_dict() == reports["PC+offset"].as_dict()
+
+    def test_fig12_and_fig13_results_round_trip(self, tmp_path):
+        # What fig12 stores per application, and what fig13 does.
+        interval = ConfidenceInterval(mean=1.37, half_width=0.05)
+        base = ExecutionBreakdown(instructions=1000)
+        base.add(BreakdownCategory.USER_BUSY, 400.0)
+        base.add(BreakdownCategory.OFFCHIP_READ, 600.0)
+        sms = ExecutionBreakdown(instructions=1000)
+        sms.add(BreakdownCategory.OFFCHIP_READ, 250.5)
+        cache = SweepResultCache(tmp_path)
+        first = cache.fingerprint(square, (12,), {})
+        second = cache.fingerprint(square, (13,), {})
+        cache.put(first, interval)
+        cache.put(second, (base, sms))
+        reopened = SweepResultCache(tmp_path)
+        hit, value = reopened.get(first)
+        assert hit and type(value) is ConfidenceInterval
+        assert (value.mean, value.half_width, value.upper) == (1.37, 0.05, 1.37 + 0.05)
+        hit, value = reopened.get(second)
+        assert hit and type(value) is tuple and len(value) == 2
+        for restored, original in zip(value, (base, sms)):
+            assert type(restored) is ExecutionBreakdown
+            assert restored.cycles == original.cycles
+            assert restored.instructions == 1000
+            assert restored.as_dict() == original.as_dict()
+        assert value[1].speedup_over(value[0]) == sms.speedup_over(base)
 
     def test_corrupt_entry_treated_as_miss_and_quarantined(self, tmp_path):
         cache = SweepResultCache(tmp_path)

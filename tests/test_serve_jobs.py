@@ -19,8 +19,10 @@ from repro.experiments import fig10_region_size as fig10
 from repro.experiments import fig11_ghb as fig11
 from repro.serve import jobs
 from repro.serve.protocol import BAD_REQUEST, ProtocolError
+from repro.simulation.breakdown import BreakdownCategory, ExecutionBreakdown
 from repro.simulation.engine import engine_path_counts
 from repro.simulation.result_cache import SweepResultCache
+from repro.simulation.sampling import ConfidenceInterval
 from repro.simulation.sweep import FailedPoint
 from repro.workloads.base import SyntheticWorkload
 
@@ -206,6 +208,25 @@ class TestJsonify:
             "points": [{"key": ["OLTP", 2048], "error": "ValueError: boom", "attempts": 3}]
         }
 
+    def test_fig12_and_fig13_results_go_out_as_field_dicts(self):
+        # `sweep fig12` replies with a ConfidenceInterval, `sweep fig13` with a
+        # (base, SMS) pair of ExecutionBreakdowns whose one dict field is
+        # keyed by an enum; both are read by field name on the other side.
+        interval = ConfidenceInterval(mean=1.37, half_width=0.05)
+        assert jobs.jsonify({"oltp-db2": interval}) == {
+            "oltp-db2": {"mean": 1.37, "half_width": 0.05}
+        }
+        base = ExecutionBreakdown(instructions=1000)
+        base.add(BreakdownCategory.USER_BUSY, 400.0)
+        base.add(BreakdownCategory.OFFCHIP_READ, 600.0)
+        sms = ExecutionBreakdown(instructions=1000)
+        sms.add(BreakdownCategory.USER_BUSY, 400.0)
+        sms.add(BreakdownCategory.OFFCHIP_READ, 250.5)
+        assert jobs.jsonify((base, sms)) == [
+            {"cycles": {"user_busy": 400.0, "offchip_read": 600.0}, "instructions": 1000},
+            {"cycles": {"user_busy": 400.0, "offchip_read": 250.5}, "instructions": 1000},
+        ]
+
     def test_result_table_includes_rendered_text(self):
         table = ResultTable(title="t", headers=["k", "v"])
         table.add_row("a", 1)
@@ -232,6 +253,26 @@ class TestRunSimulate:
         assert json.dumps(first, sort_keys=True)  # all values JSON-able
         assert 0.0 <= first["l1_coverage"] <= 1.0
         assert first["speedup"] > 0
+
+    def test_reply_of_one_seeded_request_is_pinned(self):
+        reply = jobs.run_simulate(
+            "oltp-db2", prefetcher="sms", cpus=2, accesses_per_cpu=1500, seed=5
+        )
+        assert jobs.jsonify(reply) == reply
+        assert list(reply.items()) == [
+            ("workload", "oltp-db2"),
+            ("prefetcher", "sms"),
+            ("cpus", 2),
+            ("accesses", 3000),
+            ("baseline_l1_read_misses", 1618),
+            ("l1_read_misses", 856),
+            ("baseline_offchip_read_misses", 1275),
+            ("offchip_read_misses", 664),
+            ("l1_coverage", 0.474524248004911),
+            ("offchip_coverage", 0.4755134281200632),
+            ("overpredictions", 0.12216083486801718),
+            ("speedup", 1.116948736955276),
+        ]
 
     def test_workload_is_generated_once_and_both_runs_take_lanes(self, monkeypatch):
         generations = []

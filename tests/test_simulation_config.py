@@ -63,9 +63,29 @@ class TestSimulationConfig:
                 assert getattr(copy, field.name) == getattr(config, field.name), field.name
 
     def test_invalid_cpus(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="num_cpus must be positive, got 0"):
             SimulationConfig(num_cpus=0)
 
     def test_invalid_warmup(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"warmup_fraction must be in \[0, 1\), got 1.0"):
             SimulationConfig(warmup_fraction=1.0)
+        with pytest.raises(ValueError, match="warmup_fraction"):
+            SimulationConfig(warmup_fraction=-0.1)
+        with pytest.raises(ValueError, match="warmup_accesses must be non-negative, got -1"):
+            SimulationConfig(warmup_accesses=-1)
+
+    def test_compares_and_hashes_by_value(self):
+        assert SimulationConfig.small(num_cpus=2) == SimulationConfig.small(num_cpus=2)
+        assert SimulationConfig.small(num_cpus=2) != SimulationConfig.small(num_cpus=4)
+        assert hash(SimulationConfig(warmup_accesses=5)) == hash(SimulationConfig(warmup_accesses=5))
+        assert len({SimulationConfig(), SimulationConfig(), SimulationConfig(num_cpus=2)}) == 2
+        # Not a tuple of its fields.
+        assert SimulationConfig() != (16, 64, 65536, 2, 32, 16, 8388608, 8, 32, True, 0.3, None)
+
+    def test_repr_names_every_field(self):
+        assert repr(SimulationConfig()) == (
+            "SimulationConfig(num_cpus=16, block_size=64, l1_capacity=65536, "
+            "l1_associativity=2, l1_mshrs=32, sms_stream_slots=16, l2_capacity=8388608, "
+            "l2_associativity=8, l2_mshrs=32, classify_false_sharing=True, "
+            "warmup_fraction=0.3, warmup_accesses=None)"
+        )

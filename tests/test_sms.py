@@ -143,6 +143,42 @@ class TestConfigurationVariants:
             if field.name != "pht_entries":
                 assert getattr(copy, field.name) == getattr(config, field.name), field.name
 
+    def test_config_compares_by_value_and_is_unhashable(self):
+        import pytest
+
+        assert SMSConfig() == SMSConfig.paper_practical()
+        assert SMSConfig(pht_entries=256) == SMSConfig().replace(pht_entries=256)
+        assert SMSConfig() != SMSConfig(index_scheme="pc")
+        # Mutable, so not hashable; and not a tuple of its fields.
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(SMSConfig())
+        assert SMSConfig() != (
+            2048, 64, "pc+offset", "agt", 32, 64, 16384, 16, 16, True, None, 65536, 2
+        )
+
+    def test_config_repr_names_every_field(self):
+        assert repr(SMSConfig()) == (
+            "SMSConfig(region_size=2048, block_size=64, index_scheme='pc+offset', "
+            "trainer='agt', filter_entries=32, accumulation_entries=64, pht_entries=16384, "
+            "pht_associativity=16, prediction_registers=16, stream_into_l1=True, "
+            "max_requests_per_access=None, trained_cache_capacity=65536, "
+            "trained_cache_associativity=2)"
+        )
+
+    def test_config_value_errors(self):
+        import pytest
+
+        with pytest.raises(ValueError, match="pht_entries must be positive or None, got 0"):
+            SMSConfig(pht_entries=0)
+        with pytest.raises(ValueError, match="pht_associativity must be positive, got 0"):
+            SMSConfig(pht_associativity=0)
+        with pytest.raises(ValueError, match="prediction_registers must be positive, got -1"):
+            SMSConfig(prediction_registers=-1)
+        with pytest.raises(ValueError, match="pht_entries must be positive"):
+            SMSConfig().replace(pht_entries=-4)
+        with pytest.raises(ValueError, match="unbounded PHT"):
+            SMSConfig.unbounded().storage_bits()
+
     def test_invalid_pht_backend_rejected(self):
         # There is one PHT store; the retired storage options are not fields.
         import pytest
