@@ -13,7 +13,6 @@ tracked cache (replacement or invalidation), matching the paper's definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -42,15 +41,25 @@ def bin_label_for(count: int) -> str:
     raise ValueError(f"count must be positive, got {count}")
 
 
-@dataclass
 class DensityHistogram:
     """Distribution of misses over generation densities for one cache level."""
 
-    level: str
-    region_size: int
-    misses_by_bin: Dict[str, int] = field(default_factory=dict)
-    generations: int = 0
-    total_misses: int = 0
+    #: The fields; ``serve.jobs.jsonify`` sends them by these names.
+    __slots__ = ("level", "region_size", "misses_by_bin", "generations", "total_misses")
+
+    def __init__(
+        self,
+        level: str,
+        region_size: int,
+        misses_by_bin: Optional[Dict[str, int]] = None,
+        generations: int = 0,
+        total_misses: int = 0,
+    ) -> None:
+        self.level = level
+        self.region_size = region_size
+        self.misses_by_bin = {} if misses_by_bin is None else misses_by_bin
+        self.generations = generations
+        self.total_misses = total_misses
 
     def record_generation(self, missed_blocks: int) -> None:
         if missed_blocks <= 0:

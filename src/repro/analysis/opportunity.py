@@ -15,8 +15,7 @@ no-predictor baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional
 
 if TYPE_CHECKING:  # the measuring functions import what they run; results stay light
     from repro.simulation.config import SimulationConfig
@@ -24,9 +23,11 @@ if TYPE_CHECKING:  # the measuring functions import what they run; results stay 
     from repro.trace.stream import TraceStream
 
 
-@dataclass
-class OpportunityResult:
-    """Measurements for one block/region size."""
+class OpportunityResult(NamedTuple):
+    """Measurements for one block/region size.
+
+    What a fig04 sweep task returns per size; never a task argument.
+    """
 
     size: int
     l1_misses: int = 0

@@ -17,7 +17,6 @@ invalidation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Dict, Set, Tuple
 
 from repro.memory.block import block_address
@@ -31,13 +30,6 @@ class MissClassification(enum.Enum):
     FALSE_SHARING = "false_sharing"
 
 
-@dataclass
-class _InvalidationRecord:
-    """Chunks written by remote CPUs since this CPU lost the block."""
-
-    written_chunks: Set[int] = field(default_factory=set)
-
-
 class FalseSharingClassifier:
     """Classify coherence misses as true or false sharing."""
 
@@ -48,8 +40,8 @@ class FalseSharingClassifier:
             )
         self.block_size = block_size
         self.sharing_granularity = sharing_granularity
-        # (cpu, block) -> record of remote writes since invalidation
-        self._pending: Dict[Tuple[int, int], _InvalidationRecord] = {}
+        # (cpu, block) -> chunks written by remote CPUs since this CPU lost the block
+        self._pending: Dict[Tuple[int, int], Set[int]] = {}
         self.true_sharing_misses = 0
         self.false_sharing_misses = 0
         self.other_misses = 0
@@ -60,15 +52,14 @@ class FalseSharingClassifier:
     def record_invalidation(self, cpu: int, address: int, writer_address: int) -> None:
         """CPU ``cpu`` lost the block containing ``address`` to a remote write."""
         block = block_address(address, self.block_size)
-        record = self._pending.setdefault((cpu, block), _InvalidationRecord())
-        record.written_chunks.add(self._chunk(writer_address))
+        self._pending.setdefault((cpu, block), set()).add(self._chunk(writer_address))
 
     def record_remote_write(self, cpu: int, address: int, writer_address: int) -> None:
         """A remote write touched a block this CPU already lost; accumulate the chunk."""
         block = block_address(address, self.block_size)
         key = (cpu, block)
         if key in self._pending:
-            self._pending[key].written_chunks.add(self._chunk(writer_address))
+            self._pending[key].add(self._chunk(writer_address))
 
     def classify_block_miss(self, cpu: int, block: int) -> bool:
         """Lane-path :meth:`classify_miss` for an already block-aligned address.
@@ -80,11 +71,11 @@ class FalseSharingClassifier:
         re-validation inside :func:`~repro.memory.block.block_address` is
         skipped.
         """
-        record = self._pending.pop((cpu, block), None)
-        if record is None:
+        written = self._pending.pop((cpu, block), None)
+        if written is None:
             self.other_misses += 1
             return False
-        if block in record.written_chunks:
+        if block in written:
             self.true_sharing_misses += 1
             return False
         self.false_sharing_misses += 1
@@ -93,11 +84,11 @@ class FalseSharingClassifier:
     def classify_miss(self, cpu: int, address: int) -> MissClassification:
         """Classify a miss by CPU ``cpu`` on ``address`` and clear its record."""
         block = block_address(address, self.block_size)
-        record = self._pending.pop((cpu, block), None)
-        if record is None:
+        written = self._pending.pop((cpu, block), None)
+        if written is None:
             self.other_misses += 1
             return MissClassification.COLD_OR_REPLACEMENT
-        if self._chunk(address) in record.written_chunks:
+        if self._chunk(address) in written:
             self.true_sharing_misses += 1
             return MissClassification.TRUE_SHARING
         self.false_sharing_misses += 1

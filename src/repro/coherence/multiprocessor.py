@@ -9,10 +9,8 @@ GHB / oracle prefetching on top of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro._compat import DATACLASS_SLOTS
 from repro.coherence.directory import Directory
 from repro.coherence.false_sharing import FalseSharingClassifier, MissClassification
 from repro.memory.cache import AccessOutcome, AccessResult, SetAssociativeCache
@@ -29,16 +27,33 @@ class CpuOutOfRangeError(ValueError):
         self.num_cpus = num_cpus
 
 
-@dataclass(**DATACLASS_SLOTS)
 class AccessOutcomeRecord:
     """Everything the engine and timing model need to know about one access."""
 
-    record: MemoryAccess
-    level: MemoryLevel
-    l1_result: AccessResult
-    l2_result: Optional[AccessResult] = None
-    miss_classification: Optional[MissClassification] = None
-    invalidations_sent: int = 0
+    __slots__ = (
+        "record",
+        "level",
+        "l1_result",
+        "l2_result",
+        "miss_classification",
+        "invalidations_sent",
+    )
+
+    def __init__(
+        self,
+        record: MemoryAccess,
+        level: MemoryLevel,
+        l1_result: AccessResult,
+        l2_result: Optional[AccessResult] = None,
+        miss_classification: Optional[MissClassification] = None,
+        invalidations_sent: int = 0,
+    ) -> None:
+        self.record = record
+        self.level = level
+        self.l1_result = l1_result
+        self.l2_result = l2_result
+        self.miss_classification = miss_classification
+        self.invalidations_sent = invalidations_sent
 
     @property
     def l1_miss(self) -> bool:
@@ -100,9 +115,12 @@ class MultiprocessorMemorySystem:
             name="L2",
         )
         self.directory = Directory(coherence_unit=block_size)
+        # False sharing needs a block larger than the 64-byte coherence unit:
+        # when the chunk is the block, every coherence miss is true sharing
+        # and a classifier could only ever answer "not false sharing".
         self.classifier = (
-            FalseSharingClassifier(block_size=block_size, sharing_granularity=min(64, block_size))
-            if classify_false_sharing
+            FalseSharingClassifier(block_size=block_size, sharing_granularity=64)
+            if classify_false_sharing and block_size > 64
             else None
         )
         # Keep the directory's sharer lists consistent with L1 replacements.

@@ -9,7 +9,6 @@ copy).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Optional, Set
 
 
@@ -21,7 +20,6 @@ class CoherenceState(enum.Enum):
     MODIFIED = "M"
 
 
-@dataclass
 class DirectoryEntry:
     """Directory state of one block, as :meth:`Directory.lookup` reports it.
 
@@ -29,10 +27,29 @@ class DirectoryEntry:
     :mod:`repro.coherence.directory`), so changing an entry changes nothing.
     """
 
-    block_addr: int
-    state: CoherenceState = CoherenceState.INVALID
-    sharers: Set[int] = field(default_factory=set)
-    owner: Optional[int] = None
+    __slots__ = ("block_addr", "state", "sharers", "owner")
+
+    def __init__(
+        self,
+        block_addr: int,
+        state: CoherenceState = CoherenceState.INVALID,
+        sharers: Optional[Set[int]] = None,
+        owner: Optional[int] = None,
+    ) -> None:
+        self.block_addr = block_addr
+        self.state = state
+        self.sharers = set() if sharers is None else sharers
+        self.owner = owner
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.block_addr, self.state, self.sharers, self.owner) == (
+            other.block_addr,
+            other.state,
+            other.sharers,
+            other.owner,
+        )
 
     def has_sharer(self, cpu: int) -> bool:
         return cpu in self.sharers
@@ -60,7 +77,6 @@ class DirectoryEntry:
                 )
 
 
-@dataclass
 class CoherenceActions:
     """Actions the directory requests in response to one access.
 
@@ -69,10 +85,24 @@ class CoherenceActions:
     demoted to shared.
     """
 
-    invalidate_cpus: Set[int] = field(default_factory=set)
-    downgrade_cpus: Set[int] = field(default_factory=set)
-    was_remote_modified: bool = False
-    was_shared_elsewhere: bool = False
+    __slots__ = (
+        "invalidate_cpus",
+        "downgrade_cpus",
+        "was_remote_modified",
+        "was_shared_elsewhere",
+    )
+
+    def __init__(
+        self,
+        invalidate_cpus: Optional[Set[int]] = None,
+        downgrade_cpus: Optional[Set[int]] = None,
+        was_remote_modified: bool = False,
+        was_shared_elsewhere: bool = False,
+    ) -> None:
+        self.invalidate_cpus = set() if invalidate_cpus is None else invalidate_cpus
+        self.downgrade_cpus = set() if downgrade_cpus is None else downgrade_cpus
+        self.was_remote_modified = was_remote_modified
+        self.was_shared_elsewhere = was_shared_elsewhere
 
     @property
     def coherence_traffic(self) -> int:

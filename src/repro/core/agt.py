@@ -44,7 +44,6 @@ the boxed API only, as a snapshot of one word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.indexing import TriggerInfo
@@ -52,24 +51,32 @@ from repro.core.pattern import SpatialPattern
 from repro.core.region import RegionGeometry
 
 
-@dataclass
 class GenerationRecord:
     """Snapshot of one accumulating (or just-completed) generation.
 
     ``trigger_address`` is the address of the trigger access's *block*.
     """
 
-    region: int
-    trigger_pc: int
-    trigger_offset: int
-    trigger_address: int
-    pattern_bits: int = 0
+    __slots__ = ("region", "trigger_pc", "trigger_offset", "trigger_address", "pattern_bits")
+
+    def __init__(
+        self,
+        region: int,
+        trigger_pc: int,
+        trigger_offset: int,
+        trigger_address: int,
+        pattern_bits: int = 0,
+    ) -> None:
+        self.region = region
+        self.trigger_pc = trigger_pc
+        self.trigger_offset = trigger_offset
+        self.trigger_address = trigger_address
+        self.pattern_bits = pattern_bits
 
     def pattern(self, num_blocks: int) -> SpatialPattern:
         return SpatialPattern(num_blocks=num_blocks, bits=self.pattern_bits)
 
 
-@dataclass
 class AGTEvent:
     """Outcome of one AGT operation.
 
@@ -79,9 +86,17 @@ class AGTEvent:
     or the generation ended by the eviction that was observed).
     """
 
-    is_trigger: bool = False
-    trigger: Optional[TriggerInfo] = None
-    completed: List[GenerationRecord] = field(default_factory=list)
+    __slots__ = ("is_trigger", "trigger", "completed")
+
+    def __init__(
+        self,
+        is_trigger: bool = False,
+        trigger: Optional[TriggerInfo] = None,
+        completed: Optional[List[GenerationRecord]] = None,
+    ) -> None:
+        self.is_trigger = is_trigger
+        self.trigger = trigger
+        self.completed = [] if completed is None else completed
 
 
 class ActiveGenerationTable:

@@ -8,15 +8,12 @@ training with a 32-entry filter table and 64-entry accumulation table, and a
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.pht import PatternHistoryTable
 from repro.core.region import RegionGeometry
 
 
-@dataclass
 class SMSConfig:
     """Configuration for :class:`repro.core.sms.SpatialMemoryStreaming`.
 
@@ -46,29 +43,69 @@ class SMSConfig:
         Geometry the sectored training structures mirror (the L1 by default).
     """
 
-    region_size: int = 2048
-    block_size: int = 64
-    index_scheme: str = "pc+offset"
-    trainer: str = "agt"
-    filter_entries: Optional[int] = 32
-    accumulation_entries: Optional[int] = 64
-    pht_entries: Optional[int] = 16384
-    pht_associativity: int = 16
-    prediction_registers: int = 16
-    stream_into_l1: bool = True
-    max_requests_per_access: Optional[int] = None
-    trained_cache_capacity: int = 64 * 1024
-    trained_cache_associativity: int = 2
+    #: The fields, in constructor order (what ``replace``, ``==`` and
+    #: ``repr`` walk).  A plain object, not a tuple of them: a configuration
+    #: passed as a sweep-task argument has no cache-key encoding.
+    __slots__ = (
+        "region_size",
+        "block_size",
+        "index_scheme",
+        "trainer",
+        "filter_entries",
+        "accumulation_entries",
+        "pht_entries",
+        "pht_associativity",
+        "prediction_registers",
+        "stream_into_l1",
+        "max_requests_per_access",
+        "trained_cache_capacity",
+        "trained_cache_associativity",
+    )
 
-    def __post_init__(self) -> None:
-        if self.pht_entries is not None and self.pht_entries <= 0:
-            raise ValueError(f"pht_entries must be positive or None, got {self.pht_entries}")
-        if self.pht_associativity <= 0:
-            raise ValueError(f"pht_associativity must be positive, got {self.pht_associativity}")
-        if self.prediction_registers <= 0:
-            raise ValueError(
-                f"prediction_registers must be positive, got {self.prediction_registers}"
-            )
+    def __init__(
+        self,
+        region_size: int = 2048,
+        block_size: int = 64,
+        index_scheme: str = "pc+offset",
+        trainer: str = "agt",
+        filter_entries: Optional[int] = 32,
+        accumulation_entries: Optional[int] = 64,
+        pht_entries: Optional[int] = 16384,
+        pht_associativity: int = 16,
+        prediction_registers: int = 16,
+        stream_into_l1: bool = True,
+        max_requests_per_access: Optional[int] = None,
+        trained_cache_capacity: int = 64 * 1024,
+        trained_cache_associativity: int = 2,
+    ) -> None:
+        if pht_entries is not None and pht_entries <= 0:
+            raise ValueError(f"pht_entries must be positive or None, got {pht_entries}")
+        if pht_associativity <= 0:
+            raise ValueError(f"pht_associativity must be positive, got {pht_associativity}")
+        if prediction_registers <= 0:
+            raise ValueError(f"prediction_registers must be positive, got {prediction_registers}")
+        self.region_size = region_size
+        self.block_size = block_size
+        self.index_scheme = index_scheme
+        self.trainer = trainer
+        self.filter_entries = filter_entries
+        self.accumulation_entries = accumulation_entries
+        self.pht_entries = pht_entries
+        self.pht_associativity = pht_associativity
+        self.prediction_registers = prediction_registers
+        self.stream_into_l1 = stream_into_l1
+        self.max_requests_per_access = max_requests_per_access
+        self.trained_cache_capacity = trained_cache_capacity
+        self.trained_cache_associativity = trained_cache_associativity
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"SMSConfig({fields})"
 
     @property
     def geometry(self) -> RegionGeometry:
@@ -96,7 +133,9 @@ class SMSConfig:
 
     def replace(self, **overrides) -> "SMSConfig":
         """Return a copy of this configuration with ``overrides`` applied."""
-        return dataclasses.replace(self, **overrides)
+        values = {name: getattr(self, name) for name in self.__slots__}
+        values.update(overrides)
+        return SMSConfig(**values)
 
     def make_pht(self, num_blocks: Optional[int] = None) -> PatternHistoryTable:
         """Construct the configured Pattern History Table."""

@@ -18,14 +18,12 @@ recurring spatial patterns (Section 2.2).  The paper compares four schemes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple, Type
+from typing import Dict, NamedTuple, Tuple, Type
 
 from repro.core.region import RegionGeometry
 
 
-@dataclass(frozen=True)
-class TriggerInfo:
+class TriggerInfo(NamedTuple):
     """Information about the trigger access of a spatial region generation."""
 
     pc: int

@@ -8,26 +8,43 @@ operations the predictor, the analysis code, and the tests need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, List
 
 
-@dataclass(frozen=True)
 class SpatialPattern:
-    """An immutable spatial pattern over ``num_blocks`` cache blocks."""
+    """An immutable spatial pattern over ``num_blocks`` cache blocks.
 
-    num_blocks: int
-    bits: int = 0
+    Compares and hashes by value.
+    """
 
-    def __post_init__(self) -> None:
-        if self.num_blocks <= 0:
-            raise ValueError(f"num_blocks must be positive, got {self.num_blocks}")
-        if self.bits < 0:
-            raise ValueError(f"bits must be non-negative, got {self.bits}")
-        if self.bits >> self.num_blocks:
-            raise ValueError(
-                f"bits {self.bits:#x} has bits set beyond {self.num_blocks} blocks"
-            )
+    __slots__ = ("num_blocks", "bits")
+
+    def __init__(self, num_blocks: int, bits: int = 0) -> None:
+        if num_blocks <= 0:
+            raise ValueError(f"num_blocks must be positive, got {num_blocks}")
+        if bits < 0:
+            raise ValueError(f"bits must be non-negative, got {bits}")
+        if bits >> num_blocks:
+            raise ValueError(f"bits {bits:#x} has bits set beyond {num_blocks} blocks")
+        object.__setattr__(self, "num_blocks", num_blocks)
+        object.__setattr__(self, "bits", bits)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable SpatialPattern")
+
+    def __reduce__(self):
+        return SpatialPattern, (self.num_blocks, self.bits)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.num_blocks == other.num_blocks and self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash((self.num_blocks, self.bits))
+
+    def __repr__(self) -> str:
+        return f"SpatialPattern(num_blocks={self.num_blocks!r}, bits={self.bits!r})"
 
     # ------------------------------------------------------------------ #
     # Constructors

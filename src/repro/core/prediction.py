@@ -28,15 +28,13 @@ and otherwise one block per run so the round-robin interleaving is kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.core.pattern import SpatialPattern
 from repro.core.region import RegionGeometry
 
 
-@dataclass(frozen=True)
-class StreamRequest:
+class StreamRequest(NamedTuple):
     """One block SMS wants to stream into the cache."""
 
     address: int

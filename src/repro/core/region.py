@@ -8,7 +8,6 @@ sizes; it centralises every piece of address arithmetic the predictor needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List
 
 from repro.memory.block import (
@@ -20,22 +19,42 @@ from repro.memory.block import (
 )
 
 
-@dataclass(frozen=True)
 class RegionGeometry:
-    """Geometry of spatial regions: region size and cache block size, in bytes."""
+    """Geometry of spatial regions: region size and cache block size, in bytes.
 
-    region_size: int = 2048
-    block_size: int = 64
+    Immutable; compares and hashes by value.
+    """
 
-    def __post_init__(self) -> None:
-        if not is_power_of_two(self.region_size):
-            raise ValueError(f"region_size must be a power of two, got {self.region_size}")
-        if not is_power_of_two(self.block_size):
-            raise ValueError(f"block_size must be a power of two, got {self.block_size}")
-        if self.block_size > self.region_size:
+    __slots__ = ("region_size", "block_size")
+
+    def __init__(self, region_size: int = 2048, block_size: int = 64) -> None:
+        if not is_power_of_two(region_size):
+            raise ValueError(f"region_size must be a power of two, got {region_size}")
+        if not is_power_of_two(block_size):
+            raise ValueError(f"block_size must be a power of two, got {block_size}")
+        if block_size > region_size:
             raise ValueError(
-                f"block_size ({self.block_size}) cannot exceed region_size ({self.region_size})"
+                f"block_size ({block_size}) cannot exceed region_size ({region_size})"
             )
+        object.__setattr__(self, "region_size", region_size)
+        object.__setattr__(self, "block_size", block_size)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable RegionGeometry")
+
+    def __reduce__(self):
+        return RegionGeometry, (self.region_size, self.block_size)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.region_size == other.region_size and self.block_size == other.block_size
+
+    def __hash__(self) -> int:
+        return hash((self.region_size, self.block_size))
+
+    def __repr__(self) -> str:
+        return f"RegionGeometry(region_size={self.region_size!r}, block_size={self.block_size!r})"
 
     @property
     def blocks_per_region(self) -> int:

@@ -18,18 +18,18 @@ predictor and the simulation engine can swap them freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, NamedTuple, Optional
 
 from repro.core.agt import ActiveGenerationTable, GenerationRecord
 from repro.core.indexing import TriggerInfo
 from repro.core.pattern import SpatialPattern
 from repro.core.region import RegionGeometry
-from repro.memory.sectored import LogicalSectoredTagArray, SectorState
+
+if TYPE_CHECKING:  # the tag array is imported where a sectored trainer is built
+    from repro.memory.sectored import SectorState
 
 
-@dataclass(frozen=True)
-class CompletedGeneration:
+class CompletedGeneration(NamedTuple):
     """A finished spatial region generation, ready to train the PHT."""
 
     region: int
@@ -47,13 +47,20 @@ class CompletedGeneration:
         )
 
 
-@dataclass
 class TrainerResponse:
     """Outcome of one trainer observation."""
 
-    trigger: Optional[TriggerInfo] = None
-    completed: List[CompletedGeneration] = field(default_factory=list)
-    forced_evictions: List[int] = field(default_factory=list)
+    __slots__ = ("trigger", "completed", "forced_evictions")
+
+    def __init__(
+        self,
+        trigger: Optional[TriggerInfo] = None,
+        completed: Optional[List[CompletedGeneration]] = None,
+        forced_evictions: Optional[List[int]] = None,
+    ) -> None:
+        self.trigger = trigger
+        self.completed = [] if completed is None else completed
+        self.forced_evictions = [] if forced_evictions is None else forced_evictions
 
     @property
     def is_trigger(self) -> bool:
@@ -149,6 +156,8 @@ class LogicalSectoredTrainer(SpatialTrainer):
         cache_capacity: int = 64 * 1024,
         cache_associativity: int = 2,
     ) -> None:
+        from repro.memory.sectored import LogicalSectoredTagArray
+
         super().__init__(geometry)
         self.tags = LogicalSectoredTagArray(
             capacity_bytes=cache_capacity,

@@ -7,21 +7,48 @@ processor + memory-controller tile as in the paper's 16-node system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, List, Tuple
 
 
-@dataclass(frozen=True)
 class TorusTopology:
-    """A 2D torus with wrap-around links in both dimensions."""
+    """A 2D torus with wrap-around links in both dimensions.
 
-    width: int = 4
-    height: int = 4
-    hop_latency_ns: float = 25.0
+    Immutable; compares and hashes by value.
+    """
 
-    def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
+    __slots__ = ("width", "height", "hop_latency_ns")
+
+    def __init__(self, width: int = 4, height: int = 4, hop_latency_ns: float = 25.0) -> None:
+        if width <= 0 or height <= 0:
             raise ValueError("torus dimensions must be positive")
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "hop_latency_ns", hop_latency_ns)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable TorusTopology")
+
+    def __reduce__(self):
+        return TorusTopology, (self.width, self.height, self.hop_latency_ns)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.width, self.height, self.hop_latency_ns) == (
+            other.width,
+            other.height,
+            other.hop_latency_ns,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.width, self.height, self.hop_latency_ns))
+
+    def __repr__(self) -> str:
+        return (
+            f"TorusTopology(width={self.width!r}, height={self.height!r}, "
+            f"hop_latency_ns={self.hop_latency_ns!r})"
+        )
 
     @property
     def num_nodes(self) -> int:
@@ -69,16 +96,24 @@ class TorusTopology:
 
     def average_hop_count(self) -> float:
         """Average hop count over all ordered (src, dst) pairs with src != dst."""
-        total = 0
-        pairs = 0
-        for src, dst in self.all_pairs():
-            if src == dst:
-                continue
-            total += self.hop_count(src, dst)
-            pairs += 1
-        return total / pairs if pairs else 0.0
+        return _average_hop_count(self)
 
     def average_remote_latency_ns(self, round_trip: bool = True) -> float:
         """Average network latency for a remote access (request + response)."""
         one_way = self.average_hop_count() * self.hop_latency_ns
         return 2.0 * one_way if round_trip else one_way
+
+
+@lru_cache(maxsize=None)
+def _average_hop_count(torus: TorusTopology) -> float:
+    # Walks every ordered pair once per topology (they hash by value): the
+    # timing model reads the average, through
+    # ``MachineConfig.remote_network_cycles``, several times per result.
+    total = 0
+    pairs = 0
+    for src, dst in torus.all_pairs():
+        if src == dst:
+            continue
+        total += torus.hop_count(src, dst)
+        pairs += 1
+    return total / pairs if pairs else 0.0

@@ -10,8 +10,7 @@ demand + prefetch traffic against the machine's bisection bandwidth.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional
 
 
 class TrafficClass(enum.Enum):
@@ -28,13 +27,20 @@ class TrafficClass(enum.Enum):
 _CONTROL_MESSAGE_BYTES = 8
 
 
-@dataclass
 class BandwidthAccountant:
     """Tallies bytes transferred over the interconnect by class."""
 
-    block_size: int = 64
-    bytes_by_class: Dict[TrafficClass, int] = field(default_factory=dict)
-    useful_bytes: int = 0
+    __slots__ = ("block_size", "bytes_by_class", "useful_bytes")
+
+    def __init__(
+        self,
+        block_size: int = 64,
+        bytes_by_class: Optional[Dict[TrafficClass, int]] = None,
+        useful_bytes: int = 0,
+    ) -> None:
+        self.block_size = block_size
+        self.bytes_by_class = {} if bytes_by_class is None else bytes_by_class
+        self.useful_bytes = useful_bytes
 
     def record_block_transfer(self, traffic_class: TrafficClass, blocks: int = 1) -> None:
         """Record the transfer of ``blocks`` cache blocks of ``traffic_class``."""

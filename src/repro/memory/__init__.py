@@ -2,7 +2,7 @@
 
 This package provides the memory-system components the paper's evaluation is
 built on: set-associative caches with configurable block size, replacement
-policies, a two-level hierarchy, and the sectored / decoupled-sectored /
+policies, and the sectored / decoupled-sectored /
 logical-sectored tag arrays that prior spatial predictors (Kumar &
 Wilkerson's Spatial Footprint Predictor and Chen et al.'s Spatial Pattern
 Predictor) trained on.
@@ -23,7 +23,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "cache": ("AccessOutcome", "CacheLine", "EvictedLine", "SetAssociativeCache"),
         "replacement": ("ReplacementPolicy", "LRUPolicy"),
-        "hierarchy": ("CacheHierarchy", "HierarchyOutcome", "MemoryLevel"),
+        "hierarchy": ("MemoryLevel",),
         "sectored": ("SectoredTagArray", "LogicalSectoredTagArray", "SectorState"),
         "decoupled": ("DecoupledSectoredCache",),
         "stats": ("CacheStatistics",),

@@ -30,10 +30,8 @@ leaves the cache unused is an overprediction.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
-from repro._compat import DATACLASS_SLOTS
 from repro.memory.block import is_power_of_two
 from repro.memory.stats import CacheStatistics
 
@@ -59,14 +57,18 @@ class AccessOutcome(enum.Enum):
         return not self.is_miss
 
 
-@dataclass(**DATACLASS_SLOTS)
 class CacheLine:
     """State of one resident cache block."""
 
-    block_addr: int
-    dirty: bool = False
-    prefetched: bool = False
-    used: bool = True
+    __slots__ = ("block_addr", "dirty", "prefetched", "used")
+
+    def __init__(
+        self, block_addr: int, dirty: bool = False, prefetched: bool = False, used: bool = True
+    ) -> None:
+        self.block_addr = block_addr
+        self.dirty = dirty
+        self.prefetched = prefetched
+        self.used = used
 
     def mark_demand_use(self, is_write: bool) -> None:
         self.used = True
@@ -74,8 +76,7 @@ class CacheLine:
             self.dirty = True
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
-class EvictedLine:
+class EvictedLine(NamedTuple):
     """Information about a block leaving the cache."""
 
     block_addr: int
@@ -89,13 +90,17 @@ class EvictedLine:
         return self.prefetched and not self.used
 
 
-@dataclass(**DATACLASS_SLOTS)
 class AccessResult:
     """Outcome of :meth:`SetAssociativeCache.access`."""
 
-    outcome: AccessOutcome
-    block_addr: int
-    evicted: Optional[EvictedLine] = None
+    __slots__ = ("outcome", "block_addr", "evicted")
+
+    def __init__(
+        self, outcome: AccessOutcome, block_addr: int, evicted: Optional[EvictedLine] = None
+    ) -> None:
+        self.outcome = outcome
+        self.block_addr = block_addr
+        self.evicted = evicted
 
     @property
     def is_miss(self) -> bool:

@@ -1,20 +1,13 @@
-"""A simple multi-level cache hierarchy.
+"""Levels of the memory hierarchy.
 
-The hierarchy wires an L1 and an L2 (and conceptually main memory below
-them) into a single ``access`` call that reports which level served the
-request.  The multiprocessor simulation engine manages its own per-CPU L1s
-and shared L2 directly (it needs to interleave coherence actions), but the
-hierarchy is the convenient front door for uniprocessor studies, the
-examples, and the block-size opportunity experiments of Figure 4.
+The simulation engine manages its own per-CPU L1s and shared L2 directly (it
+needs to interleave coherence actions); what it shares with the prefetchers
+and the reports is the name of the level that served a request.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Optional
-
-from repro.memory.cache import AccessResult, SetAssociativeCache
 
 
 class MemoryLevel(enum.Enum):
@@ -23,75 +16,3 @@ class MemoryLevel(enum.Enum):
     L1 = "L1"
     L2 = "L2"
     MEMORY = "memory"
-
-
-@dataclass
-class HierarchyOutcome:
-    """Result of a hierarchy access."""
-
-    level: MemoryLevel
-    l1_result: AccessResult
-    l2_result: Optional[AccessResult] = None
-
-    @property
-    def l1_miss(self) -> bool:
-        return self.l1_result.is_miss
-
-    @property
-    def l2_miss(self) -> bool:
-        return self.l2_result is not None and self.l2_result.is_miss
-
-    @property
-    def off_chip(self) -> bool:
-        return self.level is MemoryLevel.MEMORY
-
-    @property
-    def served_by_prefetch(self) -> bool:
-        return self.l1_result.is_prefetch_hit
-
-
-class CacheHierarchy:
-    """A two-level (L1 + shared L2) cache hierarchy for a single processor."""
-
-    def __init__(self, l1: SetAssociativeCache, l2: Optional[SetAssociativeCache] = None) -> None:
-        if l2 is not None and l2.block_size != l1.block_size:
-            raise ValueError(
-                f"L1 and L2 block sizes must match (got {l1.block_size} and {l2.block_size})"
-            )
-        self.l1 = l1
-        self.l2 = l2
-
-    @property
-    def block_size(self) -> int:
-        return self.l1.block_size
-
-    @property
-    def levels(self) -> List[SetAssociativeCache]:
-        return [c for c in (self.l1, self.l2) if c is not None]
-
-    def access(self, address: int, is_write: bool = False) -> HierarchyOutcome:
-        """Perform a demand access, filling lower levels on the way."""
-        l1_result = self.l1.access(address, is_write=is_write)
-        if not l1_result.is_miss:
-            return HierarchyOutcome(level=MemoryLevel.L1, l1_result=l1_result)
-        if self.l2 is None:
-            return HierarchyOutcome(level=MemoryLevel.MEMORY, l1_result=l1_result)
-        l2_result = self.l2.access(address, is_write=is_write)
-        level = MemoryLevel.L2 if not l2_result.is_miss else MemoryLevel.MEMORY
-        return HierarchyOutcome(level=level, l1_result=l1_result, l2_result=l2_result)
-
-    def prefetch_fill(self, address: int, into_l1: bool = True) -> None:
-        """Install a prefetched block (into L1 and L2, or L2 only)."""
-        if self.l2 is not None:
-            self.l2.fill(address, prefetched=True)
-        if into_l1:
-            self.l1.fill(address, prefetched=True)
-
-    def invalidate(self, address: int) -> None:
-        """Invalidate the block in every level (coherence action)."""
-        self.l1.invalidate(address)
-        if self.l2 is not None:
-            self.l2.invalidate(address)
-
-    def contains(self, address: int) -> bool:
-        return self.l1.contains(address) or (self.l2 is not None and self.l2.contains(address))

@@ -19,7 +19,6 @@ sources live in :mod:`repro.core.training`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.memory.block import (
@@ -31,20 +30,33 @@ from repro.memory.block import (
 from repro.memory.replacement import LRUPolicy
 
 
-@dataclass
 class SectorState:
     """State of one sector (spatial region) entry in a sectored tag array."""
 
-    region: int
-    num_blocks: int
-    trigger_pc: int = 0
-    trigger_offset: int = 0
-    trigger_address: int = 0
-    valid_bits: List[bool] = field(default_factory=list)
+    __slots__ = (
+        "region",
+        "num_blocks",
+        "trigger_pc",
+        "trigger_offset",
+        "trigger_address",
+        "valid_bits",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.valid_bits:
-            self.valid_bits = [False] * self.num_blocks
+    def __init__(
+        self,
+        region: int,
+        num_blocks: int,
+        trigger_pc: int = 0,
+        trigger_offset: int = 0,
+        trigger_address: int = 0,
+        valid_bits: Optional[List[bool]] = None,
+    ) -> None:
+        self.region = region
+        self.num_blocks = num_blocks
+        self.trigger_pc = trigger_pc
+        self.trigger_offset = trigger_offset
+        self.trigger_address = trigger_address
+        self.valid_bits = valid_bits if valid_bits else [False] * num_blocks
 
     def set_block(self, offset: int) -> None:
         if not 0 <= offset < self.num_blocks:

@@ -21,7 +21,6 @@ the L1 (i.e. reach the L2) and its prefetches fill the L2 only.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.coherence.multiprocessor import AccessOutcomeRecord
@@ -30,7 +29,6 @@ from repro.prefetch.base import Prefetcher, PrefetcherResponse, PrefetchRequest
 from repro.trace.record import MemoryAccess
 
 
-@dataclass
 class GHBConfig:
     """Configuration for the GHB PC/DC prefetcher.
 
@@ -39,27 +37,43 @@ class GHBConfig:
     (Section 4.6).
     """
 
-    buffer_entries: int = 256
-    index_entries: Optional[int] = None  # None: same as buffer_entries
-    degree: int = 4
-    max_history: int = 64
-    block_size: int = 64
-    train_on_l1_misses_only: bool = True
+    __slots__ = (
+        "buffer_entries",
+        "index_entries",
+        "degree",
+        "max_history",
+        "block_size",
+        "train_on_l1_misses_only",
+    )
 
-    def __post_init__(self) -> None:
-        if self.buffer_entries <= 0:
-            raise ValueError(f"buffer_entries must be positive, got {self.buffer_entries}")
-        if self.degree <= 0:
-            raise ValueError(f"degree must be positive, got {self.degree}")
-        if self.index_entries is None:
-            self.index_entries = self.buffer_entries
+    def __init__(
+        self,
+        buffer_entries: int = 256,
+        index_entries: Optional[int] = None,  # None: same as buffer_entries
+        degree: int = 4,
+        max_history: int = 64,
+        block_size: int = 64,
+        train_on_l1_misses_only: bool = True,
+    ) -> None:
+        if buffer_entries <= 0:
+            raise ValueError(f"buffer_entries must be positive, got {buffer_entries}")
+        if degree <= 0:
+            raise ValueError(f"degree must be positive, got {degree}")
+        self.buffer_entries = buffer_entries
+        self.index_entries = buffer_entries if index_entries is None else index_entries
+        self.degree = degree
+        self.max_history = max_history
+        self.block_size = block_size
+        self.train_on_l1_misses_only = train_on_l1_misses_only
 
 
-@dataclass
 class _GHBEntry:
-    sequence: int
-    block_addr: int
-    prev_sequence: Optional[int]
+    __slots__ = ("sequence", "block_addr", "prev_sequence")
+
+    def __init__(self, sequence: int, block_addr: int, prev_sequence: Optional[int]) -> None:
+        self.sequence = sequence
+        self.block_addr = block_addr
+        self.prev_sequence = prev_sequence
 
 
 class GlobalHistoryBuffer(Prefetcher):

@@ -11,7 +11,6 @@ irregular spatial correlation of commercial workloads).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.coherence.multiprocessor import AccessOutcomeRecord
@@ -20,11 +19,13 @@ from repro.prefetch.base import Prefetcher, PrefetcherResponse, PrefetchRequest
 from repro.trace.record import MemoryAccess
 
 
-@dataclass
 class _StrideEntry:
-    last_address: int
-    stride: int = 0
-    confidence: int = 0
+    __slots__ = ("last_address", "stride", "confidence")
+
+    def __init__(self, last_address: int, stride: int = 0, confidence: int = 0) -> None:
+        self.last_address = last_address
+        self.stride = stride
+        self.confidence = confidence
 
 
 class StridePrefetcher(Prefetcher):

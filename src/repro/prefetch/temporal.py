@@ -20,7 +20,6 @@ It is used by the extension benchmark ``benchmarks/test_abl_related_work.py``.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.coherence.multiprocessor import AccessOutcomeRecord
@@ -29,11 +28,13 @@ from repro.prefetch.base import Prefetcher, PrefetcherResponse, PrefetchRequest
 from repro.trace.record import MemoryAccess
 
 
-@dataclass
 class _CorrelationEntry:
     """Successor miss addresses recorded for one miss address."""
 
-    successors: List[int] = field(default_factory=list)
+    __slots__ = ("successors",)
+
+    def __init__(self) -> None:
+        self.successors: List[int] = []
 
     def record(self, successor: int, max_successors: int) -> None:
         if successor in self.successors:

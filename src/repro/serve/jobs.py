@@ -369,9 +369,10 @@ def execute_spec(spec: Mapping[str, Any]) -> Any:
 def jsonify(value: Any) -> Any:
     """Convert a raw job result into JSON-able data, deterministically.
 
-    Handles the experiment result types: dataclasses and named tuples (as
-    field dicts), dicts with non-string keys (int sizes, (scheme, size)
-    tuples — stringified), enums (their values), and nested containers.
+    Handles the experiment result types: dataclasses, named tuples and
+    slotted result objects (as field dicts), dicts with non-string keys (int
+    sizes, (scheme, size) tuples — stringified), enums (their values), and
+    nested containers.
     :class:`ResultTable` adds its rendered ``text`` so experiment replies can
     be compared byte-for-byte against the direct CLI output.
     """
@@ -399,6 +400,11 @@ def jsonify(value: Any) -> Any:
         return [jsonify(item) for item in value]
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
+    fields = getattr(type(value), "__slots__", ())
+    if fields:
+        # A slotted result object (DensityHistogram, ExecutionBreakdown): its
+        # slots are its fields, sent by name as the dataclass it replaced was.
+        return {name: jsonify(getattr(value, name)) for name in fields}
     raise TypeError(f"result of type {type(value).__name__} is not JSON-able")
 
 

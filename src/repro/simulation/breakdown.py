@@ -11,7 +11,6 @@ same amount of completed work so that relative bar height equals speedup.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 
@@ -37,12 +36,19 @@ CATEGORY_ORDER = [
 ]
 
 
-@dataclass
 class ExecutionBreakdown:
     """Per-category cycle counts for one simulated configuration."""
 
-    cycles: Dict[BreakdownCategory, float] = field(default_factory=dict)
-    instructions: int = 1
+    #: The fields; ``serve.jobs.jsonify`` sends them by these names.
+    __slots__ = ("cycles", "instructions")
+
+    def __init__(
+        self,
+        cycles: Optional[Dict[BreakdownCategory, float]] = None,
+        instructions: int = 1,
+    ) -> None:
+        self.cycles = {} if cycles is None else cycles
+        self.instructions = instructions
 
     def add(self, category: BreakdownCategory, cycles: float) -> None:
         if cycles < 0:

@@ -8,26 +8,47 @@ processors, block size).
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.interconnect.torus import TorusTopology
 
 
-@dataclass(frozen=True)
 class MachineConfig:
     """Timing parameters of the simulated machine (Table 1)."""
 
-    clock_ghz: float = 4.0
-    dispatch_width: int = 8
-    rob_entries: int = 256
-    store_buffer_entries: int = 64
-    l1_load_to_use_cycles: int = 2
-    l2_hit_cycles: int = 25
-    memory_latency_ns: float = 60.0
-    torus: TorusTopology = field(default_factory=TorusTopology)
-    peak_bisection_gb_per_s: float = 128.0
+    __slots__ = (
+        "clock_ghz",
+        "dispatch_width",
+        "rob_entries",
+        "store_buffer_entries",
+        "l1_load_to_use_cycles",
+        "l2_hit_cycles",
+        "memory_latency_ns",
+        "torus",
+        "peak_bisection_gb_per_s",
+    )
+
+    def __init__(
+        self,
+        clock_ghz: float = 4.0,
+        dispatch_width: int = 8,
+        rob_entries: int = 256,
+        store_buffer_entries: int = 64,
+        l1_load_to_use_cycles: int = 2,
+        l2_hit_cycles: int = 25,
+        memory_latency_ns: float = 60.0,
+        torus: Optional[TorusTopology] = None,
+        peak_bisection_gb_per_s: float = 128.0,
+    ) -> None:
+        self.clock_ghz = clock_ghz
+        self.dispatch_width = dispatch_width
+        self.rob_entries = rob_entries
+        self.store_buffer_entries = store_buffer_entries
+        self.l1_load_to_use_cycles = l1_load_to_use_cycles
+        self.l2_hit_cycles = l2_hit_cycles
+        self.memory_latency_ns = memory_latency_ns
+        self.torus = TorusTopology() if torus is None else torus
+        self.peak_bisection_gb_per_s = peak_bisection_gb_per_s
 
     @property
     def cycle_ns(self) -> float:
@@ -53,39 +74,91 @@ class MachineConfig:
         return cls()
 
 
-@dataclass(frozen=True)
 class SimulationConfig:
     """Functional parameters of the simulated memory system.
 
     ``l1_mshrs``/``l2_mshrs`` are reported (Table 1 prints them), not
     simulated: the engine is functional and models no MSHR occupancy.
+    ``warmup_accesses`` is an absolute warmup length in accesses; when set it
+    takes precedence over ``warmup_fraction``, which lets length-hint-free
+    streams (e.g. piped traces) run with a warmup phase.
+
+    Immutable; compares and hashes by value.  A plain object, not a tuple of
+    its fields: a configuration passed as a sweep-task argument has no
+    cache-key encoding.
     """
 
-    num_cpus: int = 16
-    block_size: int = 64
-    l1_capacity: int = 64 * 1024
-    l1_associativity: int = 2
-    l1_mshrs: int = 32
-    sms_stream_slots: int = 16
-    l2_capacity: int = 8 * 1024 * 1024
-    l2_associativity: int = 8
-    l2_mshrs: int = 32
-    classify_false_sharing: bool = True
-    warmup_fraction: float = 0.3
-    #: Absolute warmup length in accesses.  When set it takes precedence over
-    #: ``warmup_fraction``, which lets length-hint-free streams (e.g. piped
-    #: traces) run with a warmup phase.
-    warmup_accesses: Optional[int] = None
+    #: The fields, in constructor order.
+    __slots__ = (
+        "num_cpus",
+        "block_size",
+        "l1_capacity",
+        "l1_associativity",
+        "l1_mshrs",
+        "sms_stream_slots",
+        "l2_capacity",
+        "l2_associativity",
+        "l2_mshrs",
+        "classify_false_sharing",
+        "warmup_fraction",
+        "warmup_accesses",
+    )
 
-    def __post_init__(self) -> None:
-        if self.num_cpus <= 0:
-            raise ValueError(f"num_cpus must be positive, got {self.num_cpus}")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ValueError(f"warmup_fraction must be in [0, 1), got {self.warmup_fraction}")
-        if self.warmup_accesses is not None and self.warmup_accesses < 0:
-            raise ValueError(
-                f"warmup_accesses must be non-negative, got {self.warmup_accesses}"
-            )
+    def __init__(
+        self,
+        num_cpus: int = 16,
+        block_size: int = 64,
+        l1_capacity: int = 64 * 1024,
+        l1_associativity: int = 2,
+        l1_mshrs: int = 32,
+        sms_stream_slots: int = 16,
+        l2_capacity: int = 8 * 1024 * 1024,
+        l2_associativity: int = 8,
+        l2_mshrs: int = 32,
+        classify_false_sharing: bool = True,
+        warmup_fraction: float = 0.3,
+        warmup_accesses: Optional[int] = None,
+    ) -> None:
+        if num_cpus <= 0:
+            raise ValueError(f"num_cpus must be positive, got {num_cpus}")
+        if not 0.0 <= warmup_fraction < 1.0:
+            raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
+        if warmup_accesses is not None and warmup_accesses < 0:
+            raise ValueError(f"warmup_accesses must be non-negative, got {warmup_accesses}")
+        set_field = object.__setattr__
+        set_field(self, "num_cpus", num_cpus)
+        set_field(self, "block_size", block_size)
+        set_field(self, "l1_capacity", l1_capacity)
+        set_field(self, "l1_associativity", l1_associativity)
+        set_field(self, "l1_mshrs", l1_mshrs)
+        set_field(self, "sms_stream_slots", sms_stream_slots)
+        set_field(self, "l2_capacity", l2_capacity)
+        set_field(self, "l2_associativity", l2_associativity)
+        set_field(self, "l2_mshrs", l2_mshrs)
+        set_field(self, "classify_false_sharing", classify_false_sharing)
+        set_field(self, "warmup_fraction", warmup_fraction)
+        set_field(self, "warmup_accesses", warmup_accesses)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable SimulationConfig")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self):
+        return SimulationConfig, self._values()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"SimulationConfig({fields})"
 
     @classmethod
     def paper_default(cls) -> "SimulationConfig":
@@ -108,4 +181,6 @@ class SimulationConfig:
 
     def with_block_size(self, block_size: int) -> "SimulationConfig":
         """Return a copy with a different cache block size (Figure 4 sweeps)."""
-        return dataclasses.replace(self, block_size=block_size)
+        values = dict(zip(self.__slots__, self._values()))
+        values["block_size"] = block_size
+        return SimulationConfig(**values)

@@ -27,13 +27,15 @@ last copy leaves — ``tests/test_engine_directory.py`` holds it to the L1
 contents), the set of prefetched blocks awaiting their first use, and the
 prefetchers' fixed-size tables.  The one side table keyed by history rather
 than residency is the false-sharing classifier's record of blocks a CPU lost
-to a remote write and has not re-fetched yet (``classify_false_sharing``).
+to a remote write and has not re-fetched yet; it exists only where false
+sharing can (``classify_false_sharing`` and blocks larger than the 64-byte
+coherence unit — Figure 4's sweep), so at the 64-byte block size of every
+other figure, replay and served request there is no classifier at all.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from repro import _env, obs
@@ -69,7 +71,7 @@ from repro.trace.stream import (
     lane_chunk_iterator,
     resolve_warmup_count,
 )
-from repro.workloads.base import WorkloadMetadata
+from repro.workloads.names import WorkloadMetadata
 
 #: Environment variable enabling the simulation-time telemetry probe: a
 #: positive integer N samples prediction quality every N measured records.
@@ -149,56 +151,109 @@ def _every_access(pc: int, address: int) -> bool:
 _BOXED_SLOT = (_every_access, None, None)
 
 
-@dataclass
 class SimulationResult:
-    """Counters produced by one simulation run (measurement phase only)."""
+    """Counters produced by one simulation run (measurement phase only).
 
-    name: str = ""
-    num_cpus: int = 1
-    accesses: int = 0
-    reads: int = 0
-    writes: int = 0
-    system_accesses: int = 0
-    instructions: int = 0
+    Besides the counters: ``traffic`` (bandwidth accounting), ``workload``
+    (the trace's metadata), ``telemetry`` — simulation-time telemetry
+    (``{"interval": N, "samples": [...]}``), populated only when the probe is
+    enabled — and ``engine_path``, which loop produced these counters
+    (``"lanes"``, or ``"reference"`` for a ``run(..., lanes=False)``).  The
+    last two are run metadata, deliberately excluded from :meth:`as_dict`: the
+    golden counters must stay byte-identical whether or not the probe ran.
+    """
 
-    # L1 behaviour (summed over all private L1s).
-    l1_read_misses: int = 0
-    l1_write_misses: int = 0
-    l1_read_covered: int = 0
-    l1_write_covered: int = 0
-    l1_overpredictions: int = 0
+    __slots__ = (
+        "name",
+        "num_cpus",
+        "accesses",
+        "reads",
+        "writes",
+        "system_accesses",
+        "instructions",
+        # L1 behaviour (summed over all private L1s).
+        "l1_read_misses",
+        "l1_write_misses",
+        "l1_read_covered",
+        "l1_write_covered",
+        "l1_overpredictions",
+        # L2 / off-chip behaviour.
+        "l2_demand_reads",
+        "l2_read_hits",
+        "offchip_read_misses",
+        "offchip_write_misses",
+        "l2_read_covered",
+        "l2_overpredictions",
+        # Sharing behaviour.
+        "false_sharing_misses",
+        "invalidations",
+        # Prefetch activity.
+        "prefetches_issued",
+        "prefetch_fills_l1",
+        "prefetch_fills_l2",
+        "traffic",
+        "workload",
+        "telemetry",
+        "engine_path",
+    )
 
-    # L2 / off-chip behaviour.
-    l2_demand_reads: int = 0
-    l2_read_hits: int = 0
-    offchip_read_misses: int = 0
-    offchip_write_misses: int = 0
-    l2_read_covered: int = 0
-    l2_overpredictions: int = 0
-
-    # Sharing behaviour.
-    false_sharing_misses: int = 0
-    invalidations: int = 0
-
-    # Prefetch activity.
-    prefetches_issued: int = 0
-    prefetch_fills_l1: int = 0
-    prefetch_fills_l2: int = 0
-
-    # Bandwidth accounting.
-    traffic: Optional[BandwidthAccountant] = None
-    workload: Optional[WorkloadMetadata] = None
-
-    # Simulation-time telemetry (``{"interval": N, "samples": [...]}``),
-    # populated only when the probe is enabled.  Deliberately excluded
-    # from :meth:`as_dict`: the golden counters must stay byte-identical
-    # whether or not the probe ran.
-    telemetry: Optional[Dict] = None
-
-    # Which loop produced these counters: ``"lanes"``, or ``"reference"``
-    # for a ``run(..., lanes=False)``.  Run metadata, not a counter: excluded
-    # from :meth:`as_dict` for the same reason as ``telemetry``.
-    engine_path: str = ""
+    def __init__(
+        self,
+        name: str = "",
+        num_cpus: int = 1,
+        accesses: int = 0,
+        reads: int = 0,
+        writes: int = 0,
+        system_accesses: int = 0,
+        instructions: int = 0,
+        l1_read_misses: int = 0,
+        l1_write_misses: int = 0,
+        l1_read_covered: int = 0,
+        l1_write_covered: int = 0,
+        l1_overpredictions: int = 0,
+        l2_demand_reads: int = 0,
+        l2_read_hits: int = 0,
+        offchip_read_misses: int = 0,
+        offchip_write_misses: int = 0,
+        l2_read_covered: int = 0,
+        l2_overpredictions: int = 0,
+        false_sharing_misses: int = 0,
+        invalidations: int = 0,
+        prefetches_issued: int = 0,
+        prefetch_fills_l1: int = 0,
+        prefetch_fills_l2: int = 0,
+        traffic: Optional[BandwidthAccountant] = None,
+        workload: Optional[WorkloadMetadata] = None,
+        telemetry: Optional[Dict] = None,
+        engine_path: str = "",
+    ) -> None:
+        self.name = name
+        self.num_cpus = num_cpus
+        self.accesses = accesses
+        self.reads = reads
+        self.writes = writes
+        self.system_accesses = system_accesses
+        self.instructions = instructions
+        self.l1_read_misses = l1_read_misses
+        self.l1_write_misses = l1_write_misses
+        self.l1_read_covered = l1_read_covered
+        self.l1_write_covered = l1_write_covered
+        self.l1_overpredictions = l1_overpredictions
+        self.l2_demand_reads = l2_demand_reads
+        self.l2_read_hits = l2_read_hits
+        self.offchip_read_misses = offchip_read_misses
+        self.offchip_write_misses = offchip_write_misses
+        self.l2_read_covered = l2_read_covered
+        self.l2_overpredictions = l2_overpredictions
+        self.false_sharing_misses = false_sharing_misses
+        self.invalidations = invalidations
+        self.prefetches_issued = prefetches_issued
+        self.prefetch_fills_l1 = prefetch_fills_l1
+        self.prefetch_fills_l2 = prefetch_fills_l2
+        self.traffic = traffic
+        self.workload = workload
+        self.telemetry = telemetry
+        self.engine_path = engine_path
 
     # ------------------------------------------------------------------ #
     # Derived metrics

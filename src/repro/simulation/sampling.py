@@ -12,8 +12,7 @@ mean and confidence interval Figure 12 reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 # Two-sided 97.5% Student-t quantiles for small sample sizes (degrees of
 # freedom 1..30); beyond 30 the normal quantile 1.96 is used.  Tabulated so
@@ -35,9 +34,11 @@ def t_quantile_975(degrees_of_freedom: int) -> float:
     return _T_TABLE.get(degrees_of_freedom, 1.96)
 
 
-@dataclass(frozen=True)
-class ConfidenceInterval:
-    """A mean with a symmetric half-width at 95% confidence."""
+class ConfidenceInterval(NamedTuple):
+    """A mean with a symmetric half-width at 95% confidence.
+
+    What a fig12 sweep task returns; never a task argument.
+    """
 
     mean: float
     half_width: float
@@ -61,11 +62,13 @@ class ConfidenceInterval:
         return f"{self.mean:.3f} ± {self.half_width:.3f}"
 
 
-@dataclass
 class SampledMeasurement:
     """A population of per-sample measurements of one metric."""
 
-    values: List[float] = field(default_factory=list)
+    __slots__ = ("values",)
+
+    def __init__(self, values: Optional[List[float]] = None) -> None:
+        self.values = [] if values is None else values
 
     def add(self, value: float) -> None:
         self.values.append(value)

@@ -29,21 +29,22 @@ speedup is driven entirely by the measured change in miss behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.simulation.breakdown import BreakdownCategory, ExecutionBreakdown
 from repro.simulation.config import MachineConfig
 from repro.simulation.engine import SimulationResult
-from repro.workloads.base import WorkloadMetadata
+from repro.workloads.names import WorkloadMetadata
 
 
-@dataclass
 class TimingResult:
     """Timing estimate for one simulated configuration."""
 
-    breakdown: ExecutionBreakdown
-    machine: MachineConfig
+    __slots__ = ("breakdown", "machine")
+
+    def __init__(self, breakdown: ExecutionBreakdown, machine: MachineConfig) -> None:
+        self.breakdown = breakdown
+        self.machine = machine
 
     @property
     def total_cycles(self) -> float:

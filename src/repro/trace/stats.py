@@ -7,26 +7,50 @@ produce traces with the intended structure) and by the analysis package.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Optional
 
 from repro.trace.record import ExecutionMode, MemoryAccess
 
 
-@dataclass
 class TraceStatistics:
     """Aggregate statistics over a trace."""
 
-    total_accesses: int = 0
-    reads: int = 0
-    writes: int = 0
-    user_accesses: int = 0
-    system_accesses: int = 0
-    unique_pcs: int = 0
-    unique_blocks: int = 0
-    unique_regions: int = 0
-    accesses_per_cpu: Dict[int, int] = field(default_factory=dict)
-    max_instruction_count: int = 0
+    __slots__ = (
+        "total_accesses",
+        "reads",
+        "writes",
+        "user_accesses",
+        "system_accesses",
+        "unique_pcs",
+        "unique_blocks",
+        "unique_regions",
+        "accesses_per_cpu",
+        "max_instruction_count",
+    )
+
+    def __init__(
+        self,
+        total_accesses: int = 0,
+        reads: int = 0,
+        writes: int = 0,
+        user_accesses: int = 0,
+        system_accesses: int = 0,
+        unique_pcs: int = 0,
+        unique_blocks: int = 0,
+        unique_regions: int = 0,
+        accesses_per_cpu: Optional[Dict[int, int]] = None,
+        max_instruction_count: int = 0,
+    ) -> None:
+        self.total_accesses = total_accesses
+        self.reads = reads
+        self.writes = writes
+        self.user_accesses = user_accesses
+        self.system_accesses = system_accesses
+        self.unique_pcs = unique_pcs
+        self.unique_blocks = unique_blocks
+        self.unique_regions = unique_regions
+        self.accesses_per_cpu = {} if accesses_per_cpu is None else accesses_per_cpu
+        self.max_instruction_count = max_instruction_count
 
     @property
     def read_fraction(self) -> float:

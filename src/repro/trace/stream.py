@@ -13,7 +13,6 @@ never materialize them, so a billion-record stream costs O(chunk) memory.
 
 from __future__ import annotations
 
-import random
 from itertools import islice
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
@@ -335,6 +334,8 @@ class InterleavedTrace(TraceStream):
         self._reassign_cpus = reassign_cpus
 
     def __iter__(self) -> Iterator[MemoryAccess]:
+        import random  # a trace replay never interleaves: import where it is used
+
         rng = random.Random(self._seed)
         iterators = [iter(s) for s in self._streams]
         active = list(range(len(iterators)))

@@ -27,12 +27,12 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "base": ("SyntheticWorkload", "WorkloadMetadata", "AddressSpace", "FootprintLibrary"),
+        "base": ("SyntheticWorkload", "AddressSpace", "FootprintLibrary"),
         "oltp": ("OLTPWorkload",),
         "dss": ("DSSQueryWorkload",),
         "web": ("WebServerWorkload",),
         "scientific": ("Em3dWorkload", "OceanWorkload", "SparseWorkload"),
-        "names": ("APPLICATION_NAMES", "CATEGORIES"),
+        "names": ("WorkloadMetadata", "APPLICATION_NAMES", "CATEGORIES"),
         "suite": (
             "make_workload",
             "all_workloads",

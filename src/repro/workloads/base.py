@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate
 from math import log
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
@@ -60,41 +59,10 @@ from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 from repro.trace.binary import LaneChunk
 from repro.trace.record import CODE_SYSTEM, CODE_WRITE, MemoryAccess
 from repro.trace.stream import DEFAULT_CHUNK_SIZE, TraceStream
+from repro.workloads.names import WorkloadMetadata  # noqa: F401 - its long-standing import path
 
 #: One batch of rows as columns: pcs, addresses, codes, instruction counts.
 Batch = Tuple[List[int], List[int], List[int], List[int]]
-
-
-@dataclass(frozen=True)
-class WorkloadMetadata:
-    """Descriptive and timing-model metadata for a workload.
-
-    ``mlp_hint`` is the average number of overlappable outstanding off-chip
-    misses the paper reports or implies for the workload class (e.g. ~1.3 for
-    OLTP [6], >4.5 for em3d, Section 4.7); the analytical timing model uses
-    it to convert miss counts into stall time.  ``store_intensity`` scales
-    the store-buffer-full stall component (high for the scan-dominated DSS
-    Qry1, which copies large amounts of data into a temporary table).
-    ``overlap_discount`` is the fraction of a *covered* miss's latency that
-    the out-of-order core would have hidden anyway — the paper observes that
-    in OLTP the misses SMS predicts tend to coincide with the ones the core
-    can already overlap, so the speedup is lower than the coverage suggests
-    (Section 4.7).
-    ``memory_stall_fraction`` is the fraction of baseline execution time spent
-    on memory stalls (off-chip reads, L2 hits, store buffer) that the paper's
-    execution-time breakdowns report for the workload class; the timing model
-    calibrates the core's busy time against it (see
-    :meth:`repro.simulation.timing.TimingModel.evaluate_pair`).
-    """
-
-    name: str
-    category: str
-    description: str = ""
-    mlp_hint: float = 1.5
-    store_intensity: float = 0.1
-    system_fraction: float = 0.1
-    overlap_discount: float = 0.0
-    memory_stall_fraction: float = 0.6
 
 
 class AddressSpace:

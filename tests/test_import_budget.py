@@ -49,6 +49,11 @@ sys.exit(code)
 #: ``tempfile`` (+ ``random``) is only needed by a cache *write*.
 DEFINITION_MODULES = ("dataclasses", "inspect", "tempfile")
 
+#: What no simulating command pays either: every class the simulator defines
+#: is a plain class or a ``NamedTuple`` (``dataclasses`` is for ``devtools/``,
+#: ``serve/`` and ``experiments/report.py``).
+DATACLASS_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
 #: What a simulation job touches; a forking parent must hold all of it.
 WARM_MODULES = {
     "repro.simulation.engine", "repro.core.sms", "repro.workloads.suite",
@@ -147,6 +152,7 @@ def test_all_hits_figure_never_loads_the_engine(tmp_path):
     assert cold_summary.startswith("sweep cache: 0 hit(s), 4 miss(es), 4 stored")
     assert cold_summary.endswith("; engine: 28 lanes / 0 reference")
     assert "repro.simulation.engine" in cold_modules
+    assert loaded(cold_modules, *DATACLASS_MODULES) == []
 
     warm, modules = run_cli(tmp_path, *args)
     *warm_table, warm_summary = warm.splitlines()
@@ -174,6 +180,22 @@ def test_trace_replay_loads_no_sweep_machinery(tmp_path):
         "repro.experiments", "repro.serve", "repro.prefetch.ghb", "repro.workloads.oltp",
         "multiprocessing", "socket",
     ) == []
+    # Nor what a replay cannot run: the generators (and their ``random``), the
+    # sectored trainers' tag arrays, or a ``@dataclass`` definition.
+    assert loaded(
+        modules, *DATACLASS_MODULES, "random", "repro.workloads.base",
+        "repro.memory.sectored", "repro.memory.replacement", "repro._compat",
+    ) == []
+
+
+def test_generated_simulation_defines_no_dataclass(tmp_path):
+    out, modules = run_cli(
+        tmp_path, "simulate", "--workload", "ocean", "--prefetcher", "ghb",
+        "--cpus", "1", "--accesses-per-cpu", "400",
+    )
+    assert "L1 coverage" in out
+    assert "repro.prefetch.ghb" in modules and "repro.workloads.base" in modules
+    assert loaded(modules, *DATACLASS_MODULES) == []
 
 
 def run_script(tmp_path, source):

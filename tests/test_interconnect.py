@@ -64,6 +64,23 @@ class TestTorusTopology:
         torus = TorusTopology(4, 4)
         assert 1.0 < torus.average_hop_count() <= 4.0
 
+    def test_average_hop_count_walks_the_pairs_once_per_topology(self, monkeypatch):
+        walks = []
+        all_pairs = TorusTopology.all_pairs
+
+        def counting(self):
+            walks.append((self.width, self.height))
+            return all_pairs(self)
+
+        monkeypatch.setattr(TorusTopology, "all_pairs", counting)
+        # 3 x 5: 15 nodes, ring distances (0, 1, 1) and (0, 1, 2, 2, 1).
+        expected = (5 * 2 + 3 * 6) / 14
+        assert TorusTopology(3, 5, hop_latency_ns=7.0).average_hop_count() == expected
+        # An equal topology, even a new object, reuses the walk.
+        assert TorusTopology(3, 5, hop_latency_ns=7.0).average_hop_count() == expected
+        assert TorusTopology(3, 5, 7.0).average_remote_latency_ns() == 2.0 * expected * 7.0
+        assert walks == [(3, 5)]
+
     def test_average_remote_latency_round_trip(self):
         torus = TorusTopology(4, 4, hop_latency_ns=25.0)
         one_way = torus.average_remote_latency_ns(round_trip=False)

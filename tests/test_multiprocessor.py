@@ -86,6 +86,29 @@ class TestCoherence:
         outcome = system.access(read(1, 0x1000))
         assert outcome.false_sharing
 
+    def test_no_classifier_where_false_sharing_cannot_occur(self):
+        # At the 64-byte coherence unit the chunk is the block: a classifier
+        # could only answer "not false sharing", so none is built.
+        assert make_system(block_size=64).classifier is None
+        system = make_system(block_size=64)
+        system.access(read(1, 0x1000))
+        system.access(write(0, 0x1020))
+        outcome = system.access(read(1, 0x1000))
+        assert outcome.l1_miss and not outcome.false_sharing
+        assert outcome.miss_classification is None
+        # The smallest larger block still classifies.
+        system = make_system(block_size=128)
+        assert system.classifier is not None
+        system.access(read(1, 0x1000))
+        system.access(write(0, 0x1040))
+        assert system.access(read(1, 0x1000)).false_sharing
+        assert system.classifier.false_sharing_misses == 1
+        disabled = MultiprocessorMemorySystem(
+            num_cpus=2, block_size=128, l1_capacity=1024, l2_capacity=8192,
+            l2_associativity=4, classify_false_sharing=False,
+        )
+        assert disabled.classifier is None
+
     def test_true_sharing_not_flagged_as_false(self):
         system = make_system(block_size=512)
         system.access(read(1, 0x1000))

@@ -1,10 +1,27 @@
 """Tests for repro.prefetch.base."""
 
+import pytest
+
+from repro.analysis.density import DensityHistogram
 from repro.coherence.multiprocessor import AccessOutcomeRecord
+from repro.coherence.protocol import CoherenceActions, DirectoryEntry
+from repro.core.agt import AGTEvent
+from repro.core.training import TrainerResponse
+from repro.interconnect.traffic import BandwidthAccountant
 from repro.memory.cache import AccessOutcome, AccessResult
 from repro.memory.hierarchy import MemoryLevel
-from repro.prefetch.base import NullPrefetcher, PrefetcherResponse, PrefetchRequest
+from repro.memory.sectored import SectorState
+from repro.prefetch.base import (
+    EMPTY_RESPONSE,
+    NullPrefetcher,
+    PrefetcherResponse,
+    PrefetchRequest,
+)
+from repro.simulation.breakdown import ExecutionBreakdown
+from repro.simulation.config import MachineConfig
+from repro.simulation.sampling import SampledMeasurement
 from repro.trace.record import MemoryAccess
+from repro.trace.stats import TraceStatistics
 
 
 def simple_outcome(address=0x1000, miss=True):
@@ -28,6 +45,40 @@ class TestPrefetchRequest:
 class TestPrefetcherResponse:
     def test_empty(self):
         assert PrefetcherResponse().is_empty
+
+    def test_shared_empty_response_is_never_handed_out_as_a_default(self):
+        response = PrefetcherResponse()
+        response.prefetches.append(PrefetchRequest(0x1000))
+        response.forced_evictions.append(0x2000)
+        assert PrefetcherResponse().is_empty
+        assert EMPTY_RESPONSE.is_empty
+        assert EMPTY_RESPONSE.prefetches == [] and EMPTY_RESPONSE.forced_evictions == []
+
+    @pytest.mark.parametrize(
+        "build, containers",
+        [
+            (PrefetcherResponse, ("prefetches", "forced_evictions")),
+            (TrainerResponse, ("completed", "forced_evictions")),
+            (AGTEvent, ("completed",)),
+            (lambda: DirectoryEntry(0x40), ("sharers",)),
+            (CoherenceActions, ("invalidate_cpus", "downgrade_cpus")),
+            (lambda: SectorState(region=0, num_blocks=4), ("valid_bits",)),
+            (ExecutionBreakdown, ("cycles",)),
+            (BandwidthAccountant, ("bytes_by_class",)),
+            (lambda: DensityHistogram("L1", 2048), ("misses_by_bin",)),
+            (SampledMeasurement, ("values",)),
+            (TraceStatistics, ("accesses_per_cpu",)),
+        ],
+    )
+    def test_container_defaults_are_fresh_per_instance(self, build, containers):
+        first, second = build(), build()
+        for name in containers:
+            assert getattr(first, name) == getattr(second, name)
+            assert getattr(first, name) is not getattr(second, name), name
+
+    def test_machine_configs_share_no_torus_by_default(self):
+        assert MachineConfig().torus == MachineConfig().torus
+        assert MachineConfig().torus is not MachineConfig().torus
 
     def test_merge(self):
         a = PrefetcherResponse(prefetches=[PrefetchRequest(0x1000)])

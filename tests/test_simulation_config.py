@@ -1,9 +1,13 @@
 """Tests for repro.simulation.config."""
 
-import dataclasses
+import copy
+import pickle
 
 import pytest
 
+from repro.core.pattern import SpatialPattern
+from repro.core.region import RegionGeometry
+from repro.interconnect.torus import TorusTopology
 from repro.simulation.config import MachineConfig, SimulationConfig
 
 
@@ -55,12 +59,14 @@ class TestSimulationConfig:
         defaults = SimulationConfig()
         copy = config.with_block_size(256)
         assert copy.block_size == 256
-        for field in dataclasses.fields(SimulationConfig):
+        # The class's own field tuple: every attribute an instance can hold.
+        assert not hasattr(config, "__dict__")
+        for name in SimulationConfig.__slots__:
             # A field added later must be given a non-default value above,
             # or a copy that resets it to the default would go unnoticed.
-            assert getattr(config, field.name) != getattr(defaults, field.name), field.name
-            if field.name != "block_size":
-                assert getattr(copy, field.name) == getattr(config, field.name), field.name
+            assert getattr(config, name) != getattr(defaults, name), name
+            if name != "block_size":
+                assert getattr(copy, name) == getattr(config, name), name
 
     def test_invalid_cpus(self):
         with pytest.raises(ValueError, match="num_cpus must be positive, got 0"):
@@ -89,3 +95,29 @@ class TestSimulationConfig:
             "l2_associativity=8, l2_mshrs=32, classify_false_sharing=True, "
             "warmup_fraction=0.3, warmup_accesses=None)"
         )
+
+
+class TestImmutableValueTypes:
+    """The value-compared types refuse assignment, so copying and pickling
+    (a sweep argument on its way to a pool worker) rebuild them through their
+    constructors."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            SimulationConfig.small(num_cpus=2),
+            RegionGeometry(region_size=1024, block_size=32),
+            SpatialPattern(num_blocks=8, bits=0b1010_0001),
+            TorusTopology(2, 8, hop_latency_ns=10.0),
+        ],
+        ids=lambda value: type(value).__name__,
+    )
+    def test_copy_and_pickle_round_trip(self, value):
+        first_field = type(value).__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(value, first_field, 1)
+        for restored in (
+            copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
+        ):
+            assert type(restored) is type(value)
+            assert restored == value and hash(restored) == hash(value)

@@ -125,8 +125,6 @@ class TestConfigurationVariants:
         assert sms.pht.is_unbounded
 
     def test_replace_keeps_every_other_field(self):
-        import dataclasses
-
         config = SMSConfig(
             region_size=1024, block_size=32, index_scheme="pc", trainer="logical-sectored",
             filter_entries=8, accumulation_entries=None, pht_entries=256, pht_associativity=4,
@@ -136,12 +134,14 @@ class TestConfigurationVariants:
         defaults = SMSConfig()
         copy = config.replace(pht_entries=512)
         assert copy.pht_entries == 512
-        for field in dataclasses.fields(SMSConfig):
+        # The class's own field tuple: every attribute an instance can hold.
+        assert not hasattr(config, "__dict__")
+        for name in SMSConfig.__slots__:
             # A field added later must be given a non-default value above,
             # or a copy that resets it to the default would go unnoticed.
-            assert getattr(config, field.name) != getattr(defaults, field.name), field.name
-            if field.name != "pht_entries":
-                assert getattr(copy, field.name) == getattr(config, field.name), field.name
+            assert getattr(config, name) != getattr(defaults, name), name
+            if name != "pht_entries":
+                assert getattr(copy, name) == getattr(config, name), name
 
     def test_config_compares_by_value_and_is_unhashable(self):
         import pytest
