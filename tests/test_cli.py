@@ -19,34 +19,14 @@ class TestParser:
         assert excinfo.value.code == 0
         assert capsys.readouterr().out.strip() == f"repro {repro.__version__}"
 
-    def test_help_usage_lines(self, capsys, monkeypatch):
-        # The sub-command prefix ("repro simulate") is derived from the top
-        # level's prog; the usage lines are the part of --help it reaches.
-        monkeypatch.setenv("COLUMNS", "80")
+    def test_help_usage_lines(self, capsys):
+        # Every sub-command's usage carries the prefix derived from the top
+        # level's prog ("repro simulate"), which is all `prog` reaches in --help.
         with pytest.raises(SystemExit):
             main(["--help"])
-        top = capsys.readouterr().out
-        assert top.startswith(
-            "usage: repro [-h] [--version]\n"
-            "             {simulate,trace,experiment,convert,serve,submit,cache,"
-            "perf-report,trace-report,lint}\n"
-            "             ...\n\n"
-            "Spatial Memory Streaming (ISCA 2006) reproduction tools\n"
-        )
-        with pytest.raises(SystemExit):
-            main(["simulate", "--help"])
-        simulate = capsys.readouterr().out
-        assert simulate.startswith(
-            "usage: repro simulate [-h]\n"
-            "                      (--workload {oltp-db2,oltp-oracle,dss-qry1,dss-qry2,"
-            "dss-qry16,dss-qry17,web-apache,web-zeus,em3d,ocean,sparse} | --trace PATH)\n"
-            "                      [--prefetcher {ghb,ghb-16k,next-line,none,sms,stride,"
-            "temporal}]\n"
-            "                      [--cpus CPUS] [--accesses-per-cpu ACCESSES_PER_CPU]\n"
-            "                      [--seed SEED]\n"
-        )
-        for command in ("trace", "experiment", "convert", "serve", "submit", "cache",
-                        "perf-report", "trace-report", "lint"):
+        assert capsys.readouterr().out.startswith("usage: repro [-h] [--version]")
+        for command in ("simulate", "trace", "experiment", "convert", "serve", "submit",
+                        "cache", "perf-report", "trace-report", "lint"):
             with pytest.raises(SystemExit):
                 main([command, "--help"])
             assert capsys.readouterr().out.startswith(f"usage: repro {command} [-h]")
