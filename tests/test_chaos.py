@@ -88,13 +88,13 @@ def slow_in_workers(value):
 
 
 # --------------------------------------------------------------------------- #
-# Sweep crash → journal resume → byte identity (the acceptance scenario)
+# Sweep crash → cache resume → byte identity (the acceptance scenario)
 # --------------------------------------------------------------------------- #
 _SWEEP_SCRIPT = textwrap.dedent(
     """
     import pickle, sys
     from repro.serve import jobs
-    from repro.simulation import SweepJournal, SweepResultCache, SweepRunner, SweepTask
+    from repro.simulation import SweepResultCache, SweepRunner, SweepTask
 
     def spec(seed):
         return {
@@ -103,7 +103,7 @@ _SWEEP_SCRIPT = textwrap.dedent(
         }
 
     cache = SweepResultCache()  # directory from REPRO_CACHE_DIR
-    runner = SweepRunner(cache=cache, journal=SweepJournal(cache.directory))
+    runner = SweepRunner(cache=cache)
     tasks = [
         SweepTask(key=seed, fn=jobs.execute_spec, args=(spec(seed),))
         for seed in (1, 2, 3, 4)
@@ -147,20 +147,18 @@ class TestCrashResumeByteIdentity:
         assert proc.returncode == 137, proc.stderr
         assert not out.exists()
 
-        # 2. The first two points made it to the cache and the journal.
-        journal = SweepJournal(cache_dir)
-        assert len(journal.completed()) == 2
+        # 2. The first two points made it to the cache, stored one by one
+        #    as they completed — the cache is what a rerun resumes from.
+        entries = sorted(cache_dir.glob("*.pkl"))
+        assert len(entries) == 2
 
         # 3. One completed entry is corrupted on disk (flip one byte).
-        entries = sorted(
-            p for p in cache_dir.glob("*.pkl") if ".tmp" not in p.name
-        )
         victim = entries[0]
         blob = bytearray(victim.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         victim.write_bytes(bytes(blob))
 
-        # 4. The rerun (no faults) resumes: journaled points answer from
+        # 4. The rerun (no faults) resumes: completed points answer from
         #    the cache, the corrupt one is quarantined and re-executed,
         #    and the sweep completes.
         proc, out = _run_sweep_script(tmp_path, cache_dir, "resumed.pkl")
@@ -168,7 +166,7 @@ class TestCrashResumeByteIdentity:
         resumed = pickle.loads(out.read_bytes())
         report = resumed["report"]
         assert report["total"] == 4
-        assert report["cached"] == 1  # one journaled point survived intact
+        assert report["cached"] == 1  # one completed point survived intact
         assert report["executed"] == 3  # 2 missing + 1 regenerated
         assert (cache_dir / QUARANTINE_SUBDIR / victim.name).exists()
 
