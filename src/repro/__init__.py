@@ -9,7 +9,7 @@ The package is organised as the paper's system is:
 * :mod:`repro.trace`, :mod:`repro.workloads` — access traces and the
   synthetic commercial/scientific workload models;
 * :mod:`repro.prefetch` — the prefetcher interface and baselines (GHB PC/DC,
-  stride, next-line, oracle);
+  stride, next-line, temporal);
 * :mod:`repro.simulation` — the trace-driven engine, timing model, and
   sampling statistics;
 * :mod:`repro.analysis` — coverage, density, and opportunity analyses;

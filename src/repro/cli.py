@@ -168,17 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="regenerate synthetic traces instead of replaying cached .strc files",
     )
     experiment.add_argument(
-        "--resume",
-        action="store_true",
-        help="journal per-point completions and resume an interrupted sweep, "
-        "re-executing only the missing points",
-    )
-    experiment.add_argument(
         "--max-retries",
         type=_nonnegative_int,
-        default=None,
+        default=0,
         help="re-execute a failing sweep point up to N times with exponential "
-        "backoff (default: $REPRO_SWEEP_RETRIES or 0)",
+        "backoff (default: 0)",
     )
 
     convert = subparsers.add_parser(
@@ -514,31 +508,12 @@ def _command_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import common as experiments_common
     from repro.simulation.census import engine_path_counts, format_engine_path_counts
     from repro.simulation.result_cache import CACHE_DIR_ENV, SweepResultCache, set_default_cache
-    from repro.simulation.sweep import (
-        SWEEP_RESUME_ENV,
-        SWEEP_RETRIES_ENV,
-        SweepPolicy,
-        default_policy,
-        last_sweep_report,
-        set_default_policy,
-    )
+    from repro.simulation.sweep import set_default_max_retries
 
-    if args.resume and args.no_cache:
-        print("error: --resume needs the result cache (drop --no-cache)", file=sys.stderr)
-        return 1
     cache = None if args.no_cache else SweepResultCache(directory=args.cache_dir)
     previous = set_default_cache(cache)
-    # Fault-tolerance policy for every sweep the figure runner performs:
-    # flags override, the environment (REPRO_SWEEP_RESUME/RETRIES) fills in.
-    base_policy = default_policy()
-    policy = SweepPolicy(
-        max_retries=base_policy.max_retries if args.max_retries is None else args.max_retries,
-        backoff_base=base_policy.backoff_base,
-        point_timeout=base_policy.point_timeout,
-        partial=base_policy.partial,
-        journal=base_policy.journal or args.resume,
-    )
-    previous_policy = set_default_policy(policy)
+    # The figure runner builds its own sweep runners, in this process.
+    previous_retries = set_default_max_retries(args.max_retries)
     # Trace caching is on by default for CLI sweeps (--no-trace-cache to
     # disable).  Both the enable flag and --cache-dir are also exported via
     # the (scoped, restored-on-exit) environment: the in-process override
@@ -552,16 +527,12 @@ def _command_experiment(args: argparse.Namespace) -> int:
     }
     if args.cache_dir:
         env_updates[CACHE_DIR_ENV] = str(args.cache_dir)
-    if policy.journal:
-        env_updates[SWEEP_RESUME_ENV] = "1"
-    if policy.max_retries:
-        env_updates[SWEEP_RETRIES_ENV] = str(policy.max_retries)
     try:
         with scoped_env(env_updates):
             table = figure.run(scale=args.scale, num_cpus=args.cpus, workers=args.workers)
     finally:
         set_default_cache(previous)
-        set_default_policy(previous_policy)
+        set_default_max_retries(previous_retries)
         experiments_common.set_trace_cache(previous_trace)
     print(table.to_text())
     # Which engine loop the figure's runs took (pool workers report theirs
@@ -575,13 +546,6 @@ def _command_experiment(args: argparse.Namespace) -> int:
         )
     else:
         print(engine_note)
-    report = last_sweep_report()
-    if args.resume and report is not None:
-        print(
-            f"resume: {report['resumed']} of {report['cached']} reused point(s) "
-            f"journaled by an earlier run; {report['executed']} executed, "
-            f"{report['failed']} failed, {report['retries']} retr(y/ies)"
-        )
     return 0
 
 
@@ -722,6 +686,9 @@ def _command_cache(args: argparse.Namespace) -> int:
                 section["stale_bytes"],
                 section["temp_files"],
             )
+        # Corrupt entries moved aside on read: neither stale nor staging.
+        quarantine = overview["quarantine"]
+        table.add_row("quarantine", quarantine["entries"], quarantine["bytes"], "-", "-", "-")
         print(table.to_text())
         return 0
     removed = prune_cache(args.cache_dir)
@@ -731,7 +698,8 @@ def _command_cache(args: argparse.Namespace) -> int:
     print(
         f"pruned {removed['sweep_entries']} stale sweep entr(ies), "
         f"{removed['trace_entries']} stale trace(s), "
-        f"{removed['temp_files']} temp file(s)"
+        f"{removed['temp_files']} temp file(s), "
+        f"{removed['quarantined']} quarantined entr(ies)"
     )
     return 0
 

@@ -4,7 +4,7 @@ Combines per-CPU private L1 caches, a shared L2, a directory, and the
 false-sharing classifier into a single functional model with one entry point,
 :meth:`MultiprocessorMemorySystem.access`.  The prefetcher-aware simulation
 engine (:mod:`repro.simulation.engine`) drives this model and layers SMS /
-GHB / oracle prefetching on top of it.
+GHB prefetching on top of it.
 """
 
 from __future__ import annotations

@@ -685,14 +685,14 @@ class RawClockPair(Rule):
         "A bare start = time.perf_counter() ... delta measures a duration "
         "that goes nowhere the observability stack can see: it skips the "
         "repro_span_seconds histogram and never joins a trace.  Wrap the "
-        "timed region in obs.span()/trace.span() instead, which record the "
-        "same perf_counter delta *and* export it.  The instrumentation "
+        "timed region in trace.span() instead, which records the "
+        "same perf_counter delta *and* exports it.  The instrumentation "
         "layer itself (repro/obs) is exempt — raw clock pairs are its job.  "
         "Where the numeric delta is genuinely needed in-line (a user-facing "
         "rate display), justify it: # repro: ignore[OBS002] -- <why>."
     )
     example_bad = "start = time.perf_counter(); ...; rate = n / (time.perf_counter() - start)"
-    example_fix = "with obs.span('convert'): ...  # or trace.span() for request-scoped timing"
+    example_fix = "with trace.span('convert'): ..."
 
     def applies(self, ctx: ModuleContext) -> bool:
         slashed = "/" + ctx.relpath
@@ -727,8 +727,8 @@ class RawClockPair(Rule):
                 yield self.finding(
                     ctx, anchor,
                     f"raw perf_counter pair ({side.id} = time.perf_counter() "
-                    "... delta); wrap the timed region in obs.span()/"
-                    "trace.span(), or justify with # repro: ignore[OBS002] -- <why>",
+                    "... delta); wrap the timed region in trace.span(), "
+                    "or justify with # repro: ignore[OBS002] -- <why>",
                 )
                 break
 

@@ -5,8 +5,7 @@ of its figure using the synthetic workload suite and returns a
 :class:`repro.analysis.reporting.ResultTable` (plus, where useful, the raw
 results).  The benchmark harness under ``benchmarks/`` simply calls these
 runners with its scaled-down defaults and asserts the paper's qualitative
-claims on the output, and ``EXPERIMENTS.md`` records the paper-vs-measured
-comparison.
+claims on the output.
 
 | Module | Paper artifact |
 | --- | --- |

@@ -27,7 +27,6 @@ live in a ``traces/`` directory next to the sweep result cache.
 
 from __future__ import annotations
 
-import os
 import warnings
 from functools import lru_cache
 from pathlib import Path
@@ -43,7 +42,12 @@ from repro.prefetch.registry import (  # noqa: F401 - the runners' ``common.*_fa
     sms_factory,
     stride_factory,
 )
-from repro.simulation.result_cache import TRACES_SUBDIR, code_fingerprint, default_cache_dir
+from repro.simulation.result_cache import (
+    TRACES_SUBDIR,
+    atomic_store,
+    code_fingerprint,
+    default_cache_dir,
+)
 from repro.simulation.sweep import sweep_map
 from repro.workloads.names import (  # noqa: F401 - CATEGORY_REPRESENTATIVE is read as ``common.…``
     APPLICATION_NAMES,
@@ -176,11 +180,9 @@ def _load_or_generate(
                     stale.unlink()
                 except OSError:
                     pass
-        # Unique temp name + atomic replace: concurrent sweep workers filling
-        # the same entry can never expose a half-written trace.
-        tmp_path = path.with_name(f".tmp-{os.getpid()}-{path.name}")
-        write_trace_binary(tmp_path, generated, compress=False)
-        os.replace(tmp_path, path)
+        # Concurrent sweep workers filling the same entry can never expose a
+        # half-written trace.
+        atomic_store(path, lambda staging: write_trace_binary(staging, generated, compress=False))
     except OSError as exc:
         obs.note_cache_op("trace", "error")
         warnings.warn(f"could not store trace cache entry: {exc}", RuntimeWarning, stacklevel=2)

@@ -53,8 +53,8 @@ Fault kinds
 
 Sites wired in this package: ``sweep.point`` (per sweep-task execution,
 parent or sweep worker), ``pool.worker`` (per job in a serve pool worker),
-``cache.put`` (sweep result cache writes), ``journal.append`` (sweep
-journal lines), ``client.send`` (serve client requests).
+``cache.put`` (sweep result cache writes), ``client.send`` (serve client
+requests).
 """
 
 from __future__ import annotations

@@ -9,11 +9,13 @@ coverage on commercial workloads because interleaved accesses conflict in the
 sector tags.
 
 :class:`repro.core.training.DecoupledSectoredTrainer` approximates this
-organisation by forcing evictions into a conventional cache; this module
-provides the *actual* cache structure for higher-fidelity studies and for the
-unit tests that validate the approximation.  It exposes the same access/fill/
-invalidate/listener interface as :class:`repro.memory.cache.SetAssociativeCache`,
-so it can stand in wherever a cache-like object is expected.
+organisation by forcing evictions into a conventional cache, and that
+approximation is what Figures 8 and 9 run.  No figure simulates this module:
+it is the *actual* cache structure, kept as the reference implementation
+``tests/test_decoupled_cache.py`` compares the approximation against.  It
+exposes the same access/fill/invalidate/listener interface as
+:class:`repro.memory.cache.SetAssociativeCache`, so it can stand in wherever
+a cache-like object is expected.
 """
 
 from __future__ import annotations

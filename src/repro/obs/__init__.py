@@ -17,8 +17,7 @@ Quick use::
         "repro_serve_request_seconds", "Request latency.", labels=("verb",))
 
     REQUESTS.labels("simulate").inc()
-    with LATENCY.labels("simulate").time():
-        handle()
+    LATENCY.labels("simulate").observe(elapsed)  # a time.perf_counter() interval
 
 Metric naming convention
 ------------------------
@@ -72,7 +71,6 @@ from repro.obs.registry import (
     MetricFamily,
     NullRegistry,
     Registry,
-    Span,
 )
 
 __all__ = [
@@ -82,12 +80,10 @@ __all__ = [
     "MetricFamily",
     "NullRegistry",
     "Registry",
-    "Span",
     "trace",
     "counter",
     "gauge",
     "histogram",
-    "span",
     "note_cache_op",
     "add_collector",
     "get_registry",
@@ -151,26 +147,14 @@ def histogram(name: str, help_text: str = "", labels: Sequence[str] = (),
                              max_label_sets=max_label_sets)
 
 
-def span(name: str) -> Span:
-    """Time a region into ``repro_span_seconds{span="<name>"}``::
-
-        with obs.span("fig10.sweep"):
-            run_sweep(...)
-    """
-    family = _active.histogram(
-        "repro_span_seconds", "Duration of instrumented spans.", labels=("span",)
-    )
-    return family.labels(name).time()
-
-
 def _observe_span_seconds(name: str, seconds: float) -> None:
     _active.histogram(
         "repro_span_seconds", "Duration of instrumented spans.", labels=("span",)
     ).labels(name).observe(seconds)
 
 
-# Trace spans compose with the metrics Span: every finished TraceSpan also
-# lands in the repro_span_seconds histogram through this hook.
+# Every finished TraceSpan also lands in the repro_span_seconds histogram
+# through this hook.
 trace._install_metrics_hook(_observe_span_seconds)
 
 

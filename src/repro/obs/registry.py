@@ -19,9 +19,10 @@ shared overflow child whose every label value is ``"_other"`` — data is
 aggregated, never silently dropped — and the family counts the collapsed
 label sets (``dropped_label_sets`` in the JSON rendering).
 
-Durations are measured with :func:`time.perf_counter` only; the registry
-never reads the wall clock (rule ``OBS001``), so renderings carry no
-timestamps and identical runs render identically.
+The registry reads no clock — callers observe :func:`time.perf_counter`
+intervals (:func:`repro.obs.trace.span` is the timing primitive), never
+wall-clock deltas (rule ``OBS001``) — so renderings carry no timestamps and
+identical runs render identically.
 
 ``NullRegistry`` is the disabled form: every family it hands out is a
 shared no-op, which is how ``REPRO_OBS=0`` turns instrumentation into a
@@ -32,7 +33,6 @@ few dead dict lookups for overhead measurement (see
 from __future__ import annotations
 
 import threading
-import time
 from bisect import bisect_left
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -43,7 +43,6 @@ __all__ = [
     "Registry",
     "NullRegistry",
     "MetricFamily",
-    "Span",
 ]
 
 #: Histogram bucket upper bounds (seconds) used when none are given:
@@ -78,28 +77,6 @@ def _format_value(value: float) -> str:
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)
-
-
-class Span:
-    """Context manager timing a region into a histogram child.
-
-    ``with histogram.labels("verb").time():`` — the elapsed
-    :func:`time.perf_counter` interval is observed on exit, including the
-    exceptional one, so error latencies are not invisible.
-    """
-
-    __slots__ = ("_sink", "_started")
-
-    def __init__(self, sink: "_Child") -> None:
-        self._sink = sink
-        self._started = 0.0
-
-    def __enter__(self) -> "Span":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        self._sink.observe(time.perf_counter() - self._started)
 
 
 class _Child:
@@ -152,9 +129,6 @@ class _Child:
             self._counts[index] += 1
             self._sum += value
             self._count += 1
-
-    def time(self) -> Span:
-        return Span(self)
 
     @property
     def count(self) -> int:
@@ -270,9 +244,6 @@ class MetricFamily:
 
     def observe(self, value: float) -> None:
         self.labels().observe(value)
-
-    def time(self) -> Span:
-        return self.labels().time()
 
     @property
     def value(self) -> float:
@@ -444,9 +415,6 @@ class _NullChild:
     def labels(self, *values: Any) -> "_NullChild":
         return self
 
-    def time(self) -> "_NullSpan":
-        return _NULL_SPAN
-
     @property
     def value(self) -> float:
         return 0
@@ -463,18 +431,7 @@ class _NullChild:
         return {"buckets": {"+Inf": 0}, "count": 0, "sum": 0.0}
 
 
-class _NullSpan:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        pass
-
-
 _NULL_CHILD = _NullChild()
-_NULL_SPAN = _NullSpan()
 
 
 class NullRegistry(Registry):

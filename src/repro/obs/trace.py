@@ -33,11 +33,11 @@ Export
 ------
 
 Finished spans buffer in a process-local collector and flush — grouped by
-trace — to ``<cache>/traces/trace-<trace_id>.ndjson`` using the journal's
-append discipline: one ``os.write`` to an ``O_APPEND`` descriptor per
+trace — to ``<cache>/traces/trace-<trace_id>.ndjson`` with an append-only
+discipline: one ``os.write`` to an ``O_APPEND`` descriptor per
 flush, so concurrent writers (server, pool workers) interleave whole
 records and a crash can only tear the final line.  :func:`load_trace_file`
-applies the same torn-tail recovery as the sweep journal when reading.
+recovers from such a torn tail when reading.
 
 Span ``start`` fields are raw :func:`time.perf_counter` readings and are
 only comparable *within* one process; each record carries ``pid`` so a
@@ -146,8 +146,7 @@ _buffer: List[dict] = []
 _span_counter = 0
 _sample_debt = 0.0
 #: Set by :mod:`repro.obs` at import so finished spans also observe into
-#: the ``repro_span_seconds`` metrics histogram (composition with the
-#: registry's ``Span``).
+#: the ``repro_span_seconds`` metrics histogram.
 _metrics_hook: Optional[Callable[[str, float], None]] = None
 
 
@@ -330,7 +329,7 @@ def span(name: str, attrs: Optional[dict] = None,
     ``parent=`` explicitly to children instead).
 
     ``root=False`` marks a span that only makes sense *inside* a trace
-    (cache ops, journal appends): with no parent and no ambient context
+    (cache ops, sweep points): with no parent and no ambient context
     it is a no-op instead of starting a new single-span trace.
     """
     if parent is not None:
@@ -483,9 +482,9 @@ def list_trace_files(directory: Optional[Path] = None) -> List[Path]:
 def _parse_line(line: str) -> Optional[dict]:
     """Parse one ndjson line, recovering from a torn tail.
 
-    Same discipline as the sweep journal: if a crash tore the final
-    append, the damage is a partial line, possibly fused with the start
-    of a later record — retry the parse from each subsequent ``{``.
+    If a crash tore the final append, the damage is a partial line,
+    possibly fused with the start of a later record — retry the parse
+    from each subsequent ``{``.
     """
     import json
 

@@ -7,9 +7,6 @@ baseline, plus the baselines themselves:
   the paper compares against (Figure 11);
 * :class:`~repro.prefetch.stride.StridePrefetcher` — a classic per-PC stride
   prefetcher (reference point / extension ablation);
-* :class:`~repro.prefetch.oracle.OracleSpatialPredictor` — the "opportunity"
-  oracle of Figure 4 that incurs exactly one miss per spatial region
-  generation;
 * :class:`~repro.prefetch.nextline.NextLinePrefetcher` — trivial sequential
   prefetcher used as a sanity baseline;
 * :class:`~repro.prefetch.temporal.TemporalCorrelationPrefetcher` — a
@@ -26,7 +23,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "ghb": ("GlobalHistoryBuffer", "GHBConfig"),
         "stride": ("StridePrefetcher",),
         "nextline": ("NextLinePrefetcher",),
-        "oracle": ("OracleSpatialPredictor",),
         "temporal": ("TemporalCorrelationPrefetcher",),
     },
 )

@@ -1,6 +1,6 @@
 """Prefetcher interface.
 
-Every predictor (SMS, GHB, stride, oracle) is driven the same way by the
+Every predictor (SMS, GHB, stride, next-line, temporal) is driven the same way by the
 simulation engine: it observes each demand access together with its cache
 outcome, observes evictions/invalidations from the cache it streams into, and
 returns the prefetch requests (and, for the decoupled-sectored training

@@ -393,7 +393,7 @@ def jsonify(value: Any) -> Any:
     if isinstance(value, dict):
         return {_key_str(key): jsonify(item) for key, item in value.items()}
     if isinstance(value, tuple) and hasattr(value, "_asdict"):
-        # A NamedTuple result (CoverageReport, FailedPoint) goes out by field
+        # A NamedTuple result (CoverageReport) goes out by field
         # name, as the dataclass it replaced did, not as a positional list.
         return jsonify(value._asdict())
     if isinstance(value, (list, tuple)):

@@ -80,6 +80,7 @@ def _worker_main(conn, index: int, settings: WorkerSettings) -> None:
     from repro.simulation.result_cache import (
         CACHE_DIR_ENV,
         SweepResultCache,
+        remove_temp_files,
         set_default_cache,
     )
 
@@ -128,23 +129,8 @@ def _worker_main(conn, index: int, settings: WorkerSettings) -> None:
                 conn.send((False, f"could not return result: {exc}", engine_runs))
             except OSError:
                 break
-    _cleanup_own_temp_files(settings)
+    remove_temp_files(pids={os.getpid()})  # this worker's own staging files, on clean exit
     conn.close()
-
-
-def _cleanup_own_temp_files(settings: WorkerSettings) -> None:
-    """Drop this pid's temp trace-cache files on clean worker exit."""
-    try:
-        from repro.experiments.common import trace_cache_dir
-
-        pattern = f".tmp-{os.getpid()}-*"
-        for path in trace_cache_dir().glob(pattern):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-    except Exception:  # repro: ignore[EXC001] -- best-effort cleanup must never mask the exit path
-        pass
 
 
 class _WorkerHandle:

@@ -25,21 +25,11 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "quarantine_file",
             "set_default_cache",
         ),
-        "journal": ("SweepJournal", "journal_path"),
         "config": ("MachineConfig", "SimulationConfig"),
         "engine": ("SimulationEngine", "SimulationResult"),
         "timing": ("TimingModel", "TimingResult"),
         "breakdown": ("BreakdownCategory", "ExecutionBreakdown"),
         "sampling": ("ConfidenceInterval", "SampledMeasurement", "paired_speedup"),
-        "sweep": (
-            "FailedPoint",
-            "SweepPolicy",
-            "SweepRunner",
-            "SweepTask",
-            "default_policy",
-            "last_sweep_report",
-            "set_default_policy",
-            "sweep_map",
-        ),
+        "sweep": ("SweepRunner", "SweepTask", "set_default_max_retries", "sweep_map"),
     },
 )

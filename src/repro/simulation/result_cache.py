@@ -16,15 +16,14 @@ fingerprint of
   rather than silently serving stale results.
 
 Entries are pickles stored under ``<digest>.pkl`` and written atomically
-(temp file + ``os.replace``), so concurrent sweep workers and interrupted
+(:func:`atomic_store`), so concurrent sweep workers and interrupted
 runs can never corrupt the cache; at worst a result is recomputed.  Each
 entry is framed with a payload checksum (magic ``RSC1`` + SHA-256 +
 pickle bytes): a torn or bit-flipped entry — a crash mid-write on a
 non-atomic filesystem, disk trouble, a truncated restore — is *detected*
 on read, moved to a ``quarantine/`` side directory for inspection, and
 treated as a miss so the sweep regenerates it instead of raising or
-silently serving garbage.  Unframed entries from older code versions load
-as plain pickles.
+silently serving garbage.
 
 The cache is opt-in: library entry points take an explicit cache (or none),
 ``repro.cli experiment`` enables it by default with ``--no-cache`` as the
@@ -37,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import threading
 import warnings
 from functools import lru_cache
 from pathlib import Path
@@ -63,6 +63,9 @@ QUARANTINE_SUBDIR = "quarantine"
 #: ``RSC1`` + 32-byte SHA-256 of the payload + pickle payload.
 ENTRY_MAGIC = b"RSC1"
 _CHECKSUM_BYTES = 32
+
+#: File-name prefix of atomic-write staging files (see :func:`atomic_store`).
+_STAGING_PREFIX = ".tmp-"
 
 
 def default_cache_dir() -> Path:
@@ -257,18 +260,22 @@ class SweepResultCache:
 
     @staticmethod
     def _decode(data: bytes) -> Any:
-        """Verify and unpickle one entry's bytes (checksummed or legacy)."""
-        if data[: len(ENTRY_MAGIC)] == ENTRY_MAGIC:
-            header_end = len(ENTRY_MAGIC) + _CHECKSUM_BYTES
-            if len(data) < header_end:
-                raise ValueError("truncated entry frame")
-            checksum = data[len(ENTRY_MAGIC):header_end]
-            payload = data[header_end:]
-            if hashlib.sha256(payload).digest() != checksum:
-                raise ValueError("entry checksum mismatch")
-            return pickle.loads(payload)
-        # Legacy unframed entry (pre-checksum code versions).
-        return pickle.loads(data)
+        """Verify and unpickle one entry's bytes.
+
+        Nothing is unpickled before its checksum matches: an entry's file
+        name embeds the current code fingerprint, so every file :meth:`get`
+        can open was written by :meth:`put`, which always frames.
+        """
+        header_end = len(ENTRY_MAGIC) + _CHECKSUM_BYTES
+        if data[: len(ENTRY_MAGIC)] != ENTRY_MAGIC:
+            raise ValueError("entry has no RSC1 frame")
+        if len(data) < header_end:
+            raise ValueError("truncated entry frame")
+        checksum = data[len(ENTRY_MAGIC):header_end]
+        payload = data[header_end:]
+        if hashlib.sha256(payload).digest() != checksum:
+            raise ValueError("entry checksum mismatch")
+        return pickle.loads(payload)
 
     def put(self, digest: str, value: Any) -> None:
         """Store ``value`` under ``digest`` atomically; failures are non-fatal.
@@ -288,26 +295,7 @@ class SweepResultCache:
                     else:
                         faults.act(spec)
                 self.directory.mkdir(parents=True, exist_ok=True)
-                # The writer's pid is embedded in the staging name so
-                # interrupt cleanup can remove exactly its own leftovers
-                # without racing the atomic writes of sibling processes
-                # sharing the directory.  ``tempfile`` (+ ``random``) is
-                # imported by the first store: an all-hits run never pays it.
-                import tempfile
-
-                fd, temp_name = tempfile.mkstemp(
-                    dir=str(self.directory), suffix=f".{os.getpid()}.tmp"
-                )
-                try:
-                    with os.fdopen(fd, "wb") as handle:
-                        handle.write(data)
-                    os.replace(temp_name, path)
-                except BaseException:  # repro: ignore[EXC001] -- re-raised after removing the staging temp file
-                    try:
-                        os.unlink(temp_name)
-                    except OSError:
-                        pass
-                    raise
+                atomic_store(path, lambda staging: staging.write_bytes(data))
             except (OSError, pickle.PicklingError) as exc:
                 self.stats.errors += 1
                 obs.note_cache_op("sweep", "error")
@@ -341,6 +329,35 @@ class SweepResultCache:
 def entry_prefix() -> str:
     """File-name prefix tying cache entries to the current code fingerprint."""
     return code_fingerprint()[:16]
+
+
+def atomic_store(path: Path, write: Callable[[Path], object]) -> None:
+    """Fill ``path`` atomically: ``write(staging)``, then ``os.replace``.
+
+    Readers and concurrent writers of the same entry never see a half-written
+    file.  This is the one place that names a staging file —
+    ``.tmp-<pid>-<thread id>`` next to ``path``, unique per writing thread
+    and matching no entry glob — so that :func:`remove_temp_files` can remove
+    exactly one process's leftovers without racing the writes of siblings
+    sharing the directory.  The staging file is unlinked on any exception.
+    """
+    staging = path.with_name(f"{_STAGING_PREFIX}{os.getpid()}-{threading.get_ident()}")
+    try:
+        write(staging)
+        os.replace(staging, path)
+    except BaseException:  # repro: ignore[EXC001] -- re-raised after removing the staging file
+        _unlink(staging)
+        raise
+
+
+def _staging_files(directory: Path, pids: Optional[set] = None) -> list:
+    """Staging files in ``directory`` left by ``pids`` (``None``: by anyone)."""
+    writers = None if pids is None else {str(pid) for pid in pids}
+    return [
+        path
+        for path in directory.glob(f"{_STAGING_PREFIX}*")  # nothing if there is no directory
+        if writers is None or path.name.split("-")[1] in writers
+    ]
 
 
 def quarantine_file(path: Path, root: Optional[Union[str, Path]] = None) -> Optional[Path]:
@@ -388,20 +405,16 @@ def cache_overview(directory: Optional[Union[str, Path]] = None) -> dict:
     """
     root = Path(directory) if directory is not None else default_cache_dir()
     prefix = f"{entry_prefix()}-"
-    sweep_fresh, sweep_stale, sweep_temp = [], [], []
+    sweep_fresh, sweep_stale = [], []
     if root.is_dir():
         for path in root.glob("*.pkl"):
             (sweep_fresh if path.name.startswith(prefix) else sweep_stale).append(path)
-        sweep_temp = list(root.glob("*.tmp"))
     traces_root = root / TRACES_SUBDIR
     suffix = f"-{entry_prefix()}.strc"
-    trace_fresh, trace_stale, trace_temp = [], [], []
+    trace_fresh, trace_stale = [], []
     if traces_root.is_dir():
         for path in traces_root.glob("*.strc"):
-            if path.name.startswith(".tmp-"):
-                continue
             (trace_fresh if path.name.endswith(suffix) else trace_stale).append(path)
-        trace_temp = list(traces_root.glob(".tmp-*"))
 
     def section(fresh, stale, temp) -> dict:
         entries, entry_bytes = _tally(fresh)
@@ -420,8 +433,8 @@ def cache_overview(directory: Optional[Union[str, Path]] = None) -> dict:
     )
     return {
         "directory": str(root),
-        "sweep": section(sweep_fresh, sweep_stale, sweep_temp),
-        "traces": section(trace_fresh, trace_stale, trace_temp),
+        "sweep": section(sweep_fresh, sweep_stale, _staging_files(root)),
+        "traces": section(trace_fresh, trace_stale, _staging_files(traces_root)),
         "quarantine": {"entries": quarantined, "bytes": quarantined_bytes},
     }
 
@@ -445,7 +458,7 @@ def prune_cache(directory: Optional[Union[str, Path]] = None) -> dict:
     suffix = f"-{entry_prefix()}.strc"
     if traces_root.is_dir():
         for path in traces_root.glob("*.strc"):
-            if not path.name.startswith(".tmp-") and not path.name.endswith(suffix):
+            if not path.name.endswith(suffix):
                 removed["trace_entries"] += _unlink(path)
     quarantine_root = root / QUARANTINE_SUBDIR
     if quarantine_root.is_dir():
@@ -470,39 +483,19 @@ def remove_temp_files(
     """Delete atomic-write staging files from both cache directories.
 
     Interrupted or killed processes (Ctrl-C'd sweeps, SIGKILLed serve
-    workers) leak ``*.<pid>.tmp`` pickles in the sweep cache and
-    ``.tmp-<pid>-*`` traces in the trace cache; completed entries are never
-    touched.  ``pids`` scopes removal to those writers' files — pass it
+    workers) leak the staging files of :func:`atomic_store` in the sweep
+    cache and the trace cache; completed entries are never touched.
+    ``pids`` scopes removal to those writers' files — pass it
     whenever sibling processes may share the directory with live atomic
     writes in flight; ``None`` removes every process's staging files and is
     only safe when no writer is running.  Returns the number removed.
     """
     root = Path(directory) if directory is not None else default_cache_dir()
-    removed = 0
-    if root.is_dir():
-        for path in root.glob("*.tmp"):
-            if _sweep_temp_pid_matches(path.name, pids):
-                removed += _unlink(path)
-    traces_root = root / TRACES_SUBDIR
-    if traces_root.is_dir():
-        for path in traces_root.glob(".tmp-*"):
-            if _trace_temp_pid_matches(path.name, pids):
-                removed += _unlink(path)
-    return removed
-
-
-def _sweep_temp_pid_matches(name: str, pids: Optional[set]) -> bool:
-    if pids is None:
-        return True
-    parts = name.split(".")  # "<random>.<pid>.tmp"
-    return len(parts) >= 3 and parts[-2].isdigit() and int(parts[-2]) in pids
-
-
-def _trace_temp_pid_matches(name: str, pids: Optional[set]) -> bool:
-    if pids is None:
-        return True
-    parts = name.split("-")  # ".tmp-<pid>-<entry name>"
-    return len(parts) >= 3 and parts[1].isdigit() and int(parts[1]) in pids
+    return sum(
+        _unlink(path)
+        for cache_dir in (root, root / TRACES_SUBDIR)
+        for path in _staging_files(cache_dir, pids)
+    )
 
 
 def _unlink(path: Path) -> int:

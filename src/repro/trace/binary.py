@@ -520,7 +520,7 @@ class LaneTrace(TraceStream):
     The replayable, immutable in-memory trace of the experiment and serve
     paths: 27 bytes per record instead of a boxed tuple, handed to the
     engine's lane loop as-is.  Consumers that want records (density and
-    opportunity analysis, the oracle) iterate it
+    opportunity analysis) iterate it
     like any stream and get them boxed lazily, one chunk at a time.  Nothing
     mutates the lanes after construction; every configuration of a figure
     replays the same instance.

@@ -2,7 +2,7 @@
 
 Every scenario here runs a :mod:`repro.faults` plan against the real
 fault-tolerance machinery and asserts the recovery contract: a crashed
-sweep resumes from its journal and re-executes only the missing points, a
+sweep resumes from its result cache and re-executes only the missing points, a
 corrupt cache entry is quarantined and regenerated, a hung pool task hits
 its deadline and the worker is replaced, and results that complete are
 byte-identical to an uninterrupted, fault-free run.
@@ -38,10 +38,10 @@ from repro.serve.protocol import (
 )
 from repro.serve.server import SimulationServer
 from repro.simulation import (
-    SweepJournal,
     SweepResultCache,
     SweepRunner,
     SweepTask,
+    set_default_max_retries,
 )
 from repro.simulation.result_cache import QUARANTINE_SUBDIR
 
@@ -199,6 +199,18 @@ class TestSweepChaos:
         assert runner.map(flaky_square, [3]) == [9]
         assert runner.report["retries"] == 1 and runner.report["failed"] == 0
 
+        # The same budget set in-process (what ``experiment --max-retries``
+        # does for the runners a figure module builds), then restored.
+        faults.install_plan("chaos.task:error@1")
+        previous = set_default_max_retries(2)
+        try:
+            ambient = SweepRunner(cache=SweepResultCache(tmp_path), backoff_base=0.0)
+        finally:
+            assert set_default_max_retries(previous) == 2
+        assert ambient.map(flaky_square, [4]) == [16]
+        assert ambient.report["retries"] == 1
+        assert SweepRunner().max_retries == previous == 0
+
     def test_parallel_worker_errors_retried_serially(self, tmp_path):
         # Every forked sweep worker errors its first point; the parent
         # retries the failures serially.  The parent's own first hit of the
@@ -227,7 +239,7 @@ class TestSweepChaos:
     def test_enospc_on_cache_write_is_nonfatal(self, tmp_path):
         faults.install_plan("cache.put:enospc@1")
         cache = SweepResultCache(tmp_path)
-        runner = SweepRunner(cache=cache, journal=SweepJournal(tmp_path))
+        runner = SweepRunner(cache=cache)
         with pytest.warns(RuntimeWarning, match="could not store"):
             assert runner.map(square, [5]) == [25]
         assert cache.stats.errors == 1
@@ -246,21 +258,6 @@ class TestSweepChaos:
         assert runner.report["executed"] == 1
         assert fresh_cache.stats.quarantined == 1
         assert list((tmp_path / QUARANTINE_SUBDIR).iterdir())
-
-    def test_torn_journal_line_costs_one_recompute_only(self, tmp_path):
-        faults.install_plan("journal.append:torn@2")
-        cache = SweepResultCache(tmp_path)
-        runner = SweepRunner(cache=cache, journal=SweepJournal(tmp_path))
-        assert runner.map(square, [1, 2, 3]) == [1, 4, 9]
-        faults.install_plan(None)
-        # The torn line is skipped on load; the other two records survive.
-        journal = SweepJournal(tmp_path)
-        assert len(journal.completed()) == 2
-        rerun = SweepRunner(cache=SweepResultCache(tmp_path), journal=journal)
-        assert rerun.map(square, [1, 2, 3]) == [1, 4, 9]
-        # The cache still answers all three; only the journal lost a line.
-        assert rerun.report["cached"] == 3
-        assert rerun.report["resumed"] == 2
 
 
 # --------------------------------------------------------------------------- #

@@ -248,7 +248,8 @@ class TestConvertCommand:
 
 class TestCacheCommand:
     def _plant(self, root):
-        """A cache directory with one fresh, one stale, one temp file per layer."""
+        """A cache directory with one fresh, one stale, one temp file per layer,
+        and one quarantined entry."""
         from repro.simulation.result_cache import entry_prefix
 
         root.mkdir(parents=True, exist_ok=True)
@@ -258,15 +259,18 @@ class TestCacheCommand:
         fresh_pkl.write_bytes(b"fresh")
         stale_pkl = root / f"{'f' * 16}-{'1' * 64}.pkl"
         stale_pkl.write_bytes(b"stale")
-        temp_pkl = root / "abc.tmp"
+        temp_pkl = root / ".tmp-1-1"
         temp_pkl.write_bytes(b"tmp")
         fresh_trace = root / "traces" / f"oltp-db2-c2-a1000-s7-{prefix}.strc"
         fresh_trace.write_bytes(b"fresh")
         stale_trace = root / "traces" / f"oltp-db2-c2-a1000-s7-{'e' * 16}.strc"
         stale_trace.write_bytes(b"stale")
-        temp_trace = root / "traces" / ".tmp-1-x.strc"
+        temp_trace = root / "traces" / ".tmp-1-1"
         temp_trace.write_bytes(b"tmp")
-        return fresh_pkl, stale_pkl, temp_pkl, fresh_trace, stale_trace, temp_trace
+        (root / "quarantine").mkdir(exist_ok=True)
+        quarantined = root / "quarantine" / f"{prefix}-{'2' * 64}.pkl"
+        quarantined.write_bytes(b"corrupt")
+        return fresh_pkl, stale_pkl, temp_pkl, fresh_trace, stale_trace, temp_trace, quarantined
 
     def test_stats_counts_fresh_and_stale(self, tmp_path, capsys):
         self._plant(tmp_path)
@@ -277,15 +281,23 @@ class TestCacheCommand:
         # cache / entries / bytes / stale_entries / stale_bytes / temp_files
         assert sweep_row.split() == ["sweep", "1", "5", "1", "5", "1"]
         assert traces_row.split() == ["traces", "1", "5", "1", "5", "1"]
+        # A quarantined entry is visible without --json.
+        quarantine_row = next(
+            line for line in output.splitlines() if line.startswith("quarantine")
+        )
+        assert quarantine_row.split()[:3] == ["quarantine", "1", "7"]
 
     def test_prune_removes_only_stale_and_temp(self, tmp_path, capsys):
         planted = self._plant(tmp_path)
-        fresh_pkl, stale_pkl, temp_pkl, fresh_trace, stale_trace, temp_trace = planted
+        fresh_pkl, stale_pkl, temp_pkl, fresh_trace, stale_trace, temp_trace, quarantined = planted
         assert main(["cache", "prune", "--cache-dir", str(tmp_path)]) == 0
-        assert "1 stale sweep" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "1 stale sweep" in output and "2 temp file(s)" in output
+        assert "1 quarantined" in output
         assert fresh_pkl.exists() and fresh_trace.exists()
         assert not stale_pkl.exists() and not stale_trace.exists()
         assert not temp_pkl.exists() and not temp_trace.exists()
+        assert not quarantined.exists()
 
     def test_stats_on_missing_directory(self, tmp_path, capsys):
         assert main(["cache", "stats", "--cache-dir", str(tmp_path / "nope")]) == 0

@@ -5,6 +5,7 @@ suppression and baseline round-trips, CLI exit codes, and the meta-test
 that certifies the shipped package lints clean with an empty baseline.
 """
 
+import ast
 import json
 import re
 import textwrap
@@ -14,6 +15,7 @@ import pytest
 
 import repro
 from repro.devtools import baseline as baseline_mod
+from repro.devtools import dataflow
 from repro.devtools import lint as lint_mod
 from repro.devtools.rules import RULES
 from repro.devtools.walker import discover_files, lint_file, lint_source
@@ -1132,7 +1134,65 @@ class TestPackageIsClean:
         for path in discover_files([PACKAGE_DIR]):
             in_source.update(knob.findall(Path(path).read_text()))
         assert in_source == set(knob.findall(readme.read_text()))
-        assert len(in_source) == 9
+        assert len(in_source) == 7
+
+    def test_every_module_is_imported_by_another_or_dispatched(self):
+        # Module census: a module reached only through its package's lazy
+        # table (or by nothing) is dead weight that only its own test file
+        # keeps alive.  An importer is any other module of src/, benchmarks/
+        # or examples/; ``from repro.<pkg> import Name`` counts for the
+        # submodule the package's ``lazy_exports`` table maps ``Name`` to.
+        repo = Path(__file__).resolve().parent.parent
+        if not (repo / "benchmarks").is_dir():
+            pytest.skip("no benchmarks/ (installed-package run)")
+
+        def dotted(path):
+            return ".".join(path.relative_to(PACKAGE_DIR.parent).with_suffix("").parts)
+
+        package_files = discover_files([PACKAGE_DIR])
+        modules = {dotted(path) for path in package_files if path.name != "__init__.py"}
+        lazy_owner = {}
+        for path in package_files:
+            if path.name != "__init__.py":
+                continue
+            package = dotted(path.parent)
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and dataflow.dotted_name(node.func) == "lazy_exports":
+                    for submodule, names in ast.literal_eval(node.args[1]).items():
+                        for name in names:
+                            lazy_owner[f"{package}.{name}"] = f"{package}.{submodule}"
+
+        imported = set()
+        for path in discover_files([PACKAGE_DIR, repo / "benchmarks", repo / "examples"]):
+            importer = dotted(path) if PACKAGE_DIR in path.parents else None
+            tree = ast.parse(path.read_text())
+            origins = set(dataflow.ImportMap(tree).bound.values())
+            # ``import repro.simulation.engine`` binds only ``repro``.
+            origins.update(
+                alias.name
+                for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names
+            )
+            for origin in origins:
+                target = lazy_owner.get(origin, origin)
+                while target and target not in modules:
+                    target = target.rpartition(".")[0]
+                if target and target != importer:
+                    imported.add(target)
+
+        from repro.cli import EXPERIMENT_CHOICES
+
+        dispatched = {"repro.cli"} | {
+            f"repro.experiments.{module}" for module in EXPERIMENT_CHOICES.values()
+        }
+        exempt = {
+            # The real decoupled sectored cache: the reference implementation
+            # tests/test_decoupled_cache.py compares DecoupledSectoredTrainer's
+            # forced-eviction approximation against.  No figure simulates it.
+            "repro.memory.decoupled",
+        }
+        assert sorted(modules - imported - dispatched - exempt) == []
+        assert exempt <= modules - imported, "exemption no longer needed"
 
     def test_injected_unseeded_random_is_caught(self):
         source = (PACKAGE_DIR / "core" / "sms.py").read_text()

@@ -46,12 +46,13 @@ sys.exit(code)
 
 #: Start-up cost no command that does not simulate may pay: ``dataclasses``
 #: drags ``inspect`` (+ ``ast``, ``dis``, ``tokenize``) in for ~10 ms, and
-#: ``tempfile`` (+ ``random``) is only needed by a cache *write*.
+#: nothing under ``src/repro`` needs ``tempfile`` (+ ``random``): both caches
+#: stage their writes through ``result_cache.atomic_store``.
 DEFINITION_MODULES = ("dataclasses", "inspect", "tempfile")
 
 #: What no simulating command pays either: every class the simulator defines
-#: is a plain class or a ``NamedTuple`` (``dataclasses`` is for ``devtools/``,
-#: ``serve/`` and ``experiments/report.py``).
+#: is a plain class or a ``NamedTuple`` (``dataclasses`` is for ``devtools/``
+#: and ``serve/``).
 DATACLASS_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 #: What a simulation job touches; a forking parent must hold all of it.
@@ -153,6 +154,9 @@ def test_all_hits_figure_never_loads_the_engine(tmp_path):
     assert cold_summary.endswith("; engine: 28 lanes / 0 reference")
     assert "repro.simulation.engine" in cold_modules
     assert loaded(cold_modules, *DATACLASS_MODULES) == []
+    # Four cache stores and a sweep: no staging through ``tempfile``, and the
+    # result cache is the only thing a rerun resumes from.
+    assert loaded(cold_modules, "tempfile", "repro.simulation.journal") == []
 
     warm, modules = run_cli(tmp_path, *args)
     *warm_table, warm_summary = warm.splitlines()

@@ -19,6 +19,7 @@ import urllib.request
 import pytest
 
 from repro import obs
+from repro._env import scoped_env
 from repro.obs.gateway import MetricsGateway
 from repro.obs.registry import OVERFLOW_LABEL, NullRegistry, Registry
 from repro.serve import SimulationServer, WorkerPool
@@ -95,22 +96,6 @@ class TestHistograms:
         assert snap["buckets"] == {"0.01": 1, "0.1": 2, "1": 2, "+Inf": 3}
         assert snap["count"] == 3
         assert snap["sum"] == pytest.approx(2.06)
-
-    def test_timer_span_observes_once(self):
-        reg = Registry()
-        h = reg.histogram("t_seconds", buckets=(10.0,))
-        with h.time():
-            pass
-        assert h.labels().count == 1
-        assert h.labels().sum >= 0
-
-    def test_timer_observes_on_exception(self):
-        reg = Registry()
-        h = reg.histogram("t_seconds", buckets=(10.0,))
-        with pytest.raises(RuntimeError):
-            with h.time():
-                raise RuntimeError("error latencies must not be invisible")
-        assert h.labels().count == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -235,9 +220,9 @@ class TestActiveRegistry:
         null = NullRegistry()
         child = null.counter("t_total", labels=("verb",))
         child.labels("anything").inc()
-        with child.labels("x").time():
-            pass
+        child.labels("x").observe(0.5)
         assert child.labels("x").value == 0
+        assert child.labels("x").count == 0
         assert null.render_prometheus() == "# metrics disabled (REPRO_OBS=0)\n"
         assert null.render_json()["disabled"] is True
 
@@ -256,15 +241,20 @@ class TestActiveRegistry:
         finally:
             obs.install_registry(previous)
 
-    def test_span_records_into_span_histogram(self):
+    def test_span_records_into_span_histogram(self, tmp_path):
         previous = obs.install_registry(Registry())
         try:
-            with obs.span("unit.test"):
-                pass
+            with scoped_env({"REPRO_TRACE": "on", "REPRO_CACHE_DIR": str(tmp_path)}):
+                with obs.trace.span("unit.test"):
+                    pass
+                with pytest.raises(RuntimeError):
+                    with obs.trace.span("unit.test"):
+                        raise RuntimeError("error latencies must not be invisible")
             family = obs.get_registry().histogram(
                 "repro_span_seconds", labels=("span",)
             )
-            assert family.labels("unit.test").count == 1
+            assert family.labels("unit.test").count == 2
+            assert family.labels("unit.test").sum >= 0
         finally:
             obs.install_registry(previous)
 

@@ -2,7 +2,7 @@
 
 Unit tests pin the span-tree contract: parent links, sampling semantics
 (off default, deterministic ratio, propagated parents always recorded),
-ndjson export with the journal's torn-tail recovery, and the trace-report
+ndjson export with torn-tail recovery, and the trace-report
 tree building / cross-process re-anchoring / critical path.  The
 end-to-end class drives one traced sweep through the real serve stack —
 client, asyncio server, forked pool worker, sweep runner, result cache —
@@ -75,7 +75,7 @@ class TestSpanTree:
             assert trace.list_trace_files() == []
 
     def test_child_only_span_is_noop_without_a_trace(self, trace_env):
-        # root=False spans (cache ops, journal appends) never self-root.
+        # root=False spans (cache ops, sweep points) never self-root.
         with trace.span("cache.get", root=False) as span:
             # tracing is *on*, but there is no ambient parent
             assert not span.recording
@@ -285,7 +285,6 @@ class TestTracedServeEndToEnd:
             "REPRO_TRACE": "on",
             "REPRO_CACHE_DIR": str(cache_dir),
             "REPRO_SWEEP_CACHE": "1",   # the worker-side sweep uses the cache
-            "REPRO_SWEEP_RESUME": "1",  # ...and journals completions
         }
         trace.flush()
         trace._buffer.clear()
@@ -307,7 +306,7 @@ class TestTracedServeEndToEnd:
                         # The experiment verb runs the full figure inside the
                         # worker, which routes through SweepRunner — so the
                         # trace crosses every layer: serve, pool, sweep,
-                        # cache, journal, engine.
+                        # cache, engine.
                         with ServeClient(socket_path=socket_path) as client:
                             return client.request_raw({
                                 "verb": "experiment", "figure": "fig10",
@@ -347,7 +346,7 @@ class TestTracedServeEndToEnd:
         names = {span["name"] for span in spans}
         for expected in ("client.request", "serve.request", "serve.execute",
                          "worker.execute", "sweep.run", "sweep.point",
-                         "engine.run", "cache.put", "journal.append"):
+                         "engine.run", "cache.put"):
             assert expected in names, f"missing {expected} in {sorted(names)}"
 
         # Parent chaining across the process boundary.

@@ -1,5 +1,6 @@
 """Tests for repro.simulation.result_cache (sweep result memoization)."""
 
+import os
 import pickle
 
 import pytest
@@ -12,8 +13,11 @@ from repro.simulation.result_cache import (
     QUARANTINE_SUBDIR,
     CacheStats,
     SweepResultCache,
+    atomic_store,
+    cache_overview,
     code_fingerprint,
     default_cache,
+    remove_temp_files,
     set_default_cache,
 )
 from repro.simulation.sampling import ConfidenceInterval
@@ -167,14 +171,19 @@ class TestStore:
         hit, value = cache.get(digest)
         assert hit and value == {"value": 36}
 
-    def test_legacy_unframed_entry_still_loads(self, tmp_path):
+    def test_legacy_unframed_entry_is_quarantined(self, tmp_path):
+        # A well-formed pickle without the RSC1 + SHA-256 frame is a file this
+        # code cannot have written: it is never unpickled unchecked.
         cache = SweepResultCache(tmp_path)
         digest = cache.fingerprint(square, (7,), {})
         entry = cache._entry_path(digest)
         entry.parent.mkdir(parents=True, exist_ok=True)
         entry.write_bytes(pickle.dumps(49, protocol=pickle.HIGHEST_PROTOCOL))
-        hit, value = cache.get(digest)
-        assert hit and value == 49
+        with pytest.warns(RuntimeWarning, match="quarantining corrupt sweep cache entry"):
+            hit, value = cache.get(digest)
+        assert not hit and value is None
+        assert (tmp_path / QUARANTINE_SUBDIR / entry.name).exists()
+        assert cache.stats.quarantined == 1 and cache.stats.errors == 1
 
     def test_clear(self, tmp_path):
         cache = SweepResultCache(tmp_path)
@@ -182,6 +191,27 @@ class TestStore:
             cache.put(cache.fingerprint(square, (value,), {}), value)
         assert cache.clear() == 3
         assert cache.clear() == 0
+
+    def test_staging_file_is_what_cleanup_matches_and_never_an_entry(self, tmp_path):
+        # The name atomic_store builds is the name remove_temp_files /
+        # cache_overview match (the hand-staged names elsewhere in the suite
+        # cannot drift from it unnoticed), scoped to the writer's pid, seen by
+        # no entry glob, and gone after a failed write.
+        def dies_mid_write(staging):
+            staging.write_bytes(b"partial")
+            assert staging.parent == tmp_path
+            assert SweepResultCache(tmp_path).clear() == 0
+            overview = cache_overview(tmp_path)["sweep"]
+            assert (overview["entries"], overview["stale_entries"]) == (0, 0)
+            assert overview["temp_files"] == 1
+            assert remove_temp_files(tmp_path, pids={os.getpid() + 1}) == 0
+            assert remove_temp_files(tmp_path, pids={os.getpid()}) == 1
+            staging.write_bytes(b"partial again")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            atomic_store(tmp_path / "entry.pkl", dies_mid_write)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRunnerIntegration:

@@ -23,7 +23,6 @@ from repro.simulation.breakdown import BreakdownCategory, ExecutionBreakdown
 from repro.simulation.engine import engine_path_counts
 from repro.simulation.result_cache import SweepResultCache
 from repro.simulation.sampling import ConfidenceInterval
-from repro.simulation.sweep import FailedPoint
 from repro.workloads.base import SyntheticWorkload
 
 
@@ -183,7 +182,7 @@ class TestJsonify:
     def test_dataclass_and_enum(self):
         assert jobs.jsonify({_Colour.RED: _Point(1, 2.0)}) == {"red": {"x": 1, "y": 2.0}}
 
-    def test_coverage_reports_and_failed_points_go_out_as_field_dicts(self):
+    def test_coverage_reports_go_out_as_field_dicts(self):
         # The `sweep fig06 / fig08 / fig11` reply is {scheme: CoverageReport}:
         # clients read the fields by name, whatever the class is made of.
         reports = {
@@ -203,9 +202,12 @@ class TestJsonify:
                 "covered": 100, "uncovered": 300, "overpredictions": 0,
             },
         }
-        failed = FailedPoint(key=("OLTP", 2048), error="ValueError: boom", attempts=3)
-        assert jobs.jsonify({"points": [failed]}) == {
-            "points": [{"key": ["OLTP", 2048], "error": "ValueError: boom", "attempts": 3}]
+        # ...also when the report sits inside a list, not only as a dict value.
+        assert jobs.jsonify({"points": [reports["address"]]}) == {
+            "points": [{
+                "name": "address", "level": "L2", "baseline_misses": 400,
+                "covered": 100, "uncovered": 300, "overpredictions": 0,
+            }]
         }
 
     def test_fig12_and_fig13_results_go_out_as_field_dicts(self):

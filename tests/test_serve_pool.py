@@ -80,16 +80,16 @@ class TestWorkerPool:
         done_entry = tmp_path / "ffff-1234.pkl"
         done_entry.write_bytes(b"keep")
         # A foreign process's in-flight staging file must survive shutdown.
-        foreign_pickle = tmp_path / "foreign.99999.tmp"
+        foreign_pickle = tmp_path / ".tmp-99999-1"
         foreign_pickle.write_bytes(b"in flight")
 
         pool = WorkerPool(workers=2, cache_dir=str(tmp_path)).start()
         processes = [handle.process for handle in pool._handles.values()]
         worker_pid = processes[0].pid
         # Temp files as a killed worker would leave them (its pid embedded).
-        leaked_pickle = tmp_path / f"abc123.{worker_pid}.tmp"
+        leaked_pickle = tmp_path / f".tmp-{worker_pid}-1"
         leaked_pickle.write_bytes(b"partial")
-        leaked_trace = traces / f".tmp-{worker_pid}-oltp-db2-c2-a1000-s7-dead.strc"
+        leaked_trace = traces / f".tmp-{worker_pid}-1"
         leaked_trace.write_bytes(b"partial")
         pool.execute(SIM_SPEC)
         pool.shutdown()

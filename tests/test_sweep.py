@@ -119,14 +119,14 @@ class TestGracefulShutdown:
 
         pid = os.getpid()
         (tmp_path / "traces").mkdir()
-        leaked_pickle = tmp_path / f"half-written.{pid}.tmp"
+        leaked_pickle = tmp_path / f".tmp-{pid}-1"
         leaked_pickle.write_bytes(b"partial")
-        leaked_trace = tmp_path / "traces" / f".tmp-{pid}-oltp-db2-c2-a1000-s7-cafe.strc"
+        leaked_trace = tmp_path / "traces" / f".tmp-{pid}-1"
         leaked_trace.write_bytes(b"partial")
         entry = tmp_path / "aaaa-bbbb.pkl"
         entry.write_bytes(b"done")
         # A sibling process's in-flight staging file must NOT be yanked.
-        sibling = tmp_path / "other-writer.99999.tmp"
+        sibling = tmp_path / ".tmp-99999-1"
         sibling.write_bytes(b"in flight")
 
         runner = SweepRunner(cache=SweepResultCache(tmp_path))
