@@ -6,8 +6,8 @@ cache's trace directory) it reconstructs the span tree and emits
 
 * ``trace_report.md`` — an indented text waterfall, the critical path,
   a slowest-spans table, and the simulation-time telemetry series;
-* ``waterfall.svg`` — one bar per span on a shared timeline, reusing the
-  minimal no-dependency SVG style of :mod:`repro.analysis.perf_report`;
+* ``waterfall.svg`` — one bar per span on a shared timeline, in a minimal
+  no-dependency SVG style;
 * ``telemetry.svg`` — coverage-over-trace-position polylines, when the
   trace carries ``kind == "telemetry"`` records.
 
@@ -226,7 +226,7 @@ def render_text_waterfall(roots: Sequence[SpanNode]) -> str:
 
 
 def render_waterfall_svg(roots: Sequence[SpanNode]) -> str:
-    """One bar per span on a shared timeline (same style as perf_report)."""
+    """One bar per span on a shared timeline."""
     rows = [(node, depth) for root in roots for node, depth in root.walk()]
     height = SVG_PAD * 2 + SVG_ROW_HEIGHT * max(len(rows), 1) + 14
     if not rows:

@@ -51,14 +51,6 @@ Three subcommands cover the common workflows without writing any Python:
         python -m repro.cli lint
         python -m repro.cli lint src/repro --format json
 
-``perf-report``
-    Render the perf observatory: benchmark-history trend tables and SVG
-    charts, optionally folding in a live ``/metrics`` snapshot
-    (:mod:`repro.analysis.perf_report`)::
-
-        python -m repro.cli perf-report \
-            --metrics http://localhost:9100/metrics?format=json
-
 ``trace-report``
     Render one recorded span tree (``REPRO_TRACE=on``) as a text + SVG
     waterfall with critical path, slow-span table, and simulation-time
@@ -289,35 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit machine-readable JSON instead of a table"
     )
 
-    perf_report = subparsers.add_parser(
-        "perf-report",
-        help="render the benchmark-history trend report "
-        "(see repro.analysis.perf_report)",
-    )
-    perf_report.add_argument(
-        "--history",
-        default=None,
-        help="benchmark history JSONL (default: benchmarks/BENCH_history.jsonl)",
-    )
-    perf_report.add_argument(
-        "--metrics",
-        default=None,
-        help="live metrics snapshot to fold in: a JSON file saved from "
-        "/metrics?format=json, or an http:// URL scraped directly",
-    )
-    perf_report.add_argument(
-        "--out",
-        default=None,
-        help="output directory for perf_report.md and the SVG charts "
-        "(default: benchmarks/perf_report)",
-    )
-    perf_report.add_argument(
-        "--json",
-        action="store_true",
-        help="print the latest/median/delta summary as JSON to stdout "
-        "instead of writing report files",
-    )
-
     trace_report = subparsers.add_parser(
         "trace-report",
         help="render one recorded span tree as a waterfall "
@@ -386,6 +349,14 @@ def _command_simulate(args: argparse.Namespace) -> int:
         # the engine walks either as integer lanes (binary traces decode
         # straight into them, the rest transpose per chunk).
         workload = stream_trace(args.trace)
+        try:
+            # Sizes the warm-up phase: free from a .strc header, one counting
+            # pass over a text trace (which carries no count).
+            workload.count_records()
+        except OSError as exc:
+            print(f"error: cannot read trace {args.trace}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
         metadata = None
         source = workload.name
     else:
@@ -722,30 +693,6 @@ def _command_lint(args: argparse.Namespace) -> int:
     return lint_module.main(forwarded)
 
 
-def _command_perf_report(args: argparse.Namespace) -> int:
-    from repro.analysis import perf_report
-
-    try:
-        if args.json:
-            entries = perf_report.load_history(
-                args.history if args.history is not None else perf_report.DEFAULT_HISTORY
-            )
-            snapshot = (
-                perf_report.load_metrics_snapshot(args.metrics) if args.metrics else None
-            )
-            print(perf_report.render_json(entries, snapshot))
-            return 0
-        paths = perf_report.write_report(
-            history_path=args.history, metrics_source=args.metrics, out_dir=args.out
-        )
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    for path in paths:
-        print(f"wrote {path}")
-    return 0
-
-
 def _command_trace_report(args: argparse.Namespace) -> int:
     from repro.analysis import trace_report
 
@@ -784,7 +731,6 @@ _COMMANDS = {
     "submit": _command_submit,
     "cache": _command_cache,
     "lint": _command_lint,
-    "perf-report": _command_perf_report,
     "trace-report": _command_trace_report,
 }
 

@@ -45,11 +45,10 @@ gateway are the front-end process's own (pool-wide execution tallies
 reach it through ``WorkerPool.stats()`` mirroring, not through shared
 memory).
 
-``REPRO_OBS=0`` disables the whole layer: the module installs a
-:class:`~repro.obs.registry.NullRegistry` and every observation becomes a
-no-op with the call shape unchanged, which is how
-``benchmarks/bench_throughput.py`` measures instrumented-vs-uninstrumented
-engine overhead.
+The layer is always on.  Its cost on the engine is bounded by count, not by
+a timing ratio: a run resolves the same number of metric families and writes
+one ``engine.run`` span however long its trace is
+(``tests/test_engine_path_census.py``).
 
 Structured tracing (:mod:`repro.obs.trace`, ``REPRO_TRACE=off|on|ratio``)
 is the causal complement to this aggregate layer: request-scoped span
@@ -62,14 +61,12 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro import _env
 from repro.obs import trace
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
     DEFAULT_MAX_LABEL_SETS,
     OVERFLOW_LABEL,
     MetricFamily,
-    NullRegistry,
     Registry,
 )
 
@@ -78,7 +75,6 @@ __all__ = [
     "DEFAULT_MAX_LABEL_SETS",
     "OVERFLOW_LABEL",
     "MetricFamily",
-    "NullRegistry",
     "Registry",
     "trace",
     "counter",
@@ -88,22 +84,11 @@ __all__ = [
     "add_collector",
     "get_registry",
     "install_registry",
-    "enabled",
     "render_prometheus",
     "render_json",
 ]
 
-#: Environment variable disabling instrumentation when set to ``0``.
-OBS_ENV_VAR = "REPRO_OBS"
-
-
-def _initial_registry() -> Registry:
-    if _env.read(OBS_ENV_VAR, "1") in ("0", "false", "off", "no"):
-        return NullRegistry()
-    return Registry()
-
-
-_active: Registry = _initial_registry()
+_active: Registry = Registry()
 
 
 def get_registry() -> Registry:
@@ -123,11 +108,6 @@ def install_registry(registry: Registry) -> Registry:
     previous = _active
     _active = registry
     return previous
-
-
-def enabled() -> bool:
-    """False when the active registry discards observations."""
-    return not isinstance(_active, NullRegistry)
 
 
 def counter(name: str, help_text: str = "", labels: Sequence[str] = (),

@@ -23,11 +23,6 @@ The registry reads no clock — callers observe :func:`time.perf_counter`
 intervals (:func:`repro.obs.trace.span` is the timing primitive), never
 wall-clock deltas (rule ``OBS001``) — so renderings carry no timestamps and
 identical runs render identically.
-
-``NullRegistry`` is the disabled form: every family it hands out is a
-shared no-op, which is how ``REPRO_OBS=0`` turns instrumentation into a
-few dead dict lookups for overhead measurement (see
-``benchmarks/bench_throughput.py``).
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ __all__ = [
     "DEFAULT_MAX_LABEL_SETS",
     "OVERFLOW_LABEL",
     "Registry",
-    "NullRegistry",
     "MetricFamily",
 ]
 
@@ -398,61 +392,3 @@ def _render_labels(names: Iterable[str], values: Iterable[str]) -> str:
         return ""
     return "{" + ",".join(pairs) + "}"
 
-
-class _NullChild:
-    """Shared no-op child: every mutator is a pass, every read a zero."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1) -> None:
-        pass
-
-    dec = inc
-    set = inc
-    sync_to = inc
-    observe = inc
-
-    def labels(self, *values: Any) -> "_NullChild":
-        return self
-
-    @property
-    def value(self) -> float:
-        return 0
-
-    @property
-    def count(self) -> int:
-        return 0
-
-    @property
-    def sum(self) -> float:
-        return 0.0
-
-    def histogram_snapshot(self) -> Dict[str, Any]:
-        return {"buckets": {"+Inf": 0}, "count": 0, "sum": 0.0}
-
-
-_NULL_CHILD = _NullChild()
-
-
-class NullRegistry(Registry):
-    """A registry whose metrics all discard their observations.
-
-    Installed when ``REPRO_OBS=0``: call sites keep their exact code
-    shape (so overhead can be measured as instrumented-vs-uninstrumented
-    with no code difference) but every observation is a no-op.
-    """
-
-    def _family(self, name, kind, help_text, labels, buckets=None,
-                max_label_sets=DEFAULT_MAX_LABEL_SETS):  # type: ignore[override]
-        return _NULL_CHILD  # type: ignore[return-value]
-
-    def add_collector(self, collector: Callable[[], None]) -> None:
-        pass
-
-    def render_prometheus(self) -> str:
-        return "# metrics disabled (REPRO_OBS=0)\n"
-
-    def render_json(self) -> Dict[str, Any]:
-        return {"metrics": {}, "disabled": True}
-
-    snapshot = render_json

@@ -5,10 +5,10 @@ runner, the ``experiment`` summary line and the serve front-end read it
 without importing the engine, so printing ``engine: 0 lanes / 0 reference``
 costs no engine import.
 
-The tallies are plain ints: the answer to "which engine path did this
-request take" must not depend on ``REPRO_OBS`` (a :class:`NullRegistry` drops
-every counter).  They are mirrored into ``repro_engine_runs_total`` for the
-metrics gateway when obs is on.
+The tallies are plain ints, not a registry read: a sweep or serve worker's
+registry dies with the worker, so its runs come back as a dict and are
+absorbed here.  They are mirrored into ``repro_engine_runs_total`` for the
+metrics gateway.
 """
 
 from __future__ import annotations

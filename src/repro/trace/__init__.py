@@ -46,7 +46,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "TraceStream",
             "MaterializedTrace",
             "GeneratedTrace",
-            "InterleavedTrace",
             "ChunkedTraceStream",
             "iter_chunks",
             "lane_chunk_iterator",

@@ -4,8 +4,9 @@ Text traces are convenient to inspect and diff, but parsing them dominates
 end-to-end reproduction time on full-scale runs: every line costs a split,
 two hex conversions, and two code-table lookups.  The binary format stores
 the same records struct-packed so the decoder is a single
-:meth:`struct.Struct.iter_unpack` sweep over buffered reads — roughly an
-order of magnitude faster (see ``benchmarks/bench_throughput.py``).
+:meth:`struct.Struct.iter_unpack` sweep over buffered reads (measured as
+``trace.decode_boxed_us_per_record`` / ``trace.decode_lanes_us_per_record``
+by ``benchmarks/e2e/layers.py``).
 
 File layout
 -----------

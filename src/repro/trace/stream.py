@@ -2,8 +2,7 @@
 
 A :class:`TraceStream` is a reusable, named source of
 :class:`~repro.trace.record.MemoryAccess` records.  Streams can be
-materialized (a list in memory), generated lazily from a callable, built by
-interleaving several per-processor streams into one multiprocessor trace, or
+materialized (a list in memory), generated lazily from a callable, or
 wrapped in a :class:`ChunkedTraceStream` for bounded-memory chunk iteration.
 
 Streams are *single-pass on each iteration but replayable across
@@ -305,57 +304,3 @@ class ChunkedTraceStream(TraceStream):
     def length_hint(self) -> Optional[int]:
         return stream_length_hint(self._source)
 
-
-class InterleavedTrace(TraceStream):
-    """Interleave several per-processor traces into one multiprocessor trace.
-
-    Records from each input stream are drawn in bursts whose lengths are
-    sampled from a geometric distribution, which mimics the fine-grain
-    interleaving of independent processors sharing a memory system.  Each
-    input stream's records are re-attributed to the CPU index of its slot.
-    """
-
-    def __init__(
-        self,
-        streams: Sequence[TraceStream],
-        seed: int = 0,
-        mean_burst: int = 8,
-        name: Optional[str] = None,
-        reassign_cpus: bool = True,
-    ) -> None:
-        if not streams:
-            raise ValueError("InterleavedTrace requires at least one input stream")
-        if mean_burst < 1:
-            raise ValueError(f"mean_burst must be >= 1, got {mean_burst}")
-        super().__init__(name=name or "+".join(s.name for s in streams))
-        self._streams = list(streams)
-        self._seed = seed
-        self._mean_burst = mean_burst
-        self._reassign_cpus = reassign_cpus
-
-    def __iter__(self) -> Iterator[MemoryAccess]:
-        import random  # a trace replay never interleaves: import where it is used
-
-        rng = random.Random(self._seed)
-        iterators = [iter(s) for s in self._streams]
-        active = list(range(len(iterators)))
-        while active:
-            slot = rng.choice(active)
-            burst = 1 + int(rng.expovariate(1.0 / self._mean_burst))
-            for _ in range(burst):
-                try:
-                    record = next(iterators[slot])
-                except StopIteration:
-                    active.remove(slot)
-                    break
-                if self._reassign_cpus and record.cpu != slot:
-                    record = record.with_cpu(slot)
-                yield record
-
-
-def concatenate(streams: Sequence[TraceStream], name: str = "concat") -> MaterializedTrace:
-    """Concatenate several streams end to end into one materialized trace."""
-    records: List[MemoryAccess] = []
-    for stream in streams:
-        records.extend(stream)
-    return MaterializedTrace(records, name=name)

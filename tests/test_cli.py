@@ -26,7 +26,7 @@ class TestParser:
             main(["--help"])
         assert capsys.readouterr().out.startswith("usage: repro [-h] [--version]")
         for command in ("simulate", "trace", "experiment", "convert", "serve", "submit",
-                        "cache", "perf-report", "trace-report", "lint"):
+                        "cache", "trace-report", "lint"):
             with pytest.raises(SystemExit):
                 main([command, "--help"])
             assert capsys.readouterr().out.startswith(f"usage: repro {command} [-h]")
@@ -143,6 +143,30 @@ class TestSimulateCommand:
         assert "--cpus 3" in line
         # The default system (4 CPUs) replays the same trace.
         assert main(["simulate", "--trace", str(trace)]) == 0
+
+    def test_text_trace_replays_like_its_binary_twin(self, tmp_path, capsys):
+        # A text trace carries no record count: the warm-up is sized by one
+        # counting pass, and the table is the one the .strc header gives.
+        text, binary = tmp_path / "ocean.txt", tmp_path / "ocean.strc"
+        assert main(["trace", "--workload", "ocean", "--output", str(text),
+                     "--cpus", "2", "--accesses-per-cpu", "2000"]) == 0
+        assert main(["convert", "--input", str(text), "--output", str(binary)]) == 0
+        capsys.readouterr()
+        bodies = []
+        for trace in (text, binary):
+            assert main(["simulate", "--trace", str(trace), "--cpus", "2"]) == 0
+            bodies.append(capsys.readouterr().out.splitlines()[1:])
+        assert bodies[0] == bodies[1]
+        assert any(line.startswith("L1 coverage") for line in bodies[0])
+
+    @pytest.mark.parametrize("name", ["missing.strc", "missing.txt"])
+    def test_missing_trace_file_is_a_usage_error(self, name, tmp_path, capsys):
+        exit_code = main(["simulate", "--trace", str(tmp_path / name)])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()  # one line, no traceback
+        assert line.startswith("error: ") and name in line
 
 
 class TestTraceCommand:

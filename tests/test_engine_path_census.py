@@ -15,6 +15,7 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.obs import trace as obs_trace
+from repro.prefetch.registry import PREFETCHER_CHOICES
 from repro.serve import WorkerPool, jobs
 from repro.serve.server import SimulationServer
 from repro.simulation.config import SimulationConfig
@@ -71,20 +72,42 @@ def test_counts_format_and_absorb_round_trip():
     assert format_engine_path_counts(runs) == "engine: 3 lanes / 2 reference"
 
 
-def test_census_counts_without_obs():
-    """``REPRO_OBS=0`` installs a NullRegistry that drops every counter; the
-    census is the answer to "which path did this run take" and must not."""
-    previous = obs.install_registry(obs.NullRegistry())
-    try:
-        before = engine_path_counts()
-        workload = make_workload("oltp-db2", num_cpus=1, accesses_per_cpu=200, seed=1)
-        config = SimulationConfig.small(num_cpus=1)
-        SimulationEngine(config).run(workload)
-        SimulationEngine(config).run(workload, lanes=False)
-        runs = engine_path_counts(since=before)
-    finally:
-        obs.install_registry(previous)
-    assert format_engine_path_counts(runs) == "engine: 1 lanes / 1 reference"
+class _CountingRegistry(obs.Registry):
+    """Counts every metric-family resolution the instrumented code makes."""
+
+    def __init__(self):
+        super().__init__()
+        self.resolutions = 0
+
+    def _family(self, *args, **kwargs):
+        self.resolutions += 1
+        return super()._family(*args, **kwargs)
+
+
+@pytest.mark.parametrize("prefetcher", ["none", "sms"])
+def test_instrumentation_is_per_run_not_per_chunk(prefetcher, tmp_path, monkeypatch):
+    """The engine's instrumentation budget, as a count: a run resolves the
+    same number of metric families and writes one ``engine.run`` span record
+    whether its trace is one chunk long or six."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv(obs_trace.TRACE_ENV_VAR, "on")
+    monkeypatch.delenv("REPRO_TRACE_TELEMETRY", raising=False)
+    config = SimulationConfig.small(num_cpus=1)
+    resolutions = []
+    for records in (200, 1_500):  # one chunk, six chunks
+        registry = _CountingRegistry()
+        previous = obs.install_registry(registry)
+        try:
+            workload = make_workload("oltp-db2", num_cpus=1, accesses_per_cpu=records, seed=1)
+            engine = SimulationEngine(config, PREFETCHER_CHOICES[prefetcher](), name=prefetcher)
+            assert engine.run(workload, chunk_size=256).accesses > 0
+        finally:
+            obs.install_registry(previous)
+        resolutions.append(registry.resolutions)
+    assert resolutions[0] == resolutions[1] > 0
+    written = [obs_trace.load_trace_file(path) for path in obs_trace.list_trace_files()]
+    assert [[record["kind"], record["name"]] for (record,) in written] == [
+        ["span", "engine.run"]] * 2
 
 
 def test_census_is_mirrored_into_the_obs_counters():

@@ -78,10 +78,9 @@ LAZY_PACKAGES = [
 ]
 
 
-def run_python(tmp_path, *args, env=None):
+def run_python(tmp_path, *args):
     """Run a fresh interpreter on this checkout's sources; return its stdout."""
     child_env = dict(os.environ, PYTHONPATH=REPO_SRC, REPRO_CACHE_DIR=str(tmp_path / "cache"))
-    child_env.update(env or {})
     proc = subprocess.run(
         [sys.executable, *args], env=child_env, capture_output=True, text=True, timeout=300,
     )
@@ -89,10 +88,10 @@ def run_python(tmp_path, *args, env=None):
     return proc.stdout
 
 
-def run_cli(tmp_path, *argv, env=None):
+def run_cli(tmp_path, *argv):
     """Run one command in a child; return ``(stdout, set of loaded modules)``."""
     dump = tmp_path / "modules.txt"
-    out = run_python(tmp_path, "-c", _SHIM, str(dump), *argv, env=env)
+    out = run_python(tmp_path, "-c", _SHIM, str(dump), *argv)
     return out, set(dump.read_text().split())
 
 
@@ -146,9 +145,7 @@ def test_submit_loads_no_engine_and_no_experiments(tmp_path):
 def test_all_hits_figure_never_loads_the_engine(tmp_path):
     args = ["experiment", "--figure", "fig10", "--scale", "0.01", "--cpus", "1",
             "--cache-dir", str(tmp_path / "c")]
-    # The populating run doubles as the REPRO_OBS=0 census check: the summary
-    # line must count the 28 lane runs although every obs counter is a no-op.
-    cold, cold_modules = run_cli(tmp_path, *args, env={"REPRO_OBS": "0"})
+    cold, cold_modules = run_cli(tmp_path, *args)
     *cold_table, cold_summary = cold.splitlines()
     assert cold_summary.startswith("sweep cache: 0 hit(s), 4 miss(es), 4 stored")
     assert cold_summary.endswith("; engine: 28 lanes / 0 reference")

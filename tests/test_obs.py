@@ -21,7 +21,7 @@ import pytest
 from repro import obs
 from repro._env import scoped_env
 from repro.obs.gateway import MetricsGateway
-from repro.obs.registry import OVERFLOW_LABEL, NullRegistry, Registry
+from repro.obs.registry import OVERFLOW_LABEL, Registry
 from repro.serve import SimulationServer, WorkerPool
 from repro.simulation.result_cache import SweepResultCache
 
@@ -215,16 +215,6 @@ class TestActiveRegistry:
         finally:
             obs.install_registry(previous)
         assert obs.get_registry() is previous
-
-    def test_null_registry_is_inert(self):
-        null = NullRegistry()
-        child = null.counter("t_total", labels=("verb",))
-        child.labels("anything").inc()
-        child.labels("x").observe(0.5)
-        assert child.labels("x").value == 0
-        assert child.labels("x").count == 0
-        assert null.render_prometheus() == "# metrics disabled (REPRO_OBS=0)\n"
-        assert null.render_json()["disabled"] is True
 
     def test_note_cache_op_derives_hit_ratio(self):
         previous = obs.install_registry(Registry())

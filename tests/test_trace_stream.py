@@ -6,9 +6,7 @@ from repro.trace.record import MemoryAccess
 from repro.trace.stream import (
     ChunkedTraceStream,
     GeneratedTrace,
-    InterleavedTrace,
     MaterializedTrace,
-    concatenate,
     iter_chunks,
     stream_length_hint,
 )
@@ -156,49 +154,3 @@ class TestStreamLengthHint:
                 return iter(())
 
         assert stream_length_hint(Workloadish()) == 123
-
-
-class TestInterleavedTrace:
-    def test_requires_streams(self):
-        with pytest.raises(ValueError):
-            InterleavedTrace([])
-
-    def test_preserves_all_records(self):
-        streams = [MaterializedTrace(_records(20, cpu=i, base=i * 1 << 20)) for i in range(3)]
-        interleaved = InterleavedTrace(streams, seed=3)
-        assert len(list(interleaved)) == 60
-
-    def test_reassigns_cpus_by_slot(self):
-        streams = [MaterializedTrace(_records(10, cpu=0, base=i * 1 << 20)) for i in range(3)]
-        interleaved = InterleavedTrace(streams, seed=1)
-        cpus = {record.cpu for record in interleaved}
-        assert cpus == {0, 1, 2}
-
-    def test_deterministic_for_seed(self):
-        streams = [MaterializedTrace(_records(15, cpu=i)) for i in range(2)]
-        a = list(InterleavedTrace(streams, seed=11))
-        b = list(InterleavedTrace(streams, seed=11))
-        assert a == b
-
-    def test_per_stream_order_preserved(self):
-        streams = [MaterializedTrace(_records(25, cpu=i, base=i * 1 << 20)) for i in range(2)]
-        interleaved = InterleavedTrace(streams, seed=5)
-        per_cpu_addresses = {0: [], 1: []}
-        for record in interleaved:
-            per_cpu_addresses[record.cpu].append(record.address)
-        for cpu, addresses in per_cpu_addresses.items():
-            assert addresses == sorted(addresses)
-
-    def test_invalid_burst(self):
-        with pytest.raises(ValueError):
-            InterleavedTrace([MaterializedTrace(_records(1))], mean_burst=0)
-
-
-class TestConcatenate:
-    def test_concatenation_order(self):
-        first = MaterializedTrace(_records(3, base=0))
-        second = MaterializedTrace(_records(2, base=1 << 20))
-        combined = concatenate([first, second])
-        addresses = [record.address for record in combined]
-        assert addresses[:3] == [record.address for record in first]
-        assert len(combined) == 5
