@@ -17,7 +17,7 @@ from repro.experiments import fig07_pht_storage as fig07
 from repro.experiments import fig09_training_storage as fig09
 from repro.experiments import fig10_region_size as fig10
 from repro.experiments import fig11_ghb as fig11
-from repro.serve import jobs
+from repro.serve import jobs, protocol
 from repro.serve.protocol import BAD_REQUEST, ProtocolError
 from repro.simulation.breakdown import BreakdownCategory, ExecutionBreakdown
 from repro.simulation.engine import engine_path_counts
@@ -165,6 +165,31 @@ class _Colour(enum.Enum):
     RED = "red"
 
 
+class _Level(str, enum.Enum):
+    L1 = "l1"
+
+
+class _Ways(int, enum.Enum):
+    TWO = 2
+
+
+#: A fixed ``simulate`` result, as ``run_simulate`` shapes one.
+_SIMULATE_RAW = {
+    "workload": "oltp-db2",
+    "prefetcher": "sms",
+    "cpus": 2,
+    "accesses": 3000,
+    "baseline_l1_read_misses": 1618,
+    "l1_read_misses": 856,
+    "baseline_offchip_read_misses": 1275,
+    "offchip_read_misses": 664,
+    "l1_coverage": 0.474524248004911,
+    "offchip_coverage": 0.4755134281200632,
+    "overpredictions": 0.12216083486801718,
+    "speedup": 1.116948736955276,
+}
+
+
 @dataclasses.dataclass
 class _Point:
     x: int
@@ -175,6 +200,32 @@ class TestJsonify:
     def test_scalars_and_containers(self):
         value = {"a": [1, 2.5, None, True, "s"], "b": (3, 4)}
         assert jobs.jsonify(value) == {"a": [1, 2.5, None, True, "s"], "b": [3, 4]}
+
+    def test_cache_hit_reply_bytes_of_a_simulate_result(self):
+        wire = protocol.encode(protocol.ok_response(jobs.jsonify(_SIMULATE_RAW), cached=True))
+        assert wire == (
+            b'{"cached": true, "coalesced": false, "ok": true, "result": {'
+            b'"accesses": 3000, "baseline_l1_read_misses": 1618, '
+            b'"baseline_offchip_read_misses": 1275, "cpus": 2, '
+            b'"l1_coverage": 0.474524248004911, "l1_read_misses": 856, '
+            b'"offchip_coverage": 0.4755134281200632, "offchip_read_misses": 664, '
+            b'"overpredictions": 0.12216083486801718, "prefetcher": "sms", '
+            b'"speedup": 1.116948736955276, "workload": "oltp-db2"}}\n'
+        )
+
+    def test_bool_int_and_float_stay_apart(self):
+        # True == 1 == 1.0, but they are three different JSON tokens and the
+        # serve_mix sim_digest hashes the encoded reply.
+        wire = jobs.jsonify([True, 1, 1.0, False, 0, 0.0])
+        assert [type(item) for item in wire] == [bool, int, float, bool, int, float]
+        assert json.dumps(wire) == "[true, 1, 1.0, false, 0, 0.0]"
+
+    def test_mixin_enum_members_go_out_as_plain_values(self):
+        # A str- / int-mixin member *is* a str / int; it must still leave as
+        # its value, of the exact builtin type, never as the member.
+        wire = jobs.jsonify({"level": _Level.L1, "ways": [_Ways.TWO]})
+        assert wire == {"level": "l1", "ways": [2]}
+        assert type(wire["level"]) is str and type(wire["ways"][0]) is int
 
     def test_int_and_tuple_keys_stringified(self):
         assert jobs.jsonify({128: 0.5, ("pc", None): 1.0}) == {"128": 0.5, "pc/None": 1.0}
