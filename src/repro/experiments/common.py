@@ -16,10 +16,12 @@ kept beside the lanes.
 Trace caching has two layers: an in-process ``lru_cache`` (always on), and
 an opt-in on-disk layer that memoizes each generated trace as a binary
 ``.strc`` file keyed by (workload, cpus, accesses, seed) plus the package's
-code fingerprint.  Synthetic generation runs at ~200k records/s while the
-lane decoder runs at ~2.6M records/s and boxes nothing, so full-scale sweeps
-— and every parallel worker, which otherwise regenerates its own traces —
-cut their per-trace warmup by roughly an order of magnitude on a warm cache.
+code fingerprint.  Decoding a record into lanes costs a small fraction of
+generating it and boxes nothing (``bench.py --trace 1`` reports both, as
+``trace.decode_lanes_us_per_record`` and
+``workloads.generate_us_per_record.*``), so full-scale sweeps — and every
+parallel worker, which otherwise regenerates its own traces — cut their
+per-trace warmup on a warm cache.
 Enable it with :func:`set_trace_cache` or ``REPRO_TRACE_CACHE=1`` (the CLI
 turns it on by default; ``--no-trace-cache`` is the escape hatch); the files
 live in a ``traces/`` directory next to the sweep result cache.

@@ -73,6 +73,34 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
+_Signature = Tuple[str, Tuple[str, ...], Optional[Tuple[float, ...]]]
+
+
+def _signature(
+    kind: str, labels: Sequence[str], buckets: Optional[Sequence[float]]
+) -> _Signature:
+    """The ``(kind, label names, bucket bounds)`` identity of a family.
+
+    Two registrations of one name must agree on it; it carries the
+    validation that belongs to those three (unknown kind, empty or
+    non-histogram buckets), so a re-registration is checked without
+    building a family.
+    """
+    if kind not in _KINDS:
+        raise ValueError(f"unknown metric kind {kind!r}")
+    label_names = tuple(str(label) for label in labels)
+    if kind != "histogram":
+        if buckets is not None:
+            raise ValueError(f"{kind} metrics do not take buckets")
+        return (kind, label_names, None)
+    if buckets is None:
+        return (kind, label_names, DEFAULT_LATENCY_BUCKETS)
+    bounds = tuple(sorted(buckets))
+    if not bounds:
+        raise ValueError("histogram needs at least one bucket bound")
+    return (kind, label_names, bounds)
+
+
 class _Child:
     """One labeled time series.  The same class backs all three kinds;
     the family constrains which mutators its kind sanctions."""
@@ -163,30 +191,18 @@ class MetricFamily:
         buckets: Optional[Sequence[float]] = None,
         max_label_sets: int = DEFAULT_MAX_LABEL_SETS,
     ) -> None:
-        if kind not in _KINDS:
-            raise ValueError(f"unknown metric kind {kind!r}")
+        self.kind, self.label_names, self._buckets = _signature(kind, label_names, buckets)
         if max_label_sets < 1:
             raise ValueError("max_label_sets must be positive")
         self.name = name
-        self.kind = kind
         self.help = help_text
-        self.label_names = tuple(str(label) for label in label_names)
         self.max_label_sets = max_label_sets
-        if kind == "histogram":
-            bounds = tuple(sorted(buckets if buckets is not None else DEFAULT_LATENCY_BUCKETS))
-            if not bounds:
-                raise ValueError("histogram needs at least one bucket bound")
-            self._buckets = bounds
-        else:
-            if buckets is not None:
-                raise ValueError(f"{kind} metrics do not take buckets")
-            self._buckets = None
         self._children: Dict[Tuple[str, ...], _Child] = {}
         self._lock = threading.Lock()
         self.dropped_label_sets = 0
 
     # ------------------------------------------------------------------ #
-    def signature(self) -> Tuple[str, Tuple[str, ...], Optional[Tuple[float, ...]]]:
+    def signature(self) -> _Signature:
         return (self.kind, self.label_names, self._buckets)
 
     def labels(self, *values: Any) -> _Child:
@@ -275,21 +291,23 @@ class Registry:
         buckets: Optional[Sequence[float]] = None,
         max_label_sets: int = DEFAULT_MAX_LABEL_SETS,
     ) -> MetricFamily:
+        # Resolving a name that exists is a validation and a lookup: it runs
+        # on every cache op and finished span, so it builds no family.
+        signature = _signature(kind, labels, buckets)
+        if max_label_sets < 1:
+            raise ValueError("max_label_sets must be positive")
         with self._lock:
             existing = self._families.get(name)
-            if existing is not None:
-                candidate = MetricFamily(
+            if existing is None:
+                existing = self._families[name] = MetricFamily(
                     name, kind, help_text, labels, buckets, max_label_sets
                 )
-                if existing.signature() != candidate.signature():
-                    raise ValueError(
-                        f"metric {name!r} re-registered with a different "
-                        f"signature: {existing.signature()} vs {candidate.signature()}"
-                    )
-                return existing
-            family = MetricFamily(name, kind, help_text, labels, buckets, max_label_sets)
-            self._families[name] = family
-            return family
+            elif existing.signature() != signature:
+                raise ValueError(
+                    f"metric {name!r} re-registered with a different "
+                    f"signature: {existing.signature()} vs {signature}"
+                )
+            return existing
 
     def counter(
         self, name: str, help_text: str = "", labels: Sequence[str] = (),

@@ -366,6 +366,9 @@ def execute_spec(spec: Mapping[str, Any]) -> Any:
 # --------------------------------------------------------------------------- #
 # Wire conversion
 # --------------------------------------------------------------------------- #
+_JSON_SCALARS = (str, int, float, bool, type(None))
+
+
 def jsonify(value: Any) -> Any:
     """Convert a raw job result into JSON-able data, deterministically.
 
@@ -376,6 +379,11 @@ def jsonify(value: Any) -> Any:
     :class:`ResultTable` adds its rendered ``text`` so experiment replies can
     be compared byte-for-byte against the direct CLI output.
     """
+    # Most of a reply is leaves (twelve of a simulate result's thirteen
+    # values), so the scalar test comes first.  Exact types only: an Enum
+    # member that subclasses int or str must still reach the Enum branch.
+    if type(value) in _JSON_SCALARS:
+        return value
     if isinstance(value, ResultTable):
         return {
             "title": value.title,

@@ -11,7 +11,8 @@ is:
 2. **Cache fast path** — the request's content digest (the same
    canonical-args + code-fingerprint key the sweep cache uses) is looked
    up in the on-disk result cache.  A warm repeat is answered directly by
-   the front-end, marked ``"cached": true``, without entering the pool.
+   the front-end, on the event loop thread, marked ``"cached": true``,
+   without entering the pool or any executor.
 3. **Coalesce** — if an identical request is already executing, the new
    one awaits the same in-flight task and is marked ``"coalesced": true``;
    N concurrent identical requests cost exactly one execution.
@@ -31,11 +32,16 @@ requests get an immediate 422 instead of taking down more workers — the
 graceful-degradation contract that lets a driving sweep return partial
 results plus a failure manifest instead of aborting.
 
-All coalescing/backpressure bookkeeping lives on the event loop thread;
-only the blocking pool call leaves it.  In-flight tasks are shielded from
-client disconnects: once started, a job always runs to completion and its
-result is cached, so an impatient client cannot waste the work of the
-patient ones coalesced behind it.
+What runs where.  The event loop thread validates, computes the digest,
+probes the cache, coalesces, applies backpressure and writes the reply, so
+all of that bookkeeping (and the cache's hit / miss tallies) has one
+writer.  Exactly three calls leave it: the blocking pool call (dispatch
+executor, one thread per possible in-flight job), and, on the default
+executor, ``cache.put`` (stages and renames a file, once per executed job)
+and the ``cache_stats`` verb (scans the cache directory).  In-flight tasks
+are shielded from client disconnects: once started, a job always runs to
+completion and its result is cached, so an impatient client cannot waste
+the work of the patient ones coalesced behind it.
 """
 
 from __future__ import annotations
@@ -333,13 +339,17 @@ class SimulationServer:
                 "attempts; not retrying",
             )
         if digest is not None:
-            # Pickle loads run on the default executor, not the loop thread:
-            # a multi-megabyte cached result must not stall every other
-            # connection while it loads.  (Not the dispatch executor — its
-            # threads may all be parked on blocking pool calls.)
-            hit, value = await asyncio.get_running_loop().run_in_executor(
-                None, self._with_trace, ctx, self.cache.get, digest
-            )
+            # The probe runs here, on the loop thread: one small file read and
+            # a checksum + unpickle of a few hundred bytes (the figures' sweep
+            # entries measure 121-424 B, a simulate result 285 B, the largest
+            # experiment table 2,359 B;
+            # tests/test_serve_jobs.py::test_cacheable_results_are_small holds
+            # every verb under 16 KiB) costs less than the thread hop it would
+            # take to move it.  With no await between here and the _inflight
+            # registration below, probe, coalescing check and registration
+            # are one uninterrupted section, and cache.stats.hits / misses
+            # have a single writer.
+            hit, value = self._with_trace(ctx, self.cache.get, digest)
             if hit:
                 self.counters["cache_hits"] += 1
                 return value, True, False
@@ -360,8 +370,9 @@ class SimulationServer:
         return await asyncio.shield(task), False, False
 
     def _with_trace(self, ctx: Optional[trace.SpanContext], fn, *args) -> Any:
-        """Run ``fn`` on an executor thread under the request's trace context,
-        so spans created inside (cache get/put) nest under the request."""
+        """Run ``fn`` under the request's trace context on the calling thread
+        (the loop thread for the probe, an executor thread for the store), so
+        spans created inside (cache get/put) nest under the request."""
         with trace.activate(ctx):
             return fn(*args)
 

@@ -21,7 +21,12 @@ import pytest
 from repro import obs
 from repro._env import scoped_env
 from repro.obs.gateway import MetricsGateway
-from repro.obs.registry import OVERFLOW_LABEL, Registry
+from repro.obs.registry import (
+    DEFAULT_LATENCY_BUCKETS,
+    OVERFLOW_LABEL,
+    MetricFamily,
+    Registry,
+)
 from repro.serve import SimulationServer, WorkerPool
 from repro.simulation.result_cache import SweepResultCache
 
@@ -74,6 +79,42 @@ class TestCountersAndGauges:
             reg.gauge("t_total", labels=("verb",))
         with pytest.raises(ValueError):
             reg.counter("t_total", labels=("other",))
+
+    @pytest.mark.parametrize(
+        "reregister, message",
+        [
+            (lambda reg: reg.gauge("t_seconds", labels=("verb",)),
+             r"different signature: \('histogram', \('verb',\), \(0\.001, .*\) "
+             r"vs \('gauge', \('verb',\), None\)"),
+            (lambda reg: reg.histogram("t_seconds", labels=("other",)),
+             r"different signature: .* vs \('histogram', \('other',\), \(0\.001, "),
+            (lambda reg: reg.histogram("t_seconds", labels=("verb",), buckets=(1.0, 0.5)),
+             r"different signature: .* vs \('histogram', \('verb',\), \(0\.5, 1\.0\)\)"),
+            (lambda reg: reg.histogram("t_seconds", labels=("verb",), buckets=()),
+             "histogram needs at least one bucket bound"),
+            (lambda reg: reg._family("t_seconds", "counter", "", ("verb",), buckets=(1.0,)),
+             "counter metrics do not take buckets"),
+            (lambda reg: reg._family("t_seconds", "summary", "", ("verb",)),
+             "unknown metric kind 'summary'"),
+            (lambda reg: reg.histogram("t_seconds", labels=("verb",), max_label_sets=0),
+             "max_label_sets must be positive"),
+        ],
+        ids=["kind", "label-names", "buckets", "empty-buckets", "buckets-on-a-counter",
+             "unknown-kind", "max-label-sets"],
+    )
+    def test_each_way_a_reregistration_can_be_wrong(self, reregister, message):
+        reg = Registry()
+        family = reg.histogram("t_seconds", labels=("verb",))
+        with pytest.raises(ValueError, match=message):
+            reregister(reg)
+        assert reg.families() == [family]
+
+    def test_default_buckets_spelled_out_resolve_to_the_same_family(self):
+        reg = Registry()
+        first = reg.histogram("t_seconds", labels=("verb",))
+        assert reg.histogram(
+            "t_seconds", labels=("verb",), buckets=DEFAULT_LATENCY_BUCKETS
+        ) is first
 
     def test_wrong_label_arity_raises(self):
         reg = Registry()
@@ -245,6 +286,34 @@ class TestActiveRegistry:
             )
             assert family.labels("unit.test").count == 2
             assert family.labels("unit.test").sum >= 0
+        finally:
+            obs.install_registry(previous)
+
+    def test_resolving_an_existing_family_builds_nothing(self, tmp_path, monkeypatch):
+        """``note_cache_op`` and every finished span resolve their families by
+        name on each call; after the first call that is a lookup."""
+        built = []
+        original = MetricFamily.__init__
+
+        def counting_init(self, name, *args, **kwargs):
+            built.append(name)
+            original(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(MetricFamily, "__init__", counting_init)
+        previous = obs.install_registry(Registry())
+        try:
+            obs.note_cache_op("sweep", "hit")
+            assert sorted(built) == ["repro_cache_hit_ratio", "repro_cache_ops_total"]
+            for _ in range(99):
+                obs.note_cache_op("sweep", "hit")
+            assert len(built) == 2
+            with scoped_env({"REPRO_TRACE": "on", "REPRO_CACHE_DIR": str(tmp_path)}):
+                for _ in range(100):
+                    with obs.trace.span("unit.test"):
+                        pass
+            assert built[2:] == ["repro_span_seconds"]
+            spans = obs.get_registry().histogram("repro_span_seconds", labels=("span",))
+            assert spans.labels("unit.test").count == 100
         finally:
             obs.install_registry(previous)
 

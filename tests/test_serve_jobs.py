@@ -7,6 +7,7 @@ import enum
 import functools
 import gc
 import json
+import pickle
 
 import pytest
 
@@ -392,6 +393,27 @@ class TestRunSimulate:
         assert jobs.execute_spec(spec) == jobs.run_simulate(
             "web-apache", prefetcher="sms", cpus=2, accesses_per_cpu=1500, seed=1
         )
+
+
+@pytest.mark.parametrize(
+    "request_obj",
+    [
+        {"verb": "simulate", "workload": "oltp-db2", "cpus": 2, "accesses_per_cpu": 600},
+        # One fig06 point: a Dict[str, CoverageReport].
+        {"verb": "sweep", "figure": "fig06", "item": "OLTP", "scale": 0.02, "num_cpus": 2},
+        # The largest of the ten experiment tables (2,359 B when measured).
+        {"verb": "experiment", "figure": "fig05", "scale": 0.02, "num_cpus": 2},
+    ],
+    ids=lambda request_obj: request_obj["verb"],
+)
+def test_cacheable_results_are_small(request_obj):
+    """The server unpickles a cache hit on its event loop thread
+    (``SimulationServer._dispatch``), which is only sound while every verb's
+    result is summary-sized.  A verb that starts returning per-record data
+    fails here, where that decision can be revisited, instead of silently
+    stalling every connection."""
+    raw = jobs.execute_spec(jobs.normalize(request_obj))
+    assert len(pickle.dumps(raw, pickle.HIGHEST_PROTOCOL)) < 16 * 1024
 
 
 class TestRegistries:

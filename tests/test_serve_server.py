@@ -130,6 +130,64 @@ class TestServiceEndToEnd:
         assert stats["sweep"]["entries"] == 1  # the simulate result was stored
         assert "server_cache" in stats
 
+    def test_cache_hit_never_leaves_the_loop_thread(self, tmp_path, socket_dir):
+        socket_path = f"{socket_dir}/serve.sock"
+        request = {"verb": "simulate", "workload": "web-apache", "cpus": 2,
+                   "accesses_per_cpu": 1200}
+        threads = {"get": [], "put": [], "cache_stats": []}
+
+        def recording(name, fn):
+            def wrapper(*args):
+                threads[name].append(threading.get_ident())
+                return fn(*args)
+            return wrapper
+
+        async def pipelined(count):
+            # All requests of a connection are written before any reply is
+            # read, so the server holds them as concurrent tasks.
+            reader, writer = await asyncio.open_unix_connection(socket_path)
+            try:
+                writer.write(b"".join(
+                    (json.dumps(dict(request, id=i)) + "\n").encode() for i in range(count)
+                ))
+                await writer.drain()
+                return [json.loads(await reader.readline()) for _ in range(count)]
+            finally:
+                writer.close()
+
+        async def scenario():
+            pool = WorkerPool(workers=1, cache_dir=str(tmp_path / "cache"))
+            server = SimulationServer(
+                pool, socket_path=socket_path, max_queue=4,
+                cache=SweepResultCache(directory=tmp_path / "cache"),
+            )
+            server.cache.get = recording("get", server.cache.get)
+            server.cache.put = recording("put", server.cache.put)
+            server.cache_stats = recording("cache_stats", server.cache_stats)
+            await server.start()
+            try:
+                executed = await _ask(socket_path, request)
+                del threads["get"][:]  # the executed request's own (missing) probe
+                hits = await asyncio.gather(pipelined(20), pipelined(20))
+                overview = await _ask(socket_path, {"verb": "cache_stats"})
+                status = (await _ask(socket_path, {"verb": "status"}))["result"]
+                return threading.get_ident(), executed, hits[0] + hits[1], overview, status
+            finally:
+                await server.stop()
+
+        loop_thread, executed, hits, overview, status = asyncio.run(scenario())
+        assert executed["ok"] and not executed["cached"]
+        assert threads["get"] == [loop_thread] * 40
+        assert all(reply["ok"] and reply["cached"] and not reply["coalesced"] for reply in hits)
+        assert all(reply["result"] == executed["result"] for reply in hits)
+        # One writer: no increment of either tally can be lost.
+        assert status["cache"]["hits"] == status["counters"]["cache_hits"] == 40
+        assert status["cache"]["misses"] == 1
+        # The store and the directory scan still leave the loop thread.
+        assert overview["ok"]
+        assert len(threads["put"]) == len(threads["cache_stats"]) == 1
+        assert loop_thread not in threads["put"] + threads["cache_stats"]
+
     def test_malformed_and_invalid_requests(self, tmp_path, socket_dir):
         socket_path = f"{socket_dir}/serve.sock"
 
