@@ -406,8 +406,8 @@ def jsonify(value: Any) -> Any:
         return jsonify(value._asdict())
     if isinstance(value, (list, tuple)):
         return [jsonify(item) for item in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
+    if isinstance(value, (bool, int, float, str)):
+        return value  # a non-Enum subclass of a scalar type
     fields = getattr(type(value), "__slots__", ())
     if fields:
         # A slotted result object (DensityHistogram, ExecutionBreakdown): its
