@@ -6,6 +6,14 @@ command has no business importing.  Forbidden sets rather than exact ones, so
 adding a module a command really needs does not fail here, while an import
 creeping back into a package ``__init__`` or to the top of ``cli.py`` does.
 
+The child runs with ``-S``: the tests pin the command's imports, not what the
+interpreter's ``site`` start-up loads.  A ``.pth`` hook in site-packages runs
+in every process before any ``repro`` code (one that imports ``certifi``
+brings ``importlib.resources``, ``tempfile`` and ``random``), so without
+``-S`` a forbidden set fails on a clean command.  ``-S`` drops nothing a
+command needs: ``repro`` is stdlib-only (lint rule ``IMP001``) and
+``PYTHONPATH`` is read by the interpreter, not by ``site``.
+
 The counterpart is pinned too: a process about to fork workers (``serve``, a
 parallel sweep with pending points) imports what they run *first*, so no
 worker pays an import on its first job.
@@ -89,9 +97,15 @@ def run_python(tmp_path, *args):
 
 
 def run_cli(tmp_path, *argv):
-    """Run one command in a child; return ``(stdout, set of loaded modules)``."""
+    """Run one command in a child; return ``(stdout, set of loaded modules)``.
+
+    The child starts with ``-S`` (no ``site``), so its ``sys.modules`` is the
+    interpreter core plus exactly what the command imported.  ``run_script``
+    keeps ``site``: its tests look only at ``repro.*`` modules and at
+    ``multiprocessing``, not at the whole start-up closure.
+    """
     dump = tmp_path / "modules.txt"
-    out = run_python(tmp_path, "-c", _SHIM, str(dump), *argv)
+    out = run_python(tmp_path, "-S", "-c", _SHIM, str(dump), *argv)
     return out, set(dump.read_text().split())
 
 
