@@ -1,9 +1,9 @@
-"""Setuptools shim.
+"""Project metadata and installation.
 
-The canonical project metadata lives in ``pyproject.toml``; this file exists
-so the package can be installed in editable mode on offline machines that
-lack the ``wheel`` package required by the PEP 517 editable-install path
-(``pip install -e . --no-use-pep517``).
+This file is the project's only packaging metadata (there is no
+``pyproject.toml``).  Plain setuptools keeps editable installs working on
+offline machines that lack the ``wheel`` package required by the PEP 517
+editable-install path (``pip install -e . --no-use-pep517``).
 """
 
 import re

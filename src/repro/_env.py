@@ -4,7 +4,7 @@ Ambient ``os.environ`` access is a determinism and fork-safety hazard: a
 read makes behaviour depend on invisible state, and an unscoped write from
 a library call leaks into every later computation (and into forked
 children) long after the caller returned.  This module is the single
-choke point — the ``ENV001`` lint rule (:mod:`repro.devtools`) flags
+choke point — the ``ENV001`` source rule (``tests/source_rules.py``) flags
 direct ``os.environ`` use everywhere else in the package — with three
 deliberate access shapes:
 

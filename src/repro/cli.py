@@ -44,13 +44,6 @@ Three subcommands cover the common workflows without writing any Python:
         python -m repro.cli cache stats
         python -m repro.cli cache prune
 
-``lint``
-    Run the determinism/hot-path/fork-safety static analyzer
-    (:mod:`repro.devtools`) over the package (or given paths)::
-
-        python -m repro.cli lint
-        python -m repro.cli lint src/repro --format json
-
 ``trace-report``
     Render one recorded span tree (``REPRO_TRACE=on``) as a text + SVG
     waterfall with critical path, slow-span table, and simulation-time
@@ -305,22 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the span tree and telemetry as JSON to stdout "
         "instead of writing report files",
     )
-
-    lint = subparsers.add_parser(
-        "lint",
-        help="run the determinism/hot-path static analyzer (see repro.devtools)",
-    )
-    lint.add_argument(
-        "paths", nargs="*", help="files or directories (default: the repro package)"
-    )
-    lint.add_argument("--format", choices=["human", "json"], default="human")
-    lint.add_argument("--baseline", default=None, help="baseline file of grandfathered findings")
-    lint.add_argument(
-        "--write-baseline", action="store_true", help="record current findings as the baseline"
-    )
-    lint.add_argument("--select", default=None, help="comma-separated rule IDs/families to run")
-    lint.add_argument("--ignore", default=None, help="comma-separated rule IDs/families to skip")
-    lint.add_argument("--list-rules", action="store_true", help="print the rule catalog")
 
     return parser
 
@@ -675,24 +652,6 @@ def _command_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_lint(args: argparse.Namespace) -> int:
-    from repro.devtools import lint as lint_module
-
-    forwarded: List[str] = list(args.paths)
-    forwarded += ["--format", args.format]
-    if args.baseline is not None:
-        forwarded += ["--baseline", args.baseline]
-    if args.write_baseline:
-        forwarded.append("--write-baseline")
-    if args.select is not None:
-        forwarded += ["--select", args.select]
-    if args.ignore is not None:
-        forwarded += ["--ignore", args.ignore]
-    if args.list_rules:
-        forwarded.append("--list-rules")
-    return lint_module.main(forwarded)
-
-
 def _command_trace_report(args: argparse.Namespace) -> int:
     from repro.analysis import trace_report
 
@@ -730,7 +689,6 @@ _COMMANDS = {
     "serve": _command_serve,
     "submit": _command_submit,
     "cache": _command_cache,
-    "lint": _command_lint,
     "trace-report": _command_trace_report,
 }
 

@@ -31,7 +31,7 @@ All metric names are ``repro_<subsystem>_<noun>[_<unit>]`` in
 * counters end in ``_total`` and only ever go up;
 * anything holding a duration ends in ``_seconds`` (histograms observe
   :func:`time.perf_counter` intervals — never wall-clock deltas, which is
-  rule ``OBS001`` in :mod:`repro.devtools`);
+  source rule ``OBS001`` in ``tests/source_rules.py``);
 * gauges carry no unit suffix and report a current level (``
   repro_serve_inflight``), refreshed by a *collector* at scrape time;
 * bounded enumerations ride in labels (``verb=``, ``outcome=``,

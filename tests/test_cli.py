@@ -26,7 +26,7 @@ class TestParser:
             main(["--help"])
         assert capsys.readouterr().out.startswith("usage: repro [-h] [--version]")
         for command in ("simulate", "trace", "experiment", "convert", "serve", "submit",
-                        "cache", "trace-report", "lint"):
+                        "cache", "trace-report"):
             with pytest.raises(SystemExit):
                 main([command, "--help"])
             assert capsys.readouterr().out.startswith(f"usage: repro {command} [-h]")

@@ -1,12 +1,11 @@
-"""Tests for the repro.devtools static analyzer.
+"""Tests for the source rules of ``tests/source_rules.py``.
 
 Golden fixture snippets per rule ID (one violating + one clean each),
-suppression and baseline round-trips, CLI exit codes, and the meta-test
-that certifies the shipped package lints clean with an empty baseline.
+suppressions, the catalog, the meta-test that certifies the package has no
+finding, and the censuses of knobs, modules, documented paths and imports.
 """
 
 import ast
-import json
 import re
 import textwrap
 from pathlib import Path
@@ -14,19 +13,22 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.devtools import baseline as baseline_mod
-from repro.devtools import dataflow
-from repro.devtools import lint as lint_mod
-from repro.devtools.rules import RULES
-from repro.devtools.walker import discover_files, lint_file, lint_source
+from tests import source_rules
+from tests.source_rules import (
+    RULES,
+    dotted_name,
+    import_bindings,
+    lint_file,
+    lint_source,
+    python_files,
+)
 
 PACKAGE_DIR = Path(repro.__file__).parent
 
 
 def rules_at(source, path="pkg/module.py"):
     """Lint dedented ``source``; return the list of (rule, line) pairs."""
-    report = lint_source(textwrap.dedent(source), path)
-    return [(f.rule, f.line) for f in report.findings]
+    return [(f.rule, f.line) for f in lint_source(textwrap.dedent(source), path)]
 
 
 def rule_ids(source, path="pkg/module.py"):
@@ -77,17 +79,6 @@ class TestDET001:
                 rng = random.Random(seed)
                 return rng.random()
             """
-        ) == []
-
-    def test_not_flagged_outside_result_modules(self):
-        assert rule_ids(
-            """
-            import random
-
-            def jitter():
-                return random.random()
-            """,
-            path="pkg/devtools/helper.py",
         ) == []
 
 
@@ -693,7 +684,7 @@ class TestHOT004:
 
 
 # --------------------------------------------------------------------------- #
-# EXC / SUP / SYN
+# EXC / ROB / SUP
 # --------------------------------------------------------------------------- #
 class TestEXC001:
     def test_broad_except(self):
@@ -807,10 +798,9 @@ class TestOBS001:
 
             def measure(start):
                 return time.time() - start
-            """,
-            path="pkg/devtools/helper.py",  # outside DET002's scope
+            """
         )
-        assert findings == [("OBS001", 5)]
+        assert findings == [("DET002", 5), ("OBS001", 5)]
 
     def test_named_wall_clock_start(self):
         assert rule_ids(
@@ -821,20 +811,18 @@ class TestOBS001:
                 start = time.time()
                 work()
                 return time.time() - start
-            """,
-            path="pkg/devtools/helper.py",
-        ) == ["OBS001"]
+            """
+        ) == ["DET002", "DET002", "OBS001"]
 
     def test_time_ns_variant(self):
-        assert "OBS001" in rule_ids(
+        assert rule_ids(
             """
             from time import time_ns
 
             def measure(start):
                 return time_ns() - start
-            """,
-            path="pkg/devtools/helper.py",
-        )
+            """
+        ) == ["DET002", "OBS001"]
 
     def test_fires_alongside_det002_in_result_modules(self):
         ids = rule_ids(
@@ -859,8 +847,7 @@ class TestOBS001:
                 start = time.perf_counter()
                 work()
                 return time.perf_counter() - start
-            """,
-            path="pkg/devtools/helper.py",
+            """
         ) == ["OBS002"]
 
     def test_plain_subtraction_not_flagged(self):
@@ -868,8 +855,7 @@ class TestOBS001:
             """
             def delta(a, b):
                 return a - b
-            """,
-            path="pkg/devtools/helper.py",
+            """
         ) == []
 
 
@@ -883,14 +869,13 @@ class TestOBS002:
                 start = time.perf_counter()
                 work()
                 return time.perf_counter() - start
-            """,
-            path="pkg/devtools/helper.py",
+            """
         )
         # Anchored on the assignment line so one ignore covers the pair.
         assert findings == [("OBS002", 5)]
 
     def test_from_import_alias(self):
-        assert "OBS002" in rule_ids(
+        assert rule_ids(
             """
             from time import perf_counter as clock
 
@@ -898,9 +883,8 @@ class TestOBS002:
                 t0 = clock()
                 work()
                 return clock() - t0
-            """,
-            path="pkg/devtools/helper.py",
-        )
+            """
+        ) == ["OBS002"]
 
     def test_obs_package_exempt(self):
         source = """
@@ -926,8 +910,7 @@ class TestOBS002:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         return
-            """,
-            path="pkg/devtools/helper.py",
+            """
         ) == []
 
     def test_read_without_delta_not_flagged(self):
@@ -938,8 +921,7 @@ class TestOBS002:
             def stamp(record):
                 record["at"] = time.perf_counter()
                 return record
-            """,
-            path="pkg/devtools/helper.py",
+            """
         ) == []
 
     def test_justified_ignore_suppresses(self):
@@ -951,8 +933,7 @@ class TestOBS002:
                 start = time.perf_counter()  # repro: ignore[OBS002] -- user-facing rate display
                 work()
                 return n / (time.perf_counter() - start)
-            """,
-            path="pkg/devtools/helper.py",
+            """
         ) == []
 
 
@@ -968,12 +949,6 @@ class TestSuppressions:
     def test_justified_suppression_silences(self):
         source = self.BROAD.format(
             comment="  # repro: ignore[EXC001] -- sandboxed plugin boundary"
-        )
-        assert rule_ids(source) == []
-
-    def test_family_token_works(self):
-        source = self.BROAD.format(
-            comment="  # repro: ignore[EXC] -- sandboxed plugin boundary"
         )
         assert rule_ids(source) == []
 
@@ -996,132 +971,41 @@ class TestSuppressions:
         )
         assert ids == ["SUP002"]
 
-    def test_syntax_error_is_syn001(self):
-        assert rule_ids("def broken(:\n") == ["SYN001"]
+    def test_syntax_error_raises(self):
+        with pytest.raises(SyntaxError):
+            lint_source("def broken(:\n", "pkg/module.py")
+
+
+class TestCatalog:
+    def test_catalog_names_exactly_the_rules(self):
+        # The module docstring is the one catalog: a rule without an entry,
+        # or an entry without a rule, fails here.
+        catalog = set(re.findall(r"\b[A-Z]{3}\d{3}\b", source_rules.__doc__))
+        assert sorted(catalog) == sorted(RULES)
 
 
 # --------------------------------------------------------------------------- #
-# Baseline round-trip
-# --------------------------------------------------------------------------- #
-class TestBaseline:
-    BAD = textwrap.dedent(
-        """
-        import numpy
-        """
-    )
-
-    def test_round_trip(self, tmp_path, capsys):
-        module = tmp_path / "mod.py"
-        module.write_text(self.BAD)
-        baseline = tmp_path / "baseline.json"
-
-        assert lint_mod.main([str(module)]) == 1
-        assert (
-            lint_mod.main([str(module), "--baseline", str(baseline), "--write-baseline"])
-            == 0
-        )
-        capsys.readouterr()
-        assert lint_mod.main([str(module), "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "baselined" in out
-
-    def test_new_finding_not_masked(self, tmp_path, capsys):
-        module = tmp_path / "mod.py"
-        module.write_text(self.BAD)
-        baseline = tmp_path / "baseline.json"
-        lint_mod.main([str(module), "--baseline", str(baseline), "--write-baseline"])
-        module.write_text(self.BAD + "import scipy\n")
-        capsys.readouterr()
-        assert lint_mod.main([str(module), "--baseline", str(baseline)]) == 1
-        out = capsys.readouterr().out
-        assert "scipy" in out and "numpy" not in out
-
-    def test_edited_line_resurfaces(self, tmp_path):
-        module = tmp_path / "mod.py"
-        module.write_text(self.BAD)
-        baseline = tmp_path / "baseline.json"
-        lint_mod.main([str(module), "--baseline", str(baseline), "--write-baseline"])
-        module.write_text("\nimport numpy as np\n")
-        assert lint_mod.main([str(module), "--baseline", str(baseline)]) == 1
-
-    def test_unused_entries_reported(self, tmp_path, capsys):
-        module = tmp_path / "mod.py"
-        module.write_text(self.BAD)
-        baseline = tmp_path / "baseline.json"
-        lint_mod.main([str(module), "--baseline", str(baseline), "--write-baseline"])
-        module.write_text("import json\n")
-        capsys.readouterr()
-        assert lint_mod.main([str(module), "--baseline", str(baseline)]) == 0
-        err = capsys.readouterr().err
-        assert "unused baseline entry" in err
-
-    def test_corrupt_baseline_is_usage_error(self, tmp_path, capsys):
-        module = tmp_path / "mod.py"
-        module.write_text("import json\n")
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text("not json")
-        assert lint_mod.main([str(module), "--baseline", str(baseline)]) == 2
-
-
-# --------------------------------------------------------------------------- #
-# CLI behaviour
-# --------------------------------------------------------------------------- #
-class TestCLI:
-    def test_clean_file_exits_zero(self, tmp_path):
-        module = tmp_path / "ok.py"
-        module.write_text("import json\n")
-        assert lint_mod.main([str(module)]) == 0
-
-    def test_missing_path_is_usage_error(self, tmp_path, capsys):
-        assert lint_mod.main([str(tmp_path / "absent.py")]) == 2
-
-    def test_unknown_select_is_usage_error(self, tmp_path, capsys):
-        module = tmp_path / "ok.py"
-        module.write_text("import json\n")
-        assert lint_mod.main([str(module), "--select", "BOGUS"]) == 2
-
-    def test_select_limits_rules(self, tmp_path):
-        module = tmp_path / "mod.py"
-        module.write_text("import numpy\nimport os\nx = os.environ.get('A')\n")
-        assert lint_mod.main([str(module), "--select", "ENV001"]) == 1
-        assert lint_mod.main([str(module), "--select", "DET"]) == 0
-
-    def test_json_output_shape(self, tmp_path, capsys):
-        module = tmp_path / "mod.py"
-        module.write_text("import numpy\n")
-        assert lint_mod.main([str(module), "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["counts"] == {"IMP001": 1}
-        assert payload["findings"][0]["rule"] == "IMP001"
-        assert payload["findings"][0]["line"] == 1
-
-    def test_repro_cli_subcommand(self, capsys):
-        from repro.cli import main as cli_main
-
-        assert cli_main(["lint", str(PACKAGE_DIR)]) == 0
-        assert "0 finding(s)" in capsys.readouterr().out
-
-    def test_every_rule_has_catalog_metadata(self):
-        for rule_id, rule in RULES.items():
-            assert rule.title and rule.rationale, rule_id
-            assert rule_id.startswith(rule.family)
-
-
-# --------------------------------------------------------------------------- #
-# Meta: the shipped package is clean, and injections are caught
+# Meta: the package is clean, and injections are caught
 # --------------------------------------------------------------------------- #
 class TestPackageIsClean:
     def test_package_lints_clean(self):
-        findings = []
-        for path in discover_files([PACKAGE_DIR]):
-            findings.extend(lint_file(path).findings)
-        assert findings == [], "\n".join(f.format_human() for f in findings)
+        findings = [f for path in python_files(PACKAGE_DIR) for f in lint_file(path)]
+        assert findings == [], "\n".join(map(str, findings))
 
-    def test_shipped_baseline_is_empty(self):
-        baseline_path = Path(__file__).resolve().parent.parent / "lint-baseline.json"
-        if not baseline_path.exists():
-            pytest.skip("no committed baseline (installed-package run)")
-        assert baseline_mod.load(baseline_path) == {}
+    def test_no_dataclasses_outside_serve(self):
+        # Every class a simulating command defines is a plain class or a
+        # NamedTuple: ``dataclasses`` (and the ``inspect`` it drags in) is
+        # for ``serve/``, which no replay imports.
+        offenders = [
+            str(path.relative_to(PACKAGE_DIR))
+            for path in python_files(PACKAGE_DIR)
+            if path.relative_to(PACKAGE_DIR).parts[0] != "serve"
+            and any(
+                origin.split(".")[0] == "dataclasses"
+                for origin in import_bindings(ast.parse(path.read_text())).values()
+            )
+        ]
+        assert offenders == []
 
     def test_env_knobs_in_source_are_exactly_those_in_readme(self):
         # Knob inventory: removing (or adding) a REPRO_* variable under
@@ -1131,7 +1015,7 @@ class TestPackageIsClean:
             pytest.skip("no README (installed-package run)")
         knob = re.compile(r"REPRO_[A-Z_]+")
         in_source = set()
-        for path in discover_files([PACKAGE_DIR]):
+        for path in python_files(PACKAGE_DIR):
             in_source.update(knob.findall(Path(path).read_text()))
         assert in_source == set(knob.findall(readme.read_text()))
         assert len(in_source) == 6
@@ -1149,7 +1033,7 @@ class TestPackageIsClean:
         def dotted(path):
             return ".".join(path.relative_to(PACKAGE_DIR.parent).with_suffix("").parts)
 
-        package_files = discover_files([PACKAGE_DIR])
+        package_files = python_files(PACKAGE_DIR)
         modules = {dotted(path) for path in package_files if path.name != "__init__.py"}
         lazy_owner = {}
         for path in package_files:
@@ -1157,16 +1041,16 @@ class TestPackageIsClean:
                 continue
             package = dotted(path.parent)
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call) and dataflow.dotted_name(node.func) == "lazy_exports":
+                if isinstance(node, ast.Call) and dotted_name(node.func) == "lazy_exports":
                     for submodule, names in ast.literal_eval(node.args[1]).items():
                         for name in names:
                             lazy_owner[f"{package}.{name}"] = f"{package}.{submodule}"
 
         imported = set()
-        for path in discover_files([PACKAGE_DIR, repo / "benchmarks", repo / "examples"]):
+        for path in python_files(PACKAGE_DIR, repo / "benchmarks", repo / "examples"):
             importer = dotted(path) if PACKAGE_DIR in path.parents else None
             tree = ast.parse(path.read_text())
-            origins = set(dataflow.ImportMap(tree).bound.values())
+            origins = set(import_bindings(tree).values())
             # ``import repro.simulation.engine`` binds only ``repro``.
             origins.update(
                 alias.name
@@ -1209,7 +1093,7 @@ class TestPackageIsClean:
         }
         texts = {"README.md": (repo / "README.md").read_text()}
         documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
-        for path in discover_files([PACKAGE_DIR]):
+        for path in python_files(PACKAGE_DIR):
             docstrings = (
                 ast.get_docstring(node, clean=False)
                 for node in ast.walk(ast.parse(path.read_text()))
@@ -1228,11 +1112,11 @@ class TestPackageIsClean:
     def test_injected_unseeded_random_is_caught(self):
         source = (PACKAGE_DIR / "core" / "sms.py").read_text()
         source += "\n\ndef _jitter():\n    import random\n    return random.random()\n"
-        report = lint_source(source, "src/repro/core/sms.py")
-        assert [f.rule for f in report.findings] == ["DET001"]
-        assert report.findings[0].line == len(source.splitlines())
+        findings = lint_source(source, "src/repro/core/sms.py")
+        assert [f.rule for f in findings] == ["DET001"]
+        assert findings[0].line == len(source.splitlines())
 
     def test_injected_numpy_import_is_caught(self):
         source = "import numpy\n" + (PACKAGE_DIR / "trace" / "stream.py").read_text()
-        report = lint_source(source, "src/repro/trace/stream.py")
-        assert [(f.rule, f.line) for f in report.findings] == [("IMP001", 1)]
+        findings = lint_source(source, "src/repro/trace/stream.py")
+        assert [(f.rule, f.line) for f in findings] == [("IMP001", 1)]

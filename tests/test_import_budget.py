@@ -59,8 +59,8 @@ sys.exit(code)
 DEFINITION_MODULES = ("dataclasses", "inspect", "tempfile")
 
 #: What no simulating command pays either: every class the simulator defines
-#: is a plain class or a ``NamedTuple`` (``dataclasses`` is for ``devtools/``
-#: and ``serve/``).
+#: is a plain class or a ``NamedTuple`` (``dataclasses`` is for ``serve/``
+#: alone, which ``test_no_dataclasses_outside_serve`` enforces).
 DATACLASS_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 #: What a simulation job touches; a forking parent must hold all of it.
