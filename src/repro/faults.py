@@ -52,7 +52,8 @@ Fault kinds
     (``torn``) or corrupts one byte (``flip``, param ``offset``).
 
 Sites wired in this package: ``sweep.point`` (per sweep-task execution,
-parent or sweep worker), ``pool.worker`` (per job in a serve pool worker),
+parent or sweep worker), ``pool.worker`` (per task in a pool worker: a serve
+job, or a point of a parallel sweep),
 ``cache.put`` (sweep result cache writes), ``client.send`` (serve client
 requests).
 """

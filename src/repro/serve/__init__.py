@@ -6,8 +6,9 @@ a long-lived, stdlib-only service:
 * :mod:`repro.serve.server` — asyncio ndjson front-end (TCP or Unix
   socket) with request coalescing, a result-cache fast path, and bounded
   in-flight depth with ``busy`` backpressure;
-* :mod:`repro.serve.pool` — persistent forked worker pool with warm
-  trace/result caches;
+* :mod:`repro.serve.pool` — the package's one forked worker pool: resident
+  here, with warm trace/result caches, and short-lived under a parallel
+  :class:`~repro.simulation.sweep.SweepRunner`;
 * :mod:`repro.serve.jobs` — verb registry; job identity is the same
   content-addressed key the on-disk sweep cache uses, so the service and
   ``repro.cli experiment`` share cache entries;

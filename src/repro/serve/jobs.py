@@ -3,8 +3,9 @@
 Every servable job resolves to an importable module-level function plus
 positional/keyword arguments, for two reasons:
 
-* workers receive plain parameter dicts over their pipes and rebuild the
-  callable locally — no code or closures cross the process boundary; and
+* the pool sends the resolved :class:`~repro.simulation.sweep.SweepTask`
+  to a worker, and pickle carries the function by its importable name — no
+  code or closures cross the process boundary; and
 * the job's cache digest is computed by
   :meth:`~repro.simulation.result_cache.SweepResultCache.fingerprint` from
   exactly that (function identity, args, kwargs) triple.
@@ -20,9 +21,8 @@ digest parity.
 
 from __future__ import annotations
 
-import dataclasses
 from enum import Enum
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
 from repro._lazy import preload_simulation
 from repro.analysis.coverage import coverage_from_result
@@ -45,6 +45,7 @@ from repro.prefetch.registry import PREFETCHER_CHOICES
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.result_cache import SweepResultCache
+from repro.simulation.sweep import SweepTask
 from repro.simulation.timing import TimingModel
 from repro.trace.binary import LaneTrace
 from repro.workloads.suite import APPLICATION_NAMES, make_workload
@@ -106,8 +107,7 @@ def run_simulate(
 # --------------------------------------------------------------------------- #
 # The sweep/experiment figure registries
 # --------------------------------------------------------------------------- #
-@dataclasses.dataclass(frozen=True)
-class SweepFigure:
+class SweepFigure(NamedTuple):
     """One figure's per-item sweep entry: function, item domain, defaults."""
 
     fn: Callable[..., Any]
@@ -307,21 +307,9 @@ def normalize(request: Mapping[str, Any]) -> Dict[str, Any]:
 # --------------------------------------------------------------------------- #
 # Executable jobs
 # --------------------------------------------------------------------------- #
-@dataclasses.dataclass(frozen=True)
-class Job:
-    """A resolved job: ``fn(*args, **kwargs)`` plus its originating spec."""
-
-    verb: str
-    fn: Callable[..., Any]
-    args: Tuple
-    kwargs: Dict[str, Any]
-
-    def execute(self) -> Any:
-        return self.fn(*self.args, **dict(self.kwargs))
-
-
-def job_for(spec: Mapping[str, Any]) -> Job:
-    """Resolve a normalized pool-verb spec into an executable :class:`Job`.
+def job_for(spec: Mapping[str, Any]) -> SweepTask:
+    """Resolve a normalized pool-verb spec into the task the pool runs,
+    keyed by its verb.
 
     ``status``/``cache_stats`` are answered by the server itself and have
     no job; requesting one here is a programming error.
@@ -329,16 +317,16 @@ def job_for(spec: Mapping[str, Any]) -> Job:
     verb = spec["verb"]
     if verb == "simulate":
         kwargs = {key: spec[key] for key in ("prefetcher", "cpus", "accesses_per_cpu", "seed")}
-        return Job(verb, run_simulate, (spec["workload"],), kwargs)
+        return SweepTask(verb, run_simulate, (spec["workload"],), kwargs)
     if verb == "sweep":
         entry = SWEEP_FIGURES[spec["figure"]]
         kwargs = dict(entry.defaults())
         kwargs["scale"] = spec["scale"]
         kwargs["num_cpus"] = spec["num_cpus"]
-        return Job(verb, entry.fn, (spec["item"],), kwargs)
+        return SweepTask(verb, entry.fn, (spec["item"],), kwargs)
     if verb == "experiment":
         kwargs = {"scale": spec["scale"], "num_cpus": spec["num_cpus"]}
-        return Job(verb, EXPERIMENT_FIGURES[spec["figure"]], (), kwargs)
+        return SweepTask(verb, EXPERIMENT_FIGURES[spec["figure"]], (), kwargs)
     raise ValueError(f"verb {verb!r} does not dispatch to the worker pool")
 
 
@@ -372,10 +360,10 @@ _JSON_SCALARS = (str, int, float, bool, type(None))
 def jsonify(value: Any) -> Any:
     """Convert a raw job result into JSON-able data, deterministically.
 
-    Handles the experiment result types: dataclasses, named tuples and
-    slotted result objects (as field dicts), dicts with non-string keys (int
-    sizes, (scheme, size) tuples — stringified), enums (their values), and
-    nested containers.
+    Handles the experiment result types: named tuples and slotted result
+    objects (as field dicts), dicts with non-string keys (int sizes,
+    (scheme, size) tuples — stringified), enums (their values), and nested
+    containers.
     :class:`ResultTable` adds its rendered ``text`` so experiment replies can
     be compared byte-for-byte against the direct CLI output.
     """
@@ -393,16 +381,11 @@ def jsonify(value: Any) -> Any:
         }
     if isinstance(value, Enum):
         return jsonify(value.value)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            field.name: jsonify(getattr(value, field.name))
-            for field in dataclasses.fields(value)
-        }
     if isinstance(value, dict):
         return {_key_str(key): jsonify(item) for key, item in value.items()}
     if isinstance(value, tuple) and hasattr(value, "_asdict"):
-        # A NamedTuple result (CoverageReport) goes out by field
-        # name, as the dataclass it replaced did, not as a positional list.
+        # A NamedTuple result (CoverageReport) goes out by field name, not
+        # as a positional list.
         return jsonify(value._asdict())
     if isinstance(value, (list, tuple)):
         return [jsonify(item) for item in value]
@@ -411,7 +394,7 @@ def jsonify(value: Any) -> Any:
     fields = getattr(type(value), "__slots__", ())
     if fields:
         # A slotted result object (DensityHistogram, ExecutionBreakdown): its
-        # slots are its fields, sent by name as the dataclass it replaced was.
+        # slots are its fields, sent by name.
         return {name: jsonify(getattr(value, name)) for name in fields}
     raise TypeError(f"result of type {type(value).__name__} is not JSON-able")
 

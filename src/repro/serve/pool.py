@@ -1,38 +1,36 @@
-"""Persistent multiprocess worker pool with warm per-worker state.
+"""The package's one process pool, shared by parallel sweeps and the service.
 
-Workers are forked once when the pool starts and stay resident between
-requests, so everything a cold ``repro.cli`` invocation pays for on every
-run is paid once per worker:
+Workers are forked when the pool starts and stay resident until it shuts
+down.  ``repro.cli serve`` keeps one pool for its whole life, so what a cold
+``repro.cli`` invocation pays on every run is paid once per worker: the
+imported package, warmed ``lru_cache`` state (above all
+:func:`repro.experiments.common._cached_trace`, recent traces as lanes), the
+ambient :class:`~repro.simulation.result_cache.SweepResultCache` and the
+``.strc`` trace cache.  A parallel :class:`~repro.simulation.sweep.SweepRunner`
+starts a short-lived pool for the pending points of one sweep.
 
-* the imported package and its warmed ``lru_cache`` state — most
-  importantly :func:`repro.experiments.common._cached_trace`, which keeps
-  recently-used experiment traces resident as lanes;
-* the on-disk :class:`~repro.simulation.result_cache.SweepResultCache`
-  (installed as the worker's ambient default, so figure runners memoize
-  their per-item results) and the ``.strc`` trace cache.
-
-Each worker is paired with the parent over its own duplex
-:func:`multiprocessing.Pipe`.  A shared queue is deliberately avoided: a
-worker killed while holding a shared queue's feeder lock wedges every
-sibling, whereas a broken pipe is detected by exactly one
-:meth:`WorkerPool.execute` call, which respawns that worker and reports
-the loss to its caller alone.
-
-:meth:`WorkerPool.execute` is thread-safe and blocking — the asyncio
-front-end calls it from executor threads — and jobs queue implicitly:
-a call blocks until a worker is idle.
+The unit of work is a :class:`~repro.simulation.sweep.SweepTask`.  A worker
+that dies mid-task, or misses its deadline and is killed, is respawned and
+its caller gets a 503 / 504 :class:`ProtocolError`; what follows is the
+caller's policy (the sweep runs the point in the parent, the server retries
+and quarantines).  Each worker has its own duplex :func:`multiprocessing.Pipe`
+rather than a shared queue: a worker killed while holding a shared queue's
+feeder lock wedges every sibling, whereas a broken pipe is seen by exactly
+one caller.  :meth:`WorkerPool.run` is thread-safe and blocking (both owners
+call it from their own threads); a call waits until a worker is idle.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import queue
 import signal
 import threading
-from dataclasses import dataclass
+import time
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple
 
 from repro import _env, faults, obs
 from repro.obs import trace
@@ -44,10 +42,15 @@ from repro.serve.protocol import (
     ProtocolError,
 )
 from repro.simulation.census import absorb_engine_path_counts, engine_path_counts
+from repro.simulation.sweep import SweepTask
+
+#: What pickling an object that cannot cross a pipe raises (a lambda, a
+#: closure, a lock).  It happens before the first byte is written, so the
+#: pipe stays usable.
+UNPICKLABLE = (pickle.PicklingError, TypeError, AttributeError)
 
 
-@dataclass(frozen=True)
-class WorkerSettings:
+class WorkerSettings(NamedTuple):
     """Picklable worker configuration (survives spawn as well as fork)."""
 
     cache_dir: Optional[str] = None
@@ -59,24 +62,22 @@ class WorkerSettings:
 
 
 def _worker_main(conn, index: int, settings: WorkerSettings) -> None:
-    """Worker loop: receive a normalized spec, execute, send
-    ``(ok, payload, engine_runs)`` — the job's engine-path census rides
-    along because this process's metrics registry is invisible to the server.
+    """Worker loop: receive ``(task, trace context)``, execute, send
+    ``(ok, result or exception, engine_runs)`` — the task's engine-path
+    census rides along because this process's metrics registry is
+    invisible to the parent.  Runs until the ``None`` sentinel or EOF.
 
-    Runs until the shutdown sentinel (``None``) or EOF on the pipe.  SIGINT
-    is ignored — a Ctrl-C in the foreground server delivers SIGINT to the
-    whole process group, and shutdown must stay coordinated by the parent
-    so results in flight are not lost.  SIGTERM is reset to its default:
-    the fork may have inherited the server's asyncio signal handler (or a
-    sweep's raising handler), and :meth:`WorkerPool.shutdown` must be able
-    to terminate a wedged worker with a plain SIGTERM.
+    SIGINT is ignored: a Ctrl-C reaches the whole process group, and
+    shutdown stays coordinated by the parent.  SIGTERM is reset to its
+    default — the fork may have inherited the server's asyncio handler or a
+    sweep's raising one — so :meth:`WorkerPool.shutdown` can terminate a
+    wedged worker.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
     from repro._env import export as export_env
     from repro.experiments.common import set_trace_cache
-    from repro.serve import jobs
     from repro.simulation.result_cache import (
         CACHE_DIR_ENV,
         SweepResultCache,
@@ -103,30 +104,26 @@ def _worker_main(conn, index: int, settings: WorkerSettings) -> None:
             break
         if message is None:
             break
-        # Per-request trace context rides the job message (workers fork
-        # once, so the environment cannot carry per-request ids); popped
-        # before execution so the spec stays exactly what was normalized.
-        trace_ctx = trace.SpanContext.from_dict(message.pop(TRACE_FIELD, None))
+        # The per-request trace context rides beside the task (workers fork
+        # once, so the environment cannot carry per-request ids).
+        task, trace_fields = message
         engine_before = engine_path_counts()
         try:
             faults.fire("pool.worker")
-            with trace.activate(trace_ctx):
+            with trace.activate(trace.SpanContext.from_dict(trace_fields)):
                 with trace.span(
-                    "worker.execute",
-                    {"verb": message.get("verb"), "worker": index},
-                    root=False,
+                    "worker.execute", {"key": str(task.key), "worker": index}, root=False,
                 ):
-                    result = jobs.execute_spec(message)
-            ok, payload = True, result
-        except Exception as exc:  # repro: ignore[EXC001] -- any job failure is reported to the caller; the warm worker must survive it
-            ok, payload = False, f"{type(exc).__name__}: {exc}"
+                    ok, value = True, task.execute()
+        except Exception as exc:  # repro: ignore[EXC001] -- returned to the caller, whose policy handles it; the worker must survive it
+            ok, value = False, exc
         engine_runs = engine_path_counts(since=engine_before)
         try:
-            conn.send((ok, payload, engine_runs))
-        except (OSError, ValueError, TypeError) as exc:
+            conn.send((ok, value, engine_runs))
+        except (OSError, ValueError, *UNPICKLABLE) as exc:
             # Unpicklable result or a vanished parent; report what we can.
             try:
-                conn.send((False, f"could not return result: {exc}", engine_runs))
+                conn.send((False, RuntimeError(f"could not return result: {exc}"), engine_runs))
             except OSError:
                 break
     remove_temp_files(pids={os.getpid()})  # this worker's own staging files, on clean exit
@@ -165,7 +162,9 @@ class WorkerPool:
             "fork" if "fork" in methods else None
         )
         self._handles: Dict[int, _WorkerHandle] = {}
-        self._idle: "queue.Queue[_WorkerHandle]" = queue.Queue()
+        self._idle: "queue.Queue[Optional[_WorkerHandle]]" = queue.Queue()
+        #: Guards the counters, and orders respawns against shutdown so a
+        #: worker is never forked after the pool has stopped its siblings.
         self._lock = threading.Lock()
         self._started = False
         self._closed = False
@@ -192,11 +191,13 @@ class WorkerPool:
         return self
 
     def _spawn(self, index: int) -> None:
+        """Start worker ``index`` and park it on the idle queue — the
+        package's one place that starts a worker process."""
         parent_conn, child_conn = self._context.Pipe(duplex=True)
         process = self._context.Process(
             target=_worker_main,
             args=(child_conn, index, self.settings),
-            name=f"repro-serve-worker-{index}",
+            name=f"repro-worker-{index}",
             daemon=True,
         )
         process.start()
@@ -206,25 +207,28 @@ class WorkerPool:
         self._idle.put(handle)
 
     # ------------------------------------------------------------------ #
-    def execute(
+    def run(
         self,
-        spec: Mapping[str, Any],
+        task: SweepTask,
         timeout: Optional[float] = None,
         task_timeout: Optional[float] = None,
-    ) -> Any:
-        """Run one normalized spec on an idle worker; blocks until done.
+        trace_context: Optional[Mapping[str, Any]] = None,
+    ) -> Tuple[bool, Any]:
+        """Run ``task`` on an idle worker; return ``(True, result)``, or
+        ``(False, exception)`` when the task raised.
 
-        Raises :class:`ProtocolError` with code 500 when the job raised,
-        503 when the worker process died mid-job, and 504 when
-        ``task_timeout`` (seconds) elapsed without a result — the hung
-        worker is killed.  In the 503/504 cases the worker is respawned
-        before the error is raised, so the pool never shrinks.
+        ``timeout`` bounds the wait for an idle worker (``queue.Empty``).
+        Raises :class:`ProtocolError` 503 when the worker died mid-task (or
+        the pool shut down under it) and 504 when ``task_timeout`` seconds
+        passed without a result; a lost worker is respawned first, so the
+        pool never shrinks.  A task that does not pickle raises the pickling
+        error, and its worker stays idle.
         """
         if not self._started or self._closed:
             raise RuntimeError("pool is not running")
         handle = self._checkout(timeout)
         try:
-            handle.conn.send(dict(spec))
+            handle.conn.send((task, trace_context))
             if task_timeout is not None and not handle.conn.poll(task_timeout):
                 # A wedged task never returns on its own; kill the worker
                 # (SIGTERM would suffice for a sleeping task, but a spinning
@@ -238,8 +242,16 @@ class WorkerPool:
                     f"worker {handle.index} missed the {task_timeout}s task "
                     "deadline (killed and respawned)",
                 )
-            ok, payload, engine_runs = handle.conn.recv()  # repro: ignore[ROB001] -- guarded by conn.poll(task_timeout) above; without a deadline, blocking is the contract
-        except (EOFError, OSError, BrokenPipeError) as exc:
+            ok, value, engine_runs = handle.conn.recv()  # repro: ignore[ROB001] -- guarded by conn.poll(task_timeout) above; without a deadline, blocking is the contract
+        except UNPICKLABLE:
+            # (Un)pickling happens off the wire, so the pipe is still in step.
+            self._idle.put(handle)
+            raise
+        except (EOFError, OSError) as exc:
+            if self._closed:
+                raise ProtocolError(
+                    WORKER_LOST, f"pool shut down while worker {handle.index} was executing"
+                ) from exc
             with self._lock:
                 self.crashes += 1
             self._replace(handle)
@@ -250,26 +262,46 @@ class WorkerPool:
         handle.jobs_done += 1
         self._idle.put(handle)
         absorb_engine_path_counts(engine_runs)
+        return ok, value
+
+    def execute(
+        self,
+        spec: Mapping[str, Any],
+        timeout: Optional[float] = None,
+        task_timeout: Optional[float] = None,
+    ) -> Any:
+        """The service's entry point: :meth:`run` the job of a normalized
+        spec (its ``trace`` field becomes the trace context); a job that
+        raised is a 500 :class:`ProtocolError`."""
+        from repro.serve import jobs
+
+        try:
+            task = jobs.job_for(spec)
+        except (KeyError, ValueError) as exc:  # a spec with no pool job
+            ok, value = False, exc
+        else:
+            ok, value = self.run(task, timeout, task_timeout, spec.get(TRACE_FIELD))
         with self._lock:
             if ok:
                 self.executed += 1
             else:
                 self.failures += 1
         if not ok:
-            raise ProtocolError(JOB_FAILED, str(payload))
-        return payload
+            raise ProtocolError(JOB_FAILED, f"{type(value).__name__}: {value}")
+        return value
 
     def _checkout(self, timeout: Optional[float]) -> _WorkerHandle:
         """Take an idle worker, health-checking it before dispatch.
 
-        A worker can die while idle (OOM kill, operator ``kill -9``); its
-        handle still sits in the idle queue.  Without this check the next
-        request would burn itself discovering the corpse (send succeeds
-        into the pipe buffer, recv raises EOF → a needless 503).  Dead
-        idle workers are respawned and the fresh worker is used instead.
+        A worker that died while idle (OOM kill, ``kill -9``) is respawned
+        here, instead of burning the next request on a needless 503.
         """
         while True:
             handle = self._idle.get(timeout=timeout)
+            if handle is None:
+                # Shutdown's wake-up call: pass it on to the next waiter.
+                self._idle.put(None)
+                raise RuntimeError("pool is not running")
             if handle.process.is_alive() and not handle.conn.closed:
                 # An idle worker's pipe should be silent; readable means
                 # EOF from a worker that died after is_alive() or stray
@@ -296,12 +328,14 @@ class WorkerPool:
         if handle.process.is_alive():  # pragma: no cover - terminate ignored
             handle.process.kill()
             handle.process.join(timeout=1.0)
-        if not self._closed:
+        with self._lock:
+            if self._closed:
+                return
             self._spawn(handle.index)
-            obs.counter(
-                "repro_serve_pool_respawns_total",
-                "Workers respawned after a crash, kill, or idle death.",
-            ).inc()
+        obs.counter(
+            "repro_serve_pool_respawns_total",
+            "Workers respawned after a crash, kill, or idle death.",
+        ).inc()
 
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, Any]:
@@ -326,29 +360,30 @@ class WorkerPool:
     def shutdown(self, timeout: float = 5.0) -> None:
         """Stop every worker and sweep temp cache files they may have left.
 
-        Idle workers exit on the sentinel; busy or wedged ones are
-        terminated (then killed) after ``timeout``.  Safe to call more than
-        once.
+        Idle workers exit on the sentinel.  Busy or wedged ones get until
+        ``timeout`` seconds from now — one deadline for the whole pool — and
+        are then terminated (then killed); their callers get a 503 saying
+        the pool shut down.  Safe to call more than once.
         """
-        if not self._started or self._closed:
+        with self._lock:
+            if self._closed or not self._started:
+                self._closed = True
+                return
             self._closed = True
-            return
-        self._closed = True
-        worker_pids = {
-            handle.process.pid
-            for handle in self._handles.values()
-            if handle.process.pid is not None
-        }
-        for handle in self._handles.values():
+            handles = list(self._handles.values())
+        for handle in handles:
             try:
                 handle.conn.send(None)
-            except (OSError, BrokenPipeError, ValueError):
+            except (OSError, ValueError):
                 pass
-        for handle in self._handles.values():
-            handle.process.join(timeout=timeout)
+        deadline = time.monotonic() + timeout
+        for handle in handles:
+            handle.process.join(timeout=max(0.0, deadline - time.monotonic()))
+        for handle in handles:
             if handle.process.is_alive():
                 handle.process.terminate()
-                handle.process.join(timeout=1.0)
+        for handle in handles:
+            handle.process.join(timeout=1.0)
             if handle.process.is_alive():  # pragma: no cover - last resort
                 handle.process.kill()
                 handle.process.join(timeout=1.0)
@@ -356,6 +391,7 @@ class WorkerPool:
                 handle.conn.close()
             except OSError:
                 pass
+        self._idle.put(None)  # wakes any caller still waiting for a worker
         # Killed workers cannot run their own cleanup; sweep both cache
         # directories for temp files those specific pids left behind
         # (atomic-write staging only — completed entries are never touched,
@@ -364,7 +400,7 @@ class WorkerPool:
 
         remove_temp_files(
             Path(self.settings.cache_dir) if self.settings.cache_dir else None,
-            pids=worker_pids | {os.getpid()},
+            pids={handle.process.pid for handle in handles} | {os.getpid()},
         )
 
     def __enter__(self) -> "WorkerPool":

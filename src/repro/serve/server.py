@@ -380,7 +380,7 @@ class SimulationServer:
         self, ctx: Optional[trace.SpanContext], spec: Dict[str, Any], attempt: int
     ) -> Any:
         """One blocking pool dispatch, wrapped in a ``serve.execute`` span
-        whose context rides to the worker on the job message."""
+        whose context rides to the worker beside the job's task."""
         with trace.span("serve.execute", {"verb": spec.get("verb"), "attempt": attempt},
                         parent=ctx, attach=False, root=False) as sp:
             if sp.recording:

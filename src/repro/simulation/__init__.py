@@ -9,7 +9,8 @@ execution-time breakdowns and speedups of Figures 12-13 using the Table-1
 machine parameters, and :mod:`repro.simulation.sampling` supplies the
 SMARTS-style paired-measurement confidence intervals.
 :class:`~repro.simulation.sweep.SweepRunner` fans experiment sweeps out over
-multiprocessing workers, memoizing completed task results through a
+the workers of a short-lived :class:`repro.serve.pool.WorkerPool`, memoizing
+completed task results through a
 :class:`~repro.simulation.result_cache.SweepResultCache`.
 """
 

@@ -13,6 +13,7 @@ metrics gateway.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Optional
 
 from repro import obs
@@ -20,6 +21,8 @@ from repro import obs
 #: ``lanes`` is the production loop; ``reference`` runs only for callers that
 #: pass ``lanes=False`` (the parity tests and the benchmark's probes).
 _tallies: Dict[str, int] = {"lanes": 0, "reference": 0}
+#: A parallel sweep's dispatch threads absorb their workers' runs at once.
+_tallies_lock = threading.Lock()
 
 
 def absorb_engine_path_counts(counts: Dict[str, int]) -> None:
@@ -29,7 +32,8 @@ def absorb_engine_path_counts(counts: Dict[str, int]) -> None:
     the runs their workers made."""
     for path, value in counts.items():
         if value > 0:
-            _tallies[path] += value
+            with _tallies_lock:
+                _tallies[path] += value
             obs.counter(
                 "repro_engine_runs_total",
                 "Engine runs by simulation path (lane loop vs reference loop).",

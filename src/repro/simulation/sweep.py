@@ -2,16 +2,18 @@
 
 Every figure of the paper is a *sweep*: the same per-item function (one
 application, one category, one block size, ...) evaluated over a list of
-items.  :class:`SweepRunner` fans such sweeps out over ``multiprocessing``
-workers while preserving item order, and degrades gracefully to serial
-execution when parallelism is unavailable (restricted containers, unpicklable
-tasks) or not requested.
+items.  :class:`SweepRunner` runs such sweeps serially, or fans them out
+over the workers of a short-lived :class:`repro.serve.pool.WorkerPool` —
+the package's one process pool, which the service keeps resident — while
+preserving item order.  It degrades gracefully to serial execution when
+parallelism is unavailable (restricted containers, unpicklable tasks) or
+not requested.
 
 Because each worker is a separate process, the per-item functions must be
 importable module-level callables with picklable arguments and results — the
 experiment runners in :mod:`repro.experiments` are written that way.  Workers
-rebuild their own traces (the in-process trace cache is per-worker), trading
-redundant generation for fully independent, deterministic runs.
+are forked from the sweeping process, so they inherit its imported engine,
+its in-process trace cache and its trace-cache switch.
 
 A :class:`~repro.simulation.result_cache.SweepResultCache` can be attached to
 memoize completed task results on disk: cached tasks are answered before any
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import pickle
 import signal
 import threading
 import time
@@ -41,7 +42,6 @@ from typing import (
 
 from repro import faults, obs
 from repro.obs import trace
-from repro.simulation.census import absorb_engine_path_counts, engine_path_counts
 from repro.simulation.result_cache import SweepResultCache, default_cache, remove_temp_files
 
 #: Retry budget of runners built without ``max_retries=`` (see
@@ -63,7 +63,9 @@ def set_default_max_retries(max_retries: int) -> int:
 
 
 class SweepTask(NamedTuple):
-    """One unit of sweep work: ``fn(*args, **kwargs)`` identified by ``key``.
+    """One unit of work — a sweep point, and what a
+    :class:`~repro.serve.pool.WorkerPool` worker runs: ``fn(*args, **kwargs)``
+    identified by ``key``.
 
     A ``NamedTuple``, not a dataclass: an all-hits figure defines it and must
     not pay for ``dataclasses`` + ``inspect``.
@@ -86,38 +88,15 @@ def _run_task(task: SweepTask) -> Any:
     return task.execute()
 
 
-def _execute_task_guarded(task: SweepTask) -> Tuple[bool, Any, Dict[str, int]]:
-    """Top-level trampoline so tasks can be dispatched through a Pool.
-
-    Task exceptions are returned rather than raised so the caller can tell a
-    failing task (retry or re-raise it) apart from failing pool
-    infrastructure (fall back to serial execution).  The third element is
-    the engine-path census of this task, which the parent absorbs: a worker's
-    metrics registry dies with it.
-    """
-    before = engine_path_counts()
-    try:
-        ok, value = True, _run_task(task)
-    except Exception as exc:  # repro: ignore[EXC001] -- returned to the parent, which retries or re-raises task failures
-        ok, value = False, exc
-    return ok, value, engine_path_counts(since=before)
-
-
-def default_worker_count() -> int:
-    """Worker count used when a parallel sweep does not specify one."""
-    return max(1, os.cpu_count() or 1)
-
-
 @contextlib.contextmanager
 def _sigterm_as_interrupt():
     """Deliver SIGTERM as KeyboardInterrupt for the duration of a sweep.
 
     ``kill <pid>`` of a parallel sweep then takes the same orderly path as
-    Ctrl-C: the ``multiprocessing.Pool`` context manager terminates the
-    child processes and the runner sweeps up its temp cache files, instead
-    of the parent dying mid-``map`` and leaking both.  Signal handlers can
-    only be installed from the main thread; elsewhere (e.g. the serve
-    pool's executor threads) this is a no-op.
+    Ctrl-C: the runner stops its pool's workers at once and sweeps up its
+    temp cache files, instead of the parent dying mid-sweep and leaking
+    both.  Signal handlers can only be installed from the main thread;
+    elsewhere (e.g. a serve worker's job) this is a no-op.
     """
     if threading.current_thread() is not threading.main_thread():
         yield
@@ -136,22 +115,23 @@ def _sigterm_as_interrupt():
 
 
 class SweepRunner:
-    """Runs sweep tasks serially or across a ``multiprocessing`` pool.
+    """Runs sweep tasks serially or across a short-lived worker pool.
 
     ``max_workers=None``, ``0``, or ``1`` selects serial execution (the
     default — deterministic, no process overhead, right for small sweeps).
     Larger values fan tasks out over that many worker processes.  If the pool
-    cannot be created or the tasks cannot be pickled, the runner falls back
-    to serial execution rather than failing the sweep.
+    cannot be started or a task cannot be pickled, that work runs serially
+    in the parent rather than failing the sweep.
 
     A failing point is re-executed up to ``max_retries`` times (``None``:
     the budget set by :func:`set_default_max_retries`, 0 unless set), the
     first retry after ``backoff_base`` seconds, doubling per attempt; then
     its exception propagates.  ``point_timeout`` is the parallel-mode
-    deadline per point result (``None`` waits forever): on expiry the pool is
-    abandoned and the rest of the sweep runs serially in the parent, so one
-    lost worker cannot hang the sweep.  After :meth:`run`, ``self.report``
-    holds the reuse/failure accounting.
+    deadline per point (``None`` waits forever): a point that misses it has
+    its worker killed and respawned and runs in the parent, as does a point
+    whose worker dies, while the other points keep running in the pool — so
+    one lost worker cannot hang the sweep.  After :meth:`run`,
+    ``self.report`` holds the reuse/failure accounting.
     """
 
     def __init__(
@@ -172,10 +152,6 @@ class SweepRunner:
         self.backoff_base = backoff_base
         self.point_timeout = point_timeout
         self.report: Dict[str, int] = {}
-
-    @property
-    def parallel(self) -> bool:
-        return (self.max_workers or 0) > 1
 
     # ------------------------------------------------------------------ #
     def run(self, tasks: Sequence[SweepTask]) -> List[Any]:
@@ -215,7 +191,11 @@ class SweepRunner:
                     pending.append(index)
             if pending:
                 try:
-                    self._execute_pending(tasks, pending, digests, results, report)
+                    if (self.max_workers or 0) > 1 and len(pending) > 1:
+                        pending = self._execute_parallel(tasks, pending, digests, results, report)
+                    with _sigterm_as_interrupt():
+                        for index in pending:
+                            self._run_point(tasks[index], index, digests[index], results, report)
                 except KeyboardInterrupt:
                     # Scoped to this process's own staging files: a sibling
                     # sweep or a serve daemon sharing the cache directory may
@@ -234,26 +214,6 @@ class SweepRunner:
             return results
 
     # ------------------------------------------------------------------ #
-    def _execute_pending(
-        self,
-        tasks: Sequence[SweepTask],
-        pending: List[int],
-        digests: List[Optional[str]],
-        results: List[Any],
-        report: Dict[str, int],
-    ) -> None:
-        """Execute the cache-miss points, storing each as it completes."""
-        remaining: List[Tuple[int, int]] = [(index, 0) for index in pending]
-        if self.parallel and len(remaining) > 1:
-            remaining = self._execute_parallel(tasks, pending, digests, results, report)
-        if remaining:
-            with _sigterm_as_interrupt():
-                for index, prior_attempts in remaining:
-                    self._run_point(
-                        tasks[index], index, digests[index], results, report,
-                        prior_attempts=prior_attempts,
-                    )
-
     def _execute_parallel(
         self,
         tasks: Sequence[SweepTask],
@@ -261,76 +221,82 @@ class SweepRunner:
         digests: List[Optional[str]],
         results: List[Any],
         report: Dict[str, int],
-    ) -> List[Tuple[int, int]]:
-        """Fan pending points over a Pool; return ``(index, attempts_used)``
-        for every point the pool did not complete (failed first attempt with
-        retries left, lost to a timed-out/hung worker, or never started
-        because pool infrastructure failed) — the caller finishes them
-        serially in the parent."""
-        # Only a sweep with points left to fork for pays for multiprocessing,
-        # and the workers inherit the engine instead of importing it once each.
-        import multiprocessing
+    ) -> List[int]:
+        """Run the pending points on a short-lived worker pool, storing each
+        as it completes.  A point the pool cannot finish — its worker died,
+        it missed ``point_timeout``, or its task does not pickle — runs in
+        the parent right away while the others keep running in the pool; a
+        failed point with retries left is retried there too.  Returns the
+        points for the caller to run serially: all of them when the pool
+        cannot start."""
+        from concurrent.futures import ThreadPoolExecutor, as_completed
 
-        from repro._lazy import preload_simulation
+        from repro.experiments.common import trace_cache_enabled
+        from repro.serve.pool import UNPICKLABLE, WorkerPool
+        from repro.serve.protocol import TASK_TIMEOUT, ProtocolError
 
-        preload_simulation()
-        completed: set = set()
-        retry: List[Tuple[int, int]] = []
+        workers = min(self.max_workers, len(pending))
+        # The workers follow this process's trace-cache switch, whatever
+        # set it (``--no-trace-cache``, the environment, a test).
+        pool = WorkerPool(workers=workers, trace_cache=trace_cache_enabled())
         try:
-            processes = min(self.max_workers, len(pending))
-            with multiprocessing.Pool(processes=processes) as pool:
-                # The SIGTERM handler goes in only *after* the workers have
-                # forked: a child inheriting the raising handler would
-                # survive Pool.terminate() (which relies on SIGTERM's
-                # default disposition) and leak, wedged on the shared queue.
-                with _sigterm_as_interrupt():
-                    iterator = pool.imap(
-                        _execute_task_guarded, [tasks[index] for index in pending]
-                    )
-                    for index in pending:
-                        try:
-                            if self.point_timeout is not None:
-                                ok, value, engine_runs = iterator.next(self.point_timeout)
-                            else:
-                                ok, value, engine_runs = next(iterator)
-                        except multiprocessing.TimeoutError:
-                            # A worker died or hung mid-point: the pool can
-                            # never deliver this (ordered) result.  Abandon
-                            # the pool and finish in the parent.
-                            warnings.warn(
-                                f"parallel sweep point (task {index}) missed its "
-                                f"{self.point_timeout}s deadline; abandoning the "
-                                "pool and finishing serially",
-                                RuntimeWarning,
-                                stacklevel=3,
-                            )
-                            break
-                        completed.add(index)
-                        absorb_engine_path_counts(engine_runs)
+            pool.start()
+        except OSError as exc:  # sandboxes may forbid fork or pipes
+            pool.shutdown(timeout=0.0)  # any worker it did start
+            _warn_serial(exc)
+            return pending
+        # One dispatch thread per worker, each blocking in WorkerPool.run;
+        # this thread stores results and runs the points the pool gave back.
+        dispatch = ThreadPoolExecutor(workers)
+        finished = False
+        try:
+            # The SIGTERM handler goes in only after the workers have forked.
+            with _sigterm_as_interrupt():
+                futures = {
+                    dispatch.submit(pool.run, SweepTask(tasks[i].key, _run_task, (tasks[i],)),
+                                    task_timeout=self.point_timeout): i
+                    for i in pending
+                }
+                for future in as_completed(futures):
+                    index = futures[future]
+                    prior_attempts = 0
+                    try:
+                        ok, value = future.result()
+                    except ProtocolError as exc:
+                        lost = (
+                            f"missed its {self.point_timeout}s deadline"
+                            if exc.code == TASK_TIMEOUT else "lost its worker"
+                        )
+                        warnings.warn(
+                            f"parallel sweep point (task {index}) {lost}; "
+                            "running it in the parent",
+                            RuntimeWarning,
+                            stacklevel=3,
+                        )
+                    except UNPICKLABLE as exc:
+                        # Shown once per message, so once per unpicklable fn.
+                        _warn_serial(exc)
+                    else:
                         if ok:
                             self._complete(
                                 index, digests[index], value, results, report, attempts=1
                             )
-                        elif self.max_retries > 0:
-                            retry.append((index, 1))
-                        else:
+                            continue
+                        if self.max_retries == 0:
                             _count_failure(report, attempts=1)
                             raise value
-        except (OSError, ValueError, AttributeError, pickle.PicklingError) as exc:
-            # Pool infrastructure failed — sandboxed environments may lack
-            # semaphores/fork, and ad-hoc callables (lambdas, closures) may
-            # not pickle.  Task-level exceptions never reach here: workers
-            # return them, and they are handled above.
-            warnings.warn(
-                f"parallel sweep unavailable ({type(exc).__name__}: {exc}); "
-                "falling back to serial execution",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        # Anything the pool never delivered (timeout break, infrastructure
-        # failure) still has attempts=0 and runs serially via the caller.
-        leftover = [(index, 0) for index in pending if index not in completed]
-        return retry + leftover
+                        prior_attempts = 1
+                    self._run_point(
+                        tasks[index], index, digests[index], results, report,
+                        prior_attempts=prior_attempts,
+                    )
+            finished = True
+        finally:
+            # Idle workers exit on their own; after an error or an
+            # interrupt the busy ones are stopped at once.
+            pool.shutdown(timeout=5.0 if finished else 0.0)
+            dispatch.shutdown(cancel_futures=True)
+        return []
 
     def _run_point(
         self,
@@ -412,6 +378,15 @@ def sweep_map(
 ) -> List[Any]:
     """One-shot convenience wrapper around :meth:`SweepRunner.map`."""
     return SweepRunner(max_workers=workers, cache=cache).map(fn, items, **fixed_kwargs)
+
+
+def _warn_serial(exc: BaseException) -> None:
+    warnings.warn(
+        f"parallel sweep unavailable ({type(exc).__name__}: {exc}); "
+        "falling back to serial execution",
+        RuntimeWarning,
+        stacklevel=4,
+    )
 
 
 def _count_failure(report: Dict[str, int], attempts: int) -> None:

@@ -225,7 +225,7 @@ class TestSweepChaos:
         assert runner.map(flaky_square, [1, 2, 3, 4]) == [1, 4, 9, 16]
         assert runner.report["failed"] == 0
 
-    def test_hung_parallel_point_abandons_pool_and_finishes_serially(self, tmp_path):
+    def test_hung_parallel_point_is_killed_and_run_in_the_parent(self, tmp_path):
         runner = SweepRunner(
             max_workers=2,
             cache=SweepResultCache(tmp_path),

@@ -1,5 +1,10 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import EXPERIMENT_CHOICES, PREFETCHER_CHOICES, build_parser, main
@@ -225,6 +230,19 @@ class TestExperimentCommand:
         assert "0 miss(es)" in warm
         # Identical figure rows either way.
         assert warm.split("sweep cache:")[0] == cold.split("sweep cache:")[0]
+
+
+    def test_parallel_workers_follow_the_trace_cache_switch(self, tmp_path):
+        # The sweep's pool workers write the .strc traces; they must honour
+        # the parent's --no-trace-cache, and write them without it.
+        argv = [sys.executable, "-m", "repro.cli", "experiment", "--figure", "fig10",
+                "--scale", "0.01", "--cpus", "1", "--workers", "2"]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        for name, flags in (("off", ["--no-trace-cache"]), ("on", [])):
+            subprocess.run([*argv, *flags, "--cache-dir", str(tmp_path / name)],
+                           env=env, check=True, capture_output=True, timeout=300)
+        assert not (tmp_path / "off" / "traces").exists()
+        assert len(list((tmp_path / "on" / "traces").glob("*.strc"))) == 4
 
 
 class TestConvertCommand:

@@ -993,19 +993,45 @@ class TestPackageIsClean:
         assert findings == [], "\n".join(map(str, findings))
 
     def test_no_dataclasses_outside_serve(self):
-        # Every class a simulating command defines is a plain class or a
-        # NamedTuple: ``dataclasses`` (and the ``inspect`` it drags in) is
-        # for ``serve/``, which no replay imports.
+        # Every class the package defines, ``serve/`` included, is a plain
+        # class or a NamedTuple: ``dataclasses`` (and the ``inspect`` it
+        # drags in) is start-up cost no command needs.
         offenders = [
             str(path.relative_to(PACKAGE_DIR))
             for path in python_files(PACKAGE_DIR)
-            if path.relative_to(PACKAGE_DIR).parts[0] != "serve"
-            and any(
+            if any(
                 origin.split(".")[0] == "dataclasses"
                 for origin in import_bindings(ast.parse(path.read_text())).values()
             )
         ]
         assert offenders == []
+
+    def test_one_place_starts_worker_processes(self):
+        # Parallel sweeps and the service share one pool: nothing but
+        # WorkerPool._spawn starts a process (no multiprocessing.Pool, no
+        # executor of processes, no fork or subprocess of its own).
+        starters = {"Process", "Pool", "ProcessPoolExecutor", "Popen", "fork", "forkpty",
+                    "posix_spawn", "posix_spawnp"}
+        sites = []
+        for path in python_files(PACKAGE_DIR):
+            where = ["<module>"]
+
+            class Starts(ast.NodeVisitor):
+                def visit_FunctionDef(self, node):
+                    where.append(node.name)
+                    self.generic_visit(node)
+                    where.pop()
+
+                visit_AsyncFunctionDef = visit_FunctionDef
+
+                def visit_Call(self, node):
+                    name = dotted_name(node.func) or ""
+                    if name.startswith("subprocess.") or name.split(".")[-1] in starters:
+                        sites.append((str(path.relative_to(PACKAGE_DIR)), where[-1]))
+                    self.generic_visit(node)
+
+            Starts().visit(ast.parse(path.read_text()))
+        assert sites == [("serve/pool.py", "_spawn")]
 
     def test_env_knobs_in_source_are_exactly_those_in_readme(self):
         # Knob inventory: removing (or adding) a REPRO_* variable under

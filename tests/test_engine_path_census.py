@@ -10,6 +10,9 @@ the signals that would make a reference run visible:
 of worker-side counts to the parent.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro import obs
@@ -70,6 +73,28 @@ def test_counts_format_and_absorb_round_trip():
     runs = engine_path_counts(since=before)
     assert runs == {"lanes": 3, "reference": 2}
     assert format_engine_path_counts(runs) == "engine: 3 lanes / 2 reference"
+
+
+def test_concurrent_absorbs_lose_no_run():
+    # A parallel sweep's dispatch threads, one per pool worker, each absorb
+    # the runs their worker reports.
+    def absorb_many():
+        for _ in range(500):
+            absorb_engine_path_counts({"lanes": 1, "reference": 0})
+
+    before = engine_path_counts()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=absorb_many) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert engine_path_counts(since=before) == {"lanes": 4000, "reference": 0}
 
 
 class _CountingRegistry(obs.Registry):

@@ -58,9 +58,9 @@ sys.exit(code)
 #: stage their writes through ``result_cache.atomic_store``.
 DEFINITION_MODULES = ("dataclasses", "inspect", "tempfile")
 
-#: What no simulating command pays either: every class the simulator defines
-#: is a plain class or a ``NamedTuple`` (``dataclasses`` is for ``serve/``
-#: alone, which ``test_no_dataclasses_outside_serve`` enforces).
+#: What no simulating command pays either: every class the package defines
+#: is a plain class or a ``NamedTuple`` (``test_no_dataclasses_outside_serve``
+#: enforces it, ``serve/`` included).
 DATACLASS_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 #: What a simulation job touches; a forking parent must hold all of it.

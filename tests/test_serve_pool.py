@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 
 import pytest
 
 from repro.serve import jobs
-from repro.serve.pool import WorkerPool
+from repro.serve.pool import UNPICKLABLE, WorkerPool
 from repro.serve.protocol import JOB_FAILED, WORKER_LOST, ProtocolError
+from repro.simulation.sweep import SweepTask
 
 SIM_SPEC = {
     "verb": "simulate",
@@ -102,6 +104,42 @@ class TestWorkerPool:
         assert not leaked_trace.exists()
         assert done_entry.exists()  # completed entries are never touched
         assert foreign_pickle.exists()  # other processes' staging survives
+
+    def test_unpicklable_task_raises_and_keeps_its_worker(self, tmp_path):
+        with WorkerPool(workers=1, cache_dir=str(tmp_path)) as pool:
+            with pytest.raises(UNPICKLABLE):
+                pool.run(SweepTask("lambda", lambda: 1))
+            # Pickling fails before a byte reaches the pipe: the worker is
+            # back on the idle queue and serves the next job.
+            assert pool.stats()["idle_workers"] == 1
+            assert pool.execute(SIM_SPEC, timeout=2.0) == jobs.execute_spec(SIM_SPEC)
+
+    def test_shutdown_gives_busy_workers_one_deadline(self, tmp_path):
+        pool = WorkerPool(workers=2, cache_dir=str(tmp_path)).start()
+        errors = []
+
+        def sleep_on_a_worker():
+            try:
+                pool.run(SweepTask("sleep", time.sleep, (600,)))
+            except ProtocolError as exc:
+                errors.append(exc)
+
+        callers = [threading.Thread(target=sleep_on_a_worker) for _ in range(2)]
+        for caller in callers:
+            caller.start()
+        deadline = time.monotonic() + 30
+        while pool.stats()["idle_workers"] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.2)  # both tasks are in their workers' hands
+        start = time.monotonic()
+        pool.shutdown(timeout=2.0)
+        elapsed = time.monotonic() - start
+        for caller in callers:
+            caller.join(timeout=10)
+        # One 2 s deadline for the pool, not 2 s per busy worker.
+        assert 2.0 <= elapsed < 3.5
+        assert [exc.code for exc in errors] == [WORKER_LOST, WORKER_LOST]
+        assert all("pool shut down" in exc.message for exc in errors)
 
     def test_shutdown_is_idempotent_and_execute_refused_after(self, tmp_path):
         pool = WorkerPool(workers=1, cache_dir=str(tmp_path)).start()

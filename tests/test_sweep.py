@@ -1,10 +1,17 @@
 """Tests for repro.simulation.sweep (parallel sweep runner)."""
 
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 import warnings
+from pathlib import Path
 
 import pytest
 
-from repro.simulation.sweep import SweepRunner, SweepTask, default_worker_count, sweep_map
+from repro.simulation.sweep import SweepRunner, SweepTask, sweep_map
 
 
 def square(value, offset=0):
@@ -64,6 +71,16 @@ class TestParallelRunner:
             results = runner.map(lambda v: v * 10, [1, 2, 3])
         assert results == [10, 20, 30]
 
+    def test_pool_that_cannot_start_falls_back_to_serial(self, monkeypatch):
+        from repro.serve.pool import WorkerPool
+
+        def no_fork(self, index):
+            raise OSError("fork forbidden")
+
+        monkeypatch.setattr(WorkerPool, "_spawn", no_fork)
+        with pytest.warns(RuntimeWarning, match="fork forbidden.*falling back to serial"):
+            assert SweepRunner(max_workers=2).map(square, [1, 2, 3]) == [1, 4, 9]
+
     def test_task_error_raises_without_serial_fallback(self):
         # A failing task is a task problem, not a pool problem: it must
         # re-raise directly, with no fallback warning and no serial re-run.
@@ -80,9 +97,6 @@ class TestConvenience:
 
     def test_sweep_map_parallel(self):
         assert sweep_map(square, [1, 2, 3], workers=2) == [1, 4, 9]
-
-    def test_default_worker_count_positive(self):
-        assert default_worker_count() >= 1
 
 
 class TestExperimentAdoption:
@@ -151,3 +165,45 @@ class TestGracefulShutdown:
                 # so this line must never be reached.
                 raise AssertionError("SIGTERM handler did not fire")
         assert signal.getsignal(signal.SIGTERM) == previous
+
+    def test_sigterm_stops_a_parallel_sweep_and_its_workers_at_once(self, tmp_path):
+        script = tmp_path / "sweep.py"
+        script.write_text(textwrap.dedent("""
+            import os, sys, time
+            from repro.simulation.sweep import SweepRunner
+
+            def sleep_in_worker(value):
+                open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+                time.sleep(600)
+
+            if __name__ == "__main__":
+                SweepRunner(max_workers=2).map(sleep_in_worker, [1, 2, 3])
+        """))
+        started = tmp_path / "started"
+        started.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.Popen([sys.executable, str(script), str(started)], env=env,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60
+            while len(list(started.iterdir())) < 2 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            workers = [int(path.name) for path in started.iterdir()]
+            assert len(workers) == 2
+            start = time.monotonic()
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=30)
+            assert time.monotonic() - start < 3.0
+        finally:
+            proc.kill()
+            proc.wait()
+        assert [pid for pid in workers if _running(pid)] == []
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
