@@ -36,7 +36,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "core": ("SMSConfig", "SpatialMemoryStreaming"),
-        "simulation": ("SimulationConfig", "SimulationEngine", "MachineConfig", "TimingModel"),
+        "simulation": ("SimulationConfig", "SimulationEngine", "TimingModel"),
     },
 )
 __all__.append("__version__")

@@ -9,6 +9,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "coverage": ("CoverageReport", "compare_coverage"),
         "density": ("DensityHistogram", "DENSITY_BINS", "measure_density"),
         "opportunity": ("OpportunityResult", "measure_opportunity"),
-        "reporting": ("format_table", "format_percentage", "ResultTable"),
+        "reporting": ("format_percentage", "ResultTable"),
     },
 )

@@ -68,12 +68,6 @@ class ResultTable:
         index = self.headers.index(header)
         return [row[index] for row in self.rows]
 
-    def row_by_key(self, key: Cell, key_column: int = 0) -> Optional[List[Cell]]:
-        for row in self.rows:
-            if row[key_column] == key:
-                return row
-        return None
-
     def to_text(self) -> str:
         return format_table(self.headers, self.rows, title=self.title)
 

@@ -141,8 +141,3 @@ class Directory:
             self._entries[block] = word
         else:
             del self._entries[block]
-
-    @property
-    def tracked_blocks(self) -> int:
-        """Blocks with at least one sharer (an INVALID block has no entry)."""
-        return len(self._entries)

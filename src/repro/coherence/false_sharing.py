@@ -93,11 +93,3 @@ class FalseSharingClassifier:
             return MissClassification.TRUE_SHARING
         self.false_sharing_misses += 1
         return MissClassification.FALSE_SHARING
-
-    @property
-    def coherence_misses(self) -> int:
-        return self.true_sharing_misses + self.false_sharing_misses
-
-    def false_sharing_fraction(self) -> float:
-        total = self.true_sharing_misses + self.false_sharing_misses + self.other_misses
-        return self.false_sharing_misses / total if total else 0.0

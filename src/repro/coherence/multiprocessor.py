@@ -9,7 +9,7 @@ GHB prefetching on top of it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.coherence.directory import Directory
 from repro.coherence.false_sharing import FalseSharingClassifier, MissClassification
@@ -60,20 +60,8 @@ class AccessOutcomeRecord:
         return self.l1_result.is_miss
 
     @property
-    def l2_miss(self) -> bool:
-        return self.l2_result is not None and self.l2_result.is_miss
-
-    @property
     def off_chip(self) -> bool:
         return self.level is MemoryLevel.MEMORY
-
-    @property
-    def l1_covered_by_prefetch(self) -> bool:
-        return self.l1_result.is_prefetch_hit
-
-    @property
-    def l2_covered_by_prefetch(self) -> bool:
-        return self.l2_result is not None and self.l2_result.is_prefetch_hit
 
     @property
     def false_sharing(self) -> bool:
@@ -151,10 +139,6 @@ class MultiprocessorMemorySystem:
         """Return the private L1 of processor ``cpu``."""
         return self._l1s[cpu]
 
-    @property
-    def l1_caches(self) -> List[SetAssociativeCache]:
-        return list(self._l1s)
-
     # ------------------------------------------------------------------ #
     def access(self, record: MemoryAccess) -> AccessOutcomeRecord:
         """Process one demand access, including all coherence side effects."""
@@ -229,16 +213,7 @@ class MultiprocessorMemorySystem:
         if into_l1:
             self._l1s[cpu].fill(block, prefetched=True)
 
-    def l1_contains(self, cpu: int, address: int) -> bool:
-        return self._l1s[cpu].contains(address)
-
     # ------------------------------------------------------------------ #
-    def aggregate_l1_stats(self):
-        """Return the sum of all per-CPU L1 statistics."""
-        total = self._l1s[0].stats
-        for l1 in self._l1s[1:]:
-            total = total.merge(l1.stats)
-        return total
 
     def __repr__(self) -> str:
         return (

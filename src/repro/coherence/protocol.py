@@ -51,13 +51,6 @@ class DirectoryEntry:
             other.owner,
         )
 
-    def has_sharer(self, cpu: int) -> bool:
-        return cpu in self.sharers
-
-    @property
-    def num_sharers(self) -> int:
-        return len(self.sharers)
-
     def validate(self) -> None:
         """Check the protocol invariants for this entry; raise on violation."""
         if self.state is CoherenceState.INVALID:
@@ -103,8 +96,3 @@ class CoherenceActions:
         self.downgrade_cpus = set() if downgrade_cpus is None else downgrade_cpus
         self.was_remote_modified = was_remote_modified
         self.was_shared_elsewhere = was_shared_elsewhere
-
-    @property
-    def coherence_traffic(self) -> int:
-        """Number of coherence messages implied by these actions."""
-        return len(self.invalidate_cpus) + len(self.downgrade_cpus)

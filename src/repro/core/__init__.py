@@ -24,24 +24,14 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "config": ("SMSConfig",),
         "region": ("RegionGeometry",),
         "pattern": ("SpatialPattern",),
-        "indexing": (
-            "IndexScheme",
-            "AddressIndex",
-            "PCIndex",
-            "PCAddressIndex",
-            "PCOffsetIndex",
-            "make_index_scheme",
-        ),
-        "agt": ("ActiveGenerationTable", "AGTEvent", "GenerationRecord"),
-        "pht": ("PatternHistoryTable", "stable_hash"),
-        "prediction": ("PredictionRegisterFile", "StreamRequest"),
+        "indexing": ("IndexScheme", "make_index_scheme"),
+        "agt": ("ActiveGenerationTable", "GenerationRecord"),
+        "pht": ("PatternHistoryTable",),
+        "prediction": ("PredictionRegisterFile",),
         "training": (
             "SpatialTrainer",
             "AGTTrainer",
-            "LogicalSectoredTrainer",
-            "DecoupledSectoredTrainer",
             "CompletedGeneration",
-            "TrainerResponse",
             "make_trainer",
         ),
         "sms": ("SpatialMemoryStreaming",),

@@ -134,23 +134,6 @@ class ActiveGenerationTable:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    @property
-    def filter_occupancy(self) -> int:
-        return len(self._filter)
-
-    @property
-    def accumulation_occupancy(self) -> int:
-        return len(self._accumulation)
-
-    def active_regions(self) -> List[int]:
-        """Regions with an in-flight generation: the filter table's, then the
-        accumulation table's, each least- to most-recently used."""
-        return list(self._filter) + list(self._accumulation)
-
-    def has_active_generation(self, address: int) -> bool:
-        region = self.geometry.region_base(address)
-        return region in self._filter or region in self._accumulation
-
     def _record(self, region: int, word: int) -> GenerationRecord:
         """Unpack one accumulation word."""
         nb = self.pattern_width

@@ -111,10 +111,6 @@ class SMSConfig:
     def geometry(self) -> RegionGeometry:
         return RegionGeometry(region_size=self.region_size, block_size=self.block_size)
 
-    @property
-    def unbounded_pht(self) -> bool:
-        return self.pht_entries is None
-
     @classmethod
     def paper_practical(cls) -> "SMSConfig":
         """The practical configuration of Figure 11 (also the class defaults)."""
@@ -144,16 +140,3 @@ class SMSConfig:
             num_entries=self.pht_entries,
             associativity=self.pht_associativity,
         )
-
-    def storage_bits(self) -> int:
-        """Rough predictor storage estimate in bits (PHT tag+pattern entries).
-
-        This models the *hardware* cost — a tag fragment plus one pattern
-        bit per region block per entry — not the host process's Python
-        objects.
-        """
-        if self.pht_entries is None:
-            raise ValueError("cannot estimate storage for an unbounded PHT")
-        pattern_bits = self.geometry.blocks_per_region
-        tag_bits = 32  # PC (or address) fragment + offset
-        return self.pht_entries * (pattern_bits + tag_bits)

@@ -36,9 +36,6 @@ class IndexScheme:
     """Maps a trigger access to a prediction-table key."""
 
     name = "abstract"
-    uses_pc = False
-    uses_address = False
-    uses_offset = False
 
     def __init__(self, geometry: RegionGeometry) -> None:
         self.geometry = geometry
@@ -60,18 +57,6 @@ class IndexScheme:
             trigger.pc, self.geometry.block_address(trigger.address), trigger.offset
         )
 
-    def key_for(self, pc: int, address: int) -> Tuple[int, ...]:
-        """Convenience wrapper building the key directly from a (pc, address) pair."""
-        return self.key_of(pc, self.geometry.block_address(address), self.geometry.offset(address))
-
-    def storage_scales_with_data(self) -> bool:
-        """True if the number of distinct keys grows with the data set size."""
-        return self.uses_address
-
-    def can_predict_unvisited_data(self) -> bool:
-        """True if the scheme can predict accesses to never-before-seen addresses."""
-        return not self.uses_address
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.geometry.describe()})"
 
@@ -80,7 +65,6 @@ class AddressIndex(IndexScheme):
     """Index by the trigger access's block address."""
 
     name = "address"
-    uses_address = True
 
     def key_of(self, pc: int, block_address: int, offset: int) -> Tuple[int, ...]:
         return ("addr", block_address)
@@ -90,7 +74,6 @@ class PCIndex(IndexScheme):
     """Index by the trigger access's program counter alone."""
 
     name = "pc"
-    uses_pc = True
 
     def key_of(self, pc: int, block_address: int, offset: int) -> Tuple[int, ...]:
         return ("pc", pc)
@@ -100,8 +83,6 @@ class PCAddressIndex(IndexScheme):
     """Index by the trigger PC combined with the trigger block address."""
 
     name = "pc+address"
-    uses_pc = True
-    uses_address = True
 
     def key_of(self, pc: int, block_address: int, offset: int) -> Tuple[int, ...]:
         return ("pc+addr", pc, block_address)
@@ -111,8 +92,6 @@ class PCOffsetIndex(IndexScheme):
     """Index by the trigger PC combined with the spatial region offset (SMS default)."""
 
     name = "pc+offset"
-    uses_pc = True
-    uses_offset = True
 
     def key_of(self, pc: int, block_address: int, offset: int) -> Tuple[int, ...]:
         return ("pc+off", pc, offset)

@@ -107,23 +107,9 @@ class SpatialPattern:
     def is_empty(self) -> bool:
         return self.bits == 0
 
-    @property
-    def is_singleton(self) -> bool:
-        """True if exactly one block is set (a trigger-only generation)."""
-        return self.population == 1
-
     # ------------------------------------------------------------------ #
     # Derivations (all return new patterns; SpatialPattern is immutable)
     # ------------------------------------------------------------------ #
-    def with_offset(self, offset: int) -> "SpatialPattern":
-        """Return a copy of this pattern with block ``offset`` set."""
-        self._check_offset(offset)
-        return SpatialPattern(num_blocks=self.num_blocks, bits=self.bits | (1 << offset))
-
-    def without_offset(self, offset: int) -> "SpatialPattern":
-        """Return a copy of this pattern with block ``offset`` cleared."""
-        self._check_offset(offset)
-        return SpatialPattern(num_blocks=self.num_blocks, bits=self.bits & ~(1 << offset))
 
     def union(self, other: "SpatialPattern") -> "SpatialPattern":
         self._check_compatible(other)
@@ -152,19 +138,6 @@ class SpatialPattern:
 
     def __len__(self) -> int:
         return self.num_blocks
-
-    # ------------------------------------------------------------------ #
-    # Scoring (used by the analysis package)
-    # ------------------------------------------------------------------ #
-    def covered_by(self, prediction: "SpatialPattern") -> int:
-        """Number of this pattern's blocks that ``prediction`` also predicts."""
-        self._check_compatible(prediction)
-        return bin(self.bits & prediction.bits).count("1")
-
-    def overpredicted_by(self, prediction: "SpatialPattern") -> int:
-        """Number of blocks ``prediction`` predicts that this pattern never accesses."""
-        self._check_compatible(prediction)
-        return bin(prediction.bits & ~self.bits).count("1")
 
     # ------------------------------------------------------------------ #
     def to_string(self) -> str:

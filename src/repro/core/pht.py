@@ -35,15 +35,15 @@ This is the only representation, by measurement: bit-packed slabs were
 memory from 256k entries up, while the largest PHT any figure builds holds
 1,608 entries per CPU (see "PHT storage" in the README).
 
-The hardware storage *model* (:meth:`SMSConfig.storage_bits`) charges
-``tag + pattern`` bits per entry; the Python objects above are host
-implementation detail, not modelled hardware cost.
+The hardware a PHT entry models is a tag plus one pattern bit per region
+block; the Python objects above are host implementation detail, not
+modelled hardware cost.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Hashable, Iterator, List, Optional
+from typing import Dict, Hashable, List, Optional
 
 from repro.core.pattern import SpatialPattern
 
@@ -252,15 +252,6 @@ class PatternHistoryTable:
         return self._pattern(bits)
 
     # ------------------------------------------------------------------ #
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def iter_patterns(self) -> Iterator[SpatialPattern]:
-        """Yield every stored pattern (arbitrary order)."""
-        for table in self._sets:
-            for bits in table.values():
-                yield self._pattern(bits)
 
     def __repr__(self) -> str:
         size = "unbounded" if self.is_unbounded else f"{self.num_entries}x{self.associativity}-way"

@@ -42,44 +42,6 @@ class StreamRequest(NamedTuple):
     offset: int
 
 
-class PredictionRegister:
-    """One streaming region on its own: base address + remaining pattern bits.
-
-    A boxed stand-alone register; :class:`PredictionRegisterFile` holds plain
-    ``(region, remaining)`` pairs instead.
-    """
-
-    def __init__(self, geometry: RegionGeometry, region: int, pattern: SpatialPattern) -> None:
-        if pattern.num_blocks != geometry.blocks_per_region:
-            raise ValueError(
-                f"pattern width {pattern.num_blocks} does not match region geometry "
-                f"({geometry.blocks_per_region} blocks)"
-            )
-        self.geometry = geometry
-        self.region = geometry.region_base(region)
-        self._remaining = pattern.bits
-
-    @property
-    def exhausted(self) -> bool:
-        return self._remaining == 0
-
-    @property
-    def remaining_count(self) -> int:
-        return bin(self._remaining).count("1")
-
-    def next_request(self) -> Optional[StreamRequest]:
-        """Pop the lowest remaining offset and return its stream request."""
-        if self._remaining == 0:
-            return None
-        offset = (self._remaining & -self._remaining).bit_length() - 1
-        self._remaining &= self._remaining - 1
-        return StreamRequest(
-            address=self.geometry.block_at_offset(self.region, offset),
-            region=self.region,
-            offset=offset,
-        )
-
-
 class PredictionRegisterFile:
     """A bounded pool of prediction registers drained round-robin."""
 
@@ -96,10 +58,6 @@ class PredictionRegisterFile:
         self.allocations = 0
         self.rejections = 0
         self.requests_issued = 0
-
-    @property
-    def active_registers(self) -> int:
-        return len(self._registers)
 
     def allocate(self, region: int, pattern: SpatialPattern, exclude_offset: Optional[int] = None) -> bool:
         """Start streaming ``pattern`` for the region based at ``region``.

@@ -8,8 +8,6 @@ sizes; it centralises every piece of address arithmetic the predictor needs.
 
 from __future__ import annotations
 
-from typing import Iterator, List
-
 from repro.memory.block import (
     block_address,
     block_index_in_region,
@@ -80,16 +78,6 @@ class RegionGeometry:
                 f"offset {offset} out of range for {self.blocks_per_region}-block region"
             )
         return region + offset * self.block_size
-
-    def blocks_in_region(self, region: int) -> Iterator[int]:
-        """Iterate over the block addresses of the region based at ``region``."""
-        base = self.region_base(region)
-        for offset in range(self.blocks_per_region):
-            yield base + offset * self.block_size
-
-    def same_region(self, a: int, b: int) -> bool:
-        """Return True if addresses ``a`` and ``b`` fall in the same region."""
-        return self.region_base(a) == self.region_base(b)
 
     def split(self, address: int) -> tuple:
         """Return ``(region_base, offset)`` for ``address``."""

@@ -79,8 +79,8 @@ class SpatialMemoryStreaming(Prefetcher):
         plain AGT, which never forces evictions; ``(None, None)`` otherwise.
 
         Every captured object is assigned once in ``__init__`` and mutated in
-        place, except ``self.stats``, which :meth:`reset_stats` rebinds — so
-        the engine asks for fresh closures at the start of every run.
+        place; the engine still asks for fresh closures at the start of
+        every run.
         """
         agt = self._lane_agt
         if agt is None:
@@ -326,10 +326,6 @@ class SpatialMemoryStreaming(Prefetcher):
         return PrefetcherResponse()
 
     # ------------------------------------------------------------------ #
-    @property
-    def coverage_potential(self) -> float:
-        """PHT hit rate over trigger accesses (a quick training-health metric)."""
-        return self.stats.pht_hit_rate
 
     def __repr__(self) -> str:
         return (

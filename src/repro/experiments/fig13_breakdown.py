@@ -13,11 +13,11 @@ store-buffer component is not reduced (and limits its speedup).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.analysis.reporting import ResultTable
 from repro.experiments import common
-from repro.simulation.breakdown import CATEGORY_ORDER, BreakdownCategory, ExecutionBreakdown
+from repro.simulation.breakdown import CATEGORY_ORDER, ExecutionBreakdown
 
 if TYPE_CHECKING:
     from repro.simulation.timing import TimingModel

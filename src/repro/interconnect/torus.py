@@ -8,7 +8,7 @@ processor + memory-controller tile as in the paper's 16-node system.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 
 class TorusTopology:
@@ -59,10 +59,6 @@ class TorusTopology:
         self._check_node(node)
         return node % self.width, node // self.width
 
-    def node_at(self, x: int, y: int) -> int:
-        """Return the node index at coordinates (x, y) (taken modulo size)."""
-        return (y % self.height) * self.width + (x % self.width)
-
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:
             raise ValueError(f"node {node} out of range for {self.num_nodes}-node torus")
@@ -74,20 +70,6 @@ class TorusTopology:
         hops_x = abs(sx - dx)
         hops_y = abs(sy - dy)
         return min(hops_x, self.width - hops_x) + min(hops_y, self.height - hops_y)
-
-    def latency_ns(self, src: int, dst: int) -> float:
-        """One-way network latency between two nodes."""
-        return self.hop_count(src, dst) * self.hop_latency_ns
-
-    def neighbors(self, node: int) -> List[int]:
-        """Return the four torus neighbours of ``node``."""
-        x, y = self.coordinates(node)
-        return [
-            self.node_at(x + 1, y),
-            self.node_at(x - 1, y),
-            self.node_at(x, y + 1),
-            self.node_at(x, y - 1),
-        ]
 
     def all_pairs(self) -> Iterator[Tuple[int, int]]:
         for src in range(self.num_nodes):

@@ -1,8 +1,8 @@
 """Cache-hierarchy substrate.
 
 This package provides the memory-system components the paper's evaluation is
-built on: set-associative caches with configurable block size, replacement
-policies, and the sectored / decoupled-sectored /
+built on: set-associative caches with configurable block size, LRU replacement
+state, and the sectored / decoupled-sectored /
 logical-sectored tag arrays that prior spatial predictors (Kumar &
 Wilkerson's Spatial Footprint Predictor and Chen et al.'s Spatial Pattern
 Predictor) trained on.
@@ -14,7 +14,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "block": (
-            "align_down",
             "block_address",
             "block_index_in_region",
             "blocks_per_region",
@@ -22,10 +21,9 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "region_base",
         ),
         "cache": ("AccessOutcome", "CacheLine", "EvictedLine", "SetAssociativeCache"),
-        "replacement": ("ReplacementPolicy", "LRUPolicy"),
+        "replacement": ("LRUPolicy",),
         "hierarchy": ("MemoryLevel",),
-        "sectored": ("SectoredTagArray", "LogicalSectoredTagArray", "SectorState"),
-        "decoupled": ("DecoupledSectoredCache",),
+        "sectored": ("LogicalSectoredTagArray", "SectorState"),
         "stats": ("CacheStatistics",),
     },
 )

@@ -18,12 +18,6 @@ def _check_power_of_two(value: int, name: str) -> None:
         raise ValueError(f"{name} must be a positive power of two, got {value}")
 
 
-def align_down(address: int, granularity: int) -> int:
-    """Align ``address`` down to a multiple of ``granularity`` (a power of two)."""
-    _check_power_of_two(granularity, "granularity")
-    return address & ~(granularity - 1)
-
-
 def block_address(address: int, block_size: int) -> int:
     """Return the base address of the cache block containing ``address``."""
     _check_power_of_two(block_size, "block_size")

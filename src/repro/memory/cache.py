@@ -52,10 +52,6 @@ class AccessOutcome(enum.Enum):
     def is_miss(self) -> bool:
         return self is AccessOutcome.MISS
 
-    @property
-    def is_hit(self) -> bool:
-        return not self.is_miss
-
 
 class CacheLine:
     """State of one resident cache block."""
@@ -84,10 +80,6 @@ class EvictedLine(NamedTuple):
     prefetched: bool
     used: bool
     invalidated: bool = False
-
-    @property
-    def was_unused_prefetch(self) -> bool:
-        return self.prefetched and not self.used
 
 
 class AccessResult:
@@ -190,13 +182,6 @@ class SetAssociativeCache:
         if flags is None:
             return None
         return CacheLine(block, bool(flags & DIRTY), bool(flags & PREFETCHED), bool(flags & USED))
-
-    def resident_blocks(self) -> List[int]:
-        """Return a list of all resident block addresses (for tests)."""
-        blocks = []
-        for cache_set in self._sets:
-            blocks.extend(cache_set)
-        return blocks
 
     @property
     def occupancy(self) -> int:

@@ -1,8 +1,8 @@
-"""Replacement policies for set-associative structures.
+"""LRU replacement state for one set of a set-associative structure.
 
-A policy instance manages a single cache set (or any small fully-associative
-pool of ways).  Policies are also reused by the Pattern History Table and the
-Active Generation Table, which are organised like caches.
+A :class:`LRUPolicy` manages a single set (or any small fully-associative
+pool of ways) of the sectored tag arrays; the caches, the PHT and the AGT
+keep their sets in recency order instead and need no policy object.
 """
 
 from __future__ import annotations
@@ -10,31 +10,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 
-class ReplacementPolicy:
-    """Interface for per-set replacement state."""
-
-    def on_fill(self, way: int) -> None:
-        """Record that ``way`` was filled with a new line."""
-        raise NotImplementedError
-
-    def on_access(self, way: int) -> None:
-        """Record a hit on ``way``."""
-        raise NotImplementedError
-
-    def on_invalidate(self, way: int) -> None:
-        """Record that ``way`` was invalidated."""
-        raise NotImplementedError
-
-    def victim(self, valid_ways: List[int], invalid_ways: List[int]) -> int:
-        """Choose a way to evict.
-
-        ``invalid_ways`` lists ways currently holding no line; these are
-        always preferred.  ``valid_ways`` lists occupied ways.
-        """
-        raise NotImplementedError
-
-
-class LRUPolicy(ReplacementPolicy):
+class LRUPolicy:
     """Least-recently-used replacement, tracked with a logical timestamp."""
 
     def __init__(self) -> None:
@@ -46,15 +22,20 @@ class LRUPolicy(ReplacementPolicy):
         self._last_use[way] = self._clock
 
     def on_fill(self, way: int) -> None:
+        """Record that ``way`` was filled with a new line."""
         self._touch(way)
 
     def on_access(self, way: int) -> None:
+        """Record a hit on ``way``."""
         self._touch(way)
 
     def on_invalidate(self, way: int) -> None:
+        """Record that ``way`` was invalidated."""
         self._last_use.pop(way, None)
 
     def victim(self, valid_ways: List[int], invalid_ways: List[int]) -> int:
+        """Choose a way to evict: the first of ``invalid_ways`` (ways holding
+        no line) when there is one, else the least recently used valid way."""
         if invalid_ways:
             return invalid_ways[0]
         if not valid_ways:

@@ -63,11 +63,6 @@ class SectorState:
             raise IndexError(f"offset {offset} out of range for {self.num_blocks}-block sector")
         self.valid_bits[offset] = True
 
-    def clear_block(self, offset: int) -> None:
-        if not 0 <= offset < self.num_blocks:
-            raise IndexError(f"offset {offset} out of range for {self.num_blocks}-block sector")
-        self.valid_bits[offset] = False
-
     def has_block(self, offset: int) -> bool:
         return self.valid_bits[offset]
 

@@ -74,29 +74,9 @@ class CacheStatistics:
         return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
-    @property
-    def demand_misses(self) -> int:
-        return self.misses
-
-    @property
-    def covered_misses(self) -> int:
-        """Demand accesses that would have missed but hit on a prefetched block."""
-        return self.prefetch_hits
-
-    @property
     def overpredictions(self) -> int:
         """Prefetched blocks never used before leaving the cache."""
         return self.prefetched_evicted_unused
-
-    def misses_per_instruction(self, instructions: int) -> float:
-        return self.misses / instructions if instructions else 0.0
 
     def merge(self, other: "CacheStatistics") -> "CacheStatistics":
         """Return a new statistics object summing self and ``other``."""
@@ -144,10 +124,6 @@ class PrefetcherStatistics:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-    @property
-    def pht_hit_rate(self) -> float:
-        return self.pht_hits / self.pht_lookups if self.pht_lookups else 0.0
 
     def as_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}

@@ -53,7 +53,7 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro import _env
 
@@ -514,10 +514,3 @@ def load_trace_file(path: Path) -> List[dict]:
         if record is not None:
             records.append(record)
     return records
-
-
-def iter_spans(records: List[dict]) -> Iterator[dict]:
-    """Just the ``kind == "span"`` records of a loaded trace file."""
-    for record in records:
-        if record.get("kind") == "span":
-            yield record

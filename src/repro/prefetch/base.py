@@ -32,10 +32,6 @@ class PrefetchRequest:
         self.address = address
         self.target_l1 = target_l1
 
-    @property
-    def target_l2_only(self) -> bool:
-        return not self.target_l1
-
 
 class PrefetcherResponse:
     """What a prefetcher wants the engine to do after one event.
@@ -129,9 +125,6 @@ class Prefetcher:
     def finalize(self) -> PrefetcherResponse:
         """Called once at end of trace; flush any internal training state."""
         return EMPTY_RESPONSE
-
-    def reset_stats(self) -> None:
-        self.stats = PrefetcherStatistics()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -87,12 +87,6 @@ class TemporalCorrelationPrefetcher(Prefetcher):
         self._table[block] = entry
         return entry
 
-    @property
-    def distinct_addresses_tracked(self) -> int:
-        """Number of distinct miss addresses currently holding an entry
-        (illustrates the data-set-proportional storage of temporal predictors)."""
-        return len(self._table)
-
     # ------------------------------------------------------------------ #
     def on_access(self, record: MemoryAccess, outcome: AccessOutcomeRecord) -> PrefetcherResponse:
         response = PrefetcherResponse()

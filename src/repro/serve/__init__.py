@@ -25,7 +25,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "client": ("ServeClient", "ServeError"),
-        "pool": ("WorkerPool", "WorkerSettings"),
+        "pool": ("WorkerPool",),
         "server": ("SimulationServer",),
         "protocol": (
             "ProtocolError",

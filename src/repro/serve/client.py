@@ -76,8 +76,12 @@ class ServeClient:
             try:
                 if self.socket_path:
                     sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                    sock.settimeout(self.timeout)
-                    sock.connect(self.socket_path)
+                    try:
+                        sock.settimeout(self.timeout)
+                        sock.connect(self.socket_path)
+                    except OSError:
+                        sock.close()  # create_connection does the same for TCP
+                        raise
                 else:
                     sock = socket.create_connection(
                         (self.host, self.port), timeout=self.timeout

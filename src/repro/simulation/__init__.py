@@ -20,7 +20,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "result_cache": (
-            "CacheStats",
             "SweepResultCache",
             "default_cache",
             "quarantine_file",
@@ -28,9 +27,9 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "config": ("MachineConfig", "SimulationConfig"),
         "engine": ("SimulationEngine", "SimulationResult"),
-        "timing": ("TimingModel", "TimingResult"),
+        "timing": ("TimingModel",),
         "breakdown": ("BreakdownCategory", "ExecutionBreakdown"),
-        "sampling": ("ConfidenceInterval", "SampledMeasurement", "paired_speedup"),
-        "sweep": ("SweepRunner", "SweepTask", "set_default_max_retries", "sweep_map"),
+        "sampling": ("ConfidenceInterval", "paired_speedup"),
+        "sweep": ("SweepTask", "set_default_max_retries", "sweep_map"),
     },
 )

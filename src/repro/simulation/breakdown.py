@@ -71,11 +71,6 @@ class ExecutionBreakdown:
         total = self.total_cycles
         return self.instructions / total if total else 0.0
 
-    def busy_fraction(self) -> float:
-        busy = self.get(BreakdownCategory.USER_BUSY) + self.get(BreakdownCategory.SYSTEM_BUSY)
-        total = self.total_cycles
-        return busy / total if total else 0.0
-
     def normalized(self, reference: Optional["ExecutionBreakdown"] = None) -> Dict[BreakdownCategory, float]:
         """Per-category fractions, normalised to ``reference`` (or self).
 

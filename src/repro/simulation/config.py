@@ -51,10 +51,6 @@ class MachineConfig:
         self.peak_bisection_gb_per_s = peak_bisection_gb_per_s
 
     @property
-    def cycle_ns(self) -> float:
-        return 1.0 / self.clock_ghz
-
-    @property
     def memory_latency_cycles(self) -> float:
         """DRAM access latency in CPU cycles."""
         return self.memory_latency_ns * self.clock_ghz

@@ -259,10 +259,6 @@ class SimulationResult:
     # Derived metrics
     # ------------------------------------------------------------------ #
     @property
-    def l1_read_references(self) -> int:
-        return self.reads
-
-    @property
     def baseline_l1_read_misses(self) -> int:
         """Read misses the system would (approximately) incur without prefetching."""
         return self.l1_read_misses + self.l1_read_covered
@@ -294,10 +290,6 @@ class SimulationResult:
 
     def offchip_read_mpki(self) -> float:
         return 1000.0 * self.offchip_read_misses / self.instructions if self.instructions else 0.0
-
-    def false_sharing_fraction(self) -> float:
-        total = self.l1_read_misses + self.l1_write_misses
-        return self.false_sharing_misses / total if total else 0.0
 
     def as_dict(self) -> Dict[str, float]:
         return {

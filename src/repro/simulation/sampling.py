@@ -54,10 +54,6 @@ class ConfidenceInterval(NamedTuple):
     def contains(self, value: float) -> bool:
         return self.lower <= value <= self.upper
 
-    @property
-    def relative_error(self) -> float:
-        return self.half_width / abs(self.mean) if self.mean else math.inf
-
     def __str__(self) -> str:
         return f"{self.mean:.3f} ± {self.half_width:.3f}"
 
@@ -103,11 +99,6 @@ class SampledMeasurement:
         critical = t_quantile_975(len(self.values) - 1)
         half_width = critical * self.std_dev / math.sqrt(len(self.values))
         return ConfidenceInterval(mean=self.mean, half_width=half_width)
-
-    def meets_target(self, relative_error: float = 0.05) -> bool:
-        """True if the CI half-width is within ``relative_error`` of the mean
-        (the paper targets ±5% error on the change in performance)."""
-        return self.confidence_interval().relative_error <= relative_error
 
 
 def paired_speedup(

@@ -13,10 +13,9 @@ and the Table-1 machine parameters:
   for off-chip write misses (not reduced by read streaming, and inflated by
   the upgrade penalty when SMS's read-only streamed blocks are written —
   the Qry1 effect of Section 4.7);
-* **busy time** (user + system + front-end/other stalls) is either derived
-  from the instruction count and an assumed core IPC (:meth:`TimingModel.evaluate`)
-  or — for paired base-vs-SMS comparisons (:meth:`TimingModel.evaluate_pair`)
-  — *calibrated* so that the baseline's memory-stall share of execution time
+* **busy time** (user + system + front-end/other stalls) is, for each
+  base-vs-prefetcher pair (:meth:`TimingModel.evaluate_pair`),
+  *calibrated* so that the baseline's memory-stall share of execution time
   matches the share the paper reports for that workload class
   (``WorkloadMetadata.memory_stall_fraction``).  The calibration compensates
   for the synthetic traces' block-granularity accesses (they omit the many
@@ -68,21 +67,17 @@ class TimingModel:
     def __init__(
         self,
         machine: Optional[MachineConfig] = None,
-        base_ipc: float = 2.0,
         other_stall_fraction: float = 0.35,
         onchip_overlap: float = 2.0,
     ) -> None:
-        if base_ipc <= 0:
-            raise ValueError(f"base_ipc must be positive, got {base_ipc}")
         if onchip_overlap <= 0:
             raise ValueError(f"onchip_overlap must be positive, got {onchip_overlap}")
         self.machine = machine or MachineConfig()
-        self.base_ipc = base_ipc
         self.other_stall_fraction = other_stall_fraction
         self.onchip_overlap = onchip_overlap
 
     # ------------------------------------------------------------------ #
-    # Memory stall components (shared by both evaluation modes)
+    # Memory stall components (shared by both configurations of a pair)
     # ------------------------------------------------------------------ #
     def _memory_components(
         self, result: SimulationResult, metadata: WorkloadMetadata
@@ -144,26 +139,6 @@ class TimingModel:
         for category, cycles in components.items():
             breakdown.add(category, cycles)
         return breakdown
-
-    # ------------------------------------------------------------------ #
-    # Single-configuration evaluation (busy time from instruction count)
-    # ------------------------------------------------------------------ #
-    def evaluate(
-        self,
-        result: SimulationResult,
-        workload: Optional[WorkloadMetadata] = None,
-    ) -> TimingResult:
-        """Estimate execution time for one simulation result.
-
-        Busy time is derived from the committed instruction count and the
-        assumed core IPC; use :meth:`evaluate_pair` for paper-comparable
-        base-vs-prefetcher comparisons.
-        """
-        metadata = workload or result.workload or WorkloadMetadata(name=result.name, category="?")
-        components = self._memory_components(result, metadata)
-        busy_plus_other = (result.instructions / self.base_ipc) * (1.0 + self.other_stall_fraction)
-        components.update(self._busy_components(busy_plus_other, result, metadata))
-        return TimingResult(breakdown=self._build(result.instructions, components), machine=self.machine)
 
     # ------------------------------------------------------------------ #
     # Paired evaluation (busy time calibrated to the paper's stall mix)

@@ -8,6 +8,12 @@ mode).  Workload generators (:mod:`repro.workloads`) produce traces; the
 simulation engine (:mod:`repro.simulation`) consumes them lazily, one chunk
 at a time, so traces of any length fit in O(chunk) memory.
 
+Four replayable stream types exist: :class:`~repro.trace.binary.BinaryTraceStream`
+and :class:`~repro.trace.reader.FileTraceStream` over the two file formats,
+:class:`~repro.trace.binary.LaneTrace` for a whole trace held in memory as SoA
+lanes (what :func:`~repro.trace.reader.read_trace` returns), and the synthetic
+workloads of :mod:`repro.workloads`.
+
 On-disk trace formats
 ---------------------
 
@@ -44,24 +50,17 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "record": ("AccessType", "ExecutionMode", "MemoryAccess"),
         "stream": (
             "TraceStream",
-            "MaterializedTrace",
-            "GeneratedTrace",
-            "ChunkedTraceStream",
-            "iter_chunks",
             "lane_chunk_iterator",
             "resolve_warmup_count",
-            "stream_length_hint",
         ),
-        "reader": ("FileTraceStream", "read_trace", "stream_trace", "write_trace"),
+        "reader": ("read_trace", "stream_trace", "write_trace"),
         "binary": (
             "BinaryTraceStream",
             "LaneChunk",
             "LaneTrace",
-            "decode_record_lanes",
             "is_binary_trace",
-            "read_trace_binary",
             "write_trace_binary",
         ),
-        "stats": ("TraceStatistics", "summarize_trace"),
+        "stats": ("summarize_trace",),
     },
 )

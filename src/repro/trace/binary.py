@@ -49,12 +49,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, List, Optional, Union
 
 from repro.trace.record import MemoryAccess
-from repro.trace.stream import (
-    DEFAULT_CHUNK_SIZE,
-    MaterializedTrace,
-    TraceStream,
-    lane_chunk_iterator,
-)
+from repro.trace.stream import DEFAULT_CHUNK_SIZE, TraceStream, lane_chunk_iterator
 
 import struct
 
@@ -582,13 +577,9 @@ class LaneTrace(TraceStream):
         for start in range(0, total, chunk_size):
             yield lanes.slice(start, start + chunk_size)
 
-    def iter_chunks(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator[List[MemoryAccess]]:
-        for chunk in self.iter_lane_chunks(chunk_size):
-            yield chunk.records()
-
     def __iter__(self) -> Iterator[MemoryAccess]:
-        for chunk in self.iter_chunks():
-            yield from chunk
+        for chunk in self.iter_lane_chunks():
+            yield from chunk.records()
 
 
 def _binary_stem(path: Path) -> str:
@@ -597,28 +588,3 @@ def _binary_stem(path: Path) -> str:
     while stem != (stripped := Path(stem).stem):
         stem = stripped
     return stem
-
-
-def read_trace_binary(path: Union[str, Path], name: str = "") -> MaterializedTrace:
-    """Eagerly read a binary trace into a :class:`MaterializedTrace`.
-
-    The result list is preallocated from the header's record count (when
-    recorded) and filled by boxing whole lane chunks at a time, then adopted
-    by the trace without the defensive copy ``MaterializedTrace(records)``
-    would make — one list, sized once, built once.
-    """
-    stream = BinaryTraceStream(path, name=name)
-    expected = stream.length_hint()
-    cursor = 0
-    if expected is None:
-        records: List[MemoryAccess] = []
-        for chunk in stream.iter_lane_chunks():
-            records.extend(chunk.records())
-            cursor += len(chunk)
-    else:
-        records = [None] * expected  # type: ignore[list-item]
-        for chunk in stream.iter_lane_chunks():
-            boxed = chunk.records()
-            records[cursor : cursor + len(boxed)] = boxed
-            cursor += len(boxed)
-    return MaterializedTrace.adopt(records, name=stream.name)

@@ -19,9 +19,8 @@ entry points below auto-detect the format:
   by the ``.strc`` suffix or the file's magic bytes);
 * :func:`write_trace` writes text by default and binary for ``.strc`` /
   ``.strc.gz`` output paths; and
-* :func:`read_trace` eagerly materializes either format into a
-  :class:`~repro.trace.stream.MaterializedTrace` (convenient for small
-  traces and random access).
+* :func:`read_trace` eagerly reads either format into a
+  :class:`~repro.trace.binary.LaneTrace`, the one in-memory trace.
 """
 
 from __future__ import annotations
@@ -31,9 +30,9 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Union
 
 from repro.trace import binary as _binary
-from repro.trace.binary import BinaryTraceStream, write_trace_binary
+from repro.trace.binary import BinaryTraceStream, LaneTrace, write_trace_binary
 from repro.trace.record import AccessType, ExecutionMode, MemoryAccess
-from repro.trace.stream import MaterializedTrace, TraceStream
+from repro.trace.stream import TraceStream
 
 _TYPE_CODES = {AccessType.READ: "R", AccessType.WRITE: "W"}
 _TYPE_FROM_CODE = {v: k for k, v in _TYPE_CODES.items()}
@@ -168,7 +167,6 @@ def stream_trace(
     return FileTraceStream(path, name=name, length=length)
 
 
-def read_trace(path: Union[str, Path], name: str = "") -> MaterializedTrace:
+def read_trace(path: Union[str, Path], name: str = "") -> LaneTrace:
     """Eagerly read a trace file written by :func:`write_trace` (either format)."""
-    stream = stream_trace(path, name=name)
-    return MaterializedTrace(list(stream), name=stream.name)
+    return LaneTrace.from_records(stream_trace(path, name=name))

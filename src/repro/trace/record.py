@@ -176,16 +176,6 @@ class MemoryAccess(_MemoryAccessBase):
         """Return the base address of the spatial region containing this access."""
         return self[1] & ~(region_size - 1)
 
-    def region_offset(self, region_size: int, block_size: int) -> int:
-        """Return the block offset of this access within its spatial region."""
-        return (self[1] & (region_size - 1)) // block_size
-
-    def with_cpu(self, cpu: int) -> "MemoryAccess":
-        """Return a copy of this record re-attributed to ``cpu``."""
-        if cpu < 0:
-            raise ValueError(f"cpu must be non-negative, got {cpu}")
-        return tuple.__new__(MemoryAccess, (self[0], self[1], self[2], cpu, self[4]))
-
 
 def read_access(pc: int, address: int, cpu: int = 0, **kwargs) -> MemoryAccess:
     """Convenience constructor for a read access."""

@@ -53,10 +53,6 @@ class TraceStatistics:
         self.max_instruction_count = max_instruction_count
 
     @property
-    def read_fraction(self) -> float:
-        return self.reads / self.total_accesses if self.total_accesses else 0.0
-
-    @property
     def write_fraction(self) -> float:
         return self.writes / self.total_accesses if self.total_accesses else 0.0
 

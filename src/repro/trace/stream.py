@@ -1,9 +1,13 @@
 """Trace streams.
 
 A :class:`TraceStream` is a reusable, named source of
-:class:`~repro.trace.record.MemoryAccess` records.  Streams can be
-materialized (a list in memory), generated lazily from a callable, or
-wrapped in a :class:`ChunkedTraceStream` for bounded-memory chunk iteration.
+:class:`~repro.trace.record.MemoryAccess` records.  Four kinds exist: a
+binary file (:class:`~repro.trace.binary.BinaryTraceStream`), a text file
+(:class:`~repro.trace.reader.FileTraceStream`), a trace resident in memory as
+SoA lanes (:class:`~repro.trace.binary.LaneTrace`) and a synthetic workload
+(:class:`~repro.workloads.base.SyntheticWorkload`).  Any other iterable of
+records — a list, a generator — is a trace too; :func:`lane_chunk_iterator`
+and :func:`iter_chunks` read it one chunk at a time.
 
 Streams are *single-pass on each iteration but replayable across
 iterations*: consumers such as the simulation engine iterate them lazily and
@@ -13,7 +17,7 @@ never materialize them, so a billion-record stream costs O(chunk) memory.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional
 
 from repro.trace.record import MemoryAccess
 
@@ -64,7 +68,7 @@ def lane_chunk_iterator(
 
     Streams that hold, decode or generate lanes natively (``iter_lane_chunks``:
     binary trace files, :class:`~repro.trace.binary.LaneTrace`, synthetic
-    workloads, chunked views over any of them) hand theirs out.  Everything
+    workloads) hand theirs out.  Everything
     else — text traces, record lists, plain generators — is read one boxed
     chunk at a time and transposed with ``LaneChunk.from_records``, so a lazy
     stream still costs O(chunk) memory and ``limit`` still does finite work
@@ -159,148 +163,5 @@ class TraceStream:
         """
         return None
 
-    def materialize(self) -> "MaterializedTrace":
-        """Return an in-memory copy of this stream."""
-        return MaterializedTrace(list(self), name=self.name)
-
-    def take(self, count: int) -> "MaterializedTrace":
-        """Return the first ``count`` records as a materialized trace."""
-        records = list(islice(iter(self), count))
-        return MaterializedTrace(records, name=f"{self.name}[:{count}]")
-
-    def chunked(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> "ChunkedTraceStream":
-        """Wrap this stream for bounded-memory chunk iteration."""
-        return ChunkedTraceStream(self, chunk_size=chunk_size)
-
-    def iter_chunks(
-        self, chunk_size: int = DEFAULT_CHUNK_SIZE
-    ) -> Iterator[List[MemoryAccess]]:
-        """Iterate this stream as successive record lists of ``chunk_size``."""
-        return iter_chunks(self, chunk_size)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-class MaterializedTrace(TraceStream):
-    """A trace held entirely in memory."""
-
-    def __init__(self, records: Sequence[MemoryAccess], name: str = "trace") -> None:
-        super().__init__(name=name)
-        self._records = list(records)
-
-    @classmethod
-    def adopt(cls, records: List[MemoryAccess], name: str = "trace") -> "MaterializedTrace":
-        """Wrap an existing record list without copying it.
-
-        The caller cedes ownership: mutating ``records`` afterwards mutates
-        the trace.  Used by bulk readers that already built the exact list
-        (``read_trace_binary`` preallocates from the header count) so the
-        constructor's defensive ``list(records)`` copy is not paid twice.
-        """
-        trace = cls.__new__(cls)
-        TraceStream.__init__(trace, name=name)
-        trace._records = records
-        return trace
-
-    def __iter__(self) -> Iterator[MemoryAccess]:
-        return iter(self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def length_hint(self) -> Optional[int]:
-        return len(self._records)
-
-    def __getitem__(self, index):
-        return self._records[index]
-
-    def append(self, record: MemoryAccess) -> None:
-        self._records.append(record)
-
-    def extend(self, records: Iterable[MemoryAccess]) -> None:
-        self._records.extend(records)
-
-    @property
-    def records(self) -> List[MemoryAccess]:
-        return self._records
-
-    def split_warmup(self, fraction: float = 0.5) -> tuple:
-        """Split into (warmup, measurement) traces.
-
-        The paper uses half of each trace for warm-up prior to collecting
-        experimental results (Section 4); this helper mirrors that.
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        cut = int(len(self._records) * fraction)
-        warm = MaterializedTrace(self._records[:cut], name=f"{self.name}:warmup")
-        meas = MaterializedTrace(self._records[cut:], name=f"{self.name}:measure")
-        return warm, meas
-
-
-class GeneratedTrace(TraceStream):
-    """A trace produced lazily by a factory callable.
-
-    The factory is invoked afresh on every iteration so that the stream is
-    replayable provided the factory is deterministic.  ``length`` is an
-    optional record-count hint (it need not be exact) that lets consumers
-    size warmup phases without materializing the stream.
-    """
-
-    def __init__(
-        self,
-        factory: Callable[[], Iterable[MemoryAccess]],
-        name: str = "generated",
-        length: Optional[int] = None,
-    ) -> None:
-        super().__init__(name=name)
-        if length is not None and length < 0:
-            raise ValueError(f"length must be non-negative, got {length}")
-        self._factory = factory
-        self._length = length
-
-    def __iter__(self) -> Iterator[MemoryAccess]:
-        return iter(self._factory())
-
-    def length_hint(self) -> Optional[int]:
-        return self._length
-
-
-class ChunkedTraceStream(TraceStream):
-    """A view of another stream that iterates in bounded-size chunks.
-
-    Flat iteration (``for record in stream``) behaves exactly like the source
-    stream; :meth:`iter_chunks` exposes the chunk granularity directly.  Only
-    one chunk is ever resident, so wrapping a lazy source keeps memory
-    O(chunk_size) regardless of trace length.
-    """
-
-    def __init__(
-        self,
-        source: Iterable[MemoryAccess],
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        name: Optional[str] = None,
-    ) -> None:
-        if chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        super().__init__(name=name or getattr(source, "name", "chunked"))
-        self._source = source
-        self.chunk_size = chunk_size
-
-    def __iter__(self) -> Iterator[MemoryAccess]:
-        for chunk in self.iter_chunks():
-            yield from chunk
-
-    def iter_chunks(
-        self, chunk_size: Optional[int] = None
-    ) -> Iterator[List[MemoryAccess]]:
-        return iter_chunks(self._source, chunk_size or self.chunk_size)
-
-    def iter_lane_chunks(self, chunk_size: Optional[int] = None):
-        """Lane iteration over the source at this view's chunk size."""
-        return lane_chunk_iterator(self._source, chunk_size or self.chunk_size)
-
-    def length_hint(self) -> Optional[int]:
-        return stream_length_hint(self._source)
-

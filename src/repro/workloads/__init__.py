@@ -33,11 +33,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "web": ("WebServerWorkload",),
         "scientific": ("Em3dWorkload", "OceanWorkload", "SparseWorkload"),
         "names": ("WorkloadMetadata", "APPLICATION_NAMES", "CATEGORIES"),
-        "suite": (
-            "make_workload",
-            "all_workloads",
-            "workloads_by_category",
-            "representative_workloads",
-        ),
+        "suite": ("make_workload",),
     },
 )

@@ -97,9 +97,6 @@ class AddressSpace:
         base, size = self._ranges[name]
         return base <= address < base + size
 
-    def structures(self) -> List[str]:
-        return list(self._ranges)
-
 
 class FootprintLibrary:
     """Per-operation spatial footprints with controlled jitter.
@@ -128,9 +125,6 @@ class FootprintLibrary:
         self._complements[name] = [
             offset for offset in range(self.blocks_per_region) if offset not in members
         ]
-
-    def define_dense(self, name: str, start: int, count: int) -> None:
-        self.define(name, list(range(start, min(start + count, self.blocks_per_region))))
 
     def offsets(self, name: str) -> List[int]:
         return list(self._footprints[name])

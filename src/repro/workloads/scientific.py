@@ -40,7 +40,6 @@ _PC_SPARSE_ROW = 0x75_0000
 _PC_SPARSE_COL = 0x76_0000
 _PC_SPARSE_VEC = 0x77_0000
 
-_REGION = 2048
 
 
 class Em3dWorkload(SyntheticWorkload):

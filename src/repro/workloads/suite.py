@@ -8,7 +8,7 @@ studies (Figures 6-10), which the paper reports per category.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from repro.workloads.base import SyntheticWorkload
 from repro.workloads.dss import DSSQueryWorkload
@@ -44,22 +44,3 @@ def make_workload(name: str, **overrides) -> SyntheticWorkload:
     if key not in _FACTORIES:
         raise ValueError(f"unknown workload {name!r}; choose from {APPLICATION_NAMES}")
     return _FACTORIES[key](**overrides)
-
-
-def all_workloads(**overrides) -> List[SyntheticWorkload]:
-    """Build every application in the suite."""
-    return [make_workload(name, **overrides) for name in APPLICATION_NAMES]
-
-
-def workloads_by_category(category: str, **overrides) -> List[SyntheticWorkload]:
-    """Build every application of one category (``"OLTP"``, ``"DSS"``, ``"Web"``,
-    ``"Scientific"``)."""
-    return [make_workload(name, **overrides) for name in category_members(category)]
-
-
-def representative_workloads(**overrides) -> Dict[str, SyntheticWorkload]:
-    """One representative application per category (used by Figures 6-10)."""
-    return {
-        category: make_workload(name, **overrides)
-        for category, name in CATEGORY_REPRESENTATIVE.items()
-    }

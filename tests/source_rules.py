@@ -68,7 +68,7 @@ the lane fast path spills into ``core/sms.py`` and ``trace/stream.py``)
   data, or boxing a cache set's packed flags back into a ``CacheLine``, a
   packed directory word into a ``DirectoryEntry`` / ``CoherenceActions``,
   or a packed SMS state word into a ``GenerationRecord`` / ``AGTEvent`` /
-  ``TriggerInfo`` / ``PredictionRegister`` / ``StreamRequest`` /
+  ``TriggerInfo`` / ``StreamRequest`` /
   ``SpatialPattern``, or boxing a *generated* access (``make_access(...)``,
   ``record._replace(...)``) in a workload's batch producer reintroduces the
   per-record allocation the lane path removes.
@@ -207,15 +207,15 @@ BLOCKING_RECEIVER_FRAGMENTS = ("conn", "queue", "sock", "pipe", "idle")
 #: one resident line's packed flags (``CacheLine``), one block's packed
 #: directory word and the actions of a request on it (``DirectoryEntry``,
 #: ``CoherenceActions``), or one packed word of SMS state — an AGT generation
-#: (``GenerationRecord``, ``AGTEvent``, ``TriggerInfo``), a prediction
-#: register and the blocks it streams (``PredictionRegister``,
-#: ``StreamRequest``) or a PHT pattern (``SpatialPattern``) — each: exactly
+#: (``GenerationRecord``, ``AGTEvent``, ``TriggerInfo``), a block a
+#: prediction register streams (``StreamRequest``) or a PHT pattern
+#: (``SpatialPattern``) — each: exactly
 #: the allocations the lane decomposition removes.
 BOXED_RECORD_CONSTRUCTORS = frozenset(
     {
         "MemoryAccess", "CacheLine", "DirectoryEntry", "CoherenceActions",
         "GenerationRecord", "AGTEvent", "TriggerInfo",
-        "PredictionRegister", "StreamRequest", "SpatialPattern",
+        "StreamRequest", "SpatialPattern",
     }
 )
 

@@ -25,15 +25,15 @@ class TestFigure2Walkthrough:
         event = agt.observe_access(pc=0x400, address=REGION + 3 * 64)
         assert event.is_trigger
         assert event.trigger.offset == 3
-        assert agt.filter_occupancy == 1
-        assert agt.accumulation_occupancy == 0
+        assert len(agt._filter) == 1
+        assert len(agt._accumulation) == 0
 
     def test_second_block_transfers_to_accumulation(self, agt):
         agt.observe_access(pc=0x400, address=REGION + 3 * 64)
         event = agt.observe_access(pc=0x404, address=REGION + 2 * 64)
         assert not event.is_trigger
-        assert agt.filter_occupancy == 0
-        assert agt.accumulation_occupancy == 1
+        assert len(agt._filter) == 0
+        assert len(agt._accumulation) == 1
 
     def test_pattern_accumulates(self, agt, geometry):
         agt.observe_access(pc=0x400, address=REGION + 3 * 64)
@@ -51,7 +51,7 @@ class TestFigure2Walkthrough:
         agt.observe_access(pc=0x400, address=REGION)
         event = agt.observe_removal(REGION)
         assert not event.completed
-        assert agt.filter_occupancy == 0
+        assert len(agt._filter) == 0
         assert agt.filter_only_generations == 1
 
 
@@ -60,8 +60,8 @@ class TestFilterTableBehaviour:
         agt.observe_access(pc=0x400, address=REGION + 5 * 64)
         event = agt.observe_access(pc=0x400, address=REGION + 5 * 64 + 32)
         assert not event.is_trigger
-        assert agt.filter_occupancy == 1
-        assert agt.accumulation_occupancy == 0
+        assert len(agt._filter) == 1
+        assert len(agt._accumulation) == 0
 
     def test_new_generation_after_removal_is_trigger(self, agt):
         agt.observe_access(pc=0x400, address=REGION)
@@ -75,7 +75,7 @@ class TestFilterTableBehaviour:
         agt = ActiveGenerationTable(geometry, filter_entries=2, accumulation_entries=4)
         for i in range(3):
             agt.observe_access(pc=0x400, address=REGION + i * geometry.region_size)
-        assert agt.filter_occupancy == 2
+        assert len(agt._filter) == 2
         assert agt.filter_victims == 1
 
 
@@ -102,7 +102,7 @@ class TestUnboundedTables:
             base = REGION + i * geometry.region_size
             agt.observe_access(pc=0x400, address=base)
             agt.observe_access(pc=0x404, address=base + 64)
-        assert agt.accumulation_occupancy == 200
+        assert len(agt._accumulation) == 200
         assert agt.accumulation_victims == 0
 
     def test_invalid_sizes(self, geometry):
@@ -118,14 +118,13 @@ class TestDrainAndIntrospection:
         agt.observe_access(pc=0x404, address=REGION + 64)
         drained = agt.drain()
         assert len(drained) == 1
-        assert agt.accumulation_occupancy == 0
-        assert agt.filter_occupancy == 0
+        assert len(agt._accumulation) == 0
+        assert len(agt._filter) == 0
 
     def test_active_regions(self, agt, geometry):
         agt.observe_access(pc=0x400, address=REGION)
         agt.observe_access(pc=0x400, address=REGION + geometry.region_size)
-        assert set(agt.active_regions()) == {REGION, REGION + geometry.region_size}
-        assert agt.has_active_generation(REGION + 100)
+        assert set([*agt._filter, *agt._accumulation]) == {REGION, REGION + geometry.region_size}
 
     def test_removal_of_unknown_region_is_noop(self, agt):
         event = agt.observe_removal(0x999000)

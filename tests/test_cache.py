@@ -209,8 +209,6 @@ class TestStatistics:
         assert cache.stats.accesses == 3
         assert cache.stats.hits == 1
         assert cache.stats.misses == 2
-        assert cache.stats.hit_rate == pytest.approx(1 / 3)
-        assert cache.stats.miss_rate == pytest.approx(2 / 3)
 
     def test_read_write_miss_split(self):
         cache = make_cache()

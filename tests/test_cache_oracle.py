@@ -248,7 +248,7 @@ def test_cache_matches_naive_model(num_sets, ways):
                 assert subject.delivered == oracle.delivered, context
             assert cache.stats.as_dict() == oracle.stats, context
             resident = oracle.resident()
-            assert set(cache.resident_blocks()) == set(resident), context
+            assert {block for cache_set in cache._sets for block in cache_set} == set(resident), context
             assert cache.occupancy == len(resident), context
             for block, flags in resident.items():
                 line = cache.probe(block + LINE - 1)

@@ -37,13 +37,9 @@ from repro.serve.protocol import (
     ProtocolError,
 )
 from repro.serve.server import SimulationServer
-from repro.simulation import (
-    SweepResultCache,
-    SweepRunner,
-    SweepTask,
-    set_default_max_retries,
-)
+from repro.simulation import SweepResultCache, SweepTask, set_default_max_retries
 from repro.simulation.result_cache import QUARANTINE_SUBDIR
+from repro.simulation.sweep import SweepRunner
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -94,7 +90,8 @@ _SWEEP_SCRIPT = textwrap.dedent(
     """
     import pickle, sys
     from repro.serve import jobs
-    from repro.simulation import SweepResultCache, SweepRunner, SweepTask
+    from repro.simulation import SweepResultCache, SweepTask
+    from repro.simulation.sweep import SweepRunner
 
     def spec(seed):
         return {
@@ -457,3 +454,17 @@ class TestClientChaos:
         assert sleeps[1] == pytest.approx(0.10)
         assert sleeps[2] == pytest.approx(0.20, rel=0.05)
         assert max(sleeps) <= 0.2 + 1e-9
+
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    def test_refused_connects_close_their_sockets(self, tmp_path):
+        # Each failed attempt closes its socket at once: one left for the
+        # garbage collector warns from its finalizer, which fails here.
+        import gc
+
+        from repro.serve.client import ServeClient, ServeError
+
+        client = ServeClient(socket_path=str(tmp_path / "nowhere.sock"))
+        with pytest.raises(ServeError):
+            client.connect(retry_for=0.2, interval=0.01, max_interval=0.02)
+        gc.collect()

@@ -2,7 +2,8 @@
 
 Golden fixture snippets per rule ID (one violating + one clean each),
 suppressions, the catalog, the meta-test that certifies the package has no
-finding, and the censuses of knobs, modules, documented paths and imports.
+finding, and the censuses of knobs, modules, public names, lazy exports,
+documented paths and imports.
 """
 
 import ast
@@ -21,6 +22,7 @@ from tests.source_rules import (
     lint_file,
     lint_source,
     python_files,
+    resolve,
 )
 
 PACKAGE_DIR = Path(repro.__file__).parent
@@ -33,6 +35,63 @@ def rules_at(source, path="pkg/module.py"):
 
 def rule_ids(source, path="pkg/module.py"):
     return [rule for rule, _ in rules_at(source, path)]
+
+
+def dotted_module(path):
+    return ".".join(path.relative_to(PACKAGE_DIR.parent).with_suffix("").parts)
+
+
+def lazy_export_tables():
+    """``(package, name) -> (defining submodule, {its file, the package's
+    __init__})`` for every entry of every ``lazy_exports`` table."""
+    exports = {}
+    for init in PACKAGE_DIR.rglob("__init__.py"):
+        package = dotted_module(init.parent)
+        for node in ast.walk(ast.parse(init.read_text())):
+            if isinstance(node, ast.Call) and dotted_name(node.func) == "lazy_exports":
+                for submodule, names in ast.literal_eval(node.args[1]).items():
+                    owner = init.parent / f"{submodule}.py"
+                    for name in names:
+                        exports[package, name] = (f"{package}.{submodule}", {owner, init})
+    return exports
+
+
+def product_names(repo):
+    """``(used, defined)``: every identifier that src/, benchmarks/ and
+    examples/ use, and the qualified names of src/repro's public functions,
+    classes and methods (``Class.method``)."""
+    identifier = re.compile(r"[A-Za-z_]\w*\Z")
+    used, defined = set(), set()
+    for path in python_files(repo / "src", repo / "benchmarks", repo / "examples"):
+        tree = ast.parse(path.read_text())
+        table_strings = {
+            id(constant)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and dotted_name(node.func) == "lazy_exports"
+            for constant in ast.walk(node.args[1])
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.update(node.name.split("."))
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and identifier.match(node.value) and id(node) not in table_strings):
+                used.add(node.value)
+        if PACKAGE_DIR not in path.parents:
+            continue
+        definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        for node in tree.body:
+            if isinstance(node, definitions):
+                defined.add(node.name)
+                if isinstance(node, ast.ClassDef):
+                    defined.update(
+                        f"{node.name}.{member.name}"
+                        for member in node.body if isinstance(member, definitions)
+                    )
+    return used, {name for name in defined if not name.rpartition(".")[2].startswith("_")}
 
 
 # --------------------------------------------------------------------------- #
@@ -571,13 +630,12 @@ class TestHOT004:
                     trigger = TriggerInfo(pc=pc, address=address, region=0, offset=0)
                     event = agt.AGTEvent(is_trigger=True, trigger=trigger)
                     record = GenerationRecord(0, pc, 0, address)
-                    registers.append(PredictionRegister(geometry, 0, pattern))
                     return [StreamRequest(address, 0, 0)], SpatialPattern(32, 1)
                 return on_access_lane
             """,
             path=COLD_PATH,
         )
-        assert findings == [("HOT004", line) for line in (4, 5, 6, 7, 8, 8)]
+        assert findings == [("HOT004", line) for line in (4, 5, 6, 7, 7)]
 
     def test_packed_sms_words_in_lane_function_are_clean(self):
         findings = rules_at(
@@ -1056,25 +1114,18 @@ class TestPackageIsClean:
         if not (repo / "benchmarks").is_dir():
             pytest.skip("no benchmarks/ (installed-package run)")
 
-        def dotted(path):
-            return ".".join(path.relative_to(PACKAGE_DIR.parent).with_suffix("").parts)
-
-        package_files = python_files(PACKAGE_DIR)
-        modules = {dotted(path) for path in package_files if path.name != "__init__.py"}
-        lazy_owner = {}
-        for path in package_files:
-            if path.name != "__init__.py":
-                continue
-            package = dotted(path.parent)
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call) and dotted_name(node.func) == "lazy_exports":
-                    for submodule, names in ast.literal_eval(node.args[1]).items():
-                        for name in names:
-                            lazy_owner[f"{package}.{name}"] = f"{package}.{submodule}"
+        modules = {
+            dotted_module(path) for path in python_files(PACKAGE_DIR)
+            if path.name != "__init__.py"
+        }
+        lazy_owner = {
+            f"{package}.{name}": submodule
+            for (package, name), (submodule, _) in lazy_export_tables().items()
+        }
 
         imported = set()
         for path in python_files(PACKAGE_DIR, repo / "benchmarks", repo / "examples"):
-            importer = dotted(path) if PACKAGE_DIR in path.parents else None
+            importer = dotted_module(path) if PACKAGE_DIR in path.parents else None
             tree = ast.parse(path.read_text())
             origins = set(import_bindings(tree).values())
             # ``import repro.simulation.engine`` binds only ``repro``.
@@ -1103,6 +1154,66 @@ class TestPackageIsClean:
         }
         assert sorted(modules - imported - dispatched - exempt) == []
         assert exempt <= modules - imported, "exemption no longer needed"
+
+    def test_every_public_name_is_used_by_the_product(self):
+        # Symbol census: a public function, class or method of src/repro
+        # that nothing in src/, benchmarks/ or examples/ names is kept alive
+        # only by its own tests.  A name is used where it appears as a name,
+        # an attribute, an import or an identifier-shaped string (getattr
+        # dispatch, ``__all__``); the string entries of ``lazy_exports``
+        # tables do not count.
+        repo = Path(__file__).resolve().parent.parent
+        if not (repo / "benchmarks").is_dir():
+            pytest.skip("no benchmarks/ (installed-package run)")
+        used, defined = product_names(repo)
+        exempt = {
+            # The reference decoupled sectored cache that
+            # tests/test_decoupled_cache.py checks DecoupledSectoredTrainer
+            # against (the module census exempts its module for the same
+            # reason); no figure simulates it.
+            "DecoupledSectoredCache": "test oracle",
+            "DecoupledSectoredCache.resident_sectors": "test oracle's inspection",
+            # The coherence invariants the directory oracle tests assert
+            # after every step.
+            "DirectoryEntry.validate": "invariant checker",
+            # One-call engine construction, used by a dozen test files.
+            "run_simulation": "test construction helper",
+            # Readable pattern literals and bit probes of the PHT/AGT tests.
+            "SpatialPattern.full": "test construction helper",
+            "SpatialPattern.from_offsets": "test construction helper",
+            "SpatialPattern.from_string": "test construction helper",
+            "SpatialPattern.test": "test construction helper",
+        }
+        unused = {name for name in defined if name.rpartition(".")[2] not in used}
+        assert sorted(unused - set(exempt)) == []
+        assert set(exempt) <= unused, "exemption no longer needed"
+
+    def test_every_lazy_export_has_an_importer(self):
+        # A ``lazy_exports`` entry exists so that something can write
+        # ``from repro.<pkg> import Name``: each one needs an importer (of
+        # the package or of the defining submodule) outside that submodule
+        # and the package's own ``__init__``.
+        repo = Path(__file__).resolve().parent.parent
+        if not (repo / "benchmarks").is_dir():
+            pytest.skip("no benchmarks/ (installed-package run)")
+        importers = {}
+        for path in python_files(repo / "src", repo / "benchmarks", repo / "examples"):
+            tree = ast.parse(path.read_text())
+            bound = import_bindings(tree)
+            origins = set(bound.values())
+            origins.update(
+                resolve(bound, dotted_name(node))
+                for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            )
+            for origin in origins:
+                importers.setdefault(origin, set()).add(path)
+        orphans = sorted(
+            f"{package}.{name}"
+            for (package, name), (submodule, owners) in lazy_export_tables().items()
+            if not (importers.get(f"{package}.{name}", set())
+                    | importers.get(f"{submodule}.{name}", set())) - owners
+        )
+        assert orphans == []
 
     def test_docs_name_only_files_that_exist(self):
         # Path census: every backticked repo-relative path in the README and

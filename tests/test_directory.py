@@ -108,5 +108,5 @@ class TestGranularity:
         directory = Directory(coherence_unit=128)
         directory.read(0, 0x1000)
         directory.read(1, 0x1040)  # same 128B unit
-        assert directory.tracked_blocks == 1
+        assert len(directory._entries) == 1
         assert directory.sharers(0x1000) == {0, 1}

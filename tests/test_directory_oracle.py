@@ -10,7 +10,7 @@ Both models run the same hypothesis-generated read / write / evict sequence
 and are compared after every step: the coherence actions the request
 returned, the four request counters, and — for every address of the pool —
 ``sharers()``, the ``lookup()`` snapshot (block, state, sharers, owner, and
-that it passes its own ``validate()``) and ``tracked_blocks``.
+that it passes its own ``validate()``) and the number of tracked blocks.
 """
 
 import pytest
@@ -127,9 +127,9 @@ def _compare_state(directory, oracle, unit, context):
         assert entry.state.value == record.state, context
         assert entry.sharers == record.sharers, context
         assert entry.owner == record.owner, context
-        assert entry.num_sharers == len(record.sharers), context
+        assert len(entry.sharers) == len(record.sharers), context
         entry.validate()
-    assert directory.tracked_blocks == oracle.cached_blocks(), context
+    assert len(directory._entries) == oracle.cached_blocks(), context
     assert directory.read_requests == oracle.counters["reads"], context
     assert directory.write_requests == oracle.counters["writes"], context
     assert directory.invalidations_sent == oracle.counters["invalidations"], context
@@ -168,4 +168,4 @@ def test_lookup_is_a_snapshot():
     assert directory.sharers(0x1000) == {0}
     assert directory.lookup(0x1000).owner is None
     assert directory.lookup(0x2000).sharers == set()
-    assert directory.tracked_blocks == 1
+    assert len(directory._entries) == 1

@@ -20,11 +20,15 @@ from tests.test_engine_goldens import PREFETCHER_FACTORIES
 PREFETCHERS = {name: PREFETCHER_FACTORIES[name]() for name in ("none", "sms")}
 
 
+def resident_blocks(cache):
+    return [block for cache_set in cache._sets for block in cache_set]
+
+
 def assert_directory_mirrors_l1s(engine):
     memory = engine.memory
     holders = {}
-    for cpu, l1 in enumerate(memory.l1_caches):
-        for block in l1.resident_blocks():
+    for cpu, l1 in enumerate(memory._l1s):
+        for block in resident_blocks(l1):
             holders.setdefault(block, set()).add(cpu)
     directory = memory.directory
     for block, cpus in holders.items():
@@ -32,7 +36,7 @@ def assert_directory_mirrors_l1s(engine):
         directory.lookup(block).validate()
     # Every L1-resident block is tracked with the right sharers; an equal
     # count means the directory tracks nothing else.
-    assert directory.tracked_blocks == len(holders)
+    assert len(directory._entries) == len(holders)
     return len(holders)
 
 
@@ -56,13 +60,13 @@ def test_both_engine_paths_leave_the_same_directory(app):
         workload = make_workload(app, num_cpus=4, accesses_per_cpu=4000, seed=11)
         engine = SimulationEngine(SimulationConfig.small(num_cpus=4), PREFETCHERS["sms"])
         engine.run(workload, lanes=lanes)
-        directories.append((engine.memory.directory, engine.memory.l1_caches))
+        directories.append((engine.memory.directory, engine.memory._l1s))
     (fast, l1s), (reference, reference_l1s) = directories
-    blocks = {block for l1 in l1s for block in l1.resident_blocks()}
-    assert blocks == {block for l1 in reference_l1s for block in l1.resident_blocks()}
+    blocks = {block for l1 in l1s for block in resident_blocks(l1)}
+    assert blocks == {block for l1 in reference_l1s for block in resident_blocks(l1)}
     for block in blocks:
         assert fast.lookup(block) == reference.lookup(block), hex(block)
-    assert fast.tracked_blocks == reference.tracked_blocks == len(blocks)
+    assert len(fast._entries) == len(reference._entries) == len(blocks)
     for counter in ("read_requests", "write_requests", "invalidations_sent", "downgrades_sent"):
         assert getattr(fast, counter) == getattr(reference, counter), counter
 

@@ -104,7 +104,7 @@ def test_counters_bit_identical_to_reference(key, lanes):
     result = _run(workload_name, prefetcher, lanes)
     expected = GOLDENS[key]
     actual = {f: getattr(result, f) for f in COUNTER_FIELDS}
-    actual["traffic_total_bytes"] = result.traffic.total_bytes
+    actual["traffic_total_bytes"] = sum(result.traffic.bytes_by_class.values())
     actual["traffic_useful_bytes"] = result.traffic.useful_bytes
     assert actual == expected
     assert result.engine_path == ("lanes" if lanes else "reference")

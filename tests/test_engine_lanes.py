@@ -33,9 +33,9 @@ from repro.trace.binary import (
     LaneTrace,
     _decode_lanes_portable,
     decode_record_lanes,
-    read_trace_binary,
     write_trace_binary,
 )
+from repro.trace.reader import read_trace
 from repro.trace.record import AccessType, ExecutionMode, MemoryAccess
 from repro.workloads import make_workload
 
@@ -128,7 +128,7 @@ class TestLaneDecodeProperty:
 
 def _golden_snapshot(result):
     actual = {f: getattr(result, f) for f in COUNTER_FIELDS}
-    actual["traffic_total_bytes"] = result.traffic.total_bytes
+    actual["traffic_total_bytes"] = sum(result.traffic.bytes_by_class.values())
     actual["traffic_useful_bytes"] = result.traffic.useful_bytes
     return actual
 
@@ -351,7 +351,7 @@ class TestBoundedDrainParity:
             files = [prefetcher.registers for prefetcher in engine.prefetchers]
             outcomes[lanes] = (
                 result.as_dict(),
-                [(f.allocations, f.rejections, f.requests_issued, f.active_registers)
+                [(f.allocations, f.rejections, f.requests_issued, len(f._registers))
                  for f in files],
                 list(cancelled),
             )
@@ -494,7 +494,7 @@ def test_boxed_outcome_is_what_memory_access_returns():
 
 
 # --------------------------------------------------------------------- #
-# read_trace_binary preallocation round-trip
+# read_trace on a binary file: header count and round-trip
 # --------------------------------------------------------------------- #
 
 
@@ -513,7 +513,7 @@ class TestReadTraceBinary:
         ]
         path = tmp_path / "round.strc"
         assert write_trace_binary(path, records) == len(records)
-        trace = read_trace_binary(path)
+        trace = read_trace(path)
         assert list(trace) == records
 
     def test_header_count_matches_payload(self, tmp_path):
@@ -521,4 +521,4 @@ class TestReadTraceBinary:
         write_trace_binary(path, [MemoryAccess(pc=1, address=2)] * 17)
         stream = BinaryTraceStream(path)
         assert stream.length_hint() == 17
-        assert len(read_trace_binary(path)) == 17
+        assert len(read_trace(path)) == 17

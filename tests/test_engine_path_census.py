@@ -158,8 +158,8 @@ def test_engine_run_span_carries_path_and_reason(tmp_path, monkeypatch):
     (path,) = obs_trace.list_trace_files()
     spans = {
         span["attrs"]["engine"]: span["attrs"]
-        for span in obs_trace.iter_spans(obs_trace.load_trace_file(path))
-        if span["name"] == "engine.run"
+        for span in obs_trace.load_trace_file(path)
+        if span.get("kind") == "span" and span["name"] == "engine.run"
     }
     assert spans["fast"]["engine_path"] == "lanes"
     assert spans["slow"]["engine_path"] == "reference"

@@ -14,7 +14,7 @@ from repro.prefetch import NextLinePrefetcher
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import SimulationEngine, run_simulation
 from repro.trace.record import AccessType, MemoryAccess
-from repro.trace.stream import GeneratedTrace, MaterializedTrace
+from repro.workloads import make_workload
 
 
 def tiny_config(**overrides):
@@ -71,7 +71,7 @@ def result_fingerprint(result):
         prefetches_issued=result.prefetches_issued,
         prefetch_fills_l1=result.prefetch_fills_l1,
         prefetch_fills_l2=result.prefetch_fills_l2,
-        total_bytes=result.traffic.total_bytes,
+        total_bytes=sum(result.traffic.bytes_by_class.values()),
         useful_bytes=result.traffic.useful_bytes,
     )
     return fingerprint
@@ -80,13 +80,12 @@ def result_fingerprint(result):
 class TestStreamedEquivalence:
     @pytest.mark.parametrize("prefetcher", [None, lambda cpu: NextLinePrefetcher(degree=2)])
     def test_streamed_matches_materialized(self, prefetcher):
-        records = mixed_trace(6000)
+        # A workload generates lanes lazily and sizes the warmup from its
+        # length hint; the list of its records is the materialized twin.
+        streamed = make_workload("oltp-db2", num_cpus=2, accesses_per_cpu=3000, seed=3)
         config = tiny_config(warmup_fraction=0.3)
 
-        materialized = MaterializedTrace(records, name="mat")
-        streamed = GeneratedTrace(lambda: iter(records), name="gen", length=len(records))
-
-        mat_result = run_simulation(materialized, config, prefetcher, name="mat")
+        mat_result = run_simulation(list(streamed), config, prefetcher, name="mat")
         gen_result = run_simulation(streamed, config, prefetcher, name="mat")
 
         assert result_fingerprint(mat_result) == result_fingerprint(gen_result)
@@ -94,10 +93,8 @@ class TestStreamedEquivalence:
     def test_streamed_matches_materialized_with_explicit_warmup(self):
         records = mixed_trace(4000)
         config = tiny_config()
-        streamed = GeneratedTrace(lambda: iter(records), name="gen")
-
         mat_result = run_simulation(records, config, warmup_accesses=1234)
-        gen_result = run_simulation(streamed, config, warmup_accesses=1234)
+        gen_result = run_simulation(iter(records), config, warmup_accesses=1234)
 
         assert result_fingerprint(mat_result) == result_fingerprint(gen_result)
 
@@ -107,7 +104,7 @@ class TestStreamedEquivalence:
         fingerprints = []
         for chunk_size in (1, 7, 4096, 100000):
             engine = SimulationEngine(config, lambda cpu: NextLinePrefetcher(degree=1))
-            result = engine.run(MaterializedTrace(records), chunk_size=chunk_size)
+            result = engine.run(records, chunk_size=chunk_size)
             fingerprints.append(result_fingerprint(result))
         assert all(fp == fingerprints[0] for fp in fingerprints)
 
@@ -118,8 +115,7 @@ class TestLazyConsumption:
             for i in itertools.count():
                 yield read(0x400, 0x100000 + (i % 512) * 64, cpu=i % 2, icount=i)
 
-        trace = GeneratedTrace(endless, name="endless")
-        result = run_simulation(trace, tiny_config(), limit=500)
+        result = run_simulation(endless(), tiny_config(), limit=500)
         assert result.accesses == 500
 
     def test_limit_with_warmup_fraction_uses_limit_as_length(self):
@@ -127,17 +123,16 @@ class TestLazyConsumption:
             for i in itertools.count():
                 yield read(0x400, 0x100000 + (i % 512) * 64, cpu=i % 2, icount=i)
 
-        trace = GeneratedTrace(endless, name="endless")
-        result = run_simulation(trace, tiny_config(warmup_fraction=0.3), limit=1000)
+        result = run_simulation(endless(), tiny_config(warmup_fraction=0.3), limit=1000)
         assert result.accesses == 700
 
     def test_hintless_stream_with_warmup_fraction_raises(self):
-        trace = GeneratedTrace(lambda: iter(mixed_trace(100)), name="no-hint")
+        trace = iter(mixed_trace(100))
         with pytest.raises(ValueError, match="length hint"):
             run_simulation(trace, tiny_config(warmup_fraction=0.3))
 
     def test_config_warmup_accesses_covers_hintless_stream(self):
-        trace = GeneratedTrace(lambda: iter(mixed_trace(1000)), name="no-hint")
+        trace = iter(mixed_trace(1000))
         config = tiny_config(warmup_fraction=0.3, warmup_accesses=250)
         result = run_simulation(trace, config)
         assert result.accesses == 750
@@ -145,8 +140,13 @@ class TestLazyConsumption:
     def test_overestimated_length_hint_yields_clean_empty_result(self):
         # The stream ends inside the warmup phase: the result must be an
         # empty measurement phase, not a snapshot of warmup tracking state.
-        records = mixed_trace(100)
-        trace = GeneratedTrace(lambda: iter(records), length=1000)
+        class Overestimated:
+            total_accesses = 1000  # the length hint of a synthetic workload
+
+            def __iter__(self):
+                return iter(mixed_trace(100))
+
+        trace = Overestimated()
         config = tiny_config(warmup_fraction=0.3)
         engine = SimulationEngine(config, lambda cpu: NextLinePrefetcher(degree=2))
         result = engine.run(trace)
@@ -155,8 +155,6 @@ class TestLazyConsumption:
         assert result.l1_overpredictions == 0
 
     def test_workload_stream_has_length_hint(self):
-        from repro.workloads import make_workload
-
         workload = make_workload("oltp-db2", num_cpus=2, accesses_per_cpu=1000, seed=3)
         config = tiny_config(warmup_fraction=0.5)
         result = run_simulation(workload, config)

@@ -47,11 +47,3 @@ class TestFalseSharingClassifier:
         classifier = FalseSharingClassifier(block_size=512)
         classifier.record_invalidation(cpu=0, address=0x1000, writer_address=0x1100)
         assert classifier.classify_miss(1, 0x1008) is MissClassification.COLD_OR_REPLACEMENT
-
-    def test_fraction(self):
-        classifier = FalseSharingClassifier(block_size=512)
-        classifier.record_invalidation(cpu=0, address=0x1000, writer_address=0x1100)
-        classifier.classify_miss(0, 0x1008)
-        classifier.classify_miss(0, 0x2008)
-        assert classifier.false_sharing_fraction() == pytest.approx(0.5)
-        assert classifier.coherence_misses == 1

@@ -50,24 +50,6 @@ class TestSchemes:
         b = scheme.key(trigger(address=0x8000 + 5 * 64))
         assert a == b
 
-    def test_key_for_convenience(self, geometry):
-        scheme = PCOffsetIndex(geometry)
-        assert scheme.key_for(0x400, 0x1000 + 5 * 64) == ("pc+off", 0x400, 5)
-
-
-class TestCapabilities:
-    def test_address_schemes_cannot_predict_unvisited(self, geometry):
-        assert not AddressIndex(geometry).can_predict_unvisited_data()
-        assert not PCAddressIndex(geometry).can_predict_unvisited_data()
-
-    def test_pc_schemes_predict_unvisited(self, geometry):
-        assert PCIndex(geometry).can_predict_unvisited_data()
-        assert PCOffsetIndex(geometry).can_predict_unvisited_data()
-
-    def test_storage_scaling(self, geometry):
-        assert AddressIndex(geometry).storage_scales_with_data()
-        assert not PCOffsetIndex(geometry).storage_scales_with_data()
-
 
 class TestFactory:
     @pytest.mark.parametrize(

@@ -78,8 +78,8 @@ class TestEndToEndTiming:
         base, sms, _ = oltp_results
         _, metadata = oltp_trace
         model = TimingModel()
-        base_breakdown = model.evaluate(base, metadata).breakdown
-        sms_breakdown = model.evaluate(sms, metadata).breakdown
+        base_timing, sms_timing = model.evaluate_pair(base, sms, metadata)
+        base_breakdown, sms_breakdown = base_timing.breakdown, sms_timing.breakdown
         assert sms_breakdown.get(BreakdownCategory.OFFCHIP_READ) < base_breakdown.get(
             BreakdownCategory.OFFCHIP_READ
         )

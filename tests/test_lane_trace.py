@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.trace.binary import LaneChunk, LaneTrace, write_trace_binary
 from repro.trace.record import MemoryAccess
-from repro.trace.stream import ChunkedTraceStream, GeneratedTrace, lane_chunk_iterator
+from repro.trace.stream import lane_chunk_iterator
 
 U64 = 2**64 - 1
 
@@ -50,7 +50,6 @@ class TestRoundTrip:
         assert len(trace) == 0 and not trace
         assert list(trace) == []
         assert list(trace.iter_lane_chunks()) == []
-        assert list(trace.iter_chunks()) == []
 
     @pytest.mark.parametrize("delta", [-1, 0, 1])
     def test_chunk_size_boundaries(self, delta):
@@ -58,9 +57,7 @@ class TestRoundTrip:
         records = _records(2 * chunk_size + delta)
         trace = LaneTrace.from_records(records)
         lane_chunks = list(trace.iter_lane_chunks(chunk_size))
-        boxed_chunks = list(trace.iter_chunks(chunk_size))
         expected = [records[i:i + chunk_size] for i in range(0, len(records), chunk_size)]
-        assert boxed_chunks == expected
         assert [chunk.records() for chunk in lane_chunks] == expected
 
     @pytest.mark.parametrize("count", [15, 16])
@@ -103,7 +100,7 @@ class TestRoundTrip:
             LaneChunk.from_records([tuple.__new__(MemoryAccess, fields)])
 
     def test_metadata_and_name_ride_along(self):
-        source = GeneratedTrace(lambda: _records(3), name="gen")
+        source = LaneTrace(LaneChunk.from_records(_records(3)), name="gen")
         trace = LaneTrace.from_records(source, metadata="meta")
         assert (trace.name, trace.metadata) == ("gen", "meta")
 
@@ -115,10 +112,8 @@ class TestLaneChunkIterator:
         lambda records: records,
         lambda records: tuple(records),
         lambda records: iter(records),
-        lambda records: GeneratedTrace(lambda: iter(records)),
-        lambda records: ChunkedTraceStream(GeneratedTrace(lambda: iter(records)), 7),
         lambda records: LaneTrace.from_records(records),
-    ], ids=["list", "tuple", "generator", "generated", "chunked", "lanetrace"])
+    ], ids=["list", "tuple", "generator", "lanetrace"])
     @pytest.mark.parametrize("limit", [None, 0, 9, 10, 11, 1000])
     def test_every_stream_type_transposes_identically(self, make, limit):
         records = _records(25)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.memory.block import (
-    align_down,
     block_address,
     block_index_in_region,
     blocks_per_region,
@@ -24,13 +23,6 @@ class TestIsPowerOfTwo:
 
 
 class TestAlignment:
-    def test_align_down(self):
-        assert align_down(0x1234, 0x100) == 0x1200
-
-    def test_align_down_rejects_non_power(self):
-        with pytest.raises(ValueError):
-            align_down(100, 3)
-
     def test_block_address(self):
         assert block_address(130, 64) == 128
 

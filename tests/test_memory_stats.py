@@ -1,26 +1,11 @@
 """Tests for repro.memory.stats counter bundles."""
 
-import pytest
-
 from repro.memory.stats import CacheStatistics, PrefetcherStatistics
 
 
 class TestCacheStatistics:
-    def test_rates_with_no_accesses(self):
-        stats = CacheStatistics()
-        assert stats.hit_rate == 0.0
-        assert stats.miss_rate == 0.0
-        assert stats.misses_per_instruction(0) == 0.0
-
-    def test_rates(self):
-        stats = CacheStatistics(accesses=10, hits=7, misses=3)
-        assert stats.hit_rate == pytest.approx(0.7)
-        assert stats.miss_rate == pytest.approx(0.3)
-        assert stats.misses_per_instruction(100) == pytest.approx(0.03)
-
     def test_coverage_aliases(self):
         stats = CacheStatistics(prefetch_hits=5, prefetched_evicted_unused=2)
-        assert stats.covered_misses == 5
         assert stats.overpredictions == 2
 
     def test_merge_sums_every_field(self):
@@ -40,13 +25,6 @@ class TestCacheStatistics:
 
 
 class TestPrefetcherStatistics:
-    def test_pht_hit_rate(self):
-        stats = PrefetcherStatistics(pht_lookups=10, pht_hits=4)
-        assert stats.pht_hit_rate == pytest.approx(0.4)
-
-    def test_pht_hit_rate_no_lookups(self):
-        assert PrefetcherStatistics().pht_hit_rate == 0.0
-
     def test_as_dict(self):
         stats = PrefetcherStatistics(issued=3)
         assert stats.as_dict()["issued"] == 3

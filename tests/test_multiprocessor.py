@@ -58,8 +58,8 @@ class TestCoherence:
         system.access(read(1, 0x1000))
         outcome = system.access(write(0, 0x1000))
         assert outcome.invalidations_sent == 1
-        assert not system.l1_contains(1, 0x1000)
-        assert system.l1_contains(0, 0x1000)
+        assert not system.l1(1).contains(0x1000)
+        assert system.l1(0).contains(0x1000)
 
     def test_coherence_miss_after_invalidation(self):
         system = make_system()
@@ -122,18 +122,18 @@ class TestPrefetchFill:
     def test_prefetch_fill_into_l1_and_l2(self):
         system = make_system()
         system.prefetch_fill(0, 0x2000)
-        assert system.l1_contains(0, 0x2000)
+        assert system.l1(0).contains(0x2000)
         assert system.l2.contains(0x2000)
         outcome = system.access(read(0, 0x2000))
-        assert outcome.l1_covered_by_prefetch
+        assert outcome.l1_result.is_prefetch_hit
 
     def test_prefetch_fill_l2_only(self):
         system = make_system()
         system.prefetch_fill(0, 0x2000, into_l1=False)
-        assert not system.l1_contains(0, 0x2000)
+        assert not system.l1(0).contains(0x2000)
         outcome = system.access(read(0, 0x2000))
         assert outcome.level is MemoryLevel.L2
-        assert outcome.l2_covered_by_prefetch
+        assert outcome.l2_result.is_prefetch_hit
 
     def test_prefetched_block_registered_as_sharer(self):
         system = make_system()
@@ -141,14 +141,5 @@ class TestPrefetchFill:
         outcome = system.access(write(0, 0x2000))
         # The prefetched copy in CPU 1's L1 must be invalidated.
         assert outcome.invalidations_sent == 1
-        assert not system.l1_contains(1, 0x2000)
+        assert not system.l1(1).contains(0x2000)
 
-
-class TestAggregateStats:
-    def test_aggregate_l1_stats(self):
-        system = make_system()
-        system.access(read(0, 0x1000))
-        system.access(read(1, 0x2000))
-        total = system.aggregate_l1_stats()
-        assert total.accesses == 2
-        assert total.misses == 2

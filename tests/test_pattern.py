@@ -64,10 +64,6 @@ class TestConstruction:
 
 
 class TestQueries:
-    def test_singleton(self):
-        assert SpatialPattern.from_offsets(32, [5]).is_singleton
-        assert not SpatialPattern.from_offsets(32, [5, 6]).is_singleton
-
     def test_offsets_sorted(self):
         pattern = SpatialPattern.from_offsets(16, [9, 2, 5])
         assert pattern.offsets() == [2, 5, 9]
@@ -87,18 +83,9 @@ class TestQueries:
 
 
 class TestDerivations:
-    def test_with_offset(self):
-        pattern = SpatialPattern.empty(8).with_offset(3)
-        assert pattern.test(3)
-
-    def test_without_offset(self):
-        pattern = SpatialPattern.full(8).without_offset(3)
-        assert not pattern.test(3)
-        assert pattern.population == 7
-
     def test_immutability(self):
         pattern = SpatialPattern.empty(8)
-        pattern.with_offset(2)
+        pattern | SpatialPattern.from_offsets(8, [2])
         assert pattern.is_empty
 
     def test_union_intersection_difference(self):
@@ -111,18 +98,6 @@ class TestDerivations:
     def test_incompatible_widths(self):
         with pytest.raises(ValueError):
             SpatialPattern.empty(8).union(SpatialPattern.empty(16))
-
-
-class TestScoring:
-    def test_covered_by(self):
-        actual = SpatialPattern.from_offsets(8, [0, 1, 2, 3])
-        prediction = SpatialPattern.from_offsets(8, [1, 2, 6])
-        assert actual.covered_by(prediction) == 2
-
-    def test_overpredicted_by(self):
-        actual = SpatialPattern.from_offsets(8, [0, 1])
-        prediction = SpatialPattern.from_offsets(8, [1, 6, 7])
-        assert actual.overpredicted_by(prediction) == 2
 
 
 class TestProperties:
@@ -154,5 +129,6 @@ class TestProperties:
     )
     def test_with_without_inverse(self, bits, offset):
         pattern = SpatialPattern(num_blocks=32, bits=bits)
-        assert pattern.with_offset(offset).test(offset)
-        assert not pattern.without_offset(offset).test(offset)
+        single = SpatialPattern.from_offsets(32, [offset])
+        assert (pattern | single).test(offset)
+        assert not (pattern - single).test(offset)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.pattern import SpatialPattern
-from repro.core.prediction import PredictionRegister, PredictionRegisterFile
+from repro.core.prediction import PredictionRegisterFile
 from repro.core.region import RegionGeometry
 
 
@@ -17,27 +17,26 @@ def pattern(*offsets):
 
 
 class TestPredictionRegister:
-    def test_requests_in_offset_order(self, geometry):
-        register = PredictionRegister(geometry, region=0x10000, pattern=pattern(3, 1, 7))
-        offsets = []
-        while not register.exhausted:
-            offsets.append(register.next_request().offset)
-        assert offsets == [1, 3, 7]
+    """One register, a ``(region, bits)`` pair of the file, on its own."""
 
-    def test_request_addresses(self, geometry):
-        register = PredictionRegister(geometry, region=0x10000, pattern=pattern(2))
-        request = register.next_request()
+    def test_requests_in_offset_order(self, file_):
+        file_.allocate(0x10000, pattern(3, 1, 7))
+        assert [request.offset for request in file_.drain()] == [1, 3, 7]
+
+    def test_request_addresses(self, file_):
+        file_.allocate(0x10000, pattern(2))
+        (request,) = file_.drain()
         assert request.address == 0x10000 + 2 * 64
         assert request.region == 0x10000
 
-    def test_exhausted_returns_none(self, geometry):
-        register = PredictionRegister(geometry, region=0x10000, pattern=pattern())
-        assert register.exhausted
-        assert register.next_request() is None
+    def test_exhausted_returns_none(self, file_):
+        file_.allocate(0x10000, pattern(5))
+        assert len(file_.drain()) == 1
+        assert file_.drain() == [] and file_.drain_bits() == []
 
-    def test_wrong_pattern_width_rejected(self, geometry):
+    def test_wrong_pattern_width_rejected(self, file_):
         with pytest.raises(ValueError):
-            PredictionRegister(geometry, region=0, pattern=SpatialPattern.empty(8))
+            file_.allocate(0, SpatialPattern.empty(8))
 
 
 class TestPredictionRegisterFile:
@@ -49,7 +48,7 @@ class TestPredictionRegisterFile:
         assert file_.allocate(0x10000, pattern(1, 2, 3))
         requests = file_.drain()
         assert len(requests) == 3
-        assert file_.active_registers == 0
+        assert len(file_._registers) == 0
 
     def test_exclude_trigger_offset(self, file_):
         file_.allocate(0x10000, pattern(0, 1, 2), exclude_offset=1)
@@ -58,7 +57,7 @@ class TestPredictionRegisterFile:
 
     def test_empty_pattern_after_exclusion_allocates_nothing(self, file_):
         assert file_.allocate(0x10000, pattern(4), exclude_offset=4)
-        assert file_.active_registers == 0
+        assert len(file_._registers) == 0
 
     def test_capacity_rejection(self, geometry):
         file_ = PredictionRegisterFile(geometry, num_registers=2)
@@ -80,7 +79,7 @@ class TestPredictionRegisterFile:
         file_.allocate(0x10000, pattern(1, 2, 3, 4))
         first = file_.drain(max_requests=2)
         assert len(first) == 2
-        assert file_.active_registers == 1
+        assert len(file_._registers) == 1
         second = file_.drain()
         assert len(second) == 2
 
@@ -126,7 +125,7 @@ class TestPredictionRegisterFile:
     def test_clear(self, file_):
         file_.allocate(0x10000, pattern(1))
         file_.clear()
-        assert file_.active_registers == 0
+        assert len(file_._registers) == 0
         assert file_.drain() == []
 
     def test_statistics(self, file_):

@@ -36,10 +36,9 @@ class TestPrefetchRequest:
     def test_default_targets_l1(self):
         request = PrefetchRequest(address=0x1000)
         assert request.target_l1
-        assert not request.target_l2_only
 
     def test_l2_only(self):
-        assert PrefetchRequest(address=0x1000, target_l1=False).target_l2_only
+        assert not PrefetchRequest(address=0x1000, target_l1=False).target_l1
 
 
 class TestPrefetcherResponse:
@@ -96,9 +95,3 @@ class TestNullPrefetcher:
         assert prefetcher.on_access(record, outcome).is_empty
         assert prefetcher.on_eviction(0x1000, invalidated=True).is_empty
         assert prefetcher.finalize().is_empty
-
-    def test_reset_stats(self):
-        prefetcher = NullPrefetcher()
-        prefetcher.stats.issued = 5
-        prefetcher.reset_stats()
-        assert prefetcher.stats.issued == 0

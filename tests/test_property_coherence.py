@@ -78,15 +78,15 @@ class TestMultiprocessorFuzz:
             )
             system.access(record)
             # The issuing CPU always holds the block immediately afterwards.
-            assert system.l1_contains(cpu, record.address)
+            assert system.l1(cpu).contains(record.address)
             if is_write:
                 # No other CPU may retain a copy of a freshly-written block.
                 for other in range(system.num_cpus):
                     if other != cpu:
-                        assert not system.l1_contains(other, record.address)
+                        assert not system.l1(other).contains(record.address)
             # Cache capacity is never exceeded.
-            for l1 in system.l1_caches:
-                assert l1.occupancy <= 16
+            for cpu_ in range(system.num_cpus):
+                assert system.l1(cpu_).occupancy <= 16
             assert system.l2.occupancy <= 128
 
     @settings(max_examples=30, deadline=None)
@@ -109,6 +109,6 @@ class TestMultiprocessorFuzz:
                     access_type=AccessType.WRITE if is_write else AccessType.READ,
                 )
             )
-        total = system.aggregate_l1_stats()
-        assert total.accesses == len(steps)
-        assert total.hits + total.misses == total.accesses
+        stats = [system.l1(cpu).stats for cpu in range(system.num_cpus)]
+        assert sum(s.accesses for s in stats) == len(steps)
+        assert all(s.hits + s.misses == s.accesses for s in stats)

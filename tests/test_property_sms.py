@@ -74,8 +74,8 @@ class TestStreamRequestInvariants:
             _drive(sms, 0x400 + 4 * pc_index, address)
             if index % 5 == 0:
                 sms.on_eviction(address, invalidated=True)
-        for pattern in sms.pht.iter_patterns():
-            assert pattern.num_blocks == _BLOCKS
+        for table in sms.pht._sets:
+            assert all(bits >> _BLOCKS == 0 for bits in table.values())
 
     @settings(max_examples=40, deadline=None)
     @given(steps=st.lists(_STEP, min_size=2, max_size=150))
@@ -86,4 +86,4 @@ class TestStreamRequestInvariants:
             _drive(sms, 0x400 + 4 * pc_index, address)
         assert sms.stats.pht_hits <= sms.stats.pht_lookups
         assert sms.stats.issued <= sms.stats.predictions + sms.registers.num_registers * _BLOCKS
-        assert sms.registers.active_registers <= sms.registers.num_registers
+        assert len(sms.registers._registers) <= sms.registers.num_registers

@@ -64,19 +64,6 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             geometry.block_at_offset(0x1000, 32)
 
-    def test_blocks_in_region(self, geometry):
-        blocks = list(geometry.blocks_in_region(0x1000))
-        assert len(blocks) == 32
-        assert blocks[0] == 0x1000
-        assert blocks[-1] == 0x1000 + 31 * 64
-
-    def test_blocks_in_region_aligns_base(self, geometry):
-        assert list(geometry.blocks_in_region(0x1234))[0] == 0x1000
-
-    def test_same_region(self, geometry):
-        assert geometry.same_region(0x1000, 0x17FF)
-        assert not geometry.same_region(0x1000, 0x1800)
-
     def test_describe(self, geometry):
         assert "2048B" in geometry.describe()
         assert "32" in geometry.describe()

@@ -32,12 +32,6 @@ class TestResultTable:
         with pytest.raises(ValueError):
             table.add_row(1)
 
-    def test_row_by_key(self):
-        table = ResultTable(title="t", headers=["app", "coverage"])
-        table.add_row("oltp", 0.5)
-        assert table.row_by_key("oltp") == ["oltp", 0.5]
-        assert table.row_by_key("missing") is None
-
     def test_to_dicts(self):
         table = ResultTable(title="t", headers=["app", "coverage"])
         table.add_row("oltp", 0.5)

@@ -33,9 +33,6 @@ class TestConfidenceInterval:
         assert interval.contains(1.5)
         assert not interval.contains(2.0)
 
-    def test_relative_error(self):
-        assert ConfidenceInterval(2.0, 0.1).relative_error == pytest.approx(0.05)
-
     def test_str(self):
         assert "±" in str(ConfidenceInterval(1.0, 0.1))
 
@@ -62,12 +59,6 @@ class TestSampledMeasurement:
         few = SampledMeasurement([1.0, 2.0, 3.0]).confidence_interval()
         many = SampledMeasurement([1.0, 2.0, 3.0] * 10).confidence_interval()
         assert many.half_width < few.half_width
-
-    def test_meets_target(self):
-        tight = SampledMeasurement([1.0, 1.001, 0.999, 1.0, 1.0])
-        loose = SampledMeasurement([0.5, 1.5, 0.7, 1.3])
-        assert tight.meets_target(0.05)
-        assert not loose.meets_target(0.05)
 
     def test_add(self):
         samples = SampledMeasurement()

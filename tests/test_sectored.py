@@ -13,18 +13,10 @@ class TestSectorState:
         assert sector.pattern_bits == 0b1001
         assert sector.population == 2
 
-    def test_clear_block(self):
-        sector = SectorState(region=0, num_blocks=4)
-        sector.set_block(2)
-        sector.clear_block(2)
-        assert sector.pattern_bits == 0
-
     def test_out_of_range(self):
         sector = SectorState(region=0, num_blocks=4)
         with pytest.raises(IndexError):
             sector.set_block(4)
-        with pytest.raises(IndexError):
-            sector.clear_block(-1)
 
 
 class TestSectoredTagArray:

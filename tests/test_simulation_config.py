@@ -21,7 +21,6 @@ class TestMachineConfig:
 
     def test_cycle_conversion(self):
         machine = MachineConfig()
-        assert machine.cycle_ns == pytest.approx(0.25)
         assert machine.memory_latency_cycles == pytest.approx(240.0)
 
     def test_off_chip_latency_includes_network(self):

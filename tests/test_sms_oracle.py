@@ -336,12 +336,12 @@ def compare(sms, oracle, seen_keys, context):
     assert sms.stats.pht_lookups == oracle.counters["pht_lookups"], context
     # Both tables, least- to most-recently used: a missed recency bump or a
     # wrong victim shows here, at the step it happens.
-    assert agt.active_regions() == [entry[0] for entry in oracle.filter] + [
+    assert [*agt._filter, *agt._accumulation] == [entry[0] for entry in oracle.filter] + [
         entry[0] for entry in oracle.accumulation
     ], context
-    assert agt.filter_occupancy == len(oracle.filter), context
-    assert agt.accumulation_occupancy == len(oracle.accumulation), context
-    assert sms.registers.active_registers == len(oracle.registers), context
+    assert len(agt._filter) == len(oracle.filter), context
+    assert len(agt._accumulation) == len(oracle.accumulation), context
+    assert len(sms.registers._registers) == len(oracle.registers), context
     contents = oracle.pht_contents()
     # (finalize can train one key twice; the later pattern replaces the earlier.)
     for key, offsets in dict(oracle.trained_now).items():
@@ -441,7 +441,7 @@ def test_finalize_trains_what_the_generic_drain_trains(scheme, unbounded_agt):
             "pht": [list(table.items()) for table in pht._sets],
             "occupancy": pht.occupancy,
             "counters": public_counters(sms),
-            "active": (agt.active_regions(), sms.registers.active_registers),
+            "active": ([*agt._filter, *agt._accumulation], len(sms.registers._registers)),
         }
 
     @settings(max_examples=100, deadline=None)

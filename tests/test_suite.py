@@ -5,12 +5,10 @@ import pytest
 from repro.workloads.suite import (
     APPLICATION_NAMES,
     CATEGORIES,
-    all_workloads,
+    CATEGORY_REPRESENTATIVE,
     category_members,
     category_of,
     make_workload,
-    representative_workloads,
-    workloads_by_category,
 )
 
 
@@ -38,19 +36,17 @@ class TestRegistry:
         with pytest.raises(ValueError):
             make_workload("spec2006")
 
-    def test_all_workloads(self):
-        workloads = all_workloads(num_cpus=1, accesses_per_cpu=10)
-        assert len(workloads) == 11
-        assert [w.metadata.name for w in workloads] == APPLICATION_NAMES
-
     def test_workloads_by_category(self):
-        dss = workloads_by_category("DSS", num_cpus=1, accesses_per_cpu=10)
+        dss = category_members("DSS")
         assert len(dss) == 4
-        assert all(w.metadata.category == "DSS" for w in dss)
+        assert all(
+            make_workload(name, num_cpus=1, accesses_per_cpu=10).metadata.category == "DSS"
+            for name in dss
+        )
 
     def test_workloads_by_unknown_category(self):
         with pytest.raises(ValueError):
-            workloads_by_category("HPC")
+            category_members("HPC")
 
     def test_category_members_cover_all_applications(self):
         names = []
@@ -64,9 +60,9 @@ class TestRegistry:
         assert category_of("unknown") is None
 
     def test_representatives_one_per_category(self):
-        representatives = representative_workloads(num_cpus=1, accesses_per_cpu=10)
-        assert set(representatives) == set(CATEGORIES)
-        for category, workload in representatives.items():
+        assert set(CATEGORY_REPRESENTATIVE) == set(CATEGORIES)
+        for category, name in CATEGORY_REPRESENTATIVE.items():
+            workload = make_workload(name, num_cpus=1, accesses_per_cpu=10)
             assert workload.metadata.category == category
 
     def test_factory_passes_overrides(self):

@@ -96,4 +96,4 @@ class TestCorrelation:
         prefetcher = TemporalCorrelationPrefetcher(table_entries=64)
         for i in range(200):
             prefetcher.on_access(*miss(0x100000 + i * 64))
-        assert prefetcher.distinct_addresses_tracked <= 64
+        assert len(prefetcher._table) <= 64

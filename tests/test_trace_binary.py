@@ -15,7 +15,6 @@ from repro.trace.binary import (
     VERSION,
     BinaryTraceStream,
     is_binary_trace,
-    read_trace_binary,
     write_trace_binary,
 )
 from repro.trace.reader import FileTraceStream, read_trace, stream_trace, write_trace
@@ -47,7 +46,7 @@ class TestRoundTrip:
         path = tmp_path / f"trace{suffix}"
         records = _sample_records()
         assert write_trace_binary(path, records) == len(records)
-        loaded = read_trace_binary(path)
+        loaded = read_trace(path)
         assert [_fields(r) for r in loaded] == [_fields(r) for r in records]
 
     def test_gzip_payload_is_compressed(self, tmp_path):

@@ -50,31 +50,6 @@ class TestMemoryAccess:
         access = MemoryAccess(pc=0, address=0x1234)
         assert access.region_base(2048) == 0x1000
 
-    def test_region_offset(self):
-        access = MemoryAccess(pc=0, address=0x1000 + 5 * 64 + 3)
-        assert access.region_offset(2048, 64) == 5
-
-    def test_region_offset_is_block_index_not_bytes(self):
-        access = MemoryAccess(pc=0, address=0x1000 + 31 * 64)
-        assert access.region_offset(2048, 64) == 31
-
-    def test_with_cpu_preserves_fields(self):
-        access = MemoryAccess(
-            pc=0x400,
-            address=0x1000,
-            access_type=AccessType.WRITE,
-            cpu=1,
-            mode=ExecutionMode.SYSTEM,
-            instruction_count=55,
-        )
-        moved = access.with_cpu(7)
-        assert moved.cpu == 7
-        assert moved.pc == access.pc
-        assert moved.address == access.address
-        assert moved.access_type is AccessType.WRITE
-        assert moved.mode is ExecutionMode.SYSTEM
-        assert moved.instruction_count == 55
-
     def test_equality_ignores_instruction_count(self):
         a = MemoryAccess(pc=1, address=2, instruction_count=10)
         b = MemoryAccess(pc=1, address=2, instruction_count=99)

@@ -37,7 +37,6 @@ class TestSummarizeTrace:
 
     def test_fractions(self):
         stats = summarize_trace(_trace())
-        assert stats.read_fraction == 0.75
         assert stats.write_fraction == 0.25
         assert stats.system_fraction == 0.25
 
@@ -48,7 +47,6 @@ class TestSummarizeTrace:
     def test_empty_trace(self):
         stats = summarize_trace([])
         assert stats.total_accesses == 0
-        assert stats.read_fraction == 0.0
         assert stats.num_cpus == 0
 
 

@@ -43,12 +43,6 @@ class TestAddressSpace:
         with pytest.raises(ValueError):
             AddressSpace(alignment=100)
 
-    def test_structures_listing(self):
-        space = AddressSpace()
-        space.allocate("x", 1)
-        space.allocate("y", 1)
-        assert space.structures() == ["x", "y"]
-
 
 class TestFootprintLibrary:
     def test_define_and_offsets(self):
@@ -61,11 +55,6 @@ class TestFootprintLibrary:
         library = FootprintLibrary(blocks_per_region=8)
         with pytest.raises(ValueError):
             library.define("bad", [8])
-
-    def test_define_dense_clips_to_region(self):
-        library = FootprintLibrary(blocks_per_region=8)
-        library.define_dense("run", start=5, count=10)
-        assert library.offsets("run") == [5, 6, 7]
 
     def test_sample_without_jitter_is_exact(self):
         library = FootprintLibrary(blocks_per_region=32)
