@@ -4,8 +4,8 @@ The package is organised as the paper's system is:
 
 * :mod:`repro.core` — the SMS predictor (AGT, PHT, prediction registers,
   index schemes, training structures);
-* :mod:`repro.memory`, :mod:`repro.coherence`, :mod:`repro.interconnect` —
-  the multiprocessor memory-system substrate;
+* :mod:`repro.memory`, :mod:`repro.coherence` — the multiprocessor
+  memory-system substrate;
 * :mod:`repro.trace`, :mod:`repro.workloads` — access traces and the
   synthetic commercial/scientific workload models;
 * :mod:`repro.prefetch` — the prefetcher interface and baselines (GHB PC/DC,

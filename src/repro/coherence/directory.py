@@ -71,10 +71,6 @@ class Directory:
         self.coherence_unit = coherence_unit
         self._unit_mask = ~(coherence_unit - 1)
         self._entries: Dict[int, int] = {}
-        self.read_requests = 0
-        self.write_requests = 0
-        self.invalidations_sent = 0
-        self.downgrades_sent = 0
 
     def lookup(self, address: int) -> DirectoryEntry:
         """Snapshot of the directory state of the block covering ``address``."""
@@ -93,7 +89,6 @@ class Directory:
     # ------------------------------------------------------------------ #
     def read(self, cpu: int, address: int) -> CoherenceActions:
         """CPU ``cpu`` reads ``address``: returns required coherence actions."""
-        self.read_requests += 1
         block = address & self._unit_mask
         bit = sharer_bit(cpu)
         word = self._entries.get(block, 0)
@@ -103,7 +98,6 @@ class Directory:
                 # Remote modified copy: force a writeback/downgrade to shared.
                 actions.downgrade_cpus = _sharer_cpus(word)
                 actions.was_remote_modified = True
-                self.downgrades_sent += 1
                 word ^= MODIFIED
             # else: already owned; no state change
         elif word & ~bit:
@@ -113,7 +107,6 @@ class Directory:
 
     def write(self, cpu: int, address: int) -> CoherenceActions:
         """CPU ``cpu`` writes ``address``: invalidate all other copies."""
-        self.write_requests += 1
         block = address & self._unit_mask
         mine = sharer_bit(cpu) | MODIFIED
         word = self._entries.get(block, 0)
@@ -123,7 +116,6 @@ class Directory:
             actions.invalidate_cpus = _sharer_cpus(others)
             actions.was_shared_elsewhere = True
             actions.was_remote_modified = bool(word & MODIFIED)
-            self.invalidations_sent += len(actions.invalidate_cpus)
         self._entries[block] = mine
         return actions
 

@@ -42,9 +42,6 @@ class FalseSharingClassifier:
         self.sharing_granularity = sharing_granularity
         # (cpu, block) -> chunks written by remote CPUs since this CPU lost the block
         self._pending: Dict[Tuple[int, int], Set[int]] = {}
-        self.true_sharing_misses = 0
-        self.false_sharing_misses = 0
-        self.other_misses = 0
 
     def _chunk(self, address: int) -> int:
         return block_address(address, self.sharing_granularity)
@@ -64,7 +61,7 @@ class FalseSharingClassifier:
     def classify_block_miss(self, cpu: int, block: int) -> bool:
         """Lane-path :meth:`classify_miss` for an already block-aligned address.
 
-        Same state transitions and counters; returns whether the miss was
+        Same state transitions; returns whether the miss was
         false sharing instead of the classification enum.  A block-aligned
         address is its own block and (block sizes being multiples of the
         sharing granularity) its own chunk, so the per-call power-of-two
@@ -72,24 +69,14 @@ class FalseSharingClassifier:
         skipped.
         """
         written = self._pending.pop((cpu, block), None)
-        if written is None:
-            self.other_misses += 1
-            return False
-        if block in written:
-            self.true_sharing_misses += 1
-            return False
-        self.false_sharing_misses += 1
-        return True
+        return written is not None and block not in written
 
     def classify_miss(self, cpu: int, address: int) -> MissClassification:
         """Classify a miss by CPU ``cpu`` on ``address`` and clear its record."""
         block = block_address(address, self.block_size)
         written = self._pending.pop((cpu, block), None)
         if written is None:
-            self.other_misses += 1
             return MissClassification.COLD_OR_REPLACEMENT
         if self._chunk(address) in written:
-            self.true_sharing_misses += 1
             return MissClassification.TRUE_SHARING
-        self.false_sharing_misses += 1
         return MissClassification.FALSE_SHARING

@@ -120,8 +120,6 @@ class MultiprocessorMemorySystem:
             listener = self._make_directory_evict_listener(cpu)
             self._directory_listeners.append(listener)
             l1.add_eviction_listener(listener)
-        self.total_accesses = 0
-        self.total_instructions = 0
 
     # ------------------------------------------------------------------ #
     def _make_directory_evict_listener(self, cpu: int):
@@ -145,10 +143,6 @@ class MultiprocessorMemorySystem:
         cpu = record.cpu
         if not 0 <= cpu < self.num_cpus:
             raise CpuOutOfRangeError(cpu, self.num_cpus)
-        self.total_accesses += 1
-        icount = record.instruction_count
-        if icount > self.total_instructions:
-            self.total_instructions = icount
 
         address = record.address
         block = address & self._block_mask

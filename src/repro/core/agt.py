@@ -123,13 +123,9 @@ class ActiveGenerationTable:
         # region -> packed word, least- to most-recently used.
         self._filter: Dict[int, int] = {}
         self._accumulation: Dict[int, int] = {}
-        # Statistics
-        self.trigger_accesses = 0
+        # Statistics (the filter-table ablation reads both).
         self.generations_started = 0
-        self.generations_completed = 0
         self.filter_only_generations = 0
-        self.filter_victims = 0
-        self.accumulation_victims = 0
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -163,7 +159,6 @@ class ActiveGenerationTable:
         word = self._filter.pop(region, None)
         if word is None:
             # Step 1: trigger access for a new generation; allocate in the filter.
-            self.trigger_accesses += 1
             self.generations_started += 1
             event.is_trigger = True
             event.trigger = TriggerInfo(pc=pc, address=address, region=region, offset=offset)
@@ -171,7 +166,6 @@ class ActiveGenerationTable:
                 # Victim generations in the filter table are simply dropped:
                 # they contain only a trigger access.
                 del self._filter[next(iter(self._filter))]
-                self.filter_victims += 1
                 self.filter_only_generations += 1
             self._filter[region] = (pc << self.offset_bits) | offset
             return event
@@ -190,8 +184,6 @@ class ActiveGenerationTable:
         ):
             victim = next(iter(self._accumulation))
             event.completed.append(self._record(victim, self._accumulation.pop(victim)))
-            self.accumulation_victims += 1
-            self.generations_completed += 1
         self._accumulation[region] = (
             (word << self.pattern_width) | (1 << trigger_offset) | (1 << offset)
         )
@@ -211,7 +203,6 @@ class ActiveGenerationTable:
         word = self._accumulation.pop(region, None)
         if word is None:
             return None
-        self.generations_completed += 1
         return self._record(region, word)
 
     def observe_removal(self, block_address: int) -> AGTEvent:
@@ -222,7 +213,6 @@ class ActiveGenerationTable:
     def drain(self) -> List[GenerationRecord]:
         """End every in-flight accumulating generation (used at end of trace)."""
         drained = [self._record(region, word) for region, word in self._accumulation.items()]
-        self.generations_completed += len(drained)
         self.filter_only_generations += len(self._filter)
         self._accumulation.clear()
         self._filter.clear()

@@ -55,9 +55,6 @@ class PredictionRegisterFile:
         #: docstring); mutated in place only.
         self._registers: List[Tuple[int, int]] = []
         self._next_index = 0
-        self.allocations = 0
-        self.rejections = 0
-        self.requests_issued = 0
 
     def allocate(self, region: int, pattern: SpatialPattern, exclude_offset: Optional[int] = None) -> bool:
         """Start streaming ``pattern`` for the region based at ``region``.
@@ -86,10 +83,8 @@ class PredictionRegisterFile:
         if bits == 0:
             return True
         if len(self._registers) >= self.num_registers:
-            self.rejections += 1
             return False
         self._registers.append((region & self._region_mask, bits))
-        self.allocations += 1
         return True
 
     def drain_bits(self, max_requests: Optional[int] = None) -> List[Tuple[int, int]]:
@@ -109,8 +104,7 @@ class PredictionRegisterFile:
                 index = 0
             region, remaining = registers[index]
             if max_requests is None and len(registers) == 1:
-                bits = remaining
-                issued += bin(bits).count("1")
+                bits = remaining  # no limit to count against
             else:
                 bits = remaining & -remaining
                 issued += 1
@@ -121,7 +115,6 @@ class PredictionRegisterFile:
                 registers[index] = (region, remaining ^ bits)
                 index += 1
         self._next_index = index
-        self.requests_issued += issued
         return runs
 
     def drain(self, max_requests: Optional[int] = None) -> List[StreamRequest]:

@@ -121,7 +121,6 @@ class SpatialMemoryStreaming(Prefetcher):
                 return
             # The generation ends: its pattern trains the PHT under the
             # trigger's index key.
-            agt.generations_completed += 1
             offset = (word >> nb) & offset_field
             key = key_of(word >> (nb + ob), region + (offset << block_shift), offset)
             bits = word & pattern_mask
@@ -152,16 +151,13 @@ class SpatialMemoryStreaming(Prefetcher):
                 word = filter_pop(region, None)
                 if word is None:
                     # Trigger access: new generation, consult the PHT.
-                    agt.trigger_accesses += 1
                     agt.generations_started += 1
                     if filter_entries is not None and len(filter_table) >= filter_entries:
                         for victim in filter_table:  # first key = LRU victim
                             break
                         del filter_table[victim]
-                        agt.filter_victims += 1
                         agt.filter_only_generations += 1
                     filter_table[region] = (pc << ob) | offset
-                    stats.pht_lookups += 1
                     pht.lookups += 1
                     key = key_of(pc, region + (offset << block_shift), offset)
                     table = sets[0] if ways is None else sets[hash_index_key(key) % num_sets]
@@ -170,8 +166,6 @@ class SpatialMemoryStreaming(Prefetcher):
                         pht.hits += 1
                         table[key] = bits
                         if bits:
-                            stats.pht_hits += 1
-                            stats.predictions += bin(bits).count("1")
                             # Stream everything but the trigger block.
                             bits &= ~(1 << offset)
                             if bits:
@@ -179,16 +173,9 @@ class SpatialMemoryStreaming(Prefetcher):
                                     # No limit, no other stream in flight:
                                     # drain_bits would hand this register
                                     # straight back, whole.
-                                    count = bin(bits).count("1")
-                                    file.allocations += 1
-                                    file.requests_issued += count
-                                    stats.issued += count
                                     return ((region, bits),)
-                                if len(registers) >= num_registers:
-                                    file.rejections += 1
-                                else:
+                                if len(registers) < num_registers:
                                     registers.append((region, bits))
-                                    file.allocations += 1
                 elif word & offset_field == offset:
                     filter_table[region] = word
                 else:
@@ -200,16 +187,12 @@ class SpatialMemoryStreaming(Prefetcher):
                     ):
                         for victim in accumulation:  # first key = LRU victim
                             break
-                        agt.accumulation_victims += 1
                         on_eviction_lane(victim)
                     accumulation[region] = (
                         (word << nb) | (1 << (word & offset_field)) | (1 << offset)
                     )
             if registers:
-                issued = file.requests_issued
-                runs = drain_bits(max_requests)
-                stats.issued += file.requests_issued - issued
-                return runs
+                return drain_bits(max_requests)
             return None
 
         return on_access_lane, on_eviction_lane
@@ -252,7 +235,6 @@ class SpatialMemoryStreaming(Prefetcher):
             prefetches.append(
                 PrefetchRequest(address=request.address, target_l1=self.config.stream_into_l1)
             )
-        self.stats.issued += len(prefetches)
         return prefetches
 
     # ------------------------------------------------------------------ #
@@ -265,11 +247,8 @@ class SpatialMemoryStreaming(Prefetcher):
         if trainer_response.trigger is not None:
             trigger = trainer_response.trigger
             key = self.index_scheme.key(trigger)
-            self.stats.pht_lookups += 1
             pattern = self.pht.lookup(key)
             if pattern is not None and not pattern.is_empty:
-                self.stats.pht_hits += 1
-                self.stats.predictions += pattern.population
                 self.registers.allocate(
                     region=trigger.region,
                     pattern=pattern,

@@ -166,13 +166,10 @@ class LogicalSectoredTrainer(SpatialTrainer):
             block_size=geometry.block_size,
             name=f"{self.name}-tags",
         )
-        self.generations_started = 0
-        self.generations_completed = 0
 
     def _sector_to_completed(self, sector: SectorState) -> Optional[CompletedGeneration]:
         if sector.population == 0:
             return None
-        self.generations_completed += 1
         return CompletedGeneration(
             region=sector.region,
             trigger_pc=sector.trigger_pc,
@@ -190,7 +187,6 @@ class LogicalSectoredTrainer(SpatialTrainer):
             # New generation: allocate a sector; a conflict victim's footprint
             # becomes a (fragmented) completed generation.
             sector, victim = self.tags.allocate(address, trigger_pc=pc)
-            self.generations_started += 1
             if victim is not None:
                 completed = self._sector_to_completed(victim)
                 if completed is not None:

@@ -44,8 +44,8 @@ def system_table(
     table.add_row("L2 hit latency (cycles)", machine.l2_hit_cycles)
     table.add_row("memory latency (ns)", machine.memory_latency_ns)
     table.add_row("coherence unit (B)", simulation.block_size)
-    table.add_row("interconnect", f"{machine.torus.width}x{machine.torus.height} 2D torus")
-    table.add_row("hop latency (ns)", machine.torus.hop_latency_ns)
+    table.add_row("interconnect", f"{machine.torus_width}x{machine.torus_height} 2D torus")
+    table.add_row("hop latency (ns)", machine.hop_latency_ns)
     table.add_row("peak bisection bandwidth (GB/s)", machine.peak_bisection_gb_per_s)
     return table
 

@@ -24,6 +24,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "replacement": ("LRUPolicy",),
         "hierarchy": ("MemoryLevel",),
         "sectored": ("LogicalSectoredTagArray", "SectorState"),
-        "stats": ("CacheStatistics",),
     },
 )

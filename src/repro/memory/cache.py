@@ -24,7 +24,10 @@ Every line remembers whether it was *filled by a prefetch* and whether it has
 been *demand-referenced* since the fill.  This is what allows coverage and
 overprediction to be measured exactly as the paper defines them: a demand hit
 on a prefetched, not-yet-used line is a covered miss; a prefetched line that
-leaves the cache unused is an overprediction.
+leaves the cache unused is an overprediction, and
+:attr:`SetAssociativeCache.prefetched_evicted_unused` is the one count a cache
+keeps: the engine reads the L1s' for the overprediction figures (Figures 6,
+8, 11).  Hits, misses and evictions are answered per access, not tallied.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import enum
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.memory.block import is_power_of_two
-from repro.memory.stats import CacheStatistics
 
 #: Flag bits of one resident line (the values of a set dict).
 DIRTY = 1
@@ -145,7 +147,9 @@ class SetAssociativeCache:
         # Each set is a dict block_addr -> flags whose key order is the LRU
         # order (module docstring, "Set layout").
         self._sets: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
-        self.stats = CacheStatistics()
+        #: Prefetched lines that left (replaced or invalidated) before any
+        #: demand use: this cache's overpredictions.
+        self.prefetched_evicted_unused = 0
         self._eviction_listeners: List[EvictionListener] = []
 
     # ------------------------------------------------------------------ #
@@ -195,13 +199,6 @@ class SetAssociativeCache:
         """Perform a demand access; allocate on miss if ``allocate`` is True."""
         block = address & self._block_mask
         set_index = (address >> self._index_shift) & self._set_mask
-        stats = self.stats
-        stats.accesses += 1
-        if is_write:
-            stats.writes += 1
-        else:
-            stats.reads += 1
-
         cache_set = self._sets[set_index]
         # Pop the block so that the store below re-appends it as most
         # recently used.
@@ -209,19 +206,11 @@ class SetAssociativeCache:
         if flags is not None:
             if flags & (PREFETCHED | USED) == PREFETCHED:
                 outcome = AccessOutcome.PREFETCH_HIT
-                stats.prefetch_hits += 1
-                stats.prefetched_used += 1
             else:
                 outcome = AccessOutcome.HIT
-            stats.hits += 1
             cache_set[block] = flags | (USED | DIRTY if is_write else USED)
             return AccessResult(outcome=outcome, block_addr=block)
 
-        stats.misses += 1
-        if is_write:
-            stats.write_misses += 1
-        else:
-            stats.read_misses += 1
         evicted = None
         if allocate:
             evicted = self._install(set_index, block, USED | DIRTY if is_write else USED)
@@ -237,8 +226,6 @@ class SetAssociativeCache:
         set_index = (address >> self._index_shift) & self._set_mask
         if block in self._sets[set_index]:
             return None
-        if prefetched:
-            self.stats.prefetch_fills += 1
         flags = PREFETCHED if prefetched else USED
         return self._install(set_index, block, flags | DIRTY if dirty else flags)
 
@@ -248,9 +235,8 @@ class SetAssociativeCache:
         flags = self._sets[(address >> self._index_shift) & self._set_mask].pop(block, None)
         if flags is None:
             return None
-        self.stats.invalidations += 1
         if flags & (PREFETCHED | USED) == PREFETCHED:
-            self.stats.prefetched_evicted_unused += 1
+            self.prefetched_evicted_unused += 1
         evicted = _evicted_line(block, flags, invalidated=True)
         self._notify_eviction(evicted)
         return evicted
@@ -275,11 +261,8 @@ class SetAssociativeCache:
             for victim in cache_set:  # first key = LRU victim
                 break
             victim_flags = cache_set.pop(victim)
-            self.stats.evictions += 1
-            if victim_flags & DIRTY:
-                self.stats.dirty_evictions += 1
             if victim_flags & (PREFETCHED | USED) == PREFETCHED:
-                self.stats.prefetched_evicted_unused += 1
+                self.prefetched_evicted_unused += 1
             evicted_line = _evicted_line(victim, victim_flags, invalidated=False)
             self._notify_eviction(evicted_line)
         cache_set[block] = flags

@@ -31,7 +31,6 @@ from repro.memory.block import (
 )
 from repro.memory.cache import AccessOutcome, AccessResult, CacheLine, EvictedLine
 from repro.memory.replacement import LRUPolicy
-from repro.memory.stats import CacheStatistics
 
 
 class _Sector:
@@ -80,8 +79,7 @@ class DecoupledSectoredCache:
             raise ValueError(f"number of sets must be a power of two, got {self.num_sets}")
         self._sets: List[Dict[int, _Sector]] = [dict() for _ in range(self.num_sets)]
         self._policies: List[LRUPolicy] = [LRUPolicy() for _ in range(self.num_sets)]
-        self.stats = CacheStatistics()
-        self.sector_evictions = 0
+        self.prefetched_evicted_unused = 0
         self._eviction_listeners: List[Callable[[EvictedLine], None]] = []
 
     # ------------------------------------------------------------------ #
@@ -139,13 +137,9 @@ class DecoupledSectoredCache:
     def _evict_sector(self, set_index: int, way: int, invalidated: bool = False) -> None:
         sector = self._sets[set_index].pop(way)
         self._policies[set_index].on_invalidate(way)
-        self.sector_evictions += 1
-        for offset, line in sector.lines.items():
-            self.stats.evictions += 1
-            if line.dirty:
-                self.stats.dirty_evictions += 1
+        for line in sector.lines.values():
             if line.prefetched and not line.used:
-                self.stats.prefetched_evicted_unused += 1
+                self.prefetched_evicted_unused += 1
             self._notify(
                 EvictedLine(
                     block_addr=line.block_addr,
@@ -180,30 +174,16 @@ class DecoupledSectoredCache:
         """Demand access: hit requires both the sector tag and the block's valid bit."""
         block = block_address(address, self.block_size)
         offset = self._offset(address)
-        self.stats.accesses += 1
-        if is_write:
-            self.stats.writes += 1
-        else:
-            self.stats.reads += 1
-
         sector = self._lookup_sector(address, touch=True)
         line = sector.line_for(offset) if sector is not None else None
         if line is not None:
             if line.prefetched and not line.used:
                 outcome = AccessOutcome.PREFETCH_HIT
-                self.stats.prefetch_hits += 1
-                self.stats.prefetched_used += 1
             else:
                 outcome = AccessOutcome.HIT
-            self.stats.hits += 1
             line.mark_demand_use(is_write)
             return AccessResult(outcome=outcome, block_addr=block)
 
-        self.stats.misses += 1
-        if is_write:
-            self.stats.write_misses += 1
-        else:
-            self.stats.read_misses += 1
         if allocate:
             sector = self._sector_for_install(address)
             sector.lines[offset] = CacheLine(block_addr=block, dirty=is_write, prefetched=False, used=True)
@@ -215,8 +195,6 @@ class DecoupledSectoredCache:
         offset = self._offset(address)
         if self.contains(address):
             return None
-        if prefetched:
-            self.stats.prefetch_fills += 1
         sector = self._sector_for_install(address)
         sector.lines[offset] = CacheLine(
             block_addr=block, dirty=dirty, prefetched=prefetched, used=not prefetched
@@ -232,9 +210,8 @@ class DecoupledSectoredCache:
         line = sector.lines.pop(offset, None)
         if line is None:
             return None
-        self.stats.invalidations += 1
         if line.prefetched and not line.used:
-            self.stats.prefetched_evicted_unused += 1
+            self.prefetched_evicted_unused += 1
         evicted = EvictedLine(
             block_addr=line.block_addr,
             dirty=line.dirty,

@@ -106,8 +106,6 @@ class SectoredTagArray:
             raise ValueError(f"number of sets must be a power of two, got {self.num_sets}")
         self._sets: List[Dict[int, SectorState]] = [dict() for _ in range(self.num_sets)]
         self._policies: List[LRUPolicy] = [LRUPolicy() for _ in range(self.num_sets)]
-        self.allocations = 0
-        self.conflict_evictions = 0
 
     # ------------------------------------------------------------------ #
     def set_index(self, address: int) -> int:
@@ -162,7 +160,6 @@ class SectoredTagArray:
             victim_way = policy.victim(list(tag_set.keys()), [])
             evicted = tag_set.pop(victim_way)
             policy.on_invalidate(victim_way)
-            self.conflict_evictions += 1
             way = victim_way
         else:
             used = set(tag_set.keys())
@@ -177,7 +174,6 @@ class SectoredTagArray:
         )
         tag_set[way] = sector
         policy.on_fill(way)
-        self.allocations += 1
         return sector, evicted
 
     def remove(self, address: int) -> Optional[SectorState]:
@@ -234,4 +230,3 @@ class LogicalSectoredTagArray(SectoredTagArray):
             block_size=block_size,
             name=name,
         )
-        self.modeled_capacity_bytes = capacity_bytes

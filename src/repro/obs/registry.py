@@ -398,8 +398,6 @@ class Registry:
             }
         return {"metrics": metrics}
 
-    snapshot = render_json
-
 
 def _render_labels(names: Iterable[str], values: Iterable[str]) -> str:
     pairs = [

@@ -15,8 +15,16 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.coherence.multiprocessor import AccessOutcomeRecord
-from repro.memory.stats import PrefetcherStatistics
 from repro.trace.record import MemoryAccess
+
+
+class PrefetcherStatistics:
+    """What a prefetcher counts: patterns trained into its history table."""
+
+    __slots__ = ("trained_patterns",)
+
+    def __init__(self, trained_patterns: int = 0) -> None:
+        self.trained_patterns = trained_patterns
 
 
 class PrefetchRequest:

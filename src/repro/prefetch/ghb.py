@@ -167,14 +167,12 @@ class GlobalHistoryBuffer(Prefetcher):
         if not predicted:
             return response
 
-        self.stats.predictions += len(predicted)
         address = block
         for delta in predicted:
             address += delta * self.config.block_size
             if address < 0:
                 break
             response.prefetches.append(PrefetchRequest(address=address, target_l1=False))
-            self.stats.issued += 1
         return response
 
     def __repr__(self) -> str:

@@ -33,10 +33,8 @@ class NextLinePrefetcher(Prefetcher):
         if self.on_miss_only and not outcome.l1_miss:
             return response
         block = block_address(record.address, self.block_size)
-        self.stats.predictions += self.degree
         for step in range(1, self.degree + 1):
             response.prefetches.append(
                 PrefetchRequest(address=block + step * self.block_size, target_l1=True)
             )
-            self.stats.issued += 1
         return response

@@ -88,7 +88,6 @@ class StridePrefetcher(Prefetcher):
         entry.last_address = record.address
 
         if entry.confidence >= self.confidence_threshold and entry.stride != 0:
-            self.stats.predictions += self.degree
             address = record.address
             for _ in range(self.degree):
                 address += entry.stride
@@ -96,5 +95,4 @@ class StridePrefetcher(Prefetcher):
                     break
                 block = block_address(address, self.block_size)
                 response.prefetches.append(PrefetchRequest(address=block, target_l1=True))
-                self.stats.issued += 1
         return response

@@ -113,8 +113,6 @@ class TemporalCorrelationPrefetcher(Prefetcher):
                 continue
             seen.add(successor)
             response.prefetches.append(PrefetchRequest(address=successor, target_l1=False))
-            self.stats.predictions += 1
-            self.stats.issued += 1
             issued += 1
             next_entry = self._table.get(successor)
             if next_entry is not None:

@@ -330,11 +330,6 @@ def job_for(spec: Mapping[str, Any]) -> SweepTask:
     raise ValueError(f"verb {verb!r} does not dispatch to the worker pool")
 
 
-#: Verbs that dispatch to the worker pool (everything else is served by the
-#: front-end directly).
-POOL_VERBS = ("simulate", "sweep", "experiment")
-
-
 def digest_for(spec: Mapping[str, Any], cache: SweepResultCache) -> Optional[str]:
     """Content-addressed identity of a pool-verb request.
 

@@ -47,7 +47,6 @@ from repro.coherence.multiprocessor import (
     CpuOutOfRangeError,
     MultiprocessorMemorySystem,
 )
-from repro.interconnect.traffic import BandwidthAccountant, TrafficClass
 from repro.memory.cache import (
     DIRTY,
     PREFETCHED,
@@ -154,13 +153,14 @@ _BOXED_SLOT = (_every_access, None, None)
 class SimulationResult:
     """Counters produced by one simulation run (measurement phase only).
 
-    Besides the counters: ``traffic`` (bandwidth accounting), ``workload``
-    (the trace's metadata), ``telemetry`` — simulation-time telemetry
-    (``{"interval": N, "samples": [...]}``), populated only when the probe is
-    enabled — and ``engine_path``, which loop produced these counters
-    (``"lanes"``, or ``"reference"`` for a ``run(..., lanes=False)``).  The
-    last two are run metadata, deliberately excluded from :meth:`as_dict`: the
-    golden counters must stay byte-identical whether or not the probe ran.
+    Every counter is one a figure, a report or the timing model reads.
+    Besides the counters: ``workload`` (the trace's metadata), ``telemetry``
+    — simulation-time telemetry (``{"interval": N, "samples": [...]}``),
+    populated only when the probe is enabled — and ``engine_path``, which
+    loop produced these counters (``"lanes"``, or ``"reference"`` for a
+    ``run(..., lanes=False)``).  The last two are run metadata, deliberately
+    excluded from :meth:`as_dict`: the golden counters must stay
+    byte-identical whether or not the probe ran.
     """
 
     __slots__ = (
@@ -173,12 +173,10 @@ class SimulationResult:
         "instructions",
         # L1 behaviour (summed over all private L1s).
         "l1_read_misses",
-        "l1_write_misses",
         "l1_read_covered",
         "l1_write_covered",
         "l1_overpredictions",
         # L2 / off-chip behaviour.
-        "l2_demand_reads",
         "l2_read_hits",
         "offchip_read_misses",
         "offchip_write_misses",
@@ -189,9 +187,6 @@ class SimulationResult:
         "invalidations",
         # Prefetch activity.
         "prefetches_issued",
-        "prefetch_fills_l1",
-        "prefetch_fills_l2",
-        "traffic",
         "workload",
         "telemetry",
         "engine_path",
@@ -207,11 +202,9 @@ class SimulationResult:
         system_accesses: int = 0,
         instructions: int = 0,
         l1_read_misses: int = 0,
-        l1_write_misses: int = 0,
         l1_read_covered: int = 0,
         l1_write_covered: int = 0,
         l1_overpredictions: int = 0,
-        l2_demand_reads: int = 0,
         l2_read_hits: int = 0,
         offchip_read_misses: int = 0,
         offchip_write_misses: int = 0,
@@ -220,9 +213,6 @@ class SimulationResult:
         false_sharing_misses: int = 0,
         invalidations: int = 0,
         prefetches_issued: int = 0,
-        prefetch_fills_l1: int = 0,
-        prefetch_fills_l2: int = 0,
-        traffic: Optional[BandwidthAccountant] = None,
         workload: Optional[WorkloadMetadata] = None,
         telemetry: Optional[Dict] = None,
         engine_path: str = "",
@@ -235,11 +225,9 @@ class SimulationResult:
         self.system_accesses = system_accesses
         self.instructions = instructions
         self.l1_read_misses = l1_read_misses
-        self.l1_write_misses = l1_write_misses
         self.l1_read_covered = l1_read_covered
         self.l1_write_covered = l1_write_covered
         self.l1_overpredictions = l1_overpredictions
-        self.l2_demand_reads = l2_demand_reads
         self.l2_read_hits = l2_read_hits
         self.offchip_read_misses = offchip_read_misses
         self.offchip_write_misses = offchip_write_misses
@@ -248,9 +236,6 @@ class SimulationResult:
         self.false_sharing_misses = false_sharing_misses
         self.invalidations = invalidations
         self.prefetches_issued = prefetches_issued
-        self.prefetch_fills_l1 = prefetch_fills_l1
-        self.prefetch_fills_l2 = prefetch_fills_l2
-        self.traffic = traffic
         self.workload = workload
         self.telemetry = telemetry
         self.engine_path = engine_path
@@ -321,7 +306,6 @@ class SimulationEngine:
         self.prefetcher_factory = prefetcher_factory or (lambda cpu: NullPrefetcher())
         self.name = name
         # Hot-path constants: per-record work must not re-derive these.
-        self._block_size = self.config.block_size
         self._block_mask = ~(self.config.block_size - 1)
         self.memory = MultiprocessorMemorySystem(
             num_cpus=self.config.num_cpus,
@@ -350,7 +334,6 @@ class SimulationEngine:
         self.memory.l2.add_eviction_listener(self._l2_eviction_listener)
         self._measuring = True
         self.result = SimulationResult(name=name, num_cpus=self.config.num_cpus)
-        self.result.traffic = BandwidthAccountant(block_size=self.config.block_size)
         self._instruction_baseline: Dict[int, int] = {}
         self._instruction_latest: Dict[int, int] = {}
         # Blocks the prefetcher brought on-chip whose first demand use is
@@ -434,7 +417,6 @@ class SimulationEngine:
         tracked = self._offchip_prefetched_unused
         measuring = self._measuring
         result = self.result
-        record_transfer = result.traffic.record_block_transfer
         for request in prefetches:
             block = request.address & block_mask
             was_offchip = not l2_contains(block)
@@ -450,10 +432,6 @@ class SimulationEngine:
                 tracked.add(block)
             if measuring:
                 result.prefetches_issued += 1
-                if request.target_l1:
-                    result.prefetch_fills_l1 += 1
-                result.prefetch_fills_l2 += 1
-                record_transfer(TrafficClass.PREFETCH)
 
     # ------------------------------------------------------------------ #
     def _record_outcome(self, record: MemoryAccess, outcome: AccessOutcomeRecord) -> None:
@@ -490,17 +468,10 @@ class SimulationEngine:
                     result.l2_read_covered += 1
 
         if outcome.l1_result.is_miss:
-            if is_read:
-                result.l1_read_misses += 1
-            else:
-                result.l1_write_misses += 1
-            traffic = result.traffic
-            traffic.record_block_transfer(TrafficClass.DEMAND_FETCH)
-            traffic.record_useful_bytes(self._block_size)
             if outcome.false_sharing:
                 result.false_sharing_misses += 1
             if is_read:
-                result.l2_demand_reads += 1
+                result.l1_read_misses += 1
                 if outcome.level is MemoryLevel.L2:
                     result.l2_read_hits += 1
                 else:
@@ -510,7 +481,7 @@ class SimulationEngine:
 
     def _snapshot_overpredictions(self) -> None:
         """Copy prefetched-but-unused counters from the caches into the result."""
-        l1_total = sum(l1.stats.prefetched_evicted_unused for l1 in self._l1s)
+        l1_total = sum(l1.prefetched_evicted_unused for l1 in self._l1s)
         self.result.l1_overpredictions = l1_total - self._l1_overprediction_baseline
         # Off-chip overpredictions: blocks the prefetcher brought on-chip during
         # the measurement phase that no demand access has used — the ones still
@@ -521,12 +492,9 @@ class SimulationEngine:
 
     def _reset_measurement(self) -> None:
         """Begin the measurement phase: zero all counters, keep all state warm."""
-        traffic = BandwidthAccountant(block_size=self.config.block_size)
-        self.result = SimulationResult(
-            name=self.name, num_cpus=self.config.num_cpus, traffic=traffic
-        )
+        self.result = SimulationResult(name=self.name, num_cpus=self.config.num_cpus)
         self._l1_overprediction_baseline = sum(
-            l1.stats.prefetched_evicted_unused for l1 in self._l1s
+            l1.prefetched_evicted_unused for l1 in self._l1s
         )
         self._instruction_baseline = dict(self._instruction_latest)
         self._offchip_prefetched_unused = set()
@@ -810,10 +778,13 @@ class SimulationEngine:
         / ``AccessOutcomeRecord`` / ``CoherenceActions`` / ``DirectoryEntry``
         / ``CacheLine`` / address list is ever constructed — except for the
         accesses of a CPU whose prefetcher has no lane hook, which
-        :meth:`_lane_boxed_access` boxes for its ``on_access``.  Counter effects
-        are accumulated in locals and flushed once per chunk (all shared-object
-        reads below are loop-invariant: ``result`` / ``_measuring`` / the
-        tracked set only change at warmup boundaries between chunks).
+        :meth:`_lane_boxed_access` boxes for its ``on_access``.  Per record the
+        loop does only work whose result something reads: cache and directory
+        state, the measurement counters, and the unused-prefetch count of an
+        evicted line.  The counters are accumulated in locals and flushed once
+        per chunk (all shared-object reads below are loop-invariant:
+        ``result`` / ``_measuring`` / the tracked set only change at warmup
+        boundaries between chunks).
 
         The cache sets are read and written in place, in the layout
         :mod:`repro.memory.cache` documents: one ``block -> flags`` dict per
@@ -841,8 +812,7 @@ class SimulationEngine:
 
         # Directory words (block -> sharer bits | MODIFIED mark; a block nobody
         # caches has no entry), in the layout repro.coherence.directory documents.
-        directory = memory.directory
-        entries = directory._entries
+        entries = memory.directory._entries
         modified = MODIFIED
         cpu_bits = [sharer_bit(cpu) for cpu in range(num_cpus)]
 
@@ -855,7 +825,6 @@ class SimulationEngine:
 
         l1s = memory._l1s
         l1_sets = [l1._sets for l1 in l1s]
-        l1_stats = [l1.stats for l1 in l1s]
         l1_listeners = [l1._eviction_listeners for l1 in l1s]
         l1_invalidate = [l1.invalidate for l1 in l1s]
         l1_assoc = l1s[0].associativity
@@ -864,7 +833,6 @@ class SimulationEngine:
 
         l2 = memory.l2
         l2_sets = l2._sets
-        l2_stats = l2.stats
         l2_listeners = l2._eviction_listeners
         l2_assoc = l2.associativity
         l2_shift = l2._index_shift
@@ -903,39 +871,19 @@ class SimulationEngine:
         tracked = self._offchip_prefetched_unused
         latest = self._instruction_latest
         inst_max = [latest.get(cpu, 0) for cpu in range(num_cpus)]
-        total_inst = memory.total_instructions
-
-        # Cache-statistics tallies, flushed per chunk.  Mid-chunk readers of
-        # hit/access counters would see deferred values, but the only
-        # mid-chunk code is the construction-time eviction listeners and the
-        # prefetchers, which read none of these (eviction-side stats stay
-        # live in the install helpers).
-        zeros = [0] * num_cpus
-        c1_reads = list(zeros)
-        c1_writes = list(zeros)
-        c1_hits = list(zeros)
-        c1_pf_hits = list(zeros)
-        c1_read_misses = list(zeros)
-        c1_write_misses = list(zeros)
-        c1_pf_fills = list(zeros)
-        c2_reads = c2_writes = c2_hits = c2_pf_hits = 0
-        c2_read_misses = c2_write_misses = c2_pf_fills = 0
 
         def evict_l1(cpu, cache_set):
             """Inlined replacement half of ``SetAssociativeCache._install`` for
-            a full L1 set: drop the LRU victim, count it, then run the
-            construction-time eviction listeners (directory evict, tracked-block
-            retirement, prefetcher forwarding) — themselves inlined when
-            verified safe, dispatched generically otherwise."""
-            stats = l1_stats[cpu]
+            a full L1 set: drop the LRU victim, count it if it was an unused
+            prefetch, then run the construction-time eviction listeners
+            (directory evict, tracked-block retirement, prefetcher forwarding)
+            — themselves inlined when verified safe, dispatched generically
+            otherwise."""
             for vblock in cache_set:  # first key = LRU victim
                 break
             vflags = cache_set.pop(vblock)
-            stats.evictions += 1
-            if vflags & dirty:
-                stats.dirty_evictions += 1
             if vflags & unused_prefetch == prefetched:
-                stats.prefetched_evicted_unused += 1
+                l1s[cpu].prefetched_evicted_unused += 1
             if inline_evictions:
                 # Directory.evict(cpu, vblock): clear the sharer bit (and the
                 # MODIFIED mark, which only its owner's bit carries).
@@ -978,11 +926,8 @@ class SimulationEngine:
             for vblock in cache_set:  # first key = LRU victim
                 break
             vflags = cache_set.pop(vblock)
-            l2_stats.evictions += 1
-            if vflags & dirty:
-                l2_stats.dirty_evictions += 1
             if vflags & unused_prefetch == prefetched:
-                l2_stats.prefetched_evicted_unused += 1
+                l2.prefetched_evicted_unused += 1
             if inline_evictions:
                 if vblock in tracked:
                     vindex = (vblock >> l1_shift) & l1_set_mask
@@ -1004,13 +949,11 @@ class SimulationEngine:
         # mid-chunk ValueError leaves exactly the already-processed records
         # counted, as the per-record reference path would).
         n_done = 0
-        dir_reads = dir_writes = dir_invals = dir_downgrades = 0
         m_reads = m_writes = m_system = m_invalidations = 0
         m_l1_read_cov = m_l1_write_cov = m_l2_read_cov = 0
-        m_l1_read_miss = m_l1_write_miss = m_false_sharing = 0
-        m_l2_demand_reads = m_l2_read_hits = 0
-        m_offchip_reads = m_offchip_writes = 0
-        m_pf_issued = m_pf_l1 = 0
+        m_l1_read_miss = m_false_sharing = 0
+        m_l2_read_hits = m_offchip_reads = m_offchip_writes = 0
+        m_pf_issued = 0
 
         try:
             for pc, address, code, cpu, icount in zip(
@@ -1021,8 +964,6 @@ class SimulationEngine:
                 n_done += 1
                 if icount > inst_max[cpu]:
                     inst_max[cpu] = icount
-                    if icount > total_inst:
-                        total_inst = icount
 
                 is_write = (code & 1) == 1
                 block = address & block_mask
@@ -1032,7 +973,6 @@ class SimulationEngine:
                 bit = cpu_bits[cpu]
                 word = entries.get(block, 0)
                 if is_write:
-                    dir_writes += 1
                     mine = bit | modified
                     if word != mine:
                         entries[block] = mine
@@ -1048,37 +988,20 @@ class SimulationEngine:
                                     record_invalidation(other, block, address)
                             elif record_remote_write is not None:
                                 record_remote_write(other, block, address)
-                        dir_invals += invalidations_sent
-                else:
-                    dir_reads += 1
-                    if not word & bit:
-                        # A MODIFIED word without our bit is a remote owner's.
-                        if word & modified:
-                            dir_downgrades += 1
-                            word ^= modified
-                        entries[block] = word | bit
+                elif not word & bit:
+                    # A MODIFIED word without our bit is a remote owner's.
+                    entries[block] = (word & ~modified) | bit
 
                 # --- L1 lookup (install-on-miss inlined). -------------------
                 cache_set = l1_sets[cpu][(address >> l1_shift) & l1_set_mask]
-                if is_write:
-                    c1_writes[cpu] += 1
-                else:
-                    c1_reads[cpu] += 1
                 l1_prefetch_hit = l2_hit = False
                 flags = cache_set.pop(block, None)
                 l1_hit = flags is not None
                 if l1_hit:
                     # Re-append: the block becomes most recently used.
-                    if flags & unused_prefetch == prefetched:
-                        l1_prefetch_hit = True
-                        c1_pf_hits[cpu] += 1
-                    c1_hits[cpu] += 1
+                    l1_prefetch_hit = flags & unused_prefetch == prefetched
                     cache_set[block] = flags | (used_dirty if is_write else used)
                 else:
-                    if is_write:
-                        c1_write_misses[cpu] += 1
-                    else:
-                        c1_read_misses[cpu] += 1
                     if len(cache_set) >= l1_assoc:
                         evict_l1(cpu, cache_set)
                     cache_set[block] = used_dirty if is_write else used
@@ -1089,22 +1012,11 @@ class SimulationEngine:
                     )
 
                     l2_set = l2_sets[(address >> l2_shift) & l2_set_mask]
-                    if is_write:
-                        c2_writes += 1
-                    else:
-                        c2_reads += 1
                     flags = l2_set.pop(block, None)
                     l2_hit = flags is not None
                     if l2_hit:
-                        if flags & unused_prefetch == prefetched:
-                            c2_pf_hits += 1
-                        c2_hits += 1
                         l2_set[block] = flags | (used_dirty if is_write else used)
                     else:
-                        if is_write:
-                            c2_write_misses += 1
-                        else:
-                            c2_read_misses += 1
                         if len(l2_set) >= l2_assoc:
                             evict_l2(l2_set)
                         l2_set[block] = used_dirty if is_write else used
@@ -1130,17 +1042,13 @@ class SimulationEngine:
                         elif not is_write:
                             m_l2_read_cov += 1
                     if not l1_hit:
-                        if is_write:
-                            m_l1_write_miss += 1
-                        else:
-                            m_l1_read_miss += 1
                         if was_false_sharing:
                             m_false_sharing += 1
                         if is_write:
                             if not l2_hit:
                                 m_offchip_writes += 1
                         else:
-                            m_l2_demand_reads += 1
+                            m_l1_read_miss += 1
                             if l2_hit:
                                 m_l2_read_hits += 1
                             else:
@@ -1163,28 +1071,20 @@ class SimulationEngine:
                         )
                         continue
                     for pbase, pbits in runs:
-                        count = bin(pbits).count("1")
-                        dir_reads += count
                         if measuring:
-                            m_pf_issued += count
-                            if target_l1:
-                                m_pf_l1 += count
+                            m_pf_issued += bin(pbits).count("1")
                         while pbits:
                             low = pbits & -pbits
                             pbits ^= low
                             pblock = (pbase + ((low.bit_length() - 1) << pshift)) & block_mask
                             word = entries.get(pblock, 0)
                             if not word & bit:
-                                if word & modified:
-                                    dir_downgrades += 1
-                                    word ^= modified
-                                entries[pblock] = word | bit
+                                entries[pblock] = (word & ~modified) | bit
                             # L2 fill.  A block the prefetch brought on-chip is
                             # tracked: its first demand use is a covered
                             # off-chip miss.
                             fset = l2_sets[(pblock >> l2_shift) & l2_set_mask]
                             if pblock not in fset:
-                                c2_pf_fills += 1
                                 if len(fset) >= l2_assoc:
                                     evict_l2(fset)
                                 fset[pblock] = prefetched
@@ -1192,55 +1092,14 @@ class SimulationEngine:
                             if target_l1:
                                 fset = l1_sets[cpu][(pblock >> l1_shift) & l1_set_mask]
                                 if pblock not in fset:
-                                    c1_pf_fills[cpu] += 1
                                     if len(fset) >= l1_assoc:
                                         evict_l1(cpu, fset)
                                     fset[pblock] = prefetched
         finally:
-            memory.total_accesses += n_done
-            memory.total_instructions = total_inst
             for cpu in range(num_cpus):
                 peak = inst_max[cpu]
                 if peak > latest.get(cpu, 0):
                     latest[cpu] = peak
-            directory.read_requests += dir_reads
-            directory.write_requests += dir_writes
-            directory.invalidations_sent += dir_invals
-            directory.downgrades_sent += dir_downgrades
-            for cpu in range(num_cpus):
-                reads = c1_reads[cpu]
-                writes = c1_writes[cpu]
-                stats = l1_stats[cpu]
-                if c1_pf_fills[cpu]:
-                    stats.prefetch_fills += c1_pf_fills[cpu]
-                if not (reads or writes):
-                    continue
-                stats.accesses += reads + writes
-                stats.reads += reads
-                stats.writes += writes
-                stats.hits += c1_hits[cpu]
-                rm = c1_read_misses[cpu]
-                wm = c1_write_misses[cpu]
-                stats.misses += rm + wm
-                stats.read_misses += rm
-                stats.write_misses += wm
-                pf = c1_pf_hits[cpu]
-                if pf:
-                    stats.prefetch_hits += pf
-                    stats.prefetched_used += pf
-            if c2_pf_fills:
-                l2_stats.prefetch_fills += c2_pf_fills
-            if c2_reads or c2_writes:
-                l2_stats.accesses += c2_reads + c2_writes
-                l2_stats.reads += c2_reads
-                l2_stats.writes += c2_writes
-                l2_stats.hits += c2_hits
-                l2_stats.misses += c2_read_misses + c2_write_misses
-                l2_stats.read_misses += c2_read_misses
-                l2_stats.write_misses += c2_write_misses
-                if c2_pf_hits:
-                    l2_stats.prefetch_hits += c2_pf_hits
-                    l2_stats.prefetched_used += c2_pf_hits
             if measuring:
                 result = self.result
                 result.accesses += n_done
@@ -1252,22 +1111,11 @@ class SimulationEngine:
                 result.l1_write_covered += m_l1_write_cov
                 result.l2_read_covered += m_l2_read_cov
                 result.l1_read_misses += m_l1_read_miss
-                result.l1_write_misses += m_l1_write_miss
                 result.false_sharing_misses += m_false_sharing
-                result.l2_demand_reads += m_l2_demand_reads
                 result.l2_read_hits += m_l2_read_hits
                 result.offchip_read_misses += m_offchip_reads
                 result.offchip_write_misses += m_offchip_writes
                 result.prefetches_issued += m_pf_issued
-                result.prefetch_fills_l1 += m_pf_l1
-                result.prefetch_fills_l2 += m_pf_issued
-                traffic = result.traffic
-                misses = m_l1_read_miss + m_l1_write_miss
-                if misses:
-                    traffic.record_block_transfer(TrafficClass.DEMAND_FETCH, misses)
-                    traffic.record_useful_bytes(self._block_size * misses)
-                if m_pf_issued:
-                    traffic.record_block_transfer(TrafficClass.PREFETCH, m_pf_issued)
 
     def _finalize_instructions(self) -> None:
         total = 0

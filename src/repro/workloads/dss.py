@@ -35,7 +35,6 @@ from repro.workloads.base import (
 
 _PC_SCAN = 0x50_0000
 _PC_SCAN_HEADER = 0x51_0000
-_PC_AGGREGATE = 0x52_0000
 _PC_BUILD = 0x53_0000
 _PC_PROBE = 0x54_0000
 _PC_HASH_BUCKET = 0x55_0000

@@ -27,7 +27,6 @@ _PC_CONN_LOOKUP = 0x60_0000
 _PC_PACKET_PARSE = 0x61_0000
 _PC_PACKET_TRAILER = 0x62_0000
 _PC_FILE_READ = 0x63_0000
-_PC_RESPONSE_WRITE = 0x64_0000
 _PC_KERNEL_STACK = 0x65_0000
 _PC_LISTEN_QUEUE = 0x66_0000
 

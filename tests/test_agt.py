@@ -75,8 +75,10 @@ class TestFilterTableBehaviour:
         agt = ActiveGenerationTable(geometry, filter_entries=2, accumulation_entries=4)
         for i in range(3):
             agt.observe_access(pc=0x400, address=REGION + i * geometry.region_size)
-        assert len(agt._filter) == 2
-        assert agt.filter_victims == 1
+        # The oldest region left without a trace: no completed generation,
+        # and it is counted as a filter-only one.
+        assert list(agt._filter) == [REGION + i * geometry.region_size for i in (1, 2)]
+        assert agt.filter_only_generations == 1 and not agt._accumulation
 
 
 class TestAccumulationVictims:
@@ -92,7 +94,7 @@ class TestAccumulationVictims:
             else:
                 assert len(event.completed) == 1
                 assert event.completed[0].region == REGION
-        assert agt.accumulation_victims == 1
+        assert list(agt._accumulation) == [REGION + i * geometry.region_size for i in (1, 2)]
 
 
 class TestUnboundedTables:
@@ -103,7 +105,7 @@ class TestUnboundedTables:
             agt.observe_access(pc=0x400, address=base)
             agt.observe_access(pc=0x404, address=base + 64)
         assert len(agt._accumulation) == 200
-        assert agt.accumulation_victims == 0
+        assert agt.filter_only_generations == 0
 
     def test_invalid_sizes(self, geometry):
         with pytest.raises(ValueError):

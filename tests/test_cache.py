@@ -110,14 +110,13 @@ class TestPrefetchBookkeeping:
         cache.fill(0x2000, prefetched=True)
         result = cache.access(0x2000)
         assert result.outcome is AccessOutcome.PREFETCH_HIT
-        assert cache.stats.prefetch_hits == 1
+        assert cache.probe(0x2000).used
 
     def test_second_access_after_prefetch_hit_is_normal_hit(self):
         cache = make_cache()
         cache.fill(0x2000, prefetched=True)
-        cache.access(0x2000)
+        assert cache.access(0x2000).outcome is AccessOutcome.PREFETCH_HIT
         assert cache.access(0x2000).outcome is AccessOutcome.HIT
-        assert cache.stats.prefetch_hits == 1
 
     def test_fill_existing_block_is_noop(self):
         cache = make_cache()
@@ -131,7 +130,7 @@ class TestPrefetchBookkeeping:
         cache.access(512)
         cache.access(1024)
         cache.access(1536)
-        assert cache.stats.prefetched_evicted_unused == 1
+        assert cache.prefetched_evicted_unused == 1
 
     def test_used_prefetch_eviction_not_counted(self):
         cache = make_cache(capacity=1024, assoc=2)
@@ -140,14 +139,7 @@ class TestPrefetchBookkeeping:
         cache.access(512)
         cache.access(1024)
         cache.access(1536)
-        assert cache.stats.prefetched_evicted_unused == 0
-
-    def test_prefetch_fill_counter(self):
-        cache = make_cache()
-        cache.fill(0, prefetched=True)
-        cache.fill(64, prefetched=True)
-        cache.fill(64, prefetched=True)  # duplicate, no-op
-        assert cache.stats.prefetch_fills == 2
+        assert cache.prefetched_evicted_unused == 0
 
 
 class TestInvalidation:
@@ -167,7 +159,7 @@ class TestInvalidation:
         cache = make_cache()
         cache.fill(0x3000, prefetched=True)
         cache.invalidate(0x3000)
-        assert cache.stats.prefetched_evicted_unused == 1
+        assert cache.prefetched_evicted_unused == 1
 
     def test_flush_empties_cache(self):
         cache = make_cache()
@@ -201,31 +193,18 @@ class TestEvictionListeners:
 
 
 class TestStatistics:
+    """A cache tallies nothing per access: each result says hit or miss."""
+
     def test_hit_and_miss_rates(self):
         cache = make_cache()
-        cache.access(0)
-        cache.access(0)
-        cache.access(64)
-        assert cache.stats.accesses == 3
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 2
+        outcomes = [cache.access(address).outcome for address in (0, 0, 64)]
+        assert outcomes == [AccessOutcome.MISS, AccessOutcome.HIT, AccessOutcome.MISS]
 
     def test_read_write_miss_split(self):
         cache = make_cache()
-        cache.access(0)
-        cache.access(64, is_write=True)
-        assert cache.stats.read_misses == 1
-        assert cache.stats.write_misses == 1
-
-    def test_merge(self):
-        a = make_cache()
-        b = make_cache()
-        a.access(0)
-        b.access(0)
-        b.access(0)
-        merged = a.stats.merge(b.stats)
-        assert merged.accesses == 3
-        assert merged.hits == 1
+        assert cache.access(0).is_miss
+        assert cache.access(64, is_write=True).is_miss
+        assert not cache.probe(0).dirty and cache.probe(64).dirty
 
 
 class TestPropertyBased:
@@ -250,5 +229,6 @@ class TestPropertyBased:
     def test_hits_plus_misses_equals_accesses(self, addresses):
         cache = make_cache(capacity=1024, assoc=2)
         for address in addresses:
-            cache.access(address)
-        assert cache.stats.hits + cache.stats.misses == cache.stats.accesses
+            # Exactly one of the two: a hit on a resident block, else a miss.
+            resident = cache.contains(address)
+            assert cache.access(address).is_miss is not resident

@@ -2,8 +2,8 @@
 
 Golden fixture snippets per rule ID (one violating + one clean each),
 suppressions, the catalog, the meta-test that certifies the package has no
-finding, and the censuses of knobs, modules, public names, lazy exports,
-documented paths and imports.
+finding, and the censuses of knobs, modules, public names, assigned
+attributes and constants, lazy exports, documented paths and imports.
 """
 
 import ast
@@ -92,6 +92,69 @@ def product_names(repo):
                         for member in node.body if isinstance(member, definitions)
                     )
     return used, {name for name in defined if not name.rpartition(".")[2].startswith("_")}
+
+
+def _table_strings(tree):
+    """The string constants of ``__slots__`` declarations and of
+    ``lazy_exports`` tables: they name things, they do not read them."""
+    return {
+        id(constant)
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets))
+        or (isinstance(node, ast.Call) and dotted_name(node.func) == "lazy_exports")
+        for constant in ast.walk(node.value if isinstance(node, ast.Assign) else node.args[1])
+    }
+
+
+def _assigned_names(statement):
+    """Names and attributes a statement stores to (``+=`` included)."""
+    if isinstance(statement, ast.Assign):
+        for target in statement.targets:
+            yield from (n for n in ast.walk(target) if isinstance(n, (ast.Name, ast.Attribute)))
+    elif isinstance(statement, ast.AugAssign) or (
+        isinstance(statement, ast.AnnAssign) and statement.value is not None
+    ):
+        yield statement.target
+
+
+def product_reads_and_stores(repo):
+    """``(read, stored)``: every identifier src/, benchmarks/ and examples/
+    read (a loaded name or attribute, an import, an identifier-shaped string),
+    and ``name -> {where}`` for each module constant, class attribute and
+    ``self.`` attribute src/repro assigns or ``+=``-es."""
+    identifier = re.compile(r"[A-Za-z_]\w*\Z")
+    read, stored = set(), {}
+    for path in python_files(repo / "src", repo / "benchmarks", repo / "examples"):
+        tree = ast.parse(path.read_text())
+        table_strings = _table_strings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+            elif isinstance(node, ast.alias):
+                read.update(node.name.split("."))
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and identifier.match(node.value) and id(node) not in table_strings):
+                read.add(node.value)
+        if PACKAGE_DIR not in path.parents:
+            continue
+        where = str(path.relative_to(PACKAGE_DIR))
+        for statement in tree.body:
+            for target in _assigned_names(statement):
+                if isinstance(target, ast.Name):
+                    stored.setdefault(target.id, set()).add(where)
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for statement in cls.body:
+                for target in _assigned_names(statement):
+                    if isinstance(target, ast.Name):
+                        stored.setdefault(target.id, set()).add(f"{where}:{cls.name}")
+            methods = (m for m in cls.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)))
+            for statement in (node for method in methods for node in ast.walk(method)):
+                for target in _assigned_names(statement):
+                    if (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+                            and target.value.id == "self"):
+                        stored.setdefault(target.attr, set()).add(f"{where}:{cls.name}")
+    return read, stored
 
 
 # --------------------------------------------------------------------------- #
@@ -1187,6 +1250,25 @@ class TestPackageIsClean:
         unused = {name for name in defined if name.rpartition(".")[2] not in used}
         assert sorted(unused - set(exempt)) == []
         assert set(exempt) <= unused, "exemption no longer needed"
+
+    def test_every_assigned_attribute_and_constant_is_read(self):
+        # Attribute census: a module constant, class attribute or instance
+        # attribute of src/repro that is assigned or ``+=``-ed but that
+        # nothing in src/, benchmarks/ or examples/ reads is a tally nobody
+        # looks at, paid for on every update.  Reads are matched by name, as
+        # in the symbol census; ``__slots__`` and ``lazy_exports`` strings do
+        # not count, and neither do tests.
+        repo = Path(__file__).resolve().parent.parent
+        if not (repo / "benchmarks").is_dir():
+            pytest.skip("no benchmarks/ (installed-package run)")
+        read, stored = product_reads_and_stores(repo)
+        unread = sorted(
+            f"{where}.{name}"
+            for name, places in stored.items()
+            if name not in read and not (name.startswith("__") and name.endswith("__"))
+            for where in places
+        )
+        assert unread == []
 
     def test_every_lazy_export_has_an_importer(self):
         # A ``lazy_exports`` entry exists so that something can write

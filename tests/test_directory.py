@@ -70,8 +70,8 @@ class TestDirectoryWrites:
         directory = Directory()
         directory.read(0, 0x1000)
         directory.read(1, 0x1000)
-        directory.write(2, 0x1000)
-        assert directory.invalidations_sent == 2
+        assert directory.write(2, 0x1000).invalidate_cpus == {0, 1}
+        assert directory.sharers(0x1000) == {2}
 
 
 class TestDirectoryEvictions:

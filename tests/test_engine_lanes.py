@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core import SMSConfig, SpatialMemoryStreaming
 from repro.core.prediction import PredictionRegisterFile
+from repro.memory.cache import SetAssociativeCache
 from repro.prefetch import GHBConfig, GlobalHistoryBuffer, NullPrefetcher
 from repro.prefetch.registry import PREFETCHER_CHOICES, sms_factory
 from repro.simulation.config import SimulationConfig
@@ -127,10 +128,20 @@ class TestLaneDecodeProperty:
 
 
 def _golden_snapshot(result):
-    actual = {f: getattr(result, f) for f in COUNTER_FIELDS}
-    actual["traffic_total_bytes"] = sum(result.traffic.bytes_by_class.values())
-    actual["traffic_useful_bytes"] = result.traffic.useful_bytes
-    return actual
+    return {f: getattr(result, f) for f in COUNTER_FIELDS}
+
+
+def _memory_state(engine):
+    """Everything the memory system holds: each L1's and the L2's sets with
+    their lines in LRU order and their flags, the directory words, and the
+    unused-prefetch counts the overprediction figures read."""
+    memory = engine.memory
+    caches = [memory.l1(cpu) for cpu in range(memory.num_cpus)] + [memory.l2]
+    return (
+        [[list(cache_set.items()) for cache_set in cache._sets] for cache in caches],
+        [cache.prefetched_evicted_unused for cache in caches],
+        memory.directory._entries,
+    )
 
 
 def _write_golden_trace(workload_name, directory):
@@ -329,14 +340,24 @@ class TestBoundedDrainParity:
     @pytest.mark.parametrize("num_cpus", [2, 4])
     def test_bounded_drain_matches_reference(self, num_cpus, monkeypatch):
         cancelled = []
+        rejected = []
         original = PredictionRegisterFile.cancel_region
+        original_allocate = PredictionRegisterFile.allocate
 
         def spy(self, region):
             removed = original(self, region)
             cancelled.append(removed)
             return removed
 
+        def allocate_spy(self, *args, **kwargs):
+            # Only the reference loop allocates through here; the lane hook
+            # appends to the same register list in place.
+            accepted = original_allocate(self, *args, **kwargs)
+            rejected.append(not accepted)
+            return accepted
+
         monkeypatch.setattr(PredictionRegisterFile, "cancel_region", spy)
+        monkeypatch.setattr(PredictionRegisterFile, "allocate", allocate_spy)
         records = _shared_region_walks(num_cpus)
         outcomes = {}
         for lanes in (False, True):
@@ -351,14 +372,15 @@ class TestBoundedDrainParity:
             files = [prefetcher.registers for prefetcher in engine.prefetchers]
             outcomes[lanes] = (
                 result.as_dict(),
-                [(f.allocations, f.rejections, f.requests_issued, len(f._registers))
-                 for f in files],
+                _golden_snapshot(result),
+                [f._registers for f in files],
+                _memory_state(engine),
                 list(cancelled),
             )
             assert result.engine_path == ("lanes" if lanes else "reference")
             assert result.invalidations > 0 and result.prefetches_issued > 0
-            assert sum(f.rejections for f in files) > 0
             assert sum(cancelled) > 0, "no stream was cancelled in flight"
+        assert any(rejected), "no prediction met a full register file"
         assert outcomes[True] == outcomes[False]
 
 
@@ -414,7 +436,17 @@ class TestAdapterParity:
 
     @pytest.mark.parametrize("num_cpus", [1, 2, 4])
     @pytest.mark.parametrize("prefetcher", sorted(ADAPTER_PARITY_FACTORIES))
-    def test_lanes_match_reference(self, prefetcher, num_cpus):
+    def test_lanes_match_reference(self, prefetcher, num_cpus, monkeypatch):
+        invalidated = []
+        original_invalidate = SetAssociativeCache.invalidate
+
+        def invalidate_spy(cache, address):
+            evicted = original_invalidate(cache, address)
+            if evicted is not None:
+                invalidated.append(cache)
+            return evicted
+
+        monkeypatch.setattr(SetAssociativeCache, "invalidate", invalidate_spy)
         records = _shared_region_walks(num_cpus, steps=700) + tuple(
             make_workload("ocean", num_cpus=num_cpus, accesses_per_cpu=900 // num_cpus, seed=2)
         )
@@ -435,21 +467,22 @@ class TestAdapterParity:
             assert result.accesses == len(records) - 1500
             assert result.l1_read_misses > 0 and result.offchip_read_misses > 0
             assert (result.prefetches_issued > 0) == (prefetcher != "none")
-            memory = engine.memory
             if num_cpus > 1:
                 assert result.invalidations > 0
-                assert memory.l1(0).stats.invalidations > 0
-            directory = memory.directory
             outcomes.append((
                 result.as_dict(),
                 _golden_snapshot(result),
-                [prefetcher.stats for prefetcher in engine.prefetchers],
-                [memory.l1(cpu).stats for cpu in range(num_cpus)],
-                memory.l2.stats,
-                (directory.read_requests, directory.write_requests,
-                 directory.invalidations_sent, directory.downgrades_sent),
+                [prefetcher.stats.trained_patterns for prefetcher in engine.prefetchers],
+                _memory_state(engine),
             ))
         assert outcomes[0] == outcomes[1]
+        if num_cpus > 1:
+            # Both loops invalidated resident copies out of CPU 0's L1, and
+            # equally often.
+            counts = [
+                sum(cache is engine.memory.l1(0) for cache in invalidated) for engine in engines
+            ]
+            assert counts[0] > 0 and counts[0] == counts[1]
 
 
 class _OutcomeLog(GlobalHistoryBuffer):

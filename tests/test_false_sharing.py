@@ -13,7 +13,6 @@ class TestFalseSharingClassifier:
     def test_cold_miss(self):
         classifier = FalseSharingClassifier(block_size=512)
         assert classifier.classify_miss(0, 0x1000) is MissClassification.COLD_OR_REPLACEMENT
-        assert classifier.other_misses == 1
 
     def test_true_sharing(self):
         classifier = FalseSharingClassifier(block_size=512)
@@ -21,14 +20,12 @@ class TestFalseSharingClassifier:
         # misses on that same chunk -> true sharing.
         classifier.record_invalidation(cpu=0, address=0x1000, writer_address=0x1010)
         assert classifier.classify_miss(0, 0x1008) is MissClassification.TRUE_SHARING
-        assert classifier.true_sharing_misses == 1
 
     def test_false_sharing(self):
         classifier = FalseSharingClassifier(block_size=512)
         # CPU 1 wrote a different 64B chunk of the 512B block than CPU 0 uses.
         classifier.record_invalidation(cpu=0, address=0x1000, writer_address=0x1100)
         assert classifier.classify_miss(0, 0x1008) is MissClassification.FALSE_SHARING
-        assert classifier.false_sharing_misses == 1
 
     def test_accumulated_remote_writes(self):
         classifier = FalseSharingClassifier(block_size=512)

@@ -113,10 +113,3 @@ class TestBufferManagement:
         for pc in range(20):
             ghb.on_access(*miss(0x400 + pc * 4, pc * 640))
         assert len(ghb._index) <= 4
-
-    def test_stats_counted(self):
-        ghb = GlobalHistoryBuffer()
-        for i in range(8):
-            ghb.on_access(*miss(0x400, i * 64))
-        assert ghb.stats.issued > 0
-        assert ghb.stats.predictions >= ghb.stats.issued

@@ -76,7 +76,6 @@ LAZY_PACKAGES = [
     "repro.coherence",
     "repro.core",
     "repro.experiments",
-    "repro.interconnect",
     "repro.memory",
     "repro.prefetch",
     "repro.serve",

@@ -102,7 +102,6 @@ class TestCoherence:
         system.access(read(1, 0x1000))
         system.access(write(0, 0x1040))
         assert system.access(read(1, 0x1000)).false_sharing
-        assert system.classifier.false_sharing_misses == 1
         disabled = MultiprocessorMemorySystem(
             num_cpus=2, block_size=128, l1_capacity=1024, l2_capacity=8192,
             l2_associativity=4, classify_false_sharing=False,

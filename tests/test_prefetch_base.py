@@ -7,7 +7,6 @@ from repro.coherence.multiprocessor import AccessOutcomeRecord
 from repro.coherence.protocol import CoherenceActions, DirectoryEntry
 from repro.core.agt import AGTEvent
 from repro.core.training import TrainerResponse
-from repro.interconnect.traffic import BandwidthAccountant
 from repro.memory.cache import AccessOutcome, AccessResult
 from repro.memory.hierarchy import MemoryLevel
 from repro.memory.sectored import SectorState
@@ -18,7 +17,6 @@ from repro.prefetch.base import (
     PrefetchRequest,
 )
 from repro.simulation.breakdown import ExecutionBreakdown
-from repro.simulation.config import MachineConfig
 from repro.simulation.sampling import SampledMeasurement
 from repro.trace.record import MemoryAccess
 from repro.trace.stats import TraceStatistics
@@ -63,7 +61,6 @@ class TestPrefetcherResponse:
             (CoherenceActions, ("invalidate_cpus", "downgrade_cpus")),
             (lambda: SectorState(region=0, num_blocks=4), ("valid_bits",)),
             (ExecutionBreakdown, ("cycles",)),
-            (BandwidthAccountant, ("bytes_by_class",)),
             (lambda: DensityHistogram("L1", 2048), ("misses_by_bin",)),
             (SampledMeasurement, ("values",)),
             (TraceStatistics, ("accesses_per_cpu",)),
@@ -74,10 +71,6 @@ class TestPrefetcherResponse:
         for name in containers:
             assert getattr(first, name) == getattr(second, name)
             assert getattr(first, name) is not getattr(second, name), name
-
-    def test_machine_configs_share_no_torus_by_default(self):
-        assert MachineConfig().torus == MachineConfig().torus
-        assert MachineConfig().torus is not MachineConfig().torus
 
     def test_merge(self):
         a = PrefetcherResponse(prefetches=[PrefetchRequest(0x1000)])

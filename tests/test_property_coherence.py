@@ -101,7 +101,10 @@ class TestMultiprocessorFuzz:
             l2_associativity=4,
         )
         for cpu, block, is_write in steps:
-            system.access(
+            # Every access is exactly one of a hit on a resident block or a
+            # miss that installs it.
+            resident = system.l1(cpu).contains(block * 64)
+            outcome = system.access(
                 MemoryAccess(
                     pc=0x400,
                     address=block * 64,
@@ -109,6 +112,5 @@ class TestMultiprocessorFuzz:
                     access_type=AccessType.WRITE if is_write else AccessType.READ,
                 )
             )
-        stats = [system.l1(cpu).stats for cpu in range(system.num_cpus)]
-        assert sum(s.accesses for s in stats) == len(steps)
-        assert all(s.hits + s.misses == s.accesses for s in stats)
+            assert outcome.l1_miss is not resident
+            assert system.l1(cpu).contains(block * 64)

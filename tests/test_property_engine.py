@@ -71,9 +71,8 @@ class TestEngineConservation:
         assert result.accesses == length
         assert result.reads + result.writes == result.accesses
         assert result.l1_read_misses + result.l1_read_covered <= result.reads
-        assert result.l1_write_misses <= result.writes
         assert result.offchip_read_misses <= result.l1_read_misses
-        assert result.l2_read_hits + result.offchip_read_misses == result.l2_demand_reads
+        assert result.l2_read_hits + result.offchip_read_misses == result.l1_read_misses
         assert result.l2_read_covered <= result.prefetches_issued + 1
         assert 0.0 <= result.l1_coverage() <= 1.0
         assert 0.0 <= result.l2_coverage() <= 1.0

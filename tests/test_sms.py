@@ -82,10 +82,10 @@ class TestLearningAndPrediction:
         drive(sms, 0x400, REGION_A)
         drive(sms, 0x404, REGION_A + 64)
         sms.on_eviction(REGION_A, invalidated=False)
-        drive(sms, 0x400, REGION_B)
+        response = drive(sms, 0x400, REGION_B)
         assert sms.stats.trained_patterns == 1
-        assert sms.stats.pht_hits >= 1
-        assert sms.stats.issued == 1
+        assert (sms.pht.lookups, sms.pht.hits) == (2, 1)
+        assert [request.address for request in response.prefetches] == [REGION_B + 64]
 
 
 class TestInvalidation:

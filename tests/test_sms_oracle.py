@@ -83,6 +83,13 @@ def set_index(key):
     return state % PHT_SETS
 
 
+#: Names of :func:`public_counters`, which the oracle keeps as well.
+PUBLIC_COUNTERS = (
+    "triggers", "filter_only", "pht_lookups", "pht_hits", "pht_stores", "pht_replacements",
+    "trained",
+)
+
+
 class NaiveSMS:
     def __init__(self, scheme, max_requests, ends_on="any-block"):
         self.scheme = scheme
@@ -97,12 +104,7 @@ class NaiveSMS:
         self.registers = []
         self.cursor = 0
         self.counters = dict.fromkeys(
-            [
-                "triggers", "completed", "filter_only", "filter_victims",
-                "accumulation_victims", "pht_lookups", "pht_hits", "pht_stores",
-                "pht_replacements", "useful_hits", "predicted_blocks", "trained",
-                "allocations", "rejections", "streamed",
-            ],
+            [*PUBLIC_COUNTERS, "allocations", "rejections", "streamed"],
             0,
         )
         self.trained_now = []
@@ -158,8 +160,6 @@ class NaiveSMS:
             else:
                 _, trigger_pc, trigger_offset = self.filter.pop(position)
                 if len(self.accumulation) == ACCUMULATION_ENTRIES:
-                    self.counters["accumulation_victims"] += 1
-                    self.counters["completed"] += 1
                     self._train(self.accumulation.pop(0))
                 self.accumulation.append(
                     [region, trigger_pc, trigger_offset, {trigger_offset, offset}]
@@ -170,7 +170,6 @@ class NaiveSMS:
         self.counters["triggers"] += 1
         if len(self.filter) == FILTER_ENTRIES:
             self.filter.pop(0)
-            self.counters["filter_victims"] += 1
             self.counters["filter_only"] += 1
         self.filter.append([region, pc, offset])
         key = self._key(region, pc, offset)
@@ -182,8 +181,6 @@ class NaiveSMS:
         self.counters["pht_hits"] += 1
         entries.append(entries.pop(position))
         pattern = entries[-1][1]
-        self.counters["useful_hits"] += 1
-        self.counters["predicted_blocks"] += len(pattern)
         to_stream = sorted(pattern - {offset})
         if not to_stream:
             return
@@ -222,7 +219,6 @@ class NaiveSMS:
             if position is not None and (
                 self.ends_on == "any-block" or offset in self.accumulation[position][3]
             ):
-                self.counters["completed"] += 1
                 self._train(self.accumulation.pop(position))
         if invalidated:
             # The rest of the region's stream would arrive stale: drop its
@@ -238,7 +234,6 @@ class NaiveSMS:
     def finish(self):
         """End of trace: every accumulating generation trains, LRU first."""
         self.trained_now = []
-        self.counters["completed"] += len(self.accumulation)
         self.counters["filter_only"] += len(self.filter)
         while self.accumulation:
             self._train(self.accumulation.pop(0))
@@ -308,32 +303,25 @@ class Lanes:
 
 
 def public_counters(sms):
-    agt, pht, registers, stats = sms.trainer.agt, sms.pht, sms.registers, sms.stats
-    assert agt.generations_started == agt.trigger_accesses
-    assert registers.requests_issued == stats.issued
+    """The predictor's counters that something outside the tests reads (the
+    filter-table ablation, the PHT telemetry, the benchmark's layer probes)."""
+    agt, pht = sms.trainer.agt, sms.pht
     return {
-        "triggers": agt.trigger_accesses,
-        "completed": agt.generations_completed,
+        "triggers": agt.generations_started,
         "filter_only": agt.filter_only_generations,
-        "filter_victims": agt.filter_victims,
-        "accumulation_victims": agt.accumulation_victims,
         "pht_lookups": pht.lookups,
         "pht_hits": pht.hits,
         "pht_stores": pht.stores,
         "pht_replacements": pht.replacements,
-        "useful_hits": stats.pht_hits,
-        "predicted_blocks": stats.predictions,
-        "trained": stats.trained_patterns,
-        "allocations": registers.allocations,
-        "rejections": registers.rejections,
-        "streamed": stats.issued,
+        "trained": sms.stats.trained_patterns,
     }
 
 
 def compare(sms, oracle, seen_keys, context):
     agt = sms.trainer.agt
-    assert public_counters(sms) == oracle.counters, context
-    assert sms.stats.pht_lookups == oracle.counters["pht_lookups"], context
+    assert public_counters(sms) == {name: oracle.counters[name] for name in PUBLIC_COUNTERS}, (
+        context
+    )
     # Both tables, least- to most-recently used: a missed recency bump or a
     # wrong victim shows here, at the step it happens.
     assert [*agt._filter, *agt._accumulation] == [entry[0] for entry in oracle.filter] + [
@@ -341,7 +329,11 @@ def compare(sms, oracle, seen_keys, context):
     ], context
     assert len(agt._filter) == len(oracle.filter), context
     assert len(agt._accumulation) == len(oracle.accumulation), context
-    assert len(sms.registers._registers) == len(oracle.registers), context
+    # The prediction registers, in allocation order: what is still to stream.
+    assert sms.registers._registers == [
+        (region, sum(1 << offset for offset in to_stream))
+        for region, to_stream in oracle.registers
+    ], context
     contents = oracle.pht_contents()
     # (finalize can train one key twice; the later pattern replaces the earlier.)
     for key, offsets in dict(oracle.trained_now).items():
@@ -394,12 +386,12 @@ def run_both(face, oracle, ops):
     for step, (kind, pc, region, within) in enumerate(ops):
         context = (step, kind, hex(pc), hex(region + within))
         if kind == "access":
-            triggers_before = sms.trainer.agt.trigger_accesses
-            lookups_before = sms.stats.pht_lookups
+            triggers_before = sms.trainer.agt.generations_started
+            lookups_before = sms.pht.lookups
             expected_trigger, expected_stream = oracle.access(pc, region + within)
             assert face.access(pc, region + within) == expected_stream, context
-            assert sms.trainer.agt.trigger_accesses - triggers_before == expected_trigger, context
-            assert sms.stats.pht_lookups - lookups_before == expected_trigger, context
+            assert sms.trainer.agt.generations_started - triggers_before == expected_trigger, context
+            assert sms.pht.lookups - lookups_before == expected_trigger, context
         else:
             oracle.remove(region + within, invalidated=kind == "invalidate")
             face.remove(region + within, invalidated=kind == "invalidate")
