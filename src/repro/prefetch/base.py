@@ -23,8 +23,8 @@ class PrefetcherStatistics:
 
     __slots__ = ("trained_patterns",)
 
-    def __init__(self, trained_patterns: int = 0) -> None:
-        self.trained_patterns = trained_patterns
+    def __init__(self) -> None:
+        self.trained_patterns = 0
 
 
 class PrefetchRequest:

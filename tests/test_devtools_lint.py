@@ -56,6 +56,20 @@ def lazy_export_tables():
     return exports
 
 
+def table_strings(tree):
+    """Ids of the string constants of ``__slots__`` declarations and of
+    ``lazy_exports`` tables: they name things, they do not use them."""
+    tables = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__slots__" for target in node.targets
+        ):
+            tables.append(node.value)
+        elif isinstance(node, ast.Call) and dotted_name(node.func) == "lazy_exports":
+            tables.append(node.args[1])
+    return {id(constant) for table in tables for constant in ast.walk(table)}
+
+
 def product_names(repo):
     """``(used, defined)``: every identifier that src/, benchmarks/ and
     examples/ use, and the qualified names of src/repro's public functions,
@@ -64,12 +78,7 @@ def product_names(repo):
     used, defined = set(), set()
     for path in python_files(repo / "src", repo / "benchmarks", repo / "examples"):
         tree = ast.parse(path.read_text())
-        table_strings = {
-            id(constant)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and dotted_name(node.func) == "lazy_exports"
-            for constant in ast.walk(node.args[1])
-        }
+        tables = table_strings(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -78,7 +87,7 @@ def product_names(repo):
             elif isinstance(node, ast.alias):
                 used.update(node.name.split("."))
             elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                  and identifier.match(node.value) and id(node) not in table_strings):
+                  and identifier.match(node.value) and id(node) not in tables):
                 used.add(node.value)
         if PACKAGE_DIR not in path.parents:
             continue
@@ -92,19 +101,6 @@ def product_names(repo):
                         for member in node.body if isinstance(member, definitions)
                     )
     return used, {name for name in defined if not name.rpartition(".")[2].startswith("_")}
-
-
-def _table_strings(tree):
-    """The string constants of ``__slots__`` declarations and of
-    ``lazy_exports`` tables: they name things, they do not read them."""
-    return {
-        id(constant)
-        for node in ast.walk(tree)
-        if (isinstance(node, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets))
-        or (isinstance(node, ast.Call) and dotted_name(node.func) == "lazy_exports")
-        for constant in ast.walk(node.value if isinstance(node, ast.Assign) else node.args[1])
-    }
 
 
 def _assigned_names(statement):
@@ -127,14 +123,14 @@ def product_reads_and_stores(repo):
     read, stored = set(), {}
     for path in python_files(repo / "src", repo / "benchmarks", repo / "examples"):
         tree = ast.parse(path.read_text())
-        table_strings = _table_strings(tree)
+        tables = table_strings(tree)
         for node in ast.walk(tree):
             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
                 read.add(node.id if isinstance(node, ast.Name) else node.attr)
             elif isinstance(node, ast.alias):
                 read.update(node.name.split("."))
             elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                  and identifier.match(node.value) and id(node) not in table_strings):
+                  and identifier.match(node.value) and id(node) not in tables):
                 read.add(node.value)
         if PACKAGE_DIR not in path.parents:
             continue
@@ -1223,8 +1219,8 @@ class TestPackageIsClean:
         # that nothing in src/, benchmarks/ or examples/ names is kept alive
         # only by its own tests.  A name is used where it appears as a name,
         # an attribute, an import or an identifier-shaped string (getattr
-        # dispatch, ``__all__``); the string entries of ``lazy_exports``
-        # tables do not count.
+        # dispatch, ``__all__``); the string entries of ``__slots__`` and
+        # ``lazy_exports`` tables do not count.
         repo = Path(__file__).resolve().parent.parent
         if not (repo / "benchmarks").is_dir():
             pytest.skip("no benchmarks/ (installed-package run)")

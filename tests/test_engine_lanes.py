@@ -427,7 +427,9 @@ ADAPTER_PARITY_FACTORIES = {
 
 class TestAdapterParity:
     """Every prefetcher takes the lane loop and agrees with the reference
-    loop on every counter either of them keeps.  The shared-region walks make
+    loop on every counter either of them keeps and on the memory state they
+    leave behind (cache sets in recency order, directory words).  The
+    shared-region walks make
     the other CPUs' writes invalidate blocks out of each L1 (so a boxed
     ``on_eviction(invalidated=True)`` reaches the adapter CPUs), the ``ocean``
     tail gives the stride prefetcher strides to find, the caches are small
