@@ -61,26 +61,11 @@ from typing import List, Optional
 
 # Start-up is proportional to the command: everything beyond the argument
 # parser's own needs is imported inside the ``_command_*`` that runs it.  The
-# two imports below are data-only (names, and factories that import their
-# prefetcher's class when called).
+# three imports below are data-only (names, the figure table, and factories
+# that import their prefetcher's class or their figure's module when called).
+from repro.figures import FIGURES, figure_module
 from repro.prefetch.registry import PREFETCHER_CHOICES
 from repro.workloads.names import APPLICATION_NAMES
-
-#: Experiment runners selectable from the command line, and the
-#: :mod:`repro.experiments` module each one lives in.
-EXPERIMENT_CHOICES = {
-    "fig04": "fig04_block_size",
-    "fig05": "fig05_density",
-    "fig06": "fig06_indexing",
-    "fig07": "fig07_pht_storage",
-    "fig08": "fig08_training",
-    "fig09": "fig09_training_storage",
-    "fig10": "fig10_region_size",
-    "fig11": "fig11_ghb",
-    "fig12": "fig12_speedup",
-    "fig13": "fig13_breakdown",
-    "tab01": "tab01_config",
-}
 
 
 def _nonnegative_int(value: str) -> int:
@@ -128,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--seed", type=int, default=1)
 
     experiment = subparsers.add_parser("experiment", help="regenerate a paper figure/table")
-    experiment.add_argument("--figure", choices=list(EXPERIMENT_CHOICES), required=True)
+    experiment.add_argument("--figure", choices=list(FIGURES), required=True)
     experiment.add_argument("--scale", type=float, default=0.5)
     experiment.add_argument("--cpus", type=int, default=4)
     experiment.add_argument(
@@ -441,10 +426,8 @@ def _command_convert(args: argparse.Namespace) -> int:
 
 
 def _command_experiment(args: argparse.Namespace) -> int:
-    from importlib import import_module
-
     # Only the requested figure's module: an all-hits run never loads the engine.
-    figure = import_module(f"repro.experiments.{EXPERIMENT_CHOICES[args.figure]}")
+    figure = figure_module(args.figure)
     if args.figure == "tab01":
         system, applications = figure.run()
         print(system.to_text())
@@ -463,18 +446,13 @@ def _command_experiment(args: argparse.Namespace) -> int:
     # The figure runner builds its own sweep runners, in this process.
     previous_retries = set_default_max_retries(args.max_retries)
     # Trace caching is on by default for CLI sweeps (--no-trace-cache to
-    # disable).  Both the enable flag and --cache-dir are also exported via
-    # the (scoped, restored-on-exit) environment: the in-process override
-    # does not survive into spawn/forkserver sweep workers, but inherited
-    # environments do, so workers replay cached .strc traces regardless of
-    # start method.
+    # disable); parallel sweep workers follow this process's switch.
     previous_trace = experiments_common.set_trace_cache(not args.no_trace_cache)
     engine_before = engine_path_counts()
-    env_updates = {
-        experiments_common.TRACE_CACHE_ENV: "0" if args.no_trace_cache else "1",
-    }
-    if args.cache_dir:
-        env_updates[CACHE_DIR_ENV] = str(args.cache_dir)
+    # The cache directory is exported for the (scoped, restored-on-exit)
+    # run, so the trace cache, which reads it from the environment, writes
+    # its .strc files next to this sweep's result cache.
+    env_updates = {CACHE_DIR_ENV: str(args.cache_dir)} if args.cache_dir else {}
     try:
         with scoped_env(env_updates):
             table = figure.run(scale=args.scale, num_cpus=args.cpus, workers=args.workers)

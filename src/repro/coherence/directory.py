@@ -1,9 +1,10 @@
 """Directory controller for the MSI protocol.
 
-The directory is a purely functional model: given a read or write by a CPU it
-returns the set of coherence actions (invalidations, downgrades) that other
-CPUs' caches must perform, and updates its own sharer bookkeeping.  Applying
-those actions to the caches is the caller's responsibility (see
+The directory is a purely functional model: given a write by a CPU it returns
+the invalidations that other CPUs' caches must perform (a read demotes a
+remote modified copy to shared and invalidates nothing), and it updates its
+own sharer bookkeeping.  Applying the invalidations to the caches is the
+caller's responsibility (see
 :class:`repro.coherence.multiprocessor.MultiprocessorMemorySystem`), which
 keeps the directory reusable for caches of any organisation.
 
@@ -68,7 +69,6 @@ class Directory:
     def __init__(self, coherence_unit: int = 64) -> None:
         if coherence_unit <= 0 or coherence_unit & (coherence_unit - 1):
             raise ValueError(f"coherence_unit must be a power of two, got {coherence_unit}")
-        self.coherence_unit = coherence_unit
         self._unit_mask = ~(coherence_unit - 1)
         self._entries: Dict[int, int] = {}
 
@@ -87,23 +87,18 @@ class Directory:
         return _sharer_cpus(self._entries.get(address & self._unit_mask, 0))
 
     # ------------------------------------------------------------------ #
-    def read(self, cpu: int, address: int) -> CoherenceActions:
-        """CPU ``cpu`` reads ``address``: returns required coherence actions."""
+    def read(self, cpu: int, address: int) -> None:
+        """CPU ``cpu`` reads ``address``: it becomes a sharer.
+
+        A remote modified copy is written back and demoted to shared; a read
+        never invalidates, so it requests no action.
+        """
         block = address & self._unit_mask
         bit = sharer_bit(cpu)
         word = self._entries.get(block, 0)
-        actions = CoherenceActions()
-        if word & MODIFIED:
-            if not word & bit:
-                # Remote modified copy: force a writeback/downgrade to shared.
-                actions.downgrade_cpus = _sharer_cpus(word)
-                actions.was_remote_modified = True
-                word ^= MODIFIED
-            # else: already owned; no state change
-        elif word & ~bit:
-            actions.was_shared_elsewhere = True
+        if word & MODIFIED and not word & bit:
+            word ^= MODIFIED  # remote owner downgraded; an owner's re-read changes nothing
         self._entries[block] = word | bit
-        return actions
 
     def write(self, cpu: int, address: int) -> CoherenceActions:
         """CPU ``cpu`` writes ``address``: invalidate all other copies."""
@@ -114,8 +109,6 @@ class Directory:
         others = word & ~mine
         if others:
             actions.invalidate_cpus = _sharer_cpus(others)
-            actions.was_shared_elsewhere = True
-            actions.was_remote_modified = bool(word & MODIFIED)
         self._entries[block] = mine
         return actions
 

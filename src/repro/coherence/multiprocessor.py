@@ -34,7 +34,6 @@ class AccessOutcomeRecord:
         "record",
         "level",
         "l1_result",
-        "l2_result",
         "miss_classification",
         "invalidations_sent",
     )
@@ -44,14 +43,12 @@ class AccessOutcomeRecord:
         record: MemoryAccess,
         level: MemoryLevel,
         l1_result: AccessResult,
-        l2_result: Optional[AccessResult] = None,
         miss_classification: Optional[MissClassification] = None,
         invalidations_sent: int = 0,
     ) -> None:
         self.record = record
         self.level = level
         self.l1_result = l1_result
-        self.l2_result = l2_result
         self.miss_classification = miss_classification
         self.invalidations_sent = invalidations_sent
 
@@ -188,7 +185,6 @@ class MultiprocessorMemorySystem:
             record=record,
             level=level,
             l1_result=l1_result,
-            l2_result=l2_result,
             miss_classification=classification,
             invalidations_sent=invalidations_sent,
         )

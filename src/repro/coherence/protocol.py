@@ -71,28 +71,10 @@ class DirectoryEntry:
 
 
 class CoherenceActions:
-    """Actions the directory requests in response to one access.
+    """Actions the directory requests in response to one write:
+    ``invalidate_cpus`` lists the CPUs whose copy of the block must go."""
 
-    ``invalidate`` maps a CPU index to the block it must invalidate;
-    ``downgrade`` lists CPUs whose modified copy must be written back and
-    demoted to shared.
-    """
+    __slots__ = ("invalidate_cpus",)
 
-    __slots__ = (
-        "invalidate_cpus",
-        "downgrade_cpus",
-        "was_remote_modified",
-        "was_shared_elsewhere",
-    )
-
-    def __init__(
-        self,
-        invalidate_cpus: Optional[Set[int]] = None,
-        downgrade_cpus: Optional[Set[int]] = None,
-        was_remote_modified: bool = False,
-        was_shared_elsewhere: bool = False,
-    ) -> None:
+    def __init__(self, invalidate_cpus: Optional[Set[int]] = None) -> None:
         self.invalidate_cpus = set() if invalidate_cpus is None else invalidate_cpus
-        self.downgrade_cpus = set() if downgrade_cpus is None else downgrade_cpus
-        self.was_remote_modified = was_remote_modified
-        self.was_shared_elsewhere = was_shared_elsewhere

@@ -80,21 +80,19 @@ class GenerationRecord:
 class AGTEvent:
     """Outcome of one AGT operation.
 
-    ``is_trigger`` marks the access as the first access of a new generation
+    ``trigger`` is set when the access is the first access of a new generation
     (the moment SMS consults the PHT).  ``completed`` lists generations that
     ended as a side effect (victims displaced from a full accumulation table,
     or the generation ended by the eviction that was observed).
     """
 
-    __slots__ = ("is_trigger", "trigger", "completed")
+    __slots__ = ("trigger", "completed")
 
     def __init__(
         self,
-        is_trigger: bool = False,
         trigger: Optional[TriggerInfo] = None,
         completed: Optional[List[GenerationRecord]] = None,
     ) -> None:
-        self.is_trigger = is_trigger
         self.trigger = trigger
         self.completed = [] if completed is None else completed
 
@@ -160,7 +158,6 @@ class ActiveGenerationTable:
         if word is None:
             # Step 1: trigger access for a new generation; allocate in the filter.
             self.generations_started += 1
-            event.is_trigger = True
             event.trigger = TriggerInfo(pc=pc, address=address, region=region, offset=offset)
             if self.filter_entries is not None and len(self._filter) >= self.filter_entries:
                 # Victim generations in the filter table are simply dropped:

@@ -130,7 +130,6 @@ class PatternHistoryTable:
         num_blocks: int,
         num_entries: Optional[int] = 16384,
         associativity: int = 16,
-        merge: str = "replace",
     ) -> None:
         if num_blocks <= 0:
             raise ValueError(f"num_blocks must be positive, got {num_blocks}")
@@ -142,16 +141,12 @@ class PatternHistoryTable:
                     f"num_entries ({num_entries}) must be a positive multiple of "
                     f"associativity ({associativity})"
                 )
-        if merge not in ("replace", "union"):
-            raise ValueError(f"merge must be 'replace' or 'union', got {merge!r}")
         self.num_blocks = num_blocks
         self.num_entries = num_entries
         self.associativity = associativity
-        self.merge = merge
         self.num_sets = 1 if num_entries is None else num_entries // associativity
         #: One LRU-ordered ``key -> bits`` dict per set (see module docstring).
         self._sets: List[Dict[Hashable, int]] = [{} for _ in range(self.num_sets)]
-        self._union = merge == "union"
         # Interned SpatialPattern per bit value: stored bits recur heavily,
         # so the sets hold raw ints while lookups still return (shared)
         # pattern objects without re-validating on every hit.
@@ -225,15 +220,12 @@ class PatternHistoryTable:
             table = self._sets[0]
         else:
             table = self._sets[stable_hash(key) % self.num_sets]
-        existing = table.pop(key, None)
-        if existing is not None:
-            if self._union:
-                bits |= existing
-        elif self.num_entries is not None and len(table) >= self.associativity:
-            del table[next(iter(table))]  # full set: evict the LRU (first) key
-            self.replacements += 1
-        else:
-            self.occupancy += 1
+        if table.pop(key, None) is None:  # a resident key is replaced in place
+            if self.num_entries is not None and len(table) >= self.associativity:
+                del table[next(iter(table))]  # full set: evict the LRU (first) key
+                self.replacements += 1
+            else:
+                self.occupancy += 1
         table[key] = bits
 
     def store(self, key: Hashable, pattern: SpatialPattern) -> None:

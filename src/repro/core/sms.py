@@ -103,7 +103,6 @@ class SpatialMemoryStreaming(Prefetcher):
         sets = pht._sets
         num_sets = pht.num_sets
         ways = pht.associativity if pht.num_entries is not None else None
-        union = pht._union
         file = self.registers
         registers = file._registers
         num_registers = file.num_registers
@@ -126,17 +125,14 @@ class SpatialMemoryStreaming(Prefetcher):
             bits = word & pattern_mask
             pht.stores += 1
             table = sets[0] if ways is None else sets[hash_index_key(key) % num_sets]
-            existing = table.pop(key, None)
-            if existing is not None:
-                if union:
-                    bits |= existing
-            elif ways is not None and len(table) >= ways:
-                for victim in table:  # first key = LRU victim
-                    break
-                del table[victim]
-                pht.replacements += 1
-            else:
-                pht.occupancy += 1
+            if table.pop(key, None) is None:  # a resident key is replaced in place
+                if ways is not None and len(table) >= ways:
+                    for victim in table:  # first key = LRU victim
+                        break
+                    del table[victim]
+                    pht.replacements += 1
+                else:
+                    pht.occupancy += 1
             table[key] = bits
             stats.trained_patterns += 1
 

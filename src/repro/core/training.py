@@ -62,10 +62,6 @@ class TrainerResponse:
         self.completed = [] if completed is None else completed
         self.forced_evictions = [] if forced_evictions is None else forced_evictions
 
-    @property
-    def is_trigger(self) -> bool:
-        return self.trigger is not None
-
 
 class SpatialTrainer:
     """Interface shared by the AGT and the sectored training structures."""

@@ -3,9 +3,13 @@
 Each module exposes a ``run(...)`` function that regenerates the rows/series
 of its figure using the synthetic workload suite and returns a
 :class:`repro.analysis.reporting.ResultTable` (plus, where useful, the raw
-results).  The benchmark harness under ``benchmarks/`` simply calls these
-runners with its scaled-down defaults and asserts the paper's qualitative
-claims on the output.
+results).  The fig04–fig13 modules also declare their sweep once, as
+``SWEEP`` (:class:`repro.experiments.common.SweepFigure`), which both their
+``run()`` and the service's ``sweep`` verb build tasks from;
+:data:`repro.figures.FIGURES` maps each figure name to its module.  The
+benchmark harness under ``benchmarks/`` simply calls these runners with its
+scaled-down defaults and asserts the paper's qualitative claims on the
+output.
 
 | Module | Paper artifact |
 | --- | --- |

@@ -4,8 +4,12 @@ Centralises trace construction (with per-application scaling chosen so the
 synthetic traces exercise enough of the cache hierarchy to train SMS), the
 prefetcher factories each experiment compares, trace caching so that one
 benchmark module can run several configurations over the same trace without
-regenerating it, and the parallel sweep entry point (:func:`sweep_map`) the
-fig04–fig13 runners fan their per-item work through.
+regenerating it, and :class:`SweepFigure`, the one declaration of a figure's
+sweep (per-item function, item domain, default kwargs).  Each fig04–fig13
+module declares its sweep as ``SWEEP`` and its ``run()`` hands the tasks to
+:func:`~repro.simulation.sweep.sweep_map`; the service's ``sweep`` verb
+builds its task from the same value, so a figure run on the command line and
+a service request for one of its items share cache entries by construction.
 
 An experiment trace is a :class:`~repro.trace.binary.LaneTrace`: the whole
 trace resident as five flat integer lanes, which the engine's lane loop
@@ -32,7 +36,9 @@ from __future__ import annotations
 import warnings
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, Mapping, NamedTuple, Optional, Tuple,
+)
 
 # An all-hits figure run imports this module and never simulates: the engine,
 # the predictor, the trace codecs and the workload generators are imported
@@ -50,13 +56,7 @@ from repro.simulation.result_cache import (
     code_fingerprint,
     default_cache_dir,
 )
-from repro.simulation.sweep import sweep_map
-from repro.workloads.names import (  # noqa: F401 - CATEGORY_REPRESENTATIVE is read as ``common.…``
-    APPLICATION_NAMES,
-    CATEGORIES,
-    CATEGORY_REPRESENTATIVE,
-    category_members,
-)
+from repro.workloads.names import APPLICATION_NAMES, CATEGORIES, CATEGORY_REPRESENTATIVE
 
 if TYPE_CHECKING:
     from repro.prefetch.base import Prefetcher
@@ -276,39 +276,32 @@ def simulate_pair(
     return base, with_prefetcher
 
 
-def application_names(categories: Optional[List[str]] = None) -> List[str]:
-    """All application names, optionally restricted to ``categories``."""
-    if categories is None:
-        return list(APPLICATION_NAMES)
-    names: List[str] = []
-    for category in categories:
-        names.extend(category_members(category))
-    return names
-
-
 # --------------------------------------------------------------------------- #
-# Parallel sweeps
+# Figure sweeps
 # --------------------------------------------------------------------------- #
-def run_sweep(
-    fn: Callable,
-    items: Iterable,
-    workers: Optional[int] = None,
-    cache=None,
-    **fixed_kwargs,
-) -> List:
-    """Map ``fn(item, **fixed_kwargs)`` over ``items``, optionally in parallel.
+#: The two item domains a figure sweeps: workload categories (each run on its
+#: representative application) and applications, in the paper's order.
+CATEGORY_ITEMS: Tuple[str, ...] = tuple(CATEGORY_REPRESENTATIVE)
+APPLICATION_ITEMS: Tuple[str, ...] = tuple(APPLICATION_NAMES)
 
-    This is the fan-out point of every figure runner: ``workers=None`` (or
-    ``<=1``) runs serially in-process, larger values spread the per-item work
-    (one application or category per task) over that many worker processes
-    via :class:`~repro.simulation.sweep.SweepRunner`.  ``fn`` must be a
-    module-level callable for parallel runs; each worker rebuilds its own
-    traces, so results are identical to a serial sweep.
 
-    ``cache`` (a :class:`~repro.simulation.result_cache.SweepResultCache`)
-    memoizes completed task results on disk; when omitted, the ambient
-    default configured by the CLI / ``REPRO_SWEEP_CACHE=1`` applies, so
-    repeated sweeps over the same configuration reuse prior results across
-    figures and runs.
+class SweepFigure(NamedTuple):
+    """One figure's sweep: ``fn(item, **kwargs)`` for every item of ``items``.
+
+    Declared once, as ``SWEEP`` in the figure's module.  Its ``run()`` and the
+    service's ``sweep`` verb both take the task kwargs from :meth:`kwargs`,
+    so the two build the same ``(fn, (item,), kwargs)`` triple and with it
+    the same result-cache digest.
     """
-    return sweep_map(fn, items, workers=workers, cache=cache, **fixed_kwargs)
+
+    fn: Callable[..., Any]
+    items: Tuple[str, ...]
+    #: Figure-default kwargs.  The objects themselves enter the cache digest,
+    #: so a list stays a list.
+    defaults: Mapping[str, Any]
+
+    def kwargs(self, **given: Any) -> Dict[str, Any]:
+        """The figure defaults, overridden by every given value that is not ``None``."""
+        kwargs = dict(self.defaults)
+        kwargs.update((key, value) for key, value in given.items() if value is not None)
+        return kwargs

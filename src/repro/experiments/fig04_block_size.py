@@ -21,6 +21,7 @@ from typing import Dict, List, Optional
 from repro.analysis.opportunity import OpportunityResult, measure_opportunity, normalized_miss_rates
 from repro.analysis.reporting import ResultTable
 from repro.experiments import common
+from repro.simulation.sweep import sweep_map
 
 #: Block/region sizes swept by the paper's Figure 4.
 SIZES: List[int] = [64, 128, 512, 2048, 8192]
@@ -38,6 +39,10 @@ def run_category(
     return measure_opportunity(trace, config=config, sizes=sizes or SIZES)
 
 
+#: One task per category, over every block/region size.
+SWEEP = common.SweepFigure(run_category, common.CATEGORY_ITEMS, {"sizes": SIZES})
+
+
 def run(
     categories: Optional[List[str]] = None,
     sizes: Optional[List[int]] = None,
@@ -46,8 +51,8 @@ def run(
     workers: Optional[int] = None,
 ) -> ResultTable:
     """Regenerate Figure 4's series for the requested categories."""
-    categories = categories or list(common.CATEGORY_REPRESENTATIVE)
-    sizes = sizes or SIZES
+    kwargs = SWEEP.kwargs(sizes=sizes, scale=scale, num_cpus=num_cpus)
+    categories = categories or SWEEP.items
     table = ResultTable(
         title="Figure 4: normalized read miss rate vs block/region size",
         headers=[
@@ -60,12 +65,10 @@ def run(
             "l2_false_sharing",
         ],
     )
-    sweep = common.run_sweep(
-        run_category, categories, workers=workers, sizes=sizes, scale=scale, num_cpus=num_cpus
-    )
+    sweep = sweep_map(SWEEP.fn, categories, workers=workers, **kwargs)
     for category, results in zip(categories, sweep):
         normalized = normalized_miss_rates(results, baseline_size=64)
-        for size in sizes:
+        for size in kwargs["sizes"]:
             row = normalized[size]
             table.add_row(
                 category,

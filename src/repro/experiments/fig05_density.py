@@ -16,6 +16,7 @@ from typing import Dict, List, Optional
 from repro.analysis.density import DENSITY_BINS, DensityHistogram, measure_density
 from repro.analysis.reporting import ResultTable
 from repro.experiments import common
+from repro.simulation.sweep import sweep_map
 
 
 def run_application(
@@ -30,28 +31,26 @@ def run_application(
     return measure_density(trace, config=config, region_size=region_size)
 
 
+#: One task per application, at the paper's 2 kB regions.
+SWEEP = common.SweepFigure(run_application, common.APPLICATION_ITEMS, {"region_size": 2048})
+
+
 def run(
     applications: Optional[List[str]] = None,
-    region_size: int = 2048,
+    region_size: Optional[int] = None,
     scale: float = 1.0,
     num_cpus: int = common.DEFAULT_NUM_CPUS,
     workers: Optional[int] = None,
 ) -> ResultTable:
     """Regenerate Figure 5's stacked-bar data (fraction of misses per density bin)."""
-    applications = applications or common.application_names()
+    kwargs = SWEEP.kwargs(region_size=region_size, scale=scale, num_cpus=num_cpus)
+    applications = applications or SWEEP.items
     bin_labels = [label for label, _, _ in DENSITY_BINS]
     table = ResultTable(
-        title=f"Figure 5: memory access density ({region_size}B regions)",
+        title=f"Figure 5: memory access density ({kwargs['region_size']}B regions)",
         headers=["application", "level", "mean_density", "multi_block_fraction"] + bin_labels,
     )
-    sweep = common.run_sweep(
-        run_application,
-        applications,
-        workers=workers,
-        region_size=region_size,
-        scale=scale,
-        num_cpus=num_cpus,
-    )
+    sweep = sweep_map(SWEEP.fn, applications, workers=workers, **kwargs)
     for name, histograms in zip(applications, sweep):
         for level in ("L1", "L2"):
             histogram = histograms[level]

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional
 from repro.analysis.coverage import CoverageReport, coverage_from_result
 from repro.analysis.reporting import ResultTable
 from repro.experiments import common
+from repro.simulation.sweep import sweep_map
 
 #: Index schemes in the paper's presentation order.
 INDEX_SCHEMES: List[str] = ["address", "pc+address", "pc", "pc+offset"]
@@ -50,6 +51,10 @@ def run_category(
     return reports
 
 
+#: One task per category, over every index scheme.
+SWEEP = common.SweepFigure(run_category, common.CATEGORY_ITEMS, {"schemes": INDEX_SCHEMES})
+
+
 def run(
     categories: Optional[List[str]] = None,
     schemes: Optional[List[str]] = None,
@@ -58,17 +63,15 @@ def run(
     workers: Optional[int] = None,
 ) -> ResultTable:
     """Regenerate Figure 6's bars."""
-    categories = categories or list(common.CATEGORY_REPRESENTATIVE)
-    schemes = schemes or INDEX_SCHEMES
+    kwargs = SWEEP.kwargs(schemes=schemes, scale=scale, num_cpus=num_cpus)
+    categories = categories or SWEEP.items
     table = ResultTable(
         title="Figure 6: index comparison (unbounded PHT, L1 read misses)",
         headers=["category", "index", "coverage", "uncovered", "overpredictions"],
     )
-    sweep = common.run_sweep(
-        run_category, categories, workers=workers, schemes=schemes, scale=scale, num_cpus=num_cpus
-    )
+    sweep = sweep_map(SWEEP.fn, categories, workers=workers, **kwargs)
     for category, reports in zip(categories, sweep):
-        for scheme in schemes:
+        for scheme in kwargs["schemes"]:
             report = reports[scheme]
             table.add_row(
                 category,

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.coverage import coverage_from_result
 from repro.analysis.reporting import ResultTable
 from repro.experiments import common
+from repro.simulation.sweep import sweep_map
 
 #: PHT sizes swept (entries); ``None`` is the unbounded PHT.
 PHT_SIZES: List[Optional[int]] = [256, 1024, 4096, 16384, None]
@@ -61,6 +62,12 @@ def run_category(
     return coverage
 
 
+#: One task per category, over every (scheme, PHT size) pair.
+SWEEP = common.SweepFigure(
+    run_category, common.CATEGORY_ITEMS, {"sizes": PHT_SIZES, "schemes": SCHEMES}
+)
+
+
 def run(
     categories: Optional[List[str]] = None,
     sizes: Optional[List[Optional[int]]] = None,
@@ -70,24 +77,15 @@ def run(
     workers: Optional[int] = None,
 ) -> ResultTable:
     """Regenerate Figure 7's curves."""
-    categories = categories or list(common.CATEGORY_REPRESENTATIVE)
-    sizes = sizes if sizes is not None else PHT_SIZES
-    schemes = schemes or SCHEMES
+    kwargs = SWEEP.kwargs(sizes=sizes, schemes=schemes, scale=scale, num_cpus=num_cpus)
+    categories = categories or SWEEP.items
     table = ResultTable(
         title="Figure 7: PHT storage sensitivity (PC+address vs PC+offset)",
         headers=["category", "index", "pht_entries", "coverage"],
     )
-    sweep = common.run_sweep(
-        run_category,
-        categories,
-        workers=workers,
-        sizes=sizes,
-        schemes=schemes,
-        scale=scale,
-        num_cpus=num_cpus,
-    )
+    sweep = sweep_map(SWEEP.fn, categories, workers=workers, **kwargs)
     for category, coverage in zip(categories, sweep):
-        for scheme in schemes:
-            for size in sizes:
+        for scheme in kwargs["schemes"]:
+            for size in kwargs["sizes"]:
                 table.add_row(category, scheme, _size_label(size), coverage[(scheme, size)])
     return table

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional
 from repro.analysis.coverage import CoverageReport, compare_coverage
 from repro.analysis.reporting import ResultTable
 from repro.experiments import common
+from repro.simulation.sweep import sweep_map
 
 #: Training structures in the paper's presentation order.
 TRAINERS: List[str] = ["decoupled-sectored", "logical-sectored", "agt"]
@@ -60,6 +61,10 @@ def run_category(
     return reports
 
 
+#: One task per category, over every training structure.
+SWEEP = common.SweepFigure(run_category, common.CATEGORY_ITEMS, {"trainers": TRAINERS})
+
+
 def run(
     categories: Optional[List[str]] = None,
     trainers: Optional[List[str]] = None,
@@ -68,17 +73,15 @@ def run(
     workers: Optional[int] = None,
 ) -> ResultTable:
     """Regenerate Figure 8's bars."""
-    categories = categories or list(common.CATEGORY_REPRESENTATIVE)
-    trainers = trainers or TRAINERS
+    kwargs = SWEEP.kwargs(trainers=trainers, scale=scale, num_cpus=num_cpus)
+    categories = categories or SWEEP.items
     table = ResultTable(
         title="Figure 8: training structure comparison (unbounded PHT, L1 read misses)",
         headers=["category", "trainer", "coverage", "uncovered", "overpredictions"],
     )
-    sweep = common.run_sweep(
-        run_category, categories, workers=workers, trainers=trainers, scale=scale, num_cpus=num_cpus
-    )
+    sweep = sweep_map(SWEEP.fn, categories, workers=workers, **kwargs)
     for category, reports in zip(categories, sweep):
-        for trainer in trainers:
+        for trainer in kwargs["trainers"]:
             report = reports[trainer]
             table.add_row(
                 category,

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.coverage import coverage_from_result
 from repro.analysis.reporting import ResultTable
 from repro.experiments import common
+from repro.simulation.sweep import sweep_map
 
 #: PHT sizes swept (entries); ``None`` is the unbounded PHT.
 PHT_SIZES: List[Optional[int]] = [256, 512, 1024, 2048, 4096, 16384, None]
@@ -65,6 +66,12 @@ def run_category(
     return coverage
 
 
+#: One task per category, over every (trainer, PHT size) pair.
+SWEEP = common.SweepFigure(
+    run_category, common.CATEGORY_ITEMS, {"sizes": PHT_SIZES, "trainers": TRAINERS}
+)
+
+
 def run(
     categories: Optional[List[str]] = None,
     sizes: Optional[List[Optional[int]]] = None,
@@ -74,25 +81,16 @@ def run(
     workers: Optional[int] = None,
 ) -> ResultTable:
     """Regenerate Figure 9's curves."""
-    categories = categories or list(common.CATEGORY_REPRESENTATIVE)
-    sizes = sizes if sizes is not None else PHT_SIZES
-    trainers = trainers or TRAINERS
+    kwargs = SWEEP.kwargs(sizes=sizes, trainers=trainers, scale=scale, num_cpus=num_cpus)
+    categories = categories or SWEEP.items
     table = ResultTable(
         title="Figure 9: PHT storage sensitivity (LS vs AGT training)",
         headers=["category", "trainer", "pht_entries", "coverage"],
     )
-    sweep = common.run_sweep(
-        run_category,
-        categories,
-        workers=workers,
-        sizes=sizes,
-        trainers=trainers,
-        scale=scale,
-        num_cpus=num_cpus,
-    )
+    sweep = sweep_map(SWEEP.fn, categories, workers=workers, **kwargs)
     for category, coverage in zip(categories, sweep):
-        for trainer in trainers:
-            for size in sizes:
+        for trainer in kwargs["trainers"]:
+            for size in kwargs["sizes"]:
                 table.add_row(
                     category,
                     _SHORT_NAMES.get(trainer, trainer),

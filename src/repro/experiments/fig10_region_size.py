@@ -17,6 +17,7 @@ from typing import Dict, List, Optional
 from repro.analysis.coverage import coverage_from_result
 from repro.analysis.reporting import ResultTable
 from repro.experiments import common
+from repro.simulation.sweep import sweep_map
 
 #: Region sizes swept by the paper's Figure 10.
 REGION_SIZES: List[int] = [128, 256, 512, 1024, 2048, 4096, 8192]
@@ -48,6 +49,10 @@ def run_category(
     return coverage
 
 
+#: One task per category, over every region size.
+SWEEP = common.SweepFigure(run_category, common.CATEGORY_ITEMS, {"region_sizes": REGION_SIZES})
+
+
 def run(
     categories: Optional[List[str]] = None,
     region_sizes: Optional[List[int]] = None,
@@ -56,21 +61,14 @@ def run(
     workers: Optional[int] = None,
 ) -> ResultTable:
     """Regenerate Figure 10's curves."""
-    categories = categories or list(common.CATEGORY_REPRESENTATIVE)
-    region_sizes = region_sizes or REGION_SIZES
+    kwargs = SWEEP.kwargs(region_sizes=region_sizes, scale=scale, num_cpus=num_cpus)
+    categories = categories or SWEEP.items
     table = ResultTable(
         title="Figure 10: coverage vs spatial region size (PC+offset, AGT, unbounded PHT)",
         headers=["category", "region_size", "coverage"],
     )
-    sweep = common.run_sweep(
-        run_category,
-        categories,
-        workers=workers,
-        region_sizes=region_sizes,
-        scale=scale,
-        num_cpus=num_cpus,
-    )
+    sweep = sweep_map(SWEEP.fn, categories, workers=workers, **kwargs)
     for category, coverage in zip(categories, sweep):
-        for region_size in region_sizes:
+        for region_size in kwargs["region_sizes"]:
             table.add_row(category, region_size, coverage[region_size])
     return table

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional
 from repro.analysis.coverage import CoverageReport, coverage_from_result
 from repro.analysis.reporting import ResultTable
 from repro.experiments import common
+from repro.simulation.sweep import sweep_map
 
 #: Configurations compared, in the paper's presentation order.
 CONFIGURATIONS: List[str] = ["ghb-256", "ghb-16k", "sms"]
@@ -56,6 +57,12 @@ def run_application(
     return reports
 
 
+#: One task per application, over every configuration.
+SWEEP = common.SweepFigure(
+    run_application, common.APPLICATION_ITEMS, {"configurations": CONFIGURATIONS}
+)
+
+
 def run(
     applications: Optional[List[str]] = None,
     configurations: Optional[List[str]] = None,
@@ -64,22 +71,15 @@ def run(
     workers: Optional[int] = None,
 ) -> ResultTable:
     """Regenerate Figure 11's bars."""
-    applications = applications or common.application_names()
-    configurations = configurations or CONFIGURATIONS
+    kwargs = SWEEP.kwargs(configurations=configurations, scale=scale, num_cpus=num_cpus)
+    applications = applications or SWEEP.items
     table = ResultTable(
         title="Figure 11: off-chip read miss coverage, SMS vs GHB",
         headers=["application", "configuration", "coverage", "uncovered", "overpredictions"],
     )
-    sweep = common.run_sweep(
-        run_application,
-        applications,
-        workers=workers,
-        configurations=configurations,
-        scale=scale,
-        num_cpus=num_cpus,
-    )
+    sweep = sweep_map(SWEEP.fn, applications, workers=workers, **kwargs)
     for name, reports in zip(applications, sweep):
-        for configuration in configurations:
+        for configuration in kwargs["configurations"]:
             report = reports[configuration]
             table.add_row(
                 name,

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from repro.analysis.reporting import ResultTable
 from repro.experiments import common
 from repro.simulation.sampling import ConfidenceInterval, paired_speedup
+from repro.simulation.sweep import sweep_map
 
 if TYPE_CHECKING:
     from repro.simulation.timing import TimingModel
@@ -56,6 +57,10 @@ def run_application(
     return paired_speedup(base_times, sms_times)
 
 
+#: One task per application, over three trace samples.
+SWEEP = common.SweepFigure(run_application, common.APPLICATION_ITEMS, {"samples": 3})
+
+
 def geometric_mean(values: List[float]) -> float:
     """Geometric mean of positive values."""
     if not values:
@@ -65,21 +70,20 @@ def geometric_mean(values: List[float]) -> float:
 
 def run(
     applications: Optional[List[str]] = None,
-    samples: int = 3,
+    samples: Optional[int] = None,
     scale: float = 1.0,
     num_cpus: int = common.DEFAULT_NUM_CPUS,
     workers: Optional[int] = None,
 ) -> ResultTable:
     """Regenerate Figure 12's speedup bars (with 95% confidence intervals)."""
-    applications = applications or common.application_names()
+    kwargs = SWEEP.kwargs(samples=samples, scale=scale, num_cpus=num_cpus)
+    applications = applications or SWEEP.items
     table = ResultTable(
         title="Figure 12: SMS speedup over the baseline system",
         headers=["application", "speedup", "ci_half_width", "ci_low", "ci_high"],
     )
     speedups: Dict[str, float] = {}
-    sweep = common.run_sweep(
-        run_application, applications, workers=workers, samples=samples, scale=scale, num_cpus=num_cpus
-    )
+    sweep = sweep_map(SWEEP.fn, applications, workers=workers, **kwargs)
     for name, interval in zip(applications, sweep):
         speedups[name] = interval.mean
         table.add_row(name, interval.mean, interval.half_width, interval.lower, interval.upper)

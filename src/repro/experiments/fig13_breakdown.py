@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 from repro.analysis.reporting import ResultTable
 from repro.experiments import common
 from repro.simulation.breakdown import CATEGORY_ORDER, ExecutionBreakdown
+from repro.simulation.sweep import sweep_map
 
 if TYPE_CHECKING:
     from repro.simulation.timing import TimingModel
@@ -46,6 +47,10 @@ def run_application(
     return base_timing.breakdown, sms_timing.breakdown
 
 
+#: One task per application.
+SWEEP = common.SweepFigure(run_application, common.APPLICATION_ITEMS, {})
+
+
 def run(
     applications: Optional[List[str]] = None,
     scale: float = 1.0,
@@ -53,15 +58,14 @@ def run(
     workers: Optional[int] = None,
 ) -> ResultTable:
     """Regenerate Figure 13's stacked bars (normalised to the base system)."""
-    applications = applications or common.application_names()
+    kwargs = SWEEP.kwargs(scale=scale, num_cpus=num_cpus)
+    applications = applications or SWEEP.items
     category_headers = [category.value for category in CATEGORY_ORDER]
     table = ResultTable(
         title="Figure 13: normalized execution time breakdown (base vs SMS)",
         headers=["application", "system", "total"] + category_headers,
     )
-    sweep = common.run_sweep(
-        run_application, applications, workers=workers, scale=scale, num_cpus=num_cpus
-    )
+    sweep = sweep_map(SWEEP.fn, applications, workers=workers, **kwargs)
     for name, (base_breakdown, sms_breakdown) in zip(applications, sweep):
         for label, breakdown in (("base", base_breakdown), ("SMS", sms_breakdown)):
             normalized = breakdown.normalized(reference=base_breakdown)

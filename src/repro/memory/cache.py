@@ -87,14 +87,11 @@ class EvictedLine(NamedTuple):
 class AccessResult:
     """Outcome of :meth:`SetAssociativeCache.access`."""
 
-    __slots__ = ("outcome", "block_addr", "evicted")
+    __slots__ = ("outcome", "block_addr")
 
-    def __init__(
-        self, outcome: AccessOutcome, block_addr: int, evicted: Optional[EvictedLine] = None
-    ) -> None:
+    def __init__(self, outcome: AccessOutcome, block_addr: int) -> None:
         self.outcome = outcome
         self.block_addr = block_addr
-        self.evicted = evicted
 
     @property
     def is_miss(self) -> bool:
@@ -211,10 +208,9 @@ class SetAssociativeCache:
             cache_set[block] = flags | (USED | DIRTY if is_write else USED)
             return AccessResult(outcome=outcome, block_addr=block)
 
-        evicted = None
-        if allocate:
-            evicted = self._install(set_index, block, USED | DIRTY if is_write else USED)
-        return AccessResult(outcome=AccessOutcome.MISS, block_addr=block, evicted=evicted)
+        if allocate:  # the victim, if any, reaches the eviction listeners
+            self._install(set_index, block, USED | DIRTY if is_write else USED)
+        return AccessResult(outcome=AccessOutcome.MISS, block_addr=block)
 
     def fill(self, address: int, prefetched: bool = False, dirty: bool = False) -> Optional[EvictedLine]:
         """Install the block containing ``address`` (e.g. a prefetch fill).

@@ -96,7 +96,6 @@ class SectoredTagArray:
                 f"num_sectors ({num_sectors}) must be a positive multiple of associativity ({associativity})"
             )
         self.name = name
-        self.num_sectors = num_sectors
         self.associativity = associativity
         self.region_size = region_size
         self.block_size = block_size

@@ -61,12 +61,6 @@ class PrefetcherResponse:
         self.prefetches = [] if prefetches is None else prefetches
         self.forced_evictions = [] if forced_evictions is None else forced_evictions
 
-    def merge(self, other: "PrefetcherResponse") -> "PrefetcherResponse":
-        return PrefetcherResponse(
-            prefetches=self.prefetches + other.prefetches,
-            forced_evictions=self.forced_evictions + other.forced_evictions,
-        )
-
     @property
     def is_empty(self) -> bool:
         return not self.prefetches and not self.forced_evictions

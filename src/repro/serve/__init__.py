@@ -9,7 +9,9 @@ a long-lived, stdlib-only service:
 * :mod:`repro.serve.pool` — the package's one forked worker pool: resident
   here, with warm trace/result caches, and short-lived under a parallel
   :class:`~repro.simulation.sweep.SweepRunner`;
-* :mod:`repro.serve.jobs` — verb registry; job identity is the same
+* :mod:`repro.serve.jobs` — request validation and verb -> task
+  resolution; a ``sweep`` request runs one item of a figure's declared
+  sweep, the task its ``run()`` builds too, and job identity is the
   content-addressed key the on-disk sweep cache uses, so the service and
   ``repro.cli experiment`` share cache entries;
 * :mod:`repro.serve.client` — blocking client library;

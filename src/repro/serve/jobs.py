@@ -10,36 +10,26 @@ positional/keyword arguments, for two reasons:
   :meth:`~repro.simulation.result_cache.SweepResultCache.fingerprint` from
   exactly that (function identity, args, kwargs) triple.
 
-For the ``sweep`` verb, the (args, kwargs) shape deliberately mirrors the
-tasks :func:`repro.experiments.common.run_sweep` builds — the item is the
-single positional argument and the figure-default kwargs are filled in —
-so a service request and a ``repro.cli experiment`` sweep over the same
-configuration share cache entries: a figure run on the command line warms
-the service, and vice versa.  ``tests/test_serve_jobs.py`` pins that
-digest parity.
+The figures come from :data:`repro.figures.FIGURES`.  A ``sweep`` request
+runs one item of a figure's ``SWEEP``
+(:class:`~repro.experiments.common.SweepFigure`), the value that figure's
+``run()`` builds its own tasks from: the item is the single positional
+argument and the kwargs come from ``SWEEP.kwargs``.  So a service request
+and a ``repro.cli experiment`` sweep over the same configuration share
+cache entries by construction: a figure run on the command line warms the
+service, and vice versa.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 from repro._lazy import preload_simulation
 from repro.analysis.coverage import coverage_from_result
 from repro.analysis.reporting import ResultTable
-from repro.experiments import (
-    fig04_block_size,
-    fig05_density,
-    fig06_indexing,
-    fig07_pht_storage,
-    fig08_training,
-    fig09_training_storage,
-    fig10_region_size,
-    fig11_ghb,
-    fig12_speedup,
-    fig13_breakdown,
-)
 from repro.experiments import common
+from repro.figures import FIGURES, figure_module
 from repro.serve.protocol import BAD_REQUEST, TRACE_FIELD, VERBS, ProtocolError
 from repro.prefetch.registry import PREFETCHER_CHOICES
 from repro.simulation.config import SimulationConfig
@@ -105,97 +95,15 @@ def run_simulate(
 
 
 # --------------------------------------------------------------------------- #
-# The sweep/experiment figure registries
+# The figures
 # --------------------------------------------------------------------------- #
-class SweepFigure(NamedTuple):
-    """One figure's per-item sweep entry: function, item domain, defaults."""
-
-    fn: Callable[..., Any]
-    items: Callable[[], Tuple[str, ...]]
-    #: Figure-default kwargs, exactly as the figure's ``run()`` passes them
-    #: to ``run_sweep`` (same objects, same list-vs-tuple types) so the
-    #: cache digests coincide.
-    defaults: Callable[[], Dict[str, Any]]
-
-
-def _categories() -> Tuple[str, ...]:
-    return tuple(common.CATEGORY_REPRESENTATIVE)
-
-
-def _applications() -> Tuple[str, ...]:
-    return tuple(common.application_names())
-
-
-SWEEP_FIGURES: Dict[str, SweepFigure] = {
-    "fig04": SweepFigure(
-        fig04_block_size.run_category,
-        _categories,
-        lambda: {"sizes": fig04_block_size.SIZES},
-    ),
-    "fig05": SweepFigure(
-        fig05_density.run_application,
-        _applications,
-        lambda: {"region_size": 2048},
-    ),
-    "fig06": SweepFigure(
-        fig06_indexing.run_category,
-        _categories,
-        lambda: {"schemes": fig06_indexing.INDEX_SCHEMES},
-    ),
-    "fig07": SweepFigure(
-        fig07_pht_storage.run_category,
-        _categories,
-        lambda: {
-            "sizes": fig07_pht_storage.PHT_SIZES,
-            "schemes": fig07_pht_storage.SCHEMES,
-        },
-    ),
-    "fig08": SweepFigure(
-        fig08_training.run_category,
-        _categories,
-        lambda: {"trainers": fig08_training.TRAINERS},
-    ),
-    "fig09": SweepFigure(
-        fig09_training_storage.run_category,
-        _categories,
-        lambda: {
-            "sizes": fig09_training_storage.PHT_SIZES,
-            "trainers": fig09_training_storage.TRAINERS,
-        },
-    ),
-    "fig10": SweepFigure(
-        fig10_region_size.run_category,
-        _categories,
-        lambda: {"region_sizes": fig10_region_size.REGION_SIZES},
-    ),
-    "fig11": SweepFigure(
-        fig11_ghb.run_application,
-        _applications,
-        lambda: {"configurations": fig11_ghb.CONFIGURATIONS},
-    ),
-    "fig12": SweepFigure(
-        fig12_speedup.run_application,
-        _applications,
-        lambda: {"samples": 3},
-    ),
-    "fig13": SweepFigure(
-        fig13_breakdown.run_application,
-        _applications,
-        lambda: {},
-    ),
-}
-
-EXPERIMENT_FIGURES: Dict[str, Callable[..., ResultTable]] = {
-    "fig04": fig04_block_size.run,
-    "fig05": fig05_density.run,
-    "fig06": fig06_indexing.run,
-    "fig07": fig07_pht_storage.run,
-    "fig08": fig08_training.run,
-    "fig09": fig09_training_storage.run,
-    "fig10": fig10_region_size.run,
-    "fig11": fig11_ghb.run,
-    "fig12": fig12_speedup.run,
-    "fig13": fig13_breakdown.run,
+#: The figures the service runs: those whose module declares a sweep (Table 1
+#: does not).  Importing them here, before the pool forks, loads what a figure
+#: job runs into every worker.
+SWEEPS: Dict[str, common.SweepFigure] = {
+    name: module.SWEEP
+    for name, module in ((name, figure_module(name)) for name in FIGURES)
+    if hasattr(module, "SWEEP")
 }
 
 
@@ -276,12 +184,11 @@ def normalize(request: Mapping[str, Any]) -> Dict[str, Any]:
 
     if verb == "sweep":
         _reject_unknown(params, ("figure", "item", "scale", "num_cpus"))
-        figure = _as_choice("figure", _require(params, "figure"), SWEEP_FIGURES)
-        entry = SWEEP_FIGURES[figure]
+        figure = _as_choice("figure", _require(params, "figure"), SWEEPS)
         return {
             "verb": verb,
             "figure": figure,
-            "item": _as_choice("item", _require(params, "item"), entry.items()),
+            "item": _as_choice("item", _require(params, "item"), SWEEPS[figure].items),
             "scale": _as_scale(params.get("scale", 1.0)),
             "num_cpus": _as_int(
                 "num_cpus", params.get("num_cpus", common.DEFAULT_NUM_CPUS), 1, MAX_CPUS
@@ -292,7 +199,7 @@ def normalize(request: Mapping[str, Any]) -> Dict[str, Any]:
         _reject_unknown(params, ("figure", "scale", "num_cpus"))
         return {
             "verb": verb,
-            "figure": _as_choice("figure", _require(params, "figure"), EXPERIMENT_FIGURES),
+            "figure": _as_choice("figure", _require(params, "figure"), SWEEPS),
             "scale": _as_scale(params.get("scale", 1.0)),
             "num_cpus": _as_int(
                 "num_cpus", params.get("num_cpus", common.DEFAULT_NUM_CPUS), 1, MAX_CPUS
@@ -319,14 +226,12 @@ def job_for(spec: Mapping[str, Any]) -> SweepTask:
         kwargs = {key: spec[key] for key in ("prefetcher", "cpus", "accesses_per_cpu", "seed")}
         return SweepTask(verb, run_simulate, (spec["workload"],), kwargs)
     if verb == "sweep":
-        entry = SWEEP_FIGURES[spec["figure"]]
-        kwargs = dict(entry.defaults())
-        kwargs["scale"] = spec["scale"]
-        kwargs["num_cpus"] = spec["num_cpus"]
-        return SweepTask(verb, entry.fn, (spec["item"],), kwargs)
+        sweep = SWEEPS[spec["figure"]]
+        kwargs = sweep.kwargs(scale=spec["scale"], num_cpus=spec["num_cpus"])
+        return SweepTask(verb, sweep.fn, (spec["item"],), kwargs)
     if verb == "experiment":
         kwargs = {"scale": spec["scale"], "num_cpus": spec["num_cpus"]}
-        return SweepTask(verb, EXPERIMENT_FIGURES[spec["figure"]], (), kwargs)
+        return SweepTask(verb, figure_module(spec["figure"]).run, (), kwargs)
     raise ValueError(f"verb {verb!r} does not dispatch to the worker pool")
 
 

@@ -728,9 +728,9 @@ class SimulationEngine:
         just performed — ``flags`` are the line's before the access, the L1's
         on a hit, else the L2's (``None``: off-chip) — hands them to that
         CPU's ``on_access`` and applies the response as :meth:`_step` does.
-        The outcome carries what the loop knows: levels and hit / prefetch-hit
-        / miss results are exact, the install victims (``evicted``) are not
-        kept, and the miss classification is ``FALSE_SHARING`` or ``None``.
+        The outcome carries what the loop knows: the level and the L1's hit /
+        prefetch-hit / miss result are exact, and the miss classification is
+        ``FALSE_SHARING`` or ``None``.
         """
         prefetchers = self.prefetchers
         apply_response = self._apply_response
@@ -745,11 +745,8 @@ class SimulationEngine:
         ) -> None:
             record = tuple.__new__(MemoryAccess, (pc, address, code, cpu, icount))  # repro: ignore[HOT004] -- the one boxing on the lane path: on_access of a prefetcher without a lane hook takes a record, and only that CPU's accesses pay for it
             block = address & block_mask
-            if flags is None:
-                served = miss
-            else:
-                served = prefetch_hit if flags & unused_prefetch == PREFETCHED else hit
             if l1_hit:
+                served = prefetch_hit if flags & unused_prefetch == PREFETCHED else hit
                 outcome = AccessOutcomeRecord(
                     record, MemoryLevel.L1, AccessResult(served, block),
                     invalidations_sent=invalidations_sent,
@@ -759,7 +756,6 @@ class SimulationEngine:
                     record,
                     MemoryLevel.MEMORY if flags is None else MemoryLevel.L2,
                     AccessResult(miss, block),
-                    AccessResult(served, block),
                     MissClassification.FALSE_SHARING if false_sharing else None,
                     invalidations_sent,
                 )

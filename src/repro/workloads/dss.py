@@ -106,7 +106,6 @@ class DSSQueryWorkload(SyntheticWorkload):
         # Each scanned tuple is processed by predicate/aggregation code, so DSS
         # executes far more instructions per data reference than OLTP.
         kwargs.setdefault("instructions_per_access", 9.0)
-        self.variant = variant
         self.metadata = WorkloadMetadata(
             name=f"dss-{variant}",
             category="DSS",

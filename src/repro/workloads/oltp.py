@@ -94,7 +94,6 @@ class OLTPWorkload(SyntheticWorkload):
         # TPC-C transactions execute a few ALU/branch instructions per data
         # reference; the default matches the memory-bound profile of Table 1.
         kwargs.setdefault("instructions_per_access", 3.0)
-        self.variant = variant
         self.metadata = WorkloadMetadata(
             name=f"oltp-{variant}",
             category="OLTP",

@@ -71,7 +71,6 @@ class WebServerWorkload(SyntheticWorkload):
             raise ValueError(f"concurrent_requests must be positive, got {concurrent_requests}")
         params = self.VARIANTS[variant]
         kwargs.setdefault("instructions_per_access", 3.5)
-        self.variant = variant
         self.metadata = WorkloadMetadata(
             name=f"web-{variant}",
             category="Web",

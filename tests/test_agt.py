@@ -23,7 +23,7 @@ class TestFigure2Walkthrough:
 
     def test_trigger_allocates_in_filter(self, agt):
         event = agt.observe_access(pc=0x400, address=REGION + 3 * 64)
-        assert event.is_trigger
+        assert event.trigger is not None
         assert event.trigger.offset == 3
         assert len(agt._filter) == 1
         assert len(agt._accumulation) == 0
@@ -31,7 +31,7 @@ class TestFigure2Walkthrough:
     def test_second_block_transfers_to_accumulation(self, agt):
         agt.observe_access(pc=0x400, address=REGION + 3 * 64)
         event = agt.observe_access(pc=0x404, address=REGION + 2 * 64)
-        assert not event.is_trigger
+        assert event.trigger is None
         assert len(agt._filter) == 0
         assert len(agt._accumulation) == 1
 
@@ -59,7 +59,7 @@ class TestFilterTableBehaviour:
     def test_repeat_access_to_trigger_block_stays_in_filter(self, agt):
         agt.observe_access(pc=0x400, address=REGION + 5 * 64)
         event = agt.observe_access(pc=0x400, address=REGION + 5 * 64 + 32)
-        assert not event.is_trigger
+        assert event.trigger is None
         assert len(agt._filter) == 1
         assert len(agt._accumulation) == 0
 
@@ -68,7 +68,7 @@ class TestFilterTableBehaviour:
         agt.observe_access(pc=0x400, address=REGION + 64)
         agt.observe_removal(REGION)
         event = agt.observe_access(pc=0x500, address=REGION + 2 * 64)
-        assert event.is_trigger
+        assert event.trigger is not None
         assert event.trigger.pc == 0x500
 
     def test_filter_victim_dropped_silently(self, geometry):

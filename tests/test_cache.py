@@ -73,22 +73,24 @@ class TestReplacement:
     def test_lru_eviction_within_set(self):
         # 1024B, 64B blocks, 2-way -> 8 sets; addresses 0, 512, 1024 share set 0.
         cache = make_cache(capacity=1024, assoc=2)
+        evicted = []
+        cache.add_eviction_listener(evicted.append)
         cache.access(0)
         cache.access(512)
         cache.access(0)  # touch 0 so 512 is LRU
-        result = cache.access(1024)
-        assert result.evicted is not None
-        assert result.evicted.block_addr == 512
+        cache.access(1024)
+        assert [line.block_addr for line in evicted] == [512]
         assert cache.contains(0)
         assert not cache.contains(512)
 
     def test_eviction_reports_dirty(self):
         cache = make_cache(capacity=1024, assoc=2)
+        evicted = []
+        cache.add_eviction_listener(evicted.append)
         cache.access(0, is_write=True)
         cache.access(512)
-        result = cache.access(1024)
-        assert result.evicted.block_addr == 0
-        assert result.evicted.dirty
+        cache.access(1024)
+        assert [(line.block_addr, line.dirty) for line in evicted] == [(0, True)]
 
     def test_capacity_never_exceeded(self):
         cache = make_cache(capacity=1024, assoc=2)

@@ -145,9 +145,13 @@ class Subject:
         self.cache.add_eviction_listener(lambda line: self.delivered.append(_left(line)))
 
     def access(self, address, is_write, allocate):
+        delivered = len(self.delivered)
         result = self.cache.access(address, is_write=is_write, allocate=allocate)
         assert result.block_addr == address // LINE * LINE
-        return result.outcome.value, _left(result.evicted)
+        # An access reports its victim only to the eviction listeners.
+        victims = self.delivered[delivered:]
+        assert len(victims) <= 1
+        return result.outcome.value, victims[0] if victims else None
 
     def fill(self, address, prefetched, dirty):
         return _left(self.cache.fill(address, prefetched=prefetched, dirty=dirty))

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import EXPERIMENT_CHOICES, PREFETCHER_CHOICES, build_parser, main
+from repro.cli import PREFETCHER_CHOICES, build_parser, main
+from repro.figures import FIGURES, figure_module
 from repro.trace.reader import read_trace
 
 
@@ -80,14 +81,16 @@ class TestParser:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_every_experiment_choice_listed(self):
-        assert "fig11" in EXPERIMENT_CHOICES
-        assert "tab01" in EXPERIMENT_CHOICES
+        # The parser takes every name of the figure table.
+        parser = build_parser()
+        for name in FIGURES:
+            assert parser.parse_args(["experiment", "--figure", name]).figure == name
+        assert "fig11" in FIGURES
+        assert "tab01" in FIGURES
 
     def test_every_experiment_choice_names_a_runner_module(self):
-        from importlib import import_module
-
-        for module in EXPERIMENT_CHOICES.values():
-            assert callable(import_module(f"repro.experiments.{module}").run)
+        for name in FIGURES:
+            assert callable(figure_module(name).run)
 
     def test_prefetcher_choices_instantiate(self):
         for name, factory in PREFETCHER_CHOICES.items():

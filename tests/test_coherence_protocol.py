@@ -39,4 +39,4 @@ class TestDirectoryEntryInvariants:
 class TestCoherenceActions:
     def test_empty(self):
         actions = CoherenceActions()
-        assert not actions.invalidate_cpus and not actions.downgrade_cpus
+        assert not actions.invalidate_cpus

@@ -114,43 +114,78 @@ def _assigned_names(statement):
         yield statement.target
 
 
+#: Slotted classes whose fields product code reads by walking ``__slots__``
+#: from outside the class: the results ``serve.jobs.jsonify`` sends field by
+#: field.  A class that walks its own ``self.__slots__`` (``CacheStats.as_dict``,
+#: ``SimulationConfig``, ``SMSConfig``) is found without being listed.
+SLOTS_WALKED_BY_JSONIFY = {"DensityHistogram", "ExecutionBreakdown"}
+
+
+def _slots(cls):
+    """The string entries of ``cls``'s own ``__slots__`` declaration."""
+    return {
+        constant.value
+        for statement in cls.body if isinstance(statement, ast.Assign)
+        if any(isinstance(target, ast.Name) and target.id == "__slots__"
+               for target in statement.targets)
+        for constant in ast.walk(statement.value) if isinstance(constant, ast.Constant)
+    }
+
+
+def _walks_own_slots(cls):
+    return any(
+        isinstance(node, ast.Attribute) and node.attr == "__slots__"
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+        for node in ast.walk(cls)
+    )
+
+
 def product_reads_and_stores(repo):
-    """``(read, stored)``: every identifier src/, benchmarks/ and examples/
-    read (a loaded name or attribute, an import, an identifier-shaped string),
-    and ``name -> {where}`` for each module constant, class attribute and
-    ``self.`` attribute src/repro assigns or ``+=``-es."""
+    """``(names, attributes, constants, fields)``.
+
+    ``names`` holds every bare name src/, benchmarks/ and examples/ load;
+    ``attributes`` every attribute they load, import alias and
+    identifier-shaped string, plus the ``__slots__`` entries of the classes
+    whose fields product code walks by name.  ``constants`` maps each module
+    constant and class attribute src/repro assigns or ``+=``-es to
+    ``{where}``, and ``fields`` does the same for its ``self.`` attributes.
+    """
     identifier = re.compile(r"[A-Za-z_]\w*\Z")
-    read, stored = set(), {}
+    names, attributes, constants, fields = set(), set(), {}, {}
     for path in python_files(repo / "src", repo / "benchmarks", repo / "examples"):
         tree = ast.parse(path.read_text())
         tables = table_strings(tree)
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
-                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
-                read.update(node.name.split("."))
+                attributes.update(node.name.split("."))
             elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and identifier.match(node.value) and id(node) not in tables):
-                read.add(node.value)
+                attributes.add(node.value)
         if PACKAGE_DIR not in path.parents:
             continue
         where = str(path.relative_to(PACKAGE_DIR))
         for statement in tree.body:
             for target in _assigned_names(statement):
                 if isinstance(target, ast.Name):
-                    stored.setdefault(target.id, set()).add(where)
+                    constants.setdefault(target.id, set()).add(where)
         for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            if cls.name in SLOTS_WALKED_BY_JSONIFY or _walks_own_slots(cls):
+                attributes.update(_slots(cls))
             for statement in cls.body:
                 for target in _assigned_names(statement):
                     if isinstance(target, ast.Name):
-                        stored.setdefault(target.id, set()).add(f"{where}:{cls.name}")
+                        constants.setdefault(target.id, set()).add(f"{where}:{cls.name}")
             methods = (m for m in cls.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)))
             for statement in (node for method in methods for node in ast.walk(method)):
                 for target in _assigned_names(statement):
                     if (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
                             and target.value.id == "self"):
-                        stored.setdefault(target.attr, set()).add(f"{where}:{cls.name}")
-    return read, stored
+                        fields.setdefault(target.attr, set()).add(f"{where}:{cls.name}")
+    return names, attributes, constants, fields
 
 
 # --------------------------------------------------------------------------- #
@@ -687,7 +722,7 @@ class TestHOT004:
             def _lane_closures(self):
                 def on_access_lane(pc, address):
                     trigger = TriggerInfo(pc=pc, address=address, region=0, offset=0)
-                    event = agt.AGTEvent(is_trigger=True, trigger=trigger)
+                    event = agt.AGTEvent(trigger=trigger)
                     record = GenerationRecord(0, pc, 0, address)
                     return [StreamRequest(address, 0, 0)], SpatialPattern(32, 1)
                 return on_access_lane
@@ -1200,10 +1235,10 @@ class TestPackageIsClean:
                 if target and target != importer:
                     imported.add(target)
 
-        from repro.cli import EXPERIMENT_CHOICES
+        from repro.figures import FIGURES
 
         dispatched = {"repro.cli"} | {
-            f"repro.experiments.{module}" for module in EXPERIMENT_CHOICES.values()
+            f"repro.experiments.{module}" for module in FIGURES.values()
         }
         exempt = {
             # The real decoupled sectored cache: the reference implementation
@@ -1251,20 +1286,48 @@ class TestPackageIsClean:
         # Attribute census: a module constant, class attribute or instance
         # attribute of src/repro that is assigned or ``+=``-ed but that
         # nothing in src/, benchmarks/ or examples/ reads is a tally nobody
-        # looks at, paid for on every update.  Reads are matched by name, as
-        # in the symbol census; ``__slots__`` and ``lazy_exports`` strings do
-        # not count, and neither do tests.
+        # looks at, paid for on every update.  A constant is read where its
+        # name or attribute is loaded; a ``self.`` attribute only where it is
+        # loaded as an attribute, imported, named by an identifier string, or
+        # walked through ``__slots__`` — a bare name of the same spelling,
+        # such as the constructor parameter in ``self.x = x``, is not a read.
+        # ``__slots__`` and ``lazy_exports`` strings do not count, and
+        # neither do tests.
         repo = Path(__file__).resolve().parent.parent
         if not (repo / "benchmarks").is_dir():
             pytest.skip("no benchmarks/ (installed-package run)")
-        read, stored = product_reads_and_stores(repo)
-        unread = sorted(
+        names, attributes, constants, fields = product_reads_and_stores(repo)
+        exempt = {
+            # The per-run reuse/failure accounting the chaos tests assert;
+            # the metrics it is flushed to are process-wide, so they cannot
+            # attribute retries to one runner.
+            "simulation/sweep.py:SweepRunner.report": "asserted by tests/test_chaos.py",
+        }
+        dunder = re.compile(r"__\w+__\Z")
+        unread = {
             f"{where}.{name}"
-            for name, places in stored.items()
-            if name not in read and not (name.startswith("__") and name.endswith("__"))
+            for name, places in constants.items()
+            if name not in names | attributes and not dunder.match(name)
             for where in places
-        )
-        assert unread == []
+        } | {
+            f"{where}.{name}"
+            for name, places in fields.items()
+            if name not in attributes and not dunder.match(name)
+            for where in places
+        }
+        assert sorted(unread - set(exempt)) == []
+        assert set(exempt) <= unread, "exemption no longer needed"
+
+    def test_slots_walked_by_jsonify_name_slotted_classes(self):
+        # The census's jsonify listing must name real slotted classes, so a
+        # rename cannot leave it counting reads of nothing.
+        slotted = {
+            node.name
+            for path in python_files(PACKAGE_DIR)
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef) and _slots(node)
+        }
+        assert SLOTS_WALKED_BY_JSONIFY <= slotted
 
     def test_every_lazy_export_has_an_importer(self):
         # A ``lazy_exports`` entry exists so that something can write

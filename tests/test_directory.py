@@ -9,8 +9,7 @@ from repro.coherence.protocol import CoherenceState
 class TestDirectoryReads:
     def test_first_read_creates_shared_entry(self):
         directory = Directory()
-        actions = directory.read(0, 0x1000)
-        assert not actions.invalidate_cpus
+        assert directory.read(0, 0x1000) is None  # a read requests no action
         entry = directory.lookup(0x1000)
         assert entry.state is CoherenceState.SHARED
         assert entry.sharers == {0}
@@ -18,16 +17,14 @@ class TestDirectoryReads:
     def test_multiple_readers_share(self):
         directory = Directory()
         directory.read(0, 0x1000)
-        actions = directory.read(1, 0x1000)
-        assert actions.was_shared_elsewhere
+        directory.read(1, 0x1000)
         assert directory.sharers(0x1000) == {0, 1}
+        assert directory.lookup(0x1000).state is CoherenceState.SHARED
 
     def test_read_of_remote_modified_downgrades(self):
         directory = Directory()
         directory.write(0, 0x1000)
-        actions = directory.read(1, 0x1000)
-        assert actions.downgrade_cpus == {0}
-        assert actions.was_remote_modified
+        directory.read(1, 0x1000)
         entry = directory.lookup(0x1000)
         assert entry.state is CoherenceState.SHARED
         assert entry.sharers == {0, 1}
@@ -35,9 +32,10 @@ class TestDirectoryReads:
     def test_owner_rereads_own_modified_block(self):
         directory = Directory()
         directory.write(0, 0x1000)
-        actions = directory.read(0, 0x1000)
-        assert not actions.downgrade_cpus
-        assert directory.lookup(0x1000).state is CoherenceState.MODIFIED
+        directory.read(0, 0x1000)
+        entry = directory.lookup(0x1000)
+        assert entry.state is CoherenceState.MODIFIED
+        assert entry.owner == 0
 
 
 class TestDirectoryWrites:
@@ -63,7 +61,6 @@ class TestDirectoryWrites:
         directory.write(0, 0x1000)
         actions = directory.write(1, 0x1000)
         assert actions.invalidate_cpus == {0}
-        assert actions.was_remote_modified
         assert directory.lookup(0x1000).owner == 1
 
     def test_invalidations_counted(self):

@@ -44,39 +44,24 @@ class NaiveDirectory:
 
     def read(self, cpu, address):
         record = self.record(address)
-        downgrade = set()
-        shared_elsewhere = False
         if record.state == "M":
             if record.owner != cpu:
                 # The remote owner writes back and keeps a read-only copy.
-                downgrade = {record.owner}
                 record.state = "S"
                 record.owner = None
                 record.sharers.add(cpu)
         else:
-            shared_elsewhere = any(other != cpu for other in record.sharers)
             record.state = "S"
             record.sharers.add(cpu)
-        return {
-            "invalidate": set(),
-            "downgrade": downgrade,
-            "remote_modified": bool(downgrade),
-            "shared_elsewhere": shared_elsewhere,
-        }
+        return None  # a read invalidates nothing
 
     def write(self, cpu, address):
         record = self.record(address)
         victims = {other for other in record.sharers if other != cpu}
-        remote_modified = record.state == "M" and bool(victims)
         record.state = "M"
         record.owner = cpu
         record.sharers = {cpu}
-        return {
-            "invalidate": victims,
-            "downgrade": set(),
-            "remote_modified": remote_modified,
-            "shared_elsewhere": bool(victims),
-        }
+        return victims
 
     def evict(self, cpu, address):
         record = self.blocks.get(self.block_of(address))
@@ -93,12 +78,8 @@ class NaiveDirectory:
 
 
 def _actions(actions):
-    return {
-        "invalidate": set(actions.invalidate_cpus),
-        "downgrade": set(actions.downgrade_cpus),
-        "remote_modified": actions.was_remote_modified,
-        "shared_elsewhere": actions.was_shared_elsewhere,
-    }
+    """A write's invalidations as a plain set; a read returns nothing."""
+    return None if actions is None else set(actions.invalidate_cpus)
 
 
 def _operations(num_cpus, unit):

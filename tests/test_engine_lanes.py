@@ -488,19 +488,17 @@ class TestAdapterParity:
 
 
 class _OutcomeLog(GlobalHistoryBuffer):
-    """GHB (L2-only prefetches, so L2 prefetch hits occur) that writes down
-    what the engine tells it about every access."""
+    """GHB (L2-only prefetches) that writes down what the engine tells it
+    about every access."""
 
     def __init__(self):
         super().__init__(GHBConfig(buffer_entries=256))
         self.seen = []
 
     def on_access(self, record, outcome):
-        l2 = outcome.l2_result
         self.seen.append((
             tuple(record), outcome.record is record, outcome.level,
             outcome.l1_result.outcome, outcome.l1_result.block_addr,
-            None if l2 is None else (l2.outcome, l2.block_addr),
             outcome.false_sharing, outcome.invalidations_sent,
         ))
         return super().on_access(record, outcome)
@@ -524,8 +522,8 @@ def test_boxed_outcome_is_what_memory_access_returns():
     seen = [entry for log in lanes for entry in log]
     levels = {entry[2] for entry in seen}
     assert len(levels) == 3  # L1, L2 and memory
-    assert {entry[5][0].value for entry in seen if entry[5]} == {"hit", "prefetch_hit", "miss"}
-    assert any(entry[6] for entry in seen) and any(entry[7] for entry in seen)
+    assert {entry[3].value for entry in seen} == {"hit", "miss"}  # L1: GHB fills only the L2
+    assert any(entry[5] for entry in seen) and any(entry[6] for entry in seen)
 
 
 # --------------------------------------------------------------------- #

@@ -17,6 +17,7 @@ import pytest
 
 from repro import obs
 from repro.cli import main
+from repro.figures import FIGURES
 from repro.obs import trace as obs_trace
 from repro.prefetch.registry import PREFETCHER_CHOICES
 from repro.serve import WorkerPool, jobs
@@ -52,15 +53,17 @@ PATH_CENSUS = {
 
 
 def test_census_covers_every_servable_figure():
-    assert set(PATH_CENSUS) == set(jobs.SWEEP_FIGURES)
+    # Every figure of the table but Table 1 declares a sweep, and the
+    # service serves exactly those.
+    assert set(PATH_CENSUS) == set(jobs.SWEEPS) == set(FIGURES) - {"tab01"}
 
 
 @pytest.mark.parametrize("figure", sorted(PATH_CENSUS))
 def test_figure_path_census(figure):
-    entry = jobs.SWEEP_FIGURES[figure]
+    sweep = jobs.SWEEPS[figure]
     before = engine_path_counts()
-    for item in entry.items():
-        entry.fn(item, **entry.defaults(), scale=0.01, num_cpus=1)
+    for item in sweep.items:
+        sweep.fn(item, **sweep.kwargs(scale=0.01, num_cpus=1))
     runs = engine_path_counts(since=before)
     lanes, reference = PATH_CENSUS[figure]
     assert runs == {"lanes": lanes, "reference": reference}

@@ -162,10 +162,6 @@ class TestSimulateHelpers:
         assert base.l1_read_covered == 0
         assert sms.workload is metadata
 
-    def test_application_names_filtered(self):
-        assert common.application_names(["Web"]) == ["web-apache", "web-zeus"]
-        assert len(common.application_names()) == 11
-
 
 class TestTable1:
     def test_system_table_matches_paper(self):

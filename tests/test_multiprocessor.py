@@ -132,7 +132,9 @@ class TestPrefetchFill:
         assert not system.l1(0).contains(0x2000)
         outcome = system.access(read(0, 0x2000))
         assert outcome.level is MemoryLevel.L2
-        assert outcome.l2_result.is_prefetch_hit
+        # The demand read hit the prefetched L2 line rather than refilling it.
+        line = system.l2.probe(0x2000)
+        assert line.prefetched and line.used
 
     def test_prefetched_block_registered_as_sharer(self):
         system = make_system()

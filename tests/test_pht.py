@@ -65,10 +65,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PatternHistoryTable(num_blocks=32, num_entries=100, associativity=16)
 
-    def test_invalid_merge(self):
-        with pytest.raises(ValueError):
-            PatternHistoryTable(num_blocks=32, merge="max")
-
     def test_invalid_width(self):
         with pytest.raises(ValueError):
             PatternHistoryTable(num_blocks=0)
@@ -87,13 +83,6 @@ class TestBoundedTable:
         pht.store(key, pattern(0))
         pht.store(key, pattern(1, 2))
         assert pht.lookup(key) == pattern(1, 2)
-
-    def test_union_merge(self):
-        pht = PatternHistoryTable(num_blocks=32, num_entries=64, associativity=4, merge="union")
-        key = ("pc+off", 1, 0)
-        pht.store(key, pattern(0))
-        pht.store(key, pattern(3))
-        assert pht.lookup(key) == pattern(0, 3)
 
     def test_wrong_width_rejected(self):
         pht = PatternHistoryTable(num_blocks=32)
@@ -182,10 +171,9 @@ class NaivePHT:
     capacity.
     """
 
-    def __init__(self, num_sets, ways, union):
+    def __init__(self, num_sets, ways):
         self.sets = [[] for _ in range(num_sets or 1)]
         self.ways = ways if num_sets else None
-        self.union = union
         self.lookups = self.hits = self.stores = self.replacements = 0
 
     def _find(self, key):
@@ -216,8 +204,7 @@ class NaivePHT:
         self.stores += 1
         entries, position = self._find(key)
         if position is not None:
-            old = entries.pop(position)[1]
-            bits = bits | old if self.union else bits
+            entries.pop(position)
         elif self.ways is not None and len(entries) == self.ways:
             entries.pop(0)
             self.replacements += 1
@@ -239,18 +226,16 @@ _OP = st.tuples(
 
 
 class TestAgainstNaiveModel:
-    @pytest.mark.parametrize("merge", ["replace", "union"])
     @pytest.mark.parametrize("num_sets", [1, 4, None], ids=["one-set", "four-sets", "unbounded"])
     @settings(max_examples=100, deadline=None)
     @given(ops=st.lists(_OP, min_size=1, max_size=120))
-    def test_every_step_matches(self, num_sets, merge, ops):
+    def test_every_step_matches(self, num_sets, ops):
         table = PatternHistoryTable(
             num_blocks=16,
             num_entries=2 * num_sets if num_sets else None,
             associativity=2,
-            merge=merge,
         )
-        model = NaivePHT(num_sets=num_sets, ways=2, union=merge == "union")
+        model = NaivePHT(num_sets=num_sets, ways=2)
         for op, key, bits in ops:
             if op == "store":
                 actual = table.store(key, SpatialPattern(num_blocks=16, bits=bits))

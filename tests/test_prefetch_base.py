@@ -58,7 +58,7 @@ class TestPrefetcherResponse:
             (TrainerResponse, ("completed", "forced_evictions")),
             (AGTEvent, ("completed",)),
             (lambda: DirectoryEntry(0x40), ("sharers",)),
-            (CoherenceActions, ("invalidate_cpus", "downgrade_cpus")),
+            (CoherenceActions, ("invalidate_cpus",)),
             (lambda: SectorState(region=0, num_blocks=4), ("valid_bits",)),
             (ExecutionBreakdown, ("cycles",)),
             (lambda: DensityHistogram("L1", 2048), ("misses_by_bin",)),
@@ -71,14 +71,6 @@ class TestPrefetcherResponse:
         for name in containers:
             assert getattr(first, name) == getattr(second, name)
             assert getattr(first, name) is not getattr(second, name), name
-
-    def test_merge(self):
-        a = PrefetcherResponse(prefetches=[PrefetchRequest(0x1000)])
-        b = PrefetcherResponse(forced_evictions=[0x2000])
-        merged = a.merge(b)
-        assert len(merged.prefetches) == 1
-        assert merged.forced_evictions == [0x2000]
-        assert not merged.is_empty
 
 
 class TestNullPrefetcher:

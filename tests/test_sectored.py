@@ -81,15 +81,14 @@ class TestLogicalSectoredTagArray:
         tags = LogicalSectoredTagArray(
             capacity_bytes=64 * 1024, associativity=2, region_size=2048, block_size=64
         )
-        assert tags.num_sectors == 32
+        assert tags.num_sets * tags.associativity == 32
         assert tags.num_sets == 16
 
     def test_small_capacity_rounds_to_associativity(self):
         tags = LogicalSectoredTagArray(
             capacity_bytes=2048, associativity=2, region_size=2048, block_size=64
         )
-        assert tags.num_sectors >= 2
-        assert tags.num_sectors % 2 == 0
+        assert tags.num_sets * tags.associativity >= 2
 
     def test_blocks_per_sector(self):
         tags = LogicalSectoredTagArray(

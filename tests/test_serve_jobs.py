@@ -13,11 +13,7 @@ import pytest
 
 from repro.analysis.coverage import CoverageReport
 from repro.analysis.reporting import ResultTable
-from repro.experiments import common
-from repro.experiments import fig07_pht_storage as fig07
-from repro.experiments import fig09_training_storage as fig09
-from repro.experiments import fig10_region_size as fig10
-from repro.experiments import fig11_ghb as fig11
+from repro.figures import figure_module
 from repro.serve import jobs, protocol
 from repro.serve.protocol import BAD_REQUEST, ProtocolError
 from repro.simulation.breakdown import BreakdownCategory, ExecutionBreakdown
@@ -86,58 +82,39 @@ class TestNormalize:
         assert a == b
 
 
+class _Captured(Exception):
+    """Stops a figure's ``run()`` once it has handed its tasks to ``sweep_map``."""
+
+
 class TestDigestParity:
     """Service job identity == the sweep cache's task identity."""
 
-    def test_sweep_digest_matches_run_sweep_task(self, tmp_path):
-        cache = SweepResultCache(tmp_path)
-        spec = jobs.normalize(
-            {"verb": "sweep", "figure": "fig10", "item": "OLTP", "scale": 0.05, "num_cpus": 2}
-        )
-        served = jobs.digest_for(spec, cache)
-        # The exact task shape fig10.run() hands to run_sweep: item
-        # positional, figure defaults as kwargs.
-        direct = cache.fingerprint(
-            fig10.run_category,
-            ("OLTP",),
-            {"region_sizes": fig10.REGION_SIZES, "scale": 0.05, "num_cpus": 2},
-        )
-        assert served is not None
-        assert served == direct
-
-    def test_application_figure_digest_parity(self, tmp_path):
-        cache = SweepResultCache(tmp_path)
-        spec = jobs.normalize(
-            {"verb": "sweep", "figure": "fig11", "item": "web-apache", "scale": 0.1, "num_cpus": 2}
-        )
-        direct = cache.fingerprint(
-            fig11.run_application,
-            ("web-apache",),
-            {"configurations": fig11.CONFIGURATIONS, "scale": 0.1, "num_cpus": 2},
-        )
-        assert jobs.digest_for(spec, cache) == direct
-
-    @pytest.mark.parametrize("figure, module", [("fig07", fig07), ("fig09", fig09)])
-    def test_storage_sweep_digest_matches_the_task_run_builds(
-        self, tmp_path, monkeypatch, figure, module
+    @pytest.mark.parametrize("figure", sorted(jobs.SWEEPS))
+    def test_run_hands_sweep_map_the_tasks_the_sweep_verb_builds(
+        self, tmp_path, monkeypatch, figure
     ):
-        # Capture the call the CLI path makes — module.run() -> run_sweep —
-        # instead of restating its kwargs here, so a kwarg added to or
-        # dropped from one side only breaks the parity this test pins.
+        # Capture the call the CLI path makes — module.run() -> sweep_map —
+        # and require, item by item, the task the service resolves a sweep
+        # request to: the same (fn, args, kwargs) and the same digest.
+        module = figure_module(figure)
         calls = []
 
         def capture(fn, items, workers=None, cache=None, **fixed_kwargs):
             calls.append((fn, list(items), fixed_kwargs))
-            return []
+            raise _Captured
 
-        monkeypatch.setattr(common, "run_sweep", capture)
-        module.run(scale=0.1, num_cpus=2)
+        monkeypatch.setattr(module, "sweep_map", capture)
+        with pytest.raises(_Captured):
+            module.run(scale=0.1, num_cpus=2)
         (fn, items, fixed_kwargs), = calls
+        assert items == list(jobs.SWEEPS[figure].items)
         cache = SweepResultCache(tmp_path)
         for item in items:
             spec = jobs.normalize(
                 {"verb": "sweep", "figure": figure, "item": item, "scale": 0.1, "num_cpus": 2}
             )
+            job = jobs.job_for(spec)
+            assert (job.fn, job.args, job.kwargs) == (fn, (item,), fixed_kwargs)
             assert jobs.digest_for(spec, cache) == cache.fingerprint(fn, (item,), fixed_kwargs)
 
     def test_distinct_items_distinct_digests(self, tmp_path):
@@ -151,8 +128,8 @@ class TestDigestParity:
 
     def test_every_sweep_figure_has_a_stable_digest(self, tmp_path):
         cache = SweepResultCache(tmp_path)
-        for figure, entry in jobs.SWEEP_FIGURES.items():
-            item = entry.items()[0]
+        for figure, sweep in jobs.SWEEPS.items():
+            item = sweep.items[0]
             spec = jobs.normalize({"verb": "sweep", "figure": figure, "item": item})
             assert jobs.digest_for(spec, cache) is not None, figure
 
@@ -416,10 +393,6 @@ def test_cacheable_results_are_small(request_obj):
 
 
 class TestRegistries:
-    def test_sweep_items_match_domains(self):
-        assert jobs.SWEEP_FIGURES["fig10"].items() == tuple(common.CATEGORY_REPRESENTATIVE)
-        assert jobs.SWEEP_FIGURES["fig12"].items() == tuple(common.application_names())
-
     def test_pool_verbs_resolve_and_others_do_not(self):
         for request in (
             {"verb": "simulate", "workload": "oltp-db2"},

@@ -100,13 +100,6 @@ class TestConvenience:
 
 
 class TestExperimentAdoption:
-    def test_run_sweep_matches_direct_calls(self):
-        from repro.experiments import common
-
-        direct = [square(item, offset=2) for item in (1, 2, 3)]
-        swept = common.run_sweep(square, (1, 2, 3), offset=2)
-        assert swept == direct
-
     def test_runner_accepts_workers_argument(self):
         from repro.experiments import fig10_region_size
 

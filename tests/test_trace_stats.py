@@ -20,13 +20,11 @@ class TestSummarizeTrace:
         assert stats.total_accesses == 4
         assert stats.reads == 3
         assert stats.writes == 1
-        assert stats.user_accesses == 3
         assert stats.system_accesses == 1
 
     def test_unique_counts(self):
-        stats = summarize_trace(_trace(), block_size=64, region_size=2048)
+        stats = summarize_trace(_trace(), region_size=2048)
         assert stats.unique_pcs == 3
-        assert stats.unique_blocks == 4
         # 0x1000 and 0x1040 share a 2 kB region; 0x1800 and 0x9000 are distinct.
         assert stats.unique_regions == 3
 

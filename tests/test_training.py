@@ -17,7 +17,7 @@ class TestAGTTrainer:
     def test_trigger_and_completion(self, geometry):
         trainer = AGTTrainer(geometry)
         response = trainer.observe_access(0x400, REGION + 3 * 64)
-        assert response.is_trigger
+        assert response.trigger is not None
         assert response.trigger.offset == 3
         trainer.observe_access(0x404, REGION + 5 * 64)
         response = trainer.observe_removal(REGION + 3 * 64)
@@ -45,14 +45,14 @@ class TestLogicalSectoredTrainer:
     def test_trigger_on_new_sector(self, geometry):
         trainer = self.make(geometry)
         response = trainer.observe_access(0x400, REGION + 2 * 64)
-        assert response.is_trigger
+        assert response.trigger is not None
         assert response.trigger.offset == 2
 
     def test_no_trigger_on_existing_sector(self, geometry):
         trainer = self.make(geometry)
         trainer.observe_access(0x400, REGION)
         response = trainer.observe_access(0x404, REGION + 64)
-        assert not response.is_trigger
+        assert response.trigger is None
 
     def test_conflict_completes_victim_generation(self, geometry):
         # 4 sectors, 2-way -> 2 sets; regions spaced by 2 regions collide.
