@@ -13,6 +13,10 @@ import pytest
 
 from repro.analysis.coverage import CoverageReport
 from repro.analysis.reporting import ResultTable
+from repro.experiments import fig07_pht_storage as fig07
+from repro.experiments import fig09_training_storage as fig09
+from repro.experiments import fig10_region_size as fig10
+from repro.experiments import fig11_ghb as fig11
 from repro.figures import figure_module
 from repro.serve import jobs, protocol
 from repro.serve.protocol import BAD_REQUEST, ProtocolError
@@ -21,6 +25,7 @@ from repro.simulation.engine import engine_path_counts
 from repro.simulation.result_cache import SweepResultCache
 from repro.simulation.sampling import ConfidenceInterval
 from repro.workloads.base import SyntheticWorkload
+from repro.workloads.names import APPLICATION_NAMES, CATEGORY_REPRESENTATIVE
 
 
 class TestNormalize:
@@ -89,14 +94,11 @@ class _Captured(Exception):
 class TestDigestParity:
     """Service job identity == the sweep cache's task identity."""
 
-    @pytest.mark.parametrize("figure", sorted(jobs.SWEEPS))
-    def test_run_hands_sweep_map_the_tasks_the_sweep_verb_builds(
-        self, tmp_path, monkeypatch, figure
-    ):
+    @staticmethod
+    def _assert_run_hands_sweep_map_the_sweep_verb_tasks(tmp_path, monkeypatch, figure, module):
         # Capture the call the CLI path makes — module.run() -> sweep_map —
         # and require, item by item, the task the service resolves a sweep
         # request to: the same (fn, args, kwargs) and the same digest.
-        module = figure_module(figure)
         calls = []
 
         def capture(fn, items, workers=None, cache=None, **fixed_kwargs):
@@ -116,6 +118,52 @@ class TestDigestParity:
             job = jobs.job_for(spec)
             assert (job.fn, job.args, job.kwargs) == (fn, (item,), fixed_kwargs)
             assert jobs.digest_for(spec, cache) == cache.fingerprint(fn, (item,), fixed_kwargs)
+
+    @pytest.mark.parametrize("figure", sorted(jobs.SWEEPS))
+    def test_run_hands_sweep_map_the_tasks_the_sweep_verb_builds(
+        self, tmp_path, monkeypatch, figure
+    ):
+        self._assert_run_hands_sweep_map_the_sweep_verb_tasks(
+            tmp_path, monkeypatch, figure, figure_module(figure)
+        )
+
+    @pytest.mark.parametrize("figure, module", [("fig07", fig07), ("fig09", fig09)])
+    def test_storage_sweep_digest_matches_the_task_run_builds(
+        self, tmp_path, monkeypatch, figure, module
+    ):
+        # The storage figures sweep list-valued defaults (PHT / training
+        # sizes); the list objects themselves enter the digest.
+        self._assert_run_hands_sweep_map_the_sweep_verb_tasks(
+            tmp_path, monkeypatch, figure, module
+        )
+
+    def test_sweep_digest_matches_run_sweep_task(self, tmp_path):
+        cache = SweepResultCache(tmp_path)
+        spec = jobs.normalize(
+            {"verb": "sweep", "figure": "fig10", "item": "OLTP", "scale": 0.05, "num_cpus": 2}
+        )
+        served = jobs.digest_for(spec, cache)
+        # The exact task shape fig10.run() hands to sweep_map, written out
+        # here: item positional, figure defaults as kwargs.
+        direct = cache.fingerprint(
+            fig10.run_category,
+            ("OLTP",),
+            {"region_sizes": fig10.REGION_SIZES, "scale": 0.05, "num_cpus": 2},
+        )
+        assert served is not None
+        assert served == direct
+
+    def test_application_figure_digest_parity(self, tmp_path):
+        cache = SweepResultCache(tmp_path)
+        spec = jobs.normalize(
+            {"verb": "sweep", "figure": "fig11", "item": "web-apache", "scale": 0.1, "num_cpus": 2}
+        )
+        direct = cache.fingerprint(
+            fig11.run_application,
+            ("web-apache",),
+            {"configurations": fig11.CONFIGURATIONS, "scale": 0.1, "num_cpus": 2},
+        )
+        assert jobs.digest_for(spec, cache) == direct
 
     def test_distinct_items_distinct_digests(self, tmp_path):
         cache = SweepResultCache(tmp_path)
@@ -393,6 +441,10 @@ def test_cacheable_results_are_small(request_obj):
 
 
 class TestRegistries:
+    def test_sweep_items_match_domains(self):
+        assert jobs.SWEEPS["fig10"].items == tuple(CATEGORY_REPRESENTATIVE)
+        assert jobs.SWEEPS["fig12"].items == tuple(APPLICATION_NAMES)
+
     def test_pool_verbs_resolve_and_others_do_not(self):
         for request in (
             {"verb": "simulate", "workload": "oltp-db2"},
