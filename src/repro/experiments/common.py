@@ -172,18 +172,10 @@ def _load_or_generate(
     obs.note_cache_op("trace", "miss")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        # A code change re-fingerprints every entry, so siblings for the same
-        # (workload, cpus, accesses, seed) under an old fingerprint are
-        # permanently unreachable — prune them instead of hoarding them.
-        prefix = path.name.rsplit("-", 1)[0]
-        for stale in path.parent.glob(f"{prefix}-*.strc"):
-            if stale.name != path.name:
-                try:
-                    stale.unlink()
-                except OSError:
-                    pass
-        # Concurrent sweep workers filling the same entry can never expose a
-        # half-written trace.
+        # Entries under other code fingerprints stay: another checkout sharing
+        # this directory may still read them (``repro.cli cache prune``
+        # removes them).  Concurrent sweep workers filling the same entry can
+        # never expose a half-written trace.
         atomic_store(path, lambda staging: write_trace_binary(staging, generated, compress=False))
     except OSError as exc:
         obs.note_cache_op("trace", "error")

@@ -1,11 +1,12 @@
 """Production observability: metrics registry, spans, and the HTTP gateway.
 
-``repro.obs`` is the cross-cutting instrumentation layer.  Every other
-subsystem records into one process-wide registry (counters, gauges,
-fixed-bucket latency histograms — see :mod:`repro.obs.registry`), and the
-asyncio HTTP gateway (:mod:`repro.obs.gateway`, ``repro.cli serve --http
-PORT``) exposes it as ``GET /metrics`` in both the Prometheus text format
-and JSON, next to ``/healthz`` and ``/status``.
+``repro.obs`` is the cross-cutting instrumentation layer.  The serve
+front-end, the caches and the engine record into one process-wide registry
+(counters and fixed-bucket latency histograms — see
+:mod:`repro.obs.registry`), and the asyncio HTTP gateway
+(:mod:`repro.obs.gateway`, ``repro.cli serve --http PORT``) exposes it as
+``GET /metrics`` in both the Prometheus text format and JSON, next to
+``/healthz`` and ``/status``.
 
 Quick use::
 
@@ -19,6 +20,19 @@ Quick use::
     REQUESTS.labels("simulate").inc()
     LATENCY.labels("simulate").observe(elapsed)  # a time.perf_counter() interval
 
+One home per number
+-------------------
+
+A family exists only when it answers a question no other output answers —
+which engine path ran, where the time went by layer, which cache answered
+— and the signal census in ``tests/test_devtools_lint.py`` lists each one
+with its reader.  A number that already lives elsewhere is read there:
+in-flight depth, outcome tallies and pool occupancy in the ``status``
+reply (``GET /status``), pool lifecycle tallies in ``WorkerPool.stats()``,
+sweep outcomes on the ``sweep.run`` span, pruned entries in
+``prune_cache``'s return value.  So the registry has no gauges and nothing
+copies numbers into it at scrape time.
+
 Metric naming convention
 ------------------------
 
@@ -27,23 +41,20 @@ All metric names are ``repro_<subsystem>_<noun>[_<unit>]`` in
 
 * the ``repro_`` prefix namespaces the package in any shared scrape;
 * ``<subsystem>`` is the owning module family: ``serve``, ``cache``,
-  ``sweep``, ``engine``, ``span``;
+  ``engine``, ``span``;
 * counters end in ``_total`` and only ever go up;
 * anything holding a duration ends in ``_seconds`` (histograms observe
   :func:`time.perf_counter` intervals — never wall-clock deltas, which is
   source rule ``OBS001`` in ``tests/source_rules.py``);
-* gauges carry no unit suffix and report a current level (``
-  repro_serve_inflight``), refreshed by a *collector* at scrape time;
-* bounded enumerations ride in labels (``verb=``, ``outcome=``,
-  ``cache=``, ``op=``, ``path=``), never in the metric name, and label
-  values must be from a small fixed set — unbounded values trip the
-  per-family cardinality cap and collapse into ``_other``.
+* bounded enumerations ride in labels (``verb=``, ``cache=``, ``op=``,
+  ``path=``, ``span=``), never in the metric name, and label values must be
+  from a small fixed set — unbounded values trip the per-family
+  cardinality cap and collapse into ``_other``.
 
 The registry is per process.  Forked sweep/serve workers inherit a copy
 at fork time and count into it privately; the numbers served by the
-gateway are the front-end process's own (pool-wide execution tallies
-reach it through ``WorkerPool.stats()`` mirroring, not through shared
-memory).
+gateway are the front-end process's own (the engine-path census rides
+back with every worker job, see :mod:`repro.simulation.census`).
 
 The layer is always on.  Its cost on the engine is bounded by count, not by
 a timing ratio: a run resolves the same number of metric families and writes
@@ -59,29 +70,19 @@ two layers always agree.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.obs import trace
-from repro.obs.registry import (
-    DEFAULT_LATENCY_BUCKETS,
-    DEFAULT_MAX_LABEL_SETS,
-    OVERFLOW_LABEL,
-    MetricFamily,
-    Registry,
-)
+from repro.obs.registry import OVERFLOW_LABEL, MetricFamily, Registry
 
 __all__ = [
-    "DEFAULT_LATENCY_BUCKETS",
-    "DEFAULT_MAX_LABEL_SETS",
     "OVERFLOW_LABEL",
     "MetricFamily",
     "Registry",
     "trace",
     "counter",
-    "gauge",
     "histogram",
     "note_cache_op",
-    "add_collector",
     "get_registry",
     "install_registry",
     "render_prometheus",
@@ -110,21 +111,12 @@ def install_registry(registry: Registry) -> Registry:
     return previous
 
 
-def counter(name: str, help_text: str = "", labels: Sequence[str] = (),
-            max_label_sets: int = DEFAULT_MAX_LABEL_SETS) -> MetricFamily:
-    return _active.counter(name, help_text, labels, max_label_sets=max_label_sets)
+def counter(name: str, help_text: str = "", labels: Sequence[str] = ()) -> MetricFamily:
+    return _active.counter(name, help_text, labels)
 
 
-def gauge(name: str, help_text: str = "", labels: Sequence[str] = (),
-          max_label_sets: int = DEFAULT_MAX_LABEL_SETS) -> MetricFamily:
-    return _active.gauge(name, help_text, labels, max_label_sets=max_label_sets)
-
-
-def histogram(name: str, help_text: str = "", labels: Sequence[str] = (),
-              buckets: Optional[Sequence[float]] = None,
-              max_label_sets: int = DEFAULT_MAX_LABEL_SETS) -> MetricFamily:
-    return _active.histogram(name, help_text, labels, buckets=buckets,
-                             max_label_sets=max_label_sets)
+def histogram(name: str, help_text: str = "", labels: Sequence[str] = ()) -> MetricFamily:
+    return _active.histogram(name, help_text, labels)
 
 
 def _observe_span_seconds(name: str, seconds: float) -> None:
@@ -139,34 +131,21 @@ trace._install_metrics_hook(_observe_span_seconds)
 
 
 def note_cache_op(cache: str, *ops: str) -> None:
-    """Count cache operations and refresh the derived hit-ratio gauge.
+    """Count cache operations: which cache answered, and how.
 
     ``cache`` is the cache kind (``"sweep"``, ``"trace"``); each ``op`` is
-    one of ``hit``/``miss``/``store``/``skip``/``error``/``quarantine``/
-    ``prune``.  The ``repro_cache_hit_ratio`` gauge is recomputed from the
-    process-wide hit/miss tallies whenever a lookup outcome lands, so the
-    ratio is always consistent with the counters it derives from.
+    one of ``hit``/``miss``/``store``/``skip``/``error``/``quarantine``.
+    A hit ratio is derived by the reader from the ``hit`` and ``miss``
+    samples.
     """
     family = _active.counter(
         "repro_cache_ops_total",
         "Cache operations by cache kind and op "
-        "(hit/miss/store/skip/error/quarantine/prune).",
+        "(hit/miss/store/skip/error/quarantine).",
         labels=("cache", "op"),
     )
     for op in ops:
         family.labels(cache, op).inc()
-    hits = family.labels(cache, "hit").value
-    lookups = hits + family.labels(cache, "miss").value
-    if lookups:
-        _active.gauge(
-            "repro_cache_hit_ratio",
-            "Derived hits / (hits + misses), per cache kind.",
-            labels=("cache",),
-        ).labels(cache).set(round(hits / lookups, 6))
-
-
-def add_collector(collector) -> None:
-    _active.add_collector(collector)
 
 
 def render_prometheus() -> str:

@@ -208,7 +208,6 @@ class MetricsGateway:
                 return _json_reply(200, {
                     "status": "ok",
                     "uptime_seconds": round(time.monotonic() - self._started_at, 3),
-                    "metrics_enabled": True,
                 })
             if path == "/status":
                 if self.status_provider is None:

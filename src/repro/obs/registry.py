@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges, fixed-bucket histograms.
+"""Process-wide metrics registry: counters and fixed-bucket histograms.
 
 The registry is deliberately small and allocation-shy.  A metric *family*
 is created once (``registry.counter(name, help, labels=(...))`` is
@@ -6,18 +6,25 @@ idempotent); each distinct label-value tuple materializes one *child*
 holding the actual numbers.  Observations on a child are O(1) dict/array
 operations under a per-child lock — no string formatting, no allocation —
 so instrumented code can observe on warm paths and batch-flush from hot
-ones (the engine flushes once per run, mirroring its per-chunk stat
-tallies).
+ones (the engine flushes once per run).
+
+It holds only numbers that have no other home: every family answers one of
+the questions in the signal census
+(``tests/test_devtools_lint.py::TestPackageIsClean``) — which engine path
+ran, where the time went by layer, which cache answered.  Numbers that
+already live somewhere else (the ``status`` reply, ``WorkerPool.stats()``,
+a span attribute, a command's return value) are not copied in, so there
+are no gauges and no scrape-time collectors.
 
 Children should be bound once and reused (``hist = H.labels("simulate")``)
 on busy paths; ``labels()`` itself is a single dict lookup, so per-event
 resolution is acceptable everywhere that is not a per-record loop.
 
-Label cardinality is capped per family (``max_label_sets``, default
-64).  Beyond the cap, observations collapse into a
-shared overflow child whose every label value is ``"_other"`` — data is
-aggregated, never silently dropped — and the family counts the collapsed
-label sets (``dropped_label_sets`` in the JSON rendering).
+Label cardinality is capped per family (:data:`MAX_LABEL_SETS`).  Beyond
+the cap, observations collapse into a shared overflow child whose every
+label value is ``"_other"`` — data is aggregated, never silently dropped —
+and the family counts the collapsed label sets (``dropped_label_sets`` in
+the JSON rendering).
 
 The registry reads no clock — callers observe :func:`time.perf_counter`
 intervals (:func:`repro.obs.trace.span` is the timing primitive), never
@@ -29,30 +36,30 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 __all__ = [
-    "DEFAULT_LATENCY_BUCKETS",
-    "DEFAULT_MAX_LABEL_SETS",
+    "LATENCY_BUCKETS",
+    "MAX_LABEL_SETS",
     "OVERFLOW_LABEL",
     "Registry",
     "MetricFamily",
 ]
 
-#: Histogram bucket upper bounds (seconds) used when none are given:
-#: request latencies from 1 ms to 1 min, plus the implicit +Inf bucket.
-DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
+#: Histogram bucket upper bounds (seconds): request latencies from 1 ms to
+#: 1 min, plus the implicit +Inf bucket.
+LATENCY_BUCKETS: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
 )
 
-#: Default cap on distinct label-value tuples per family.
-DEFAULT_MAX_LABEL_SETS = 64
+#: Cap on distinct label-value tuples per family.
+MAX_LABEL_SETS = 64
 
 #: Label value every overflow child carries once the cap is hit.
 OVERFLOW_LABEL = "_other"
 
-_KINDS = ("counter", "gauge", "histogram")
+_KINDS = ("counter", "histogram")
 
 
 def _escape_help(text: str) -> str:
@@ -73,72 +80,35 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-_Signature = Tuple[str, Tuple[str, ...], Optional[Tuple[float, ...]]]
+_Signature = Tuple[str, Tuple[str, ...]]
 
 
-def _signature(
-    kind: str, labels: Sequence[str], buckets: Optional[Sequence[float]]
-) -> _Signature:
-    """The ``(kind, label names, bucket bounds)`` identity of a family.
-
-    Two registrations of one name must agree on it; it carries the
-    validation that belongs to those three (unknown kind, empty or
-    non-histogram buckets), so a re-registration is checked without
-    building a family.
-    """
+def _signature(kind: str, labels: Sequence[str]) -> _Signature:
+    """The ``(kind, label names)`` identity of a family: two registrations
+    of one name must agree on it."""
     if kind not in _KINDS:
         raise ValueError(f"unknown metric kind {kind!r}")
-    label_names = tuple(str(label) for label in labels)
-    if kind != "histogram":
-        if buckets is not None:
-            raise ValueError(f"{kind} metrics do not take buckets")
-        return (kind, label_names, None)
-    if buckets is None:
-        return (kind, label_names, DEFAULT_LATENCY_BUCKETS)
-    bounds = tuple(sorted(buckets))
-    if not bounds:
-        raise ValueError("histogram needs at least one bucket bound")
-    return (kind, label_names, bounds)
+    return (kind, tuple(str(label) for label in labels))
 
 
 class _Child:
-    """One labeled time series.  The same class backs all three kinds;
-    the family constrains which mutators its kind sanctions."""
+    """One labeled time series.  The same class backs both kinds; the
+    family's kind decides whether it is incremented or observed."""
 
-    __slots__ = ("_lock", "_value", "_bounds", "_counts", "_sum", "_count")
+    __slots__ = ("_lock", "_value", "_counts", "_sum", "_count")
 
-    def __init__(self, bounds: Optional[Tuple[float, ...]] = None) -> None:
+    def __init__(self, histogram: bool) -> None:
         self._lock = threading.Lock()
         self._value = 0
-        self._bounds = bounds
-        if bounds is not None:
-            self._counts = [0] * (len(bounds) + 1)
+        if histogram:
+            self._counts = [0] * (len(LATENCY_BUCKETS) + 1)
             self._sum = 0.0
             self._count = 0
 
-    # -- counter / gauge ------------------------------------------------ #
+    # -- counter -------------------------------------------------------- #
     def inc(self, amount: float = 1) -> None:
         with self._lock:
             self._value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        with self._lock:
-            self._value -= amount
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
-
-    def sync_to(self, value: float) -> None:
-        """Advance a mirrored counter to an externally maintained tally.
-
-        For collectors that mirror pre-existing monotonic counts (the
-        serve pool's crash/respawn tallies) without double-counting:
-        the value only ever moves forward.
-        """
-        with self._lock:
-            if value > self._value:
-                self._value = value
 
     @property
     def value(self) -> float:
@@ -146,7 +116,7 @@ class _Child:
 
     # -- histogram ------------------------------------------------------ #
     def observe(self, value: float) -> None:
-        index = bisect_left(self._bounds, value)
+        index = bisect_left(LATENCY_BUCKETS, value)
         with self._lock:
             self._counts[index] += 1
             self._sum += value
@@ -167,7 +137,7 @@ class _Child:
             acc = self._sum
         buckets: Dict[str, int] = {}
         cumulative = 0
-        for bound, bucket_count in zip(self._bounds, counts):
+        for bound, bucket_count in zip(LATENCY_BUCKETS, counts):
             cumulative += bucket_count
             buckets[_format_value(bound)] = cumulative
         buckets["+Inf"] = total
@@ -177,33 +147,22 @@ class _Child:
 class MetricFamily:
     """One named metric plus its labeled children."""
 
-    __slots__ = (
-        "name", "kind", "help", "label_names", "max_label_sets",
-        "_buckets", "_children", "_lock", "dropped_label_sets",
-    )
+    __slots__ = ("name", "kind", "help", "label_names", "_children", "_lock",
+                 "dropped_label_sets")
 
     def __init__(
-        self,
-        name: str,
-        kind: str,
-        help_text: str,
-        label_names: Sequence[str] = (),
-        buckets: Optional[Sequence[float]] = None,
-        max_label_sets: int = DEFAULT_MAX_LABEL_SETS,
+        self, name: str, kind: str, help_text: str, label_names: Sequence[str] = (),
     ) -> None:
-        self.kind, self.label_names, self._buckets = _signature(kind, label_names, buckets)
-        if max_label_sets < 1:
-            raise ValueError("max_label_sets must be positive")
+        self.kind, self.label_names = _signature(kind, label_names)
         self.name = name
         self.help = help_text
-        self.max_label_sets = max_label_sets
         self._children: Dict[Tuple[str, ...], _Child] = {}
         self._lock = threading.Lock()
         self.dropped_label_sets = 0
 
     # ------------------------------------------------------------------ #
     def signature(self) -> _Signature:
-        return (self.kind, self.label_names, self._buckets)
+        return (self.kind, self.label_names)
 
     def labels(self, *values: Any) -> _Child:
         """The child for one label-value tuple (created on first use)."""
@@ -220,10 +179,10 @@ class MetricFamily:
             child = self._children.get(key)
             if child is not None:
                 return child
-            if len(self._children) >= self.max_label_sets and key != self._overflow_key():
+            if len(self._children) >= MAX_LABEL_SETS and key != self._overflow_key():
                 self.dropped_label_sets += 1
                 return self._overflow_child()
-            child = _Child(self._buckets)
+            child = _Child(self.kind == "histogram")
             self._children[key] = child
             return child
 
@@ -235,22 +194,13 @@ class MetricFamily:
         key = self._overflow_key()
         child = self._children.get(key)
         if child is None:
-            child = _Child(self._buckets)
+            child = _Child(self.kind == "histogram")
             self._children[key] = child
         return child
 
     # Convenience passthroughs for unlabeled families. ------------------ #
     def inc(self, amount: float = 1) -> None:
         self.labels().inc(amount)
-
-    def dec(self, amount: float = 1) -> None:
-        self.labels().dec(amount)
-
-    def set(self, value: float) -> None:
-        self.labels().set(value)
-
-    def sync_to(self, value: float) -> None:
-        self.labels().sync_to(value)
 
     def observe(self, value: float) -> None:
         self.labels().observe(value)
@@ -266,42 +216,28 @@ class MetricFamily:
 
 
 class Registry:
-    """A set of metric families plus collect-time hooks.
+    """A set of metric families.
 
-    ``counter``/``gauge``/``histogram`` are idempotent per name — calling
-    twice with an identical signature returns the same family; a
-    conflicting re-registration raises.  *Collectors* are zero-argument
-    callables invoked just before every rendering, the hook gauges whose
-    truth lives elsewhere (in-flight depth, pool occupancy, derived hit
-    ratios) use to refresh themselves.
+    ``counter``/``histogram`` are idempotent per name — calling twice with
+    an identical signature returns the same family; a conflicting
+    re-registration raises.
     """
 
     def __init__(self) -> None:
         self._families: Dict[str, MetricFamily] = {}
-        self._collectors: List[Callable[[], None]] = []
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     def _family(
-        self,
-        name: str,
-        kind: str,
-        help_text: str,
-        labels: Sequence[str],
-        buckets: Optional[Sequence[float]] = None,
-        max_label_sets: int = DEFAULT_MAX_LABEL_SETS,
+        self, name: str, kind: str, help_text: str, labels: Sequence[str],
     ) -> MetricFamily:
         # Resolving a name that exists is a validation and a lookup: it runs
         # on every cache op and finished span, so it builds no family.
-        signature = _signature(kind, labels, buckets)
-        if max_label_sets < 1:
-            raise ValueError("max_label_sets must be positive")
+        signature = _signature(kind, labels)
         with self._lock:
             existing = self._families.get(name)
             if existing is None:
-                existing = self._families[name] = MetricFamily(
-                    name, kind, help_text, labels, buckets, max_label_sets
-                )
+                existing = self._families[name] = MetricFamily(name, kind, help_text, labels)
             elif existing.signature() != signature:
                 raise ValueError(
                     f"metric {name!r} re-registered with a different "
@@ -311,39 +247,14 @@ class Registry:
 
     def counter(
         self, name: str, help_text: str = "", labels: Sequence[str] = (),
-        max_label_sets: int = DEFAULT_MAX_LABEL_SETS,
     ) -> MetricFamily:
-        return self._family(name, "counter", help_text, labels,
-                            max_label_sets=max_label_sets)
-
-    def gauge(
-        self, name: str, help_text: str = "", labels: Sequence[str] = (),
-        max_label_sets: int = DEFAULT_MAX_LABEL_SETS,
-    ) -> MetricFamily:
-        return self._family(name, "gauge", help_text, labels,
-                            max_label_sets=max_label_sets)
+        return self._family(name, "counter", help_text, labels)
 
     def histogram(
         self, name: str, help_text: str = "", labels: Sequence[str] = (),
-        buckets: Optional[Sequence[float]] = None,
-        max_label_sets: int = DEFAULT_MAX_LABEL_SETS,
     ) -> MetricFamily:
-        return self._family(name, "histogram", help_text, labels,
-                            buckets=buckets, max_label_sets=max_label_sets)
-
-    # ------------------------------------------------------------------ #
-    def add_collector(self, collector: Callable[[], None]) -> None:
-        with self._lock:
-            self._collectors.append(collector)
-
-    def _collect(self) -> None:
-        with self._lock:
-            collectors = list(self._collectors)
-        for collector in collectors:
-            try:
-                collector()
-            except Exception:  # repro: ignore[EXC001] -- one broken collector must not take /metrics down with it
-                continue
+        """A histogram over :data:`LATENCY_BUCKETS`."""
+        return self._family(name, "histogram", help_text, labels)
 
     # ------------------------------------------------------------------ #
     def families(self) -> List[MetricFamily]:
@@ -352,7 +263,6 @@ class Registry:
 
     def render_prometheus(self) -> str:
         """The registry in the Prometheus text exposition format (0.0.4)."""
-        self._collect()
         lines: List[str] = []
         for family in self.families():
             if family.help:
@@ -377,7 +287,6 @@ class Registry:
 
     def render_json(self) -> Dict[str, Any]:
         """The registry as one JSON-serializable dict (stable ordering)."""
-        self._collect()
         metrics: Dict[str, Any] = {}
         for family in self.families():
             samples = []

@@ -32,7 +32,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple
 
-from repro import _env, faults, obs
+from repro import _env, faults
 from repro.obs import trace
 from repro.serve.protocol import (
     JOB_FAILED,
@@ -332,10 +332,6 @@ class WorkerPool:
             if self._closed:
                 return
             self._spawn(handle.index)
-        obs.counter(
-            "repro_serve_pool_respawns_total",
-            "Workers respawned after a crash, kill, or idle death.",
-        ).inc()
 
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, Any]:

@@ -134,8 +134,7 @@ class SimulationServer:
         self._engine_before = engine_path_counts()
         # Observability: the per-verb families are bound now (against the
         # registry active at construction) so every request costs two O(1)
-        # child lookups; level gauges are refreshed by a scrape-time
-        # collector instead of on every request.
+        # child lookups.  Levels and outcome tallies live in ``status()``.
         self.gateway: Optional[MetricsGateway] = (
             MetricsGateway(host=http_host, port=http_port, status_provider=self.status)
             if http_port is not None
@@ -151,12 +150,6 @@ class SimulationServer:
             "Request service latency from receipt to reply-ready, by verb.",
             labels=("verb",),
         )
-        self._m_outcomes = obs.counter(
-            "repro_serve_outcomes_total",
-            "Request outcomes, mirroring the status-verb counters.",
-            labels=("outcome",),
-        )
-        self._collector_registered = False
 
     # ------------------------------------------------------------------ #
     @property
@@ -190,9 +183,6 @@ class SimulationServer:
                 self.port = sockets[0].getsockname()[1]
         if self.gateway is not None:
             await self.gateway.start()
-        if not self._collector_registered:
-            obs.add_collector(self._refresh_gauges)
-            self._collector_registered = True
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -458,9 +448,6 @@ class SimulationServer:
 
     # ------------------------------------------------------------------ #
     def status(self) -> Dict[str, Any]:
-        pool_stats = self.pool.stats()
-        workers = pool_stats.get("workers")
-        idle = pool_stats.get("idle_workers")
         cache_stats = self.cache.stats.as_dict()
         lookups = cache_stats["hits"] + cache_stats["misses"]
         cache_stats["hit_ratio"] = (
@@ -480,55 +467,9 @@ class SimulationServer:
             # Engine runs by path, as the pool workers reported them with
             # each job: how many took the lane loop, how many fell back, why.
             "engine": engine_path_counts(since=self._engine_before),
-            "pool": pool_stats,
-            "pool_depth": {
-                "workers": workers,
-                "idle": idle,
-                "busy": (workers - idle)
-                if isinstance(workers, int) and isinstance(idle, int)
-                else None,
-                "inflight": len(self._inflight),
-                "max_queue": self.max_queue,
-            },
+            "pool": self.pool.stats(),
             "http": self.gateway.address if self.gateway is not None else None,
         }
-
-    def _refresh_gauges(self) -> None:
-        """Scrape-time collector: copy level/state numbers into the registry.
-
-        Counters maintained elsewhere (the pool's tallies, the status-verb
-        counters dict) are mirrored with ``sync_to`` so they stay monotonic
-        and are never double-counted.
-        """
-        obs.gauge("repro_serve_inflight", "Distinct jobs in flight.").set(
-            len(self._inflight)
-        )
-        obs.gauge("repro_serve_max_queue", "In-flight bound before 429s.").set(
-            self.max_queue
-        )
-        obs.gauge(
-            "repro_serve_quarantined_jobs", "Digests quarantined as poison tasks."
-        ).set(len(self._quarantined))
-        for outcome, value in self.counters.items():
-            self._m_outcomes.labels(outcome).sync_to(value)
-        pool_stats = self.pool.stats()
-        workers = pool_stats.get("workers")
-        if isinstance(workers, int):
-            obs.gauge("repro_serve_pool_workers", "Configured pool size.").set(workers)
-        idle = pool_stats.get("idle_workers")
-        if isinstance(idle, int):
-            obs.gauge(
-                "repro_serve_pool_idle_workers", "Workers parked on the idle queue."
-            ).set(idle)
-        pool_counters = obs.counter(
-            "repro_serve_pool_events_total",
-            "Pool lifecycle tallies mirrored from WorkerPool.stats().",
-            labels=("event",),
-        )
-        for event in ("executed", "failures", "crashes", "timeouts", "idle_respawns"):
-            value = pool_stats.get(event)
-            if isinstance(value, int):
-                pool_counters.labels(event).sync_to(value)
 
     def cache_stats(self) -> Dict[str, Any]:
         from repro.simulation.result_cache import cache_overview

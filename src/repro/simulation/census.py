@@ -7,8 +7,11 @@ costs no engine import.
 
 The tallies are plain ints, not a registry read: a sweep or serve worker's
 registry dies with the worker, so its runs come back as a dict and are
-absorbed here.  They are mirrored into ``repro_engine_runs_total`` for the
-metrics gateway.
+absorbed here.  Each absorbed run also counts into
+``repro_engine_runs_total{path}``, the one engine family of the metrics
+registry: it answers "which engine path ran?" for a scrape of the gateway
+and for the benchmark's ``engine.runs_*`` probes, which read it through
+``obs.render_json()``.
 """
 
 from __future__ import annotations

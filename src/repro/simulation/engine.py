@@ -38,7 +38,7 @@ from __future__ import annotations
 import weakref
 from typing import Callable, Dict, Iterable, List, Optional, Set
 
-from repro import _env, obs
+from repro import _env
 from repro.obs import trace as obs_trace
 from repro.coherence.directory import MODIFIED, sharer_bit
 from repro.coherence.false_sharing import MissClassification
@@ -118,22 +118,6 @@ class _TelemetryProbe:
             "l1_overprediction_rate": round(result.l1_overprediction_rate(), 6),
             "pht_occupancy": occupancy,
         })
-
-
-def _flush_engine_metrics(path: str, records: int) -> None:
-    """One batched census + metrics flush per engine run.
-
-    Called after the chunk loop — mirroring the per-chunk stat tallies,
-    nothing observable happens per record — so the lane loop pays a
-    handful of dict operations per *run* for its instrumentation.
-    """
-    absorb_engine_path_counts({path: 1})
-    if records:
-        obs.counter(
-            "repro_engine_records_total",
-            "Trace records simulated (warmup + measurement), by path.",
-            labels=("path",),
-        ).labels(path).inc(records)
 
 
 #: A factory building the prefetcher for one CPU.
@@ -666,7 +650,9 @@ class SimulationEngine:
             if probe is not None:
                 probe.note(simulated - warmup_count)
 
-        _flush_engine_metrics(engine_path, simulated)
+        # One census update per run, after the chunk loop: nothing observable
+        # happens per record.
+        absorb_engine_path_counts({engine_path: 1})
         if not self._measuring:
             # The stream ended inside the warmup phase (overestimated length
             # hint, or warmup_accesses/limit beyond the trace).  Reset so the

@@ -466,13 +466,6 @@ def prune_cache(directory: Optional[Union[str, Path]] = None) -> dict:
             if path.is_file():
                 removed["quarantined"] += _unlink(path)
     removed["temp_files"] = remove_temp_files(root)
-    pruned = obs.counter(
-        "repro_cache_pruned_total",
-        "Cache entries removed by prune, per cache kind.",
-        labels=("cache",),
-    )
-    pruned.labels("sweep").inc(removed["sweep_entries"])
-    pruned.labels("trace").inc(removed["trace_entries"])
     return removed
 
 

@@ -40,7 +40,7 @@ from typing import (
     Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
 )
 
-from repro import faults, obs
+from repro import faults
 from repro.obs import trace
 from repro.simulation.result_cache import SweepResultCache, default_cache, remove_temp_files
 
@@ -170,7 +170,6 @@ class SweepRunner:
         # worker it nests under the worker's span.
         with trace.span("sweep.run", {"total": len(tasks)}) as sweep_span:
             if not tasks:
-                _note_report(report)
                 return []
             cache = self.cache
             results: List[Any] = [None] * len(tasks)
@@ -206,9 +205,7 @@ class SweepRunner:
                         cache.directory if cache is not None else None,
                         pids={os.getpid()},
                     )
-                    _note_report(report)
                     raise
-            _note_report(report)
             for outcome in ("cached", "executed", "failed", "retries"):
                 sweep_span.set(outcome, report[outcome])
             return results
@@ -393,24 +390,3 @@ def _count_failure(report: Dict[str, int], attempts: int) -> None:
     """Account for a point that exhausted its retries (the caller raises)."""
     report["failed"] += 1
     report["retries"] += max(0, attempts - 1)
-
-
-def _note_report(report: Dict[str, int]) -> None:
-    # One batched flush per sweep into the process metrics registry: the
-    # per-point tallies already live in ``report``, so no counter is
-    # touched inside the sweep loop itself.
-    points = obs.counter(
-        "repro_sweep_points_total",
-        "Sweep points by outcome (cached answered from disk; executed ran fresh).",
-        labels=("outcome",),
-    )
-    for outcome in ("cached", "executed", "failed"):
-        count = report.get(outcome, 0)
-        if count:
-            points.labels(outcome).inc(count)
-    retries = report.get("retries", 0)
-    if retries:
-        obs.counter(
-            "repro_sweep_retries_total", "Per-point retry attempts across sweeps."
-        ).inc(retries)
-    obs.counter("repro_sweep_runs_total", "Completed SweepRunner.run invocations.").inc()

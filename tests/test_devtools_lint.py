@@ -1136,6 +1136,63 @@ class TestCatalog:
         assert sorted(catalog) == sorted(RULES)
 
 
+#: The questions a signal may answer (the North star's observability aim).
+ENGINE_PATH = "which engine path did this run take?"
+LAYER_TIME = "where did the wall-clock go, by layer?"
+WHICH_CACHE = "which cache answered?"
+KNOB_COST = "what did that knob cost?"
+
+#: Who reads a signal, and the file that shows it.  ``trace-report`` renders
+#: every span of a trace file whatever its name, so it names no span.
+READERS = {
+    "trace-report": None,
+    "benchmarks/e2e/layers.py": "benchmarks/e2e/layers.py",
+    "CI scrape step": ".github/workflows/ci.yml",
+}
+
+#: Every metric family and span name src/repro creates: the question it
+#: answers and who reads it.  A number whose home is elsewhere (the status
+#: reply, ``WorkerPool.stats()``, a span attribute, a return value) gets no
+#: family of its own.
+SIGNALS = {
+    # metric families
+    "repro_engine_runs_total": (ENGINE_PATH, "benchmarks/e2e/layers.py"),
+    "repro_serve_requests_total": (LAYER_TIME, "CI scrape step"),
+    "repro_serve_request_seconds": (LAYER_TIME, "CI scrape step"),
+    "repro_span_seconds": (LAYER_TIME, "CI scrape step"),
+    "repro_cache_ops_total": (WHICH_CACHE, "CI scrape step"),
+    # spans
+    "client.request": (LAYER_TIME, "trace-report"),
+    "serve.request": (LAYER_TIME, "trace-report"),
+    "serve.execute": (LAYER_TIME, "trace-report"),
+    "worker.execute": (LAYER_TIME, "trace-report"),
+    "sweep.run": (LAYER_TIME, "trace-report"),
+    "sweep.point": (LAYER_TIME, "trace-report"),
+    "cache.get": (WHICH_CACHE, "trace-report"),
+    "cache.put": (LAYER_TIME, "trace-report"),
+    "engine.run": (ENGINE_PATH, "trace-report"),
+}
+
+
+def signal_names(package_dir):
+    """Every literal family name passed to ``<x>.counter`` / ``<x>.histogram``
+    / ``<x>.gauge`` and every literal span name passed to ``<x>.span`` under
+    ``package_dir``, plus the sites that pass a computed name."""
+    makers = {"counter", "histogram", "gauge", "span"}
+    names, computed = set(), []
+    for path in python_files(package_dir):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in makers and node.args):
+                continue
+            first = node.args[0]
+            if isinstance(first, ast.Constant) and isinstance(first.value, str):
+                names.add(first.value)
+            else:
+                computed.append(f"{path.relative_to(package_dir)}: {ast.unparse(first)}")
+    return names, computed
+
+
 # --------------------------------------------------------------------------- #
 # Meta: the package is clean, and injections are caught
 # --------------------------------------------------------------------------- #
@@ -1317,6 +1374,24 @@ class TestPackageIsClean:
         }
         assert sorted(unread - set(exempt)) == []
         assert set(exempt) <= unread, "exemption no longer needed"
+
+    def test_every_signal_answers_a_question(self):
+        # Signal census: a metric family or span that answers none of the
+        # four observability questions, or that nothing reads, is paid for on
+        # every update and read by no one.  A row for a signal that no longer
+        # exists fails too.
+        repo = Path(__file__).resolve().parent.parent
+        if not (repo / "benchmarks").is_dir():
+            pytest.skip("no benchmarks/ (installed-package run)")
+        names, computed = signal_names(PACKAGE_DIR)
+        # The only computed names are the obs package's own pass-throughs.
+        assert computed == ["obs/__init__.py: name"] * 2
+        assert sorted(names) == sorted(SIGNALS)
+        questions = {ENGINE_PATH, LAYER_TIME, WHICH_CACHE, KNOB_COST}
+        for name, (question, reader) in SIGNALS.items():
+            assert question in questions, name
+            where = READERS[reader]
+            assert where is None or name in (repo / where).read_text(), (name, reader)
 
     def test_slots_walked_by_jsonify_name_slotted_classes(self):
         # The census's jsonify listing must name real slotted classes, so a

@@ -4,6 +4,7 @@ import struct
 
 import pytest
 
+from repro import obs
 from repro.core import SpatialMemoryStreaming
 from repro.experiments import common
 from repro.experiments import tab01_config
@@ -116,17 +117,30 @@ class TestTraceDiskCache:
         # The regenerated entry replaced the damaged one and decodes cleanly.
         assert LaneTrace.from_file(path) == generated
 
-    def test_stale_fingerprint_entries_pruned(self, enabled_cache):
-        stale = enabled_cache / "traces" / "sparse-c2-a1250-s7-0123456789abcdef.strc"
-        stale.parent.mkdir(parents=True, exist_ok=True)
-        stale.write_bytes(b"old fingerprint leftovers")
-        # Same key under a different seed must survive the prune.
-        other = enabled_cache / "traces" / "sparse-c2-a1250-s70-0123456789abcdef.strc"
-        other.write_bytes(b"different key")
-        common.build_trace("sparse", num_cpus=2, scale=0.05, seed=7)
-        assert not stale.exists()
-        assert other.exists()
-        assert len(list((enabled_cache / "traces").glob("sparse-c2-a1250-s7-*.strc"))) == 1
+    def test_two_fingerprints_sharing_a_directory_both_hit(self, enabled_cache, monkeypatch):
+        """Two source trees (two code fingerprints) that share one cache
+        directory keep each other's traces: each finds its own on a second
+        build.  Only ``repro.cli cache prune`` removes stale entries."""
+
+        def build(fingerprint):
+            monkeypatch.setattr(common, "code_fingerprint", lambda: fingerprint * 64)
+            common._cached_trace.cache_clear()
+            common.build_trace("sparse", num_cpus=2, scale=0.05, seed=7)
+
+        previous = obs.install_registry(obs.Registry())
+        try:
+            for fingerprint in ("a", "b"):
+                build(fingerprint)
+            ops = obs.get_registry().counter("repro_cache_ops_total", labels=("cache", "op"))
+            assert ops.labels("trace", "miss").value == 2
+            for fingerprint in ("a", "b", "a"):
+                build(fingerprint)
+            assert ops.labels("trace", "hit").value == 3
+            assert ops.labels("trace", "miss").value == 2
+        finally:
+            obs.install_registry(previous)
+        names = sorted(p.name for p in (enabled_cache / "traces").glob("sparse-*.strc"))
+        assert names == [f"sparse-c2-a1250-s7-{c * 16}.strc" for c in "ab"]
 
     def test_key_includes_parameters(self, enabled_cache):
         common.build_trace("ocean", num_cpus=2, scale=0.05, seed=7)

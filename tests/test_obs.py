@@ -3,7 +3,7 @@
 The registry tests use private Registry instances; the end-to-end test
 installs a fresh registry, boots the ndjson service with the HTTP gateway
 attached, drives a real sweep through the Unix socket, and asserts the
-scraped ``/metrics`` document reflects it.
+scraped ``/metrics`` and ``/status`` documents reflect it.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ import pytest
 from repro import obs
 from repro._env import scoped_env
 from repro.obs.gateway import MetricsGateway
+from repro.obs import registry as registry_mod
 from repro.obs.registry import (
-    DEFAULT_LATENCY_BUCKETS,
+    LATENCY_BUCKETS,
     OVERFLOW_LABEL,
     MetricFamily,
     Registry,
@@ -31,7 +32,7 @@ from repro.serve import SimulationServer, WorkerPool
 from repro.simulation.result_cache import SweepResultCache
 
 # --------------------------------------------------------------------------- #
-# Counter / gauge semantics
+# Counter semantics
 # --------------------------------------------------------------------------- #
 class TestCountersAndGauges:
     def test_counter_increments(self):
@@ -50,22 +51,6 @@ class TestCountersAndGauges:
         c.inc(2)
         assert c.value == 3
 
-    def test_gauge_set_and_dec(self):
-        reg = Registry()
-        g = reg.gauge("t_depth")
-        g.set(7)
-        g.dec(2)
-        g.inc()
-        assert g.value == 6
-
-    def test_sync_to_is_monotonic(self):
-        reg = Registry()
-        c = reg.counter("t_total")
-        c.sync_to(5)
-        c.sync_to(3)  # an older snapshot must never rewind the mirror
-        c.sync_to(9)
-        assert c.value == 9
-
     def test_registration_is_idempotent(self):
         reg = Registry()
         first = reg.counter("t_total", "help", labels=("verb",))
@@ -76,31 +61,22 @@ class TestCountersAndGauges:
         reg = Registry()
         reg.counter("t_total", labels=("verb",))
         with pytest.raises(ValueError):
-            reg.gauge("t_total", labels=("verb",))
+            reg.histogram("t_total", labels=("verb",))
         with pytest.raises(ValueError):
             reg.counter("t_total", labels=("other",))
 
     @pytest.mark.parametrize(
         "reregister, message",
         [
-            (lambda reg: reg.gauge("t_seconds", labels=("verb",)),
-             r"different signature: \('histogram', \('verb',\), \(0\.001, .*\) "
-             r"vs \('gauge', \('verb',\), None\)"),
+            (lambda reg: reg.counter("t_seconds", labels=("verb",)),
+             r"different signature: \('histogram', \('verb',\)\) "
+             r"vs \('counter', \('verb',\)\)"),
             (lambda reg: reg.histogram("t_seconds", labels=("other",)),
-             r"different signature: .* vs \('histogram', \('other',\), \(0\.001, "),
-            (lambda reg: reg.histogram("t_seconds", labels=("verb",), buckets=(1.0, 0.5)),
-             r"different signature: .* vs \('histogram', \('verb',\), \(0\.5, 1\.0\)\)"),
-            (lambda reg: reg.histogram("t_seconds", labels=("verb",), buckets=()),
-             "histogram needs at least one bucket bound"),
-            (lambda reg: reg._family("t_seconds", "counter", "", ("verb",), buckets=(1.0,)),
-             "counter metrics do not take buckets"),
+             r"different signature: .* vs \('histogram', \('other',\)\)"),
             (lambda reg: reg._family("t_seconds", "summary", "", ("verb",)),
              "unknown metric kind 'summary'"),
-            (lambda reg: reg.histogram("t_seconds", labels=("verb",), max_label_sets=0),
-             "max_label_sets must be positive"),
         ],
-        ids=["kind", "label-names", "buckets", "empty-buckets", "buckets-on-a-counter",
-             "unknown-kind", "max-label-sets"],
+        ids=["kind", "label-names", "unknown-kind"],
     )
     def test_each_way_a_reregistration_can_be_wrong(self, reregister, message):
         reg = Registry()
@@ -108,13 +84,6 @@ class TestCountersAndGauges:
         with pytest.raises(ValueError, match=message):
             reregister(reg)
         assert reg.families() == [family]
-
-    def test_default_buckets_spelled_out_resolve_to_the_same_family(self):
-        reg = Registry()
-        first = reg.histogram("t_seconds", labels=("verb",))
-        assert reg.histogram(
-            "t_seconds", labels=("verb",), buckets=DEFAULT_LATENCY_BUCKETS
-        ) is first
 
     def test_wrong_label_arity_raises(self):
         reg = Registry()
@@ -129,23 +98,30 @@ class TestCountersAndGauges:
 class TestHistograms:
     def test_bucket_bounds_are_inclusive_upper(self):
         reg = Registry()
-        h = reg.histogram("t_seconds", buckets=(0.01, 0.1, 1.0))
+        h = reg.histogram("t_seconds")
         h.observe(0.01)   # lands in le=0.01 (inclusive)
-        h.observe(0.05)   # le=0.1
-        h.observe(2.0)    # +Inf only
+        h.observe(0.04)   # le=0.05
+        h.observe(90.0)   # +Inf only
         snap = h.labels().histogram_snapshot()
-        assert snap["buckets"] == {"0.01": 1, "0.1": 2, "1": 2, "+Inf": 3}
+        assert len(snap["buckets"]) == len(LATENCY_BUCKETS) + 1
+        assert snap["buckets"]["0.005"] == 0
+        assert snap["buckets"]["0.01"] == 1
+        assert snap["buckets"]["0.025"] == 1
+        assert snap["buckets"]["0.05"] == 2
+        assert snap["buckets"]["60"] == 2
+        assert snap["buckets"]["+Inf"] == 3
         assert snap["count"] == 3
-        assert snap["sum"] == pytest.approx(2.06)
+        assert snap["sum"] == pytest.approx(90.05)
 
 
 # --------------------------------------------------------------------------- #
 # Cardinality cap
 # --------------------------------------------------------------------------- #
 class TestCardinalityCap:
-    def test_overflow_collapses_into_other(self):
+    def test_overflow_collapses_into_other(self, monkeypatch):
+        monkeypatch.setattr(registry_mod, "MAX_LABEL_SETS", 2)
         reg = Registry()
-        c = reg.counter("t_total", labels=("key",), max_label_sets=2)
+        c = reg.counter("t_total", labels=("key",))
         c.labels("a").inc()
         c.labels("b").inc()
         c.labels("c").inc(5)  # over the cap: aggregated, not dropped
@@ -156,9 +132,10 @@ class TestCardinalityCap:
         rendered = reg.render_prometheus()
         assert 'key="_other"} 7' in rendered
 
-    def test_existing_children_unaffected_by_cap(self):
+    def test_existing_children_unaffected_by_cap(self, monkeypatch):
+        monkeypatch.setattr(registry_mod, "MAX_LABEL_SETS", 1)
         reg = Registry()
-        c = reg.counter("t_total", labels=("key",), max_label_sets=1)
+        c = reg.counter("t_total", labels=("key",))
         c.labels("a").inc()
         c.labels("b").inc()
         assert c.labels("a").value == 1  # still routable after the cap trips
@@ -190,7 +167,7 @@ class TestPrometheusRendering:
 
     def test_histogram_text_format(self):
         reg = Registry()
-        reg.histogram("t_seconds", "latency", buckets=(0.5, 1.0)).observe(0.7)
+        reg.histogram("t_seconds", "latency").observe(0.7)
         text = reg.render_prometheus()
         assert 't_seconds_bucket{le="0.5"} 0' in text
         assert 't_seconds_bucket{le="1"} 1' in text
@@ -207,17 +184,6 @@ class TestPrometheusRendering:
         assert family["samples"] == [{"labels": {"verb": "sweep"}, "value": 1}]
         json.dumps(payload)  # must be JSON-serializable as-is
 
-    def test_collector_runs_at_render_time(self):
-        reg = Registry()
-        depth = reg.gauge("t_depth")
-        reg.add_collector(lambda: depth.set(4))
-
-        def broken():
-            raise RuntimeError("one broken collector must not take /metrics down")
-
-        reg.add_collector(broken)
-        assert "t_depth 4" in reg.render_prometheus()
-
 
 # --------------------------------------------------------------------------- #
 # Concurrency
@@ -226,7 +192,7 @@ class TestConcurrency:
     def test_parallel_increments_are_exact(self):
         reg = Registry()
         c = reg.counter("t_total", labels=("who",))
-        h = reg.histogram("t_seconds", buckets=(1.0,))
+        h = reg.histogram("t_seconds")
 
         def hammer():
             child = c.labels("worker")
@@ -257,20 +223,20 @@ class TestActiveRegistry:
             obs.install_registry(previous)
         assert obs.get_registry() is previous
 
-    def test_note_cache_op_derives_hit_ratio(self):
+    def test_note_cache_op_counts_each_op(self):
         previous = obs.install_registry(Registry())
         try:
             obs.note_cache_op("sweep", "hit")
             obs.note_cache_op("sweep", "hit")
-            obs.note_cache_op("sweep", "miss")
-            obs.note_cache_op("sweep", "store")  # not a lookup: ratio unchanged
-            reg = obs.get_registry()
-            ratio = reg.gauge(
-                "repro_cache_hit_ratio", labels=("cache",)
-            ).labels("sweep").value
-            assert ratio == pytest.approx(2 / 3, abs=1e-6)
+            obs.note_cache_op("sweep", "error", "miss")
+            obs.note_cache_op("trace", "store")
+            samples = obs.render_json()["metrics"]["repro_cache_ops_total"]["samples"]
         finally:
             obs.install_registry(previous)
+        assert {
+            (s["labels"]["cache"], s["labels"]["op"]): s["value"] for s in samples
+        } == {("sweep", "hit"): 2, ("sweep", "error"): 1, ("sweep", "miss"): 1,
+              ("trace", "store"): 1}
 
     def test_span_records_into_span_histogram(self, tmp_path):
         previous = obs.install_registry(Registry())
@@ -303,15 +269,15 @@ class TestActiveRegistry:
         previous = obs.install_registry(Registry())
         try:
             obs.note_cache_op("sweep", "hit")
-            assert sorted(built) == ["repro_cache_hit_ratio", "repro_cache_ops_total"]
+            assert built == ["repro_cache_ops_total"]
             for _ in range(99):
                 obs.note_cache_op("sweep", "hit")
-            assert len(built) == 2
+            assert len(built) == 1
             with scoped_env({"REPRO_TRACE": "on", "REPRO_CACHE_DIR": str(tmp_path)}):
                 for _ in range(100):
                     with obs.trace.span("unit.test"):
                         pass
-            assert built[2:] == ["repro_span_seconds"]
+            assert built[1:] == ["repro_span_seconds"]
             spans = obs.get_registry().histogram("repro_span_seconds", labels=("span",))
             assert spans.labels("unit.test").count == 100
         finally:
@@ -398,7 +364,8 @@ class TestGatewayEndToEnd:
 
         # /healthz is alive and cheap.
         status, content_type, body = health
-        assert status == 200 and json.loads(body)["status"] == "ok"
+        assert status == 200 and set(json.loads(body)) == {"status", "uptime_seconds"}
+        assert json.loads(body)["status"] == "ok"
 
         # Prometheus text: the sweep traffic is visible.
         status, content_type, body = text
@@ -406,8 +373,6 @@ class TestGatewayEndToEnd:
         assert 'repro_serve_requests_total{verb="sweep"} 2' in body
         assert 'repro_serve_requests_total{verb="status"} 1' in body
         assert 'repro_serve_request_seconds_count{verb="sweep"} 2' in body
-        assert 'repro_serve_outcomes_total{outcome="cache_hits"} 1' in body
-        assert "repro_serve_pool_workers 1" in body
         assert 'repro_cache_ops_total{cache="sweep",op="hit"} 1' in body
 
         # JSON rendering, via query string and via Accept header.
@@ -416,18 +381,22 @@ class TestGatewayEndToEnd:
             metrics = json.loads(body)["metrics"]
             assert "repro_serve_requests_total" in metrics
 
-        # /status mirrors the ndjson status verb (modulo moving numbers).
+        # /status mirrors the ndjson status verb (modulo moving numbers) and
+        # is where the outcome tallies and pool levels are read.
         status, _, body = http_status
         assert status == 200
         http_doc = json.loads(body)
         assert http_doc["address"] == status_verb["address"]
         assert set(http_doc["counters"]) == set(status_verb["counters"])
+        assert http_doc["counters"]["cache_hits"] == 1
+        assert http_doc["pool"]["workers"] == 1
+        assert http_doc["inflight"] == 0
 
-        # Satellite: the ndjson status verb carries the derived cache and
-        # pool-depth summaries.
+        # The ndjson status verb carries the derived cache summary.
         assert status_verb["cache"]["hit_ratio"] == pytest.approx(0.5)
-        assert status_verb["pool_depth"]["workers"] == 1
-        assert status_verb["pool_depth"]["inflight"] == 0
+        assert status_verb["pool"]["workers"] == 1
+        assert status_verb["inflight"] == 0
+        assert "pool_depth" not in status_verb
         assert status_verb["http"].startswith("http://127.0.0.1:")
 
     def test_unknown_route_and_bad_method(self):
