@@ -31,7 +31,7 @@ def run_ablation(scale: float, num_cpus: int) -> ResultTable:
         )
         practical = engine.run(trace)
         practical.workload = metadata
-        agt = engine.prefetchers[0].trainer.agt
+        agt = engine.prefetchers[0].trainer
         total = agt.generations_started or 1
         singleton_fraction = agt.filter_only_generations / total
 

@@ -14,7 +14,7 @@ tracked cache (replacement or invalidation), matching the paper's definition.
 from __future__ import annotations
 
 from itertools import islice
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # measure_density imports what it runs; histograms stay light
     from repro.core.region import RegionGeometry
@@ -135,6 +135,24 @@ def measure_density(
     histograms and oracle miss counts are directly comparable to a
     measurement-phase miss count from the simulation engine.
     """
+    return measure_densities(
+        trace, config, (region_size,), reads_only, limit, warmup_fraction
+    )[region_size]
+
+
+def measure_densities(
+    trace: TraceStream,
+    config: Optional[SimulationConfig],
+    region_sizes: Sequence[int],
+    reads_only: bool = True,
+    limit: Optional[int] = None,
+    warmup_fraction: Optional[float] = None,
+) -> Dict[int, Dict[str, DensityHistogram]]:
+    """:func:`measure_density` for every size of ``region_sizes`` in one pass.
+
+    The hierarchy the trackers watch does not depend on the region size, so
+    one simulation feeds a pair of trackers per size.
+    """
     from repro.coherence.multiprocessor import MultiprocessorMemorySystem
     from repro.core.region import RegionGeometry
     from repro.simulation.config import SimulationConfig
@@ -143,7 +161,6 @@ def measure_density(
     config = config or SimulationConfig()
     if warmup_fraction is None:
         warmup_fraction = config.warmup_fraction
-    geometry = RegionGeometry(region_size=region_size, block_size=config.block_size)
     memory = MultiprocessorMemorySystem(
         num_cpus=config.num_cpus,
         block_size=config.block_size,
@@ -153,15 +170,24 @@ def measure_density(
         l2_associativity=config.l2_associativity,
         classify_false_sharing=False,
     )
-    l1_tracker = GenerationMissTracker("L1", geometry, per_cpu=True)
-    l2_tracker = GenerationMissTracker("L2", geometry, per_cpu=False)
-
-    # Forward evictions/invalidations from the caches to the trackers.
-    for cpu in range(config.num_cpus):
-        memory.l1(cpu).add_eviction_listener(
-            lambda evicted, cpu=cpu: l1_tracker.on_removal(cpu, evicted.block_addr)
+    trackers = {}
+    for size in region_sizes:
+        geometry = RegionGeometry(region_size=size, block_size=config.block_size)
+        l1_tracker = GenerationMissTracker("L1", geometry, per_cpu=True)
+        l2_tracker = GenerationMissTracker("L2", geometry, per_cpu=False)
+        trackers[size] = (l1_tracker, l2_tracker)
+        # Forward evictions/invalidations from the caches to the trackers.
+        for cpu in range(config.num_cpus):
+            memory.l1(cpu).add_eviction_listener(
+                lambda evicted, cpu=cpu, tracker=l1_tracker: tracker.on_removal(
+                    cpu, evicted.block_addr
+                )
+            )
+        memory.l2.add_eviction_listener(
+            lambda evicted, tracker=l2_tracker: tracker.on_removal(0, evicted.block_addr)
         )
-    memory.l2.add_eviction_listener(lambda evicted: l2_tracker.on_removal(0, evicted.block_addr))
+    l1_trackers = [l1 for l1, _ in trackers.values()]
+    l2_trackers = [l2 for _, l2 in trackers.values()]
 
     # Stream the trace single-pass; the warmup boundary comes from a length
     # hint (len / TraceStream.length_hint / total_accesses), never from
@@ -177,10 +203,15 @@ def measure_density(
         if reads_only and not record.is_read:
             continue
         if outcome.l1_miss:
-            l1_tracker.on_miss(record.cpu, record.address)
+            for tracker in l1_trackers:
+                tracker.on_miss(record.cpu, record.address)
             if outcome.off_chip:
-                l2_tracker.on_miss(record.cpu, record.address)
+                for tracker in l2_trackers:
+                    tracker.on_miss(record.cpu, record.address)
 
-    l1_tracker.close_all()
-    l2_tracker.close_all()
-    return {"L1": l1_tracker.histogram, "L2": l2_tracker.histogram}
+    histograms = {}
+    for size, (l1_tracker, l2_tracker) in trackers.items():
+        l1_tracker.close_all()
+        l2_tracker.close_all()
+        histograms[size] = {"L1": l1_tracker.histogram, "L2": l2_tracker.histogram}
+    return histograms

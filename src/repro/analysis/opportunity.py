@@ -72,18 +72,19 @@ def measure_opportunity(
     limit: Optional[int] = None,
 ) -> Dict[int, OpportunityResult]:
     """Run the Figure-4 study for ``trace`` over ``sizes`` (block = region sizes)."""
-    from repro.analysis.density import measure_density
+    from repro.analysis.density import measure_densities
     from repro.simulation.config import SimulationConfig
 
     config = config or SimulationConfig()
     sizes = sizes or [64, 128, 512, 2048, 8192]
     results: Dict[int, OpportunityResult] = {}
 
+    # The oracle's hierarchy keeps 64 B blocks whatever the region size, so
+    # one pass measures every size's generations.
+    densities = measure_densities(trace, config, sizes, reads_only=True, limit=limit)
     for size in sizes:
         baseline = measure_block_size_miss_rate(trace, config, block_size=size, limit=limit)
-        density = measure_density(
-            trace, config=config, region_size=size, reads_only=True, limit=limit
-        )
+        density = densities[size]
         results[size] = OpportunityResult(
             size=size,
             l1_misses=baseline.l1_read_misses,

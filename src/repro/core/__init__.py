@@ -23,17 +23,11 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         "config": ("SMSConfig",),
         "region": ("RegionGeometry",),
-        "pattern": ("SpatialPattern",),
         "indexing": ("IndexScheme", "make_index_scheme"),
         "agt": ("ActiveGenerationTable", "GenerationRecord"),
         "pht": ("PatternHistoryTable",),
         "prediction": ("PredictionRegisterFile",),
-        "training": (
-            "SpatialTrainer",
-            "AGTTrainer",
-            "CompletedGeneration",
-            "make_trainer",
-        ),
+        "training": ("make_trainer",),
         "sms": ("SpatialMemoryStreaming",),
     },
 )

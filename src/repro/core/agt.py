@@ -38,23 +38,27 @@ a new entry is appended, so the **first key is the LRU victim** of a full
 table.  (The cache sets in :mod:`repro.memory.cache` follow the same rule.)
 
 This module and the lane closures of :mod:`repro.core.sms` are the two places
-that know this layout.  :class:`GenerationRecord` is built on the way out of
-the boxed API only, as a snapshot of one word.
+that know this layout.  A :class:`GenerationRecord` is a snapshot of one word,
+built by ``observe_access`` / ``observe_removal`` / ``drain`` only; the lane
+closures build none.  Those three methods are the whole trainer interface, so
+the table itself is the ``"agt"`` trainer of
+:func:`repro.core.training.make_trainer`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.indexing import TriggerInfo
-from repro.core.pattern import SpatialPattern
 from repro.core.region import RegionGeometry
 
 
 class GenerationRecord:
-    """Snapshot of one accumulating (or just-completed) generation.
+    """One spatial region generation, as a trainer hands it out.
 
-    ``trigger_address`` is the address of the trigger access's *block*.
+    ``trigger_address`` is the address of the trigger access's *block*, and
+    ``pattern_bits`` the blocks accessed so far (bit *i* = block *i* of the
+    region): the trigger's own bit for a generation that just started, the
+    whole pattern for one that ended.
     """
 
     __slots__ = ("region", "trigger_pc", "trigger_offset", "trigger_address", "pattern_bits")
@@ -73,32 +77,34 @@ class GenerationRecord:
         self.trigger_address = trigger_address
         self.pattern_bits = pattern_bits
 
-    def pattern(self, num_blocks: int) -> SpatialPattern:
-        return SpatialPattern(num_blocks=num_blocks, bits=self.pattern_bits)
 
+class TrainerResponse:
+    """Outcome of one trainer access.
 
-class AGTEvent:
-    """Outcome of one AGT operation.
-
-    ``trigger`` is set when the access is the first access of a new generation
-    (the moment SMS consults the PHT).  ``completed`` lists generations that
-    ended as a side effect (victims displaced from a full accumulation table,
-    or the generation ended by the eviction that was observed).
+    ``trigger`` is the generation the access started, if it is the first
+    access of a new one (the moment SMS consults the PHT).  ``completed``
+    lists generations that ended as a side effect (victims displaced from a
+    full table), and ``forced_evictions`` the blocks a decoupled sectored
+    cache must drop with them (never any for the AGT).
     """
 
-    __slots__ = ("trigger", "completed")
+    __slots__ = ("trigger", "completed", "forced_evictions")
 
     def __init__(
         self,
-        trigger: Optional[TriggerInfo] = None,
+        trigger: Optional[GenerationRecord] = None,
         completed: Optional[List[GenerationRecord]] = None,
+        forced_evictions: Optional[List[int]] = None,
     ) -> None:
         self.trigger = trigger
         self.completed = [] if completed is None else completed
+        self.forced_evictions = [] if forced_evictions is None else forced_evictions
 
 
 class ActiveGenerationTable:
     """Filter table + accumulation table, as in Figure 2 of the paper."""
+
+    name = "agt"
 
     def __init__(
         self,
@@ -143,35 +149,37 @@ class ActiveGenerationTable:
     # ------------------------------------------------------------------ #
     # Operation
     # ------------------------------------------------------------------ #
-    def observe_access(self, pc: int, address: int) -> AGTEvent:
+    def observe_access(self, pc: int, address: int) -> TrainerResponse:
         """Process one L1 data access (Figure 2, steps 1-3)."""
         region, offset = self.geometry.split(address)
-        event = AGTEvent()
+        response = TrainerResponse()
 
         # Step 3: accesses to an already-accumulating generation set pattern bits.
         word = self._accumulation.pop(region, None)
         if word is not None:
             self._accumulation[region] = word | (1 << offset)
-            return event
+            return response
 
         word = self._filter.pop(region, None)
         if word is None:
             # Step 1: trigger access for a new generation; allocate in the filter.
             self.generations_started += 1
-            event.trigger = TriggerInfo(pc=pc, address=address, region=region, offset=offset)
+            response.trigger = GenerationRecord(
+                region, pc, offset, region + offset * self.geometry.block_size, 1 << offset
+            )
             if self.filter_entries is not None and len(self._filter) >= self.filter_entries:
                 # Victim generations in the filter table are simply dropped:
                 # they contain only a trigger access.
                 del self._filter[next(iter(self._filter))]
                 self.filter_only_generations += 1
             self._filter[region] = (pc << self.offset_bits) | offset
-            return event
+            return response
 
         trigger_offset = word & (self.pattern_width - 1)
         if trigger_offset == offset:
             # Repeat access to the trigger block: still a single-block generation.
             self._filter[region] = word
-            return event
+            return response
 
         # Step 2: second distinct block; transfer the generation to the
         # accumulation table and set both the trigger and the new bit.
@@ -180,18 +188,19 @@ class ActiveGenerationTable:
             and len(self._accumulation) >= self.accumulation_entries
         ):
             victim = next(iter(self._accumulation))
-            event.completed.append(self._record(victim, self._accumulation.pop(victim)))
+            response.completed.append(self._record(victim, self._accumulation.pop(victim)))
         self._accumulation[region] = (
             (word << self.pattern_width) | (1 << trigger_offset) | (1 << offset)
         )
-        return event
+        return response
 
-    def end_generation(self, block_address: int) -> Optional[GenerationRecord]:
+    def observe_removal(self, block_address: int) -> Optional[GenerationRecord]:
         """End the generation of ``block_address``'s region (Figure 2, step 4).
 
-        Returns the completed generation if it had reached the accumulation
-        table; a generation with only its trigger access is discarded (nothing
-        to learn), and a region without a live generation is a no-op.
+        Called on the eviction or invalidation of the block.  Returns the
+        completed generation if it had reached the accumulation table; a
+        generation with only its trigger access is discarded (nothing to
+        learn), and a region without a live generation is a no-op.
         """
         region = self.geometry.region_base(block_address)
         if self._filter.pop(region, None) is not None:
@@ -201,11 +210,6 @@ class ActiveGenerationTable:
         if word is None:
             return None
         return self._record(region, word)
-
-    def observe_removal(self, block_address: int) -> AGTEvent:
-        """Process the eviction or invalidation of a block (Figure 2, step 4)."""
-        record = self.end_generation(block_address)
-        return AGTEvent(completed=[] if record is None else [record])
 
     def drain(self) -> List[GenerationRecord]:
         """End every in-flight accumulating generation (used at end of trace)."""

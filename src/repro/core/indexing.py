@@ -18,18 +18,9 @@ recurring spatial patterns (Section 2.2).  The paper compares four schemes
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Tuple, Type
+from typing import Dict, Tuple, Type
 
 from repro.core.region import RegionGeometry
-
-
-class TriggerInfo(NamedTuple):
-    """Information about the trigger access of a spatial region generation."""
-
-    pc: int
-    address: int
-    region: int
-    offset: int
 
 
 class IndexScheme:
@@ -41,21 +32,14 @@ class IndexScheme:
         self.geometry = geometry
 
     def key_of(self, pc: int, block_address: int, offset: int) -> Tuple[int, ...]:
-        """Return the hashable PHT key of a trigger access, unboxed.
+        """Return the hashable PHT key of a trigger access.
 
         Every scheme reads at most the trigger's PC, the address of its
         *block* and its spatial region offset, so these three are the whole
-        interface; the lane closures of :mod:`repro.core.sms` call this
-        directly.  A key is a flat tuple of ints and strs
+        interface.  A key is a flat tuple of ints and strs
         (:data:`repro.core.pht.hash_index_key` relies on it).
         """
         raise NotImplementedError
-
-    def key(self, trigger: TriggerInfo) -> Tuple[int, ...]:
-        """Return the hashable PHT key for ``trigger``."""
-        return self.key_of(
-            trigger.pc, self.geometry.block_address(trigger.address), trigger.offset
-        )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.geometry.describe()})"
@@ -98,26 +82,13 @@ class PCOffsetIndex(IndexScheme):
 
 
 _SCHEMES: Dict[str, Type[IndexScheme]] = {
-    "address": AddressIndex,
-    "addr": AddressIndex,
-    "pc": PCIndex,
-    "pc+address": PCAddressIndex,
-    "pc+addr": PCAddressIndex,
-    "pc+offset": PCOffsetIndex,
-    "pc+off": PCOffsetIndex,
+    scheme.name: scheme for scheme in (AddressIndex, PCIndex, PCAddressIndex, PCOffsetIndex)
 }
 
 
 def make_index_scheme(name: str, geometry: RegionGeometry) -> IndexScheme:
-    """Construct an index scheme by name.
-
-    Accepted names: ``"address"``, ``"pc"``, ``"pc+address"``, ``"pc+offset"``
-    (plus the short aliases ``"addr"``, ``"pc+addr"``, ``"pc+off"``).
-    """
-    key = name.lower().strip()
-    if key not in _SCHEMES:
-        raise ValueError(
-            f"unknown index scheme {name!r}; choose from "
-            f"{sorted(set(cls.name for cls in _SCHEMES.values()))}"
-        )
-    return _SCHEMES[key](geometry)
+    """Construct an index scheme by name: ``"address"``, ``"pc"``,
+    ``"pc+address"`` or ``"pc+offset"``."""
+    if name not in _SCHEMES:
+        raise ValueError(f"unknown index scheme {name!r}; choose from {sorted(_SCHEMES)}")
+    return _SCHEMES[name](geometry)

@@ -21,14 +21,10 @@ it, a new key is appended, and the victim of a full set is the **first key**.
 ``self._sets[stable_hash(key) % num_sets]`` is the set of ``key``; an
 unbounded table is the single set ``self._sets[0]`` and never hashes.
 
-Patterns are stored unboxed: :meth:`PatternHistoryTable.lookup_bits` /
-:meth:`~PatternHistoryTable.store_bits` move raw bits, and the boxed API
-(:meth:`~PatternHistoryTable.lookup`, :meth:`~PatternHistoryTable.probe`,
-:meth:`~PatternHistoryTable.invalidate`) wraps them in interned
-:class:`SpatialPattern` objects on the way out.  The lane closures of
-:mod:`repro.core.sms` are the one other place that knows this layout: they
-read and write the sets in place, with the same statements and the same four
-counters as ``lookup_bits`` / ``store_bits`` below.
+:meth:`PatternHistoryTable.lookup_bits` / :meth:`~PatternHistoryTable.store_bits`
+are the table's whole interface.  The lane closures of :mod:`repro.core.sms`
+are the one other place that knows this layout: they read and write the sets
+in place, with the same statements and the same four counters.
 
 This is the only representation, by measurement: bit-packed slabs were
 2.7-3.2x slower than this table at the paper's 16k entries and only saved
@@ -44,8 +40,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from typing import Dict, Hashable, List, Optional
-
-from repro.core.pattern import SpatialPattern
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -121,10 +115,6 @@ def stable_hash(key: Hashable) -> int:
 class PatternHistoryTable:
     """Set-associative (or unbounded) storage of spatial patterns."""
 
-    #: Intern-cache bound: past this many distinct bit values the cache of
-    #: boxed patterns is reset rather than left to grow with the trace.
-    _PATTERN_CACHE_LIMIT = 65536
-
     def __init__(
         self,
         num_blocks: int,
@@ -147,11 +137,7 @@ class PatternHistoryTable:
         self.num_sets = 1 if num_entries is None else num_entries // associativity
         #: One LRU-ordered ``key -> bits`` dict per set (see module docstring).
         self._sets: List[Dict[Hashable, int]] = [{} for _ in range(self.num_sets)]
-        # Interned SpatialPattern per bit value: stored bits recur heavily,
-        # so the sets hold raw ints while lookups still return (shared)
-        # pattern objects without re-validating on every hit.
-        self._patterns: dict = {}
-        #: Number of live entries, maintained by ``store``/``invalidate``.
+        #: Number of live entries, maintained by ``store_bits``.
         self.occupancy = 0
         self.lookups = 0
         self.hits = 0
@@ -163,24 +149,6 @@ class PatternHistoryTable:
     def is_unbounded(self) -> bool:
         return self.num_entries is None
 
-    def _set_for(self, key: Hashable) -> Dict[Hashable, int]:
-        """The set ``key`` maps to; an unbounded table has one, so no hash."""
-        if self.num_entries is None:
-            return self._sets[0]
-        return self._sets[stable_hash(key) % self.num_sets]
-
-    def _pattern(self, bits: Optional[int]) -> Optional[SpatialPattern]:
-        """Box ``bits`` (``None`` passes through) as a shared pattern object."""
-        if bits is None:
-            return None
-        pattern = self._patterns.get(bits)
-        if pattern is None:
-            if len(self._patterns) >= self._PATTERN_CACHE_LIMIT:
-                self._patterns.clear()
-            pattern = SpatialPattern(num_blocks=self.num_blocks, bits=bits)
-            self._patterns[bits] = pattern
-        return pattern
-
     # ------------------------------------------------------------------ #
     def lookup_bits(self, key: Hashable) -> Optional[int]:
         """Return the stored pattern's bit mask (updating recency), or None.
@@ -188,7 +156,6 @@ class PatternHistoryTable:
         A stored all-zero pattern still counts as a hit.
         """
         self.lookups += 1
-        # _set_for inlined: this and store_bits are the per-access hot path.
         if self.num_entries is None:
             table = self._sets[0]
         else:
@@ -200,20 +167,12 @@ class PatternHistoryTable:
         table[key] = bits  # re-insert: most recently used
         return bits
 
-    def lookup(self, key: Hashable) -> Optional[SpatialPattern]:
-        """Return the stored pattern for ``key`` (updating recency), or None."""
-        return self._pattern(self.lookup_bits(key))
-
-    def probe(self, key: Hashable) -> Optional[SpatialPattern]:
-        """Return the stored pattern without updating recency or statistics."""
-        return self._pattern(self._set_for(key).get(key))
-
     def store_bits(self, key: Hashable, bits: int) -> None:
         """Record the pattern bits observed at the end of a generation.
 
         The caller vouches that ``bits`` fits this table's pattern width
-        (the AGT can only set offsets below ``num_blocks``, so lane callers
-        satisfy that by construction); :meth:`store` checks it.
+        (a trainer can only set offsets below ``num_blocks``, so every
+        caller satisfies that by construction).
         """
         self.stores += 1
         if self.num_entries is None:
@@ -227,21 +186,6 @@ class PatternHistoryTable:
             else:
                 self.occupancy += 1
         table[key] = bits
-
-    def store(self, key: Hashable, pattern: SpatialPattern) -> None:
-        """Record the pattern observed at the end of a generation."""
-        if pattern.num_blocks != self.num_blocks:
-            raise ValueError(
-                f"pattern width {pattern.num_blocks} does not match PHT width {self.num_blocks}"
-            )
-        self.store_bits(key, pattern.bits)
-
-    def invalidate(self, key: Hashable) -> Optional[SpatialPattern]:
-        """Remove ``key`` from the table, returning its pattern if present."""
-        bits = self._set_for(key).pop(key, None)
-        if bits is not None:
-            self.occupancy -= 1
-        return self._pattern(bits)
 
     # ------------------------------------------------------------------ #
 

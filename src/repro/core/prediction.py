@@ -22,24 +22,13 @@ Streams leave the file as **runs**, also ``(region, bits)`` pairs, which the
 consumer walks lowest offset first (``low = bits & -bits``):
 :meth:`PredictionRegisterFile.drain_bits` hands a lone register over whole,
 and otherwise one block per run so the round-robin interleaving is kept.
-:meth:`~PredictionRegisterFile.drain` boxes the same runs as
-:class:`StreamRequest` objects.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core.pattern import SpatialPattern
 from repro.core.region import RegionGeometry
-
-
-class StreamRequest(NamedTuple):
-    """One block SMS wants to stream into the cache."""
-
-    address: int
-    region: int
-    offset: int
 
 
 class PredictionRegisterFile:
@@ -48,7 +37,6 @@ class PredictionRegisterFile:
     def __init__(self, geometry: RegionGeometry, num_registers: int = 16) -> None:
         if num_registers <= 0:
             raise ValueError(f"num_registers must be positive, got {num_registers}")
-        self.geometry = geometry
         self.num_registers = num_registers
         self._region_mask = ~(geometry.region_size - 1)
         #: ``(region, remaining bits)`` pairs in allocation order (see module
@@ -56,27 +44,16 @@ class PredictionRegisterFile:
         self._registers: List[Tuple[int, int]] = []
         self._next_index = 0
 
-    def allocate(self, region: int, pattern: SpatialPattern, exclude_offset: Optional[int] = None) -> bool:
-        """Start streaming ``pattern`` for the region based at ``region``.
-
-        ``exclude_offset`` removes the trigger block from the stream (it is
-        being fetched by the demand miss itself).  Returns False and drops
-        the prediction if no register is free.
-        """
-        if pattern.num_blocks != self.geometry.blocks_per_region:
-            raise ValueError(
-                f"pattern width {pattern.num_blocks} does not match region geometry "
-                f"({self.geometry.blocks_per_region} blocks)"
-            )
-        return self.allocate_bits(region, pattern.bits, exclude_offset)
-
     def allocate_bits(
         self, region: int, bits: int, exclude_offset: Optional[int] = None
     ) -> bool:
-        """:meth:`allocate` for a raw PHT bit mask.
+        """Start streaming pattern ``bits`` for the region based at ``region``.
 
-        The caller vouches that ``bits`` fits the region's pattern width (true
-        for anything read back out of the PHT for this geometry).
+        ``exclude_offset`` removes the trigger block from the stream (it is
+        being fetched by the demand miss itself).  Returns False and drops
+        the prediction if no register is free.  The caller vouches that
+        ``bits`` fits the region's pattern width (true for anything read back
+        out of the PHT for this geometry).
         """
         if exclude_offset is not None and exclude_offset >= 0:
             bits &= ~(1 << exclude_offset)
@@ -116,19 +93,6 @@ class PredictionRegisterFile:
                 index += 1
         self._next_index = index
         return runs
-
-    def drain(self, max_requests: Optional[int] = None) -> List[StreamRequest]:
-        """:meth:`drain_bits`, each block boxed as a :class:`StreamRequest`."""
-        requests: List[StreamRequest] = []
-        block_size = self.geometry.block_size
-        for region, bits in self.drain_bits(max_requests):
-            while bits:
-                offset = (bits & -bits).bit_length() - 1
-                bits &= bits - 1
-                requests.append(
-                    StreamRequest(address=region + offset * block_size, region=region, offset=offset)
-                )
-        return requests
 
     def cancel_region(self, region: int) -> int:
         """Drop any active register for ``region`` (e.g. on invalidation); return count.

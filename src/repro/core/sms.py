@@ -16,18 +16,26 @@ Operation per the paper (Sections 3.1-3.2):
    streaming the predicted blocks into the primary cache.
 3. Every L1 eviction or invalidation is forwarded to the AGT; an ended
    generation's accumulated pattern trains the PHT.
+
+Patterns are ``int`` bit masks everywhere (bit *i* = block *i* of the
+region): the trainers hand out :class:`~repro.core.agt.GenerationRecord`
+``pattern_bits``, the PHT stores them, and a prediction register streams
+them.  :meth:`SpatialMemoryStreaming.on_access` / ``on_eviction`` /
+``finalize`` serve every trainer; the lane closures run the same steps for
+the plain AGT over its packed words.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional, Sequence
 
 from repro.coherence.multiprocessor import AccessOutcomeRecord
+from repro.core.agt import ActiveGenerationTable, GenerationRecord
 from repro.core.config import SMSConfig
 from repro.core.indexing import IndexScheme, make_index_scheme
 from repro.core.pht import PatternHistoryTable, hash_index_key
 from repro.core.prediction import PredictionRegisterFile
-from repro.core.training import AGTTrainer, CompletedGeneration, SpatialTrainer, make_trainer
+from repro.core.training import make_trainer
 from repro.prefetch.base import EMPTY_RESPONSE, Prefetcher, PrefetcherResponse, PrefetchRequest
 from repro.trace.record import MemoryAccess
 
@@ -45,7 +53,7 @@ class SpatialMemoryStreaming(Prefetcher):
         self.index_scheme: IndexScheme = make_index_scheme(
             self.config.index_scheme, self.geometry
         )
-        self.trainer: SpatialTrainer = make_trainer(
+        self.trainer = make_trainer(
             self.config.trainer,
             self.geometry,
             filter_entries=self.config.filter_entries,
@@ -61,7 +69,7 @@ class SpatialMemoryStreaming(Prefetcher):
         # Lane fast path: the plain AGT is the only trainer that never forces
         # evictions, so it is the only one whose per-access work can run
         # unboxed.  Sectored trainers get their accesses boxed by the lane loop.
-        self._lane_agt = self.trainer.agt if type(self.trainer) is AGTTrainer else None
+        self._lane_agt = self.trainer if type(self.trainer) is ActiveGenerationTable else None
         #: Bit *i* of a streamed run is the block at ``region + (i << shift)``.
         self.lane_block_shift = self.geometry.block_size.bit_length() - 1
 
@@ -218,87 +226,59 @@ class SpatialMemoryStreaming(Prefetcher):
         return self._lane_closures()[1]
 
     # ------------------------------------------------------------------ #
-    def _train(self, completed: List[CompletedGeneration]) -> None:
-        for generation in completed:
-            key = self.index_scheme.key(generation.trigger_info())
-            self.pht.store(key, generation.pattern)
-            self.stats.trained_patterns += 1
-
-    def _drain_streams(self) -> List[PrefetchRequest]:
-        requests = self.registers.drain(max_requests=self.config.max_requests_per_access)
-        prefetches = []
-        for request in requests:
-            prefetches.append(
-                PrefetchRequest(address=request.address, target_l1=self.config.stream_into_l1)
+    def _train(self, records: Sequence[GenerationRecord]) -> None:
+        """Store each ended generation's pattern under its trigger's index key."""
+        key_of = self.index_scheme.key_of
+        store_bits = self.pht.store_bits
+        for record in records:
+            store_bits(
+                key_of(record.trigger_pc, record.trigger_address, record.trigger_offset),
+                record.pattern_bits,
             )
-        return prefetches
+        self.stats.trained_patterns += len(records)
 
     # ------------------------------------------------------------------ #
     def on_access(self, record: MemoryAccess, outcome: AccessOutcomeRecord) -> PrefetcherResponse:
-        response = PrefetcherResponse()
         trainer_response = self.trainer.observe_access(record.pc, record.address)
         self._train(trainer_response.completed)
-        response.forced_evictions.extend(trainer_response.forced_evictions)
-
-        if trainer_response.trigger is not None:
-            trigger = trainer_response.trigger
-            key = self.index_scheme.key(trigger)
-            pattern = self.pht.lookup(key)
-            if pattern is not None and not pattern.is_empty:
-                self.registers.allocate(
-                    region=trigger.region,
-                    pattern=pattern,
-                    exclude_offset=trigger.offset,
+        trigger = trainer_response.trigger
+        if trigger is not None:
+            bits = self.pht.lookup_bits(
+                self.index_scheme.key_of(
+                    trigger.trigger_pc, trigger.trigger_address, trigger.trigger_offset
                 )
-
-        response.prefetches.extend(self._drain_streams())
-        return response
+            )
+            if bits:
+                self.registers.allocate_bits(
+                    trigger.region, bits, exclude_offset=trigger.trigger_offset
+                )
+        # Stream what the registers hand out, each run lowest offset first.
+        prefetches = []
+        block_shift = self.lane_block_shift
+        for region, bits in self.registers.drain_bits(self.config.max_requests_per_access):
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                prefetches.append(PrefetchRequest(
+                    region + ((low.bit_length() - 1) << block_shift), self.streams_into_l1
+                ))
+        return PrefetcherResponse(prefetches, trainer_response.forced_evictions)
 
     def on_eviction(self, block_address: int, invalidated: bool = False) -> PrefetcherResponse:
-        agt = self._lane_agt
-        if agt is not None:
-            # Short form of the generic body below: the AGT never forces
-            # evictions, so the response is always empty and the one possible
-            # completion trains the PHT directly.
-            record = agt.end_generation(block_address)
-            if record is not None:
-                key = self.index_scheme.key_of(
-                    record.trigger_pc, record.trigger_address, record.trigger_offset
-                )
-                self.pht.store_bits(key, record.pattern_bits)
-                self.stats.trained_patterns += 1
-            if invalidated:
-                self.registers.cancel_region(block_address)
-            return EMPTY_RESPONSE
-        response = PrefetcherResponse()
-        trainer_response = self.trainer.observe_removal(block_address, invalidated=invalidated)
-        self._train(trainer_response.completed)
-        response.forced_evictions.extend(trainer_response.forced_evictions)
+        record = self.trainer.observe_removal(block_address)
+        if record is not None:
+            self._train((record,))
         if invalidated:
             # An invalidated region's remaining streamed blocks would arrive
             # stale; stop streaming it.
             self.registers.cancel_region(block_address)
-        return response
+        # A removal forces no eviction under any trainer.
+        return EMPTY_RESPONSE
 
     def finalize(self) -> PrefetcherResponse:
-        agt = self._lane_agt
-        if agt is not None:
-            # As in on_eviction: the drained words train the PHT directly, no
-            # CompletedGeneration / SpatialPattern per live generation (an
-            # unbounded AGT ends a run with thousands of them).
-            key_of = self.index_scheme.key_of
-            store_bits = self.pht.store_bits
-            drained = agt.drain()
-            for record in drained:
-                store_bits(
-                    key_of(record.trigger_pc, record.trigger_address, record.trigger_offset),
-                    record.pattern_bits,
-                )
-            self.stats.trained_patterns += len(drained)
-        else:
-            self._train(self.trainer.drain())
+        self._train(self.trainer.drain())
         self.registers.clear()
-        return PrefetcherResponse()
+        return EMPTY_RESPONSE
 
     # ------------------------------------------------------------------ #
 

@@ -164,12 +164,15 @@ class SectoredTagArray:
             used = set(tag_set.keys())
             way = next(w for w in range(self.associativity) if w not in used)
 
+        offset = block_index_in_region(address, self.region_size, self.block_size)
         sector = SectorState(
             region=region,
             num_blocks=self.blocks_per_sector,
             trigger_pc=trigger_pc,
-            trigger_offset=block_index_in_region(address, self.region_size, self.block_size),
-            trigger_address=address,
+            trigger_offset=offset,
+            # The trigger's block, as the AGT keeps it: the address-indexed
+            # PHT keys name a block, not a byte.
+            trigger_address=region + offset * self.block_size,
         )
         tag_set[way] = sector
         policy.on_fill(way)

@@ -61,10 +61,6 @@ class PrefetcherResponse:
         self.prefetches = [] if prefetches is None else prefetches
         self.forced_evictions = [] if forced_evictions is None else forced_evictions
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.prefetches and not self.forced_evictions
-
 
 #: Shared empty response for the allocation-free "nothing to do" fast path.
 EMPTY_RESPONSE = PrefetcherResponse()

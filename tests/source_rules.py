@@ -67,9 +67,8 @@ the lane fast path spills into ``core/sms.py`` and ``trace/stream.py``)
   ``MemoryAccess`` tuples (directly or via ``tuple.__new__``) from lane
   data, or boxing a cache set's packed flags back into a ``CacheLine``, a
   packed directory word into a ``DirectoryEntry`` / ``CoherenceActions``,
-  or a packed SMS state word into a ``GenerationRecord`` / ``AGTEvent`` /
-  ``TriggerInfo`` / ``StreamRequest`` /
-  ``SpatialPattern``, or boxing a *generated* access (``make_access(...)``,
+  or a packed SMS state word into a ``GenerationRecord`` /
+  ``TrainerResponse``, or boxing a *generated* access (``make_access(...)``,
   ``record._replace(...)``) in a workload's batch producer reintroduces the
   per-record allocation the lane path removes.
   Lane-path functions are those named ``*lane*`` (``_step_lanes``,
@@ -207,15 +206,13 @@ BLOCKING_RECEIVER_FRAGMENTS = ("conn", "queue", "sock", "pipe", "idle")
 #: one resident line's packed flags (``CacheLine``), one block's packed
 #: directory word and the actions of a request on it (``DirectoryEntry``,
 #: ``CoherenceActions``), or one packed word of SMS state — an AGT generation
-#: (``GenerationRecord``, ``AGTEvent``, ``TriggerInfo``), a block a
-#: prediction register streams (``StreamRequest``) or a PHT pattern
-#: (``SpatialPattern``) — each: exactly
-#: the allocations the lane decomposition removes.
+#: and the trainer response that carries it (``GenerationRecord``,
+#: ``TrainerResponse``) — each: exactly the allocations the lane
+#: decomposition removes.
 BOXED_RECORD_CONSTRUCTORS = frozenset(
     {
         "MemoryAccess", "CacheLine", "DirectoryEntry", "CoherenceActions",
-        "GenerationRecord", "AGTEvent", "TriggerInfo",
-        "StreamRequest", "SpatialPattern",
+        "GenerationRecord", "TrainerResponse",
     }
 )
 

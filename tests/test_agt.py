@@ -24,7 +24,7 @@ class TestFigure2Walkthrough:
     def test_trigger_allocates_in_filter(self, agt):
         event = agt.observe_access(pc=0x400, address=REGION + 3 * 64)
         assert event.trigger is not None
-        assert event.trigger.offset == 3
+        assert event.trigger.trigger_offset == 3
         assert len(agt._filter) == 1
         assert len(agt._accumulation) == 0
 
@@ -35,22 +35,18 @@ class TestFigure2Walkthrough:
         assert len(agt._filter) == 0
         assert len(agt._accumulation) == 1
 
-    def test_pattern_accumulates(self, agt, geometry):
+    def test_pattern_accumulates(self, agt):
         agt.observe_access(pc=0x400, address=REGION + 3 * 64)
         agt.observe_access(pc=0x404, address=REGION + 2 * 64)
         agt.observe_access(pc=0x408, address=REGION + 0 * 64)
-        event = agt.observe_removal(REGION + 2 * 64)
-        assert len(event.completed) == 1
-        record = event.completed[0]
+        record = agt.observe_removal(REGION + 2 * 64)
         assert record.trigger_pc == 0x400
         assert record.trigger_offset == 3
-        pattern = record.pattern(geometry.blocks_per_region)
-        assert pattern.offsets() == [0, 2, 3]
+        assert record.pattern_bits == 0b1101  # blocks 0, 2 and 3
 
     def test_eviction_of_filter_only_generation_discards(self, agt):
         agt.observe_access(pc=0x400, address=REGION)
-        event = agt.observe_removal(REGION)
-        assert not event.completed
+        assert agt.observe_removal(REGION) is None
         assert len(agt._filter) == 0
         assert agt.filter_only_generations == 1
 
@@ -69,7 +65,7 @@ class TestFilterTableBehaviour:
         agt.observe_removal(REGION)
         event = agt.observe_access(pc=0x500, address=REGION + 2 * 64)
         assert event.trigger is not None
-        assert event.trigger.pc == 0x500
+        assert event.trigger.trigger_pc == 0x500
 
     def test_filter_victim_dropped_silently(self, geometry):
         agt = ActiveGenerationTable(geometry, filter_entries=2, accumulation_entries=4)
@@ -129,8 +125,7 @@ class TestDrainAndIntrospection:
         assert set([*agt._filter, *agt._accumulation]) == {REGION, REGION + geometry.region_size}
 
     def test_removal_of_unknown_region_is_noop(self, agt):
-        event = agt.observe_removal(0x999000)
-        assert not event.completed
+        assert agt.observe_removal(0x999000) is None
 
 
 class TestPropertyBased:
@@ -143,12 +138,10 @@ class TestPropertyBased:
         agt = ActiveGenerationTable(geometry, filter_entries=None, accumulation_entries=None)
         for offset in offsets:
             agt.observe_access(pc=0x400, address=REGION + offset * 64)
-        event = agt.observe_removal(REGION)
-        unique = sorted(set(offsets))
+        record = agt.observe_removal(REGION)
+        unique = set(offsets)
         if len(unique) == 1:
             # Single distinct block: the generation stays in the filter table.
-            assert not event.completed
+            assert record is None
         else:
-            assert len(event.completed) == 1
-            pattern = event.completed[0].pattern(geometry.blocks_per_region)
-            assert pattern.offsets() == unique
+            assert record.pattern_bits == sum(1 << offset for offset in unique)

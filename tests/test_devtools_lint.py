@@ -721,15 +721,14 @@ class TestHOT004:
             """
             def _lane_closures(self):
                 def on_access_lane(pc, address):
-                    trigger = TriggerInfo(pc=pc, address=address, region=0, offset=0)
-                    event = agt.AGTEvent(trigger=trigger)
-                    record = GenerationRecord(0, pc, 0, address)
-                    return [StreamRequest(address, 0, 0)], SpatialPattern(32, 1)
+                    trigger = GenerationRecord(0, pc, 0, address, 1)
+                    response = agt.TrainerResponse(trigger=trigger)
+                    return response, [TrainerResponse(), GenerationRecord(0, pc, 0, address)]
                 return on_access_lane
             """,
             path=COLD_PATH,
         )
-        assert findings == [("HOT004", line) for line in (4, 5, 6, 7, 7)]
+        assert findings == [("HOT004", line) for line in (4, 5, 6, 6)]
 
     def test_packed_sms_words_in_lane_function_are_clean(self):
         findings = rules_at(
@@ -1329,11 +1328,6 @@ class TestPackageIsClean:
             "DirectoryEntry.validate": "invariant checker",
             # One-call engine construction, used by a dozen test files.
             "run_simulation": "test construction helper",
-            # Readable pattern literals and bit probes of the PHT/AGT tests.
-            "SpatialPattern.full": "test construction helper",
-            "SpatialPattern.from_offsets": "test construction helper",
-            "SpatialPattern.from_string": "test construction helper",
-            "SpatialPattern.test": "test construction helper",
         }
         unused = {name for name in defined if name.rpartition(".")[2] not in used}
         assert sorted(unused - set(exempt)) == []

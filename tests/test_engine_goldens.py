@@ -15,6 +15,7 @@ from repro.core import SMSConfig, SpatialMemoryStreaming
 from repro.prefetch import GHBConfig, GlobalHistoryBuffer, NullPrefetcher
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import SimulationEngine
+from repro.trace.record import MemoryAccess
 from repro.workloads import make_workload
 
 #: Counter fields pinned for every golden configuration.
@@ -99,3 +100,56 @@ def test_counters_bit_identical_to_reference(key, lanes):
     actual = {f: getattr(result, f) for f in COUNTER_FIELDS}
     assert actual == expected
     assert result.engine_path == ("lanes" if lanes else "reference")
+
+
+def _unaligned_revisits():
+    """Four sweeps over 256 regions of one CPU.  Each sweep triggers every
+    region in the same block as the sweep before, but 8 bytes further into
+    it, so an address-indexed PHT predicts a revisit only if its keys hold
+    the trigger's *block* address.  Odd regions touch a second pattern and,
+    on odd sweeps, trigger from another PC, so PC+address and address
+    indexing part ways."""
+    records, count = [], 0
+    for sweep in range(4):
+        for region in range(256):
+            base = 0x100000 + region * 2048
+            pc_shift = 0x100 if sweep % 2 and region % 2 else 0
+            for offset in ((3, 5, 9, 12), (3, 17, 30))[region % 2]:
+                count += 4
+                records.append(MemoryAccess(
+                    pc=0x400 + 4 * offset + pc_shift,
+                    address=base + offset * 64 + 8 * sweep,
+                    instruction_count=count,
+                ))
+    return records
+
+
+_ADDRESS_KEYED = {
+    "accesses": 2509, "instructions": 10036, "l1_read_misses": 717,
+    "l1_coverage": 0.7142287764049422, "l1_overprediction_rate": 0.0,
+    "offchip_read_misses": 0, "l2_coverage": 0.0, "l2_overprediction_rate": 0.0,
+    "l1_read_mpki": 71.44280589876445, "offchip_read_mpki": 0.0,
+    "false_sharing_misses": 0,
+}
+_PC_ADDRESS_KEYED = {
+    **_ADDRESS_KEYED, "l1_read_misses": 923, "l1_coverage": 0.6321243523316062,
+    "l1_read_mpki": 91.96891191709845,
+}
+
+
+@pytest.mark.parametrize("trainer", ["logical-sectored", "decoupled-sectored"])
+@pytest.mark.parametrize("scheme, expected", [
+    ("address", _ADDRESS_KEYED), ("pc+address", _PC_ADDRESS_KEYED),
+], ids=["address", "pc+address"])
+def test_sectored_trainers_key_on_the_trigger_block(trainer, scheme, expected):
+    """The sectored trainers see the raw trigger address; the PHT key of an
+    address-indexed scheme must still name the trigger's block, as the
+    AGT's does.  Keyed on the byte address, no revisit here would hit."""
+    sms_config = SMSConfig(trainer=trainer, index_scheme=scheme)
+    engine = SimulationEngine(
+        SimulationConfig.small(num_cpus=1),
+        lambda cpu: SpatialMemoryStreaming(sms_config),
+        name=f"{trainer}/{scheme}",
+    )
+    result = engine.run(_unaligned_revisits())
+    assert result.as_dict() == {"name": f"{trainer}/{scheme}", **expected}

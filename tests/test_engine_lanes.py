@@ -342,7 +342,7 @@ class TestBoundedDrainParity:
         cancelled = []
         rejected = []
         original = PredictionRegisterFile.cancel_region
-        original_allocate = PredictionRegisterFile.allocate
+        original_allocate = PredictionRegisterFile.allocate_bits
 
         def spy(self, region):
             removed = original(self, region)
@@ -357,7 +357,7 @@ class TestBoundedDrainParity:
             return accepted
 
         monkeypatch.setattr(PredictionRegisterFile, "cancel_region", spy)
-        monkeypatch.setattr(PredictionRegisterFile, "allocate", allocate_spy)
+        monkeypatch.setattr(PredictionRegisterFile, "allocate_bits", allocate_spy)
         records = _shared_region_walks(num_cpus)
         outcomes = {}
         for lanes in (False, True):

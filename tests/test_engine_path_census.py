@@ -52,6 +52,17 @@ PATH_CENSUS = {
 }
 
 
+#: Distinct simulations among those 297 runs: ``(trace key, SimulationConfig,
+#: prefetcher class + its config's slots)`` points.  The other 65 runs repeat
+#: a point another figure (or an earlier run of a ``simulate_pair``) already
+#: simulated: fig13 repeats fig12, every pair re-runs its trace's null
+#: baseline, and fig06 / fig07 / fig10 / fig11 each contain the default SMS
+#: point.  The same count holds at every scale and CPU count tried (0.01/1,
+#: 0.1/2, 0.5/4, 1.0/4); a point-level result cache would make it the
+#: number of simulations a cold paper run performs.
+DISTINCT_POINTS = 232
+
+
 def test_census_covers_every_servable_figure():
     # Every figure of the table but Table 1 declares a sweep, and the
     # service serves exactly those.
@@ -67,6 +78,37 @@ def test_figure_path_census(figure):
     runs = engine_path_counts(since=before)
     lanes, reference = PATH_CENSUS[figure]
     assert runs == {"lanes": lanes, "reference": reference}
+
+
+def test_distinct_simulation_points(monkeypatch):
+    from repro.experiments import common
+
+    trace_keys = {}
+    cached_trace = common._cached_trace
+
+    def keyed_trace(*key):
+        trace = cached_trace(*key)
+        trace_keys[id(trace)] = (key, trace)  # the trace kept alive: ids stay unique
+        return trace
+
+    points = []
+    run = SimulationEngine.run
+
+    def recording_run(self, trace, *args, **kwargs):
+        prefetcher = self.prefetchers[0]
+        config = getattr(prefetcher, "config", None)  # SMSConfig, GHBConfig or none
+        slots = () if config is None else tuple(getattr(config, s) for s in config.__slots__)
+        points.append((trace_keys[id(trace)][0], self.config, type(prefetcher), slots))
+        return run(self, trace, *args, **kwargs)
+
+    monkeypatch.setattr(common, "_cached_trace", keyed_trace)
+    monkeypatch.setattr(SimulationEngine, "run", recording_run)
+    for figure in sorted(PATH_CENSUS):
+        sweep = jobs.SWEEPS[figure]
+        for item in sweep.items:
+            sweep.fn(item, **sweep.kwargs(scale=0.01, num_cpus=1))
+    assert len(points) == sum(lanes for lanes, _ in PATH_CENSUS.values())
+    assert len(set(points)) == DISTINCT_POINTS
 
 
 def test_counts_format_and_absorb_round_trip():

@@ -3,12 +3,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.pattern import SpatialPattern
 from repro.core.pht import PatternHistoryTable, stable_hash
 
 
-def pattern(*offsets, width=32):
-    return SpatialPattern.from_offsets(width, offsets)
+def pattern(*offsets):
+    return sum(1 << offset for offset in offsets)
+
+
+def probe(table, key):
+    """The bits stored under ``key`` in its set, touching neither recency nor
+    counters."""
+    index = 0 if table.is_unbounded else stable_hash(key) % table.num_sets
+    return table._sets[index].get(key)
 
 
 class TestStableHash:
@@ -73,53 +79,41 @@ class TestConstruction:
 class TestBoundedTable:
     def test_store_and_lookup(self):
         pht = PatternHistoryTable(num_blocks=32, num_entries=64, associativity=4)
-        pht.store(("pc+off", 1, 0), pattern(0, 5))
-        assert pht.lookup(("pc+off", 1, 0)) == pattern(0, 5)
-        assert pht.lookup(("pc+off", 2, 0)) is None
+        pht.store_bits(("pc+off", 1, 0), pattern(0, 5))
+        assert pht.lookup_bits(("pc+off", 1, 0)) == pattern(0, 5)
+        assert pht.lookup_bits(("pc+off", 2, 0)) is None
 
     def test_store_replaces_existing(self):
         pht = PatternHistoryTable(num_blocks=32, num_entries=64, associativity=4)
         key = ("pc+off", 1, 0)
-        pht.store(key, pattern(0))
-        pht.store(key, pattern(1, 2))
-        assert pht.lookup(key) == pattern(1, 2)
-
-    def test_wrong_width_rejected(self):
-        pht = PatternHistoryTable(num_blocks=32)
-        with pytest.raises(ValueError):
-            pht.store("k", pattern(0, width=16))
+        pht.store_bits(key, pattern(0))
+        pht.store_bits(key, pattern(1, 2))
+        assert pht.lookup_bits(key) == pattern(1, 2)
 
     def test_set_capacity_respected(self):
         pht = PatternHistoryTable(num_blocks=32, num_entries=8, associativity=2)
         # Insert many keys; no set may hold more than 2 entries.
         for i in range(50):
-            pht.store(("pc", i), pattern(i % 32))
+            pht.store_bits(("pc", i), pattern(i % 32))
         assert pht.occupancy <= 8
         assert pht.replacements > 0
 
     def test_lru_within_set(self):
         # A single-set table makes the LRU order easy to check.
         pht = PatternHistoryTable(num_blocks=32, num_entries=2, associativity=2)
-        pht.store("a", pattern(0))
-        pht.store("b", pattern(1))
-        pht.lookup("a")
-        pht.store("c", pattern(2))  # should evict "b"
-        assert pht.probe("a") is not None
-        assert pht.probe("b") is None
-        assert pht.probe("c") is not None
-
-    def test_invalidate(self):
-        pht = PatternHistoryTable(num_blocks=32)
-        pht.store("k", pattern(0))
-        assert pht.invalidate("k") == pattern(0)
-        assert pht.probe("k") is None
-        assert pht.invalidate("k") is None
+        pht.store_bits("a", pattern(0))
+        pht.store_bits("b", pattern(1))
+        pht.lookup_bits("a")
+        pht.store_bits("c", pattern(2))  # should evict "b"
+        assert probe(pht, "a") is not None
+        assert probe(pht, "b") is None
+        assert probe(pht, "c") is not None
 
     def test_statistics(self):
         pht = PatternHistoryTable(num_blocks=32)
-        pht.store("k", pattern(0))
-        pht.lookup("k")
-        pht.lookup("missing")
+        pht.store_bits("k", pattern(0))
+        pht.lookup_bits("k")
+        pht.lookup_bits("missing")
         assert pht.lookups == 2
         assert pht.hits == 1
         assert pht.stores == 1
@@ -129,15 +123,15 @@ class TestUnboundedTable:
     def test_never_replaces(self):
         pht = PatternHistoryTable(num_blocks=32, num_entries=None)
         for i in range(1000):
-            pht.store(("pc", i), pattern(i % 32))
+            pht.store_bits(("pc", i), pattern(i % 32))
         assert pht.occupancy == 1000
         assert pht.replacements == 0
         assert pht.is_unbounded
 
     def test_lookup(self):
         pht = PatternHistoryTable(num_blocks=32, num_entries=None)
-        pht.store("k", pattern(7))
-        assert pht.lookup("k") == pattern(7)
+        pht.store_bits("k", pattern(7))
+        assert pht.lookup_bits("k") == pattern(7)
 
 
 class TestPropertyBased:
@@ -148,7 +142,7 @@ class TestPropertyBased:
     def test_occupancy_bounded(self, keys):
         pht = PatternHistoryTable(num_blocks=32, num_entries=32, associativity=4)
         for key in keys:
-            pht.store(("pc", key), pattern(key % 32))
+            pht.store_bits(("pc", key), pattern(key % 32))
         assert pht.occupancy <= 32
 
     @settings(max_examples=30, deadline=None)
@@ -158,8 +152,8 @@ class TestPropertyBased:
     def test_most_recent_store_always_found(self, keys):
         pht = PatternHistoryTable(num_blocks=32, num_entries=64, associativity=4)
         for key in keys:
-            pht.store(("pc", key), pattern(key % 32))
-            assert pht.probe(("pc", key)) is not None
+            pht.store_bits(("pc", key), pattern(key % 32))
+            assert probe(pht, ("pc", key)) is not None
 
 
 class NaivePHT:
@@ -210,16 +204,12 @@ class NaivePHT:
             self.replacements += 1
         entries.append([key, bits])
 
-    def invalidate(self, key):
-        entries, position = self._find(key)
-        return None if position is None else entries.pop(position)[1]
-
 
 #: op = (kind, key-id, pattern bits).  Twelve keys against one or four 2-way
-#: sets force set conflicts, LRU evictions and invalidate-of-present cases.
+#: sets force set conflicts, LRU evictions and stores to resident keys.
 _KEYS = [("pc+off", 0x400 + 4 * (key_id % 5), key_id) for key_id in range(12)]
 _OP = st.tuples(
-    st.sampled_from(["store", "store_bits", "lookup", "lookup_bits", "probe", "invalidate"]),
+    st.sampled_from(["store_bits", "lookup_bits"]),
     st.sampled_from(_KEYS),
     st.integers(min_value=0, max_value=2**16 - 1),
 )
@@ -237,19 +227,12 @@ class TestAgainstNaiveModel:
         )
         model = NaivePHT(num_sets=num_sets, ways=2)
         for op, key, bits in ops:
-            if op == "store":
-                actual = table.store(key, SpatialPattern(num_blocks=16, bits=bits))
-                expected = model.store(key, bits)
-            elif op == "store_bits":
+            if op == "store_bits":
                 actual = table.store_bits(key, bits)
                 expected = model.store(key, bits)
-            elif op == "lookup_bits":
+            else:
                 actual = table.lookup_bits(key)
                 expected = model.lookup(key)
-            else:
-                boxed = getattr(table, op)(key)
-                actual = None if boxed is None else boxed.bits
-                expected = getattr(model, op)(key)
             assert actual == expected, op
             assert (table.lookups, table.hits, table.stores, table.replacements) == (
                 model.lookups, model.hits, model.stores, model.replacements
@@ -259,8 +242,7 @@ class TestAgainstNaiveModel:
             # set can be compared after every step: a wrong victim shows up
             # at the eviction, not only if a later op happens to ask for it.
             for resident in _KEYS:
-                boxed = table.probe(resident)
-                assert (None if boxed is None else boxed.bits) == model.probe(resident), op
+                assert probe(table, resident) == model.probe(resident), op
         assert sorted(bits for entries in table._sets for bits in entries.values()) == sorted(
             entry[1] for entries in model.sets for entry in entries
         )

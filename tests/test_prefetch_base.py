@@ -5,8 +5,7 @@ import pytest
 from repro.analysis.density import DensityHistogram
 from repro.coherence.multiprocessor import AccessOutcomeRecord
 from repro.coherence.protocol import CoherenceActions, DirectoryEntry
-from repro.core.agt import AGTEvent
-from repro.core.training import TrainerResponse
+from repro.core.agt import TrainerResponse
 from repro.memory.cache import AccessOutcome, AccessResult
 from repro.memory.hierarchy import MemoryLevel
 from repro.memory.sectored import SectorState
@@ -20,6 +19,10 @@ from repro.simulation.breakdown import ExecutionBreakdown
 from repro.simulation.sampling import SampledMeasurement
 from repro.trace.record import MemoryAccess
 from repro.trace.stats import TraceStatistics
+
+
+def is_empty(response):
+    return not response.prefetches and not response.forced_evictions
 
 
 def simple_outcome(address=0x1000, miss=True):
@@ -41,14 +44,14 @@ class TestPrefetchRequest:
 
 class TestPrefetcherResponse:
     def test_empty(self):
-        assert PrefetcherResponse().is_empty
+        assert is_empty(PrefetcherResponse())
 
     def test_shared_empty_response_is_never_handed_out_as_a_default(self):
         response = PrefetcherResponse()
         response.prefetches.append(PrefetchRequest(0x1000))
         response.forced_evictions.append(0x2000)
-        assert PrefetcherResponse().is_empty
-        assert EMPTY_RESPONSE.is_empty
+        assert is_empty(PrefetcherResponse())
+        assert is_empty(EMPTY_RESPONSE)
         assert EMPTY_RESPONSE.prefetches == [] and EMPTY_RESPONSE.forced_evictions == []
 
     @pytest.mark.parametrize(
@@ -56,7 +59,6 @@ class TestPrefetcherResponse:
         [
             (PrefetcherResponse, ("prefetches", "forced_evictions")),
             (TrainerResponse, ("completed", "forced_evictions")),
-            (AGTEvent, ("completed",)),
             (lambda: DirectoryEntry(0x40), ("sharers",)),
             (CoherenceActions, ("invalidate_cpus",)),
             (lambda: SectorState(region=0, num_blocks=4), ("valid_bits",)),
@@ -77,6 +79,6 @@ class TestNullPrefetcher:
     def test_never_prefetches(self):
         prefetcher = NullPrefetcher()
         record, outcome = simple_outcome()
-        assert prefetcher.on_access(record, outcome).is_empty
-        assert prefetcher.on_eviction(0x1000, invalidated=True).is_empty
-        assert prefetcher.finalize().is_empty
+        assert is_empty(prefetcher.on_access(record, outcome))
+        assert is_empty(prefetcher.on_eviction(0x1000, invalidated=True))
+        assert is_empty(prefetcher.finalize())

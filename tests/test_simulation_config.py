@@ -5,7 +5,6 @@ import pickle
 
 import pytest
 
-from repro.core.pattern import SpatialPattern
 from repro.core.region import RegionGeometry
 from repro.simulation.config import MachineConfig, SimulationConfig
 
@@ -115,7 +114,6 @@ class TestImmutableValueTypes:
         [
             SimulationConfig.small(num_cpus=2),
             RegionGeometry(region_size=1024, block_size=32),
-            SpatialPattern(num_blocks=8, bits=0b1010_0001),
         ],
         ids=lambda value: type(value).__name__,
     )

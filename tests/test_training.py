@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.core.region import RegionGeometry
+from repro.core.agt import ActiveGenerationTable
 from repro.core.training import (
-    AGTTrainer,
     DecoupledSectoredTrainer,
     LogicalSectoredTrainer,
     make_trainer,
@@ -13,25 +12,31 @@ from repro.core.training import (
 REGION = 0x40000
 
 
+def offsets(bits):
+    return [offset for offset in range(bits.bit_length()) if bits >> offset & 1]
+
+
 class TestAGTTrainer:
+    """The AGT is its own trainer: the same three methods as the sectored ones."""
+
     def test_trigger_and_completion(self, geometry):
-        trainer = AGTTrainer(geometry)
-        response = trainer.observe_access(0x400, REGION + 3 * 64)
+        trainer = ActiveGenerationTable(geometry)
+        response = trainer.observe_access(0x400, REGION + 3 * 64 + 8)
         assert response.trigger is not None
-        assert response.trigger.offset == 3
+        assert response.trigger.trigger_offset == 3
+        assert response.trigger.trigger_address == REGION + 3 * 64
         trainer.observe_access(0x404, REGION + 5 * 64)
-        response = trainer.observe_removal(REGION + 3 * 64)
-        assert len(response.completed) == 1
-        assert response.completed[0].pattern.offsets() == [3, 5]
+        record = trainer.observe_removal(REGION + 3 * 64)
+        assert offsets(record.pattern_bits) == [3, 5]
 
     def test_no_forced_evictions(self, geometry):
-        trainer = AGTTrainer(geometry)
+        trainer = ActiveGenerationTable(geometry)
         for i in range(200):
             response = trainer.observe_access(0x400, REGION + i * geometry.region_size)
             assert not response.forced_evictions
 
     def test_drain(self, geometry):
-        trainer = AGTTrainer(geometry)
+        trainer = ActiveGenerationTable(geometry)
         trainer.observe_access(0x400, REGION)
         trainer.observe_access(0x404, REGION + 64)
         drained = trainer.drain()
@@ -44,9 +49,12 @@ class TestLogicalSectoredTrainer:
 
     def test_trigger_on_new_sector(self, geometry):
         trainer = self.make(geometry)
-        response = trainer.observe_access(0x400, REGION + 2 * 64)
+        response = trainer.observe_access(0x400, REGION + 2 * 64 + 8)
         assert response.trigger is not None
-        assert response.trigger.offset == 2
+        assert response.trigger.trigger_offset == 2
+        # The trigger's block, as the AGT hands it out: the address-indexed
+        # PHT keys name a block.
+        assert response.trigger.trigger_address == REGION + 2 * 64
 
     def test_no_trigger_on_existing_sector(self, geometry):
         trainer = self.make(geometry)
@@ -71,14 +79,12 @@ class TestLogicalSectoredTrainer:
         trainer = self.make(geometry)
         trainer.observe_access(0x400, REGION)
         trainer.observe_access(0x404, REGION + 64)
-        response = trainer.observe_removal(REGION + 64)
-        assert len(response.completed) == 1
-        assert response.completed[0].pattern.offsets() == [0, 1]
+        record = trainer.observe_removal(REGION + 64)
+        assert offsets(record.pattern_bits) == [0, 1]
 
     def test_removal_of_untracked_block_is_noop(self, geometry):
         trainer = self.make(geometry)
-        response = trainer.observe_removal(0x999000)
-        assert not response.completed
+        assert trainer.observe_removal(0x999000) is None
 
     def test_drain(self, geometry):
         trainer = self.make(geometry)
@@ -101,15 +107,16 @@ class TestDecoupledSectoredTrainer:
 
 class TestFactory:
     def test_agt(self, geometry):
-        assert isinstance(make_trainer("agt", geometry), AGTTrainer)
+        assert type(make_trainer("agt", geometry)) is ActiveGenerationTable
 
     def test_logical(self, geometry):
-        assert isinstance(make_trainer("logical-sectored", geometry), LogicalSectoredTrainer)
-        assert isinstance(make_trainer("LS", geometry), LogicalSectoredTrainer)
+        assert type(make_trainer("logical-sectored", geometry)) is LogicalSectoredTrainer
 
     def test_decoupled(self, geometry):
-        assert isinstance(make_trainer("ds", geometry), DecoupledSectoredTrainer)
+        assert type(make_trainer("decoupled-sectored", geometry)) is DecoupledSectoredTrainer
 
     def test_unknown(self, geometry):
-        with pytest.raises(ValueError):
-            make_trainer("sector", geometry)
+        # One name per trainer: no case folding, no short aliases.
+        for name in ("sector", "LS", "ds", "logical", "active-generation-table"):
+            with pytest.raises(ValueError):
+                make_trainer(name, geometry)
