@@ -137,13 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="regenerate synthetic traces instead of replaying cached .strc files",
     )
-    experiment.add_argument(
-        "--max-retries",
-        type=_nonnegative_int,
-        default=0,
-        help="re-execute a failing sweep point up to N times with exponential "
-        "backoff (default: 0)",
-    )
 
     convert = subparsers.add_parser(
         "convert", help="convert a trace between the text and binary formats"
@@ -439,12 +432,9 @@ def _command_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import common as experiments_common
     from repro.simulation.census import engine_path_counts, format_engine_path_counts
     from repro.simulation.result_cache import CACHE_DIR_ENV, SweepResultCache, set_default_cache
-    from repro.simulation.sweep import set_default_max_retries
 
     cache = None if args.no_cache else SweepResultCache(directory=args.cache_dir)
     previous = set_default_cache(cache)
-    # The figure runner builds its own sweep runners, in this process.
-    previous_retries = set_default_max_retries(args.max_retries)
     # Trace caching is on by default for CLI sweeps (--no-trace-cache to
     # disable); parallel sweep workers follow this process's switch.
     previous_trace = experiments_common.set_trace_cache(not args.no_trace_cache)
@@ -458,7 +448,6 @@ def _command_experiment(args: argparse.Namespace) -> int:
             table = figure.run(scale=args.scale, num_cpus=args.cpus, workers=args.workers)
     finally:
         set_default_cache(previous)
-        set_default_max_retries(previous_retries)
         experiments_common.set_trace_cache(previous_trace)
     print(table.to_text())
     # Which engine loop the figure's runs took (pool workers report theirs

@@ -8,7 +8,7 @@ a long-lived, stdlib-only service:
   in-flight depth with ``busy`` backpressure;
 * :mod:`repro.serve.pool` — the package's one forked worker pool: resident
   here, with warm trace/result caches, and short-lived under a parallel
-  :class:`~repro.simulation.sweep.SweepRunner`;
+  :func:`~repro.simulation.sweep.sweep_map`;
 * :mod:`repro.serve.jobs` — request validation and verb -> task
   resolution; a ``sweep`` request runs one item of a figure's declared
   sweep, the task its ``run()`` builds too, and job identity is the

@@ -6,7 +6,7 @@ down.  ``repro.cli serve`` keeps one pool for its whole life, so what a cold
 imported package, warmed ``lru_cache`` state (above all
 :func:`repro.experiments.common._cached_trace`, recent traces as lanes), the
 ambient :class:`~repro.simulation.result_cache.SweepResultCache` and the
-``.strc`` trace cache.  A parallel :class:`~repro.simulation.sweep.SweepRunner`
+``.strc`` trace cache.  A parallel :func:`~repro.simulation.sweep.sweep_map`
 starts a short-lived pool for the pending points of one sweep.
 
 The unit of work is a :class:`~repro.simulation.sweep.SweepTask`.  A worker

@@ -73,6 +73,10 @@ from repro.serve.pool import WorkerPool
 from repro.simulation.census import engine_path_counts
 from repro.simulation.result_cache import SweepResultCache
 
+#: Seconds before the first retry of a job whose worker was lost; each
+#: further retry of the same job waits twice as long.
+RETRY_BACKOFF = 0.1
+
 
 class SimulationServer:
     """Long-lived ndjson simulation service over TCP or a Unix socket."""
@@ -87,7 +91,6 @@ class SimulationServer:
         cache: Optional[SweepResultCache] = None,
         max_retries: int = 2,
         task_timeout: Optional[float] = None,
-        retry_backoff: float = 0.1,
         quarantine_after: int = 3,
         http_host: str = "127.0.0.1",
         http_port: Optional[int] = None,
@@ -106,7 +109,6 @@ class SimulationServer:
         self.cache = cache if cache is not None else SweepResultCache()
         self.max_retries = max_retries
         self.task_timeout = task_timeout
-        self.retry_backoff = retry_backoff
         self.quarantine_after = quarantine_after
         self.counters: Dict[str, int] = {
             "requests": 0,
@@ -389,7 +391,7 @@ class SimulationServer:
             self.counters["executed"] += 1
             if digest is not None:
                 # The front-end stores the raw result (same convention as
-                # SweepRunner: the parent writes, workers never do), so the
+                # sweep_map: the parent writes, workers never do), so the
                 # entry is shared with command-line sweeps.  The pickle dump
                 # runs off-loop; the job stays in _inflight until the entry
                 # is durable, so an identical request arriving meanwhile
@@ -444,7 +446,7 @@ class SimulationServer:
                 if attempts > self.max_retries:
                     raise
                 self.counters["retries"] += 1
-                await asyncio.sleep(self.retry_backoff * (2 ** (attempts - 1)))
+                await asyncio.sleep(RETRY_BACKOFF * (2 ** (attempts - 1)))
 
     # ------------------------------------------------------------------ #
     def status(self) -> Dict[str, Any]:

@@ -8,9 +8,9 @@ built from.  :mod:`repro.simulation.timing` converts those counters into the
 execution-time breakdowns and speedups of Figures 12-13 using the Table-1
 machine parameters, and :mod:`repro.simulation.sampling` supplies the
 SMARTS-style paired-measurement confidence intervals.
-:class:`~repro.simulation.sweep.SweepRunner` fans experiment sweeps out over
-the workers of a short-lived :class:`repro.serve.pool.WorkerPool`, memoizing
-completed task results through a
+:func:`~repro.simulation.sweep.sweep_map` fans experiment sweeps out over the
+workers of a short-lived :class:`repro.serve.pool.WorkerPool`, memoizing
+completed points through a
 :class:`~repro.simulation.result_cache.SweepResultCache`.
 """
 
@@ -30,6 +30,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "timing": ("TimingModel",),
         "breakdown": ("BreakdownCategory", "ExecutionBreakdown"),
         "sampling": ("ConfidenceInterval", "paired_speedup"),
-        "sweep": ("SweepTask", "set_default_max_retries", "sweep_map"),
+        "sweep": ("SweepTask", "sweep_map"),
     },
 )

@@ -309,19 +309,6 @@ class SweepResultCache:
             obs.note_cache_op("sweep", "store")
             span.set("bytes", len(data))
 
-    # ------------------------------------------------------------------ #
-    def clear(self) -> int:
-        """Delete every entry; return the number removed."""
-        removed = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.pkl"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
     def __repr__(self) -> str:
         return f"SweepResultCache(directory={str(self.directory)!r}, stats={self.stats})"
 

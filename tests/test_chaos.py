@@ -19,7 +19,6 @@ import subprocess
 import sys
 import tempfile
 import textwrap
-import time
 from pathlib import Path
 
 import pytest
@@ -36,16 +35,13 @@ from repro.serve.protocol import (
     WORKER_LOST,
     ProtocolError,
 )
+from repro.serve import server as server_module
 from repro.serve.server import SimulationServer
-from repro.simulation import SweepResultCache, SweepTask, set_default_max_retries
+from repro.simulation import SweepResultCache
 from repro.simulation.result_cache import QUARANTINE_SUBDIR
-from repro.simulation.sweep import SweepRunner
+from repro.simulation.sweep import sweep_map
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-#: Recorded at import so forked sweep workers (different pid) can tell
-#: themselves apart from the parent — faults scoped "workers only".
-_MAIN_PID = os.getpid()
 
 
 @pytest.fixture(autouse=True)
@@ -70,19 +66,6 @@ def square(value):
     return value * value
 
 
-def flaky_square(value):
-    """Raises an injected fault when the plan says so, else squares."""
-    faults.fire("chaos.task")
-    return value * value
-
-
-def slow_in_workers(value):
-    """Sleeps forever in forked sweep workers; instant in the parent."""
-    if value == 2 and os.getpid() != _MAIN_PID:
-        time.sleep(3600)
-    return value * value
-
-
 # --------------------------------------------------------------------------- #
 # Sweep crash → cache resume → byte identity (the acceptance scenario)
 # --------------------------------------------------------------------------- #
@@ -90,8 +73,8 @@ _SWEEP_SCRIPT = textwrap.dedent(
     """
     import pickle, sys
     from repro.serve import jobs
-    from repro.simulation import SweepResultCache, SweepTask
-    from repro.simulation.sweep import SweepRunner
+    from repro.simulation import SweepResultCache
+    from repro.simulation.sweep import sweep_map
 
     def spec(seed):
         return {
@@ -100,14 +83,9 @@ _SWEEP_SCRIPT = textwrap.dedent(
         }
 
     cache = SweepResultCache()  # directory from REPRO_CACHE_DIR
-    runner = SweepRunner(cache=cache)
-    tasks = [
-        SweepTask(key=seed, fn=jobs.execute_spec, args=(spec(seed),))
-        for seed in (1, 2, 3, 4)
-    ]
-    results = runner.run(tasks)
+    results = sweep_map(jobs.execute_spec, [spec(seed) for seed in (1, 2, 3, 4)], cache=cache)
     with open(sys.argv[1], "wb") as handle:
-        pickle.dump({"results": results, "report": runner.report}, handle)
+        pickle.dump({"results": results, "stats": cache.stats.as_dict()}, handle)
     """
 )
 
@@ -161,10 +139,11 @@ class TestCrashResumeByteIdentity:
         proc, out = _run_sweep_script(tmp_path, cache_dir, "resumed.pkl")
         assert proc.returncode == 0, proc.stderr
         resumed = pickle.loads(out.read_bytes())
-        report = resumed["report"]
-        assert report["total"] == 4
-        assert report["cached"] == 1  # one completed point survived intact
-        assert report["executed"] == 3  # 2 missing + 1 regenerated
+        stats = resumed["stats"]
+        assert len(resumed["results"]) == 4
+        assert stats["hits"] == 1  # one completed point survived intact
+        assert stats["stores"] == 3  # 2 missing + 1 regenerated
+        assert stats["quarantined"] == 1
         assert (cache_dir / QUARANTINE_SUBDIR / victim.name).exists()
 
         # 5. Byte identity: an uninterrupted fault-free run in a fresh
@@ -188,71 +167,41 @@ class TestCrashResumeByteIdentity:
 # In-process sweep chaos
 # --------------------------------------------------------------------------- #
 class TestSweepChaos:
-    def test_retry_recovers_injected_task_error(self, tmp_path):
-        faults.install_plan("chaos.task:error@1")
-        runner = SweepRunner(
-            cache=SweepResultCache(tmp_path), max_retries=2, backoff_base=0.0
-        )
-        assert runner.map(flaky_square, [3]) == [9]
-        assert runner.report["retries"] == 1 and runner.report["failed"] == 0
-
-        # The same budget set in-process (what ``experiment --max-retries``
-        # does for the runners a figure module builds), then restored.
-        faults.install_plan("chaos.task:error@1")
-        previous = set_default_max_retries(2)
-        try:
-            ambient = SweepRunner(cache=SweepResultCache(tmp_path), backoff_base=0.0)
-        finally:
-            assert set_default_max_retries(previous) == 2
-        assert ambient.map(flaky_square, [4]) == [16]
-        assert ambient.report["retries"] == 1
-        assert SweepRunner().max_retries == previous == 0
-
-    def test_parallel_worker_errors_retried_serially(self, tmp_path):
-        # Every forked sweep worker errors its first point; the parent
-        # retries the failures serially.  The parent's own first hit of the
-        # site fires too, which the retry budget also absorbs.
-        faults.install_plan("chaos.task:error@1")
-        runner = SweepRunner(
-            max_workers=2,
-            cache=SweepResultCache(tmp_path),
-            max_retries=2,
-            backoff_base=0.0,
-        )
-        assert runner.map(flaky_square, [1, 2, 3, 4]) == [1, 4, 9, 16]
-        assert runner.report["failed"] == 0
-
-    def test_hung_parallel_point_is_killed_and_run_in_the_parent(self, tmp_path):
-        runner = SweepRunner(
-            max_workers=2,
-            cache=SweepResultCache(tmp_path),
-            point_timeout=1.0,
-        )
-        with pytest.warns(RuntimeWarning, match="missed its .*deadline"):
-            results = runner.map(slow_in_workers, [1, 2, 3, 4])
-        assert results == [1, 4, 9, 16]
-        assert runner.report["failed"] == 0
+    def test_parallel_points_whose_workers_crash_run_in_the_parent(self, tmp_path):
+        # Every forked worker dies on its first point, and so does each
+        # respawned one (fresh per-process fault counters), so every point
+        # loses its worker and runs once more, in the parent.  The parent
+        # never reaches the pool.worker site.
+        faults.install_plan(faults._PLAN_UNSET)  # let workers read the env
+        cache = SweepResultCache(tmp_path)
+        with scoped_env({FAULTS_ENV: "pool.worker:crash@1"}):
+            with pytest.warns(RuntimeWarning, match="lost its worker") as lost:
+                results = sweep_map(square, [1, 2, 3, 4], workers=2, cache=cache)
+        assert results == sweep_map(square, [1, 2, 3, 4])
+        assert sorted(str(warning.message) for warning in lost) == [
+            f"parallel sweep point (task {index}) lost its worker; running it in the parent"
+            for index in range(4)
+        ]
+        assert cache.stats.stores == 4
 
     def test_enospc_on_cache_write_is_nonfatal(self, tmp_path):
         faults.install_plan("cache.put:enospc@1")
         cache = SweepResultCache(tmp_path)
-        runner = SweepRunner(cache=cache)
         with pytest.warns(RuntimeWarning, match="could not store"):
-            assert runner.map(square, [5]) == [25]
+            assert sweep_map(square, [5], cache=cache) == [25]
         assert cache.stats.errors == 1
 
     def test_torn_cache_write_detected_and_recomputed(self, tmp_path):
         faults.install_plan("cache.put:torn@1")
         cache = SweepResultCache(tmp_path)
-        assert SweepRunner(cache=cache).map(square, [6]) == [36]
+        assert sweep_map(square, [6], cache=cache) == [36]
         faults.install_plan(None)
         # The torn entry fails its checksum, is quarantined, and the point
         # recomputes — the caller still sees the right value.
         fresh_cache = SweepResultCache(tmp_path)
-        runner = SweepRunner(cache=fresh_cache)
         with pytest.warns(RuntimeWarning, match="quarantining corrupt"):
-            assert runner.map(square, [6]) == [36]
-        assert runner.report["executed"] == 1
+            assert sweep_map(square, [6], cache=fresh_cache) == [36]
+        assert fresh_cache.stats.stores == 1
         assert fresh_cache.stats.quarantined == 1
         assert list((tmp_path / QUARANTINE_SUBDIR).iterdir())
 
@@ -313,6 +262,10 @@ class _CrashingThenOkPool:
 
 
 class TestServerRetries:
+    @pytest.fixture(autouse=True)
+    def _no_retry_backoff(self, monkeypatch):
+        monkeypatch.setattr(server_module, "RETRY_BACKOFF", 0.0)
+
     def _roundtrip(self, server_factory, payload, socket_path, n=1):
         async def scenario():
             server = server_factory()
@@ -345,7 +298,6 @@ class TestServerRetries:
                 socket_path=socket_path,
                 cache=SweepResultCache(tmp_path / "cache"),
                 max_retries=2,
-                retry_backoff=0.0,
                 quarantine_after=5,
             )
 
@@ -367,7 +319,6 @@ class TestServerRetries:
                 socket_path=socket_path,
                 cache=SweepResultCache(tmp_path / "cache"),
                 max_retries=10,
-                retry_backoff=0.0,
                 quarantine_after=2,
             )
 
@@ -393,7 +344,6 @@ class TestServerRetries:
                 socket_path=socket_path,
                 cache=SweepResultCache(tmp_path / "cache"),
                 max_retries=5,
-                retry_backoff=0.0,
             )
 
         replies, _ = self._roundtrip(factory, SWEEP_REQUEST, socket_path, n=1)

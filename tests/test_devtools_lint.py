@@ -1348,12 +1348,6 @@ class TestPackageIsClean:
         if not (repo / "benchmarks").is_dir():
             pytest.skip("no benchmarks/ (installed-package run)")
         names, attributes, constants, fields = product_reads_and_stores(repo)
-        exempt = {
-            # The per-run reuse/failure accounting the chaos tests assert;
-            # the metrics it is flushed to are process-wide, so they cannot
-            # attribute retries to one runner.
-            "simulation/sweep.py:SweepRunner.report": "asserted by tests/test_chaos.py",
-        }
         dunder = re.compile(r"__\w+__\Z")
         unread = {
             f"{where}.{name}"
@@ -1366,8 +1360,7 @@ class TestPackageIsClean:
             if name not in attributes and not dunder.match(name)
             for where in places
         }
-        assert sorted(unread - set(exempt)) == []
-        assert set(exempt) <= unread, "exemption no longer needed"
+        assert sorted(unread) == []
 
     def test_every_signal_answers_a_question(self):
         # Signal census: a metric family or span that answers none of the

@@ -30,7 +30,7 @@ from repro.simulation.engine import (
     format_engine_path_counts,
 )
 from repro.simulation.result_cache import SweepResultCache
-from repro.simulation.sweep import SweepRunner
+from repro.simulation.sweep import sweep_map
 from repro.workloads import make_workload
 
 #: ``(runs_lanes, runs_reference)`` per figure at the smallest scale, 1 CPU.
@@ -217,7 +217,7 @@ def _simulate_point(seed, prefetcher="sms"):
 
 def test_parallel_sweep_workers_report_their_runs_to_the_parent():
     before = engine_path_counts()
-    SweepRunner(max_workers=2).map(_simulate_point, [1, 2, 3], prefetcher="ghb")
+    sweep_map(_simulate_point, [1, 2, 3], workers=2, prefetcher="ghb")
     runs = engine_path_counts(since=before)
     # Three points, each a baseline plus a GHB run through the boxing adapter.
     assert runs == {"lanes": 6, "reference": 0}

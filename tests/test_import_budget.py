@@ -244,16 +244,15 @@ def test_parallel_sweep_forks_warm_workers_only_for_pending_points(tmp_path):
     report = run_script(tmp_path, """
 import json, sys
 from repro.simulation.result_cache import SweepResultCache
-from repro.simulation.sweep import SweepRunner
+from repro.simulation.sweep import sweep_map
 
 def loaded_in_worker(point):
     return sorted(m for m in sys.modules if m.startswith("repro."))
 
 if __name__ == "__main__":
     cache = SweepResultCache(directory=sys.argv[0] + ".cache")
-    runner = SweepRunner(max_workers=2, cache=cache)
-    worker = runner.map(loaded_in_worker, [1, 2])[0]
-    runner.map(loaded_in_worker, [1, 2])  # all hits: no pool
+    worker = sweep_map(loaded_in_worker, [1, 2], workers=2, cache=cache)[0]
+    sweep_map(loaded_in_worker, [1, 2], workers=2, cache=cache)  # all hits: no pool
     print(json.dumps({"worker": worker, "hits": cache.stats.hits,
                       "parent": sorted(sys.modules)}))
 """)
@@ -266,15 +265,15 @@ def test_all_hits_sweep_imports_no_pool_and_no_engine(tmp_path):
     report = run_script(tmp_path, """
 import json, sys
 from repro.simulation.result_cache import SweepResultCache
-from repro.simulation.sweep import SweepRunner
+from repro.simulation.sweep import sweep_map
 
 def point(value):
     return value * 2
 
 if __name__ == "__main__":
     cache = SweepResultCache(directory=sys.argv[0] + ".cache")
-    SweepRunner(max_workers=1, cache=cache).map(point, [1, 2])
-    assert SweepRunner(max_workers=2, cache=cache).map(point, [1, 2]) == [2, 4]
+    sweep_map(point, [1, 2], workers=1, cache=cache)
+    assert sweep_map(point, [1, 2], workers=2, cache=cache) == [2, 4]
     print(json.dumps(sorted(sys.modules)))
 """)
     assert loaded(report, "multiprocessing", "repro.simulation.engine") == []

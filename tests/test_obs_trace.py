@@ -5,7 +5,7 @@ Unit tests pin the span-tree contract: parent links, sampling semantics
 ndjson export with torn-tail recovery, and the trace-report
 tree building / cross-process re-anchoring / critical path.  The
 end-to-end class drives one traced sweep through the real serve stack —
-client, asyncio server, forked pool worker, sweep runner, result cache —
+client, asyncio server, forked pool worker, sweep_map, result cache —
 and asserts a single connected span tree comes back out.
 """
 
@@ -42,6 +42,11 @@ def _spans_by_name(records):
     return {record["name"]: record for record in records if record.get("kind") == "span"}
 
 
+def _double(value):
+    """Module-level so a parallel sweep can pickle it."""
+    return 2 * value
+
+
 class TestSpanTree:
     def test_nested_spans_record_parent_links(self, trace_env):
         with trace.span("outer", {"k": 1}) as outer:
@@ -57,6 +62,25 @@ class TestSpanTree:
         assert spans["outer"]["attrs"] == {"k": 1}
         assert spans["outer"]["dur"] >= spans["inner"]["dur"] >= 0.0
         assert spans["outer"]["status"] == "ok"
+
+    def test_sweep_run_span_counts_cached_and_executed_points(self, trace_env):
+        from repro.simulation.result_cache import SweepResultCache
+        from repro.simulation.sweep import sweep_map
+
+        cache = SweepResultCache(trace_env / "sweep")
+        sweep_map(_double, [1, 2], cache=cache)
+        sweep_map(_double, [1, 2, 3, 4], workers=2, cache=cache)
+        trace.flush()
+        runs = sorted(
+            (record for path in trace.list_trace_files()
+             for record in trace.load_trace_file(path)
+             if record.get("kind") == "span" and record["name"] == "sweep.run"),
+            key=lambda record: record["start"],
+        )
+        assert [run["attrs"] for run in runs] == [
+            {"total": 2, "cached": 0, "executed": 2},
+            {"total": 4, "cached": 2, "executed": 2},
+        ]
 
     def test_exception_marks_error_and_still_exports(self, trace_env):
         with pytest.raises(RuntimeError):
@@ -304,7 +328,7 @@ class TestTracedServeEndToEnd:
                 try:
                     def client_side():
                         # The experiment verb runs the full figure inside the
-                        # worker, which routes through SweepRunner — so the
+                        # worker, which routes through sweep_map — so the
                         # trace crosses every layer: serve, pool, sweep,
                         # cache, engine.
                         with ServeClient(socket_path=socket_path) as client:

@@ -21,7 +21,7 @@ from repro.simulation.result_cache import (
     set_default_cache,
 )
 from repro.simulation.sampling import ConfidenceInterval
-from repro.simulation.sweep import SweepRunner, SweepTask, sweep_map
+from repro.simulation.sweep import sweep_map
 
 
 def square(value, offset=0):
@@ -35,6 +35,12 @@ CALLS = []
 def tracked(value):
     CALLS.append(value)
     return value + 100
+
+
+def square_but_fail_on_two(value):
+    if value == 2:
+        raise RuntimeError("boom")
+    return square(value)
 
 
 @pytest.fixture(autouse=True)
@@ -185,13 +191,6 @@ class TestStore:
         assert (tmp_path / QUARANTINE_SUBDIR / entry.name).exists()
         assert cache.stats.quarantined == 1 and cache.stats.errors == 1
 
-    def test_clear(self, tmp_path):
-        cache = SweepResultCache(tmp_path)
-        for value in (1, 2, 3):
-            cache.put(cache.fingerprint(square, (value,), {}), value)
-        assert cache.clear() == 3
-        assert cache.clear() == 0
-
     def test_staging_file_is_what_cleanup_matches_and_never_an_entry(self, tmp_path):
         # The name atomic_store builds is the name remove_temp_files /
         # cache_overview match (the hand-staged names elsewhere in the suite
@@ -200,7 +199,6 @@ class TestStore:
         def dies_mid_write(staging):
             staging.write_bytes(b"partial")
             assert staging.parent == tmp_path
-            assert SweepResultCache(tmp_path).clear() == 0
             overview = cache_overview(tmp_path)["sweep"]
             assert (overview["entries"], overview["stale_entries"]) == (0, 0)
             assert overview["temp_files"] == 1
@@ -218,51 +216,46 @@ class TestRunnerIntegration:
     def test_second_sweep_hits_without_executing(self, tmp_path):
         CALLS.clear()
         cache = SweepResultCache(tmp_path)
-        first = SweepRunner(cache=cache).map(tracked, [1, 2, 3])
+        first = sweep_map(tracked, [1, 2, 3], cache=cache)
         assert first == [101, 102, 103]
         assert CALLS == [1, 2, 3]
-        second = SweepRunner(cache=SweepResultCache(tmp_path)).map(tracked, [1, 2, 3])
+        second = sweep_map(tracked, [1, 2, 3], cache=SweepResultCache(tmp_path))
         assert second == first
         assert CALLS == [1, 2, 3]  # nothing re-executed
 
     def test_partial_hits_execute_only_misses(self, tmp_path):
         CALLS.clear()
         cache = SweepResultCache(tmp_path)
-        SweepRunner(cache=cache).map(tracked, [1, 2])
+        sweep_map(tracked, [1, 2], cache=cache)
         CALLS.clear()
-        results = SweepRunner(cache=SweepResultCache(tmp_path)).map(tracked, [1, 2, 3, 4])
+        results = sweep_map(tracked, [1, 2, 3, 4], cache=SweepResultCache(tmp_path))
         assert results == [101, 102, 103, 104]
         assert CALLS == [3, 4]
 
     def test_parallel_sweep_uses_cache(self, tmp_path):
         cache = SweepResultCache(tmp_path)
         items = list(range(8))
-        parallel = SweepRunner(max_workers=2, cache=cache).map(square, items, offset=3)
+        parallel = sweep_map(square, items, workers=2, cache=cache, offset=3)
         assert parallel == [square(i, offset=3) for i in items]
         warm_cache = SweepResultCache(tmp_path)
-        warm = SweepRunner(max_workers=2, cache=warm_cache).map(square, items, offset=3)
+        warm = sweep_map(square, items, workers=2, cache=warm_cache, offset=3)
         assert warm == parallel
         assert warm_cache.stats.hits == len(items)
 
     def test_uncacheable_tasks_still_run(self, tmp_path):
         cache = SweepResultCache(tmp_path)
-        results = SweepRunner(cache=cache).map(lambda v: v * 2, [1, 2])
+        results = sweep_map(lambda v: v * 2, [1, 2], cache=cache)
         assert results == [2, 4]
         assert cache.stats.skipped == 2
 
     def test_task_error_is_not_cached(self, tmp_path):
-        def boom(value):
-            raise RuntimeError("boom")
-
-        boom.__qualname__ = "boom"  # keep it cacheable-looking
         cache = SweepResultCache(tmp_path)
         with pytest.raises(RuntimeError):
-            SweepRunner(cache=cache).run([SweepTask(key=1, fn=square, args=(1,)),
-                                          SweepTask(key=2, fn=boom, args=(2,))])
+            sweep_map(square_but_fail_on_two, [1, 2], cache=cache)
         # Completed points are stored as they finish (that is what makes an
         # interrupted sweep resumable); the failing point stores nothing.
         assert cache.stats.stores == 1
-        hit, value = cache.get(cache.fingerprint(square, (1,), {}))
+        hit, value = cache.get(cache.fingerprint(square_but_fail_on_two, (1,), {}))
         assert hit and value == 1
 
     def test_sweep_map_accepts_cache(self, tmp_path):
@@ -293,9 +286,12 @@ class TestAmbientDefault:
     def test_runner_picks_up_ambient(self, tmp_path):
         ambient = SweepResultCache(tmp_path)
         set_default_cache(ambient)
-        assert SweepRunner().cache is ambient
+        sweep_map(square, [1, 2])
+        assert ambient.stats.stores == 2
         set_default_cache(None)
-        assert SweepRunner().cache is None
+        before = ambient.stats.as_dict()
+        sweep_map(square, [3])
+        assert ambient.stats.as_dict() == before
 
     def test_set_default_cache_returns_restorable_token(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SWEEP_CACHE", "1")

@@ -421,48 +421,6 @@ def test_sms_matches_section_3(scheme, max_requests, face):
     check()
 
 
-@pytest.mark.parametrize("unbounded_agt", [False, True], ids=["agt-2x2", "agt-unbounded"])
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_finalize_trains_what_the_generic_drain_trains(scheme, unbounded_agt):
-    """``finalize`` trains every live generation, as ``_train(trainer.drain())``
-    does, and leaves no generation or register behind.  With the unbounded
-    AGT (fig10's) every generation the ops start and never end is live at the
-    end, so the 2 x 2 PHT sees conflicts, replacements and repeated keys."""
-
-    def build():
-        unbounded = {"filter_entries": None, "accumulation_entries": None}
-        return Boxed(make_sms(scheme, None, **(unbounded if unbounded_agt else {})))
-
-    def state(sms):
-        agt, pht = sms.trainer, sms.pht
-        return {
-            # Every set, least- to most-recently used: contents and recency.
-            "pht": [list(table.items()) for table in pht._sets],
-            "occupancy": pht.occupancy,
-            "counters": public_counters(sms),
-            "active": ([*agt._filter, *agt._accumulation], len(sms.registers._registers)),
-        }
-
-    @settings(max_examples=100, deadline=None)
-    @given(ops=_OPS)
-    def check(ops):
-        direct, generic = build(), build()
-        for kind, pc, region, within in ops:
-            for face in (direct, generic):
-                if kind == "access":
-                    face.access(pc, region + within)
-                else:
-                    face.remove(region + within, invalidated=kind == "invalidate")
-        response = direct.sms.finalize()
-        assert not response.prefetches and not response.forced_evictions
-        generic.sms._train(generic.sms.trainer.drain())
-        generic.sms.registers.clear()
-        assert state(direct.sms) == state(generic.sms)
-        assert state(direct.sms)["active"] == ([], 0)
-
-    check()
-
-
 # -- the scripted cases hypothesis must not be relied on to find ----------------
 A, B, C = REGIONS[:3]
 

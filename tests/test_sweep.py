@@ -1,4 +1,4 @@
-"""Tests for repro.simulation.sweep (parallel sweep runner)."""
+"""Tests for repro.simulation.sweep (serial and parallel sweeps)."""
 
 import os
 import signal
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.simulation.sweep import SweepRunner, SweepTask, sweep_map
+from repro.simulation.sweep import SweepTask, sweep_map
 
 
 def square(value, offset=0):
@@ -25,6 +25,14 @@ def fail_on_three(value):
     return value
 
 
+def logged_fail_on_three(value, log_dir):
+    """Appends the running process's pid to ``log_dir/<value>``, then
+    :func:`fail_on_three`: the log shows how often, and where, a point ran."""
+    with open(os.path.join(log_dir, str(value)), "a") as log:
+        log.write(f"{os.getpid()}\n")
+    return fail_on_three(value)
+
+
 class TestSweepTask:
     def test_execute_applies_args_and_kwargs(self):
         task = SweepTask(key="k", fn=square, args=(4,), kwargs={"offset": 1})
@@ -33,42 +41,40 @@ class TestSweepTask:
 
 class TestSerialRunner:
     def test_map_preserves_item_order(self):
-        runner = SweepRunner()
-        assert runner.map(square, [3, 1, 2]) == [9, 1, 4]
+        assert sweep_map(square, [3, 1, 2]) == [9, 1, 4]
 
     def test_fixed_kwargs_forwarded(self):
-        assert SweepRunner().map(square, [2], offset=10) == [14]
+        assert sweep_map(square, [2], offset=10) == [14]
 
     def test_empty_sweep(self):
-        assert SweepRunner(max_workers=4).run([]) == []
+        assert sweep_map(square, [], workers=4) == []
 
     def test_task_error_propagates(self):
         with pytest.raises(RuntimeError, match="boom"):
-            SweepRunner().map(fail_on_three, [1, 2, 3])
+            sweep_map(fail_on_three, [1, 2, 3])
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
-            SweepRunner(max_workers=-1)
+            sweep_map(square, [1], workers=-1)
 
     def test_serial_accepts_lambdas(self):
-        assert SweepRunner().map(lambda v: v + 1, [1, 2]) == [2, 3]
+        assert sweep_map(lambda v: v + 1, [1, 2]) == [2, 3]
 
 
 class TestParallelRunner:
     def test_parallel_matches_serial(self):
         items = list(range(12))
-        serial = SweepRunner().map(square, items, offset=3)
-        parallel = SweepRunner(max_workers=3).map(square, items, offset=3)
+        serial = sweep_map(square, items, offset=3)
+        parallel = sweep_map(square, items, workers=3, offset=3)
         assert parallel == serial
 
     def test_single_task_runs_inline(self):
         # One task never pays process overhead even when workers are requested.
-        assert SweepRunner(max_workers=8).map(square, [5]) == [25]
+        assert sweep_map(square, [5], workers=8) == [25]
 
     def test_unpicklable_task_falls_back_to_serial(self):
-        runner = SweepRunner(max_workers=2)
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            results = runner.map(lambda v: v * 10, [1, 2, 3])
+            results = sweep_map(lambda v: v * 10, [1, 2, 3], workers=2)
         assert results == [10, 20, 30]
 
     def test_pool_that_cannot_start_falls_back_to_serial(self, monkeypatch):
@@ -79,16 +85,19 @@ class TestParallelRunner:
 
         monkeypatch.setattr(WorkerPool, "_spawn", no_fork)
         with pytest.warns(RuntimeWarning, match="fork forbidden.*falling back to serial"):
-            assert SweepRunner(max_workers=2).map(square, [1, 2, 3]) == [1, 4, 9]
+            assert sweep_map(square, [1, 2, 3], workers=2) == [1, 4, 9]
 
-    def test_task_error_raises_without_serial_fallback(self):
+    def test_task_error_raises_without_serial_fallback(self, tmp_path):
         # A failing task is a task problem, not a pool problem: it must
         # re-raise directly, with no fallback warning and no serial re-run.
-        runner = SweepRunner(max_workers=2)
+        # A point is a pure function of its inputs, so one that raised would
+        # raise again: it ran once, in a worker, and is not retried.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(RuntimeError, match="boom"):
-                runner.map(fail_on_three, [1, 2, 3, 4])
+                sweep_map(logged_fail_on_three, [1, 2, 3, 4], workers=2, log_dir=str(tmp_path))
+        (pid,) = (tmp_path / "3").read_text().split()
+        assert int(pid) != os.getpid()
 
 
 class TestConvenience:
@@ -136,9 +145,8 @@ class TestGracefulShutdown:
         sibling = tmp_path / ".tmp-99999-1"
         sibling.write_bytes(b"in flight")
 
-        runner = SweepRunner(cache=SweepResultCache(tmp_path))
         with pytest.raises(KeyboardInterrupt):
-            runner.map(interrupt_on_call, [1, 2])
+            sweep_map(interrupt_on_call, [1, 2], cache=SweepResultCache(tmp_path))
         assert not leaked_pickle.exists()
         assert not leaked_trace.exists()
         assert entry.exists()  # completed entries survive
@@ -163,14 +171,14 @@ class TestGracefulShutdown:
         script = tmp_path / "sweep.py"
         script.write_text(textwrap.dedent("""
             import os, sys, time
-            from repro.simulation.sweep import SweepRunner
+            from repro.simulation.sweep import sweep_map
 
             def sleep_in_worker(value):
                 open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
                 time.sleep(600)
 
             if __name__ == "__main__":
-                SweepRunner(max_workers=2).map(sleep_in_worker, [1, 2, 3])
+                sweep_map(sleep_in_worker, [1, 2, 3], workers=2)
         """))
         started = tmp_path / "started"
         started.mkdir()
