@@ -125,7 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument(
         "--no-cache",
         action="store_true",
-        help="recompute every sweep task instead of reusing cached results",
+        help=(
+            "recompute every sweep task instead of reusing cached results; "
+            "the trace cache stays on (--no-trace-cache turns it off)"
+        ),
     )
     experiment.add_argument(
         "--cache-dir",

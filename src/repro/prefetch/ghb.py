@@ -66,6 +66,10 @@ class GHBConfig:
         self.block_size = block_size
         self.train_on_l1_misses_only = train_on_l1_misses_only
 
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"GHBConfig({fields})"
+
 
 class _GHBEntry:
     __slots__ = ("sequence", "block_addr", "prev_sequence")

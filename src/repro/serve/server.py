@@ -10,9 +10,11 @@ is:
    reply without touching the pool.
 2. **Cache fast path** — the request's content digest (the same
    canonical-args + code-fingerprint key the sweep cache uses) is looked
-   up in the on-disk result cache.  A warm repeat is answered directly by
-   the front-end, on the event loop thread, marked ``"cached": true``,
-   without entering the pool or any executor.
+   up in the result cache.  A warm repeat is answered directly by the
+   front-end, on the event loop thread, marked ``"cached": true``,
+   without entering the pool or any executor; a repeat of an entry this
+   process already read is served from the payload the cache verified
+   then, without opening the file.
 3. **Coalesce** — if an identical request is already executing, the new
    one awaits the same in-flight task and is marked ``"coalesced": true``;
    N concurrent identical requests cost exactly one execution.
@@ -35,13 +37,21 @@ results plus a failure manifest instead of aborting.
 What runs where.  The event loop thread validates, computes the digest,
 probes the cache, coalesces, applies backpressure and writes the reply, so
 all of that bookkeeping (and the cache's hit / miss tallies) has one
-writer.  Exactly three calls leave it: the blocking pool call (dispatch
-executor, one thread per possible in-flight job), and, on the default
-executor, ``cache.put`` (stages and renames a file, once per executed job)
-and the ``cache_stats`` verb (scans the cache directory).  In-flight tasks
-are shielded from client disconnects: once started, a job always runs to
-completion and its result is cached, so an impatient client cannot waste
-the work of the patient ones coalesced behind it.
+writer.  Each line is decoded, validated, digested and probed exactly
+once, in a pass that does not await: a cache hit, ``status`` and every
+4xx/5xx the front-end decides itself are answered in that pass, with no
+task of their own.  Only pool work and ``cache_stats`` continue in an
+async tail.  The write lock and ``drain()`` are taken only when the
+transport's buffer is backed up.  Exactly three calls leave the loop
+thread: the blocking pool call (dispatch executor, one thread per possible
+in-flight job), and, on the default executor, ``cache.put`` (stages and
+renames a file, once per executed job) and the ``cache_stats`` verb (scans
+the cache directory).  As the cache serves repeats from the payloads it
+verified, ``repro.cli cache prune`` and quarantine take effect in the next
+process.  In-flight tasks are shielded from client disconnects: once
+started, a job always runs to completion and its result is cached, so an
+impatient client cannot waste the work of the patient ones coalesced
+behind it.
 """
 
 from __future__ import annotations
@@ -50,7 +60,7 @@ import asyncio
 import concurrent.futures
 import os
 import time
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Awaitable, Dict, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.obs import trace
@@ -76,6 +86,19 @@ from repro.simulation.result_cache import SweepResultCache
 #: Seconds before the first retry of a job whose worker was lost; each
 #: further retry of the same job waits twice as long.
 RETRY_BACKOFF = 0.1
+
+
+class _Request:
+    """Bookkeeping of one request line, from receipt to its written reply."""
+
+    __slots__ = ("started", "id", "trace", "verb", "span")
+
+    def __init__(self) -> None:
+        self.started = time.perf_counter()
+        self.id: Any = None
+        self.trace: Any = None
+        self.verb = "invalid"
+        self.span: Any = None
 
 
 class SimulationServer:
@@ -225,23 +248,24 @@ class SimulationServer:
                 try:
                     line = await reader.readline()
                 except ValueError:  # line longer than MAX_LINE
-                    await self._reply(
-                        writer, write_lock,
-                        error_response(400, f"request line exceeds {MAX_LINE} bytes"),
-                    )
+                    writer.write(encode(
+                        error_response(400, f"request line exceeds {MAX_LINE} bytes")
+                    ))
                     break
                 if not line:
                     break
                 if not line.strip():
                     continue
-                # Each request is processed as its own task so several
-                # requests on one connection — and across connections —
-                # can coalesce and complete out of order.
-                task = asyncio.ensure_future(
-                    self._process_request(line, writer, write_lock)
-                )
-                pending.add(task)
-                task.add_done_callback(pending.discard)
+                # Only pool work and cache_stats come back as a tail, run as
+                # its own task so several requests on one connection — and
+                # across connections — can coalesce and complete out of order.
+                tail = self._answer(line, writer, write_lock)
+                if tail is not None:
+                    task = asyncio.ensure_future(tail)
+                    pending.add(task)
+                    task.add_done_callback(pending.discard)
+                if writer.transport.get_write_buffer_size():
+                    await self._drain(writer, write_lock)
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
         except asyncio.CancelledError:
@@ -255,102 +279,169 @@ class SimulationServer:
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
 
-    async def _reply(
-        self, writer: asyncio.StreamWriter, write_lock: asyncio.Lock, payload: Mapping
-    ) -> None:
+    @staticmethod
+    async def _drain(writer: asyncio.StreamWriter, write_lock: asyncio.Lock) -> None:
+        """Wait out a backed-up transport buffer, one drainer at a time."""
         async with write_lock:
             try:
-                writer.write(encode(payload))
                 await writer.drain()
             except (ConnectionError, OSError):
                 pass  # client went away; the job (if any) still completes
 
-    async def _process_request(
+    def _answer(
         self, line: bytes, writer: asyncio.StreamWriter, write_lock: asyncio.Lock
-    ) -> None:
+    ) -> Optional[Awaitable[None]]:
+        """Front half of one request line, run without an await.
+
+        Decodes, validates, digests and probes the line exactly once.  A
+        cache hit, ``status`` and every error the front-end decides itself
+        are replied to here and ``None`` is returned; pool work (a miss, or
+        one coalesced onto an identical in-flight job) and ``cache_stats``
+        return the async tail that awaits it and writes the reply.
+        """
         self.counters["requests"] += 1
-        started = time.perf_counter()  # repro: ignore[OBS002] -- the verb label is unknown until the line parses; the delta feeds the obs histogram below
-        verb = "invalid"
-        request_id = None
-        trace_payload = None
+        request = _Request()
         try:
-            request = decode_line(line)
-            request_id = request.get("id")
-            trace_payload = request.get(TRACE_FIELD)
-            trace_ctx = trace.SpanContext.from_dict(trace_payload)
-            spec = jobs.normalize(request)
-            verb = spec["verb"]
-            # The request span lives on the event loop across awaits, so it
+            payload = decode_line(line)
+            request.id = payload.get("id")
+            request.trace = payload.get(TRACE_FIELD)
+            trace_ctx = trace.SpanContext.from_dict(request.trace)
+            spec = jobs.normalize(payload)
+            verb = request.verb = spec["verb"]
+            # The request span stays open across the tail's awaits, so it
             # must not join the thread-ambient stack (attach=False); child
             # work gets the context explicitly.  root=False: the server
             # only records when a client propagated a trace.
-            with trace.span("serve.request", {"verb": verb}, parent=trace_ctx,
-                            attach=False, root=False) as sp:
-                if verb == "status":
-                    reply = ok_response(self.status(), request_id)
-                elif verb == "cache_stats":
-                    # The directory scan stats the whole cache; keep it off
-                    # the loop thread (default executor: the dispatch
-                    # executor's threads may all be parked on pool calls).
-                    overview = await asyncio.get_running_loop().run_in_executor(
-                        None, self.cache_stats
-                    )
-                    reply = ok_response(overview, request_id)
-                else:
-                    raw, cached, coalesced = await self._dispatch(spec, sp.context)
-                    sp.set("cached", cached)
-                    sp.set("coalesced", coalesced)
-                    reply = ok_response(
-                        jobs.jsonify(raw), request_id, cached=cached, coalesced=coalesced
-                    )
-        except ProtocolError as exc:
-            if exc.code == BUSY:
-                self.counters["busy_rejections"] += 1
+            sp = request.span = trace.span(
+                "serve.request", {"verb": verb}, parent=trace_ctx, attach=False, root=False
+            ).__enter__()
+            if verb == "status":
+                reply = ok_response(self.status(), request.id)
+            elif verb == "cache_stats":
+                # The directory scan stats the whole cache; keep it off
+                # the loop thread (default executor: the dispatch
+                # executor's threads may all be parked on pool calls).
+                scan = asyncio.get_running_loop().run_in_executor(None, self.cache_stats)
+                return self._reply_when_done(request, scan, False, writer, write_lock)
             else:
-                self.counters["errors"] += 1
-            reply = error_response(exc.code, exc.message, request_id)
+                digest, hit, raw = self._probe(spec, sp.context)
+                sp.set("cached", hit)
+                if not hit:
+                    job, coalesced = self._dispatch(spec, digest, sp.context)
+                    sp.set("coalesced", coalesced)
+                    return self._reply_when_done(request, job, coalesced, writer, write_lock)
+                sp.set("coalesced", False)
+                reply = ok_response(jobs.jsonify(raw), request.id, cached=True)
         except Exception as exc:  # repro: ignore[EXC001] -- service boundary: an error reply beats a hung client
+            self._finish(request, self._error_reply(exc, request.id), writer, exc)
+            return None
+        self._finish(request, reply, writer)
+        return None
+
+    async def _reply_when_done(
+        self,
+        request: "_Request",
+        job: "asyncio.Future[Any]",
+        coalesced: bool,
+        writer: asyncio.StreamWriter,
+        write_lock: asyncio.Lock,
+    ) -> None:
+        """Async tail: await a pool job (or the cache_stats scan) and reply."""
+        exc = None
+        try:
+            # shield: a client disconnecting must not cancel an execution
+            # that coalesced requests share.
+            raw = await asyncio.shield(job)
+            reply = ok_response(jobs.jsonify(raw), request.id, coalesced=coalesced)
+        except Exception as error:  # repro: ignore[EXC001] -- service boundary: an error reply beats a hung client
+            exc = error
+            reply = self._error_reply(error, request.id)
+        self._finish(request, reply, writer, exc)
+        if writer.transport.get_write_buffer_size():
+            await self._drain(writer, write_lock)
+
+    def _error_reply(self, exc: Exception, request_id: Any) -> dict:
+        if not isinstance(exc, ProtocolError):
             self.counters["errors"] += 1
-            reply = error_response(500, f"{type(exc).__name__}: {exc}", request_id)
-        if trace_payload is not None:
-            reply[TRACE_FIELD] = trace_payload  # echoed for client correlation
-        self._m_requests.labels(verb).inc()
-        self._m_latency.labels(verb).observe(time.perf_counter() - started)
-        await self._reply(writer, write_lock, reply)
+            return error_response(500, f"{type(exc).__name__}: {exc}", request_id)
+        if exc.code == BUSY:
+            self.counters["busy_rejections"] += 1
+        else:
+            self.counters["errors"] += 1
+        return error_response(exc.code, exc.message, request_id)
+
+    def _finish(
+        self,
+        request: "_Request",
+        reply: dict,
+        writer: asyncio.StreamWriter,
+        exc: Optional[Exception] = None,
+    ) -> None:
+        """Close the request's span, count it and write its reply line.
+
+        The write only buffers; whoever calls this drains when the
+        transport's buffer is backed up.
+        """
+        if request.trace is not None:
+            reply[TRACE_FIELD] = request.trace  # echoed for client correlation
+        if request.span is not None:
+            request.span.__exit__(None if exc is None else type(exc), exc, None)
+        self._m_requests.labels(request.verb).inc()
+        # The verb label is unknown until the line parses, so the latency is
+        # a raw clock delta fed to the obs histogram rather than a span.
+        self._m_latency.labels(request.verb).observe(time.perf_counter() - request.started)
+        writer.write(encode(reply))
 
     # ------------------------------------------------------------------ #
-    async def _dispatch(
-        self, spec: Mapping[str, Any], ctx: Optional[trace.SpanContext] = None
-    ):
-        """Serve one pool-verb spec; returns ``(raw_result, cached, coalesced)``."""
+    def _probe(
+        self, spec: Mapping[str, Any], ctx: Optional[trace.SpanContext]
+    ) -> Tuple[Optional[str], bool, Any]:
+        """Digest a pool-verb spec and look it up in the result cache, once.
+
+        Returns ``(digest, hit, raw_result)``; ``digest`` is ``None`` for a
+        request with no stable key, which always misses.
+        """
         digest = jobs.digest_for(spec, self.cache)
-        if digest is not None and digest in self._quarantined:
+        if digest is None:
+            return None, False, None
+        if digest in self._quarantined:
             raise ProtocolError(
                 POISONED,
                 f"job quarantined after {self.quarantine_after} worker-fatal "
                 "attempts; not retrying",
             )
+        # The probe runs here, on the loop thread: a repeat is an unpickle
+        # of bytes the cache already verified, a first read one small file
+        # read plus a checksum and unpickle of a few hundred bytes (the
+        # figures' sweep entries measure 121-424 B, a simulate result 285 B,
+        # the largest experiment table 2,359 B;
+        # tests/test_serve_jobs.py::test_cacheable_results_are_small holds
+        # every verb under 16 KiB).  Either costs less than the thread hop
+        # it would take to move it, and cache.stats.hits / misses keep a
+        # single writer.
+        hit, value = self._with_trace(ctx, self.cache.get, digest)
+        if hit:
+            self.counters["cache_hits"] += 1
+        return digest, hit, value
+
+    def _dispatch(
+        self,
+        spec: Mapping[str, Any],
+        digest: Optional[str],
+        ctx: Optional[trace.SpanContext] = None,
+    ) -> Tuple["asyncio.Future[Any]", bool]:
+        """Route a probed miss to the pool; returns ``(job, coalesced)``.
+
+        Called by the front half straight after :meth:`_probe`.  With no
+        await between the probe and the ``_inflight`` registration below,
+        probe, coalescing check and registration are one uninterrupted
+        section: an identical request read meanwhile coalesces.
+        """
         if digest is not None:
-            # The probe runs here, on the loop thread: one small file read and
-            # a checksum + unpickle of a few hundred bytes (the figures' sweep
-            # entries measure 121-424 B, a simulate result 285 B, the largest
-            # experiment table 2,359 B;
-            # tests/test_serve_jobs.py::test_cacheable_results_are_small holds
-            # every verb under 16 KiB) costs less than the thread hop it would
-            # take to move it.  With no await between here and the _inflight
-            # registration below, probe, coalescing check and registration
-            # are one uninterrupted section, and cache.stats.hits / misses
-            # have a single writer.
-            hit, value = self._with_trace(ctx, self.cache.get, digest)
-            if hit:
-                self.counters["cache_hits"] += 1
-                return value, True, False
             running = self._inflight.get(digest)
             if running is not None:
                 self.counters["coalesced"] += 1
-                # shield: a coalesced client disconnecting must not cancel
-                # the shared execution.
-                return await asyncio.shield(running), False, True
+                return running, True
         if len(self._inflight) >= self.max_queue:
             raise ProtocolError(
                 BUSY,
@@ -359,7 +450,7 @@ class SimulationServer:
         task = asyncio.ensure_future(self._execute(spec, digest, ctx))
         if digest is not None:
             self._inflight[digest] = task
-        return await asyncio.shield(task), False, False
+        return task, False
 
     def _with_trace(self, ctx: Optional[trace.SpanContext], fn, *args) -> Any:
         """Run ``fn`` under the request's trace context on the calling thread

@@ -40,7 +40,7 @@ import threading
 import warnings
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro import _env, faults, obs
 from repro.obs import trace
@@ -66,6 +66,12 @@ _CHECKSUM_BYTES = 32
 
 #: File-name prefix of atomic-write staging files (see :func:`atomic_store`).
 _STAGING_PREFIX = ".tmp-"
+
+#: Checksum-verified payloads one :class:`SweepResultCache` keeps in memory
+#: so a repeat :meth:`~SweepResultCache.get` skips the file; past this many
+#: the one read first is dropped.  Served entries are summaries (under
+#: 16 KiB each), so the map stays within a few MB.
+VERIFIED_PAYLOADS = 256
 
 
 def default_cache_dir() -> Path:
@@ -186,6 +192,9 @@ class SweepResultCache:
     def __init__(self, directory: Optional[Union[str, Path]] = None) -> None:
         self.directory = Path(directory) if directory is not None else default_cache_dir()
         self.stats = CacheStats()
+        # digest -> pickle payload whose checksum this instance verified on
+        # read; a digest names its entry's content, so the bytes never go stale.
+        self._verified: Dict[str, bytes] = {}
 
     # ------------------------------------------------------------------ #
     def fingerprint(self, fn: Callable[..., Any], args: Tuple, kwargs: Any) -> Optional[str]:
@@ -217,9 +226,23 @@ class SweepResultCache:
         payload — are quarantined (moved to ``quarantine/``) and reported
         as misses, so one damaged file costs one recompute, never a
         failed sweep or a silently wrong result.
+
+        A verified payload is kept in memory (up to
+        :data:`VERIFIED_PAYLOADS` per instance), so a repeat hit unpickles
+        those bytes without opening the file: a digest embeds the code
+        fingerprint and the canonical arguments, so its entry never
+        changes.  Only reads fill the map, never :meth:`put`.  Hence
+        ``cache prune`` or damage to a file this instance already served
+        takes effect in the next process.
         """
-        path = self._entry_path(digest)
+        payload = self._verified.get(digest)
         with trace.span("cache.get", {"digest": digest[:16]}, root=False) as span:
+            if payload is not None:
+                self.stats.hits += 1
+                obs.note_cache_op("sweep", "hit")
+                span.set("outcome", "hit")
+                return True, pickle.loads(payload)
+            path = self._entry_path(digest)
             try:
                 data = path.read_bytes()
             except FileNotFoundError:
@@ -239,7 +262,8 @@ class SweepResultCache:
                 )
                 return False, None
             try:
-                value = self._decode(data)
+                payload = self._verify(data)
+                value = pickle.loads(payload)
             except Exception as exc:  # repro: ignore[EXC001] -- corrupt entry: quarantine and recompute, don't fail the sweep
                 self.stats.errors += 1
                 self.stats.quarantined += 1
@@ -253,14 +277,17 @@ class SweepResultCache:
                 )
                 quarantine_file(path, self.directory)
                 return False, None
+            if len(self._verified) >= VERIFIED_PAYLOADS:
+                del self._verified[next(iter(self._verified))]
+            self._verified[digest] = payload
             self.stats.hits += 1
             obs.note_cache_op("sweep", "hit")
             span.set("outcome", "hit")
             return True, value
 
     @staticmethod
-    def _decode(data: bytes) -> Any:
-        """Verify and unpickle one entry's bytes.
+    def _verify(data: bytes) -> bytes:
+        """The pickle payload of one entry's bytes, once its checksum matches.
 
         Nothing is unpickled before its checksum matches: an entry's file
         name embeds the current code fingerprint, so every file :meth:`get`
@@ -275,7 +302,7 @@ class SweepResultCache:
         payload = data[header_end:]
         if hashlib.sha256(payload).digest() != checksum:
             raise ValueError("entry checksum mismatch")
-        return pickle.loads(payload)
+        return payload
 
     def put(self, digest: str, value: Any) -> None:
         """Store ``value`` under ``digest`` atomically; failures are non-fatal.

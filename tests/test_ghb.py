@@ -33,6 +33,13 @@ class TestGHBConfig:
         with pytest.raises(ValueError):
             GHBConfig(degree=0)
 
+    def test_equal_configurations_print_equally(self):
+        assert repr(GHBConfig(degree=8)) == repr(GHBConfig(degree=8)) == (
+            "GHBConfig(buffer_entries=256, index_entries=256, degree=8, "
+            "max_history=64, block_size=64, train_on_l1_misses_only=True)"
+        )
+        assert repr(GHBConfig(buffer_entries=16384)) != repr(GHBConfig())
+
 
 class TestDeltaCorrelation:
     def test_constant_stride_predicted(self):

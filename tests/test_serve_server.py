@@ -188,6 +188,57 @@ class TestServiceEndToEnd:
         assert len(threads["put"]) == len(threads["cache_stats"]) == 1
         assert loop_thread not in threads["put"] + threads["cache_stats"]
 
+    def test_hits_and_status_are_answered_without_a_task(self, tmp_path, socket_dir):
+        # The 40 pipelined hits above, plus a status request: the front half
+        # answers each in the pass that read its line, so the only server
+        # tasks are the three connections' own.
+        socket_path = f"{socket_dir}/serve.sock"
+        request = {"verb": "simulate", "workload": "web-apache", "cpus": 2,
+                   "accesses_per_cpu": 1200}
+        created = []
+
+        def counting_factory(loop, coro, **kwargs):
+            created.append(coro.__qualname__)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        async def pipelined(count):
+            reader, writer = await asyncio.open_unix_connection(socket_path)
+            try:
+                writer.write(b"".join(
+                    (json.dumps(dict(request, id=i)) + "\n").encode() for i in range(count)
+                ))
+                await writer.drain()
+                return [json.loads(await reader.readline()) for _ in range(count)]
+            finally:
+                writer.close()
+
+        async def scenario():
+            pool = WorkerPool(workers=1, cache_dir=str(tmp_path / "cache"))
+            server = SimulationServer(
+                pool, socket_path=socket_path, max_queue=4,
+                cache=SweepResultCache(directory=tmp_path / "cache"),
+            )
+            await server.start()
+            loop = asyncio.get_running_loop()
+            try:
+                executed = await _ask(socket_path, request)
+                loop.set_task_factory(counting_factory)
+                try:
+                    hits = await asyncio.gather(pipelined(20), pipelined(20))
+                    status = await _ask(socket_path, {"verb": "status"})
+                finally:
+                    loop.set_task_factory(None)
+                return executed, hits[0] + hits[1], status
+            finally:
+                await server.stop()
+
+        executed, hits, status = asyncio.run(scenario())
+        assert not executed["cached"] and status["ok"]
+        assert all(reply["cached"] and reply["result"] == executed["result"] for reply in hits)
+        assert sorted({reply["id"] for reply in hits}) == list(range(20))
+        server_tasks = [name for name in created if name.startswith("SimulationServer.")]
+        assert server_tasks == ["SimulationServer._handle_connection"] * 3
+
     def test_malformed_and_invalid_requests(self, tmp_path, socket_dir):
         socket_path = f"{socket_dir}/serve.sock"
 
