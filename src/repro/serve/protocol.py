@@ -103,13 +103,17 @@ class ProtocolError(Exception):
         self.message = message
 
 
+#: ``json.dumps(value, sort_keys=True)``, without building an encoder per call.
+_dumps = json.JSONEncoder(sort_keys=True).encode
+
+
 def encode(payload: Mapping[str, Any]) -> bytes:
     """Serialise one response/request object to a single wire line.
 
     Keys are sorted so identical payloads are byte-identical on the wire —
     the golden tests compare raw reply lines across server runs.
     """
-    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+    return (_dumps(payload) + "\n").encode("utf-8")
 
 
 def decode_line(line: bytes) -> Mapping[str, Any]:
@@ -135,6 +139,19 @@ def ok_response(
     if request_id is not None:
         reply["id"] = request_id
     return reply
+
+
+def cached_reply(result_json: str, request_id: Any = None, trace: Any = None) -> bytes:
+    """``encode(ok_response(result, request_id, cached=True))`` plus the
+    echoed ``trace`` field, byte for byte, built around ``result_json ==
+    json.dumps(result, sort_keys=True)``: the envelope's keys come sorted."""
+    line = '{"cached": true, "coalesced": false, '
+    if request_id is not None:
+        line += f'"id": {_dumps(request_id)}, '
+    line += f'"ok": true, "result": {result_json}'
+    if trace is not None:
+        line += f', "{TRACE_FIELD}": {_dumps(trace)}'
+    return (line + "}\n").encode("utf-8")
 
 
 def error_response(code: int, message: str, request_id: Optional[Any] = None) -> dict:

@@ -12,9 +12,9 @@ is:
    canonical-args + code-fingerprint key the sweep cache uses) is looked
    up in the result cache.  A warm repeat is answered directly by the
    front-end, on the event loop thread, marked ``"cached": true``,
-   without entering the pool or any executor; a repeat of an entry this
-   process already read is served from the payload the cache verified
-   then, without opening the file.
+   without entering the pool or any executor.  A request this server
+   already answered from an entry the cache verified is sent as the
+   encoded result it was sent as then: no digest, file or unpickle.
 3. **Coalesce** — if an identical request is already executing, the new
    one awaits the same in-flight task and is marked ``"coalesced": true``;
    N concurrent identical requests cost exactly one execution.
@@ -37,30 +37,30 @@ results plus a failure manifest instead of aborting.
 What runs where.  The event loop thread validates, computes the digest,
 probes the cache, coalesces, applies backpressure and writes the reply, so
 all of that bookkeeping (and the cache's hit / miss tallies) has one
-writer.  Each line is decoded, validated, digested and probed exactly
-once, in a pass that does not await: a cache hit, ``status`` and every
-4xx/5xx the front-end decides itself are answered in that pass, with no
-task of their own.  Only pool work and ``cache_stats`` continue in an
-async tail.  The write lock and ``drain()`` are taken only when the
+writer.  Each line is decoded, validated and probed exactly once, in a
+pass that does not await: a cache hit, ``status`` and every 4xx/5xx the
+front-end decides itself are answered in that pass, with no task of their
+own.  Only pool work and ``cache_stats`` continue in an async tail.  The write lock and ``drain()`` are taken only when the
 transport's buffer is backed up.  Exactly three calls leave the loop
 thread: the blocking pool call (dispatch executor, one thread per possible
 in-flight job), and, on the default executor, ``cache.put`` (stages and
 renames a file, once per executed job) and the ``cache_stats`` verb (scans
-the cache directory).  As the cache serves repeats from the payloads it
-verified, ``repro.cli cache prune`` and quarantine take effect in the next
-process.  In-flight tasks are shielded from client disconnects: once
-started, a job always runs to completion and its result is cached, so an
-impatient client cannot waste the work of the patient ones coalesced
-behind it.
+the cache directory).  As repeats are answered from what was sent
+before, ``repro.cli cache prune`` and quarantine of an entry the server
+already answered take effect in the next process.  In-flight tasks are
+shielded from client disconnects: once started, a job always runs to
+completion and its result is cached, so an impatient client cannot waste
+the work of the patient ones coalesced behind it.
 """
 
 from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import json
 import os
 import time
-from typing import Any, Awaitable, Dict, Mapping, Optional, Tuple
+from typing import Any, Awaitable, Dict, Mapping, Optional, Tuple, Union
 
 from repro import obs
 from repro.obs import trace
@@ -74,6 +74,7 @@ from repro.serve.protocol import (
     TRACE_FIELD,
     WORKER_LOST,
     ProtocolError,
+    cached_reply,
     decode_line,
     encode,
     error_response,
@@ -86,6 +87,11 @@ from repro.simulation.result_cache import SweepResultCache
 #: Seconds before the first retry of a job whose worker was lost; each
 #: further retry of the same job waits twice as long.
 RETRY_BACKOFF = 0.1
+
+#: Requests one server remembers the answered result of, so a repeat skips
+#: the digest, the file and the encoding; past this many the one answered
+#: first is dropped.  Served results are summaries (under 16 KiB each).
+ANSWERED_REPLIES = 256
 
 
 class _Request:
@@ -149,6 +155,10 @@ class SimulationServer:
         # quarantine_after.  Both live on the event-loop thread.
         self._failure_counts: Dict[str, int] = {}
         self._quarantined: set = set()
+        # Normalized spec (built in a fixed key order; the code fingerprint
+        # is fixed for the process) -> (digest, result JSON) of each request
+        # answered from a verified entry.  Loop thread only.
+        self._answered: Dict[tuple, Tuple[str, str]] = {}
         # asyncio primitives are created inside the running loop (start()),
         # not here: on Python 3.9 building them without a loop is an error.
         self._server: Optional[asyncio.AbstractServer] = None
@@ -293,7 +303,7 @@ class SimulationServer:
     ) -> Optional[Awaitable[None]]:
         """Front half of one request line, run without an await.
 
-        Decodes, validates, digests and probes the line exactly once.  A
+        Decodes, validates and probes the line exactly once.  A
         cache hit, ``status`` and every error the front-end decides itself
         are replied to here and ``None`` is returned; pool work (a miss, or
         one coalesced onto an identical in-flight job) and ``cache_stats``
@@ -324,14 +334,14 @@ class SimulationServer:
                 scan = asyncio.get_running_loop().run_in_executor(None, self.cache_stats)
                 return self._reply_when_done(request, scan, False, writer, write_lock)
             else:
-                digest, hit, raw = self._probe(spec, sp.context)
-                sp.set("cached", hit)
-                if not hit:
+                digest, result = self._probe(spec, sp.context)
+                sp.set("cached", result is not None)
+                if result is None:
                     job, coalesced = self._dispatch(spec, digest, sp.context)
                     sp.set("coalesced", coalesced)
                     return self._reply_when_done(request, job, coalesced, writer, write_lock)
                 sp.set("coalesced", False)
-                reply = ok_response(jobs.jsonify(raw), request.id, cached=True)
+                reply = cached_reply(result, request.id, request.trace)
         except Exception as exc:  # repro: ignore[EXC001] -- service boundary: an error reply beats a hung client
             self._finish(request, self._error_reply(exc, request.id), writer, exc)
             return None
@@ -373,56 +383,69 @@ class SimulationServer:
     def _finish(
         self,
         request: "_Request",
-        reply: dict,
+        reply: Union[dict, bytes],
         writer: asyncio.StreamWriter,
         exc: Optional[Exception] = None,
     ) -> None:
         """Close the request's span, count it and write its reply line.
 
-        The write only buffers; whoever calls this drains when the
-        transport's buffer is backed up.
+        ``reply`` is a reply object, or a cache hit's finished line.  The
+        write only buffers; whoever calls this drains when the transport's
+        buffer is backed up.
         """
-        if request.trace is not None:
-            reply[TRACE_FIELD] = request.trace  # echoed for client correlation
+        if isinstance(reply, dict):
+            if request.trace is not None:
+                reply[TRACE_FIELD] = request.trace  # echoed for client correlation
+            reply = encode(reply)
         if request.span is not None:
             request.span.__exit__(None if exc is None else type(exc), exc, None)
         self._m_requests.labels(request.verb).inc()
         # The verb label is unknown until the line parses, so the latency is
         # a raw clock delta fed to the obs histogram rather than a span.
         self._m_latency.labels(request.verb).observe(time.perf_counter() - request.started)
-        writer.write(encode(reply))
+        writer.write(reply)
 
     # ------------------------------------------------------------------ #
     def _probe(
         self, spec: Mapping[str, Any], ctx: Optional[trace.SpanContext]
-    ) -> Tuple[Optional[str], bool, Any]:
+    ) -> Tuple[Optional[str], Optional[str]]:
         """Digest a pool-verb spec and look it up in the result cache, once.
 
-        Returns ``(digest, hit, raw_result)``; ``digest`` is ``None`` for a
-        request with no stable key, which always misses.
+        Returns ``(digest, result JSON)``, the result ``None`` on a miss;
+        ``digest`` is ``None`` for a request with no stable key, which
+        always misses.  A spec this server answered before is neither
+        digested nor read again: its hit is counted as the cache counts one.
         """
-        digest = jobs.digest_for(spec, self.cache)
+        key = tuple(spec.items())
+        answered = self._answered.get(key)
+        digest = answered[0] if answered else jobs.digest_for(spec, self.cache)
         if digest is None:
-            return None, False, None
+            return None, None
         if digest in self._quarantined:
             raise ProtocolError(
                 POISONED,
                 f"job quarantined after {self.quarantine_after} worker-fatal "
                 "attempts; not retrying",
             )
-        # The probe runs here, on the loop thread: a repeat is an unpickle
-        # of bytes the cache already verified, a first read one small file
-        # read plus a checksum and unpickle of a few hundred bytes (the
-        # figures' sweep entries measure 121-424 B, a simulate result 285 B,
-        # the largest experiment table 2,359 B;
-        # tests/test_serve_jobs.py::test_cacheable_results_are_small holds
-        # every verb under 16 KiB).  Either costs less than the thread hop
-        # it would take to move it, and cache.stats.hits / misses keep a
-        # single writer.
-        hit, value = self._with_trace(ctx, self.cache.get, digest)
-        if hit:
-            self.counters["cache_hits"] += 1
-        return digest, hit, value
+        if answered:
+            result = answered[1]
+            self.cache.count_hit()
+        else:
+            # The read runs here, on the loop thread: one small file read
+            # plus a checksum and unpickle (a simulate result is 285 B, the
+            # largest experiment table 2,359 B; test_cacheable_results_are_small
+            # holds every verb under 16 KiB) costs less than a thread hop,
+            # and the hit / miss tallies keep a single writer.  Only a
+            # verified read fills the map, never an execution's put.
+            hit, raw = self._with_trace(ctx, self.cache.get, digest)
+            if not hit:
+                return digest, None
+            result = json.dumps(jobs.jsonify(raw), sort_keys=True)
+            if len(self._answered) >= ANSWERED_REPLIES:
+                del self._answered[next(iter(self._answered))]
+            self._answered[key] = digest, result
+        self.counters["cache_hits"] += 1
+        return digest, result
 
     def _dispatch(
         self,

@@ -40,7 +40,7 @@ import threading
 import warnings
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Optional, Tuple, Union
 
 from repro import _env, faults, obs
 from repro.obs import trace
@@ -67,12 +67,6 @@ _CHECKSUM_BYTES = 32
 #: File-name prefix of atomic-write staging files (see :func:`atomic_store`).
 _STAGING_PREFIX = ".tmp-"
 
-#: Checksum-verified payloads one :class:`SweepResultCache` keeps in memory
-#: so a repeat :meth:`~SweepResultCache.get` skips the file; past this many
-#: the one read first is dropped.  Served entries are summaries (under
-#: 16 KiB each), so the map stays within a few MB.
-VERIFIED_PAYLOADS = 256
-
 
 def default_cache_dir() -> Path:
     """Cache root: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-sms``."""
@@ -86,9 +80,9 @@ def default_cache_dir() -> Path:
 def code_fingerprint() -> str:
     """Digest of every ``repro`` source file (names + contents).
 
-    Computed once per process (~1 MB of source).  Any edit anywhere in the
-    package — predictor, engine, workload generator — changes the
-    fingerprint and therefore every cache key.
+    Computed once per process (~610 KB of source in 86 files).  Any edit
+    anywhere in the package — predictor, engine, workload generator —
+    changes the fingerprint and therefore every cache key.
     """
     import repro
 
@@ -192,9 +186,6 @@ class SweepResultCache:
     def __init__(self, directory: Optional[Union[str, Path]] = None) -> None:
         self.directory = Path(directory) if directory is not None else default_cache_dir()
         self.stats = CacheStats()
-        # digest -> pickle payload whose checksum this instance verified on
-        # read; a digest names its entry's content, so the bytes never go stale.
-        self._verified: Dict[str, bytes] = {}
 
     # ------------------------------------------------------------------ #
     def fingerprint(self, fn: Callable[..., Any], args: Tuple, kwargs: Any) -> Optional[str]:
@@ -227,21 +218,13 @@ class SweepResultCache:
         as misses, so one damaged file costs one recompute, never a
         failed sweep or a silently wrong result.
 
-        A verified payload is kept in memory (up to
-        :data:`VERIFIED_PAYLOADS` per instance), so a repeat hit unpickles
-        those bytes without opening the file: a digest embeds the code
-        fingerprint and the canonical arguments, so its entry never
-        changes.  Only reads fill the map, never :meth:`put`.  Hence
-        ``cache prune`` or damage to a file this instance already served
-        takes effect in the next process.
+        Every call reads the file, verifies its checksum and unpickles: a
+        sweep reads each digest once.  The serve front-end remembers what
+        it answered (:class:`repro.serve.server.SimulationServer`), so
+        ``cache prune`` or damage to an entry a running server already
+        sent takes effect for that server in its next process.
         """
-        payload = self._verified.get(digest)
         with trace.span("cache.get", {"digest": digest[:16]}, root=False) as span:
-            if payload is not None:
-                self.stats.hits += 1
-                obs.note_cache_op("sweep", "hit")
-                span.set("outcome", "hit")
-                return True, pickle.loads(payload)
             path = self._entry_path(digest)
             try:
                 data = path.read_bytes()
@@ -262,8 +245,7 @@ class SweepResultCache:
                 )
                 return False, None
             try:
-                payload = self._verify(data)
-                value = pickle.loads(payload)
+                value = pickle.loads(self._verify(data))
             except Exception as exc:  # repro: ignore[EXC001] -- corrupt entry: quarantine and recompute, don't fail the sweep
                 self.stats.errors += 1
                 self.stats.quarantined += 1
@@ -277,13 +259,14 @@ class SweepResultCache:
                 )
                 quarantine_file(path, self.directory)
                 return False, None
-            if len(self._verified) >= VERIFIED_PAYLOADS:
-                del self._verified[next(iter(self._verified))]
-            self._verified[digest] = payload
-            self.stats.hits += 1
-            obs.note_cache_op("sweep", "hit")
+            self.count_hit()
             span.set("outcome", "hit")
             return True, value
+
+    def count_hit(self) -> None:
+        """Tally one hit: :meth:`get`'s, or one the serve front end answered."""
+        self.stats.hits += 1
+        obs.note_cache_op("sweep", "hit")
 
     @staticmethod
     def _verify(data: bytes) -> bytes:

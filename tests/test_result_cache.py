@@ -2,13 +2,11 @@
 
 import os
 import pickle
-from pathlib import Path
 
 import pytest
 
 from repro.analysis.coverage import CoverageReport
 from repro.core.config import SMSConfig
-from repro.simulation import result_cache
 from repro.simulation.breakdown import BreakdownCategory, ExecutionBreakdown
 from repro.simulation.config import SimulationConfig
 from repro.simulation.result_cache import (
@@ -193,38 +191,6 @@ class TestStore:
         assert (tmp_path / QUARANTINE_SUBDIR / entry.name).exists()
         assert cache.stats.quarantined == 1 and cache.stats.errors == 1
 
-    def test_repeat_get_of_a_verified_entry_opens_no_file(self, tmp_path, monkeypatch):
-        cache = SweepResultCache(tmp_path)
-        digest = cache.fingerprint(square, (9,), {})
-        cache.put(digest, {"value": 81})
-        reads = []
-        read_bytes = Path.read_bytes
-        monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path) or read_bytes(path))
-        first, second = cache.get(digest), cache.get(digest)
-        assert first == second == (True, {"value": 81})
-        assert first[1] is not second[1]  # each hit unpickles its own copy
-        assert reads == [cache._entry_path(digest)]
-        assert cache.stats == CacheStats(hits=2, stores=1)
-
-    def test_first_verified_entry_leaves_the_map_past_the_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(result_cache, "VERIFIED_PAYLOADS", 2)
-        cache = SweepResultCache(tmp_path)
-        digests = [cache.fingerprint(square, (value,), {}) for value in range(3)]
-        for value, digest in enumerate(digests):
-            cache.put(digest, value)
-            assert cache.get(digest) == (True, value)
-        for digest in digests:
-            cache._entry_path(digest).unlink()
-        assert cache.get(digests[0]) == (False, None)
-        assert cache.get(digests[1]) == (True, 1) and cache.get(digests[2]) == (True, 2)
-
-    def test_put_fills_no_verified_payload(self, tmp_path):
-        cache = SweepResultCache(tmp_path)
-        digest = cache.fingerprint(square, (10,), {})
-        cache.put(digest, 100)
-        cache._entry_path(digest).unlink()
-        assert cache.get(digest) == (False, None)
-
     def test_fresh_instance_still_quarantines_a_corrupted_file(self, tmp_path):
         cache = SweepResultCache(tmp_path)
         digest = cache.fingerprint(square, (11,), {})
@@ -232,9 +198,6 @@ class TestStore:
         assert cache.get(digest) == (True, 121)
         entry = cache._entry_path(digest)
         entry.write_bytes(b"damaged after it was served")
-        # The instance that verified the entry serves the bytes it checked ...
-        assert cache.get(digest) == (True, 121)
-        # ... and the next process's cache sees the damage.
         fresh = SweepResultCache(tmp_path)
         with pytest.warns(RuntimeWarning, match="quarantining corrupt sweep cache entry"):
             assert fresh.get(digest) == (False, None)

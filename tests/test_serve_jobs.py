@@ -10,6 +10,7 @@ import pickle
 from typing import NamedTuple
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.coverage import CoverageReport
 from repro.analysis.reporting import ResultTable
@@ -320,6 +321,47 @@ class TestJsonify:
     def test_unconvertible_rejected(self):
         with pytest.raises(TypeError):
             jobs.jsonify(object())
+
+
+_ABSENT = object()
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestCachedReply:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        result=_JSON,
+        request_id=st.just(_ABSENT) | _JSON,
+        trace=st.just(_ABSENT) | st.dictionaries(st.text(), st.text(), max_size=2) | st.text(),
+    )
+    @example(result=jobs.jsonify(_SIMULATE_RAW), request_id=_ABSENT, trace=_ABSENT)
+    @example(result=1, request_id=None, trace={"trace_id": "t", "span_id": "s"})
+    @example(result=[], request_id=-7, trace="junk")
+    @example(result={}, request_id='say "\u00e9\U0001f600" \\ \n', trace=_ABSENT)
+    @example(result={"b": 1, "a": 2}, request_id=[{"b": 1, "a": [2]}], trace=_ABSENT)
+    @example(result=None, request_id={"z": {"y": 1, "x": 2}, "a": 0}, trace={"b": "1", "a": "2"})
+    def test_the_line_equals_the_encoded_ok_response(self, result, request_id, trace):
+        # Built the way the server sees a request: fields read off a decoded
+        # line whose keys are in the client's order, so an absent id or
+        # trace reads as None.
+        request = {"verb": "simulate"}
+        if request_id is not _ABSENT:
+            request["id"] = request_id
+        if trace is not _ABSENT:
+            request[protocol.TRACE_FIELD] = trace
+        payload = protocol.decode_line((json.dumps(request) + "\n").encode())
+        reply = protocol.ok_response(result, payload.get("id"), cached=True)
+        if payload.get(protocol.TRACE_FIELD) is not None:
+            reply[protocol.TRACE_FIELD] = payload[protocol.TRACE_FIELD]
+        line = protocol.cached_reply(
+            json.dumps(result, sort_keys=True), payload.get("id"), payload.get(protocol.TRACE_FIELD)
+        )
+        assert line == protocol.encode(reply)
 
 
 class TestRunSimulate:

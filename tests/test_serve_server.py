@@ -13,12 +13,17 @@ import json
 import shutil
 import tempfile
 import threading
+from pathlib import Path
 
 import pytest
 
+from repro import obs
+from repro._env import scoped_env
 from repro.experiments import fig10_region_size as fig10
-from repro.serve import ServeClient, SimulationServer, WorkerPool, jobs
+from repro.obs import trace
+from repro.serve import ServeClient, SimulationServer, WorkerPool, jobs, protocol
 from repro.serve.protocol import BAD_REQUEST, BUSY
+from repro.serve.server import ANSWERED_REPLIES
 from repro.simulation.result_cache import SweepResultCache
 
 SWEEP_OLTP = {"verb": "sweep", "figure": "fig10", "item": "OLTP", "scale": 0.05, "num_cpus": 2}
@@ -177,7 +182,7 @@ class TestServiceEndToEnd:
 
         loop_thread, executed, hits, overview, status = asyncio.run(scenario())
         assert executed["ok"] and not executed["cached"]
-        assert threads["get"] == [loop_thread] * 40
+        assert threads["get"] == [loop_thread] * 1
         assert all(reply["ok"] and reply["cached"] and not reply["coalesced"] for reply in hits)
         assert all(reply["result"] == executed["result"] for reply in hits)
         # One writer: no increment of either tally can be lost.
@@ -274,6 +279,172 @@ class TestServiceEndToEnd:
         assert not retired["ok"] and retired["code"] == BAD_REQUEST
         assert "unknown parameter" in retired["error"] and "pht_backend" in retired["error"]
         assert after["ok"] and after["id"] == "after"
+
+
+SIMULATE = {"verb": "simulate", "workload": "web-apache", "cpus": 2, "accesses_per_cpu": 1200}
+EXPERIMENT_FIG10 = {"verb": "experiment", "figure": "fig10", "scale": 0.05, "num_cpus": 2}
+
+
+def _stored(cache, request, raw=None):
+    """Put ``raw`` (default: the request's real result) in ``cache`` under
+    the request's digest; returns ``(entry path, raw)``."""
+    spec = jobs.normalize(request)
+    digest = jobs.digest_for(spec, cache)
+    raw = jobs.execute_spec(spec) if raw is None else raw
+    cache.put(digest, raw)
+    return cache._entry_path(digest), raw
+
+
+def _served(cache, socket_dir, steps):
+    """Run ``await steps(ask)`` against a server on ``cache`` whose pool
+    answers at once; ``ask(payload)`` returns the raw reply line of one
+    request, all on one connection."""
+    socket_path = f"{socket_dir}/serve.sock"
+
+    async def scenario():
+        pool = _BlockingPool()
+        pool.release.set()
+        server = SimulationServer(pool, socket_path=socket_path, max_queue=4, cache=cache)
+        await server.start()
+        try:
+            reader, writer = await asyncio.open_unix_connection(socket_path)
+
+            async def ask(payload):
+                writer.write((json.dumps(payload) + "\n").encode())
+                await writer.drain()
+                return await reader.readline()
+
+            try:
+                return await steps(ask)
+            finally:
+                writer.close()
+        finally:
+            await server.stop()
+
+    return asyncio.run(scenario())
+
+
+class TestAnsweredReplies:
+    """A repeat of a request the server answered from a verified cache entry
+    is sent as the bytes it was sent as then."""
+
+    def test_a_repeat_opens_no_file_and_computes_no_digest(
+        self, tmp_path, socket_dir, monkeypatch
+    ):
+        cache = SweepResultCache(directory=tmp_path / "cache")
+        entry, raw = _stored(cache, SIMULATE)
+        reads, digests = [], []
+        read_bytes, digest_for = Path.read_bytes, jobs.digest_for
+        monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path) or read_bytes(path))
+        monkeypatch.setattr(jobs, "digest_for", lambda *args: digests.append(args) or digest_for(*args))
+
+        async def steps(ask):
+            first = await ask(SIMULATE)
+            # A running server keeps answering what it already verified;
+            # the next process's cache sees the damage.
+            entry.write_bytes(b"damaged after it was answered")
+            repeats = [await ask(SIMULATE) for _ in range(3)]
+            status = json.loads(await ask({"verb": "status"}))["result"]
+            return first, repeats, status
+
+        previous = obs.install_registry(obs.Registry())
+        try:
+            first, repeats, status = _served(cache, socket_dir, steps)
+            ops = obs.get_registry().counter("repro_cache_ops_total", labels=("cache", "op"))
+            sweep_hits = ops.labels("sweep", "hit").value
+        finally:
+            obs.install_registry(previous)
+        assert first == protocol.encode(protocol.ok_response(jobs.jsonify(raw), cached=True))
+        assert repeats == [first] * 3
+        assert reads == [entry] and len(digests) == 1
+        # Every hit is counted, whichever way it was answered.
+        assert status["cache"]["hits"] == status["counters"]["cache_hits"] == sweep_hits == 4
+
+    def test_the_first_answered_request_leaves_the_map_past_the_cap(self, tmp_path, socket_dir):
+        cache = SweepResultCache(directory=tmp_path / "cache")
+        requests = [dict(SIMULATE, seed=seed) for seed in range(ANSWERED_REPLIES + 1)]
+        entries = [_stored(cache, request, {"seed": request["seed"]})[0] for request in requests]
+
+        async def steps(ask):
+            answered = [json.loads(await ask(request)) for request in requests]
+            for entry in entries:
+                entry.unlink()
+            again = [json.loads(await ask(requests[index])) for index in (0, 1, -1)]
+            return answered, again
+
+        answered, (first, second, last) = _served(cache, socket_dir, steps)
+        assert [reply["result"] for reply in answered] == [
+            {"seed": request["seed"]} for request in requests
+        ]
+        assert all(reply["cached"] for reply in answered)
+        # The first one answered was dropped for the 257th: with its file
+        # gone it misses and executes; the rest are still answered.
+        assert first["ok"] and not first["cached"]
+        assert second == answered[1] and last == answered[-1]
+
+    def test_the_first_repeat_of_an_executed_request_reads_the_file(
+        self, tmp_path, socket_dir, monkeypatch
+    ):
+        cache = SweepResultCache(directory=tmp_path / "cache")
+        entry = cache._entry_path(jobs.digest_for(jobs.normalize(SIMULATE), cache))
+        reads = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path) or read_bytes(path))
+
+        async def steps(ask):
+            executed = json.loads(await ask(SIMULATE))
+            return executed, [await ask(SIMULATE) for _ in range(2)]
+
+        executed, repeats = _served(cache, socket_dir, steps)
+        assert not executed["cached"]
+        assert repeats[0] == repeats[1]
+        assert json.loads(repeats[0])["result"] == executed["result"]
+        # The miss's probe, then the first repeat's: the execution's put
+        # filled nothing, the second repeat reads nothing.
+        assert reads == [entry, entry]
+
+    @pytest.mark.parametrize("request_", [SWEEP_OLTP, EXPERIMENT_FIG10], ids=["sweep", "experiment"])
+    def test_repeat_replies_of_every_cached_verb_are_byte_identical(
+        self, tmp_path, socket_dir, request_
+    ):
+        cache = SweepResultCache(directory=tmp_path / "cache")
+        _, raw = _stored(cache, request_)
+        request_id = {"z": [1, "\u00e9"], "a": None}  # unsorted keys, non-ASCII
+
+        async def steps(ask):
+            return [await ask(dict(request_, id=request_id, trace="junk")) for _ in range(3)]
+
+        replies = _served(cache, socket_dir, steps)
+        expected = protocol.ok_response(jobs.jsonify(raw), request_id, cached=True)
+        expected["trace"] = "junk"
+        assert replies == [protocol.encode(expected)] * 3
+        if request_ is EXPERIMENT_FIG10:
+            assert json.loads(replies[-1])["result"]["text"] == raw.to_text()
+
+    def test_a_traced_repeat_has_a_cached_request_span_and_no_cache_get(
+        self, tmp_path, socket_dir
+    ):
+        cache = SweepResultCache(directory=tmp_path / "cache")
+        _stored(cache, SIMULATE, {"stand-in": 1})
+        trace.flush()
+        trace._buffer.clear()
+        with scoped_env({"REPRO_TRACE": "on", "REPRO_CACHE_DIR": str(tmp_path)}):
+            with trace.span("client.request") as client:
+                parent = client.context.as_dict()
+
+            async def steps(ask):
+                return [json.loads(await ask(dict(SIMULATE, trace=parent))) for _ in range(2)]
+
+            replies = _served(cache, socket_dir, steps)
+            trace.flush()
+            records = trace.load_trace_file(trace.trace_path(parent["trace_id"]))
+        assert [reply["trace"] for reply in replies] == [parent] * 2
+        spans = [record for record in records if record.get("kind") == "span"]
+        requests = [span for span in spans if span["name"] == "serve.request"]
+        assert [span["attrs"]["cached"] for span in requests] == [True, True]
+        gets = [span for span in spans if span["name"] == "cache.get"]
+        # The first hit read the entry; the repeat was answered from the map.
+        assert [span["parent"] for span in gets] == [requests[0]["span"]]
 
 
 class _BlockingPool:
